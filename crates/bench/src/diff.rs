@@ -12,7 +12,10 @@
 //! * **Wall-clock metrics** (`*_seconds`, `jobs_per_sec`, speedups, hit
 //!   rates) are noisy; they fail only on a **regression** beyond the
 //!   tolerance (default 15%), judged direction-aware — slower seconds and
-//!   lower speedups regress, improvements of any size pass.
+//!   lower speedups regress, improvements of any size pass. A `*_seconds`
+//!   metric must also slow down by more than an absolute noise floor: the
+//!   rows are single-shot, and a relative bound on a 5 ms run measures the
+//!   host's scheduler, not the code.
 //! * **Nondeterministic counters** (`tune_*`, `pages_skipped`) are
 //!   timing-dependent by design and are skipped entirely.
 //!
@@ -25,6 +28,12 @@ use janus_obs::json::{self, Value};
 
 /// Default wall-clock regression tolerance: 15%.
 pub const DEFAULT_WALL_TOLERANCE: f64 = 0.15;
+
+/// Absolute slowdown below which a `*_seconds` metric never regresses: what
+/// one single-shot run jitters by on a shared CI runner. A step-function
+/// regression of a millisecond-scale row (the quadratic it once had) still
+/// clears it by an order of magnitude.
+pub const WALL_NOISE_FLOOR_SECONDS: f64 = 0.05;
 
 /// How one leaf metric is compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +53,7 @@ fn classify(key: &str) -> MetricClass {
     match key {
         "tune_parallel" | "tune_sequential" | "pages_skipped" => MetricClass::Skipped,
         "jobs_per_sec" | "cache_hit_rate" | "speedup" | "geomean_speedup" | "warm_speedup"
-        | "adaptive_gain" => MetricClass::WallHigherIsBetter,
+        | "adaptive_gain" | "geomean_gain" => MetricClass::WallHigherIsBetter,
         key if key.ends_with("_seconds") => MetricClass::WallLowerIsBetter,
         _ => MetricClass::Exact,
     }
@@ -156,6 +165,7 @@ pub fn diff_bench_json(old: &str, new: &str, wall_tolerance: f64) -> Result<Benc
                 // Relative change, signed so that positive = regression.
                 let denom = a.abs().max(1e-12);
                 let regression = match class {
+                    MetricClass::WallLowerIsBetter if b - a <= WALL_NOISE_FLOOR_SECONDS => 0.0,
                     MetricClass::WallLowerIsBetter => (b - a) / denom,
                     _ => (a - b) / denom,
                 };
@@ -253,6 +263,22 @@ mod tests {
         assert!(loose.passed(), "{:?}", loose.failures);
     }
 
+    /// A millisecond-scale row doubling is jitter; the same row growing past
+    /// the noise floor is the regression the gate exists for.
+    #[test]
+    fn sub_floor_wall_slowdowns_are_noise() {
+        let base = doc(0.004, 500, true, 3);
+        let jitter = diff_bench_json(&base, &doc(0.009, 500, true, 3), DEFAULT_WALL_TOLERANCE);
+        assert!(jitter.unwrap().passed());
+        let step = diff_bench_json(&base, &doc(0.3, 500, true, 3), 0.5).unwrap();
+        assert!(!step.passed());
+        assert!(
+            step.failures[0].contains("wall_seconds"),
+            "{:?}",
+            step.failures
+        );
+    }
+
     #[test]
     fn higher_is_better_metrics_regress_downward() {
         let base = doc(1.0, 500, true, 3);
@@ -270,6 +296,28 @@ mod tests {
         assert!(diff_bench_json(&base, &faster, DEFAULT_WALL_TOLERANCE)
             .unwrap()
             .passed());
+    }
+
+    /// `adaptive.geomean_gain` is a geomean of wall-time ratios: two runs of
+    /// one commit never agree on it to six digits (observed
+    /// `0.951678 -> 1.012069` with every real counter equal), so it takes
+    /// the wall tolerance like the `adaptive_gain` values it summarises.
+    #[test]
+    fn adaptive_geomean_gain_is_a_wall_ratio_not_an_exact_counter() {
+        let base = doc(1.0, 500, true, 3);
+        let moved = |to: &str| base.replace("\"geomean_gain\": 1.05", to);
+        for jitter in ["\"geomean_gain\": 1.0185", "\"geomean_gain\": 1.0815"] {
+            let diff = diff_bench_json(&base, &moved(jitter), DEFAULT_WALL_TOLERANCE).unwrap();
+            assert!(diff.passed(), "a 3% move is noise: {:?}", diff.failures);
+        }
+        // A 60% drop fails even at CI's wide 50% tolerance.
+        let diff = diff_bench_json(&base, &moved("\"geomean_gain\": 0.42"), 0.5).unwrap();
+        assert!(!diff.passed());
+        assert!(
+            diff.failures[0].contains("geomean_gain"),
+            "{:?}",
+            diff.failures
+        );
     }
 
     #[test]

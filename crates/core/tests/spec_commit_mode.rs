@@ -1,7 +1,8 @@
 //! Equivalence of the two speculative commit modes under the native-threads
-//! backend: `Deterministic` (race the pool, replay the deterministic
-//! coordinator, report modelled figures) and `RacedImage` (commit the pool's
-//! converged image directly, skip the replay — pure wall-clock mode).
+//! backend: `Deterministic` (the deterministic coordinator alone; reports
+//! modelled figures) and `RacedImage` (the racing Block-STM pool alone;
+//! commits its converged image). This is where the two engines are held to
+//! each other — no release invocation runs both.
 //!
 //! Guest results must be identical: same final memory digest, same output
 //! streams, same exit code, for every may-dependent workload. Only the
@@ -40,7 +41,7 @@ fn raced_image_commit_matches_the_deterministic_replay() {
         let deterministic = run(name, SpecCommitMode::Deterministic);
         let raced = run(name, SpecCommitMode::RacedImage);
 
-        // Both modes drove the speculation engine…
+        // Both modes drove a speculation engine, each its own…
         assert!(
             deterministic.parallel.stats.spec_invocations >= 1,
             "{name}: nothing speculated deterministically"
@@ -48,6 +49,10 @@ fn raced_image_commit_matches_the_deterministic_replay() {
         assert!(
             raced.parallel.stats.spec_invocations >= 1,
             "{name}: nothing speculated in raced-image mode"
+        );
+        assert!(
+            raced.os_threads_used() > 1,
+            "{name}: the raced mode must run the OS-thread pool"
         );
         // …and landed the identical serial-equivalent guest state.
         assert_eq!(
@@ -68,8 +73,8 @@ fn raced_image_commit_matches_the_deterministic_replay() {
         );
         assert!(raced.outputs_match, "{name}: raced-image output diverged");
 
-        // Skipping the replay must not *increase* modelled time: raced-image
-        // invocations charge no modelled parallel cycles.
+        // Raced-image invocations charge no modelled parallel cycles, so the
+        // mode must not *increase* modelled time.
         assert!(
             raced.parallel.cycles <= deterministic.parallel.cycles,
             "{name}: raced-image mode reported more modelled cycles \

@@ -1,16 +1,19 @@
-//! Determinism stress for the racing speculative runtime: the native
-//! backend's Block-STM worker pool races incarnations nondeterministically,
-//! so every *reported* number must come from the deterministic commit-order
-//! replay — re-running the same workload many times must produce
-//! bit-identical memory digests, outputs, modelled cycles and table-3
-//! speculation statistics, with zero schedule-dependent drift.
+//! Determinism stress for the speculative runtime under the native backend.
+//!
+//! In the default commit mode the backend runs the deterministic
+//! coordinator alone, so re-running the same workload many times must
+//! produce bit-identical memory digests, outputs, modelled cycles and
+//! table-3 speculation statistics — and must report that no OS-thread pool
+//! ran. The racing Block-STM pool is `RacedImage`'s engine: its counters
+//! describe whatever race the OS scheduled, but the guest state it lands
+//! must be the deterministic one on every run.
 //!
 //! `spec.doacross-window` is the stress pick: its sliding-window
 //! read-after-write chain has the highest abort rate of the suite, so it
 //! exercises estimates, dependency wakeups and re-execution on every run.
 
 use janus_compile::{CompileOptions, Compiler};
-use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport};
+use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport, SpecCommitMode};
 use janus_ir::JBinary;
 use janus_workloads::workload;
 
@@ -21,7 +24,7 @@ fn compile_once() -> JBinary {
         .expect("workload compiles")
 }
 
-fn run_native(binary: &JBinary, threads: u32) -> JanusReport {
+fn run_native(binary: &JBinary, threads: u32, spec_commit: SpecCommitMode) -> JanusReport {
     // Bit-identical repeats are a static-policy contract: the adaptive
     // tuner folds measured wall time into its decisions, which is
     // legitimately run-dependent. Pin it off even under JANUS_ADAPTIVE=1.
@@ -30,6 +33,7 @@ fn run_native(binary: &JBinary, threads: u32) -> JanusReport {
         backend: BackendKind::NativeThreads,
         dbm: DbmConfig {
             adaptive: false,
+            spec_commit,
             ..DbmConfig::default()
         },
         ..JanusConfig::default()
@@ -76,7 +80,7 @@ fn fingerprint(report: &JanusReport) -> Fingerprint {
 #[test]
 fn twenty_native_runs_are_bit_identical() {
     let binary = compile_once();
-    let first = run_native(&binary, 4);
+    let first = run_native(&binary, 4, SpecCommitMode::Deterministic);
     assert!(first.outputs_match, "doacross-window must reproduce output");
     assert!(
         first.parallel.stats.spec_invocations > 0,
@@ -86,19 +90,48 @@ fn twenty_native_runs_are_bit_identical() {
         first.parallel.stats.spec_aborts > 0,
         "doacross-window must conflict (that is the point of the stress)"
     );
-    assert!(
-        first.os_threads_used() > 1,
-        "incarnations must race on >1 OS thread, got {}",
-        first.os_threads_used()
+    assert_eq!(
+        first.os_threads_used(),
+        0,
+        "the deterministic mode runs no pool (and this workload no DOALL loop)"
     );
     let reference = fingerprint(&first);
     for attempt in 1..20 {
-        let report = run_native(&binary, 4);
+        let report = run_native(&binary, 4, SpecCommitMode::Deterministic);
         assert_eq!(
             fingerprint(&report),
             reference,
-            "run {attempt}: native speculative run drifted from run 0 — \
-             a racing artifact leaked into the reported statistics"
+            "run {attempt}: native speculative run drifted from run 0"
+        );
+    }
+}
+
+#[test]
+fn twenty_raced_runs_land_the_deterministic_guest_state() {
+    let binary = compile_once();
+    let reference = run_native(&binary, 4, SpecCommitMode::Deterministic);
+    for attempt in 0..20 {
+        let raced = run_native(&binary, 4, SpecCommitMode::RacedImage);
+        assert!(
+            raced.os_threads_used() > 1,
+            "run {attempt}: incarnations must race on >1 OS thread, got {}",
+            raced.os_threads_used()
+        );
+        assert!(raced.outputs_match, "run {attempt}: raced output diverged");
+        assert_eq!(
+            (
+                raced.parallel.memory_digest,
+                &raced.parallel.output_ints,
+                &raced.parallel.output_floats,
+                raced.parallel.exit_code,
+            ),
+            (
+                reference.parallel.memory_digest,
+                &reference.parallel.output_ints,
+                &reference.parallel.output_floats,
+                reference.parallel.exit_code,
+            ),
+            "run {attempt}: the race leaked into the guest state"
         );
     }
 }

@@ -19,24 +19,24 @@
 //!   potential cross-chunk dependences by definition) conservatively take
 //!   the sequential chunk path instead.
 //!
-//! Both backends charge modelled cycles through the same worker-lane
-//! abstraction ([`janus_spec::LaneSet`]) that the speculation engine uses,
-//! so reported cycle counts are deterministic and comparable regardless of
-//! where the chunks physically ran. The speculative (`SPECULATE`) path is
-//! also routed through the trait: the virtual-time backend drives the
-//! deterministic `janus-spec` coordinator engine, while the native-threads
-//! backend first *races* the incarnations across a real Block-STM worker
-//! pool ([`janus_spec::run_speculative_pooled`], one OS thread per lane)
-//! over the read-only memory image and then replays the deterministic
-//! engine in commit order for the modelled statistics and the commit — the
-//! two serial-equivalent final images are cross-checked word for word, so
-//! speculative results stay bit-identical across backends while the wall
-//! clock measures the actual fan-out.
+//! Both backends charge modelled cycles through the same worker lanes
+//! ([`janus_spec::Lanes`]) that the speculation engine uses, so reported
+//! cycle counts are deterministic and comparable regardless of where the
+//! chunks physically ran. The speculative (`SPECULATE`) path is also routed
+//! through the trait, one engine per [`SpecCommitMode`]: the deterministic
+//! `janus-spec` coordinator under virtual time and under the native
+//! backend's default mode — its counters, modelled cycles and commit are the
+//! reported ones, so running anything beside it would only be paid for — and
+//! the racing Block-STM worker pool ([`janus_spec::run_speculative_pooled`],
+//! one OS thread per lane) alone under `RacedImage`. That both engines
+//! converge to the same serial-equivalent image is checked where both run
+//! anyway: the differential fuzzer's commit-mode axis and
+//! `crates/core/tests/spec_commit_mode.rs`.
 
 use crate::runtime::LoopRt;
 use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
 use janus_obs::Recorder;
-use janus_spec::{IterationRun, LaneSet, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
+use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
 use janus_vm::{
     merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, GuestMemory, MergeStats,
     Process,
@@ -310,11 +310,11 @@ pub struct BatchOutcome {
 
 /// What a routed speculative invocation returned, plus its wall-clock cost.
 pub struct SpecInvocationOutcome {
-    pub(crate) result: std::result::Result<SpecOutcome<(Cpu, u64)>, SpecError<DbmError>>,
+    pub(crate) result: std::result::Result<SpecOutcome<SpecPayload>, SpecError<DbmError>>,
     /// Wall-clock nanoseconds of the invocation (0 under virtual time).
     pub wall_nanos: u64,
-    /// OS worker threads the invocation's racing pool spawned (0 under
-    /// virtual time).
+    /// OS worker threads the invocation's racing pool spawned (0 when the
+    /// deterministic coordinator ran alone).
     pub os_threads: u64,
 }
 
@@ -328,13 +328,25 @@ impl fmt::Debug for SpecInvocationOutcome {
     }
 }
 
+/// What one validated iteration of a speculative loop leaves behind: the
+/// sums the invocation folds over all iterations, and — for the last
+/// iteration only — the register context a sequential run would have left.
+#[derive(Debug)]
+pub struct SpecPayload {
+    pub(crate) retired: u64,
+    /// The reduction accumulators' raw bits, in rule order.
+    pub(crate) reductions: Vec<i64>,
+    /// The final context (its `pc` is the loop exit taken).
+    pub(crate) last: Option<Box<Cpu>>,
+}
+
 /// The loop body driven by the speculation engine for one iteration.
 /// `Fn + Sync`: the native-threads backend calls it concurrently from racing
 /// worker threads, one incarnation per call.
 pub type SpecBody<'a> = &'a (dyn Fn(
     usize,
     &mut SpecView<'_, FlatMemory>,
-) -> std::result::Result<IterationRun<(Cpu, u64)>, DbmError>
+) -> std::result::Result<IterationRun<SpecPayload>, DbmError>
          + Sync);
 
 mod sealed {
@@ -374,11 +386,11 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
     ) -> Result<BatchOutcome>;
 
     /// Runs one speculative (`SPECULATE`) loop invocation through the
-    /// `janus-spec` engine. `commit` selects how the native-threads backend
-    /// lands the result ([`SpecCommitMode`]); the virtual-time backend is
-    /// always deterministic and ignores it. `recorder` receives incarnation
-    /// events from the racing pool plus divergence/fallback diagnostics
-    /// (pass the null recorder to trace nothing).
+    /// `janus-spec` engine `commit` selects under the native-threads backend
+    /// ([`SpecCommitMode`]); the virtual-time backend is always
+    /// deterministic and ignores it. `recorder` receives incarnation events
+    /// from the racing pool plus fallback diagnostics (pass the null
+    /// recorder to trace nothing).
     fn run_speculative_invocation(
         &self,
         spec_config: &SpecConfig,
@@ -392,13 +404,13 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
 
 /// Charges each chunk's cycles to the least-loaded worker lane and returns
 /// the makespan — the one modelled-time code path shared by both backends
-/// (and, via [`LaneSet`], with the speculation engine).
+/// (and, via [`Lanes`], with the speculation engine).
 fn modelled_parallel_cycles(threads: u32, results: &[ChunkResult]) -> u64 {
     let mut lanes = Lanes::new(threads.max(1));
     for r in results {
-        LaneSet::charge(&mut lanes, r.cpu.cycles);
+        lanes.charge(r.cpu.cycles);
     }
-    LaneSet::makespan(&lanes)
+    lanes.makespan()
 }
 
 /// The deterministic virtual-time backend: chunks execute sequentially on
@@ -464,13 +476,7 @@ impl ExecutionBackend for VirtualTimeBackend {
             .span("dbm.spec", "spec.deterministic")
             .arg("iterations", iterations)
             .arg("lanes", spec_config.lanes);
-        let result = janus_spec::run_speculative_with_lanes(
-            spec_config,
-            Lanes::new(spec_config.lanes),
-            base,
-            iterations,
-            body,
-        );
+        let result = janus_spec::run_speculative(spec_config, base, iterations, body);
         SpecInvocationOutcome {
             result,
             wall_nanos: 0,
@@ -600,44 +606,36 @@ impl ExecutionBackend for NativeThreadsBackend {
         body: SpecBody<'_>,
         recorder: &Recorder,
     ) -> SpecInvocationOutcome {
-        // First the *racing pool*: one OS worker per lane pulls
-        // execution/validation tasks from the shared atomic scheduler and
-        // runs incarnations concurrently over the read-only memory image —
-        // this is where the wall clock is spent and what `os_threads_used`
-        // reports.
-        let threads = spec_config.lanes.max(1) as usize;
         let start = Instant::now();
-        let raced = {
-            let _span = recorder
-                .span("dbm.spec", "spec.race")
-                .arg("iterations", iterations)
-                .arg("threads", threads);
-            janus_spec::run_speculative_pooled_traced(
-                spec_config,
-                threads,
-                &*base,
-                iterations,
-                body,
-                recorder,
-            )
-        };
-        let wall_nanos = start.elapsed().as_nanos() as u64;
-        let os_threads = raced
-            .as_ref()
-            .map_or(threads.min(iterations.max(1)), |r| r.threads_used)
-            as u64;
-
-        // Pure wall-clock mode: commit the pool's converged (serial-
-        // equivalent) image directly and skip the deterministic replay. The
-        // outcome's counters describe the actual race and no modelled
-        // parallel cycles are charged — callers pick this mode precisely
-        // because they do not consume modelled figures. A pool that gave up
-        // (`AbortLimit`), saw a fault, or left live estimate markers in the
-        // store (the convergence invariant every committed image must
-        // satisfy; asserted in test builds, never trusted in release) falls
-        // through to the deterministic engine below, which classifies
-        // genuine faults exactly and always commits a correct image.
+        // `RacedImage`: the Block-STM pool alone — one OS worker per lane
+        // races incarnations over the read-only image and its converged
+        // (serial-equivalent) image is committed as is. Counters describe
+        // the race that happened and no modelled parallel cycles are
+        // charged: callers pick this mode because they consume neither.
+        let mut os_threads = 0;
         if commit == SpecCommitMode::RacedImage {
+            let threads = spec_config.lanes.max(1) as usize;
+            os_threads = threads.min(iterations.max(1)) as u64;
+            let raced = {
+                let _span = recorder
+                    .span("dbm.spec", "spec.race")
+                    .arg("iterations", iterations)
+                    .arg("threads", threads);
+                janus_spec::run_speculative_pooled_traced(
+                    spec_config,
+                    threads,
+                    &*base,
+                    iterations,
+                    body,
+                    recorder,
+                )
+            };
+            // A pool that gave up (`AbortLimit`), saw a fault, or left live
+            // estimate markers (the convergence invariant every committed
+            // image must satisfy; asserted in test builds, never trusted in
+            // release) falls through to the deterministic engine, which
+            // classifies genuine faults exactly and always commits a
+            // correct image.
             if let Ok(pooled) = raced {
                 debug_assert_eq!(pooled.live_estimates, 0);
                 if pooled.live_estimates == 0 {
@@ -649,9 +647,8 @@ impl ExecutionBackend for NativeThreadsBackend {
                             stats: pooled.stats,
                             parallel_cycles: 0,
                             payloads: pooled.payloads,
-                            image: pooled.image,
                         }),
-                        wall_nanos,
+                        wall_nanos: start.elapsed().as_nanos() as u64,
                         os_threads,
                     };
                 }
@@ -670,32 +667,13 @@ impl ExecutionBackend for NativeThreadsBackend {
                     );
                 }
             }
-            let mut outcome = VirtualTimeBackend.run_speculative_invocation(
-                spec_config,
-                commit,
-                base,
-                iterations,
-                body,
-                recorder,
-            );
-            outcome.wall_nanos = wall_nanos;
-            outcome.os_threads = os_threads;
-            return outcome;
         }
-
-        // Deterministic commit mode: replay the *deterministic coordinator*
-        // in commit order on this thread; its modelled cycles, abort counts
-        // and payloads are what the run reports (bit-identical to the
-        // virtual-time backend by construction) and its commit is what lands
-        // in guest memory. The two engines must agree on the
-        // serial-equivalent final image whenever the race completes (a pool
-        // that gave up with `AbortLimit` has no image to compare): the
-        // comparison runs word for word in every build, asserts in
-        // test/debug builds, and in release builds logs the divergence and
-        // keeps the deterministic result — no panic, the correct outcome is
-        // already in hand. The cross-backend equivalence battery re-checks
-        // the same invariant end to end through
-        // `DbmRunResult::memory_digest`.
+        // `Deterministic`: the coordinator alone, on this thread. Its
+        // modelled cycles, abort counts, payloads and commit are bit-identical
+        // to the virtual-time backend's because they *are* the virtual-time
+        // backend's; no pool runs, and `os_threads` says so. That the two
+        // engines agree on the image is checked where both run anyway: the
+        // fuzzer's commit-mode axis and `spec_commit_mode.rs`.
         let mut outcome = VirtualTimeBackend.run_speculative_invocation(
             spec_config,
             commit,
@@ -704,32 +682,7 @@ impl ExecutionBackend for NativeThreadsBackend {
             body,
             recorder,
         );
-        if let (Ok(raced), Ok(deterministic)) = (&raced, &outcome.result) {
-            let diverged = raced.image != deterministic.image || raced.live_estimates != 0;
-            if diverged {
-                debug_assert!(
-                    false,
-                    "racing Block-STM pool diverged from the deterministic engine \
-                     (live estimates: {})",
-                    raced.live_estimates
-                );
-                // Structured diagnostic: visible in trace exports when a
-                // recorder is attached, on stderr otherwise (never silent).
-                if recorder.is_enabled() {
-                    recorder.instant(
-                        "dbm.spec",
-                        "spec.pool-divergence",
-                        &[("live_estimates", raced.live_estimates.into())],
-                    );
-                } else {
-                    eprintln!(
-                        "janus-dbm: racing speculative pool diverged from the \
-                         deterministic engine; keeping the deterministic result"
-                    );
-                }
-            }
-        }
-        outcome.wall_nanos = wall_nanos;
+        outcome.wall_nanos = start.elapsed().as_nanos() as u64;
         outcome.os_threads = os_threads;
         outcome
     }
@@ -793,6 +746,77 @@ mod tests {
             assert_eq!(batched, per_exec, "warmup {warmup}, batch {batch}");
             assert_eq!(replayed.exec_counts[&0x40], live.exec_counts[&0x40]);
         }
+    }
+
+    /// One engine per commit mode: in the default mode the native backend
+    /// calls the iteration body exactly as often as the virtual-time backend
+    /// does — once per incarnation, not once to race and once more to
+    /// replay — and truthfully reports that no pool ran; the pool is the
+    /// raced mode's engine.
+    #[test]
+    fn deterministic_mode_runs_each_incarnation_once_and_spawns_no_pool() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let config = SpecConfig {
+            lanes: 4,
+            ..SpecConfig::default()
+        };
+        let calls = AtomicU64::new(0);
+        // `hist[i % 2] += i`: neighbours two apart collide inside the
+        // four-lane window, so some incarnations are retried.
+        let body = |i: usize,
+                    view: &mut SpecView<'_, FlatMemory>|
+         -> std::result::Result<IterationRun<SpecPayload>, DbmError> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            let addr = 0x3000 + (i as u64 % 2) * 8;
+            let v = view.read_u64(addr);
+            view.write_u64(addr, v + i as u64);
+            Ok(IterationRun {
+                cycles: 50,
+                payload: SpecPayload {
+                    retired: 1,
+                    reductions: Vec::new(),
+                    last: None,
+                },
+            })
+        };
+        let run = |backend: &dyn ExecutionBackend, commit: SpecCommitMode| {
+            calls.store(0, Ordering::Relaxed);
+            let mut base = FlatMemory::new();
+            let out = backend.run_speculative_invocation(
+                &config,
+                commit,
+                &mut base,
+                40,
+                &body,
+                &Recorder::default(),
+            );
+            let stats = out.result.expect("the invocation converges").stats;
+            let image = [base.read_u64(0x3000), base.read_u64(0x3008)];
+            (calls.load(Ordering::Relaxed), stats, out.os_threads, image)
+        };
+        let serial = [(0..40).step_by(2).sum::<u64>(), (1..40).step_by(2).sum()];
+
+        let (virt_calls, virt_stats, virt_threads, virt_image) =
+            run(&VirtualTimeBackend, SpecCommitMode::Deterministic);
+        assert_eq!(virt_image, serial);
+        assert_eq!(virt_threads, 0);
+        assert_eq!(
+            virt_calls,
+            virt_stats.executions + virt_stats.estimate_stalls,
+            "one body call per incarnation"
+        );
+        assert!(virt_calls > 40, "the conflicts must cause retries");
+
+        let (calls, stats, threads, image) =
+            run(&NativeThreadsBackend, SpecCommitMode::Deterministic);
+        assert_eq!(calls, virt_calls, "the body ran once per incarnation");
+        assert_eq!(stats, virt_stats);
+        assert_eq!(image, serial);
+        assert_eq!(threads, 0, "no pool ran, and the report says so");
+
+        let (_, _, threads, image) = run(&NativeThreadsBackend, SpecCommitMode::RacedImage);
+        assert_eq!(image, serial);
+        assert_eq!(threads, 4, "the raced mode runs one worker per lane");
     }
 
     #[test]

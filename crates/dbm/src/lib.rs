@@ -31,7 +31,7 @@
 //! * [`VirtualTimeBackend`] (the default) executes chunks deterministically,
 //!   one after another on the coordinating thread, and reports *virtual*
 //!   parallel time: each chunk's cycle count is charged to the least-loaded
-//!   of `threads` modelled worker lanes ([`janus_spec::LaneSet`]) and the
+//!   of `threads` modelled worker lanes ([`janus_spec::Lanes`]) and the
 //!   busiest lane's clock is the invocation's parallel time. All
 //!   shared-memory effects are real (the chunks operate on the same guest
 //!   address space); only the notion of time is simulated. This backend is
@@ -47,12 +47,11 @@
 //!   comparable), while wall-clock time and the number of OS threads spawned
 //!   are additionally reported in [`DbmStats::parallel_wall_nanos`] and
 //!   [`DbmStats::os_threads_used`]. Speculative (`SPECULATE`) invocations
-//!   race their incarnations on a Block-STM worker pool
-//!   ([`janus_spec::run_speculative_pooled`], one OS thread per lane) over a
-//!   read-only view of guest memory, then replay the deterministic
-//!   coordinator engine in commit order for the modelled statistics and the
-//!   commit, cross-checking the two serial-equivalent final images — so
-//!   speculative reports stay bit-identical to the virtual-time backend.
+//!   run one engine, chosen by [`SpecCommitMode`]: by default the same
+//!   deterministic coordinator the virtual-time backend drives (so
+//!   speculative reports are bit-identical to it), or — `RacedImage` — a
+//!   Block-STM worker pool ([`janus_spec::run_speculative_pooled`], one OS
+//!   thread per lane) racing over a read-only view of guest memory.
 //!   Only loops whose schedule carries `TX_START` rules (STM-wrapped
 //!   shared-library calls, i.e. potential cross-chunk dependences)
 //!   conservatively take the sequential chunk path so guest results stay
@@ -142,32 +141,34 @@ impl Default for SpecCosts {
     }
 }
 
-/// How the native-threads backend commits a speculative (`SPECULATE`)
-/// invocation once the racing Block-STM pool has converged.
+/// Which `janus-spec` engine the native-threads backend runs for a
+/// speculative (`SPECULATE`) invocation — one engine per mode, never both.
 ///
 /// The virtual-time backend always runs the deterministic coordinator (it
 /// has no racing pool), so this knob only changes behaviour under
 /// [`BackendKind::NativeThreads`]. Either way the committed memory image is
-/// the serial-equivalent one — the equivalence test in `janus-core` asserts
-/// identical memory digests between the two modes.
+/// the serial-equivalent one — the equivalence test in `janus-core` and the
+/// fuzzer's commit-mode axis assert identical memory digests between the
+/// two modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpecCommitMode {
-    /// Race the pool for wall-clock speed, then replay the deterministic
-    /// coordinator in commit order and report *its* modelled cycles and
-    /// speculation counters (bit-identical to the virtual-time backend),
-    /// cross-checking the two serial-equivalent images. The default: every
+    /// Run the deterministic coordinator on the calling thread, exactly as
+    /// the virtual-time backend does: its modelled cycles and speculation
+    /// counters are the reported ones (so they are bit-identical across
+    /// backends) and its commit is what lands. No pool runs, and
+    /// [`DbmStats::os_threads_used`] does not count one. The default: every
     /// figure and table is built from this mode.
     #[default]
     Deterministic,
-    /// Commit the racing pool's converged image directly and skip the
-    /// deterministic replay — pure wall-clock mode for callers (serving
-    /// batches, latency-sensitive jobs) that do not consume modelled
-    /// figures. Guest results are unchanged; speculation counters describe
-    /// the actual race (nondeterministic) and modelled parallel cycles are
-    /// not charged for the invocation, so cycle totals are not comparable
-    /// with `Deterministic` runs. A pool that gives up ([`janus_spec::SpecError`])
-    /// still falls back to the deterministic engine, which classifies
-    /// genuine faults exactly.
+    /// Run the racing Block-STM pool (one OS worker per lane) and commit its
+    /// converged image — for callers (serving batches, latency-sensitive
+    /// jobs) that do not consume modelled figures. Guest results are
+    /// unchanged; speculation counters describe the actual race
+    /// (nondeterministic) and modelled parallel cycles are not charged for
+    /// the invocation, so cycle totals are not comparable with
+    /// `Deterministic` runs. A pool that gives up ([`janus_spec::SpecError`])
+    /// falls back to the deterministic engine, which classifies genuine
+    /// faults exactly.
     RacedImage,
 }
 
@@ -220,10 +221,10 @@ pub struct DbmConfig {
     pub stm: StmCosts,
     /// Cost knobs of the iteration-level speculation engine.
     pub spec: SpecCosts,
-    /// How the native-threads backend commits speculative invocations:
-    /// deterministic replay (default; modelled figures stay backend-
-    /// invariant) or the racing pool's image directly (pure wall-clock
-    /// mode). Ignored by the virtual-time backend.
+    /// Which engine the native-threads backend runs for speculative
+    /// invocations: the deterministic coordinator (default; modelled figures
+    /// stay backend-invariant) or the racing pool. Ignored by the
+    /// virtual-time backend.
     pub spec_commit: SpecCommitMode,
     /// Minimum iterations per thread below which a loop invocation is run
     /// sequentially (parallelisation would not be profitable).
@@ -429,10 +430,13 @@ pub struct DbmStats {
     /// Word writes buffered by the speculation engine's multi-version views.
     pub spec_writes: u64,
     /// Largest number of OS worker threads spawned for any single
-    /// parallel-loop invocation. Stays at 0 under the virtual-time backend
-    /// (and for runs with no parallel invocations); a value above 1 is the
-    /// observable proof that the native-threads backend fanned work out
-    /// across real threads.
+    /// parallel-loop invocation: chunk workers of a DOALL batch, or the
+    /// racing pool of a [`SpecCommitMode::RacedImage`] invocation. Stays at
+    /// 0 under the virtual-time backend, for runs with no parallel
+    /// invocations, and for speculative invocations in the default
+    /// `Deterministic` mode (the coordinator runs on the calling thread); a
+    /// value above 1 is the observable proof that the native-threads
+    /// backend fanned work out across real threads.
     pub os_threads_used: u64,
     /// Wall-clock nanoseconds spent inside parallel-region execution
     /// (chunk batches and speculative invocations), summed over invocations.
@@ -562,7 +566,7 @@ mod tests {
             ),
             (6, 10, 4, 60, 64)
         );
-        // Figures are built from the deterministic replay by default.
+        // Figures are built from the deterministic engine by default.
         assert_eq!(c.spec_commit, SpecCommitMode::Deterministic);
         assert_eq!(SpecCommitMode::Deterministic.label(), "deterministic");
         assert_eq!(SpecCommitMode::RacedImage.label(), "raced-image");

@@ -3,7 +3,9 @@
 //! chunk results back into the main thread. The *execution* of planned
 //! chunks lives behind [`crate::ExecutionBackend`] in `backend.rs`.
 
-use crate::backend::{BlockAccounting, ChunkContext, ChunkPlan, ChunkSideEffects, CodeCache};
+use crate::backend::{
+    BlockAccounting, ChunkContext, ChunkPlan, ChunkSideEffects, CodeCache, SpecPayload,
+};
 use crate::stm::TxView;
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
@@ -46,14 +48,7 @@ impl VarSpec {
 
     fn read(self, cpu: &Cpu, mem: &mut FlatMemory) -> i64 {
         match self {
-            VarSpec::Reg(r) => {
-                let reg = Reg::from_raw(r).expect("valid register in rule");
-                if reg.is_gpr() {
-                    cpu.read_gpr(reg)
-                } else {
-                    cpu.read_f64(reg).to_bits() as i64
-                }
-            }
+            VarSpec::Reg(r) => read_reg(cpu, Reg::from_raw(r).expect("valid register in rule")),
             VarSpec::Stack(off) => mem.read_i64((cpu.read_gpr(Reg::FP) + off) as u64),
         }
     }
@@ -61,15 +56,31 @@ impl VarSpec {
     fn write(self, cpu: &mut Cpu, mem: &mut FlatMemory, value: i64) {
         match self {
             VarSpec::Reg(r) => {
-                let reg = Reg::from_raw(r).expect("valid register in rule");
-                if reg.is_gpr() {
-                    cpu.write_gpr(reg, value);
-                } else {
-                    cpu.write_f64(reg, f64::from_bits(value as u64));
-                }
+                write_reg(
+                    cpu,
+                    Reg::from_raw(r).expect("valid register in rule"),
+                    value,
+                );
             }
             VarSpec::Stack(off) => mem.write_i64((cpu.read_gpr(Reg::FP) + off) as u64, value),
         }
+    }
+}
+
+/// The raw bits of the scalar held in `reg`, whichever register file it is in.
+fn read_reg(cpu: &Cpu, reg: Reg) -> i64 {
+    if reg.is_gpr() {
+        cpu.read_gpr(reg)
+    } else {
+        cpu.read_f64(reg).to_bits() as i64
+    }
+}
+
+fn write_reg(cpu: &mut Cpu, reg: Reg, value: i64) {
+    if reg.is_gpr() {
+        cpu.write_gpr(reg, value);
+    } else {
+        cpu.write_f64(reg, f64::from_bits(value as u64));
     }
 }
 
@@ -1034,14 +1045,18 @@ impl Dbm {
         let ind_reg = Reg::from_raw(ind_raw).ok_or_else(|| DbmError::BadRule {
             reason: format!("bad induction register {ind_raw} in SPECULATE loop"),
         })?;
-        if lr
+        let Some(reductions) = lr
             .reductions
             .iter()
-            .any(|(var, _, _)| !matches!(var, VarSpec::Reg(_)))
-        {
+            .map(|&(var, _, is_float)| match var {
+                VarSpec::Reg(r) => Reg::from_raw(r).map(|reg| (reg, is_float)),
+                VarSpec::Stack(_) => None,
+            })
+            .collect::<Option<Vec<(Reg, bool)>>>()
+        else {
             self.stats.sequential_fallbacks += 1;
             return Ok(false);
-        }
+        };
 
         let template = {
             let mut cpu = self.main.clone();
@@ -1065,83 +1080,89 @@ impl Dbm {
         // memory can be temporarily moved into the engine.
         let process = &self.prepared.parts.process;
         let cycle_limit = self.config.cycle_limit;
-        let reductions = &lr.reductions;
-        let finish_addrs = &lr.finish_addrs;
+        // A loop has a handful of exits: a slice scan per instruction beats
+        // hashing the program counter.
+        let finish_addrs: Vec<u64> = lr.finish_addrs.iter().copied().collect();
         let header = lr.header;
         let bound_cmp_addr = lr.bound_cmp_addr;
         let continue_cond = lr.continue_cond;
         let step = lr.step;
+        let last_iter = iterations as usize - 1;
         let mut base = std::mem::take(&mut self.mem);
 
         // `Fn + Sync`, not `FnMut`: the native backend calls the body
         // concurrently from racing pool workers (every capture is read-only;
         // per-incarnation state lives in the cloned `Cpu` and the view).
-        let body = |iter: usize,
-                    view: &mut janus_spec::SpecView<'_, FlatMemory>|
-         -> std::result::Result<janus_spec::IterationRun<(Cpu, u64)>, DbmError> {
-            let mut cpu = template.clone();
-            let value = start + iter as i64 * step;
-            cpu.write_gpr(ind_reg, value);
-            // Privatised reduction accumulators: iteration 0 keeps the
-            // incoming value, the others start from the identity.
-            if iter > 0 {
-                for (var, _, is_float) in reductions {
-                    let zero = if *is_float { 0f64.to_bits() as i64 } else { 0 };
-                    if let VarSpec::Reg(r) = var {
-                        let reg = Reg::from_raw(*r).expect("valid register in rule");
-                        if reg.is_gpr() {
-                            cpu.write_gpr(reg, zero);
-                        } else {
-                            cpu.write_f64(reg, f64::from_bits(zero as u64));
+        let body =
+            |iter: usize,
+             view: &mut janus_spec::SpecView<'_, FlatMemory>|
+             -> std::result::Result<janus_spec::IterationRun<SpecPayload>, DbmError> {
+                let mut cpu = template.clone();
+                let value = start + iter as i64 * step;
+                cpu.write_gpr(ind_reg, value);
+                // Privatised reduction accumulators: iteration 0 keeps the
+                // incoming value, the others start from the identity.
+                if iter > 0 {
+                    for &(reg, _) in &reductions {
+                        // The identity is all-zero bits for both register files.
+                        write_reg(&mut cpu, reg, 0);
+                    }
+                }
+                // LOOP_UPDATE_BOUND specialised to exactly one iteration.
+                let iter_end = value + step;
+                let bound = match continue_cond {
+                    3 | 5 => iter_end - step, // Le / Ge
+                    _ => iter_end,
+                };
+                cpu.pc = header;
+                loop {
+                    if cpu.cycles > cycle_limit {
+                        return Err(DbmError::CycleLimitExceeded { limit: cycle_limit });
+                    }
+                    let pc = cpu.pc;
+                    if finish_addrs.contains(&pc) {
+                        return Ok(janus_spec::IterationRun {
+                            cycles: cpu.cycles,
+                            payload: SpecPayload {
+                                retired: cpu.retired,
+                                reductions: reductions
+                                    .iter()
+                                    .map(|&(reg, _)| read_reg(&cpu, reg))
+                                    .collect(),
+                                last: (iter == last_iter).then(|| Box::new(cpu)),
+                            },
+                        });
+                    }
+                    let fetched = process.inst_at(pc)?;
+                    let bound_cmp;
+                    let inst = match fetched {
+                        Inst::Cmp { lhs, .. } if pc == bound_cmp_addr => {
+                            bound_cmp = Inst::Cmp {
+                                lhs: *lhs,
+                                rhs: Operand::Imm(bound),
+                            };
+                            &bound_cmp
+                        }
+                        _ => fetched,
+                    };
+                    let next_pc = pc + INST_SIZE as u64;
+                    match exec_inst(&mut cpu, &mut *view, inst, next_pc)? {
+                        Effect::Continue => cpu.pc = next_pc,
+                        Effect::Jump(t) => cpu.pc = t,
+                        // Calls and system calls are excluded from
+                        // speculative loops by classification; reaching one
+                        // here means the iteration ran off consistent state
+                        // (the engine retries) or the schedule is bad.
+                        other => {
+                            return Err(DbmError::BadRule {
+                                reason: format!(
+                                    "unsupported control flow in speculative loop: {other:?}"
+                                ),
+                            })
                         }
                     }
                 }
-            }
-            // LOOP_UPDATE_BOUND specialised to exactly one iteration.
-            let iter_end = value + step;
-            let bound = match continue_cond {
-                3 | 5 => iter_end - step, // Le / Ge
-                _ => iter_end,
             };
-            cpu.pc = header;
-            loop {
-                if cpu.cycles > cycle_limit {
-                    return Err(DbmError::CycleLimitExceeded { limit: cycle_limit });
-                }
-                let pc = cpu.pc;
-                if finish_addrs.contains(&pc) {
-                    return Ok(janus_spec::IterationRun {
-                        cycles: cpu.cycles,
-                        payload: (cpu, pc),
-                    });
-                }
-                let mut inst = process.inst_at(pc)?.clone();
-                if pc == bound_cmp_addr {
-                    if let Inst::Cmp { lhs, .. } = inst {
-                        inst = Inst::Cmp {
-                            lhs,
-                            rhs: Operand::Imm(bound),
-                        };
-                    }
-                }
-                let next_pc = pc + INST_SIZE as u64;
-                match exec_inst(&mut cpu, &mut *view, &inst, next_pc)? {
-                    Effect::Continue => cpu.pc = next_pc,
-                    Effect::Jump(t) => cpu.pc = t,
-                    // Calls and system calls are excluded from
-                    // speculative loops by classification; reaching one
-                    // here means the iteration ran off consistent state
-                    // (the engine retries) or the schedule is bad.
-                    other => {
-                        return Err(DbmError::BadRule {
-                            reason: format!(
-                                "unsupported control flow in speculative loop: {other:?}"
-                            ),
-                        })
-                    }
-                }
-            }
-        };
         let invocation = backend.run_speculative_invocation(
             &spec_config,
             self.config.spec_commit,
@@ -1182,39 +1203,13 @@ impl Dbm {
             + self.config.loop_finish_cost)
             * u64::from(self.config.threads.max(1));
 
-        // Reduction totals across iterations (iteration 0 carries the
-        // incoming value, the rest are deltas).
-        let mut reduction_totals: Vec<i64> = lr
-            .reductions
-            .iter()
-            .map(
-                |(_var, _, is_float)| {
-                    if *is_float {
-                        0f64.to_bits() as i64
-                    } else {
-                        0
-                    }
-                },
-            )
-            .collect();
-        for (cpu, _) in &outcome.payloads {
-            self.stats.retired += cpu.retired;
-            for (idx, (var, _op, is_float)) in lr.reductions.iter().enumerate() {
-                let v = var.read(cpu, &mut self.mem);
-                let total = &mut reduction_totals[idx];
-                if *is_float {
-                    let sum = f64::from_bits(*total as u64);
-                    let val = f64::from_bits(v as u64);
-                    *total = (sum + val).to_bits() as i64;
-                } else {
-                    *total = total.wrapping_add(v);
-                }
-            }
-        }
-
         // Merge the last iteration's context back into the main thread, as a
         // sequential execution would have left it.
-        let (last_cpu, exit_pc) = outcome.payloads.last().expect("at least one iteration ran");
+        let last_cpu = outcome
+            .payloads
+            .last()
+            .and_then(|p| p.last.as_deref())
+            .expect("the last iteration carries its context");
         let saved_sp = self.main.sp();
         let saved_fp = self.main.read_gpr(Reg::FP);
         self.main.gpr = last_cpu.gpr;
@@ -1222,10 +1217,22 @@ impl Dbm {
         self.main.flags = last_cpu.flags;
         self.main.set_sp(saved_sp);
         self.main.write_gpr(Reg::FP, saved_fp);
-        for (idx, (var, _, _)) in lr.reductions.iter().enumerate() {
-            var.write(&mut self.main, &mut self.mem, reduction_totals[idx]);
+        self.main.pc = last_cpu.pc;
+
+        // Reduction totals across iterations, in iteration order (iteration
+        // 0 carries the incoming value, the rest are deltas).
+        for (idx, &(reg, is_float)) in reductions.iter().enumerate() {
+            let total = outcome.payloads.iter().fold(0i64, |total, p| {
+                let v = p.reductions[idx];
+                if is_float {
+                    (f64::from_bits(total as u64) + f64::from_bits(v as u64)).to_bits() as i64
+                } else {
+                    total.wrapping_add(v)
+                }
+            });
+            write_reg(&mut self.main, reg, total);
         }
-        self.main.pc = *exit_pc;
+        self.stats.retired += outcome.payloads.iter().map(|p| p.retired).sum::<u64>();
         Ok(true)
     }
 

@@ -541,9 +541,11 @@ pub struct JobSpec {
     pub threads: Option<u32>,
     /// Per-job override of the execution backend.
     pub backend: Option<BackendKind>,
-    /// Per-job override of the speculative commit mode (e.g.
-    /// [`SpecCommitMode::RacedImage`] for jobs that do not consume modelled
-    /// figures).
+    /// Per-job override of which speculation engine a native-threads job
+    /// runs: `None` keeps the session default (the deterministic coordinator
+    /// alone, whose modelled counters are backend-invariant);
+    /// [`SpecCommitMode::RacedImage`] runs the racing OS-thread pool alone,
+    /// for jobs that do not consume modelled figures.
     pub spec_commit: Option<SpecCommitMode>,
     /// The submitting tenant, for fair scheduling and quotas. `None` files
     /// the job under [`DEFAULT_TENANT`].

@@ -3,8 +3,8 @@
 //! dependents of failed iterations, and accounts everything in deterministic
 //! virtual time.
 
-use crate::mv::{MvMemory, ReadOrigin, ReadResult, ReadSet};
-use crate::scheduler::{LaneSet, Lanes, Scheduler, Task};
+use crate::mv::{MvMemory, ReadOrigin, ReadResult, ViewBuffers};
+use crate::scheduler::{Lanes, Scheduler, Task};
 use crate::{SpecConfig, SpecError, SpecStats};
 use janus_vm::{GuestMemory, PeekMemory};
 use std::fmt;
@@ -29,11 +29,6 @@ pub struct SpecOutcome<P> {
     /// The payload of each iteration's validated incarnation, in iteration
     /// order.
     pub payloads: Vec<P>,
-    /// The committed final memory image, sorted by word address — the exact
-    /// writes applied to base memory. Exposed so callers can cross-check two
-    /// engines (the deterministic coordinator and the racing worker pool)
-    /// against each other word for word.
-    pub image: Vec<(u64, u64)>,
 }
 
 impl<P> fmt::Debug for SpecOutcome<P> {
@@ -42,23 +37,38 @@ impl<P> fmt::Debug for SpecOutcome<P> {
             .field("stats", &self.stats)
             .field("parallel_cycles", &self.parallel_cycles)
             .field("payloads", &self.payloads.len())
-            .field("image", &self.image.len())
             .finish()
     }
 }
 
-/// Per-iteration bookkeeping kept by the engine between tasks.
-struct IterData<P> {
-    read_set: ReadSet,
-    payload: Option<P>,
+/// One read of an incarnation's read set: the word, where its value came
+/// from and what it was.
+pub(crate) type ReadEntry = (u64, (ReadOrigin, u64));
+
+/// Per-iteration bookkeeping kept between tasks: the latest completed
+/// incarnation's read set (the vector is reused by the next incarnation)
+/// and payload.
+pub(crate) struct IterData<P> {
+    pub(crate) reads: Vec<ReadEntry>,
+    pub(crate) payload: Option<P>,
 }
 
 impl<P> Default for IterData<P> {
     fn default() -> Self {
         IterData {
-            read_set: ReadSet::default(),
+            reads: Vec::new(),
             payload: None,
         }
+    }
+}
+
+impl<P> IterData<P> {
+    /// Keeps what a finished incarnation left in `buffers` and returned.
+    pub(crate) fn store(&mut self, buffers: &ViewBuffers, payload: P) {
+        self.reads.clear();
+        self.reads
+            .extend(buffers.reads.iter().map(|(&word, &read)| (word, read)));
+        self.payload = Some(payload);
     }
 }
 
@@ -80,36 +90,13 @@ pub fn run_speculative<M, P, E, F>(
     config: &SpecConfig,
     base: &mut M,
     iterations: usize,
-    body: F,
-) -> Result<SpecOutcome<P>, SpecError<E>>
-where
-    M: GuestMemory + PeekMemory,
-    F: FnMut(usize, &mut crate::SpecView<'_, M>) -> Result<IterationRun<P>, E>,
-{
-    run_speculative_with_lanes(config, Lanes::new(config.lanes), base, iterations, body)
-}
-
-/// [`run_speculative`] with a caller-supplied [`LaneSet`].
-///
-/// Execution backends that maintain their own worker-lane state (e.g. to
-/// correlate modelled lane occupancy with real worker threads) can pass it in
-/// here; the engine is otherwise identical.
-///
-/// # Errors
-///
-/// See [`run_speculative`].
-pub fn run_speculative_with_lanes<M, P, E, F, L>(
-    config: &SpecConfig,
-    mut lanes: L,
-    base: &mut M,
-    iterations: usize,
     mut body: F,
 ) -> Result<SpecOutcome<P>, SpecError<E>>
 where
     M: GuestMemory + PeekMemory,
     F: FnMut(usize, &mut crate::SpecView<'_, M>) -> Result<IterationRun<P>, E>,
-    L: LaneSet,
 {
+    let mut lanes = Lanes::new(config.lanes);
     let mut stats = SpecStats {
         iterations: iterations as u64,
         ..SpecStats::default()
@@ -119,13 +106,13 @@ where
             stats,
             parallel_cycles: 0,
             payloads: Vec::new(),
-            image: Vec::new(),
         });
     }
 
     let mv = MvMemory::new(iterations);
     let sched = Scheduler::new(iterations);
     let mut data: Vec<IterData<P>> = (0..iterations).map(|_| IterData::default()).collect();
+    let mut buffers = ViewBuffers::default();
 
     let max_tasks = (iterations as u64)
         .saturating_mul(u64::from(config.max_task_factor.max(2)))
@@ -148,10 +135,10 @@ where
                 incarnation,
             } => {
                 let now = lanes.next_start();
-                let mut view = crate::SpecView::new(&*base, &mv, iteration, now);
+                let mut view = crate::SpecView::new(&*base, &mv, iteration, now, &mut buffers);
                 match body(iteration, &mut view) {
                     Ok(run) => {
-                        let (read_set, write_buffer, blocked, vs) = view.finish();
+                        let (blocked, vs) = (view.blocked_on(), view.stats());
                         stats.reads += vs.reads;
                         stats.writes += vs.writes;
                         let cost = run.cycles
@@ -167,14 +154,13 @@ where
                         } else {
                             stats.executions += 1;
                             stats.max_incarnation = stats.max_incarnation.max(incarnation);
-                            let changed = mv.record(iteration, incarnation, &write_buffer, done_at);
-                            data[iteration].read_set = read_set;
-                            data[iteration].payload = Some(run.payload);
+                            let changed =
+                                mv.record(iteration, incarnation, &buffers.writes, done_at);
+                            data[iteration].store(&buffers, run.payload);
                             sched.finish_execution(iteration, changed);
                         }
                     }
                     Err(e) => {
-                        drop(view);
                         // A fault on speculative state is indistinguishable
                         // from a conflict: retry once the state below has
                         // settled. A fault on consistent state is real.
@@ -192,10 +178,10 @@ where
             }
             Task::Validation { iteration, .. } => {
                 stats.validations += 1;
-                let read_set = &data[iteration].read_set;
-                let ok = validate(&mv, &*base, iteration, read_set);
+                let reads = &data[iteration].reads;
+                let ok = validate(&mv, &*base, iteration, reads);
                 let mut cost =
-                    config.validate_base_cost + read_set.len() as u64 * config.validate_read_cost;
+                    config.validate_base_cost + reads.len() as u64 * config.validate_read_cost;
                 if !ok {
                     stats.aborts += 1;
                     cost += config.abort_cost;
@@ -216,8 +202,7 @@ where
     for &(word, value) in &image {
         base.write_u64(word, value);
     }
-    let mv_stats = mv.stats();
-    stats.versioned_words = mv_stats.words;
+    stats.versioned_words = image.len() as u64;
 
     let payloads: Vec<P> = data
         .into_iter()
@@ -227,7 +212,6 @@ where
         stats,
         parallel_cycles: lanes.makespan(),
         payloads,
-        image,
     })
 }
 
@@ -240,10 +224,10 @@ pub(crate) fn validate<M: PeekMemory>(
     mv: &MvMemory,
     base: &M,
     iteration: usize,
-    read_set: &ReadSet,
+    reads: &[ReadEntry],
 ) -> bool {
-    read_set.iter().all(
-        |(&word, &(origin, value))| match mv.read(word, iteration, u64::MAX) {
+    reads.iter().all(
+        |&(word, (origin, value))| match mv.read(word, iteration, u64::MAX) {
             ReadResult::Blocked(_) => false,
             ReadResult::Versioned(now_origin, now_value) => {
                 now_origin == origin || now_value == value

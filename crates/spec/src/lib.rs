@@ -13,18 +13,21 @@
 //! ## Architecture
 //!
 //! * [`MvMemory`] — a **multi-version guest-memory store** keyed by
-//!   `(word address, iteration)`, layered over [`janus_vm::GuestMemory`].
-//!   A speculative read by iteration *i* observes the highest write below
-//!   *i* that is *visible at the reader's virtual start time*; aborted
-//!   incarnations leave *estimate* markers that block readers instead of
-//!   letting them execute into a doomed validation.
+//!   `(word address, iteration)`, page-indexed like the copy-on-write
+//!   overlay and layered over [`janus_vm::GuestMemory`]. A speculative read
+//!   by iteration *i* observes the highest write below *i* that is *visible
+//!   at the reader's virtual start time*; aborted incarnations leave
+//!   *estimate* markers that block readers instead of letting them execute
+//!   into a doomed validation.
 //! * [`SpecView`] — the per-incarnation view: buffered writes, first-read
-//!   origin+value tracking, byte accesses composed through aligned words.
+//!   origin+value tracking, byte accesses composed through aligned words,
+//!   over [`ViewBuffers`] its engine reuses from incarnation to incarnation.
 //! * [`scheduler::Scheduler`] — the **collaborative scheduler**: Block-STM's
-//!   execution/validation counters and task preference, driven from one host
-//!   thread; [`scheduler::Lanes`] charges every task to the least-loaded of
-//!   `lanes` virtual workers so the reported parallel time is a reproducible
-//!   model of `lanes`-way execution.
+//!   execution/validation counters and task preference, with both frontier
+//!   operations bounded by the highest iteration ever dispatched, so an
+//!   invocation costs O(iterations + aborts); [`scheduler::Lanes`] charges
+//!   every task to the least-loaded of `lanes` virtual workers so the
+//!   reported parallel time is a reproducible model of `lanes`-way execution.
 //! * [`run_speculative`] — the deterministic engine: dispatches tasks until
 //!   every iteration validates, re-executing **only the dependents of a
 //!   failed iteration**, then commits the serial-equivalent final image into
@@ -45,12 +48,13 @@
 //! bit-identical conflicts, abort counts and modelled parallel cycles on
 //! every run and every machine — it is what all figures are built from. The
 //! *racing pool* ([`run_speculative_pooled`]) runs the same tasks on real
-//! threads for real wall-clock speedup. `janus-dbm`'s native-threads backend
-//! pairs them: the pool races first over the read-only memory image, the
-//! coordinator then replays the invocation in commit order for the modelled
-//! numbers, and the two final images are cross-checked word for word — which
-//! is why modelled cycles (and every figure) are invariant across execution
-//! backends.
+//! threads. An invocation runs one of them: `janus-dbm`'s backends pick the
+//! coordinator wherever modelled numbers are reported (always under virtual
+//! time, and by default under native threads — which is why modelled cycles
+//! and every figure are invariant across execution backends) and the pool
+//! only in the raced-image commit mode. That the two converge to the same
+//! serial-equivalent image is asserted by the proptests here and, end to
+//! end, by the differential fuzzer's commit-mode axis.
 //!
 //! ## Lazy validation vs. the JudoSTM design
 //!
@@ -120,12 +124,13 @@ mod mv;
 mod pool;
 pub mod scheduler;
 
-pub use engine::{run_speculative, run_speculative_with_lanes, IterationRun, SpecOutcome};
+pub use engine::{run_speculative, IterationRun, SpecOutcome};
 pub use mv::{
-    Incarnation, Iteration, MvMemory, MvStats, ReadOrigin, ReadResult, ReadSet, SpecView, ViewStats,
+    Incarnation, Iteration, MvMemory, ReadOrigin, ReadResult, ReadSet, SpecView, ViewBuffers,
+    ViewStats,
 };
 pub use pool::{run_speculative_pooled, run_speculative_pooled_traced, PooledOutcome};
-pub use scheduler::{LaneSet, Lanes};
+pub use scheduler::Lanes;
 
 use std::fmt;
 

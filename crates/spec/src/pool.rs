@@ -21,9 +21,9 @@
 //! * **Counters are diagnostics, not figures.** Abort/retry/validation
 //!   counts describe the race that happened and vary run to run. The
 //!   modelled, backend-invariant numbers reported in figures come from the
-//!   deterministic engine, which `janus-dbm`'s native backend replays in
-//!   commit order alongside this pool (and cross-checks word for word
-//!   against [`PooledOutcome::image`]).
+//!   deterministic engine, which `janus-dbm` runs *instead of* this pool
+//!   wherever such numbers are consumed; the pool is the raced-image commit
+//!   mode's engine.
 //!
 //! Faults on speculative state are retried (a failed execution either blocks
 //! on the estimate it read or is re-dispatched as the next incarnation); a
@@ -33,8 +33,8 @@
 //! task budget ([`SpecError::AbortLimit`]) — either way the caller can fall
 //! back to the deterministic path, which classifies faults exactly.
 
-use crate::engine::{validate, IterationRun};
-use crate::mv::{MvMemory, ReadSet};
+use crate::engine::{validate, IterData, IterationRun};
+use crate::mv::{MvMemory, ViewBuffers};
 use crate::scheduler::{Scheduler, Task};
 use crate::{SpecConfig, SpecError, SpecStats, SpecView};
 use janus_obs::Recorder;
@@ -47,16 +47,14 @@ use std::sync::Mutex;
 /// incarnations that faulted with no identifiable blocking iteration (see
 /// the fault-classification comment in [`run_speculative_pooled`]).
 struct IterSlot<P> {
-    read_set: ReadSet,
-    payload: Option<P>,
+    data: IterData<P>,
     fault_streak: u32,
 }
 
 impl<P> Default for IterSlot<P> {
     fn default() -> Self {
         IterSlot {
-            read_set: ReadSet::default(),
-            payload: None,
+            data: IterData::default(),
             fault_streak: 0,
         }
     }
@@ -73,9 +71,7 @@ const MAX_FAULT_STREAK: u32 = 3;
 /// The result of one successful pooled (racing) speculative invocation.
 ///
 /// Nothing has been written to base memory: the caller applies
-/// [`PooledOutcome::image`] (or, like the native execution backend, uses the
-/// deterministic engine's identical commit and keeps this image as the
-/// cross-check).
+/// [`PooledOutcome::image`].
 pub struct PooledOutcome<P> {
     /// The race's own counters. **Nondeterministic**: which incarnations
     /// conflicted depends on the OS schedule. Useful as diagnostics; the
@@ -280,6 +276,7 @@ where
                 }
                 let mut stalled_polls = 0u64;
                 let mut last_seen_tasks = u64::MAX;
+                let mut buffers = ViewBuffers::default();
                 while !poison.stopped() && !sched.done() {
                     let Some(task) = sched.next_task() else {
                         let seen = tasks.load(Ordering::Relaxed);
@@ -317,10 +314,11 @@ where
                                 .span("spec.pool", "spec.execute")
                                 .arg("iteration", iteration)
                                 .arg("incarnation", incarnation);
-                            let mut view = SpecView::new(base, mv, iteration, u64::MAX);
+                            let mut view =
+                                SpecView::new(base, mv, iteration, u64::MAX, &mut buffers);
                             match body(iteration, &mut view) {
                                 Ok(run) => {
-                                    let (read_set, write_buffer, blocked, vs) = view.finish();
+                                    let (blocked, vs) = (view.blocked_on(), view.stats());
                                     c.reads.fetch_add(vs.reads, Ordering::Relaxed);
                                     c.writes.fetch_add(vs.writes, Ordering::Relaxed);
                                     let _ = run.cycles; // wall-clock substrate: no virtual charge
@@ -343,20 +341,18 @@ where
                                         c.max_incarnation.fetch_max(incarnation, Ordering::Relaxed);
                                         span.push_arg("outcome", "ok");
                                         let changed =
-                                            mv.record(iteration, incarnation, &write_buffer, 0);
+                                            mv.record(iteration, incarnation, &buffers.writes, 0);
                                         {
                                             let mut slot = slots[iteration]
                                                 .lock()
                                                 .expect("iteration slot poisoned");
-                                            slot.read_set = read_set;
-                                            slot.payload = Some(run.payload);
+                                            slot.data.store(&buffers, run.payload);
                                             slot.fault_streak = 0;
                                         }
                                         sched.finish_execution(iteration, changed);
                                     }
                                 }
                                 Err(e) => {
-                                    drop(view);
                                     span.push_arg("outcome", "fault");
                                     // Fault classification under racing. A
                                     // fault on inconsistent speculative state
@@ -444,12 +440,11 @@ where
                             // the stale pass and the lowered validation
                             // frontier re-delivers the task.
                             let epoch = sched.validation_epoch(iteration);
-                            let read_set = slots[iteration]
-                                .lock()
-                                .expect("iteration slot poisoned")
-                                .read_set
-                                .clone();
-                            let ok = validate(mv, base, iteration, &read_set);
+                            let ok = {
+                                let slot =
+                                    slots[iteration].lock().expect("iteration slot poisoned");
+                                validate(mv, base, iteration, &slot.data.reads)
+                            };
                             span.push_arg("ok", ok);
                             if ok {
                                 let _ = sched.finish_validation_ok(iteration, incarnation, epoch);
@@ -486,12 +481,13 @@ where
 
     let image = mv.final_image();
     let live_estimates = mv.live_estimates();
-    let stats = counters.into_stats(iterations as u64, mv.stats().words);
+    let stats = counters.into_stats(iterations as u64, image.len() as u64);
     let payloads: Vec<P> = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("iteration slot poisoned")
+                .data
                 .payload
                 .expect("validated iteration has a payload")
         })
@@ -547,6 +543,36 @@ mod tests {
         }
         for i in 0..64u64 {
             assert_eq!(committed.read_u64(0x1000 + i * 8), i + 1);
+        }
+    }
+
+    /// Regression test for the lost-`fetch_min` wedge: a bounded validation
+    /// scan that *stores* the frontier forward after checking it overwrites
+    /// a concurrent `finish_execution`'s `fetch_min`, the last iteration's
+    /// validation task is never re-delivered, and every worker spins until
+    /// the stall limit poisons the pool with `AbortLimit` (seconds per
+    /// invocation). Conflict-free work across four workers must converge
+    /// every time.
+    #[test]
+    fn conflict_free_pool_never_wedges_on_the_validation_frontier() {
+        let base = FlatMemory::new();
+        for round in 0..50 {
+            let out = run_speculative_pooled(
+                &cfg(),
+                4,
+                &base,
+                4096,
+                |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
+                    view.write_u64(0x1000 + i as u64 * 8, i as u64);
+                    Ok(IterationRun {
+                        cycles: 1,
+                        payload: (),
+                    })
+                },
+            );
+            let out = out.unwrap_or_else(|e| panic!("round {round}: the pool gave up: {e:?}"));
+            assert_eq!(out.stats.aborts, 0, "round {round}");
+            assert_eq!(out.image.len(), 4096, "round {round}");
         }
     }
 

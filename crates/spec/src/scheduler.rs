@@ -5,14 +5,15 @@
 //! ## Thread safety
 //!
 //! Every method takes `&self`: the two task frontiers are atomics
-//! (lowered with `fetch_min` when aborts invalidate downstream work), each
-//! iteration's `(incarnation, status)` pair sits behind its own [`Mutex`],
-//! and dependency lists are mutex-guarded per iteration — the shape of
-//! `block-stm-revm`'s atomic scheduler. Driven from a single thread the
-//! task sequence is bit-identical to the original sequential scheduler,
-//! which keeps the deterministic virtual-time engine reproducible; driven
-//! from many threads, transitions are serialised per iteration and stale
-//! tasks are rejected by incarnation checks.
+//! (lowered with `fetch_min` when aborts invalidate downstream work) and
+//! each iteration's `(incarnation, status, dependents)` sits behind its own
+//! [`Mutex`] — the shape of `block-stm-revm`'s atomic scheduler. Driven from
+//! a single thread the task sequence is bit-identical to the original
+//! sequential scheduler (kept as the test-only `reference` model and
+//! compared task for task), which keeps the deterministic virtual-time
+//! engine reproducible; driven from many threads, transitions are
+//! serialised per iteration and stale tasks are rejected by incarnation
+//! checks.
 //!
 //! ## The lost-wakeup window
 //!
@@ -23,7 +24,7 @@
 //! [`Scheduler::abort_on_dependency`] therefore (a) marks *i* `Aborting`
 //! *before* inspecting *j*, and (b) inspects *j*'s status and appends to
 //! *j*'s dependency list while holding *j*'s status lock, the same lock
-//! [`Scheduler::finish_execution`] holds to publish `Executed` before it
+//! under which [`Scheduler::finish_execution`] publishes `Executed` and
 //! drains. Either the enqueue happens before the status flip (the drain sees
 //! it) or after (the enqueue sees `Executed` and resumes *i* immediately);
 //! there is no in-between. The regression test
@@ -33,6 +34,9 @@
 use crate::mv::{Incarnation, Iteration};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+#[cfg(test)]
+mod reference;
 
 /// Lifecycle of one iteration's current incarnation.
 ///
@@ -78,7 +82,7 @@ pub enum Task {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct IterState {
     incarnation: Incarnation,
     status: Status,
@@ -88,6 +92,10 @@ struct IterState {
     /// state, and its verdict must not be allowed to stick. See
     /// [`Scheduler::finish_validation_ok`].
     revalidation_epoch: u64,
+    /// Iterations blocked on an estimate this iteration wrote. Guarded by
+    /// the status lock, which is what closes the lost-wakeup window (see the
+    /// module docs).
+    dependents: Vec<Iteration>,
 }
 
 /// The collaborative scheduler (see the module docs for the concurrency
@@ -98,15 +106,30 @@ struct IterState {
 /// for validation; both are lowered when aborts invalidate downstream work.
 /// Lower-indexed tasks are always preferred, and validation is preferred over
 /// execution at equal depth, exactly like the reference scheduler.
+///
+/// ## Cost
+///
+/// An iteration that was never dispatched is `ReadyToExecute` at incarnation
+/// 0, so nothing at or above the dispatch high-water mark can be `Executed`
+/// or `Validated`. Both frontier operations stop there — the validation
+/// scan returns before claiming an index, the demote sweep never walks the
+/// untouched tail — which makes one invocation O(iterations + aborts x
+/// in-flight window) instead of O(iterations^2).
 #[derive(Debug)]
 pub struct Scheduler {
     states: Vec<Mutex<IterState>>,
     execution_idx: AtomicUsize,
+    /// Only ever raised by the `fetch_add` that claims an index to examine
+    /// and lowered by `fetch_min`. Never stored to after a check: a racing
+    /// `finish_execution`'s `fetch_min` between the check and the store
+    /// would be overwritten, and its validation task lost for good.
     validation_idx: AtomicUsize,
-    /// `dependents[j]` = iterations blocked on an estimate written by `j`.
-    /// Push only while holding `states[j]` (see the module docs).
-    dependents: Vec<Mutex<Vec<Iteration>>>,
+    /// One past the highest iteration ever dispatched.
+    dispatched: AtomicUsize,
     validated: AtomicUsize,
+    /// Iteration-state visits (locks taken), for the complexity test.
+    #[cfg(test)]
+    visits: AtomicUsize,
 }
 
 impl Scheduler {
@@ -120,17 +143,22 @@ impl Scheduler {
                         incarnation: 0,
                         status: Status::ReadyToExecute,
                         revalidation_epoch: 0,
+                        dependents: Vec::new(),
                     })
                 })
                 .collect(),
             execution_idx: AtomicUsize::new(0),
             validation_idx: AtomicUsize::new(0),
-            dependents: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            dispatched: AtomicUsize::new(0),
             validated: AtomicUsize::new(0),
+            #[cfg(test)]
+            visits: AtomicUsize::new(0),
         }
     }
 
     fn state(&self, iteration: Iteration) -> std::sync::MutexGuard<'_, IterState> {
+        #[cfg(test)]
+        self.visits.fetch_add(1, Ordering::Relaxed);
         self.states[iteration]
             .lock()
             .expect("iteration state poisoned")
@@ -147,7 +175,7 @@ impl Scheduler {
     /// Current status of an iteration.
     #[must_use]
     pub fn status(&self, iteration: Iteration) -> (Incarnation, bool) {
-        let s = *self.state(iteration);
+        let s = self.state(iteration);
         (s.incarnation, s.status == Status::Validated)
     }
 
@@ -170,6 +198,7 @@ impl Scheduler {
             let mut s = self.state(i);
             if s.status == Status::ReadyToExecute {
                 s.status = Status::Executing;
+                self.dispatched.fetch_max(i + 1, Ordering::SeqCst);
                 return Some(Task::Execution {
                     iteration: i,
                     incarnation: s.incarnation,
@@ -180,6 +209,14 @@ impl Scheduler {
 
     fn next_validation(&self) -> Option<Task> {
         loop {
+            // Stop *before* claiming an index at the high-water mark, so the
+            // frontier never passes an iteration nobody examined.
+            if self.validation_idx.load(Ordering::SeqCst) >= self.dispatched.load(Ordering::SeqCst)
+            {
+                return None;
+            }
+            // Racing scanners can still overshoot by one index each; those
+            // are examined like any other, as the unbounded scan did.
             let i = self.validation_idx.fetch_add(1, Ordering::SeqCst);
             if i >= self.states.len() {
                 return None;
@@ -199,30 +236,19 @@ impl Scheduler {
     /// previous incarnation's (new or removed words): everything above must
     /// then be revalidated. Iterations blocked on this one are resumed.
     pub fn finish_execution(&self, iteration: Iteration, changed_locations: bool) {
-        let incarnation = {
+        // Flip and drain under one hold of the status lock: a racing
+        // `abort_on_dependency` either enqueued before the flip (drained
+        // here) or observes `Executed` and resumes its iteration itself.
+        let (incarnation, deps) = {
             let mut s = self.state(iteration);
             debug_assert_eq!(s.status, Status::Executing);
             s.status = Status::Executed;
-            s.incarnation
+            (s.incarnation, std::mem::take(&mut s.dependents))
         };
         if changed_locations || incarnation > 0 {
             self.demote_validated_above(iteration);
         }
         self.validation_idx.fetch_min(iteration, Ordering::SeqCst);
-        // Drain dependents only after `Executed` is published under the
-        // status lock: a racing `abort_on_dependency` either enqueued before
-        // the flip (we see it here) or observed `Executed` and resumed its
-        // iteration itself.
-        let deps = {
-            // Hold the status lock across the drain so a concurrent enqueue
-            // cannot slip between the flip above and the take below.
-            let _s = self.state(iteration);
-            std::mem::take(
-                &mut *self.dependents[iteration]
-                    .lock()
-                    .expect("dependency list poisoned"),
-            )
-        };
         for d in deps {
             self.resume(d);
         }
@@ -342,14 +368,11 @@ impl Scheduler {
             s.status = Status::Aborting;
         }
         let resume_now = {
-            let b = self.state(blocking);
+            let mut b = self.state(blocking);
             match b.status {
                 Status::Executed | Status::Validated => true,
                 _ => {
-                    self.dependents[blocking]
-                        .lock()
-                        .expect("dependency list poisoned")
-                        .push(iteration);
+                    b.dependents.push(iteration);
                     false
                 }
             }
@@ -374,10 +397,12 @@ impl Scheduler {
 
     /// The highest iteration below `iteration` that has not validated yet —
     /// the conservative dependency for an execution fault on speculative
-    /// state.
+    /// state. Never looks at or above the dispatch high-water mark (an
+    /// executing caller's own index is always below it).
     #[must_use]
     pub fn highest_unvalidated_below(&self, iteration: Iteration) -> Option<Iteration> {
-        (0..iteration)
+        let top = iteration.min(self.dispatched.load(Ordering::SeqCst));
+        (0..top)
             .rev()
             .find(|&j| self.state(j).status != Status::Validated)
     }
@@ -385,7 +410,7 @@ impl Scheduler {
     fn resume(&self, iteration: Iteration) {
         {
             let mut s = self.state(iteration);
-            // A dependent can be drained twice in pathological racing
+            // A dependent can be woken twice in pathological racing
             // interleavings (premature wake, re-enqueue, real wake); resuming
             // is a no-op unless the iteration is still parked. The sequential
             // driver never takes the lenient branch.
@@ -399,7 +424,9 @@ impl Scheduler {
     }
 
     fn demote_validated_above(&self, iteration: Iteration) {
-        for j in iteration + 1..self.states.len() {
+        // An iteration dispatched after this load began executing after the
+        // caller's re-record/estimates were in place: it needs no epoch bump.
+        for j in iteration + 1..self.dispatched.load(Ordering::SeqCst) {
             let demoted = {
                 let mut s = self.state(j);
                 // Invalidate in-flight validators of `j` whatever its
@@ -421,33 +448,17 @@ impl Scheduler {
     }
 }
 
-/// The worker-lane abstraction: a set of `count` workers whose occupancy is
-/// tracked in modelled (virtual) cycles.
-///
-/// Both execution substrates drive their parallelism accounting through this
-/// one interface: the speculation engine charges every execution/validation
-/// task to the least-loaded lane, and `janus-dbm`'s execution backends charge
-/// each loop chunk the same way — whether the chunk then runs inline on the
-/// coordinating thread (virtual-time backend) or on a real OS worker thread
-/// (native-threads backend). Keeping the *modelled* clock shared between the
-/// two is what makes their reported cycle counts comparable.
-pub trait LaneSet {
-    /// Number of worker lanes.
-    fn lane_count(&self) -> usize;
-    /// The modelled time at which the next task would start (the least-loaded
-    /// lane's clock).
-    fn next_start(&self) -> u64;
-    /// Charges `cost` modelled cycles to the least-loaded lane and returns
-    /// the task's completion time.
-    fn charge(&mut self, cost: u64) -> u64;
-    /// The modelled makespan: the busiest lane's clock.
-    fn makespan(&self) -> u64;
-}
-
 /// The virtual worker lanes: `lanes[k]` is the virtual time up to which lane
 /// `k` is busy. Tasks are charged greedily to the least-loaded lane, which
 /// keeps the schedule deterministic while modelling `lanes.len()`-way
 /// parallel progress.
+///
+/// Both execution substrates account parallelism through this one type: the
+/// speculation engine charges every execution/validation task to it, and
+/// `janus-dbm`'s backends charge each loop chunk the same way — whether the
+/// chunk then runs inline (virtual time) or on an OS worker thread (native
+/// threads). Sharing the *modelled* clock is what makes their reported cycle
+/// counts comparable.
 #[derive(Debug)]
 pub struct Lanes {
     clocks: Vec<u64>,
@@ -488,24 +499,6 @@ impl Lanes {
     #[must_use]
     pub fn makespan(&self) -> u64 {
         self.clocks.iter().copied().max().unwrap_or(0)
-    }
-}
-
-impl LaneSet for Lanes {
-    fn lane_count(&self) -> usize {
-        self.clocks.len()
-    }
-
-    fn next_start(&self) -> u64 {
-        Lanes::next_start(self)
-    }
-
-    fn charge(&mut self, cost: u64) -> u64 {
-        Lanes::charge(self, cost)
-    }
-
-    fn makespan(&self) -> u64 {
-        Lanes::makespan(self)
     }
 }
 
@@ -813,6 +806,96 @@ mod tests {
                 assert!(s.status(i).1, "iteration {i} must be validated");
             }
         }
+    }
+
+    /// What the coordinator does with one popped task, drawn from the
+    /// proptest's random stream.
+    #[derive(Debug, Clone, Copy)]
+    struct Step {
+        /// `changed_locations` for an execution; `aborted` for a validation.
+        flag: bool,
+        /// An execution stalls on this lower iteration instead of finishing
+        /// (taken modulo the iteration, ignored for iteration 0).
+        stall_on: Option<usize>,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The bounded-frontier scheduler hands the single coordinator the
+        /// very task sequence the scan-to-`n` reference model does, for any
+        /// stream of write-set changes, validation verdicts and estimate
+        /// stalls — which is what keeps modelled cycles and the table-3
+        /// counters bit-identical.
+        #[test]
+        fn matches_the_reference_model(
+            n in 1usize..40,
+            steps in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::option::of(0usize..40),
+                    0u8..4,
+                ),
+                0..400,
+            ),
+        ) {
+            let new = Scheduler::new(n);
+            let old = reference::Scheduler::new(n);
+            // Past the random stream every task succeeds, so both converge.
+            let quiet = Step { flag: false, stall_on: None };
+            let mut stream = steps.iter().map(|&(flag, stall_on, dice)| Step {
+                flag,
+                // One execution in four stalls, when the stream says so.
+                stall_on: stall_on.filter(|_| dice == 0),
+            });
+            for _ in 0..steps.len() + 4 * n + 8 {
+                proptest::prop_assert_eq!(new.done(), old.done());
+                if new.done() {
+                    break;
+                }
+                let task = new.next_task();
+                proptest::prop_assert_eq!(task, old.next_task());
+                let step = stream.next().unwrap_or(quiet);
+                match task {
+                    None => break,
+                    Some(Task::Execution { iteration, .. }) => match step.stall_on {
+                        Some(on) if iteration > 0 => {
+                            new.abort_on_dependency(iteration, on % iteration);
+                            old.abort_on_dependency(iteration, on % iteration);
+                        }
+                        _ => {
+                            new.finish_execution(iteration, step.flag);
+                            old.finish_execution(iteration, step.flag);
+                        }
+                    },
+                    Some(Task::Validation { iteration, .. }) => {
+                        new.finish_validation(iteration, step.flag);
+                        old.finish_validation(iteration, step.flag);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(new.done(), old.done());
+        }
+    }
+
+    /// A conflict-free invocation touches each iteration's state a constant
+    /// number of times: the validation scan and the demote sweep stop at the
+    /// dispatch high-water mark instead of walking to `n` after every task.
+    #[test]
+    fn conflict_free_run_visits_states_linearly() {
+        let n = 16_384;
+        let s = Scheduler::new(n);
+        while let Some(task) = s.next_task() {
+            match task {
+                // `true`: every first incarnation writes new locations,
+                // which is what sent the old demote sweep over the tail.
+                Task::Execution { iteration, .. } => s.finish_execution(iteration, true),
+                Task::Validation { iteration, .. } => s.finish_validation(iteration, false),
+            }
+        }
+        assert!(s.done());
+        let visits = s.visits.load(Ordering::Relaxed);
+        assert!(visits <= 16 * n, "{visits} state visits for {n} iterations");
     }
 
     #[test]
