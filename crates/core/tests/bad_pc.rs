@@ -1,0 +1,151 @@
+//! A guest that jumps somewhere that is not an instruction gets
+//! `VmError::BadPc` — from the plain interpreter, from the DBM's main
+//! dispatch loop and from inside a parallel chunk, on both backends.
+//!
+//! Every per-instruction table of the DBM (code cache, lowered rules, loop
+//! flags) is indexed by instruction slot, and `Process::slot_of` is the only
+//! way to get one: a misaligned address, one outside both text sections and
+//! one in the upper half of the address space must all come back as a typed
+//! error, never as an index panic or a wrapped-around table access.
+
+use janus_core::{BackendKind, DbmConfig, PreparedDbm, VarSpec};
+use janus_dbm::DbmError;
+use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, Operand, Reg, HEAP_BASE, INST_SIZE};
+use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
+use janus_vm::{Process, Vm, VmError};
+
+/// A counted loop `for (r0 = 0; r0 < 64; r0++)` whose iteration 40 jumps
+/// through `r9`. `target` is what `r9` holds; `None` makes it the address of
+/// the instruction after the jump, i.e. a well-behaved guest. Returns the
+/// binary plus the addresses of the loop header (also the bound compare) and
+/// of the loop exit.
+fn guest(target: Option<u64>) -> (JBinary, u64, u64) {
+    let build = |target: u64| {
+        let mut asm = AsmBuilder::new();
+        asm.function("main");
+        asm.push(Inst::mov(Operand::reg(Reg::FP), Operand::reg(Reg::SP)));
+        asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(0)));
+        asm.push(Inst::mov(
+            Operand::reg(Reg::R9),
+            Operand::imm(target as i64),
+        ));
+        asm.label("header");
+        asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(64)));
+        asm.push_branch(Cond::Ge, "exit");
+        asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(40)));
+        asm.push_branch(Cond::Ne, "skip");
+        asm.push(Inst::JmpInd {
+            target: Operand::reg(Reg::R9),
+        });
+        asm.label("skip");
+        asm.push(Inst::alu(
+            AluOp::Add,
+            Operand::reg(Reg::R0),
+            Operand::imm(1),
+        ));
+        asm.push_jmp("header");
+        asm.label("exit");
+        asm.push(Inst::Halt);
+        let addrs = ["header", "skip", "exit"].map(|l| asm.label_addr(l).expect("label exists"));
+        (asm.finish_binary("main").expect("assembles"), addrs)
+    };
+    // Label addresses do not depend on the immediate: assemble once to learn
+    // where `skip` is, then again with the real target.
+    let (_, [_, skip, _]) = build(0);
+    let (binary, [header, _, exit]) = build(target.unwrap_or(skip));
+    (binary, header, exit)
+}
+
+/// The schedule that parallelises the guest's loop as a static DOALL.
+fn doall_schedule(header: u64, exit: u64) -> RewriteSchedule {
+    let (kind, value) = VarSpec::Reg(Reg::R0.raw()).encode();
+    let mut schedule = RewriteSchedule::new("bad-pc");
+    schedule.push(
+        RewriteRule::new(header, RuleId::LoopInit)
+            .with_data(0, 0)
+            .with_data(1, kind)
+            .with_data(2, value)
+            .with_data(3, 1) // step
+            .with_data(4, header as i64) // the bound compare
+            .with_data(5, 2), // continue while `<`
+    );
+    schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));
+    schedule
+}
+
+fn run_dbm(
+    binary: &JBinary,
+    schedule: &RewriteSchedule,
+    backend: BackendKind,
+) -> Result<janus_dbm::DbmRunResult, DbmError> {
+    let config = DbmConfig {
+        threads: 2,
+        backend,
+        adaptive: false,
+        ..DbmConfig::default()
+    };
+    PreparedDbm::new(Process::load(binary).expect("loads"), schedule, config).execute(&[])
+}
+
+/// Misaligned inside the text, just past the text, in the data segment, on
+/// the heap, in the upper half of the address space (bare, and aliasing the
+/// text modulo 2⁶³), and at the very top.
+fn bad_targets(binary: &JBinary) -> [u64; 7] {
+    [
+        binary.text_base() + INST_SIZE as u64 + 1,
+        binary.text_base() + binary.text_len(),
+        binary.data_base(),
+        HEAP_BASE,
+        1 << 63,
+        (1 << 63) + binary.text_base(),
+        u64::MAX - (INST_SIZE as u64 - 1),
+    ]
+}
+
+#[test]
+fn the_well_behaved_guest_runs_its_loop_in_chunks() {
+    // The control: with a valid jump target the same guest, under the same
+    // schedule, executes its loop as one parallel invocation — so the faults
+    // below, taken at iteration 40, are taken inside a chunk.
+    let (binary, header, exit) = guest(None);
+    let mut vm = Vm::new(Process::load(&binary).unwrap());
+    vm.run().expect("the interpreter finishes");
+    for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
+        let run = run_dbm(&binary, &doall_schedule(header, exit), backend).expect("finishes");
+        assert_eq!(run.stats.parallel_invocations, 1, "{backend}");
+        assert_eq!(run.stats.sequential_fallbacks, 0, "{backend}");
+        assert_eq!(run.exit_code, 0, "{backend}");
+    }
+}
+
+#[test]
+fn bad_jump_targets_are_bad_pc_everywhere() {
+    let (probe, ..) = guest(None);
+    for target in bad_targets(&probe) {
+        let (binary, header, exit) = guest(Some(target));
+
+        let mut vm = Vm::new(Process::load(&binary).unwrap());
+        assert_eq!(
+            vm.run(),
+            Err(VmError::BadPc { pc: target }),
+            "Vm::run, target {target:#x}"
+        );
+
+        for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
+            // No rules: the main dispatch loop takes the jump.
+            let main = run_dbm(&binary, &RewriteSchedule::new("bad-pc"), backend);
+            assert_eq!(
+                main.map(|r| r.cycles),
+                Err(DbmError::Vm(VmError::BadPc { pc: target })),
+                "DBM main thread on {backend}, target {target:#x}"
+            );
+            // Parallelised: iteration 40 runs in the second of two chunks.
+            let chunk = run_dbm(&binary, &doall_schedule(header, exit), backend);
+            assert_eq!(
+                chunk.map(|r| r.cycles),
+                Err(DbmError::Vm(VmError::BadPc { pc: target })),
+                "DBM chunk on {backend}, target {target:#x}"
+            );
+        }
+    }
+}

@@ -1,0 +1,215 @@
+//! The slot-addressed profiler against the hashed one it replaced.
+//!
+//! `janus_profile::profile` looks rules up by instruction slot and keeps its
+//! per-loop state in a `Vec`; the implementation before it probed a
+//! `HashMap<u64, Vec<RewriteRule>>` twice per instruction and a
+//! `HashMap<usize, LoopProfile>` once. That older loop is kept here, verbatim
+//! but for building its own address index, as the reference: on the thirteen
+//! suite binaries and on 64 generated programs both must report the same
+//! `ProfileData`, field for field.
+
+use janus_analysis::analyze;
+use janus_compile::{CompileOptions, Compiler};
+use janus_ir::{JBinary, Reg, SyscallNum, INST_SIZE};
+use janus_profile::{generate_profiling_schedule, profile, LoopProfile, ProfileData};
+use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
+use janus_vm::{exec_inst, Cpu, Effect, Process, ResolvedPlt, VmError};
+use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload, ProgramSpec};
+use std::collections::{HashMap, HashSet, VecDeque};
+
+/// `janus_profile::profile` as it was before the slot-addressed tables.
+fn reference_profile(
+    process: &Process,
+    schedule: &RewriteSchedule,
+    input: &[i64],
+) -> Result<ProfileData, VmError> {
+    let mut index: HashMap<u64, Vec<RewriteRule>> = HashMap::new();
+    for r in schedule.rules() {
+        index.entry(r.addr).or_default().push(*r);
+    }
+    let at = |pc: u64| index.get(&pc).map_or(&[][..], Vec::as_slice);
+    let mut mem = process.initial_memory();
+    let mut cpu = Cpu::new();
+    cpu.pc = process.entry();
+    cpu.set_sp(process.initial_sp());
+
+    let mut data = ProfileData::default();
+    let mut heap_brk = process.heap_base();
+    let mut input: VecDeque<i64> = input.iter().copied().collect();
+
+    let mut loop_stack: Vec<usize> = Vec::new();
+    let mut in_excall: Option<usize> = None;
+    let mut iter_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
+    let mut prev_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
+    let mut prev_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
+    let mut iter_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
+
+    loop {
+        let pc = cpu.pc;
+        for rule in at(pc) {
+            let id = rule.loop_id();
+            match rule.id {
+                RuleId::ProfLoopStart if loop_stack.last() != Some(&id) => {
+                    loop_stack.push(id);
+                    let entry = data.loops.entry(id).or_insert_with(|| LoopProfile {
+                        loop_id: id,
+                        ..LoopProfile::default()
+                    });
+                    entry.invocations += 1;
+                    iter_writes.entry(id).or_default().clear();
+                    iter_reads.entry(id).or_default().clear();
+                    prev_writes.entry(id).or_default().clear();
+                    prev_reads.entry(id).or_default().clear();
+                }
+                RuleId::ProfLoopFinish => {
+                    if let Some(pos) = loop_stack.iter().rposition(|l| *l == id) {
+                        loop_stack.truncate(pos);
+                    }
+                }
+                RuleId::ProfLoopIter if loop_stack.last() == Some(&id) => {
+                    let entry = data.loops.entry(id).or_default();
+                    entry.loop_id = id;
+                    entry.iterations += 1;
+                    let writes = iter_writes.entry(id).or_default();
+                    let reads = iter_reads.entry(id).or_default();
+                    let pw = prev_writes.entry(id).or_default();
+                    let pr = prev_reads.entry(id).or_default();
+                    let conflict = writes.iter().any(|a| pw.contains(a) || pr.contains(a))
+                        || reads.iter().any(|a| pw.contains(a));
+                    if conflict {
+                        data.loops.get_mut(&id).unwrap().observed_dependence = true;
+                    }
+                    let writes = std::mem::take(iter_writes.entry(id).or_default());
+                    let reads = std::mem::take(iter_reads.entry(id).or_default());
+                    prev_writes.entry(id).or_default().extend(writes);
+                    prev_reads.entry(id).or_default().extend(reads);
+                }
+                RuleId::ProfExcallStart => in_excall = Some(id),
+                RuleId::ProfExcallFinish => in_excall = None,
+                _ => {}
+            }
+        }
+
+        let inst = process.inst_at(pc)?.clone();
+        if let Some(&current) = loop_stack.last() {
+            if at(pc).iter().any(|r| r.id == RuleId::ProfMemAccess) {
+                if let Some(m) = inst.mem_read() {
+                    let addr = janus_vm::exec::effective_addr(&cpu, &m);
+                    iter_reads.entry(current).or_default().insert(addr);
+                }
+                if let Some(m) = inst.mem_write() {
+                    let addr = janus_vm::exec::effective_addr(&cpu, &m);
+                    iter_writes.entry(current).or_default().insert(addr);
+                }
+            }
+        }
+
+        let retired_before = cpu.retired;
+        let next_pc = pc + INST_SIZE as u64;
+        let effect = exec_inst(&mut cpu, &mut mem, &inst, next_pc)?;
+        let retired_delta = cpu.retired - retired_before;
+        data.total_instructions += retired_delta;
+        if let Some(&current) = loop_stack.last() {
+            let entry = data.loops.entry(current).or_default();
+            entry.loop_id = current;
+            entry.dyn_instructions += retired_delta;
+            if in_excall == Some(current) || process.is_syslib_code(pc) {
+                entry.excall_instructions += retired_delta;
+                if inst.mem_read().is_some() {
+                    entry.excall_reads += 1;
+                }
+                if inst.mem_write().is_some() {
+                    entry.excall_writes += 1;
+                }
+            }
+        }
+
+        match effect {
+            Effect::Continue => cpu.pc = next_pc,
+            Effect::Jump(t) => cpu.pc = t,
+            Effect::Halt => break,
+            Effect::External { plt } => match process.resolve_plt(plt)?.clone() {
+                ResolvedPlt::Guest { addr, .. } => cpu.pc = addr,
+                ResolvedPlt::Native { name } => {
+                    if name == "par_for" {
+                        return Err(VmError::UnknownExternal { name });
+                    }
+                    let ret = janus_vm::exec::pop_value(&mut cpu, &mut mem) as u64;
+                    cpu.pc = ret;
+                }
+            },
+            Effect::Syscall { num } => {
+                let call = SyscallNum::from_u32(num).ok_or(VmError::UnknownSyscall { num })?;
+                match call {
+                    SyscallNum::Exit => break,
+                    SyscallNum::WriteInt | SyscallNum::WriteFloat => {}
+                    SyscallNum::Sbrk => {
+                        let size = cpu.read_gpr(Reg::R1).max(0) as u64;
+                        cpu.write_gpr(Reg::R0, heap_brk as i64);
+                        heap_brk += (size + 7) & !7;
+                    }
+                    SyscallNum::Clock => {
+                        let c = cpu.cycles;
+                        cpu.write_gpr(Reg::R0, c as i64);
+                    }
+                    SyscallNum::ReadInt => {
+                        let v = input.pop_front().unwrap_or(0);
+                        cpu.write_gpr(Reg::R0, v);
+                    }
+                }
+                cpu.pc = next_pc;
+            }
+        }
+    }
+
+    let total = data.total_instructions.max(1) as f64;
+    for l in data.loops.values_mut() {
+        l.coverage = l.dyn_instructions as f64 / total;
+    }
+    Ok(data)
+}
+
+/// Profiles `binary` both ways and returns how many loops were profiled.
+fn assert_profiles_agree(what: &str, binary: &JBinary) -> usize {
+    let analysis = analyze(binary).expect("analysis succeeds");
+    let schedule = generate_profiling_schedule(&analysis, what);
+    let process = Process::load(binary).expect("binary loads");
+    let dense = profile(&process, &schedule, &[]).expect("profiling succeeds");
+    let hashed = reference_profile(&process, &schedule, &[]).expect("reference succeeds");
+    assert_eq!(
+        dense.total_instructions, hashed.total_instructions,
+        "{what}: total instructions"
+    );
+    // `LoopProfile` compares every field, coverage included (both sides
+    // compute it from the same two integers).
+    assert_eq!(dense.loops, hashed.loops, "{what}: per-loop profiles");
+    dense.loops.len()
+}
+
+#[test]
+fn suite_binaries_profile_identically() {
+    let mut profiled = 0;
+    for name in parallel_benchmarks()
+        .into_iter()
+        .chain(speculative_benchmarks())
+    {
+        let w = workload(name).expect("known workload");
+        let binary = Compiler::with_options(CompileOptions::gcc_o3())
+            .compile(&w.train_program)
+            .expect("workload compiles");
+        profiled += assert_profiles_agree(name, &binary);
+    }
+    assert!(profiled >= 13, "every binary has a profiled loop");
+}
+
+#[test]
+fn generated_programs_profile_identically() {
+    let mut profiled = 0;
+    for seed in 0..64 {
+        let binary = Compiler::new()
+            .compile(&ProgramSpec::generate(seed).lower())
+            .expect("generated program compiles");
+        profiled += assert_profiles_agree(&format!("seed {seed}"), &binary);
+    }
+    assert!(profiled > 64, "generated programs contain loops");
+}

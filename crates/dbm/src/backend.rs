@@ -41,9 +41,11 @@ use janus_vm::{
     merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, GuestMemory, MergeStats,
     Process,
 };
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
+
+#[cfg(test)]
+mod reference;
 
 /// Selects which [`ExecutionBackend`] runs parallel-loop chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,60 +106,45 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Code-cache model state: which block entry addresses have been translated
-/// and how often each has been dispatched. Shared by the main thread's
-/// dispatch loop and (directly, or via per-worker clones) by chunk execution.
-#[derive(Debug, Clone, Default)]
+/// Code-cache model state: how often each block has been dispatched, one
+/// counter per instruction slot ("a block is approximated by its entry
+/// address"); a block has been translated exactly when its count is
+/// non-zero. Shared by the main thread's dispatch loop and (directly, or
+/// via deferred per-worker counts) by chunk execution.
+#[derive(Debug, Clone)]
 pub struct CodeCache {
-    translated: HashSet<u64>,
-    exec_counts: HashMap<u64, u64>,
+    exec_counts: Vec<u64>,
 }
 
 impl CodeCache {
-    /// Fresh, empty cache.
+    /// Fresh, empty cache for a process with `num_slots` instruction slots.
     #[must_use]
-    pub(crate) fn new() -> CodeCache {
-        CodeCache::default()
+    pub(crate) fn new(num_slots: usize) -> CodeCache {
+        CodeCache {
+            exec_counts: vec![0; num_slots],
+        }
     }
 
-    /// Records one execution of the block at `pc` and returns
-    /// `(overhead_cycles, newly_translated)` per the code-cache cost model:
-    /// a translation cost the first time the block is reached and a dispatch
-    /// cost until it has run often enough to be linked into a trace.
-    pub(crate) fn account_block(&mut self, pc: u64, config: &DbmConfig) -> (u64, bool) {
-        let count = self.exec_counts.entry(pc).or_insert(0);
-        *count += 1;
-        let count = *count;
-        let mut overhead = 0;
-        let newly_translated = self.translated.insert(pc);
-        if newly_translated {
-            overhead += config.translation_cost;
-        }
-        if count <= config.link_threshold {
-            overhead += config.dispatch_cost;
-        }
-        (overhead, newly_translated)
-    }
-
-    /// Records `executions` executions of the block at `pc` in one step and
-    /// returns the same `(overhead_cycles, newly_translated)` total that
-    /// `executions` individual [`CodeCache::account_block`] calls would have
-    /// produced: the per-execution charge depends only on the running count,
-    /// so a batch can be replayed after the fact. This is how worker threads'
-    /// deferred execution counts are folded back — in chunk order — so the
+    /// Records `executions` executions of the block in `slot` and returns
+    /// `(overhead_cycles, newly_translated)` per the code-cache cost model: a
+    /// translation cost the first time the block is reached and a dispatch
+    /// cost per execution until it has run often enough to be linked into a
+    /// trace. The charge depends only on the running count, so a batch costs
+    /// what its executions would have cost one by one: this is how worker
+    /// threads' deferred counts are folded back — in chunk order — so the
     /// native-threads backend charges exactly what the virtual-time backend
     /// charges.
     pub(crate) fn charge_executions(
         &mut self,
-        pc: u64,
+        slot: usize,
         executions: u64,
         config: &DbmConfig,
     ) -> (u64, bool) {
-        let count = self.exec_counts.entry(pc).or_insert(0);
+        let count = &mut self.exec_counts[slot];
         let before = *count;
         *count += executions;
         let mut overhead = 0;
-        let newly_translated = executions > 0 && self.translated.insert(pc);
+        let newly_translated = before == 0 && executions > 0;
         if newly_translated {
             overhead += config.translation_cost;
         }
@@ -169,20 +156,20 @@ impl CodeCache {
 
 /// How chunk execution accounts basic-block executions against the code
 /// cache: immediately against the shared cache (virtual time — chunks run
-/// sequentially, so the cache is free), or deferred into a private count map
-/// that the coordinator replays in chunk order after the workers join
+/// sequentially, so the cache is free), or deferred into private per-slot
+/// counts that the coordinator replays in chunk order after the workers join
 /// (native threads). Both roads produce identical charge totals.
 pub(crate) trait BlockAccounting {
-    /// Records one execution of the block at `pc`.
-    fn record(&mut self, pc: u64, config: &DbmConfig, fx: &mut ChunkSideEffects);
+    /// Records one execution of the block in `slot`.
+    fn record(&mut self, slot: usize, config: &DbmConfig, fx: &mut ChunkSideEffects);
 }
 
 /// Immediate accounting against the shared [`CodeCache`].
 pub(crate) struct LiveAccounting<'a>(pub(crate) &'a mut CodeCache);
 
 impl BlockAccounting for LiveAccounting<'_> {
-    fn record(&mut self, pc: u64, config: &DbmConfig, fx: &mut ChunkSideEffects) {
-        let (overhead, newly_translated) = self.0.account_block(pc, config);
+    fn record(&mut self, slot: usize, config: &DbmConfig, fx: &mut ChunkSideEffects) {
+        let (overhead, newly_translated) = self.0.charge_executions(slot, 1, config);
         if newly_translated {
             fx.blocks_translated += 1;
         }
@@ -191,29 +178,27 @@ impl BlockAccounting for LiveAccounting<'_> {
     }
 }
 
-/// Deferred accounting: per-block execution counts only, charged later by
-/// [`CodeCache::charge_executions`].
-#[derive(Debug, Default)]
-pub(crate) struct DeferredAccounting {
-    counts: HashMap<u64, u64>,
-}
+/// Deferred accounting: one execution count per instruction slot, charged
+/// later by [`CodeCache::charge_executions`].
+#[derive(Debug)]
+pub(crate) struct DeferredAccounting(pub(crate) Vec<u64>);
 
 impl BlockAccounting for DeferredAccounting {
-    fn record(&mut self, pc: u64, _config: &DbmConfig, _fx: &mut ChunkSideEffects) {
-        *self.counts.entry(pc).or_insert(0) += 1;
+    fn record(&mut self, slot: usize, _config: &DbmConfig, _fx: &mut ChunkSideEffects) {
+        self.0[slot] += 1;
     }
 }
 
 impl DeferredAccounting {
     /// Replays the recorded executions against the shared cache, folding the
-    /// charges into `fx`. Iterates in address order for full determinism
-    /// (the totals are order-independent anyway — distinct blocks have
-    /// independent counters).
+    /// charges into `fx`, in slot order (the totals are order-independent
+    /// anyway — distinct blocks have independent counters).
     fn replay(self, cache: &mut CodeCache, config: &DbmConfig, fx: &mut ChunkSideEffects) {
-        let mut counts: Vec<(u64, u64)> = self.counts.into_iter().collect();
-        counts.sort_unstable();
-        for (pc, executions) in counts {
-            let (overhead, newly_translated) = cache.charge_executions(pc, executions, config);
+        for (slot, &executions) in self.0.iter().enumerate() {
+            if executions == 0 {
+                continue;
+            }
+            let (overhead, newly_translated) = cache.charge_executions(slot, executions, config);
             if newly_translated {
                 fx.blocks_translated += 1;
             }
@@ -511,7 +496,7 @@ impl ExecutionBackend for NativeThreadsBackend {
         // chunk order the virtual-time backend commits in, so such batches
         // conservatively run through the sequential chunk path — identical
         // guest results by construction, no OS-thread fan-out for this loop.
-        if !ctx.lr.tx_calls.is_empty() {
+        if ctx.lr.has_tx_calls {
             let start = Instant::now();
             let mut batch = VirtualTimeBackend.run_chunks(ctx, plans, mem, cache)?;
             batch.wall_nanos = start.elapsed().as_nanos() as u64;
@@ -532,7 +517,7 @@ impl ExecutionBackend for NativeThreadsBackend {
                             .arg("bound", plan.bound)
                             .arg("backend", "native");
                         let mut overlay = CowMemory::new(base);
-                        let mut accounting = DeferredAccounting::default();
+                        let mut accounting = DeferredAccounting(vec![0; ctx.process.num_slots()]);
                         let mut effects = ChunkSideEffects::default();
                         let mut cpu = plan.cpu.clone();
                         let exit_pc = crate::runtime::run_chunk(
@@ -716,10 +701,10 @@ mod tests {
             link_threshold: 2,
             ..DbmConfig::default()
         };
-        let mut cache = CodeCache::new();
-        assert_eq!(cache.account_block(0x40, &config), (107, true));
-        assert_eq!(cache.account_block(0x40, &config), (7, false));
-        assert_eq!(cache.account_block(0x40, &config), (0, false), "linked");
+        let mut cache = CodeCache::new(8);
+        assert_eq!(cache.charge_executions(4, 1, &config), (107, true));
+        assert_eq!(cache.charge_executions(4, 1, &config), (7, false));
+        assert_eq!(cache.charge_executions(4, 1, &config), (0, false), "linked");
     }
 
     #[test]
@@ -733,18 +718,18 @@ mod tests {
         // Replaying a batch must charge exactly what the same executions
         // charged one at a time — including the partially-linked window.
         for (warmup, batch) in [(0u64, 3u64), (2, 9), (5, 4), (9, 2)] {
-            let mut live = CodeCache::new();
+            let mut live = CodeCache::new(8);
             for _ in 0..warmup {
-                let _ = live.account_block(0x40, &config);
+                let _ = live.charge_executions(4, 1, &config);
             }
             let mut replayed = live.clone();
             let mut per_exec = 0;
             for _ in 0..batch {
-                per_exec += live.account_block(0x40, &config).0;
+                per_exec += live.charge_executions(4, 1, &config).0;
             }
-            let (batched, _) = replayed.charge_executions(0x40, batch, &config);
+            let (batched, _) = replayed.charge_executions(4, batch, &config);
             assert_eq!(batched, per_exec, "warmup {warmup}, batch {batch}");
-            assert_eq!(replayed.exec_counts[&0x40], live.exec_counts[&0x40]);
+            assert_eq!(replayed.exec_counts, live.exec_counts);
         }
     }
 

@@ -5,10 +5,11 @@
 //! process under dynamic binary modification control:
 //!
 //! * the **rewrite-rule interpreter** looks up every newly reached basic
-//!   block in the rewrite schedule's hash index and applies the attached
-//!   handlers (loop-bound updates, stack redirection, bounds checks,
-//!   transaction start/finish) before execution continues from the code
-//!   cache;
+//!   block in the rewrite schedule — lowered once per binary into tables
+//!   indexed by instruction slot, so the lookup is an array access — and
+//!   applies the attached handlers (loop-bound updates, stack redirection,
+//!   bounds checks, transaction start/finish) before execution continues
+//!   from the code cache;
 //! * the **code cache model** charges a translation cost the first time a
 //!   block is reached, a dispatch cost until the block becomes hot enough to
 //!   be linked (trace optimisation), and an indirect-branch lookup penalty —

@@ -11,7 +11,7 @@ use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
 use janus_ir::{Inst, Operand, Reg, SyscallNum, INST_SIZE, STACK_SIZE};
 use janus_obs::Recorder;
-use janus_schedule::{RewriteSchedule, RuleId, RuleIndex};
+use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{exec_inst, Cpu, Effect, FlatMemory, GuestMemory, Process, ResolvedPlt};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -144,6 +144,22 @@ impl SideSpec {
     }
 }
 
+/// Per-slot flag bits of the lowered tables: everything a dispatch loop asks
+/// about the instruction it is about to execute, folded into one byte load.
+pub(crate) mod slot_flags {
+    /// The instruction pays [`crate::DbmConfig::indirect_lookup_cost`]; set
+    /// in every table from the one `needs_indirect_lookup`.
+    pub(crate) const INDIRECT: u8 = 1 << 0;
+    /// Main-thread table: rewrite rules are attached to this slot.
+    pub(crate) const RULES: u8 = 1 << 1;
+    /// Loop table: a `LOOP_FINISH` / `THREAD_YIELD` address of the loop.
+    pub(crate) const FINISH: u8 = 1 << 2;
+    /// Loop table: a `TX_START` call of the loop.
+    pub(crate) const TX_CALL: u8 = 1 << 3;
+    /// Loop table: the loop-bound compare (`LOOP_UPDATE_BOUND` target).
+    pub(crate) const BOUND_CMP: u8 = 1 << 4;
+}
+
 /// Per-loop runtime information derived from the rewrite schedule.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoopRt {
@@ -152,13 +168,15 @@ pub(crate) struct LoopRt {
     pub(crate) step: i64,
     pub(crate) bound_cmp_addr: u64,
     pub(crate) continue_cond: i64,
-    pub(crate) finish_addrs: HashSet<u64>,
     pub(crate) reductions: Vec<(VarSpec, i64 /*op*/, bool /*float*/)>,
     pub(crate) bounds_pairs: Vec<(SideSpec, SideSpec)>,
-    pub(crate) tx_calls: HashSet<u64>,
+    /// The loop carries `TX_START` rules (STM-wrapped shared-library calls).
+    pub(crate) has_tx_calls: bool,
     /// `SPECULATE`: run invocations of this loop under the iteration-level
     /// speculation engine instead of chunked DOALL execution.
     pub(crate) speculative: bool,
+    /// [`slot_flags`] per slot: `INDIRECT` plus this loop's own addresses.
+    pub(crate) flags: Vec<u8>,
 }
 
 /// The result of running a binary under the dynamic binary modifier.
@@ -193,8 +211,9 @@ impl DbmRunResult {
 }
 
 /// The immutable, shareable half of a DBM: the loaded process, the rewrite
-/// schedule decoded into its per-address index and per-loop runtime records,
-/// and the baseline configuration.
+/// schedule lowered into slot-addressed tables (the rules attached to each
+/// instruction slot, per-slot flag bytes for the main thread and for each
+/// loop) and per-loop runtime records, and the baseline configuration.
 ///
 /// Decoding a schedule and loading a process is per-*binary* work; executing
 /// a run is per-*invocation* work. [`PreparedDbm`] holds the former behind an
@@ -211,18 +230,37 @@ pub struct PreparedDbm {
 #[derive(Debug)]
 struct PreparedParts {
     process: Process,
-    index: RuleIndex,
+    /// The schedule's rules by instruction slot.
+    rules: RuleTable,
+    /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`.
+    flags: Vec<u8>,
     loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
 }
 
 impl PreparedDbm {
     /// Prepares `process` for execution under `schedule`: decodes the
-    /// schedule's loop rules into runtime records and builds the per-address
-    /// rule index. `config` is the baseline configuration runs inherit
-    /// (override it per run with [`PreparedDbm::execute_with`]).
+    /// schedule's loop rules into runtime records and lowers everything keyed
+    /// by guest address into tables indexed by instruction slot, so that no
+    /// executed instruction pays a lookup. `config` is the baseline
+    /// configuration runs inherit (override it per run with
+    /// [`PreparedDbm::execute_with`]).
     #[must_use]
     pub fn new(process: Process, schedule: &RewriteSchedule, config: DbmConfig) -> PreparedDbm {
+        let num_slots = process.num_slots();
+        let rules = schedule.lower(num_slots, |addr| process.slot_of(addr));
+        let mut indirect = vec![0u8; num_slots];
+        let mut flags = vec![0u8; num_slots];
+        for slot in 0..num_slots {
+            if needs_indirect_lookup(process.inst(slot)) {
+                indirect[slot] = slot_flags::INDIRECT;
+            }
+            flags[slot] = indirect[slot];
+            if !rules.at(slot).is_empty() {
+                flags[slot] |= slot_flags::RULES;
+            }
+        }
+
         let mut loops: HashMap<usize, LoopRt> = HashMap::new();
         for rule in schedule.rules() {
             let entry = loops.entry(rule.loop_id()).or_default();
@@ -233,9 +271,6 @@ impl PreparedDbm {
                     entry.step = rule.data[3];
                     entry.bound_cmp_addr = rule.data[4] as u64;
                     entry.continue_cond = rule.data[5];
-                }
-                RuleId::LoopFinish | RuleId::ThreadYield => {
-                    entry.finish_addrs.insert(rule.addr);
                 }
                 RuleId::MemPrivatise => {
                     if let Some(var) = VarSpec::decode(rule.data[1], rule.data[2]) {
@@ -250,9 +285,7 @@ impl PreparedDbm {
                         SideSpec::decode(rule.data[3], rule.data[4]),
                     ));
                 }
-                RuleId::TxStart => {
-                    entry.tx_calls.insert(rule.addr);
-                }
+                RuleId::TxStart => entry.has_tx_calls = true,
                 RuleId::Speculate => {
                     entry.speculative = true;
                 }
@@ -262,10 +295,31 @@ impl PreparedDbm {
         // Drop loop entries without a LOOP_INIT rule (e.g. profiling-only
         // schedules) — they cannot drive parallelisation.
         loops.retain(|_, l| l.header != 0 && l.induction.is_some());
+        // Second pass, over the loops that survived: mark each loop's exits,
+        // transactional calls and bound compare in its own flag table (an
+        // address without a slot can never be reached and needs no mark).
+        for lr in loops.values_mut() {
+            lr.flags = indirect.clone();
+        }
+        for rule in schedule.rules() {
+            let Some(lr) = loops.get_mut(&rule.loop_id()) else {
+                continue;
+            };
+            let (addr, flag) = match rule.id {
+                RuleId::LoopInit => (lr.bound_cmp_addr, slot_flags::BOUND_CMP),
+                RuleId::LoopFinish | RuleId::ThreadYield => (rule.addr, slot_flags::FINISH),
+                RuleId::TxStart => (rule.addr, slot_flags::TX_CALL),
+                _ => continue,
+            };
+            if let Some(slot) = process.slot_of(addr) {
+                lr.flags[slot] |= flag;
+            }
+        }
         PreparedDbm {
             parts: Arc::new(PreparedParts {
                 process,
-                index: schedule.index(),
+                rules,
+                flags,
                 loops,
                 config,
             }),
@@ -407,6 +461,7 @@ impl Dbm {
         main.pc = process.entry();
         main.set_sp(process.initial_sp());
         let heap_brk = process.heap_base();
+        let cache = CodeCache::new(process.num_slots());
         Dbm {
             prepared,
             config,
@@ -414,7 +469,7 @@ impl Dbm {
             mem,
             main,
             stats: DbmStats::default(),
-            cache: CodeCache::new(),
+            cache,
             active_sequential: HashSet::new(),
             heap_brk,
             output_ints: Vec::new(),
@@ -464,6 +519,9 @@ impl Dbm {
 
     fn run_inner(mut self) -> Result<DbmRunResult> {
         let wall_start = Instant::now();
+        // A second handle, so fetched instructions borrow from it, not `self`.
+        let prepared = self.prepared.clone();
+        let parts = &*prepared.parts;
         loop {
             let total = self.main.cycles;
             if total > self.config.cycle_limit {
@@ -472,12 +530,14 @@ impl Dbm {
                 });
             }
             let pc = self.main.pc;
+            let (slot, inst) = parts.process.fetch(pc)?;
+            let flags = parts.flags[slot];
 
             // Rewrite-rule interpretation for the main thread: LOOP_INIT
             // triggers the parallel loop runtime, LOOP_FINISH clears any
             // sequential-fallback marker.
-            if self.prepared.parts.index.contains(pc) {
-                for rule in self.prepared.parts.index.at(pc).to_vec() {
+            if flags & slot_flags::RULES != 0 {
+                for rule in parts.rules.at(slot) {
                     match rule.id {
                         RuleId::LoopFinish => {
                             let loop_id = rule.loop_id();
@@ -486,15 +546,14 @@ impl Dbm {
                         }
                         RuleId::LoopInit => {
                             let loop_id = rule.loop_id();
-                            if !self.active_sequential.contains(&loop_id)
-                                && self.prepared.parts.loops.contains_key(&loop_id)
-                            {
-                                if self.try_parallel_loop(loop_id)? {
-                                    // Parallel execution advanced main.pc past
-                                    // the loop; restart the dispatch loop.
-                                    continue;
+                            if !self.active_sequential.contains(&loop_id) {
+                                if let Some(lr) = parts.loops.get(&loop_id) {
+                                    // On success main.pc is past the loop;
+                                    // this address's other rules still apply.
+                                    if !self.try_parallel_loop(loop_id, lr)? {
+                                        self.active_sequential.insert(loop_id);
+                                    }
                                 }
-                                self.active_sequential.insert(loop_id);
                             }
                         }
                         _ => {}
@@ -506,13 +565,24 @@ impl Dbm {
                 }
             }
 
-            self.account_block(pc);
-            let inst = self.prepared.parts.process.inst_at(pc)?.clone();
+            // Code-cache costs (chunks charge the same through their
+            // `ChunkSideEffects`). A "block" is approximated by its entry
+            // address: translated when first reached, paying a dispatch
+            // penalty on every execution until it is hot.
+            let (overhead, newly_translated) = self.cache.charge_executions(slot, 1, &self.config);
+            if newly_translated {
+                self.stats.blocks_translated += 1;
+            }
+            self.stats.block_executions += 1;
+            self.stats.breakdown.translation += overhead;
+
             let next_pc = pc + INST_SIZE as u64;
             let seq_before = self.main.cycles;
-            let effect = exec_inst(&mut self.main, &mut self.mem, &inst, next_pc)?;
+            let effect = exec_inst(&mut self.main, &mut self.mem, inst, next_pc)?;
             self.stats.breakdown.sequential += self.main.cycles - seq_before;
-            self.charge_indirect(&inst);
+            if flags & slot_flags::INDIRECT != 0 {
+                self.stats.breakdown.translation += self.config.indirect_lookup_cost;
+            }
             match effect {
                 Effect::Continue => self.main.pc = next_pc,
                 Effect::Jump(t) => self.main.pc = t,
@@ -539,31 +609,10 @@ impl Dbm {
         })
     }
 
-    /// Charges code-cache costs when a block at `pc` starts executing on the
-    /// main thread. (Chunk execution does the same through its
-    /// [`ChunkSideEffects`].)
-    fn account_block(&mut self, pc: u64) {
-        // A "block" is approximated by its entry address: the first time it is
-        // reached it must be translated; until it is hot it pays a dispatch
-        // penalty on every execution.
-        let (overhead, newly_translated) = self.cache.account_block(pc, &self.config);
-        if newly_translated {
-            self.stats.blocks_translated += 1;
-        }
-        self.stats.block_executions += 1;
-        self.stats.breakdown.translation += overhead;
-    }
-
-    fn charge_indirect(&mut self, inst: &Inst) {
-        if needs_indirect_lookup(inst) {
-            self.stats.breakdown.translation += self.config.indirect_lookup_cost;
-        }
-    }
-
     fn handle_external_main(&mut self, plt: u32) -> Result<()> {
-        match self.prepared.parts.process.resolve_plt(plt)?.clone() {
+        match self.prepared.parts.process.resolve_plt(plt)? {
             ResolvedPlt::Guest { addr, .. } => {
-                self.main.pc = addr;
+                self.main.pc = *addr;
                 Ok(())
             }
             ResolvedPlt::Native { name } => {
@@ -718,28 +767,13 @@ impl Dbm {
     /// Returns `true` if the loop was executed (main's context has been
     /// updated and `main.pc` points after the loop), or `false` if this
     /// invocation must run sequentially.
-    fn try_parallel_loop(&mut self, loop_id: usize) -> Result<bool> {
+    fn try_parallel_loop(&mut self, loop_id: usize, lr: &LoopRt) -> Result<bool> {
         self.calibrate_pace();
-        let lr = self
-            .prepared
-            .parts
-            .loops
-            .get(&loop_id)
-            .cloned()
-            .ok_or(DbmError::BadRule {
-                reason: format!("unknown loop {loop_id}"),
-            })?;
         let induction = lr.induction.expect("loop has induction variable");
 
         // Evaluate the current induction value and the loop bound.
         let start = induction.read(&self.main, &mut self.mem);
-        let bound_inst = self
-            .prepared
-            .parts
-            .process
-            .inst_at(lr.bound_cmp_addr)?
-            .clone();
-        let bound_operand = match &bound_inst {
+        let bound_operand = match self.prepared.parts.process.inst_at(lr.bound_cmp_addr)? {
             Inst::Cmp { rhs, .. } => *rhs,
             other => {
                 return Err(DbmError::BadRule {
@@ -762,7 +796,7 @@ impl Dbm {
                 self.stats.sequential_fallbacks += 1;
                 return Ok(false);
             }
-            return self.try_speculative_loop(&lr, induction, start, iterations);
+            return self.try_speculative_loop(lr, induction, start, iterations);
         }
 
         // Runtime array-bounds checks (MEM_BOUNDS_CHECK).
@@ -785,7 +819,7 @@ impl Dbm {
                 }
             }
         }
-        if !lr.tx_calls.is_empty() && !self.config.enable_runtime_checks {
+        if lr.has_tx_calls && !self.config.enable_runtime_checks {
             self.stats.sequential_fallbacks += 1;
             return Ok(false);
         }
@@ -885,7 +919,7 @@ impl Dbm {
         let backend = self.config.backend.backend();
         let ctx = ChunkContext {
             process: &self.prepared.parts.process,
-            lr: &lr,
+            lr,
             config: &self.config,
             recorder: &self.recorder,
         };
@@ -1080,11 +1114,8 @@ impl Dbm {
         // memory can be temporarily moved into the engine.
         let process = &self.prepared.parts.process;
         let cycle_limit = self.config.cycle_limit;
-        // A loop has a handful of exits: a slice scan per instruction beats
-        // hashing the program counter.
-        let finish_addrs: Vec<u64> = lr.finish_addrs.iter().copied().collect();
+        let flags = &lr.flags;
         let header = lr.header;
-        let bound_cmp_addr = lr.bound_cmp_addr;
         let continue_cond = lr.continue_cond;
         let step = lr.step;
         let last_iter = iterations as usize - 1;
@@ -1120,7 +1151,9 @@ impl Dbm {
                         return Err(DbmError::CycleLimitExceeded { limit: cycle_limit });
                     }
                     let pc = cpu.pc;
-                    if finish_addrs.contains(&pc) {
+                    let (slot, fetched) = process.fetch(pc)?;
+                    let flags = flags[slot];
+                    if flags & slot_flags::FINISH != 0 {
                         return Ok(janus_spec::IterationRun {
                             cycles: cpu.cycles,
                             payload: SpecPayload {
@@ -1133,10 +1166,9 @@ impl Dbm {
                             },
                         });
                     }
-                    let fetched = process.inst_at(pc)?;
                     let bound_cmp;
                     let inst = match fetched {
-                        Inst::Cmp { lhs, .. } if pc == bound_cmp_addr => {
+                        Inst::Cmp { lhs, .. } if flags & slot_flags::BOUND_CMP != 0 => {
                             bound_cmp = Inst::Cmp {
                                 lhs: *lhs,
                                 rhs: Operand::Imm(bound),
@@ -1249,9 +1281,8 @@ impl Dbm {
 }
 
 /// Whether executing `inst` goes through the DBM's indirect-branch target
-/// lookup ([`DbmConfig::indirect_lookup_cost`]). One definition shared by
-/// the main dispatch loop and chunk execution so their cycle accounting
-/// cannot drift apart.
+/// lookup ([`DbmConfig::indirect_lookup_cost`]). Evaluated once per slot at
+/// [`PreparedDbm::new`] into [`slot_flags::INDIRECT`].
 fn needs_indirect_lookup(inst: &Inst) -> bool {
     matches!(
         inst,
@@ -1286,65 +1317,72 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
             });
         }
         let pc = cpu.pc;
-        if lr.finish_addrs.contains(&pc) {
+        let (slot, fetched) = ctx.process.fetch(pc)?;
+        let flags = lr.flags[slot];
+        if flags & slot_flags::FINISH != 0 {
             return Ok(pc);
         }
-        accounting.record(pc, config, fx);
-        let mut inst = ctx.process.inst_at(pc)?.clone();
+        accounting.record(slot, config, fx);
+        let next_pc = pc + INST_SIZE as u64;
         // LOOP_UPDATE_BOUND handler: specialise the loop-bound compare for
         // this thread's chunk.
-        if pc == lr.bound_cmp_addr {
-            if let Inst::Cmp { lhs, .. } = inst {
-                inst = Inst::Cmp {
-                    lhs,
+        let bound_cmp;
+        let inst = match fetched {
+            Inst::Cmp { lhs, .. } if flags & slot_flags::BOUND_CMP != 0 => {
+                bound_cmp = Inst::Cmp {
+                    lhs: *lhs,
                     rhs: Operand::Imm(thread_bound),
                 };
+                &bound_cmp
             }
-        }
-        let next_pc = pc + INST_SIZE as u64;
+            _ => fetched,
+        };
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
-        if lr.tx_calls.contains(&pc) && config.enable_runtime_checks {
-            if let Inst::CallExt { plt } = inst {
+        if flags & slot_flags::TX_CALL != 0 && config.enable_runtime_checks {
+            if let Inst::CallExt { plt } = *inst {
                 run_transactional_call(ctx, cpu, mem, plt, next_pc, fx)?;
                 cpu.pc = next_pc;
                 continue;
             }
         }
-        if needs_indirect_lookup(&inst) {
+        if flags & slot_flags::INDIRECT != 0 {
             fx.translation_cycles += config.indirect_lookup_cost;
         }
-        let effect = exec_inst(cpu, mem, &inst, next_pc)?;
-        match effect {
+        match exec_inst(cpu, mem, inst, next_pc)? {
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
             Effect::Halt => return Ok(pc),
-            Effect::External { plt } => match ctx.process.resolve_plt(plt)?.clone() {
-                ResolvedPlt::Guest { addr, .. } => cpu.pc = addr,
+            Effect::External { plt } => match ctx.process.resolve_plt(plt)? {
+                ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
-                    match name.as_str() {
-                        "print_i64" => fx.output_ints.push(cpu.read_gpr(Reg::R0)),
-                        "print_f64" => fx.output_floats.push(cpu.read_f64(Reg::V0)),
-                        other => {
-                            return Err(DbmError::Vm(janus_vm::VmError::UnknownExternal {
-                                name: other.to_string(),
-                            }))
-                        }
-                    }
-                    let ret = janus_vm::exec::pop_value(cpu, mem) as u64;
-                    cpu.pc = ret;
+                    run_native_helper(name, cpu, fx)?;
+                    cpu.pc = janus_vm::exec::pop_value(cpu, mem) as u64;
                 }
             },
-            Effect::Syscall { num } => {
+            Effect::Syscall { .. } => {
                 // Parallelised loops never contain system calls (the
                 // static analyser rejects them), but be safe.
-                let _ = num;
                 return Err(DbmError::BadRule {
                     reason: "system call inside a parallelised loop".to_string(),
                 });
             }
         }
     }
+}
+
+/// The native helpers chunk execution services itself (output only).
+fn run_native_helper(name: &str, cpu: &Cpu, fx: &mut ChunkSideEffects) -> Result<()> {
+    match name {
+        "print_i64" => fx.output_ints.push(cpu.read_gpr(Reg::R0)),
+        "print_f64" => fx.output_floats.push(cpu.read_f64(Reg::V0)),
+        other => {
+            return Err(DbmError::Vm(janus_vm::VmError::UnknownExternal {
+                name: other.to_string(),
+            }))
+        }
+    }
+    Ok(())
 }
 
 /// Executes an external (shared-library) call speculatively under the
@@ -1361,22 +1399,11 @@ fn run_transactional_call<M: GuestMemory>(
     fx: &mut ChunkSideEffects,
 ) -> Result<()> {
     let config = ctx.config;
-    let target = match ctx.process.resolve_plt(plt)?.clone() {
-        ResolvedPlt::Guest { addr, .. } => addr,
-        ResolvedPlt::Native { name } => {
-            // Native helpers have no guest-visible memory effects; run
-            // them directly.
-            match name.as_str() {
-                "print_i64" => fx.output_ints.push(cpu.read_gpr(Reg::R0)),
-                "print_f64" => fx.output_floats.push(cpu.read_f64(Reg::V0)),
-                other => {
-                    return Err(DbmError::Vm(janus_vm::VmError::UnknownExternal {
-                        name: other.to_string(),
-                    }))
-                }
-            }
-            return Ok(());
-        }
+    let target = match ctx.process.resolve_plt(plt)? {
+        ResolvedPlt::Guest { addr, .. } => *addr,
+        // Native helpers have no guest-visible memory effects; run them
+        // directly.
+        ResolvedPlt::Native { name } => return run_native_helper(name, cpu, fx),
     };
     fx.stm_transactions += 1;
     let checkpoint = cpu.clone();
@@ -1384,34 +1411,18 @@ fn run_transactional_call<M: GuestMemory>(
     // The call's return address is pushed inside the transaction.
     janus_vm::exec::push_value(cpu, &mut tx, return_pc as i64);
     cpu.pc = target;
-    let mut ok = true;
-    loop {
-        if cpu.pc == return_pc {
-            break;
-        }
-        if cpu.cycles > config.cycle_limit {
-            ok = false;
-            break;
-        }
-        let pc = cpu.pc;
-        let inst = match ctx.process.inst_at(pc) {
-            Ok(i) => i.clone(),
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        };
-        let next_pc = pc + INST_SIZE as u64;
-        let effect = exec_inst(cpu, &mut tx, &inst, next_pc)?;
-        match effect {
-            Effect::Continue => cpu.pc = next_pc,
-            Effect::Jump(t) => cpu.pc = t,
-            _ => {
-                ok = false;
-                break;
-            }
-        }
-    }
+    let ok = match run_callee(ctx, cpu, &mut tx, return_pc) {
+        Ok(()) => true,
+        // The callee left the code a transaction can run (or the text, or
+        // its cycle budget) on the transaction's view of memory: abort. The
+        // re-execution below either succeeds or reports the same stop.
+        Err(
+            DbmError::CycleLimitExceeded { .. }
+            | DbmError::BadRule { .. }
+            | DbmError::Vm(janus_vm::VmError::BadPc { .. }),
+        ) => false,
+        Err(e) => return Err(e),
+    };
     let tx_stats = tx.stats();
     fx.stm_reads += tx_stats.reads;
     fx.stm_writes += tx_stats.writes;
@@ -1428,21 +1439,38 @@ fn run_transactional_call<M: GuestMemory>(
         *cpu = checkpoint;
         janus_vm::exec::push_value(cpu, mem, return_pc as i64);
         cpu.pc = target;
-        loop {
-            if cpu.pc == return_pc {
-                break;
-            }
-            let pc = cpu.pc;
-            let inst = ctx.process.inst_at(pc)?.clone();
-            let next_pc = pc + INST_SIZE as u64;
-            match exec_inst(cpu, mem, &inst, next_pc)? {
-                Effect::Continue => cpu.pc = next_pc,
-                Effect::Jump(t) => cpu.pc = t,
-                _ => {
-                    return Err(DbmError::BadRule {
-                        reason: "unsupported control flow in shared-library call".to_string(),
-                    })
-                }
+        run_callee(ctx, cpu, mem, return_pc)?;
+    }
+    Ok(())
+}
+
+/// Runs a shared-library callee until control returns to `return_pc`: the one
+/// loop behind both halves of [`run_transactional_call`]. A callee that cannot
+/// finish is an abort over the transaction's view, an error over real memory.
+fn run_callee<M: GuestMemory>(
+    ctx: &ChunkContext<'_>,
+    cpu: &mut Cpu,
+    mem: &mut M,
+    return_pc: u64,
+) -> Result<()> {
+    while cpu.pc != return_pc {
+        if cpu.cycles > ctx.config.cycle_limit {
+            return Err(DbmError::CycleLimitExceeded {
+                limit: ctx.config.cycle_limit,
+            });
+        }
+        let pc = cpu.pc;
+        let inst = ctx.process.inst_at(pc)?;
+        let next_pc = pc + INST_SIZE as u64;
+        match exec_inst(cpu, mem, inst, next_pc)? {
+            Effect::Continue => cpu.pc = next_pc,
+            Effect::Jump(t) => cpu.pc = t,
+            // Halting, trapping or calling out: anything but straight-line
+            // code, jumps and the callee's own return.
+            _ => {
+                return Err(DbmError::BadRule {
+                    reason: "unsupported control flow in shared-library call".to_string(),
+                })
             }
         }
     }

@@ -106,7 +106,7 @@ impl<M: GuestMemory> GuestMemory for TxView<'_, M> {
         } else {
             // Unaligned: compose from the two covering words.
             let lo = self.read_u64(word);
-            let hi = self.read_u64(word + 8);
+            let hi = self.read_u64(word.wrapping_add(8));
             let shift = (addr - word) * 8;
             (lo >> shift) | (hi << (64 - shift))
         }
@@ -120,7 +120,7 @@ impl<M: GuestMemory> GuestMemory for TxView<'_, M> {
         } else {
             // Unaligned store: update the covering words byte by byte.
             for (i, b) in value.to_le_bytes().iter().enumerate() {
-                self.write_u8(addr + i as u64, *b);
+                self.write_u8(addr.wrapping_add(i as u64), *b);
             }
         }
     }

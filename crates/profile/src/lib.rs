@@ -148,6 +148,17 @@ pub fn generate_profiling_schedule(analysis: &BinaryAnalysis, executable: &str) 
     schedule
 }
 
+/// Per instrumented loop: the profile so far plus the address sets of the
+/// current iteration and of all earlier iterations of this invocation.
+#[derive(Debug, Default)]
+struct LoopState {
+    profile: LoopProfile,
+    iter_writes: HashSet<u64>,
+    iter_reads: HashSet<u64>,
+    prev_writes: HashSet<u64>,
+    prev_reads: HashSet<u64>,
+}
+
 /// Runs a binary with instrumentation driven by a profiling schedule.
 ///
 /// # Errors
@@ -158,24 +169,28 @@ pub fn profile(
     schedule: &RewriteSchedule,
     input: &[i64],
 ) -> Result<ProfileData, VmError> {
-    let index = schedule.index();
+    // Lower what the per-instruction path looks up: rules by slot, loops by
+    // position in `loop_ids` (a wild id costs a table entry, not memory).
+    let table = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
+    let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
+    loop_ids.sort_unstable();
+    loop_ids.dedup();
+    let dense = |id: usize| loop_ids.binary_search(&id).expect("collected above");
+    let mut loops: Vec<LoopState> = Vec::new();
+    loops.resize_with(loop_ids.len(), LoopState::default);
+
     let mut mem = process.initial_memory();
     let mut cpu = Cpu::new();
     cpu.pc = process.entry();
     cpu.set_sp(process.initial_sp());
 
-    let mut data = ProfileData::default();
+    let mut total_instructions = 0u64;
     let mut heap_brk = process.heap_base();
     let mut input: std::collections::VecDeque<i64> = input.iter().copied().collect();
 
-    // Profiling state.
+    // Profiling state, in dense loop indices.
     let mut loop_stack: Vec<usize> = Vec::new();
     let mut in_excall: Option<usize> = None;
-    // Per-loop, per-iteration read/write address sets for dependence checking.
-    let mut iter_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
-    let mut prev_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
-    let mut prev_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
-    let mut iter_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
 
     let cycle_guard = 50_000_000_000u64;
     loop {
@@ -183,21 +198,23 @@ pub fn profile(
             return Err(VmError::CycleLimitExceeded { limit: cycle_guard });
         }
         let pc = cpu.pc;
+        let (slot, inst) = process.fetch(pc)?;
+        let rules = table.at(slot);
         // Interpret profiling rules attached to this address.
-        for rule in index.at(pc) {
-            let id = rule.loop_id();
+        for rule in rules {
+            if rule.id == RuleId::ProfMemAccess {
+                continue;
+            }
+            let id = dense(rule.loop_id());
             match rule.id {
                 RuleId::ProfLoopStart if loop_stack.last() != Some(&id) => {
                     loop_stack.push(id);
-                    let entry = data.loops.entry(id).or_insert_with(|| LoopProfile {
-                        loop_id: id,
-                        ..LoopProfile::default()
-                    });
-                    entry.invocations += 1;
-                    iter_writes.entry(id).or_default().clear();
-                    iter_reads.entry(id).or_default().clear();
-                    prev_writes.entry(id).or_default().clear();
-                    prev_reads.entry(id).or_default().clear();
+                    let l = &mut loops[id];
+                    l.profile.invocations += 1;
+                    l.iter_writes.clear();
+                    l.iter_reads.clear();
+                    l.prev_writes.clear();
+                    l.prev_reads.clear();
                 }
                 RuleId::ProfLoopFinish => {
                     if let Some(pos) = loop_stack.iter().rposition(|l| *l == id) {
@@ -205,25 +222,21 @@ pub fn profile(
                     }
                 }
                 RuleId::ProfLoopIter if loop_stack.last() == Some(&id) => {
-                    let entry = data.loops.entry(id).or_default();
-                    entry.loop_id = id;
-                    entry.iterations += 1;
+                    let l = &mut loops[id];
+                    l.profile.iterations += 1;
                     // Cross-iteration dependence: this iteration touched an
                     // address written by an earlier iteration (or wrote an
                     // address previously read/written).
-                    let writes = iter_writes.entry(id).or_default();
-                    let reads = iter_reads.entry(id).or_default();
-                    let pw = prev_writes.entry(id).or_default();
-                    let pr = prev_reads.entry(id).or_default();
-                    let conflict = writes.iter().any(|a| pw.contains(a) || pr.contains(a))
-                        || reads.iter().any(|a| pw.contains(a));
+                    let conflict = l
+                        .iter_writes
+                        .iter()
+                        .any(|a| l.prev_writes.contains(a) || l.prev_reads.contains(a))
+                        || l.iter_reads.iter().any(|a| l.prev_writes.contains(a));
                     if conflict {
-                        data.loops.get_mut(&id).unwrap().observed_dependence = true;
+                        l.profile.observed_dependence = true;
                     }
-                    let writes = std::mem::take(iter_writes.entry(id).or_default());
-                    let reads = std::mem::take(iter_reads.entry(id).or_default());
-                    prev_writes.entry(id).or_default().extend(writes);
-                    prev_reads.entry(id).or_default().extend(reads);
+                    l.prev_writes.extend(l.iter_writes.drain());
+                    l.prev_reads.extend(l.iter_reads.drain());
                 }
                 RuleId::ProfExcallStart => in_excall = Some(id),
                 RuleId::ProfExcallFinish => in_excall = None,
@@ -231,29 +244,28 @@ pub fn profile(
             }
         }
 
-        let inst = process.inst_at(pc)?.clone();
         // PROF_MEM_ACCESS: record addresses for dependence detection.
         if let Some(&current) = loop_stack.last() {
-            if index.at(pc).iter().any(|r| r.id == RuleId::ProfMemAccess) {
+            if rules.iter().any(|r| r.id == RuleId::ProfMemAccess) {
+                let l = &mut loops[current];
                 if let Some(m) = inst.mem_read() {
-                    let addr = janus_vm::exec::effective_addr(&cpu, &m);
-                    iter_reads.entry(current).or_default().insert(addr);
+                    l.iter_reads
+                        .insert(janus_vm::exec::effective_addr(&cpu, &m));
                 }
                 if let Some(m) = inst.mem_write() {
-                    let addr = janus_vm::exec::effective_addr(&cpu, &m);
-                    iter_writes.entry(current).or_default().insert(addr);
+                    l.iter_writes
+                        .insert(janus_vm::exec::effective_addr(&cpu, &m));
                 }
             }
         }
 
         let retired_before = cpu.retired;
         let next_pc = pc + INST_SIZE as u64;
-        let effect = exec_inst(&mut cpu, &mut mem, &inst, next_pc)?;
+        let effect = exec_inst(&mut cpu, &mut mem, inst, next_pc)?;
         let retired_delta = cpu.retired - retired_before;
-        data.total_instructions += retired_delta;
+        total_instructions += retired_delta;
         if let Some(&current) = loop_stack.last() {
-            let entry = data.loops.entry(current).or_default();
-            entry.loop_id = current;
+            let entry = &mut loops[current].profile;
             entry.dyn_instructions += retired_delta;
             if in_excall == Some(current) || process.is_syslib_code(pc) {
                 entry.excall_instructions += retired_delta;
@@ -270,11 +282,11 @@ pub fn profile(
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
             Effect::Halt => break,
-            Effect::External { plt } => match process.resolve_plt(plt)?.clone() {
-                ResolvedPlt::Guest { addr, .. } => cpu.pc = addr,
+            Effect::External { plt } => match process.resolve_plt(plt)? {
+                ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
                     if name == "par_for" {
-                        return Err(VmError::UnknownExternal { name });
+                        return Err(VmError::UnknownExternal { name: name.clone() });
                     }
                     let ret = janus_vm::exec::pop_value(&mut cpu, &mut mem) as u64;
                     cpu.pc = ret;
@@ -304,12 +316,21 @@ pub fn profile(
         }
     }
 
-    // Final coverage fractions.
-    let total = data.total_instructions.max(1) as f64;
-    for l in data.loops.values_mut() {
-        l.coverage = l.dyn_instructions as f64 / total;
+    // A loop has a profile exactly when it was entered; coverage fractions
+    // are final only now.
+    let total = total_instructions.max(1) as f64;
+    let mut data = ProfileData {
+        total_instructions,
+        ..ProfileData::default()
+    };
+    for (&loop_id, l) in loop_ids.iter().zip(&loops) {
+        let mut profile = l.profile;
+        if profile.invocations > 0 {
+            profile.loop_id = loop_id;
+            profile.coverage = profile.dyn_instructions as f64 / total;
+            data.loops.insert(loop_id, profile);
+        }
     }
-    let _ = mem;
     Ok(data)
 }
 

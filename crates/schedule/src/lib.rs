@@ -3,13 +3,14 @@
 //! The *rewrite schedule* is the architecture-independent interface between
 //! the static analyser and the dynamic binary modifier (section II-A of the
 //! paper): a header, a list of fixed-length *rewrite rules* (trigger address,
-//! rule id, data words) and nothing else. The DBM indexes the rules by
-//! address in a hash table and invokes the handler for each rule attached to
-//! a basic block just before the block is placed in its code cache.
+//! rule id, data words) and nothing else. The DBM looks the rules up by
+//! trigger address and invokes the handler for each rule attached to a basic
+//! block just before the block is placed in its code cache.
 //!
 //! This crate defines the rule identifiers of Figure 3, the fixed-length rule
 //! record, the schedule container, its binary serialisation (whose size is
-//! what Figure 10 measures) and the per-address index used by the DBM.
+//! what Figure 10 measures) and the slot-addressed [`RuleTable`] the DBM and
+//! the profiler lower a schedule into once per binary.
 //!
 //! # Example
 //!
@@ -28,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Version of the serialised schedule format produced by
@@ -305,15 +305,32 @@ impl RewriteSchedule {
         self.rules.iter().filter(move |r| r.id == id)
     }
 
-    /// Builds the per-address index the DBM uses for O(1) lookup while
-    /// translating basic blocks.
+    /// Lowers the schedule, once per binary, into a table addressed by
+    /// instruction *slot*: the dense numbering a loaded process gives its
+    /// instruction addresses (`janus_vm::Process::slot_of`, passed in so this
+    /// crate stays dependency-free). Rules whose address has no slot below
+    /// `num_slots` can never fire and are dropped; schedule order is
+    /// preserved within a slot.
     #[must_use]
-    pub fn index(&self) -> RuleIndex {
-        let mut map: HashMap<u64, Vec<RewriteRule>> = HashMap::new();
-        for r in &self.rules {
-            map.entry(r.addr).or_default().push(*r);
+    pub fn lower(&self, num_slots: usize, slot_of: impl Fn(u64) -> Option<usize>) -> RuleTable {
+        let slot_of = |rule: &RewriteRule| slot_of(rule.addr).filter(|&slot| slot < num_slots);
+        // Counting sort by slot: row lengths, then prefix sums.
+        let mut starts = vec![0u32; num_slots + 1];
+        for slot in self.rules.iter().filter_map(slot_of) {
+            starts[slot + 1] += 1;
         }
-        RuleIndex { map }
+        for slot in 0..num_slots {
+            starts[slot + 1] += starts[slot];
+        }
+        let mut next = starts.clone();
+        let mut rules = vec![RewriteRule::new(0, RuleId::LoopInit); starts[num_slots] as usize];
+        for rule in &self.rules {
+            if let Some(slot) = slot_of(rule) {
+                rules[next[slot] as usize] = *rule;
+                next[slot] += 1;
+            }
+        }
+        RuleTable { starts, rules }
     }
 
     /// Serialised size in bytes (the quantity reported in Figure 10).
@@ -417,44 +434,33 @@ impl RewriteSchedule {
     }
 }
 
-/// A hash index from application address to the rules attached to it.
+/// A schedule lowered over a dense instruction-slot space
+/// ([`RewriteSchedule::lower`]): one row-compressed array of rules.
 #[derive(Debug, Clone, Default)]
-pub struct RuleIndex {
-    map: HashMap<u64, Vec<RewriteRule>>,
+pub struct RuleTable {
+    /// The rules of slot `s` are `rules[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    rules: Vec<RewriteRule>,
 }
 
-impl RuleIndex {
-    /// Rules attached to `addr` (empty slice if none).
+impl RuleTable {
+    /// Rules attached to `slot` in schedule order (empty if none, or if
+    /// `slot` is outside the table).
     #[must_use]
-    pub fn at(&self, addr: u64) -> &[RewriteRule] {
-        self.map.get(&addr).map_or(&[], Vec::as_slice)
-    }
-
-    /// Returns `true` if any rule is attached to `addr`.
-    #[must_use]
-    pub fn contains(&self, addr: u64) -> bool {
-        self.map.contains_key(&addr)
-    }
-
-    /// Number of distinct addresses with rules.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` if the index is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    pub fn at(&self, slot: usize) -> &[RewriteRule] {
+        match self.starts.get(slot..slot.saturating_add(2)) {
+            Some(&[start, end]) => &self.rules[start as usize..end as usize],
+            _ => &[],
+        }
     }
 }
 
-// Schedules (and their per-address indices) are cached content-addressed and
+// Schedules (and their lowered tables) are cached content-addressed and
 // shared across serving worker threads; keep them cheap-to-clone plain data.
 const _: () = {
     const fn artifact<T: Clone + Send + Sync>() {}
     artifact::<RewriteSchedule>();
-    artifact::<RuleIndex>();
+    artifact::<RuleTable>();
 };
 
 #[cfg(test)]
@@ -534,19 +540,27 @@ mod tests {
     fn index_groups_rules_by_address() {
         let mut s = RewriteSchedule::new("x");
         s.push(RewriteRule::new(0x400100, RuleId::MemMainStack).with_data(1, 14));
-        s.push(RewriteRule::new(0x400100, RuleId::MemPrivatise).with_data(1, 15));
         s.push(RewriteRule::new(0x400200, RuleId::LoopUpdateBound));
-        let idx = s.index();
-        assert_eq!(idx.at(0x400100).len(), 2);
-        assert_eq!(
-            idx.at(0x400100)[0].id,
-            RuleId::MemMainStack,
-            "order preserved"
-        );
-        assert_eq!(idx.at(0x400300).len(), 0);
-        assert!(idx.contains(0x400200));
-        assert_eq!(idx.len(), 2);
-        assert!(!idx.is_empty());
+        s.push(RewriteRule::new(0x400100, RuleId::MemPrivatise).with_data(1, 15));
+        // Misaligned, and past the text: neither has a slot.
+        s.push(RewriteRule::new(0x400101, RuleId::LoopInit));
+        s.push(RewriteRule::new(0x500000, RuleId::LoopInit));
+        // 0x400000 + 0x20 * slot, 32 slots.
+        let slot_of = |addr: u64| {
+            let off = addr.checked_sub(0x400000)?;
+            (off % 0x20 == 0 && off / 0x20 < 32).then_some((off / 0x20) as usize)
+        };
+        let table = s.lower(32, slot_of);
+        let kept: usize = (0..32).map(|slot| table.at(slot).len()).sum();
+        assert_eq!(kept, 3, "the two unreachable rules are dropped");
+        let at_8 = table.at(8);
+        assert_eq!(at_8.len(), 2);
+        assert_eq!(at_8[0].id, RuleId::MemMainStack, "order preserved");
+        assert_eq!(at_8[1].id, RuleId::MemPrivatise);
+        assert_eq!(table.at(16)[0].id, RuleId::LoopUpdateBound);
+        assert!(table.at(9).is_empty());
+        assert!(table.at(32).is_empty() && table.at(usize::MAX).is_empty());
+        assert!(RuleTable::default().at(0).is_empty());
     }
 
     #[test]

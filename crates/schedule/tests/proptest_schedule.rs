@@ -60,24 +60,43 @@ proptest! {
     #[test]
     fn index_preserves_rule_order_and_membership(
         rules in proptest::collection::vec(arb_rule(), 0..64),
+        // A slot space in the shape of a text section: `base + k * step`.
+        base in any::<u32>(),
+        step_log2 in 0u32..8,
+        num_slots in 0usize..4096,
     ) {
         let mut schedule = RewriteSchedule::new("t");
         for r in &rules {
-            schedule.push(*r);
+            // Fold the random addresses towards the section so that most
+            // rules land in it, some misaligned, some outside.
+            let mut r = *r;
+            r.addr = u64::from(base) + r.addr % ((num_slots as u64 + 8) << step_log2);
+            schedule.push(r);
         }
-        let index = schedule.index();
-        for r in &rules {
-            let at = index.at(r.addr);
-            prop_assert!(at.iter().any(|x| x == r));
-            // Schedule order is preserved within one address.
-            let expected: Vec<_> = schedule.rules_at(r.addr).copied().collect();
-            prop_assert_eq!(at, expected.as_slice());
+        let slot_of = |addr: u64| {
+            let off = addr.checked_sub(u64::from(base))?;
+            (off % (1 << step_log2) == 0).then_some((off >> step_log2) as usize)
+        };
+        let table = schedule.lower(num_slots, slot_of);
+
+        let mut kept = 0;
+        for r in schedule.rules() {
+            match slot_of(r.addr).filter(|&slot| slot < num_slots) {
+                Some(slot) => {
+                    kept += 1;
+                    // Schedule order is preserved within one slot, and a slot
+                    // holds exactly the rules of its address.
+                    let expected: Vec<_> = schedule.rules_at(r.addr).copied().collect();
+                    prop_assert_eq!(table.at(slot), expected.as_slice());
+                }
+                // A rule no instruction address maps to is not in the table.
+                None => prop_assert!(
+                    (0..num_slots).all(|slot| table.at(slot).iter().all(|x| x.addr != r.addr))
+                ),
+            }
         }
-        let total: usize = rules
-            .iter()
-            .map(|r| r.addr)
-            .collect::<std::collections::HashSet<_>>()
-            .len();
-        prop_assert_eq!(index.len(), total);
+        let total: usize = (0..num_slots).map(|slot| table.at(slot).len()).sum();
+        prop_assert_eq!(total, kept);
+        prop_assert!(table.at(num_slots).is_empty());
     }
 }

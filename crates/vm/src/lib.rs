@@ -53,6 +53,7 @@ pub mod syslib;
 pub mod vm;
 
 mod error;
+mod pagetable;
 
 pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};

@@ -1,7 +1,7 @@
 //! Guest memory: the flat virtual address space and the access trait used to
 //! interpose on loads and stores.
 
-use std::collections::HashMap;
+use crate::pagetable::PageTable;
 
 pub(crate) const PAGE_SHIFT: u64 = 12;
 pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -22,7 +22,7 @@ pub trait GuestMemory {
     fn read_u64(&mut self, addr: u64) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+            *b = self.read_u8(addr.wrapping_add(i as u64));
         }
         u64::from_le_bytes(bytes)
     }
@@ -30,7 +30,7 @@ pub trait GuestMemory {
     /// Writes a little-endian 64-bit value.
     fn write_u64(&mut self, addr: u64, value: u64) {
         for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+            self.write_u8(addr.wrapping_add(i as u64), *b);
         }
     }
 
@@ -57,13 +57,15 @@ pub trait GuestMemory {
     /// Copies `data.len()` bytes into guest memory starting at `addr`.
     fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         for (i, b) in data.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+            self.write_u8(addr.wrapping_add(i as u64), *b);
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     fn read_bytes(&mut self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        (0..len)
+            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
+            .collect()
     }
 }
 
@@ -85,7 +87,7 @@ pub trait PeekMemory {
     fn peek_u64(&self, addr: u64) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.peek_u8(addr + i as u64);
+            *b = self.peek_u8(addr.wrapping_add(i as u64));
         }
         u64::from_le_bytes(bytes)
     }
@@ -101,10 +103,12 @@ impl PeekMemory for FlatMemory {
     }
 }
 
-/// A sparse, page-granular flat address space. Unmapped memory reads as zero.
+/// A sparse, page-granular flat address space over a radix page table.
+/// Unmapped memory reads as zero; address arithmetic wraps, so no
+/// guest-chosen address can fault the host.
 #[derive(Debug, Default, Clone)]
 pub struct FlatMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageTable<[u8; PAGE_SIZE]>,
     /// Number of load operations serviced (for statistics).
     pub loads: u64,
     /// Number of store operations serviced (for statistics).
@@ -132,16 +136,15 @@ impl FlatMemory {
     /// or `None` for an unmapped page. Used by the page-aware overlay merge,
     /// which reads base pages from worker threads through a shared reference.
     pub(crate) fn page_ref(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&page).map(Box::as_ref)
+        self.pages.get(page)
     }
 
     /// The bytes of one page, mapping it (zero-filled) if absent. Access
-    /// statistics are not touched — this is a merge-path primitive, not a
-    /// guest access.
+    /// statistics are not touched — this is the store path's and the merge
+    /// path's primitive, not a guest access.
     pub(crate) fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
         self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+            .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Replaces (or maps) one page with fully merged bytes. The parallel
@@ -158,27 +161,25 @@ impl FlatMemory {
     #[must_use]
     pub fn peek_u8(&self, addr: u64) -> u8 {
         let (page, off) = Self::page_of(addr);
-        self.pages.get(&page).map_or(0, |p| p[off])
+        self.pages.get(page).map_or(0, |p| p[off])
     }
 
     /// Reads a little-endian 64-bit value without updating access statistics.
     #[must_use]
     pub fn peek_u64(&self, addr: u64) -> u64 {
         let (page, off) = Self::page_of(addr);
+        let mut bytes = [0u8; 8];
         if off + 8 <= PAGE_SIZE {
-            let mut b = [0u8; 8];
-            match self.pages.get(&page) {
-                Some(p) => b.copy_from_slice(&p[off..off + 8]),
+            match self.pages.get(page) {
+                Some(p) => bytes.copy_from_slice(&p[off..off + 8]),
                 None => return 0,
             }
-            u64::from_le_bytes(b)
         } else {
-            let mut bytes = [0u8; 8];
             for (i, b) in bytes.iter_mut().enumerate() {
-                *b = self.peek_u8(addr + i as u64);
+                *b = self.peek_u8(addr.wrapping_add(i as u64));
             }
-            u64::from_le_bytes(bytes)
         }
+        u64::from_le_bytes(bytes)
     }
 
     /// A deterministic digest of the guest-visible memory image (FNV-1a over
@@ -190,96 +191,44 @@ impl FlatMemory {
     #[must_use]
     pub fn image_digest(&self) -> u64 {
         use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
-        let mut pages: Vec<&u64> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.iter().any(|b| *b != 0))
-            .map(|(n, _)| n)
-            .collect();
-        pages.sort_unstable();
         let mut h = FNV1A_OFFSET;
-        for page in pages {
-            h = fnv1a_update(h, &page.to_le_bytes());
-            h = fnv1a_update(h, &self.pages[page][..]);
+        for (page, bytes) in self.pages.iter() {
+            if bytes.iter().any(|b| *b != 0) {
+                h = fnv1a_update(h, &page.to_le_bytes());
+                h = fnv1a_update(h, &bytes[..]);
+            }
         }
         h
-    }
-
-    /// Fast aligned 64-bit read used internally when the access does not
-    /// cross a page boundary.
-    fn read_u64_fast(&mut self, addr: u64) -> Option<u64> {
-        let (page, off) = Self::page_of(addr);
-        if off + 8 <= PAGE_SIZE {
-            let p = self.pages.get(&page)?;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&p[off..off + 8]);
-            Some(u64::from_le_bytes(b))
-        } else {
-            None
-        }
-    }
-
-    fn write_u64_fast(&mut self, addr: u64, value: u64) -> bool {
-        let (page, off) = Self::page_of(addr);
-        if off + 8 <= PAGE_SIZE {
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[off..off + 8].copy_from_slice(&value.to_le_bytes());
-            true
-        } else {
-            false
-        }
     }
 }
 
 impl GuestMemory for FlatMemory {
     fn read_u8(&mut self, addr: u64) -> u8 {
         self.loads += 1;
-        let (page, off) = Self::page_of(addr);
-        self.pages.get(&page).map_or(0, |p| p[off])
+        self.peek_u8(addr)
     }
 
     fn write_u8(&mut self, addr: u64, value: u8) {
         self.stores += 1;
         let (page, off) = Self::page_of(addr);
-        let p = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        p[off] = value;
+        self.page_mut(page)[off] = value;
     }
 
     fn read_u64(&mut self, addr: u64) -> u64 {
         self.loads += 1;
-        if let Some(v) = self.read_u64_fast(addr) {
-            return v;
-        }
-        let (page, _) = Self::page_of(addr);
-        if !self.pages.contains_key(&page) && !self.pages.contains_key(&(page + 1)) {
-            return 0;
-        }
-        let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            let (p, off) = Self::page_of(addr + i as u64);
-            *b = self.pages.get(&p).map_or(0, |pg| pg[off]);
-        }
-        u64::from_le_bytes(bytes)
+        self.peek_u64(addr)
     }
 
     fn write_u64(&mut self, addr: u64, value: u64) {
         self.stores += 1;
-        if self.write_u64_fast(addr, value) {
-            return;
-        }
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            let (page, off) = Self::page_of(addr + i as u64);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[off] = *b;
+        let (page, off) = Self::page_of(addr);
+        if off + 8 <= PAGE_SIZE {
+            self.page_mut(page)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        } else {
+            for (i, b) in value.to_le_bytes().iter().enumerate() {
+                let (page, off) = Self::page_of(addr.wrapping_add(i as u64));
+                self.page_mut(page)[off] = *b;
+            }
         }
     }
 }

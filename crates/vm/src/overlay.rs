@@ -19,7 +19,7 @@
 //! moves.
 
 use crate::memory::{FlatMemory, GuestMemory, PeekMemory, PAGE_SHIFT, PAGE_SIZE};
-use std::collections::HashMap;
+use crate::pagetable::PageTable;
 
 /// 64-bit words per page.
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -111,7 +111,7 @@ fn splice_word(bytes: &mut [u8; PAGE_SIZE], idx: usize, value: u64, mask: u8) {
 #[derive(Debug)]
 pub struct CowMemory<'a> {
     base: &'a FlatMemory,
-    pages: HashMap<u64, Box<PageOverlay>>,
+    pages: PageTable<PageOverlay>,
     written: usize,
 }
 
@@ -121,7 +121,7 @@ impl<'a> CowMemory<'a> {
     pub fn new(base: &'a FlatMemory) -> CowMemory<'a> {
         CowMemory {
             base,
-            pages: HashMap::new(),
+            pages: PageTable::default(),
             written: 0,
         }
     }
@@ -138,34 +138,13 @@ impl<'a> CowMemory<'a> {
         self.pages.len()
     }
 
-    /// Consumes the view and returns its writes as
-    /// `(word address, value, dirty-byte mask)` triples sorted by address.
-    /// Apply them with [`CowMemory::apply_writes`].
-    #[must_use]
-    pub fn into_writes(self) -> Vec<OverlayWrite> {
-        let mut writes: Vec<OverlayWrite> = Vec::with_capacity(self.written);
-        let mut pages: Vec<(u64, Box<PageOverlay>)> = self.pages.into_iter().collect();
-        pages.sort_unstable_by_key(|&(page, _)| page);
-        for (page, overlay) in pages {
-            let base_addr = page << PAGE_SHIFT;
-            overlay.for_each_dirty(|idx, value, mask| {
-                writes.push((base_addr + (idx as u64) * 8, value, mask));
-            });
-        }
-        writes
-    }
-
     /// Consumes the view and returns its dirty pages as a [`ChunkOverlay`],
     /// the unit [`merge_chunk_overlays`] consumes. Only pages with at least
     /// one dirty word are retained.
     #[must_use]
     pub fn into_pages(self) -> ChunkOverlay {
-        let mut pages: Vec<(u64, Box<PageOverlay>)> = self
-            .pages
-            .into_iter()
-            .filter(|(_, overlay)| overlay.dirty.iter().any(|&w| w != 0))
-            .collect();
-        pages.sort_unstable_by_key(|&(page, _)| page);
+        let mut pages = self.pages.into_sorted();
+        pages.retain(|(_, overlay)| overlay.dirty.iter().any(|&w| w != 0));
         ChunkOverlay { pages }
     }
 
@@ -204,7 +183,7 @@ impl<'a> CowMemory<'a> {
     fn word(&self, word: u64) -> u64 {
         let (page, idx) = Self::split(word);
         self.pages
-            .get(&page)
+            .get(page)
             .map_or_else(|| self.base.peek_u64(word), |p| p.values[idx])
     }
 
@@ -215,8 +194,7 @@ impl<'a> CowMemory<'a> {
         let base = self.base;
         let overlay = self
             .pages
-            .entry(page)
-            .or_insert_with(|| PageOverlay::from_base(base, page));
+            .get_or_insert_with(page, || PageOverlay::from_base(base, page));
         let newly_dirty = overlay.masks[idx] == 0;
         f(&mut overlay.values[idx], &mut overlay.masks[idx]);
         if newly_dirty && overlay.masks[idx] != 0 {
@@ -238,7 +216,7 @@ impl PeekMemory for CowMemory<'_> {
             self.word(word)
         } else {
             let lo = self.word(word);
-            let hi = self.word(word + 8);
+            let hi = self.word(word.wrapping_add(8));
             let shift = (addr - word) * 8;
             (lo >> shift) | (hi << (64 - shift))
         }
@@ -274,7 +252,7 @@ impl GuestMemory for CowMemory<'_> {
             });
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
-                self.write_u8(addr + i as u64, *b);
+                self.write_u8(addr.wrapping_add(i as u64), *b);
             }
         }
     }
@@ -479,7 +457,7 @@ mod tests {
         view.write_u64(0x3008, 2);
         view.write_u64(0x3000, 1);
         assert_eq!(view.written_words(), 2);
-        let writes = view.into_writes();
+        let writes = view.into_pages().to_writes();
         assert_eq!(writes, vec![(0x3000, 1, 0xff), (0x3008, 2, 0xff)]);
         CowMemory::apply_writes(&mut base, &writes);
         assert_eq!(base.peek_u64(0x3000), 1);
@@ -504,7 +482,7 @@ mod tests {
         for i in 4..8 {
             b.write_u8(0x4000 + i, 0xbb);
         }
-        let (wa, wb) = (a.into_writes(), b.into_writes());
+        let (wa, wb) = (a.into_pages().to_writes(), b.into_pages().to_writes());
         assert_eq!(wa[0].2, 0x0f, "low-half dirty mask");
         assert_eq!(wb[0].2, 0xf0, "high-half dirty mask");
         CowMemory::apply_writes(&mut shared, &wa);

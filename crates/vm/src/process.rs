@@ -28,12 +28,19 @@ pub const NATIVE_EXTERNALS: &[&str] = &["par_for", "print_i64", "print_f64"];
 
 /// A loaded process: the main executable, the shared system library and the
 /// pre-decoded instruction streams for both.
+///
+/// Every instruction address has a dense *slot* number — main text first,
+/// the system library after it — so tables keyed by program counter are
+/// `Vec`s. [`Process::slot_of`] is the only way in: any other address has no
+/// slot and surfaces as [`VmError::BadPc`], never as an index panic.
 #[derive(Debug, Clone)]
 pub struct Process {
     binary: JBinary,
     syslib: JBinary,
-    main_insts: Vec<Inst>,
-    syslib_insts: Vec<Inst>,
+    /// Both decoded text sections, indexed by slot.
+    insts: Vec<Inst>,
+    /// Slots below this belong to the main executable.
+    main_slots: usize,
     plt: Vec<ResolvedPlt>,
 }
 
@@ -54,20 +61,14 @@ impl Process {
     ///
     /// See [`Process::load`].
     pub fn load_with_syslib(binary: &JBinary, syslib: JBinary) -> Result<Process> {
-        let main_insts = disassemble(binary)
-            .map_err(|e| VmError::Load {
-                reason: format!("main binary: {e}"),
-            })?
-            .into_iter()
-            .map(|d| d.inst)
-            .collect();
-        let syslib_insts = disassemble(&syslib)
-            .map_err(|e| VmError::Load {
-                reason: format!("system library: {e}"),
-            })?
-            .into_iter()
-            .map(|d| d.inst)
-            .collect();
+        let main = disassemble(binary).map_err(|e| VmError::Load {
+            reason: format!("main binary: {e}"),
+        })?;
+        let lib = disassemble(&syslib).map_err(|e| VmError::Load {
+            reason: format!("system library: {e}"),
+        })?;
+        let main_slots = main.len();
+        let insts = main.into_iter().chain(lib).map(|d| d.inst).collect();
         let mut plt = Vec::with_capacity(binary.plt().len());
         for entry in binary.plt() {
             let name = entry.name.clone();
@@ -85,8 +86,8 @@ impl Process {
         Ok(Process {
             binary: binary.clone(),
             syslib,
-            main_insts,
-            syslib_insts,
+            insts,
+            main_slots,
             plt,
         })
     }
@@ -120,17 +121,51 @@ impl Process {
             .ok_or(VmError::UnresolvedPlt { plt: index })
     }
 
-    /// Returns `true` if `addr` lies in either text section.
-    #[must_use]
-    pub fn is_code(&self, addr: u64) -> bool {
-        self.binary.text_contains(addr) || self.syslib.text_contains(addr)
-    }
-
     /// Returns `true` if `addr` lies in the shared system library (code that
     /// the static analyser never saw).
     #[must_use]
     pub fn is_syslib_code(&self, addr: u64) -> bool {
         self.syslib.text_contains(addr)
+    }
+
+    /// Number of instruction slots (instructions of both text sections).
+    #[must_use]
+    pub fn num_slots(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// The slot of the instruction at `pc`; `None` if `pc` is outside both
+    /// text sections or misaligned.
+    #[must_use]
+    pub fn slot_of(&self, pc: u64) -> Option<usize> {
+        // `wrapping_sub` folds "below the base" into "past the end".
+        let main = pc.wrapping_sub(self.binary.text_base());
+        let (off, first) = if main < self.binary.text_len() {
+            (main, 0)
+        } else {
+            let lib = pc.wrapping_sub(self.syslib.text_base());
+            if lib >= self.syslib.text_len() {
+                return None;
+            }
+            (lib, self.main_slots)
+        };
+        (off % INST_SIZE as u64 == 0).then(|| first + (off / INST_SIZE as u64) as usize)
+    }
+
+    /// The decoded instruction in `slot` (panics if `slot >= num_slots()`).
+    #[must_use]
+    pub fn inst(&self, slot: usize) -> &Inst {
+        &self.insts[slot]
+    }
+
+    /// The slot and decoded instruction at `pc`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::BadPc`] if `pc` has no slot.
+    pub fn fetch(&self, pc: u64) -> Result<(usize, &Inst)> {
+        let slot = self.slot_of(pc).ok_or(VmError::BadPc { pc })?;
+        Ok((slot, &self.insts[slot]))
     }
 
     /// The decoded instruction at `addr`.
@@ -140,18 +175,7 @@ impl Process {
     /// Returns [`VmError::BadPc`] if `addr` is not a valid instruction
     /// address in either text section.
     pub fn inst_at(&self, addr: u64) -> Result<&Inst> {
-        let (base, insts) = if self.binary.text_contains(addr) {
-            (self.binary.text_base(), &self.main_insts)
-        } else if self.syslib.text_contains(addr) {
-            (self.syslib.text_base(), &self.syslib_insts)
-        } else {
-            return Err(VmError::BadPc { pc: addr });
-        };
-        let off = addr - base;
-        if off % INST_SIZE as u64 != 0 {
-            return Err(VmError::BadPc { pc: addr });
-        }
-        Ok(&insts[(off / INST_SIZE as u64) as usize])
+        self.fetch(addr).map(|(_, inst)| inst)
     }
 
     /// Builds the initial memory image: `.data` sections of the main binary
@@ -245,6 +269,39 @@ mod tests {
         assert!(p.inst_at(pow_addr).is_ok());
         assert!(p.inst_at(0x1234).is_err());
         assert!(p.inst_at(bin.entry() + 1).is_err(), "misaligned address");
+    }
+
+    #[test]
+    fn slots_are_dense_and_bad_pcs_have_none() {
+        let bin = tiny_binary(&["pow"]);
+        let p = Process::load(&bin).unwrap();
+        let main_slots = (bin.text_len() / INST_SIZE as u64) as usize;
+        assert_eq!(p.slot_of(bin.text_base()), Some(0));
+        assert_eq!(
+            p.slot_of(bin.text_base() + bin.text_len() - INST_SIZE as u64),
+            Some(main_slots - 1)
+        );
+        let lib = p.syslib().text_base();
+        assert_eq!(p.slot_of(lib), Some(main_slots), "syslib follows main");
+        assert_eq!(
+            p.slot_of(lib + p.syslib().text_len() - INST_SIZE as u64),
+            Some(p.num_slots() - 1)
+        );
+        for pc in [
+            0,
+            bin.text_base() - 1,
+            bin.text_base() + 1,
+            bin.text_base() + bin.text_len(),
+            lib + p.syslib().text_len(),
+            lib + 7,
+            1 << 63,
+            u64::MAX,
+        ] {
+            assert_eq!(p.slot_of(pc), None, "{pc:#x}");
+            assert!(matches!(p.fetch(pc), Err(VmError::BadPc { pc: bad }) if bad == pc));
+        }
+        let (slot, inst) = p.fetch(bin.entry()).unwrap();
+        assert_eq!(p.inst(slot), inst);
     }
 
     #[test]

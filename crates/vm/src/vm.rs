@@ -126,29 +126,7 @@ impl Vm {
     /// Returns an error if execution faults (bad PC, division by zero,
     /// unknown import) or exceeds the configured cycle limit.
     pub fn run(&mut self) -> Result<RunResult> {
-        loop {
-            if self.cpu.cycles > self.config.cycle_limit {
-                return Err(VmError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            }
-            let pc = self.cpu.pc;
-            let inst = self.process.inst_at(pc)?.clone();
-            let next_pc = pc + INST_SIZE as u64;
-            let effect = exec_inst(&mut self.cpu, &mut self.mem, &inst, next_pc)?;
-            match effect {
-                Effect::Continue => self.cpu.pc = next_pc,
-                Effect::Jump(target) => self.cpu.pc = target,
-                Effect::Halt => break,
-                Effect::External { plt } => self.handle_external(plt)?,
-                Effect::Syscall { num } => {
-                    if self.handle_syscall(num)? {
-                        break;
-                    }
-                    self.cpu.pc = next_pc;
-                }
-            }
-        }
+        self.run_until(None)?;
         Ok(RunResult {
             cycles: self.cpu.cycles,
             retired: self.cpu.retired,
@@ -156,41 +134,60 @@ impl Vm {
         })
     }
 
-    fn handle_external(&mut self, plt: u32) -> Result<()> {
-        match self.process.resolve_plt(plt)?.clone() {
-            ResolvedPlt::Guest { addr, .. } => {
-                // Jump straight to the library code; its `ret` will pop the
-                // return address that the call pushed.
-                self.cpu.pc = addr;
-                Ok(())
+    /// The interpreter loop: executes from the current program counter until
+    /// the program halts or exits, or — when calling a guest function on
+    /// behalf of a native service — until control returns to `stop_pc`.
+    fn run_until(&mut self, stop_pc: Option<u64>) -> Result<()> {
+        loop {
+            if self.cpu.cycles > self.config.cycle_limit {
+                return Err(VmError::CycleLimitExceeded {
+                    limit: self.config.cycle_limit,
+                });
             }
-            ResolvedPlt::Native { name } => {
-                self.run_native(&name)?;
-                // Return to the caller by popping the pushed return address.
-                let ret = pop_value(&mut self.cpu, &mut self.mem) as u64;
-                self.cpu.pc = ret;
-                Ok(())
+            let pc = self.cpu.pc;
+            if stop_pc == Some(pc) {
+                return Ok(());
+            }
+            let inst = self.process.inst_at(pc)?;
+            let next_pc = pc + INST_SIZE as u64;
+            match exec_inst(&mut self.cpu, &mut self.mem, inst, next_pc)? {
+                Effect::Continue => self.cpu.pc = next_pc,
+                Effect::Jump(target) => self.cpu.pc = target,
+                Effect::Halt => return Ok(()),
+                Effect::External { plt } => self.handle_external(plt)?,
+                Effect::Syscall { num } => {
+                    if self.handle_syscall(num)? {
+                        return Ok(());
+                    }
+                    self.cpu.pc = next_pc;
+                }
             }
         }
     }
 
-    fn run_native(&mut self, name: &str) -> Result<()> {
+    fn handle_external(&mut self, plt: u32) -> Result<()> {
+        let name = match self.process.resolve_plt(plt)? {
+            ResolvedPlt::Guest { addr, .. } => {
+                // Jump straight to the library code; its `ret` will pop the
+                // return address that the call pushed.
+                self.cpu.pc = *addr;
+                return Ok(());
+            }
+            ResolvedPlt::Native { name } => name.as_str(),
+        };
         match name {
-            "print_i64" => {
-                let v = self.cpu.read_gpr(Reg::R0);
-                self.output_ints.push(v);
-                Ok(())
+            "print_i64" => self.output_ints.push(self.cpu.read_gpr(Reg::R0)),
+            "print_f64" => self.output_floats.push(self.cpu.read_f64(Reg::V0)),
+            "par_for" => self.native_par_for()?,
+            other => {
+                return Err(VmError::UnknownExternal {
+                    name: other.to_string(),
+                })
             }
-            "print_f64" => {
-                let v = self.cpu.read_f64(Reg::V0);
-                self.output_floats.push(v);
-                Ok(())
-            }
-            "par_for" => self.native_par_for(),
-            other => Err(VmError::UnknownExternal {
-                name: other.to_string(),
-            }),
         }
+        // Return to the caller by popping the pushed return address.
+        self.cpu.pc = pop_value(&mut self.cpu, &mut self.mem) as u64;
+        Ok(())
     }
 
     /// The `par_for(fn = r0, start = r1, end = r2, threads = r3)` native.
@@ -219,10 +216,8 @@ impl Vm {
         }
         // Replace the serial sum of chunk times by the parallel maximum plus
         // the spawn/join overhead.
-        let serial = self.cpu.cycles - cycles_before;
         self.cpu.cycles =
             cycles_before + max_chunk_cycles + self.config.spawn_overhead * threads as u64;
-        let _ = serial;
         Ok(())
     }
 
@@ -240,32 +235,7 @@ impl Vm {
         }
         crate::exec::push_value(&mut self.cpu, &mut self.mem, RETURN_SENTINEL as i64);
         self.cpu.pc = addr;
-        loop {
-            if self.cpu.cycles > self.config.cycle_limit {
-                return Err(VmError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            }
-            let pc = self.cpu.pc;
-            if pc == RETURN_SENTINEL {
-                break;
-            }
-            let inst = self.process.inst_at(pc)?.clone();
-            let next_pc = pc + INST_SIZE as u64;
-            let effect = exec_inst(&mut self.cpu, &mut self.mem, &inst, next_pc)?;
-            match effect {
-                Effect::Continue => self.cpu.pc = next_pc,
-                Effect::Jump(target) => self.cpu.pc = target,
-                Effect::Halt => break,
-                Effect::External { plt } => self.handle_external(plt)?,
-                Effect::Syscall { num } => {
-                    if self.handle_syscall(num)? {
-                        break;
-                    }
-                    self.cpu.pc = next_pc;
-                }
-            }
-        }
+        self.run_until(Some(RETURN_SENTINEL))?;
         self.cpu.pc = saved_pc;
         Ok(self.cpu.read_gpr(Reg::R0))
     }

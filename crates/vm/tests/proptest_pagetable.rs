@@ -1,0 +1,221 @@
+//! The radix-page-table-backed guest memories against the model they
+//! replaced: a `HashMap` from page number to page bytes.
+//!
+//! [`FlatMemory`] and [`CowMemory`] index pages through a two-level radix
+//! table with a hashed spill above 2³¹; the model below is the plain
+//! `HashMap<u64, [u8; 4096]>` both used to be built on, driven byte by byte
+//! with wrapping address arithmetic. For any mix of byte and word accesses —
+//! page-crossing ones, addresses on both sides of the radix/spill boundary
+//! and up against `u64::MAX` included — both must return the same reads and
+//! end with the same `mapped_pages`, `image_digest` and overlay contents.
+
+use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
+use janus_vm::{merge_chunk_overlays, CowMemory, FlatMemory, GuestMemory, OverlayWrite};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
+
+const PAGE: u64 = 4096;
+
+#[derive(Clone, Default)]
+struct Model {
+    pages: HashMap<u64, [u8; PAGE as usize]>,
+}
+
+impl Model {
+    fn read_u8(&self, addr: u64) -> u8 {
+        self.pages
+            .get(&(addr / PAGE))
+            .map_or(0, |p| p[(addr % PAGE) as usize])
+    }
+
+    fn write_u8(&mut self, addr: u64, value: u8) {
+        self.pages.entry(addr / PAGE).or_insert([0; PAGE as usize])[(addr % PAGE) as usize] = value;
+    }
+
+    fn read_u64(&self, addr: u64) -> u64 {
+        u64::from_le_bytes(std::array::from_fn(|i| {
+            self.read_u8(addr.wrapping_add(i as u64))
+        }))
+    }
+
+    fn write_u64(&mut self, addr: u64, value: u64) {
+        for (i, b) in value.to_le_bytes().iter().enumerate() {
+            self.write_u8(addr.wrapping_add(i as u64), *b);
+        }
+    }
+
+    /// `FlatMemory::image_digest` as specified: FNV-1a over the non-zero
+    /// pages in ascending page order.
+    fn image_digest(&self) -> u64 {
+        let mut pages: Vec<_> = self
+            .pages
+            .iter()
+            .filter(|(_, p)| p.iter().any(|b| *b != 0))
+            .collect();
+        pages.sort_unstable_by_key(|(n, _)| **n);
+        pages.iter().fold(FNV1A_OFFSET, |h, (n, p)| {
+            fnv1a_update(fnv1a_update(h, &n.to_le_bytes()), &p[..])
+        })
+    }
+}
+
+/// The copy-on-write view as a model: per written word, its current bytes
+/// (seeded from the base) and the mask of bytes actually written.
+struct CowModel<'a> {
+    base: &'a Model,
+    words: BTreeMap<u64, ([u8; 8], u8)>,
+}
+
+impl CowModel<'_> {
+    fn read_u8(&self, addr: u64) -> u8 {
+        match self.words.get(&(addr & !7)) {
+            Some((bytes, _)) => bytes[(addr & 7) as usize],
+            None => self.base.read_u8(addr),
+        }
+    }
+
+    fn write_u8(&mut self, addr: u64, value: u8) {
+        let word = addr & !7;
+        let base = self.base;
+        let (bytes, mask) = self
+            .words
+            .entry(word)
+            .or_insert_with(|| (base.read_u64(word).to_le_bytes(), 0));
+        bytes[(addr & 7) as usize] = value;
+        *mask |= 1 << (addr & 7);
+    }
+
+    fn read_u64(&self, addr: u64) -> u64 {
+        u64::from_le_bytes(std::array::from_fn(|i| {
+            self.read_u8(addr.wrapping_add(i as u64))
+        }))
+    }
+
+    fn write_u64(&mut self, addr: u64, value: u64) {
+        for (i, b) in value.to_le_bytes().iter().enumerate() {
+            self.write_u8(addr.wrapping_add(i as u64), *b);
+        }
+    }
+}
+
+/// Addresses where the page table has something to get wrong: a dense low
+/// window, page edges, the last radix page and the first spilled one, deep
+/// in the spill, and the top of the address space (which wraps to page 0).
+fn arb_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..(3 * PAGE),
+        (1u64..4, 0u64..16).prop_map(|(page, d)| page * PAGE - 8 + d),
+        ((1u64 << 31) - PAGE - 16)..((1u64 << 31) + PAGE + 16),
+        (0u64..16).prop_map(|d| (1u64 << 31) - 8 + d),
+        (1u64 << 40)..((1u64 << 40) + 2 * PAGE),
+        (u64::MAX - PAGE - 16)..=u64::MAX,
+        (0u64..16).prop_map(|d| u64::MAX - 15 + d),
+    ]
+}
+
+/// `(kind, address, value)`: kinds 0/1 read a byte/word, 2/3 write one.
+fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec((0u8..4, arb_addr(), any::<u64>()), 0..max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_memory_matches_the_hashmap_model(ops in arb_ops(96)) {
+        let mut flat = FlatMemory::new();
+        let mut model = Model::default();
+        let (mut loads, mut stores) = (0, 0);
+        for &(kind, addr, value) in &ops {
+            match kind {
+                0 => {
+                    prop_assert_eq!(flat.read_u8(addr), model.read_u8(addr), "u8 @ {:#x}", addr);
+                    prop_assert_eq!(flat.peek_u8(addr), model.read_u8(addr));
+                    loads += 1;
+                }
+                1 => {
+                    prop_assert_eq!(flat.read_u64(addr), model.read_u64(addr), "u64 @ {:#x}", addr);
+                    prop_assert_eq!(flat.peek_u64(addr), model.read_u64(addr));
+                    loads += 1;
+                }
+                2 => {
+                    flat.write_u8(addr, value as u8);
+                    model.write_u8(addr, value as u8);
+                    stores += 1;
+                }
+                _ => {
+                    flat.write_u64(addr, value);
+                    model.write_u64(addr, value);
+                    stores += 1;
+                }
+            }
+            // Reads do not allocate; writes map exactly the pages they touch.
+            prop_assert_eq!(flat.mapped_pages(), model.pages.len());
+        }
+        prop_assert_eq!((flat.loads, flat.stores), (loads, stores));
+        prop_assert_eq!(flat.image_digest(), model.image_digest());
+        let copy = flat.clone();
+        prop_assert_eq!(copy.image_digest(), model.image_digest());
+        prop_assert_eq!(copy.mapped_pages(), model.pages.len());
+    }
+
+    #[test]
+    fn cow_memory_matches_the_hashmap_model(
+        base_writes in prop::collection::vec((arb_addr(), any::<u64>()), 0..32),
+        ops in arb_ops(96),
+    ) {
+        let mut base = FlatMemory::new();
+        let mut base_model = Model::default();
+        for &(addr, value) in &base_writes {
+            base.write_u64(addr, value);
+            base_model.write_u64(addr, value);
+        }
+        let mut view = CowMemory::new(&base);
+        let mut model = CowModel { base: &base_model, words: BTreeMap::new() };
+        for &(kind, addr, value) in &ops {
+            match kind {
+                0 => prop_assert_eq!(view.read_u8(addr), model.read_u8(addr), "u8 @ {:#x}", addr),
+                1 => prop_assert_eq!(view.read_u64(addr), model.read_u64(addr), "u64 @ {:#x}", addr),
+                2 => {
+                    view.write_u8(addr, value as u8);
+                    model.write_u8(addr, value as u8);
+                }
+                _ => {
+                    view.write_u64(addr, value);
+                    model.write_u64(addr, value);
+                }
+            }
+        }
+        prop_assert_eq!(base.mapped_pages(), base_model.pages.len(), "the base is never written");
+        prop_assert_eq!(view.written_words(), model.words.len());
+        let mut dirty_pages: Vec<u64> = model.words.keys().map(|w| w / PAGE).collect();
+        dirty_pages.dedup();
+        prop_assert_eq!(view.touched_pages(), dirty_pages.len());
+
+        // `into_pages`: ascending page order, ascending words within a page —
+        // radix pages first, spilled ones after — with exact dirty masks.
+        let overlay = view.into_pages();
+        let expected: Vec<OverlayWrite> = model
+            .words
+            .iter()
+            .map(|(&word, &(bytes, mask))| (word, u64::from_le_bytes(bytes), mask))
+            .collect();
+        prop_assert_eq!(overlay.page_count(), dirty_pages.len());
+        prop_assert_eq!(overlay.to_writes(), expected);
+
+        // Merged back, only the dirty bytes land.
+        let mut merged_model = base_model.clone();
+        for (&word, &(bytes, mask)) in &model.words {
+            for (i, b) in bytes.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    merged_model.write_u8(word + i as u64, *b);
+                }
+            }
+        }
+        let mut merged = base.clone();
+        let stats = merge_chunk_overlays(&mut merged, &[overlay], 1);
+        prop_assert_eq!(stats.pages_merged, dirty_pages.len() as u64);
+        prop_assert_eq!(merged.mapped_pages(), merged_model.pages.len());
+        prop_assert_eq!(merged.image_digest(), merged_model.image_digest());
+    }
+}
