@@ -35,6 +35,7 @@
 
 use crate::runtime::LoopRt;
 use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
+use janus_ir::Operand;
 use janus_obs::Recorder;
 use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
 use janus_vm::{
@@ -266,6 +267,8 @@ impl ChunkSideEffects {
 pub struct ChunkContext<'a> {
     pub(crate) process: &'a Process,
     pub(crate) lr: &'a LoopRt,
+    /// Left operand of the loop's bound compare (`LOOP_UPDATE_BOUND`).
+    pub(crate) bound_lhs: Operand,
     pub(crate) config: &'a DbmConfig,
     /// Flight recorder the backends emit per-chunk run/merge spans to (the
     /// null recorder when tracing is off — one branch per emission site).

@@ -12,7 +12,9 @@ use crate::{DbmConfig, DbmError, DbmStats, Result};
 use janus_ir::{Inst, Operand, Reg, SyscallNum, INST_SIZE, STACK_SIZE};
 use janus_obs::Recorder;
 use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
-use janus_vm::{exec_inst, Cpu, Effect, FlatMemory, GuestMemory, Process, ResolvedPlt};
+use janus_vm::{
+    exec_inst_costed, CostModel, Cpu, Effect, FlatMemory, GuestMemory, Process, ResolvedPlt,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -577,9 +579,9 @@ impl Dbm {
             self.stats.breakdown.translation += overhead;
 
             let next_pc = pc + INST_SIZE as u64;
-            let seq_before = self.main.cycles;
-            let effect = exec_inst(&mut self.main, &mut self.mem, inst, next_pc)?;
-            self.stats.breakdown.sequential += self.main.cycles - seq_before;
+            let cost = parts.process.cost(slot);
+            let effect = exec_inst_costed(&mut self.main, &mut self.mem, inst, cost, next_pc)?;
+            self.stats.breakdown.sequential += cost;
             if flags & slot_flags::INDIRECT != 0 {
                 self.stats.breakdown.translation += self.config.indirect_lookup_cost;
             }
@@ -773,14 +775,15 @@ impl Dbm {
 
         // Evaluate the current induction value and the loop bound.
         let start = induction.read(&self.main, &mut self.mem);
-        let bound_operand = match self.prepared.parts.process.inst_at(lr.bound_cmp_addr)? {
-            Inst::Cmp { rhs, .. } => *rhs,
-            other => {
-                return Err(DbmError::BadRule {
-                    reason: format!("LOOP_UPDATE_BOUND target is not a compare: {other:?}"),
-                })
-            }
-        };
+        let (bound_lhs, bound_operand) =
+            match self.prepared.parts.process.inst_at(lr.bound_cmp_addr)? {
+                Inst::Cmp { lhs, rhs } => (*lhs, *rhs),
+                other => {
+                    return Err(DbmError::BadRule {
+                        reason: format!("LOOP_UPDATE_BOUND target is not a compare: {other:?}"),
+                    })
+                }
+            };
         let end = self.read_operand_int(&bound_operand);
         let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond);
         let threads = i64::from(self.config.threads.max(1));
@@ -796,7 +799,7 @@ impl Dbm {
                 self.stats.sequential_fallbacks += 1;
                 return Ok(false);
             }
-            return self.try_speculative_loop(lr, induction, start, iterations);
+            return self.try_speculative_loop(lr, induction, bound_lhs, start, iterations);
         }
 
         // Runtime array-bounds checks (MEM_BOUNDS_CHECK).
@@ -920,6 +923,7 @@ impl Dbm {
         let ctx = ChunkContext {
             process: &self.prepared.parts.process,
             lr,
+            bound_lhs,
             config: &self.config,
             recorder: &self.recorder,
         };
@@ -1065,6 +1069,7 @@ impl Dbm {
         &mut self,
         lr: &LoopRt,
         induction: VarSpec,
+        bound_lhs: Operand,
         start: i64,
         iterations: i64,
     ) -> Result<bool> {
@@ -1145,6 +1150,7 @@ impl Dbm {
                     3 | 5 => iter_end - step, // Le / Ge
                     _ => iter_end,
                 };
+                let (bound_cmp, bound_cmp_cost) = bound_compare(bound_lhs, bound);
                 cpu.pc = header;
                 loop {
                     if cpu.cycles > cycle_limit {
@@ -1166,19 +1172,13 @@ impl Dbm {
                             },
                         });
                     }
-                    let bound_cmp;
-                    let inst = match fetched {
-                        Inst::Cmp { lhs, .. } if flags & slot_flags::BOUND_CMP != 0 => {
-                            bound_cmp = Inst::Cmp {
-                                lhs: *lhs,
-                                rhs: Operand::Imm(bound),
-                            };
-                            &bound_cmp
-                        }
-                        _ => fetched,
+                    let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
+                        (&bound_cmp, bound_cmp_cost)
+                    } else {
+                        (fetched, process.cost(slot))
                     };
                     let next_pc = pc + INST_SIZE as u64;
-                    match exec_inst(&mut cpu, &mut *view, inst, next_pc)? {
+                    match exec_inst_costed(&mut cpu, &mut *view, inst, cost, next_pc)? {
                         Effect::Continue => cpu.pc = next_pc,
                         Effect::Jump(t) => cpu.pc = t,
                         // Calls and system calls are excluded from
@@ -1290,6 +1290,20 @@ fn needs_indirect_lookup(inst: &Inst) -> bool {
     )
 }
 
+/// The `LOOP_UPDATE_BOUND` handler: the loop's bound compare (`lhs` is its
+/// left operand) specialised to `bound`, built once per chunk or speculative
+/// iteration and run in place of the [`slot_flags::BOUND_CMP`] slot at its
+/// own cost — an immediate compare — not the original's, whose `rhs` may be
+/// a memory operand.
+fn bound_compare(lhs: Operand, bound: i64) -> (Inst, u64) {
+    let inst = Inst::Cmp {
+        lhs,
+        rhs: Operand::Imm(bound),
+    };
+    let cost = CostModel::default().cost(&inst);
+    (inst, cost)
+}
+
 /// Runs one planned chunk from the loop header until it reaches a
 /// `LOOP_FINISH` address, and returns that address.
 ///
@@ -1310,6 +1324,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
 ) -> Result<u64> {
     let config = ctx.config;
     let lr = ctx.lr;
+    let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, thread_bound);
     loop {
         if cpu.cycles > config.cycle_limit {
             return Err(DbmError::CycleLimitExceeded {
@@ -1324,18 +1339,10 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
         }
         accounting.record(slot, config, fx);
         let next_pc = pc + INST_SIZE as u64;
-        // LOOP_UPDATE_BOUND handler: specialise the loop-bound compare for
-        // this thread's chunk.
-        let bound_cmp;
-        let inst = match fetched {
-            Inst::Cmp { lhs, .. } if flags & slot_flags::BOUND_CMP != 0 => {
-                bound_cmp = Inst::Cmp {
-                    lhs: *lhs,
-                    rhs: Operand::Imm(thread_bound),
-                };
-                &bound_cmp
-            }
-            _ => fetched,
+        let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
+            (&bound_cmp, bound_cmp_cost)
+        } else {
+            (fetched, ctx.process.cost(slot))
         };
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
@@ -1349,7 +1356,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
         if flags & slot_flags::INDIRECT != 0 {
             fx.translation_cycles += config.indirect_lookup_cost;
         }
-        match exec_inst(cpu, mem, inst, next_pc)? {
+        match exec_inst_costed(cpu, mem, inst, cost, next_pc)? {
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
             Effect::Halt => return Ok(pc),
@@ -1460,9 +1467,10 @@ fn run_callee<M: GuestMemory>(
             });
         }
         let pc = cpu.pc;
-        let inst = ctx.process.inst_at(pc)?;
+        let (slot, inst) = ctx.process.fetch(pc)?;
+        let cost = ctx.process.cost(slot);
         let next_pc = pc + INST_SIZE as u64;
-        match exec_inst(cpu, mem, inst, next_pc)? {
+        match exec_inst_costed(cpu, mem, inst, cost, next_pc)? {
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
             // Halting, trapping or calling out: anything but straight-line

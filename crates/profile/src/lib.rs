@@ -22,7 +22,7 @@
 use janus_analysis::{BinaryAnalysis, LoopCategory};
 use janus_ir::{Reg, SyscallNum, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_inst, Cpu, Effect, Process, ResolvedPlt, VmError};
+use janus_vm::{exec_inst_costed, Cpu, Effect, Process, ResolvedPlt, VmError};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -172,6 +172,17 @@ pub fn profile(
     // Lower what the per-instruction path looks up: rules by slot, loops by
     // position in `loop_ids` (a wild id costs a table entry, not memory).
     let table = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
+    // One flag byte per slot, so the two rule scans below run only where a
+    // rule of their kind is attached.
+    const RULES: u8 = 1 << 0;
+    const MEM_ACCESS: u8 = 1 << 1;
+    let flag = |r: &RewriteRule| match r.id {
+        RuleId::ProfMemAccess => MEM_ACCESS,
+        _ => RULES,
+    };
+    let flags: Vec<u8> = (0..process.num_slots())
+        .map(|slot| table.at(slot).iter().fold(0, |f, r| f | flag(r)))
+        .collect();
     let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
     loop_ids.sort_unstable();
     loop_ids.dedup();
@@ -199,8 +210,13 @@ pub fn profile(
         }
         let pc = cpu.pc;
         let (slot, inst) = process.fetch(pc)?;
-        let rules = table.at(slot);
+        let flags = flags[slot];
         // Interpret profiling rules attached to this address.
+        let rules = if flags & RULES != 0 {
+            table.at(slot)
+        } else {
+            &[]
+        };
         for rule in rules {
             if rule.id == RuleId::ProfMemAccess {
                 continue;
@@ -224,6 +240,9 @@ pub fn profile(
                 RuleId::ProfLoopIter if loop_stack.last() == Some(&id) => {
                     let l = &mut loops[id];
                     l.profile.iterations += 1;
+                    if l.profile.observed_dependence {
+                        continue; // sticky: the address sets have no reader left
+                    }
                     // Cross-iteration dependence: this iteration touched an
                     // address written by an earlier iteration (or wrote an
                     // address previously read/written).
@@ -244,30 +263,33 @@ pub fn profile(
             }
         }
 
-        // PROF_MEM_ACCESS: record addresses for dependence detection.
-        if let Some(&current) = loop_stack.last() {
-            if rules.iter().any(|r| r.id == RuleId::ProfMemAccess) {
+        // PROF_MEM_ACCESS: record addresses for dependence detection, until
+        // a dependence has been observed.
+        if flags & MEM_ACCESS != 0 {
+            if let Some(&current) = loop_stack.last() {
                 let l = &mut loops[current];
-                if let Some(m) = inst.mem_read() {
-                    l.iter_reads
-                        .insert(janus_vm::exec::effective_addr(&cpu, &m));
-                }
-                if let Some(m) = inst.mem_write() {
-                    l.iter_writes
-                        .insert(janus_vm::exec::effective_addr(&cpu, &m));
+                if !l.profile.observed_dependence {
+                    if let Some(m) = inst.mem_read() {
+                        l.iter_reads
+                            .insert(janus_vm::exec::effective_addr(&cpu, &m));
+                    }
+                    if let Some(m) = inst.mem_write() {
+                        l.iter_writes
+                            .insert(janus_vm::exec::effective_addr(&cpu, &m));
+                    }
                 }
             }
         }
 
         let retired_before = cpu.retired;
         let next_pc = pc + INST_SIZE as u64;
-        let effect = exec_inst(&mut cpu, &mut mem, inst, next_pc)?;
+        let effect = exec_inst_costed(&mut cpu, &mut mem, inst, process.cost(slot), next_pc)?;
         let retired_delta = cpu.retired - retired_before;
         total_instructions += retired_delta;
         if let Some(&current) = loop_stack.last() {
             let entry = &mut loops[current].profile;
             entry.dyn_instructions += retired_delta;
-            if in_excall == Some(current) || process.is_syslib_code(pc) {
+            if in_excall == Some(current) || process.is_syslib_slot(slot) {
                 entry.excall_instructions += retired_delta;
                 if inst.mem_read().is_some() {
                     entry.excall_reads += 1;

@@ -55,25 +55,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model in which every instruction costs one cycle; useful in
-    /// tests that only care about instruction counts.
-    #[must_use]
-    pub fn unit() -> CostModel {
-        CostModel {
-            alu: 1,
-            mul_extra: 0,
-            div_extra: 0,
-            fpu: 1,
-            fdiv_extra: 0,
-            vec: 1,
-            mem_access: 0,
-            branch: 1,
-            indirect_extra: 0,
-            call: 1,
-            syscall: 1,
-        }
-    }
-
     /// The cycle cost of executing `inst` once.
     #[must_use]
     pub fn cost(&self, inst: &Inst) -> u64 {
@@ -143,14 +124,6 @@ mod tests {
             target: Operand::reg(Reg::R1),
         };
         assert!(m.cost(&indirect) > m.cost(&direct));
-    }
-
-    #[test]
-    fn unit_model_charges_flat_rates() {
-        let m = CostModel::unit();
-        let add = Inst::alu(AluOp::Add, Operand::reg(Reg::R0), Operand::imm(1));
-        let div = Inst::alu(AluOp::Div, Operand::reg(Reg::R0), Operand::reg(Reg::R1));
-        assert_eq!(m.cost(&add), m.cost(&div));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Architectural machine state of one guest hardware context.
 
-use crate::cost::CostModel;
 use janus_ir::{Cond, Reg, RegClass, NUM_GPR, NUM_VREG};
 
 /// Condition flags produced by compare, test and ALU instructions.
@@ -70,12 +69,10 @@ pub struct Cpu {
     pub flags: Flags,
     /// Program counter.
     pub pc: u64,
-    /// Cycles consumed so far (per the active [`CostModel`]).
+    /// Cycles consumed so far (per [`crate::CostModel`]).
     pub cycles: u64,
     /// Number of instructions retired.
     pub retired: u64,
-    /// The cost model used to charge cycles.
-    pub cost: CostModel,
 }
 
 impl Default for Cpu {
@@ -85,7 +82,7 @@ impl Default for Cpu {
 }
 
 impl Cpu {
-    /// Creates a CPU with all registers zeroed and the default cost model.
+    /// Creates a CPU with all registers and counters zeroed.
     #[must_use]
     pub fn new() -> Cpu {
         Cpu {
@@ -95,7 +92,6 @@ impl Cpu {
             pc: 0,
             cycles: 0,
             retired: 0,
-            cost: CostModel::default(),
         }
     }
 

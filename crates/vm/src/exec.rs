@@ -1,12 +1,18 @@
 //! Single-step execution of JVA instructions.
 //!
-//! [`exec_inst`] executes exactly one instruction against a CPU context and a
-//! [`GuestMemory`] implementation and reports how control flow should
-//! continue. Both the plain VM and the dynamic binary modifier drive this
-//! function; the DBM additionally substitutes its own memory views so that
-//! rewritten instructions can be redirected to private storage or a software
-//! transaction.
+//! [`exec_inst_costed`] executes exactly one instruction against a CPU
+//! context and a [`GuestMemory`] implementation and reports how control flow
+//! should continue. Both the plain VM and the dynamic binary modifier drive
+//! this function; the DBM additionally substitutes its own memory views so
+//! that rewritten instructions can be redirected to private storage or a
+//! software transaction.
+//!
+//! The core and its scalar operand accessors are `#[inline(always)]`: every
+//! dispatch loop gets its own copy, specialised to its memory view, with no
+//! call per retired instruction or per operand — a measured choice, see
+//! "Decode once" in `docs/ARCHITECTURE.md`.
 
+use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
 use crate::memory::GuestMemory;
@@ -35,6 +41,7 @@ pub enum Effect {
 
 /// Computes the effective address of a memory reference.
 #[must_use]
+#[inline(always)]
 pub fn effective_addr(cpu: &Cpu, m: &MemRef) -> u64 {
     let mut addr = m.disp;
     if let Some(b) = m.base {
@@ -46,6 +53,7 @@ pub fn effective_addr(cpu: &Cpu, m: &MemRef) -> u64 {
     addr as u64
 }
 
+#[inline(always)]
 fn read_int<M: GuestMemory>(cpu: &Cpu, mem: &mut M, op: &Operand) -> i64 {
     match op {
         Operand::Reg(r) => match r.class() {
@@ -57,6 +65,7 @@ fn read_int<M: GuestMemory>(cpu: &Cpu, mem: &mut M, op: &Operand) -> i64 {
     }
 }
 
+#[inline(always)]
 fn write_int<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Operand, value: i64) {
     match op {
         Operand::Reg(r) => cpu.write_gpr(*r, value),
@@ -68,6 +77,7 @@ fn write_int<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Operand, value: i6
     }
 }
 
+#[inline(always)]
 fn read_float<M: GuestMemory>(cpu: &Cpu, mem: &mut M, op: &Operand) -> f64 {
     match op {
         Operand::Reg(r) => match r.class() {
@@ -79,6 +89,7 @@ fn read_float<M: GuestMemory>(cpu: &Cpu, mem: &mut M, op: &Operand) -> f64 {
     }
 }
 
+#[inline(always)]
 fn write_float<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Operand, value: f64) {
     match op {
         Operand::Reg(r) => cpu.write_f64(*r, value),
@@ -166,15 +177,8 @@ fn fpu_apply(op: FpuOp, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Executes one instruction.
-///
-/// `next_pc` is the address of the instruction that sequentially follows
-/// `inst` in the *original* program (used as the return address of calls);
-/// the caller decides where the instruction physically lives (e.g. in a DBM
-/// code cache).
-///
-/// Cycle and retirement counters on `cpu` are updated according to its cost
-/// model.
+/// [`exec_inst_costed`] with the cost computed on the spot, for one-off
+/// instructions and tests; dispatch loops pass [`crate::Process::cost`].
 ///
 /// # Errors
 ///
@@ -185,7 +189,28 @@ pub fn exec_inst<M: GuestMemory>(
     inst: &Inst,
     next_pc: u64,
 ) -> Result<Effect> {
-    cpu.cycles += cpu.cost.cost(inst);
+    exec_inst_costed(cpu, mem, inst, CostModel::default().cost(inst), next_pc)
+}
+
+/// Executes one instruction and charges it `cost` cycles.
+///
+/// `next_pc` is the address of the instruction that sequentially follows
+/// `inst` in the *original* program (used as the return address of calls);
+/// the caller decides where the instruction physically lives (e.g. in a DBM
+/// code cache).
+///
+/// # Errors
+///
+/// Returns an error on division by zero.
+#[inline(always)]
+pub fn exec_inst_costed<M: GuestMemory>(
+    cpu: &mut Cpu,
+    mem: &mut M,
+    inst: &Inst,
+    cost: u64,
+    next_pc: u64,
+) -> Result<Effect> {
+    cpu.cycles += cost;
     cpu.retired += 1;
     let pc = cpu.pc;
     let effect = match inst {

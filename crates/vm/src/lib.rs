@@ -9,7 +9,7 @@
 //!   cycle cost model. This is the baseline every speedup in the evaluation
 //!   is normalised against.
 //! * **As the execution engine of the dynamic binary modifier**: the
-//!   [`exec::exec_inst`] single-step interpreter is generic over the
+//!   [`exec::exec_inst_costed`] single-step interpreter is generic over the
 //!   [`GuestMemory`] trait, which lets the DBM route memory accesses of
 //!   translated (and possibly rewritten) instructions through privatised or
 //!   transactional views.
@@ -58,7 +58,7 @@ mod pagetable;
 pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};
 pub use error::{Result, VmError};
-pub use exec::{exec_inst, Effect};
+pub use exec::{exec_inst, exec_inst_costed, Effect};
 pub use memory::{FlatMemory, GuestMemory, PeekMemory};
 pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, OverlayWrite};
 pub use process::{Process, ResolvedPlt};

@@ -1,5 +1,6 @@
 //! Process images: a loaded main binary plus the shared system library.
 
+use crate::cost::CostModel;
 use crate::error::{Result, VmError};
 use crate::memory::{FlatMemory, GuestMemory};
 use crate::syslib::build_syslib;
@@ -39,6 +40,8 @@ pub struct Process {
     syslib: JBinary,
     /// Both decoded text sections, indexed by slot.
     insts: Vec<Inst>,
+    /// [`CostModel::default`]'s cycle cost of each instruction, by slot.
+    costs: Vec<u64>,
     /// Slots below this belong to the main executable.
     main_slots: usize,
     plt: Vec<ResolvedPlt>,
@@ -68,7 +71,9 @@ impl Process {
             reason: format!("system library: {e}"),
         })?;
         let main_slots = main.len();
-        let insts = main.into_iter().chain(lib).map(|d| d.inst).collect();
+        let insts: Vec<Inst> = main.into_iter().chain(lib).map(|d| d.inst).collect();
+        let model = CostModel::default();
+        let costs = insts.iter().map(|inst| model.cost(inst)).collect();
         let mut plt = Vec::with_capacity(binary.plt().len());
         for entry in binary.plt() {
             let name = entry.name.clone();
@@ -87,6 +92,7 @@ impl Process {
             binary: binary.clone(),
             syslib,
             insts,
+            costs,
             main_slots,
             plt,
         })
@@ -128,6 +134,12 @@ impl Process {
         self.syslib.text_contains(addr)
     }
 
+    /// [`Process::is_syslib_code`] of the address in `slot`.
+    #[must_use]
+    pub fn is_syslib_slot(&self, slot: usize) -> bool {
+        slot >= self.main_slots
+    }
+
     /// Number of instruction slots (instructions of both text sections).
     #[must_use]
     pub fn num_slots(&self) -> usize {
@@ -156,6 +168,13 @@ impl Process {
     #[must_use]
     pub fn inst(&self, slot: usize) -> &Inst {
         &self.insts[slot]
+    }
+
+    /// The cycle cost of the instruction in `slot`, tabulated at load so no
+    /// retired instruction re-derives it (panics if `slot >= num_slots()`).
+    #[must_use]
+    pub fn cost(&self, slot: usize) -> u64 {
+        self.costs[slot]
     }
 
     /// The slot and decoded instruction at `pc`.

@@ -8,7 +8,7 @@
 
 use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
-use crate::exec::{exec_inst, pop_value, Effect};
+use crate::exec::{exec_inst_costed, pop_value, Effect};
 use crate::memory::FlatMemory;
 #[cfg(test)]
 use crate::memory::GuestMemory as _;
@@ -148,9 +148,10 @@ impl Vm {
             if stop_pc == Some(pc) {
                 return Ok(());
             }
-            let inst = self.process.inst_at(pc)?;
+            let (slot, inst) = self.process.fetch(pc)?;
+            let cost = self.process.cost(slot);
             let next_pc = pc + INST_SIZE as u64;
-            match exec_inst(&mut self.cpu, &mut self.mem, inst, next_pc)? {
+            match exec_inst_costed(&mut self.cpu, &mut self.mem, inst, cost, next_pc)? {
                 Effect::Continue => self.cpu.pc = next_pc,
                 Effect::Jump(target) => self.cpu.pc = target,
                 Effect::Halt => return Ok(()),
@@ -201,14 +202,16 @@ impl Vm {
         let func = self.cpu.read_gpr(Reg::R0) as u64;
         let start = self.cpu.read_gpr(Reg::R1);
         let end = self.cpu.read_gpr(Reg::R2);
-        let threads = self.cpu.read_gpr(Reg::R3).max(1);
-        let total = (end - start).max(0);
-        let chunk = (total + threads - 1) / threads;
+        // r1–r3 are the guest's choice: no arithmetic on them may overflow,
+        // and a non-empty range must get a non-zero chunk.
+        let threads = self.cpu.read_gpr(Reg::R3).max(1) as u64;
+        let total = if start < end { end.abs_diff(start) } else { 0 };
+        let chunk = total.div_ceil(threads);
         let cycles_before = self.cpu.cycles;
         let mut max_chunk_cycles = 0u64;
         let mut chunk_start = start;
         while chunk_start < end {
-            let chunk_end = (chunk_start + chunk).min(end);
+            let chunk_end = chunk_start.saturating_add_unsigned(chunk).min(end);
             let before = self.cpu.cycles;
             self.call_guest_function(func, &[chunk_start, chunk_end])?;
             max_chunk_cycles = max_chunk_cycles.max(self.cpu.cycles - before);
@@ -216,8 +219,9 @@ impl Vm {
         }
         // Replace the serial sum of chunk times by the parallel maximum plus
         // the spawn/join overhead.
-        self.cpu.cycles =
-            cycles_before + max_chunk_cycles + self.config.spawn_overhead * threads as u64;
+        self.cpu.cycles = cycles_before
+            .saturating_add(max_chunk_cycles)
+            .saturating_add(self.config.spawn_overhead.saturating_mul(threads));
         Ok(())
     }
 
@@ -455,6 +459,41 @@ mod tests {
             },
         );
         assert!(matches!(vm.run(), Err(VmError::CycleLimitExceeded { .. })));
+    }
+
+    /// `par_for` over a callee that returns at once, with the guest's r1–r3
+    /// set to `(start, end, threads)`: the number of chunks that ran (each
+    /// retires exactly the callee's `ret`).
+    fn par_for_chunks(start: i64, end: i64, threads: i64) -> u64 {
+        let mut asm = AsmBuilder::new();
+        asm.function("main");
+        asm.push(Inst::Halt);
+        asm.function("body");
+        asm.push(Inst::Ret);
+        let body = asm.label_addr("body").unwrap();
+        let bin = asm.finish_binary("main").unwrap();
+        let mut vm = Vm::new(Process::load(&bin).unwrap());
+        for (reg, value) in
+            [Reg::R0, Reg::R1, Reg::R2, Reg::R3]
+                .into_iter()
+                .zip([body as i64, start, end, threads])
+        {
+            vm.cpu.write_gpr(reg, value);
+        }
+        vm.native_par_for().unwrap();
+        vm.cpu.retired
+    }
+
+    #[test]
+    fn par_for_survives_guest_chosen_extremes() {
+        // `end - start` does not fit an i64: two chunks, not an endless run
+        // of empty ones.
+        assert_eq!(par_for_chunks(-1, i64::MAX, 2), 2);
+        // `total + threads - 1` and `spawn_overhead * threads` do not fit.
+        assert_eq!(par_for_chunks(0, 4, i64::MAX), 4);
+        assert_eq!(par_for_chunks(0, 64, 4), 4);
+        assert_eq!(par_for_chunks(5, 5, 4), 0);
+        assert_eq!(par_for_chunks(9, -9, i64::MIN), 0);
     }
 
     #[test]
