@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use janus_ir::{decode_at, ControlFlow, DecodedInst, Inst, JBinary, INST_SIZE};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Index of a basic block within its function's CFG.
 pub type BlockId = usize;
@@ -140,12 +140,11 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
         .find(|s| s.kind == janus_ir::SymbolKind::Function && s.addr == entry)
         .map(|s| s.name.clone());
 
-    // Pass 1: explore reachable instructions, recording leaders (block start
-    // addresses), intra-procedural edges, calls and hazards.
-    let mut visited: BTreeSet<u64> = BTreeSet::new();
+    // Pass 1: explore and decode the reachable instructions, recording
+    // leaders (block start addresses), calls and hazards.
+    let mut visited: BTreeMap<u64, Inst> = BTreeMap::new();
     let mut leaders: BTreeSet<u64> = BTreeSet::new();
     leaders.insert(entry);
-    let mut edges: Vec<(u64, u64)> = Vec::new(); // (from-instruction, to-leader)
     let mut callees = Vec::new();
     let mut external_calls = Vec::new();
     let mut has_indirect_flow = false;
@@ -153,10 +152,9 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
 
     let mut work = vec![entry];
     while let Some(addr) = work.pop() {
-        if visited.contains(&addr) || !binary.text_contains(addr) {
+        if visited.contains_key(&addr) || !binary.text_contains(addr) {
             continue;
         }
-        visited.insert(addr);
         let inst = decode_at(binary.text_base(), binary.text(), addr)?;
         let next = addr + INST_SIZE as u64;
         if matches!(inst, Inst::Syscall { .. }) {
@@ -166,14 +164,11 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
             ControlFlow::FallThrough => work.push(next),
             ControlFlow::Jump(target) => {
                 leaders.insert(target);
-                edges.push((addr, target));
                 work.push(target);
             }
             ControlFlow::Branch(target) => {
                 leaders.insert(target);
                 leaders.insert(next);
-                edges.push((addr, target));
-                edges.push((addr, next));
                 work.push(target);
                 work.push(next);
             }
@@ -184,7 +179,6 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
             ControlFlow::Call(target) => {
                 callees.push(target);
                 leaders.insert(next);
-                edges.push((addr, next));
                 work.push(next);
             }
             ControlFlow::IndirectCall => {
@@ -194,44 +188,32 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
                     has_indirect_flow = true;
                 }
                 leaders.insert(next);
-                edges.push((addr, next));
                 work.push(next);
             }
             ControlFlow::Return | ControlFlow::Halt => {}
         }
+        visited.insert(addr, inst);
     }
 
-    // Pass 2: build blocks from the visited instructions, split at leaders.
+    // Pass 2: build blocks from the visited instructions, in address order.
+    // A block starts at a leader or at the first visited instruction after a
+    // gap and runs until a terminator, the next leader or the next gap.
     let mut blocks: Vec<BasicBlock> = Vec::new();
     let mut block_at: HashMap<u64, BlockId> = HashMap::new();
-    let visited_vec: Vec<u64> = visited.iter().copied().collect();
-    let mut i = 0usize;
-    while i < visited_vec.len() {
-        let start = visited_vec[i];
-        // A block starts at a leader or at the first visited instruction after
-        // a gap; collect instructions until a terminator or the next leader.
-        let mut insts = Vec::new();
-        let mut addr = start;
-        loop {
-            let inst = decode_at(binary.text_base(), binary.text(), addr)?;
-            let is_term = inst.is_terminator();
-            insts.push(DecodedInst { addr, inst });
-            i += 1;
-            let next = addr + INST_SIZE as u64;
-            if is_term {
-                break;
+    let mut visited = visited.into_iter().peekable();
+    while let Some((start, inst)) = visited.next() {
+        let mut insts = vec![DecodedInst { addr: start, inst }];
+        let end = loop {
+            let last = insts.last().expect("a block has its first instruction");
+            let next = last.addr + INST_SIZE as u64;
+            if last.inst.is_terminator() || leaders.contains(&next) {
+                break next;
             }
-            // Stop if the next instruction is a leader, was not visited, or is
-            // not contiguous in the visited set.
-            if leaders.contains(&next)
-                || !visited.contains(&next)
-                || visited_vec.get(i).copied() != Some(next)
-            {
-                break;
+            match visited.next_if(|(addr, _)| *addr == next) {
+                Some((addr, inst)) => insts.push(DecodedInst { addr, inst }),
+                None => break next,
             }
-            addr = next;
-        }
-        let end = insts.last().map_or(start, |d| d.addr + INST_SIZE as u64);
+        };
         let id = blocks.len();
         block_at.insert(start, id);
         blocks.push(BasicBlock {
@@ -285,7 +267,6 @@ pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
             }
         }
     }
-    let _ = edges;
     for (b, succs) in succ_sets.iter().enumerate() {
         blocks[b].succs = succs.iter().copied().collect();
         for &s in succs {

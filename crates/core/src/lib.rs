@@ -791,7 +791,7 @@ impl Janus {
             .filter(|&id| analysis.loops[id].category == LoopCategory::Speculative)
             .collect();
         Ok(PipelineArtifacts {
-            binary_digest: binary.content_digest(),
+            binary_digest: digest,
             schedule_size: schedule.byte_size(),
             binary_size: binary.file_size(),
             analysis: Some(analysis),

@@ -1,16 +1,24 @@
-//! The slot-addressed profiler against the hashed one it replaced.
+//! The slot-addressed, stamp-based profiler against the hashed one it
+//! replaced.
 //!
-//! `janus_profile::profile` looks rules up by instruction slot and keeps its
-//! per-loop state in a `Vec`; the implementation before it probed a
-//! `HashMap<u64, Vec<RewriteRule>>` twice per instruction and a
-//! `HashMap<usize, LoopProfile>` once. That older loop is kept here, verbatim
-//! but for building its own address index, as the reference: on the thirteen
-//! suite binaries and on 64 generated programs both must report the same
-//! `ProfileData`, field for field.
+//! `janus_profile::profile` looks rules up by instruction slot, keeps its
+//! per-loop state in a `Vec`, answers the dependence question from iteration
+//! stamps on a shadow page table and charges instructions to loops when the
+//! loop stack switches; the implementation before it probed a
+//! `HashMap<u64, Vec<RewriteRule>>` twice per instruction, a
+//! `HashMap<usize, LoopProfile>` once, and collected four address sets per
+//! loop. That older loop is kept here, verbatim but for building its own
+//! address index, as the reference: on the thirteen suite binaries, on 256
+//! generated programs and on hand-assembled guests for what compiled code
+//! never does (unaligned accesses, a conflicting iteration that leaves
+//! through the exit edge) both must report the same `ProfileData`, field for
+//! field.
 
 use janus_analysis::analyze;
 use janus_compile::{CompileOptions, Compiler};
-use janus_ir::{JBinary, Reg, SyscallNum, INST_SIZE};
+use janus_ir::{
+    AluOp, AsmBuilder, Cond, Inst, JBinary, MemRef, Operand, Reg, SyscallNum, INST_SIZE,
+};
 use janus_profile::{generate_profiling_schedule, profile, LoopProfile, ProfileData};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{exec_inst, Cpu, Effect, Process, ResolvedPlt, VmError};
@@ -173,9 +181,18 @@ fn reference_profile(
 fn assert_profiles_agree(what: &str, binary: &JBinary) -> usize {
     let analysis = analyze(binary).expect("analysis succeeds");
     let schedule = generate_profiling_schedule(&analysis, what);
+    assert_schedule_profiles_agree(what, binary, &schedule).len()
+}
+
+/// Profiles `binary` under `schedule` both ways and returns the profile.
+fn assert_schedule_profiles_agree(
+    what: &str,
+    binary: &JBinary,
+    schedule: &RewriteSchedule,
+) -> HashMap<usize, LoopProfile> {
     let process = Process::load(binary).expect("binary loads");
-    let dense = profile(&process, &schedule, &[]).expect("profiling succeeds");
-    let hashed = reference_profile(&process, &schedule, &[]).expect("reference succeeds");
+    let dense = profile(&process, schedule, &[]).expect("profiling succeeds");
+    let hashed = reference_profile(&process, schedule, &[]).expect("reference succeeds");
     assert_eq!(
         dense.total_instructions, hashed.total_instructions,
         "{what}: total instructions"
@@ -183,7 +200,7 @@ fn assert_profiles_agree(what: &str, binary: &JBinary) -> usize {
     // `LoopProfile` compares every field, coverage included (both sides
     // compute it from the same two integers).
     assert_eq!(dense.loops, hashed.loops, "{what}: per-loop profiles");
-    dense.loops.len()
+    dense.loops
 }
 
 #[test]
@@ -205,11 +222,133 @@ fn suite_binaries_profile_identically() {
 #[test]
 fn generated_programs_profile_identically() {
     let mut profiled = 0;
-    for seed in 0..64 {
+    for seed in 0..256 {
         let binary = Compiler::new()
             .compile(&ProgramSpec::generate(seed).lower())
             .expect("generated program compiles");
         profiled += assert_profiles_agree(&format!("seed {seed}"), &binary);
     }
-    assert!(profiled > 64, "generated programs contain loops");
+    assert!(profiled > 256, "generated programs contain loops");
+}
+
+/// The profiling rules of a hand-assembled loop: entry, latch and exit by
+/// label, and a `PROF_MEM_ACCESS` on every labelled access.
+fn loop_rules(asm: &AsmBuilder, id: i64, suffix: &str, accesses: &[&str]) -> Vec<RewriteRule> {
+    let at = |label: &str| {
+        asm.label_addr(&format!("{label}{suffix}"))
+            .expect("label exists")
+    };
+    let mut rules = vec![
+        RewriteRule::new(at("header"), RuleId::ProfLoopStart).with_data(0, id),
+        RewriteRule::new(at("latch"), RuleId::ProfLoopIter).with_data(0, id),
+        RewriteRule::new(at("exit"), RuleId::ProfLoopFinish).with_data(0, id),
+    ];
+    for access in accesses {
+        rules.push(RewriteRule::new(at(access), RuleId::ProfMemAccess).with_data(0, id));
+    }
+    rules
+}
+
+fn schedule_of(rules: Vec<RewriteRule>) -> RewriteSchedule {
+    let mut schedule = RewriteSchedule::new("hand-assembled");
+    for rule in rules {
+        schedule.push(rule);
+    }
+    schedule
+}
+
+#[test]
+fn unaligned_accesses_are_keyed_by_their_exact_address() {
+    // Two loops of eight iterations over `buf`. In loop 0 iteration i stores
+    // the word at `buf + 8 i` and loads the one at `buf + 8 i - 4`: half of
+    // it is what iteration i - 1 stored, but no address repeats, and exact
+    // addresses are what the reference compares. In loop 1 iteration i
+    // stores at `buf + 8 i + 4` and loads at `buf + 8 i - 4`, the very
+    // (unaligned) address iteration i - 1 stored to.
+    let mut asm = AsmBuilder::new();
+    let buf = asm.i64_array("buf", 12, &[]) + 8;
+    asm.function("main");
+    asm.push(Inst::mov(Operand::reg(Reg::FP), Operand::reg(Reg::SP)));
+    for (suffix, store_disp) in [("0", 0), ("1", 4)] {
+        let word = |disp: i64| {
+            Operand::mem(MemRef {
+                base: None,
+                index: Some(Reg::R0),
+                scale: 8,
+                disp: buf as i64 + disp,
+            })
+        };
+        asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(0)));
+        asm.label(format!("header{suffix}"));
+        asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(8)));
+        asm.push_branch(Cond::Ge, format!("exit{suffix}"));
+        asm.label(format!("load{suffix}"));
+        asm.push(Inst::mov(Operand::reg(Reg::R1), word(-4)));
+        asm.label(format!("store{suffix}"));
+        asm.push(Inst::mov(word(store_disp), Operand::reg(Reg::R0)));
+        asm.push(Inst::alu(
+            AluOp::Add,
+            Operand::reg(Reg::R0),
+            Operand::imm(1),
+        ));
+        asm.label(format!("latch{suffix}"));
+        asm.push_jmp(format!("header{suffix}"));
+        asm.label(format!("exit{suffix}"));
+    }
+    asm.push(Inst::Halt);
+    let mut rules = loop_rules(&asm, 0, "0", &["load", "store"]);
+    rules.extend(loop_rules(&asm, 1, "1", &["load", "store"]));
+    let binary = asm.finish_binary("main").expect("assembles");
+
+    let loops = assert_schedule_profiles_agree("unaligned", &binary, &schedule_of(rules));
+    assert_eq!((loops[&0].invocations, loops[&0].iterations), (1, 8));
+    assert!(!loops[&0].observed_dependence, "overlap is not identity");
+    assert_eq!((loops[&1].invocations, loops[&1].iterations), (1, 8));
+    assert!(loops[&1].observed_dependence, "same unaligned address");
+}
+
+/// `for (r0 = 0;; r0++) { r1 = *cell; if (r0 >= bound) break; *cell = r0; }`:
+/// every iteration after the first reads what the one before it wrote, and
+/// the last one leaves through the exit edge before reaching the latch.
+fn exit_edge_guest(bound: i64) -> (JBinary, RewriteSchedule) {
+    let mut asm = AsmBuilder::new();
+    let cell = Operand::mem(MemRef::absolute(asm.i64_array("cell", 1, &[])));
+    asm.function("main");
+    asm.push(Inst::mov(Operand::reg(Reg::FP), Operand::reg(Reg::SP)));
+    asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(0)));
+    asm.label("header");
+    asm.label("load");
+    asm.push(Inst::mov(Operand::reg(Reg::R1), cell));
+    asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(bound)));
+    asm.push_branch(Cond::Ge, "exit");
+    asm.label("store");
+    asm.push(Inst::mov(cell, Operand::reg(Reg::R0)));
+    asm.push(Inst::alu(
+        AluOp::Add,
+        Operand::reg(Reg::R0),
+        Operand::imm(1),
+    ));
+    asm.label("latch");
+    asm.push_jmp("header");
+    asm.label("exit");
+    asm.push(Inst::Halt);
+    let rules = loop_rules(&asm, 0, "", &["load", "store"]);
+    (
+        asm.finish_binary("main").expect("assembles"),
+        schedule_of(rules),
+    )
+}
+
+#[test]
+fn an_iteration_that_leaves_through_the_exit_edge_is_never_checked() {
+    // One full iteration, then the conflicting one exits: nothing observed.
+    let (binary, schedule) = exit_edge_guest(1);
+    let loops = assert_schedule_profiles_agree("exit edge", &binary, &schedule);
+    assert_eq!((loops[&0].invocations, loops[&0].iterations), (1, 1));
+    assert!(!loops[&0].observed_dependence);
+    // One more and the second iteration reaches the latch.
+    let (binary, schedule) = exit_edge_guest(2);
+    let loops = assert_schedule_profiles_agree("latched", &binary, &schedule);
+    assert_eq!((loops[&0].invocations, loops[&0].iterations), (1, 2));
+    assert!(loops[&0].observed_dependence);
 }

@@ -9,22 +9,30 @@
 //!    inside each candidate loop as a proxy for the time spent there, so that
 //!    low-coverage loops can be filtered out of the parallelisation plan.
 //! 2. **Memory-dependence profiling**: for loops whose independence could not
-//!    be proved statically, records the addresses read and written by each
-//!    iteration and reports whether a cross-iteration dependence actually
-//!    occurred on the training input (Type C vs Type D classification).
+//!    be proved statically, stamps every instrumented address with the
+//!    iteration that first read and first wrote it and reports whether a
+//!    cross-iteration dependence actually occurred on the training input
+//!    (Type C vs Type D classification).
 //!
 //! The profiler executes the *training* input through an instrumented
-//! interpreter; profiling runs are not included in any timing figure.
+//! interpreter; profiling runs are not included in any timing figure. Its
+//! per-loop state — the loop stack, instruction accounting at stack
+//! switches and the iteration stamps on a shadow [`janus_vm::PageTable`] —
+//! lives in the private `tracker` module, next to the address-set tracker
+//! it replaced (test-only, the model its property test compares with).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+mod tracker;
 
 use janus_analysis::{BinaryAnalysis, LoopCategory};
 use janus_ir::{Reg, SyscallNum, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{exec_inst_costed, Cpu, Effect, Process, ResolvedPlt, VmError};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use tracker::Tracker;
 
 /// Profile data for one loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -43,9 +51,11 @@ pub struct LoopProfile {
     pub observed_dependence: bool,
     /// Dynamic instructions executed inside external calls made by the loop.
     pub excall_instructions: u64,
-    /// Heap reads observed inside external calls (per call, averaged).
+    /// Instructions with a memory read retired inside external calls made by
+    /// the loop: a running total over the whole run, like the two fields
+    /// around it (not a per-call average).
     pub excall_reads: u64,
-    /// Heap writes observed inside external calls.
+    /// Instructions with a memory write retired inside external calls.
     pub excall_writes: u64,
 }
 
@@ -148,17 +158,6 @@ pub fn generate_profiling_schedule(analysis: &BinaryAnalysis, executable: &str) 
     schedule
 }
 
-/// Per instrumented loop: the profile so far plus the address sets of the
-/// current iteration and of all earlier iterations of this invocation.
-#[derive(Debug, Default)]
-struct LoopState {
-    profile: LoopProfile,
-    iter_writes: HashSet<u64>,
-    iter_reads: HashSet<u64>,
-    prev_writes: HashSet<u64>,
-    prev_reads: HashSet<u64>,
-}
-
 /// Runs a binary with instrumentation driven by a profiling schedule.
 ///
 /// # Errors
@@ -169,39 +168,50 @@ pub fn profile(
     schedule: &RewriteSchedule,
     input: &[i64],
 ) -> Result<ProfileData, VmError> {
-    // Lower what the per-instruction path looks up: rules by slot, loops by
-    // position in `loop_ids` (a wild id costs a table entry, not memory).
-    let table = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
-    // One flag byte per slot, so the two rule scans below run only where a
-    // rule of their kind is attached.
+    // Lower what the per-instruction path looks up, once: loops by position
+    // in `loop_ids` (a wild id costs a table entry, not memory), loop events
+    // by slot with that position already in data word 0, and one flag byte
+    // per slot so an instruction without a flag pays for nothing below.
     const RULES: u8 = 1 << 0;
     const MEM_ACCESS: u8 = 1 << 1;
-    let flag = |r: &RewriteRule| match r.id {
-        RuleId::ProfMemAccess => MEM_ACCESS,
-        _ => RULES,
-    };
-    let flags: Vec<u8> = (0..process.num_slots())
-        .map(|slot| table.at(slot).iter().fold(0, |f, r| f | flag(r)))
-        .collect();
+    const SYSLIB: u8 = 1 << 2;
     let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
     loop_ids.sort_unstable();
     loop_ids.dedup();
-    let dense = |id: usize| loop_ids.binary_search(&id).expect("collected above");
-    let mut loops: Vec<LoopState> = Vec::new();
-    loops.resize_with(loop_ids.len(), LoopState::default);
+    let mut flags: Vec<u8> = (0..process.num_slots())
+        .map(|slot| {
+            if process.is_syslib_slot(slot) {
+                SYSLIB
+            } else {
+                0
+            }
+        })
+        .collect();
+    let mut events = RewriteSchedule::new("");
+    for rule in schedule.rules() {
+        let Some(slot) = process.slot_of(rule.addr) else {
+            continue; // can never fire
+        };
+        if rule.id == RuleId::ProfMemAccess {
+            flags[slot] |= MEM_ACCESS;
+        } else {
+            flags[slot] |= RULES;
+            let dense = loop_ids
+                .binary_search(&rule.loop_id())
+                .expect("collected above");
+            events.push(rule.with_data(0, dense as i64));
+        }
+    }
+    let events = events.lower(process.num_slots(), |addr| process.slot_of(addr));
+    let mut tracker = Tracker::new(loop_ids.len());
 
     let mut mem = process.initial_memory();
     let mut cpu = Cpu::new();
     cpu.pc = process.entry();
     cpu.set_sp(process.initial_sp());
 
-    let mut total_instructions = 0u64;
     let mut heap_brk = process.heap_base();
     let mut input: std::collections::VecDeque<i64> = input.iter().copied().collect();
-
-    // Profiling state, in dense loop indices.
-    let mut loop_stack: Vec<usize> = Vec::new();
-    let mut in_excall: Option<usize> = None;
 
     let cycle_guard = 50_000_000_000u64;
     loop {
@@ -211,95 +221,46 @@ pub fn profile(
         let pc = cpu.pc;
         let (slot, inst) = process.fetch(pc)?;
         let flags = flags[slot];
-        // Interpret profiling rules attached to this address.
-        let rules = if flags & RULES != 0 {
-            table.at(slot)
-        } else {
-            &[]
-        };
-        for rule in rules {
-            if rule.id == RuleId::ProfMemAccess {
-                continue;
-            }
-            let id = dense(rule.loop_id());
-            match rule.id {
-                RuleId::ProfLoopStart if loop_stack.last() != Some(&id) => {
-                    loop_stack.push(id);
-                    let l = &mut loops[id];
-                    l.profile.invocations += 1;
-                    l.iter_writes.clear();
-                    l.iter_reads.clear();
-                    l.prev_writes.clear();
-                    l.prev_reads.clear();
+        // Loop events attached to this address move the loop stack; the
+        // instruction itself is then charged to whichever loop ends up on top.
+        if flags & RULES != 0 {
+            for rule in events.at(slot) {
+                let id = rule.loop_id();
+                match rule.id {
+                    RuleId::ProfLoopStart => tracker.start(id, cpu.retired),
+                    RuleId::ProfLoopFinish => tracker.finish(id, cpu.retired),
+                    RuleId::ProfLoopIter => tracker.latch(id),
+                    RuleId::ProfExcallStart => tracker.in_excall = Some(id),
+                    RuleId::ProfExcallFinish => tracker.in_excall = None,
+                    _ => {}
                 }
-                RuleId::ProfLoopFinish => {
-                    if let Some(pos) = loop_stack.iter().rposition(|l| *l == id) {
-                        loop_stack.truncate(pos);
-                    }
-                }
-                RuleId::ProfLoopIter if loop_stack.last() == Some(&id) => {
-                    let l = &mut loops[id];
-                    l.profile.iterations += 1;
-                    if l.profile.observed_dependence {
-                        continue; // sticky: the address sets have no reader left
-                    }
-                    // Cross-iteration dependence: this iteration touched an
-                    // address written by an earlier iteration (or wrote an
-                    // address previously read/written).
-                    let conflict = l
-                        .iter_writes
-                        .iter()
-                        .any(|a| l.prev_writes.contains(a) || l.prev_reads.contains(a))
-                        || l.iter_reads.iter().any(|a| l.prev_writes.contains(a));
-                    if conflict {
-                        l.profile.observed_dependence = true;
-                    }
-                    l.prev_writes.extend(l.iter_writes.drain());
-                    l.prev_reads.extend(l.iter_reads.drain());
-                }
-                RuleId::ProfExcallStart => in_excall = Some(id),
-                RuleId::ProfExcallFinish => in_excall = None,
-                _ => {}
             }
         }
-
-        // PROF_MEM_ACCESS: record addresses for dependence detection, until
-        // a dependence has been observed.
+        // PROF_MEM_ACCESS: stamp the addresses for dependence detection.
         if flags & MEM_ACCESS != 0 {
-            if let Some(&current) = loop_stack.last() {
-                let l = &mut loops[current];
-                if !l.profile.observed_dependence {
-                    if let Some(m) = inst.mem_read() {
-                        l.iter_reads
-                            .insert(janus_vm::exec::effective_addr(&cpu, &m));
-                    }
-                    if let Some(m) = inst.mem_write() {
-                        l.iter_writes
-                            .insert(janus_vm::exec::effective_addr(&cpu, &m));
-                    }
+            if let Some(l) = tracker.tracked() {
+                if let Some(m) = inst.mem_read() {
+                    l.touch(janus_vm::exec::effective_addr(&cpu, &m), false);
+                }
+                if let Some(m) = inst.mem_write() {
+                    l.touch(janus_vm::exec::effective_addr(&cpu, &m), true);
                 }
             }
         }
 
-        let retired_before = cpu.retired;
+        // External-call accounting, only inside external calls. Every step
+        // that returns retires exactly one instruction, and a faulting one
+        // discards the profile, so this may run before the step.
+        if flags & SYSLIB != 0 || tracker.in_excall.is_some() {
+            tracker.charge_excall(
+                flags & SYSLIB != 0,
+                inst.mem_read().is_some(),
+                inst.mem_write().is_some(),
+            );
+        }
+
         let next_pc = pc + INST_SIZE as u64;
         let effect = exec_inst_costed(&mut cpu, &mut mem, inst, process.cost(slot), next_pc)?;
-        let retired_delta = cpu.retired - retired_before;
-        total_instructions += retired_delta;
-        if let Some(&current) = loop_stack.last() {
-            let entry = &mut loops[current].profile;
-            entry.dyn_instructions += retired_delta;
-            if in_excall == Some(current) || process.is_syslib_slot(slot) {
-                entry.excall_instructions += retired_delta;
-                if inst.mem_read().is_some() {
-                    entry.excall_reads += 1;
-                }
-                if inst.mem_write().is_some() {
-                    entry.excall_writes += 1;
-                }
-            }
-        }
-
         match effect {
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
@@ -340,13 +301,16 @@ pub fn profile(
 
     // A loop has a profile exactly when it was entered; coverage fractions
     // are final only now.
+    let total_instructions = cpu.retired;
     let total = total_instructions.max(1) as f64;
     let mut data = ProfileData {
         total_instructions,
         ..ProfileData::default()
     };
-    for (&loop_id, l) in loop_ids.iter().zip(&loops) {
-        let mut profile = l.profile;
+    for (&loop_id, mut profile) in loop_ids
+        .iter()
+        .zip(tracker.into_profiles(total_instructions))
+    {
         if profile.invocations > 0 {
             profile.loop_id = loop_id;
             profile.coverage = profile.dyn_instructions as f64 / total;

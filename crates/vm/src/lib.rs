@@ -48,12 +48,12 @@ pub mod cpu;
 pub mod exec;
 pub mod memory;
 pub mod overlay;
+pub mod pagetable;
 pub mod process;
 pub mod syslib;
 pub mod vm;
 
 mod error;
-mod pagetable;
 
 pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};
@@ -61,6 +61,7 @@ pub use error::{Result, VmError};
 pub use exec::{exec_inst, exec_inst_costed, Effect};
 pub use memory::{FlatMemory, GuestMemory, PeekMemory};
 pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, OverlayWrite};
+pub use pagetable::PageTable;
 pub use process::{Process, ResolvedPlt};
 pub use syslib::build_syslib;
 pub use vm::{RunResult, Vm, VmConfig};

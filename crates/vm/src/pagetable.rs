@@ -7,6 +7,10 @@
 //! guest address costs a keyed hash probe, never memory proportional to the
 //! address. The root (4 KiB) and each leaf (8 KiB) are allocated by the
 //! first insert that needs them; lookups never allocate.
+//!
+//! The table is public (its construction and the two keyed accessors) so
+//! that shadow state over guest addresses — `janus-profile`'s per-word
+//! iteration stamps — indexes the same radix instead of growing a second one.
 
 use std::collections::HashMap;
 
@@ -20,7 +24,7 @@ type Leaf<T> = [Option<Box<T>>; LEAF_LEN];
 
 /// A sparse map from page number (`addr >> 12`) to a boxed page payload.
 #[derive(Debug, Clone)]
-pub(crate) struct PageTable<T> {
+pub struct PageTable<T> {
     /// Empty until the first radix insert, `ROOT_LEN` entries afterwards.
     root: Vec<Option<Box<Leaf<T>>>>,
     spill: HashMap<u64, Box<T>>,
@@ -48,7 +52,8 @@ impl<T> PageTable<T> {
     }
 
     /// The payload of `page`, if mapped.
-    pub(crate) fn get(&self, page: u64) -> Option<&T> {
+    #[must_use]
+    pub fn get(&self, page: u64) -> Option<&T> {
         if page < RADIX_PAGES {
             let leaf = self.root.get((page >> LEAF_BITS) as usize)?.as_deref()?;
             leaf[page as usize & (LEAF_LEN - 1)].as_deref()
@@ -69,11 +74,7 @@ impl<T> PageTable<T> {
     }
 
     /// The payload of `page`, mapping `make()` first if it is absent.
-    pub(crate) fn get_or_insert_with(
-        &mut self,
-        page: u64,
-        make: impl FnOnce() -> Box<T>,
-    ) -> &mut T {
+    pub fn get_or_insert_with(&mut self, page: u64, make: impl FnOnce() -> Box<T>) -> &mut T {
         let len = &mut self.len;
         let make = || {
             *len += 1;
