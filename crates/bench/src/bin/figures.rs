@@ -9,9 +9,9 @@
 //! to `JANUS_BACKEND` (or virtual time) and is threaded explicitly through
 //! every figure function — the process environment is never mutated.
 //! Modelled cycles — and therefore every printed figure — are identical
-//! across backends, so the flag matters for wall-clock measurements and for
-//! `bench-json`, which writes `BENCH_<backend>.json` with per-workload
-//! speedup and wall time. `--threads` controls the thread-scaling figures
+//! across backends, so the flag matters for which runtime is exercised and
+//! for `bench-json`, which writes `BENCH_<backend>.json` with per-workload
+//! speedup and cycles. `--threads` controls the thread-scaling figures
 //! (default 8). `fuzz [--cases N] [--seed S]` runs the differential
 //! guest-program fuzzer (see `janus_bench::fuzz`) instead of a figure.
 
@@ -41,7 +41,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [{} | fuzz | all] [--backend virtual|native] \
          [--threads N] [--cases N] [--seed S]\n       \
-         figures bench-diff BASELINE.json NEW.json [--wall-tol FRACTION]",
+         figures bench-diff BASELINE.json NEW.json",
         names.join(" | ")
     );
     std::process::exit(2);
@@ -56,7 +56,6 @@ fn main() {
     let mut backend = BackendKind::from_env();
     let mut cases: usize = 256;
     let mut seed: u64 = 0;
-    let mut wall_tol: f64 = janus_bench::diff::DEFAULT_WALL_TOLERANCE;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -88,13 +87,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--wall-tol" => {
-                wall_tol = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t >= 0.0)
-                    .unwrap_or_else(|| usage());
-            }
             name if !name.starts_with('-') => {
                 positionals.push(name.to_string());
             }
@@ -109,7 +101,7 @@ fn main() {
         let [_, baseline, fresh] = positionals.as_slice() else {
             usage();
         };
-        bench_diff(baseline, fresh, wall_tol);
+        bench_diff(baseline, fresh);
         return;
     }
     if positionals.len() > 1 {
@@ -136,9 +128,9 @@ fn main() {
 }
 
 /// The regression sentinel: diff a fresh `BENCH_<backend>.json` against the
-/// committed baseline, failing (exit 1) on any correctness-counter change
-/// or a wall-clock regression past the tolerance. See `janus_bench::diff`.
-fn bench_diff(baseline: &str, fresh: &str, wall_tol: f64) {
+/// committed baseline, failing (exit 1) when any leaf changed or went
+/// missing. See `janus_bench::diff`.
+fn bench_diff(baseline: &str, fresh: &str) {
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("bench-diff: cannot read {path}: {e}");
@@ -147,7 +139,7 @@ fn bench_diff(baseline: &str, fresh: &str, wall_tol: f64) {
     };
     let old = read(baseline);
     let new = read(fresh);
-    let diff = match bench::diff::diff_bench_json(&old, &new, wall_tol) {
+    let diff = match bench::diff::diff_bench_json(&old, &new) {
         Ok(diff) => diff,
         Err(e) => {
             eprintln!("bench-diff: {e}");
@@ -155,17 +147,9 @@ fn bench_diff(baseline: &str, fresh: &str, wall_tol: f64) {
         }
     };
     println!(
-        "bench-diff: {} vs {}: {} metrics compared, {} skipped as \
-         nondeterministic, wall tolerance {:.0}%",
-        baseline,
-        fresh,
-        diff.compared,
-        diff.skipped,
-        wall_tol * 100.0
+        "bench-diff: {baseline} vs {fresh}: {} metrics compared exactly",
+        diff.compared
     );
-    for note in &diff.notes {
-        println!("  note: {note}");
-    }
     if diff.passed() {
         println!("bench-diff: PASS");
         return;
@@ -196,20 +180,13 @@ fn fuzz(cases: usize, seed: u64) {
 fn bench_json(backend: BackendKind, threads: u32) {
     let rows = bench::backend_bench(backend, threads);
     // The serving figure: a mixed 200-job batch over the whole suite through
-    // a 4-worker `janus-serve` session (jobs/sec, cache hit rate, p50/p99
-    // job wall time) — the trajectory's record of serving performance.
+    // a 4-worker `janus-serve` session — one analysis per distinct binary.
     let serve = bench::serve_throughput(backend, 4, 200);
     // The warm-vs-cold serve figure: the suite served against an empty
     // artifact store, then again by a restarted session over the populated
     // one — persistence's restart payoff (zero rebuilds) on record.
     let warm = bench::serve_warm_start(backend, 4);
-    // The adaptive-execution figure: every workload with the per-loop tuner
-    // off and on, so the trajectory records what runtime adaptation buys in
-    // wall time (gain > 1) and that no workload pays for it (gain ≈ 1 when
-    // the tuner settles on the static policy).
-    let adaptive = bench::adaptive_bench(backend, threads);
-    let json =
-        bench::backend_bench_json(&rows, threads, Some(&serve), Some(&warm), Some(&adaptive));
+    let json = bench::backend_bench_json(&rows, threads, Some(&serve), Some(&warm));
     let path = format!("BENCH_{}.json", backend.label());
     std::fs::write(&path, &json).expect("write benchmark json");
     println!(
@@ -219,63 +196,31 @@ fn bench_json(backend: BackendKind, threads: u32) {
         path
     );
     println!(
-        "{:<22} {:>9} {:>14} {:>12} {:>10} {:>6}",
-        "workload", "speedup", "cycles", "wall (s)", "threads", "match"
+        "{:<22} {:>9} {:>14} {:>10} {:>6}",
+        "workload", "speedup", "cycles", "threads", "match"
     );
     for r in &rows {
         println!(
-            "{:<22} {:>9.2} {:>14} {:>12.4} {:>10} {:>6}",
+            "{:<22} {:>9.2} {:>14} {:>10} {:>6}",
             r.name,
             r.speedup,
             r.cycles,
-            r.wall_seconds,
             r.os_threads_used,
             if r.outputs_match { "yes" } else { "NO" },
         );
     }
     println!(
-        "serve-throughput: {} jobs / {} workers: {:.1} jobs/s, \
-         hit rate {:.1}%, p50 {:.4}s, p99 {:.4}s, {} failures",
+        "serve-throughput: {} jobs / {} workers: hit rate {:.1}%, {} analyses, {} failures",
         serve.jobs,
         serve.workers,
-        serve.jobs_per_sec,
         serve.cache_hit_rate * 100.0,
-        serve.p50_job_seconds,
-        serve.p99_job_seconds,
+        serve.cache_misses,
         serve.failures,
     );
     println!(
-        "serve-warm-start: {} workloads: cold {:.3}s ({} analyses) -> \
-         warm {:.3}s ({} analyses, {} disk hits, {:.1}x), store {} bytes",
-        warm.workloads,
-        warm.cold_seconds,
-        warm.cold_misses,
-        warm.warm_seconds,
-        warm.warm_misses,
-        warm.warm_disk_hits,
-        warm.warm_speedup,
-        warm.store_bytes,
-    );
-    println!(
-        "\n{:<22} {:>12} {:>12} {:>7} {:>9} {:>9} {:>10} {:>6}",
-        "adaptive", "static (s)", "tuned (s)", "gain", "tune.par", "tune.seq", "pg.skip", "match"
-    );
-    for r in &adaptive {
-        println!(
-            "{:<22} {:>12.4} {:>12.4} {:>7.2} {:>9} {:>9} {:>10} {:>6}",
-            r.name,
-            r.static_wall_seconds,
-            r.adaptive_wall_seconds,
-            r.adaptive_gain,
-            r.tune_parallel,
-            r.tune_sequential,
-            r.pages_skipped,
-            if r.outputs_match { "yes" } else { "NO" },
-        );
-    }
-    println!(
-        "adaptive geomean gain: {:.3}x",
-        bench::geomean(&adaptive.iter().map(|r| r.adaptive_gain).collect::<Vec<_>>())
+        "serve-warm-start: {} workloads: cold {} analyses -> \
+         warm {} analyses, {} disk hits, store {} bytes",
+        warm.workloads, warm.cold_misses, warm.warm_misses, warm.warm_disk_hits, warm.store_bytes,
     );
 }
 

@@ -16,7 +16,7 @@
 //!    `MEM_*` / `TX_*` rules; may-dependent loops additionally carry a
 //!    `SPECULATE` rule that routes them to the Block-STM-style
 //!    iteration-level speculation engine (`janus-spec`).
-//! 5. **Execution** under the dynamic binary modifier ([`janus_dbm::Dbm`]),
+//! 5. **Execution** under the dynamic binary modifier ([`PreparedDbm`]),
 //!    compared against native execution of the same process.
 //!
 //! The four optimisation levels evaluated in Figure 7 map onto
@@ -28,7 +28,7 @@
 #![warn(missing_debug_implementations)]
 
 use janus_analysis::{analyze, AnalysisError, BinaryAnalysis, LoopCategory, LoopInfo, VarRef};
-use janus_dbm::{Dbm, DbmError, DbmRunResult};
+use janus_dbm::{DbmError, DbmRunResult};
 use janus_ir::{Cond, JBinary};
 use janus_obs::Recorder;
 use janus_profile::{generate_profiling_schedule, profile, ProfileData};
@@ -841,10 +841,12 @@ impl Janus {
         let native_floats = vm.output_floats().to_vec();
 
         // Parallel execution under the DBM.
-        let mut dbm = Dbm::new(process, &artifacts.schedule, self.dbm_config());
-        dbm.set_recorder(self.config.trace.clone());
-        dbm.set_input(ref_input);
-        let parallel = dbm.run()?;
+        let config = self.dbm_config();
+        let parallel = PreparedDbm::new(process, &artifacts.schedule, config).execute_traced(
+            ref_input,
+            config,
+            &self.config.trace,
+        )?;
 
         // Bit-equality first: `|a - b| <= tol` is false for NaN vs NaN, so a
         // guest that prints NaN (0.0/0.0 is IEEE-legal in the JVA) would be

@@ -1,10 +1,10 @@
 //! The execution-backend layer: how planned parallel-loop chunks actually
 //! run.
 //!
-//! [`crate::Dbm`] plans a parallel-loop invocation — iteration counting,
-//! chunking, per-chunk register contexts, private stack frames, bounds
-//! checks — without committing to an execution substrate. The plan is then
-//! handed to an [`ExecutionBackend`]:
+//! The run loop (`runtime.rs`) plans a parallel-loop invocation —
+//! iteration counting, chunking, per-chunk register contexts, private stack
+//! frames, bounds checks — without committing to an execution substrate.
+//! The plan is then handed to an [`ExecutionBackend`]:
 //!
 //! * [`VirtualTimeBackend`] executes the chunks one after another on the
 //!   coordinating thread against the shared guest memory, exactly as the

@@ -85,7 +85,7 @@ mod tuner;
 pub use backend::{
     BackendKind, BatchOutcome, ExecutionBackend, NativeThreadsBackend, VirtualTimeBackend,
 };
-pub use runtime::{Dbm, DbmRunResult, PreparedDbm, SideSpec, VarSpec};
+pub use runtime::{DbmRunResult, PreparedDbm, SideSpec, VarSpec};
 pub use stm::TxStats;
 pub use tuner::{TuneDecision, TuneOutcome, Tuner};
 

@@ -9,13 +9,14 @@ use crate::backend::{
 use crate::stm::TxView;
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
-use janus_ir::{Inst, Operand, Reg, SyscallNum, INST_SIZE, STACK_SIZE};
+use janus_ir::{Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
 use janus_obs::Recorder;
 use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{
-    exec_inst_costed, CostModel, Cpu, Effect, FlatMemory, GuestMemory, Process, ResolvedPlt,
+    exec_inst_costed, CostModel, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Process,
+    ResolvedPlt,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -380,17 +381,14 @@ impl PreparedDbm {
         config: DbmConfig,
         recorder: &Recorder,
     ) -> Result<DbmRunResult> {
-        let mut dbm = Dbm::from_prepared_with_config(self.clone(), config);
-        dbm.set_recorder(recorder.clone());
-        dbm.set_input(input);
-        dbm.run()
+        Dbm::new(self.clone(), config, recorder.clone(), input).run()
     }
 }
 
-/// The dynamic binary modifier: executes one process under the control of a
-/// rewrite schedule.
+/// One run of a prepared binary: the mutable half of the dynamic binary
+/// modifier, built and consumed by [`PreparedDbm::execute_traced`].
 #[derive(Debug)]
-pub struct Dbm {
+struct Dbm {
     prepared: PreparedDbm,
     config: DbmConfig,
     recorder: Recorder,
@@ -400,11 +398,7 @@ pub struct Dbm {
     stats: DbmStats,
     cache: CodeCache,
     active_sequential: HashSet<usize>,
-    heap_brk: u64,
-    output_ints: Vec<i64>,
-    output_floats: Vec<f64>,
-    input: VecDeque<i64>,
-    exit_code: i64,
+    os: GuestOs,
 
     /// Adaptive-execution state, present iff [`DbmConfig::adaptive`] is on.
     tuner: Option<Tuner>,
@@ -443,64 +437,28 @@ struct PaceMarkers {
 const PACE_MIN_CYCLES: u64 = 10_000;
 
 impl Dbm {
-    /// Creates a DBM for `process`, controlled by `schedule`.
-    #[must_use]
-    pub fn new(process: Process, schedule: &RewriteSchedule, config: DbmConfig) -> Dbm {
-        Dbm::from_prepared(PreparedDbm::new(process, schedule, config))
-    }
-
-    /// Creates a DBM for one run of a prepared binary.
-    #[must_use]
-    pub fn from_prepared(prepared: PreparedDbm) -> Dbm {
-        let config = prepared.parts.config;
-        Dbm::from_prepared_with_config(prepared, config)
-    }
-
-    fn from_prepared_with_config(prepared: PreparedDbm, config: DbmConfig) -> Dbm {
+    fn new(prepared: PreparedDbm, config: DbmConfig, recorder: Recorder, input: &[i64]) -> Dbm {
         let process = &prepared.parts.process;
         let mem = process.initial_memory();
         let mut main = Cpu::new();
         main.pc = process.entry();
         main.set_sp(process.initial_sp());
-        let heap_brk = process.heap_base();
+        let os = GuestOs::new(process, input);
         let cache = CodeCache::new(process.num_slots());
         Dbm {
             prepared,
             config,
-            recorder: Recorder::default(),
+            recorder,
             mem,
             main,
             stats: DbmStats::default(),
             cache,
             active_sequential: HashSet::new(),
-            heap_brk,
-            output_ints: Vec::new(),
-            output_floats: Vec::new(),
-            input: VecDeque::new(),
-            exit_code: 0,
+            os,
             tuner: config.adaptive.then(Tuner::new),
             pending_seq: HashMap::new(),
             cal: None,
         }
-    }
-
-    /// Provides simulated standard input.
-    pub fn set_input(&mut self, input: &[i64]) {
-        self.input = input.iter().copied().collect();
-    }
-
-    /// Attaches a flight recorder for this run: the execution backends emit
-    /// per-chunk run/merge spans and speculative-pool incarnation events to
-    /// it. The default is the null recorder (no events, one branch per
-    /// emission site).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// Number of loops the schedule asked the DBM to parallelise.
-    #[must_use]
-    pub fn num_parallel_loops(&self) -> usize {
-        self.prepared.num_parallel_loops()
     }
 
     /// Runs the program to completion under DBM control.
@@ -509,7 +467,7 @@ impl Dbm {
     ///
     /// Returns an error if guest execution faults or the cycle limit is
     /// exceeded.
-    pub fn run(self) -> Result<DbmRunResult> {
+    fn run(self) -> Result<DbmRunResult> {
         let backend = self.config.backend;
         let result = self.run_inner();
         match &result {
@@ -601,14 +559,24 @@ impl Dbm {
         self.stats.retired += self.main.retired;
         let cycles = self.stats.breakdown.total();
         Ok(DbmRunResult {
-            exit_code: self.exit_code,
+            exit_code: self.os.exit_code,
             cycles,
             stats: self.stats,
-            output_ints: self.output_ints,
-            output_floats: self.output_floats,
+            output_ints: self.os.output_ints,
+            output_floats: self.os.output_floats,
             wall_nanos: wall_start.elapsed().as_nanos() as u64,
             memory_digest: self.mem.image_digest(),
         })
+    }
+
+    /// Out of line on purpose: this loop already makes opaque calls with
+    /// `&mut self`, so nothing is lost, and keeping the system-call table out
+    /// of its body measured 3 % of `doall` wall time.
+    #[cold]
+    #[inline(never)]
+    fn handle_syscall(&mut self, num: u32) -> Result<bool> {
+        let clock = self.stats.breakdown.total();
+        Ok(self.os.syscall(&mut self.main, num, clock)?)
     }
 
     fn handle_external_main(&mut self, plt: u32) -> Result<()> {
@@ -618,63 +586,16 @@ impl Dbm {
                 Ok(())
             }
             ResolvedPlt::Native { name } => {
-                match name.as_str() {
-                    "print_i64" => self.output_ints.push(self.main.read_gpr(Reg::R0)),
-                    "print_f64" => self.output_floats.push(self.main.read_f64(Reg::V0)),
-                    // Compiler-parallelised binaries are not run under Janus;
-                    // treat the runtime call as a no-op chunk executor.
-                    "par_for" => {
-                        return Err(DbmError::BadRule {
-                            reason: "par_for runtime calls are not supported under the DBM"
-                                .to_string(),
-                        })
-                    }
-                    other => {
-                        return Err(DbmError::Vm(janus_vm::VmError::UnknownExternal {
-                            name: other.to_string(),
-                        }))
-                    }
+                // Compiler-parallelised binaries are not run under Janus.
+                if name == "par_for" {
+                    return Err(DbmError::BadRule {
+                        reason: "par_for runtime calls are not supported under the DBM".to_string(),
+                    });
                 }
+                self.os.native(name, &self.main)?;
                 let ret = janus_vm::exec::pop_value(&mut self.main, &mut self.mem) as u64;
                 self.main.pc = ret;
                 Ok(())
-            }
-        }
-    }
-
-    fn handle_syscall(&mut self, num: u32) -> Result<bool> {
-        let call = SyscallNum::from_u32(num)
-            .ok_or(janus_vm::VmError::UnknownSyscall { num })
-            .map_err(DbmError::Vm)?;
-        match call {
-            SyscallNum::Exit => {
-                self.exit_code = self.main.read_gpr(Reg::R0);
-                Ok(true)
-            }
-            SyscallNum::WriteInt => {
-                self.output_ints.push(self.main.read_gpr(Reg::R1));
-                Ok(false)
-            }
-            SyscallNum::WriteFloat => {
-                self.output_floats.push(self.main.read_f64(Reg::V0));
-                Ok(false)
-            }
-            SyscallNum::Sbrk => {
-                let size = self.main.read_gpr(Reg::R1).max(0) as u64;
-                let old = self.heap_brk;
-                self.heap_brk += (size + 7) & !7;
-                self.main.write_gpr(Reg::R0, old as i64);
-                Ok(false)
-            }
-            SyscallNum::Clock => {
-                let c = self.stats.breakdown.total();
-                self.main.write_gpr(Reg::R0, c as i64);
-                Ok(false)
-            }
-            SyscallNum::ReadInt => {
-                let v = self.input.pop_front().unwrap_or(0);
-                self.main.write_gpr(Reg::R0, v);
-                Ok(false)
             }
         }
     }
@@ -1053,8 +974,8 @@ impl Dbm {
         self.stats.stm_reads += fx.stm_reads;
         self.stats.stm_writes += fx.stm_writes;
         self.stats.breakdown.stm += fx.stm_cycles;
-        self.output_ints.extend(fx.output_ints);
-        self.output_floats.extend(fx.output_floats);
+        self.os.output_ints.extend(fx.output_ints);
+        self.os.output_floats.extend(fx.output_floats);
     }
 
     /// Runs one invocation of a may-dependent loop under the Block-STM-style

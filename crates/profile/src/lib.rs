@@ -27,9 +27,9 @@
 mod tracker;
 
 use janus_analysis::{BinaryAnalysis, LoopCategory};
-use janus_ir::{Reg, SyscallNum, INST_SIZE};
+use janus_ir::INST_SIZE;
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_inst_costed, Cpu, Effect, Process, ResolvedPlt, VmError};
+use janus_vm::{exec_inst_costed, Cpu, Effect, GuestOs, Process, ResolvedPlt, VmError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tracker::Tracker;
@@ -210,8 +210,7 @@ pub fn profile(
     cpu.pc = process.entry();
     cpu.set_sp(process.initial_sp());
 
-    let mut heap_brk = process.heap_base();
-    let mut input: std::collections::VecDeque<i64> = input.iter().copied().collect();
+    let mut os = GuestOs::new(process, input);
 
     let cycle_guard = 50_000_000_000u64;
     loop {
@@ -268,31 +267,16 @@ pub fn profile(
             Effect::External { plt } => match process.resolve_plt(plt)? {
                 ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
-                    if name == "par_for" {
-                        return Err(VmError::UnknownExternal { name: name.clone() });
-                    }
+                    // `par_for` is not the guest ABI's: unknown here.
+                    os.native(name, &cpu)?;
                     let ret = janus_vm::exec::pop_value(&mut cpu, &mut mem) as u64;
                     cpu.pc = ret;
                 }
             },
             Effect::Syscall { num } => {
-                let call = SyscallNum::from_u32(num).ok_or(VmError::UnknownSyscall { num })?;
-                match call {
-                    SyscallNum::Exit => break,
-                    SyscallNum::WriteInt | SyscallNum::WriteFloat => {}
-                    SyscallNum::Sbrk => {
-                        let size = cpu.read_gpr(Reg::R1).max(0) as u64;
-                        cpu.write_gpr(Reg::R0, heap_brk as i64);
-                        heap_brk += (size + 7) & !7;
-                    }
-                    SyscallNum::Clock => {
-                        let c = cpu.cycles;
-                        cpu.write_gpr(Reg::R0, c as i64);
-                    }
-                    SyscallNum::ReadInt => {
-                        let v = input.pop_front().unwrap_or(0);
-                        cpu.write_gpr(Reg::R0, v);
-                    }
+                let clock = cpu.cycles;
+                if os.syscall(&mut cpu, num, clock)? {
+                    break;
                 }
                 cpu.pc = next_pc;
             }

@@ -64,4 +64,4 @@ pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, Ove
 pub use pagetable::PageTable;
 pub use process::{Process, ResolvedPlt};
 pub use syslib::build_syslib;
-pub use vm::{RunResult, Vm, VmConfig};
+pub use vm::{GuestOs, RunResult, Vm, VmConfig};
