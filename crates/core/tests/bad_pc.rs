@@ -1,6 +1,8 @@
 //! A guest that jumps somewhere that is not an instruction gets
 //! `VmError::BadPc` — from the plain interpreter, from the DBM's main
-//! dispatch loop and from inside a parallel chunk, on both backends.
+//! dispatch loop and from inside a parallel chunk, on both backends. A guest
+//! whose frame pointer is no frame at a parallel loop gets that invocation
+//! run sequentially.
 //!
 //! Every per-instruction table of the DBM (code cache, lowered rules, loop
 //! flags) is indexed by instruction slot, and `Process::slot_of` is the only
@@ -16,14 +18,16 @@ use janus_vm::{Process, Vm, VmError};
 
 /// A counted loop `for (r0 = 0; r0 < 64; r0++)` whose iteration 40 jumps
 /// through `r9`. `target` is what `r9` holds; `None` makes it the address of
-/// the instruction after the jump, i.e. a well-behaved guest. Returns the
+/// the instruction after the jump, i.e. a well-behaved guest. `fp` is what
+/// the frame pointer holds; `None` makes it the stack pointer. Returns the
 /// binary plus the addresses of the loop header (also the bound compare) and
 /// of the loop exit.
-fn guest(target: Option<u64>) -> (JBinary, u64, u64) {
+fn guest(target: Option<u64>, fp: Option<i64>) -> (JBinary, u64, u64) {
     let build = |target: u64| {
         let mut asm = AsmBuilder::new();
         asm.function("main");
-        asm.push(Inst::mov(Operand::reg(Reg::FP), Operand::reg(Reg::SP)));
+        let fp = fp.map_or(Operand::reg(Reg::SP), Operand::imm);
+        asm.push(Inst::mov(Operand::reg(Reg::FP), fp));
         asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(0)));
         asm.push(Inst::mov(
             Operand::reg(Reg::R9),
@@ -107,7 +111,7 @@ fn the_well_behaved_guest_runs_its_loop_in_chunks() {
     // The control: with a valid jump target the same guest, under the same
     // schedule, executes its loop as one parallel invocation — so the faults
     // below, taken at iteration 40, are taken inside a chunk.
-    let (binary, header, exit) = guest(None);
+    let (binary, header, exit) = guest(None, None);
     let mut vm = Vm::new(Process::load(&binary).unwrap());
     vm.run().expect("the interpreter finishes");
     for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
@@ -120,9 +124,9 @@ fn the_well_behaved_guest_runs_its_loop_in_chunks() {
 
 #[test]
 fn bad_jump_targets_are_bad_pc_everywhere() {
-    let (probe, ..) = guest(None);
+    let (probe, ..) = guest(None, None);
     for target in bad_targets(&probe) {
-        let (binary, header, exit) = guest(Some(target));
+        let (binary, header, exit) = guest(Some(target), None);
 
         let mut vm = Vm::new(Process::load(&binary).unwrap());
         assert_eq!(
@@ -146,6 +150,36 @@ fn bad_jump_targets_are_bad_pc_everywhere() {
                 Err(DbmError::Vm(VmError::BadPc { pc: target })),
                 "DBM chunk on {backend}, target {target:#x}"
             );
+        }
+    }
+}
+
+#[test]
+fn implausible_frame_pointers_run_the_loop_sequentially() {
+    // Chunks copy the frame window [SP - 256, FP + 768) onto their private
+    // stacks. Below SP, a whole address space above it, and at the very top
+    // (FP + 768 wraps) are no frame: the invocation falls back to the main
+    // thread and the run ends as the interpreter's does.
+    for fp in [0, 1 << 40, -1] {
+        let (binary, header, exit) = guest(None, Some(fp));
+        let mut vm = Vm::new(Process::load(&binary).unwrap());
+        vm.run().expect("the interpreter finishes");
+        for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
+            let run = run_dbm(&binary, &doall_schedule(header, exit), backend)
+                .unwrap_or_else(|e| panic!("fp {fp:#x} on {backend}: {e}"));
+            assert_eq!(run.output_ints, vm.output_ints(), "fp {fp:#x} on {backend}");
+            assert_eq!(
+                run.output_floats,
+                vm.output_floats(),
+                "fp {fp:#x} on {backend}"
+            );
+            assert_eq!(
+                run.memory_digest,
+                vm.mem.image_digest(),
+                "fp {fp:#x} on {backend}"
+            );
+            assert_eq!(run.stats.parallel_invocations, 0, "fp {fp:#x} on {backend}");
+            assert_eq!(run.stats.sequential_fallbacks, 1, "fp {fp:#x} on {backend}");
         }
     }
 }

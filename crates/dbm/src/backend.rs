@@ -9,15 +9,19 @@
 //! * [`VirtualTimeBackend`] executes the chunks one after another on the
 //!   coordinating thread against the shared guest memory, exactly as the
 //!   original virtual-time runtime did. Deterministic and bit-reproducible.
-//! * [`NativeThreadsBackend`] spawns one OS thread per chunk. Each worker
-//!   executes against a [`CowMemory`] view (shared read-only base image plus
-//!   a private byte-masked write overlay) and records its block executions
-//!   for deferred accounting; after the workers join, overlays and counters
-//!   are merged back in chunk order, reproducing the virtual-time backend's
-//!   memory image while the work itself ran concurrently. Loops whose
-//!   schedule carries `TX_START` rules (STM-wrapped shared-library calls —
-//!   potential cross-chunk dependences by definition) conservatively take
-//!   the sequential chunk path instead.
+//! * [`NativeThreadsBackend`] runs chunk 0 on the calling thread and the
+//!   other chunks on the run's [`ChunkPool`]: parked OS threads, spawned at
+//!   the run's first batch of two or more chunks and joined when the run
+//!   returns, so an invocation wakes threads instead of creating them. Each
+//!   chunk executes against a [`CowMemory`] view (the batch's read-only base
+//!   image plus a private byte-masked write overlay) and records its block
+//!   executions for deferred accounting; once every chunk has reported,
+//!   overlays and counters are merged back in chunk order on the calling
+//!   thread, reproducing the virtual-time backend's memory image while the
+//!   work itself ran concurrently. Loops whose schedule carries `TX_START`
+//!   rules (STM-wrapped shared-library calls — potential cross-chunk
+//!   dependences by definition) conservatively take the sequential chunk
+//!   path instead.
 //!
 //! Both backends charge modelled cycles through the same worker lanes
 //! ([`janus_spec::Lanes`]) that the speculation engine uses, so reported
@@ -33,16 +37,18 @@
 //! anyway: the differential fuzzer's commit-mode axis and
 //! `crates/core/tests/spec_commit_mode.rs`.
 
-use crate::runtime::LoopRt;
+use crate::runtime::{LoopRt, PreparedParts};
 use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
 use janus_ir::Operand;
 use janus_obs::Recorder;
 use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
 use janus_vm::{
     merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, GuestMemory, MergeStats,
-    Process,
 };
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 #[cfg(test)]
@@ -158,8 +164,8 @@ impl CodeCache {
 /// How chunk execution accounts basic-block executions against the code
 /// cache: immediately against the shared cache (virtual time — chunks run
 /// sequentially, so the cache is free), or deferred into private per-slot
-/// counts that the coordinator replays in chunk order after the workers join
-/// (native threads). Both roads produce identical charge totals.
+/// counts that the coordinator replays in chunk order once every chunk has
+/// reported (native threads). Both roads produce identical charge totals.
 pub(crate) trait BlockAccounting {
     /// Records one execution of the block in `slot`.
     fn record(&mut self, slot: usize, config: &DbmConfig, fx: &mut ChunkSideEffects);
@@ -260,12 +266,17 @@ impl ChunkSideEffects {
     }
 }
 
-/// Everything chunk execution needs to read: the loaded process, the loop's
-/// runtime metadata and the DBM configuration. All borrows are immutable, so
-/// a context can be shared across worker threads.
+/// Everything chunk execution needs to read: the prepared binary, the loop's
+/// runtime metadata and the DBM configuration. All borrows are immutable;
+/// pool workers, which cannot borrow from the run, rebuild a context from
+/// their own handle to the prepared binary and the loop's id.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkContext<'a> {
-    pub(crate) process: &'a Process,
+    /// The loaded process and every loop's runtime record.
+    pub(crate) parts: &'a Arc<PreparedParts>,
+    /// The loop's key in `parts.loops`.
+    pub(crate) loop_id: usize,
+    /// `parts.loops[&loop_id]`, looked up once.
     pub(crate) lr: &'a LoopRt,
     /// Left operand of the loop's bound compare (`LOOP_UPDATE_BOUND`).
     pub(crate) bound_lhs: Operand,
@@ -289,7 +300,9 @@ pub struct BatchOutcome {
     pub parallel_cycles: u64,
     /// Wall-clock nanoseconds the batch took (0 under virtual time).
     pub wall_nanos: u64,
-    /// OS worker threads spawned for the batch (0 under virtual time).
+    /// OS threads that ran the batch's chunks, the calling thread included:
+    /// the chunk count, at most `threads` (0 under virtual time, and for
+    /// loops that take the sequential chunk path).
     pub os_threads: u64,
     /// What the page-aware overlay merge did (all-zero under virtual time,
     /// which writes straight to shared memory and has nothing to merge).
@@ -360,7 +373,8 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
 
     /// Executes the planned chunks of one parallel-loop invocation and
     /// merges all memory effects into `mem` and all code-cache effects into
-    /// `cache` before returning.
+    /// `cache` before returning. `pool` is the run's worker pool; backends
+    /// that run chunks on the calling thread leave it untouched.
     ///
     /// # Errors
     ///
@@ -371,6 +385,7 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
         plans: &[ChunkPlan],
         mem: &mut FlatMemory,
         cache: &mut CodeCache,
+        pool: &mut ChunkPool,
     ) -> Result<BatchOutcome>;
 
     /// Runs one speculative (`SPECULATE`) loop invocation through the
@@ -418,6 +433,7 @@ impl ExecutionBackend for VirtualTimeBackend {
         plans: &[ChunkPlan],
         mem: &mut FlatMemory,
         cache: &mut CodeCache,
+        _pool: &mut ChunkPool,
     ) -> Result<BatchOutcome> {
         let mut results = Vec::with_capacity(plans.len());
         let mut effects = ChunkSideEffects::default();
@@ -473,10 +489,117 @@ impl ExecutionBackend for VirtualTimeBackend {
     }
 }
 
-/// The native-threads backend: one OS worker thread per chunk, copy-on-write
-/// memory views, merge-in-chunk-order. Modelled cycles are reported through
-/// the same lane accounting as the virtual-time backend, wall-clock time and
-/// thread counts on top.
+/// A run-scoped pool of parked OS threads: the only place janus-dbm spawns
+/// one. It starts empty, grows to the run's widest batch minus one — at most
+/// `threads - 1` workers, as the calling thread runs a chunk too, so a
+/// one-chunk batch spawns nothing — and is joined when it is dropped, when
+/// the run returns. Between batches its workers block on their queues.
+#[derive(Debug, Default)]
+pub struct ChunkPool {
+    workers: Vec<(mpsc::Sender<Task>, JoinHandle<()>)>,
+}
+
+/// Work for one pool worker, returning a `T`.
+pub(crate) type Job<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// What a worker's queue carries: a [`Job`] wrapped to catch its own panic
+/// and report, so a worker outlives every task it runs.
+type Task = Job<()>;
+
+impl ChunkPool {
+    /// Runs `first` on the calling thread and `rest[i]` on worker `i`, and
+    /// returns every result in order once all of them have finished. A
+    /// panic in any of them is caught, and the first one in order is resumed
+    /// on the caller after the others have finished.
+    pub(crate) fn fork_join<T: Send + 'static>(
+        &mut self,
+        first: impl FnOnce() -> T,
+        rest: Vec<Job<T>>,
+    ) -> Vec<T> {
+        let tasks = rest.len();
+        while self.workers.len() < tasks {
+            let (queue, inbox) = mpsc::channel::<Task>();
+            let handle = thread::spawn(move || inbox.into_iter().for_each(|task| task()));
+            self.workers.push((queue, handle));
+        }
+        let (done, reports) = mpsc::channel();
+        for (i, ((queue, _), task)) in self.workers.iter().zip(rest).enumerate() {
+            let done = done.clone();
+            let task: Task = Box::new(move || {
+                // `task` and everything it captured are dropped before the
+                // report is sent, on the panic path too.
+                let out = panic::catch_unwind(AssertUnwindSafe(task));
+                // The caller waits for every report, so it is listening.
+                let _ = done.send((i, out));
+            });
+            queue
+                .send(task)
+                .expect("pool workers live until the pool is dropped");
+        }
+        drop(done);
+        let first = panic::catch_unwind(AssertUnwindSafe(first));
+        // Ends once every task has reported and dropped its sender.
+        let mut rest: Vec<(usize, thread::Result<T>)> = reports.into_iter().collect();
+        assert_eq!(rest.len(), tasks, "every task reports before it is dropped");
+        rest.sort_unstable_by_key(|&(i, _)| i);
+        std::iter::once(first)
+            .chain(rest.into_iter().map(|(_, out)| out))
+            .map(|out| out.unwrap_or_else(|panic| panic::resume_unwind(panic)))
+            .collect()
+    }
+}
+
+impl Drop for ChunkPool {
+    fn drop(&mut self) {
+        let (queues, threads): (Vec<_>, Vec<_>) = self.workers.drain(..).unzip();
+        // Closing the queues ends the workers' loops.
+        drop(queues);
+        for thread in threads {
+            // Tasks catch their own panics, so a worker cannot have died of
+            // one; and a destructor must not panic.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// What one chunk run on a copy-on-write view leaves behind: its final
+/// context, exit address, dirty pages, side effects and deferred block
+/// counts.
+type ViewOut = Result<(Cpu, u64, ChunkOverlay, ChunkSideEffects, DeferredAccounting)>;
+
+/// Runs one planned chunk against a private [`CowMemory`] view of `image`.
+fn run_on_view(
+    ctx: &ChunkContext<'_>,
+    image: &FlatMemory,
+    plan: &ChunkPlan,
+    chunk: usize,
+) -> ViewOut {
+    let _span = ctx
+        .recorder
+        .span("dbm.chunk", "chunk.run")
+        .arg("chunk", chunk)
+        .arg("bound", plan.bound)
+        .arg("backend", "native");
+    let mut overlay = CowMemory::new(image);
+    let mut accounting = DeferredAccounting(vec![0; ctx.parts.process.num_slots()]);
+    let mut effects = ChunkSideEffects::default();
+    let mut cpu = plan.cpu.clone();
+    let exit_pc = crate::runtime::run_chunk(
+        ctx,
+        &mut cpu,
+        &mut overlay,
+        &mut accounting,
+        plan.bound,
+        &mut effects,
+    )?;
+    Ok((cpu, exit_pc, overlay.into_pages(), effects, accounting))
+}
+
+/// The native-threads backend: chunk 0 on the calling thread and the rest
+/// on a pool of parked worker threads that lives as long as the run,
+/// copy-on-write memory views, merge-in-chunk-order. Modelled cycles are reported through the same lane
+/// accounting as the virtual-time backend, wall-clock time and thread counts
+/// on top.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NativeThreadsBackend;
 
@@ -491,8 +614,8 @@ impl ExecutionBackend for NativeThreadsBackend {
         plans: &[ChunkPlan],
         mem: &mut FlatMemory,
         cache: &mut CodeCache,
+        pool: &mut ChunkPool,
     ) -> Result<BatchOutcome> {
-        type WorkerOut = Result<(Cpu, u64, ChunkOverlay, ChunkSideEffects, DeferredAccounting)>;
         // STM-wrapped shared-library calls may carry real cross-chunk
         // read-after-write dependences (that is exactly why they run under a
         // transaction). Snapshot isolation cannot reproduce the sequential
@@ -501,57 +624,56 @@ impl ExecutionBackend for NativeThreadsBackend {
         // guest results by construction, no OS-thread fan-out for this loop.
         if ctx.lr.has_tx_calls {
             let start = Instant::now();
-            let mut batch = VirtualTimeBackend.run_chunks(ctx, plans, mem, cache)?;
+            let mut batch = VirtualTimeBackend.run_chunks(ctx, plans, mem, cache, pool)?;
             batch.wall_nanos = start.elapsed().as_nanos() as u64;
             return Ok(batch);
         }
         let start = Instant::now();
-        let base: &FlatMemory = mem;
-        let worker_outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
+        // The batch owns the image (an O(1) move): workers read it through
+        // their own handles, which they drop before reporting, so once every
+        // chunk has reported the image comes back whole.
+        let image = Arc::new(std::mem::take(mem));
+        // One wave of `threads` chunks at a time, the first of each on this
+        // thread, so the pool never holds more than `threads - 1` workers.
+        // Only the adaptive tuner plans more chunks than threads.
+        let lanes = (ctx.config.threads.max(1) as usize).min(plans.len());
+        let mut outs = Vec::with_capacity(plans.len());
+        for (wave, wave_plans) in plans.chunks(lanes).enumerate() {
+            let first = wave * lanes;
+            let rest: Vec<Job<ViewOut>> = wave_plans
                 .iter()
                 .enumerate()
-                .map(|(i, plan)| {
-                    scope.spawn(move || -> WorkerOut {
-                        let _span = ctx
-                            .recorder
-                            .span("dbm.chunk", "chunk.run")
-                            .arg("chunk", i)
-                            .arg("bound", plan.bound)
-                            .arg("backend", "native");
-                        let mut overlay = CowMemory::new(base);
-                        let mut accounting = DeferredAccounting(vec![0; ctx.process.num_slots()]);
-                        let mut effects = ChunkSideEffects::default();
-                        let mut cpu = plan.cpu.clone();
-                        let exit_pc = crate::runtime::run_chunk(
-                            ctx,
-                            &mut cpu,
-                            &mut overlay,
-                            &mut accounting,
-                            plan.bound,
-                            &mut effects,
-                        )?;
-                        Ok((cpu, exit_pc, overlay.into_pages(), effects, accounting))
-                    })
+                .skip(1)
+                .map(|(j, plan)| {
+                    let (parts, loop_id, bound_lhs) =
+                        (Arc::clone(ctx.parts), ctx.loop_id, ctx.bound_lhs);
+                    let (config, recorder) = (*ctx.config, ctx.recorder.clone());
+                    let (image, plan) = (Arc::clone(&image), plan.clone());
+                    Box::new(move || {
+                        let ctx = ChunkContext {
+                            parts: &parts,
+                            loop_id,
+                            lr: &parts.loops[&loop_id],
+                            bound_lhs,
+                            config: &config,
+                            recorder: &recorder,
+                        };
+                        run_on_view(&ctx, &image, &plan, first + j)
+                    }) as Job<ViewOut>
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
+            let local = || run_on_view(ctx, &image, &wave_plans[0], first);
+            outs.extend(pool.fork_join(local, rest));
+        }
+        *mem =
+            Arc::try_unwrap(image).expect("every chunk dropped its image handle before reporting");
 
         // Merge in chunk order: dirty bytes splice over the shared image
         // (later chunks win on whole-byte overlaps, which a legal DOALL
         // cannot produce) and code-cache charges replay sequentially,
         // matching the sequential chunk order — and therefore the exact
         // cycle totals — of the virtual-time backend. The memory merge is
-        // page-aware: untouched base pages are skipped outright and large
-        // dirty sets merge on worker threads (page-disjoint, still in chunk
-        // order within each page), all of which is wall-time-only — the
+        // page-aware: untouched base pages are skipped outright, and the
         // merged image is bit-identical to the word-by-word replay.
         let merge_span = ctx
             .recorder
@@ -560,19 +682,18 @@ impl ExecutionBackend for NativeThreadsBackend {
         let mut results = Vec::with_capacity(plans.len());
         let mut effects = ChunkSideEffects::default();
         let mut overlays = Vec::with_capacity(plans.len());
-        for out in worker_outs {
+        for out in outs {
             let (cpu, exit_pc, overlay, chunk_effects, accounting) = out?;
             overlays.push(overlay);
             effects.absorb(chunk_effects);
             accounting.replay(cache, ctx.config, &mut effects);
             results.push(ChunkResult { cpu, exit_pc });
         }
-        let merge = merge_chunk_overlays(mem, &overlays, ctx.config.threads as usize);
+        let merge = merge_chunk_overlays(mem, &overlays, 1);
         drop(
             merge_span
                 .arg("pages_merged", merge.pages_merged)
-                .arg("pages_skipped", merge.pages_skipped)
-                .arg("merge_threads", merge.merge_threads),
+                .arg("pages_skipped", merge.pages_skipped),
         );
         let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
         Ok(BatchOutcome {
@@ -580,7 +701,7 @@ impl ExecutionBackend for NativeThreadsBackend {
             effects,
             parallel_cycles,
             wall_nanos: start.elapsed().as_nanos() as u64,
-            os_threads: plans.len() as u64,
+            os_threads: lanes as u64,
             merge,
         })
     }
@@ -805,6 +926,64 @@ mod tests {
         let (_, _, threads, image) = run(&NativeThreadsBackend, SpecCommitMode::RacedImage);
         assert_eq!(image, serial);
         assert_eq!(threads, 4, "the raced mode runs one worker per lane");
+    }
+
+    #[test]
+    fn the_pool_runs_the_first_task_on_the_caller_and_reuses_its_workers() {
+        let mut pool = ChunkPool::default();
+        let caller = thread::current().id();
+        let ids = |pool: &mut ChunkPool, n: usize| {
+            let rest: Vec<Job<_>> = (1..n)
+                .map(|_| Box::new(|| thread::current().id()) as Job<_>)
+                .collect();
+            pool.fork_join(|| thread::current().id(), rest)
+        };
+        assert_eq!(ids(&mut pool, 1), [caller], "one task spawns nothing");
+        assert!(pool.workers.is_empty());
+        let three = ids(&mut pool, 3);
+        assert_eq!(three[0], caller);
+        assert!(three[1] != caller && three[2] != caller && three[1] != three[2]);
+        assert_eq!(
+            ids(&mut pool, 3),
+            three,
+            "the same parked workers run again"
+        );
+        assert_eq!(ids(&mut pool, 2)[..], three[..2]);
+        assert_eq!(pool.workers.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_task_is_resumed_on_the_caller_after_every_other_task() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut pool = ChunkPool::default();
+        let finished = Arc::new(AtomicUsize::new(0));
+        let (go, wait) = mpsc::channel::<()>();
+        let slow = Arc::clone(&finished);
+        let rest: Vec<Job<u32>> = vec![
+            Box::new(|| panic!("chunk 1 fails")),
+            // Held until the caller's own task has run, so it is still busy
+            // when the panic reaches the coordinator.
+            Box::new(move || {
+                wait.recv().expect("the first task signals");
+                slow.fetch_add(1, Ordering::SeqCst);
+                2
+            }),
+        ];
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.fork_join(
+                || {
+                    go.send(()).expect("chunk 2 is waiting");
+                    0
+                },
+                rest,
+            )
+        }));
+        let message = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(message.downcast_ref::<&str>(), Some(&"chunk 1 fails"));
+        assert_eq!(finished.load(Ordering::SeqCst), 1, "chunk 2 finished first");
+        // The workers survived and run the next batch.
+        let rest: Vec<Job<u32>> = vec![Box::new(|| 1), Box::new(|| 2)];
+        assert_eq!(pool.fork_join(|| 0, rest), [0, 1, 2]);
     }
 
     #[test]

@@ -39,15 +39,17 @@
 //!   bit-reproducible across runs and machines — it is what Figures 7, 8, 9,
 //!   11 and 12 are built from.
 //! * [`NativeThreadsBackend`] runs the chunks of each parallel-loop
-//!   invocation on real `std::thread` workers. Every chunk executes against a
+//!   invocation on real OS threads: chunk 0 on the calling thread, the rest
+//!   on a pool of parked workers that the run spawns at its first parallel
+//!   batch and joins when it returns. Every chunk executes against a
 //!   [`janus_vm::CowMemory`] view — a private write overlay over the shared
 //!   read-only memory image — and the overlays are merged back in chunk order
-//!   after the workers join, which reproduces the exact memory image the
-//!   virtual-time backend produces. Modelled cycles are charged through the
-//!   same worker-lane code path (so cycle counts remain deterministic and
-//!   comparable), while wall-clock time and the number of OS threads spawned
-//!   are additionally reported in [`DbmStats::parallel_wall_nanos`] and
-//!   [`DbmStats::os_threads_used`]. Speculative (`SPECULATE`) invocations
+//!   once every chunk has reported, which reproduces the exact memory image
+//!   the virtual-time backend produces. Modelled cycles are charged through
+//!   the same worker-lane code path (so cycle counts remain deterministic and
+//!   comparable), while wall-clock time and the number of OS threads that
+//!   ran chunks are additionally reported in
+//!   [`DbmStats::parallel_wall_nanos`] and [`DbmStats::os_threads_used`]. Speculative (`SPECULATE`) invocations
 //!   run one engine, chosen by [`SpecCommitMode`]: by default the same
 //!   deterministic coordinator the virtual-time backend drives (so
 //!   speculative reports are bit-identical to it), or — `RacedImage` — a
@@ -430,14 +432,16 @@ pub struct DbmStats {
     pub spec_reads: u64,
     /// Word writes buffered by the speculation engine's multi-version views.
     pub spec_writes: u64,
-    /// Largest number of OS worker threads spawned for any single
-    /// parallel-loop invocation: chunk workers of a DOALL batch, or the
-    /// racing pool of a [`SpecCommitMode::RacedImage`] invocation. Stays at
-    /// 0 under the virtual-time backend, for runs with no parallel
-    /// invocations, and for speculative invocations in the default
-    /// `Deterministic` mode (the coordinator runs on the calling thread); a
-    /// value above 1 is the observable proof that the native-threads
-    /// backend fanned work out across real threads.
+    /// Largest number of OS threads that ran any single parallel-loop
+    /// invocation: for a DOALL batch the calling thread plus the run's pool
+    /// workers, i.e. the chunk count up to `threads`; for a
+    /// [`SpecCommitMode::RacedImage`] invocation its racing pool. Stays at 0
+    /// under the virtual-time backend, for runs with no parallel
+    /// invocations, for loops that take the sequential chunk path, and for
+    /// speculative invocations in the default `Deterministic` mode (the
+    /// coordinator runs on the calling thread); a value above 1 is the
+    /// observable proof that the native-threads backend fanned work out
+    /// across real threads.
     pub os_threads_used: u64,
     /// Wall-clock nanoseconds spent inside parallel-region execution
     /// (chunk batches and speculative invocations), summed over invocations.

@@ -4,7 +4,7 @@
 //! chunks lives behind [`crate::ExecutionBackend`] in `backend.rs`.
 
 use crate::backend::{
-    BlockAccounting, ChunkContext, ChunkPlan, ChunkSideEffects, CodeCache, SpecPayload,
+    BlockAccounting, ChunkContext, ChunkPlan, ChunkPool, ChunkSideEffects, CodeCache, SpecPayload,
 };
 use crate::stm::TxView;
 use crate::tuner::{TuneDecision, Tuner};
@@ -52,7 +52,7 @@ impl VarSpec {
     fn read(self, cpu: &Cpu, mem: &mut FlatMemory) -> i64 {
         match self {
             VarSpec::Reg(r) => read_reg(cpu, Reg::from_raw(r).expect("valid register in rule")),
-            VarSpec::Stack(off) => mem.read_i64((cpu.read_gpr(Reg::FP) + off) as u64),
+            VarSpec::Stack(off) => mem.read_i64(cpu.read_gpr(Reg::FP).wrapping_add(off) as u64),
         }
     }
 
@@ -65,7 +65,9 @@ impl VarSpec {
                     value,
                 );
             }
-            VarSpec::Stack(off) => mem.write_i64((cpu.read_gpr(Reg::FP) + off) as u64, value),
+            VarSpec::Stack(off) => {
+                mem.write_i64(cpu.read_gpr(Reg::FP).wrapping_add(off) as u64, value);
+            }
         }
     }
 }
@@ -229,15 +231,16 @@ pub struct PreparedDbm {
     parts: Arc<PreparedParts>,
 }
 
-/// What `PreparedDbm` shares: everything `Dbm::run` only reads.
+/// What `PreparedDbm` shares: everything `Dbm::run` only reads. Pool
+/// workers hold their own handle to it.
 #[derive(Debug)]
-struct PreparedParts {
-    process: Process,
+pub(crate) struct PreparedParts {
+    pub(crate) process: Process,
     /// The schedule's rules by instruction slot.
     rules: RuleTable,
     /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`.
     flags: Vec<u8>,
-    loops: HashMap<usize, LoopRt>,
+    pub(crate) loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
 }
 
@@ -399,6 +402,8 @@ struct Dbm {
     cache: CodeCache,
     active_sequential: HashSet<usize>,
     os: GuestOs,
+    /// Parked workers for native chunk batches; joined when the run ends.
+    pool: ChunkPool,
 
     /// Adaptive-execution state, present iff [`DbmConfig::adaptive`] is on.
     tuner: Option<Tuner>,
@@ -455,6 +460,7 @@ impl Dbm {
             cache,
             active_sequential: HashSet::new(),
             os,
+            pool: ChunkPool::default(),
             tuner: config.adaptive.then(Tuner::new),
             pending_seq: HashMap::new(),
             cal: None,
@@ -785,14 +791,27 @@ impl Dbm {
         // guest context per chunk — a copy of the main context with a private
         // stack holding a copy of the main frame, the chunk's induction start
         // and privatised reduction accumulators.
-        self.stats.parallel_invocations += 1;
         // Iteration and chunk-target counts are positive here, so the
         // unsigned `div_ceil` (stable, unlike the signed one) applies.
         let chunk = (iterations as u64).div_ceil(chunk_target as u64) as i64;
         let num_chunks = (iterations as u64).div_ceil(chunk as u64) as usize;
+        // The frame window [SP - 256, FP + 768) is copied to `t + 1` stack
+        // sizes below itself for chunk `t`. FP and SP are the guest's: a
+        // window that is inverted, wider than a stack, or too close to either
+        // end of the address space for its copies is no frame, and the
+        // invocation runs sequentially instead.
         let main_fp = self.main.read_gpr(Reg::FP) as u64;
         let main_sp = self.main.sp();
         let frame_lo = main_sp.saturating_sub(256);
+        let plausible_frame = main_sp <= main_fp
+            && main_fp - main_sp <= STACK_SIZE
+            && main_fp.checked_add(768).is_some()
+            && frame_lo >= num_chunks as u64 * STACK_SIZE;
+        if !plausible_frame {
+            self.stats.sequential_fallbacks += 1;
+            return Ok(false);
+        }
+        self.stats.parallel_invocations += 1;
         let frame_hi = main_fp + 768;
         let frame_bytes = self
             .mem
@@ -838,17 +857,19 @@ impl Dbm {
         }
 
         // Execute: the configured backend runs the chunks (inline in virtual
-        // time, or on OS worker threads) and merges all memory and code-cache
-        // effects back before returning.
+        // time, or on the run's OS worker pool) and merges all memory and
+        // code-cache effects back before returning.
         let backend = self.config.backend.backend();
         let ctx = ChunkContext {
-            process: &self.prepared.parts.process,
+            parts: &self.prepared.parts,
+            loop_id,
             lr,
             bound_lhs,
             config: &self.config,
             recorder: &self.recorder,
         };
-        let batch = backend.run_chunks(&ctx, &plans, &mut self.mem, &mut self.cache)?;
+        let batch =
+            backend.run_chunks(&ctx, &plans, &mut self.mem, &mut self.cache, &mut self.pool)?;
         self.fold_chunk_effects(batch.effects);
         for r in &batch.results {
             self.stats.retired += r.cpu.retired;
@@ -1232,7 +1253,7 @@ fn bound_compare(lhs: Operand, bound: i64) -> (Inst, u64) {
 /// memory view (`&mut FlatMemory` under virtual time, a [`janus_vm::CowMemory`]
 /// overlay on an OS worker thread) and over the code-cache accounting
 /// strategy ([`BlockAccounting`]: live against the shared cache, or deferred
-/// counts replayed after the workers join). It is free of `Dbm` state —
+/// counts replayed once every chunk has reported). It is free of `Dbm` state —
 /// every other side effect (guest output, STM counters) goes into
 /// [`ChunkSideEffects`], which the caller folds back in chunk order.
 pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
@@ -1245,6 +1266,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
 ) -> Result<u64> {
     let config = ctx.config;
     let lr = ctx.lr;
+    let process = &ctx.parts.process;
     let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, thread_bound);
     loop {
         if cpu.cycles > config.cycle_limit {
@@ -1253,7 +1275,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
             });
         }
         let pc = cpu.pc;
-        let (slot, fetched) = ctx.process.fetch(pc)?;
+        let (slot, fetched) = process.fetch(pc)?;
         let flags = lr.flags[slot];
         if flags & slot_flags::FINISH != 0 {
             return Ok(pc);
@@ -1263,7 +1285,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
         let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
             (&bound_cmp, bound_cmp_cost)
         } else {
-            (fetched, ctx.process.cost(slot))
+            (fetched, process.cost(slot))
         };
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
@@ -1281,7 +1303,7 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
             Effect::Halt => return Ok(pc),
-            Effect::External { plt } => match ctx.process.resolve_plt(plt)? {
+            Effect::External { plt } => match process.resolve_plt(plt)? {
                 ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
                     run_native_helper(name, cpu, fx)?;
@@ -1327,7 +1349,7 @@ fn run_transactional_call<M: GuestMemory>(
     fx: &mut ChunkSideEffects,
 ) -> Result<()> {
     let config = ctx.config;
-    let target = match ctx.process.resolve_plt(plt)? {
+    let target = match ctx.parts.process.resolve_plt(plt)? {
         ResolvedPlt::Guest { addr, .. } => *addr,
         // Native helpers have no guest-visible memory effects; run them
         // directly.
@@ -1381,6 +1403,7 @@ fn run_callee<M: GuestMemory>(
     mem: &mut M,
     return_pc: u64,
 ) -> Result<()> {
+    let process = &ctx.parts.process;
     while cpu.pc != return_pc {
         if cpu.cycles > ctx.config.cycle_limit {
             return Err(DbmError::CycleLimitExceeded {
@@ -1388,8 +1411,8 @@ fn run_callee<M: GuestMemory>(
             });
         }
         let pc = cpu.pc;
-        let (slot, inst) = ctx.process.fetch(pc)?;
-        let cost = ctx.process.cost(slot);
+        let (slot, inst) = process.fetch(pc)?;
+        let cost = process.cost(slot);
         let next_pc = pc + INST_SIZE as u64;
         match exec_inst_costed(cpu, mem, inst, cost, next_pc)? {
             Effect::Continue => cpu.pc = next_pc,

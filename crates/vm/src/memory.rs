@@ -133,8 +133,8 @@ impl FlatMemory {
     }
 
     /// The raw bytes of one mapped page, by page index (`addr >> PAGE_SHIFT`),
-    /// or `None` for an unmapped page. Used by the page-aware overlay merge,
-    /// which reads base pages from worker threads through a shared reference.
+    /// or `None` for an unmapped page. Used by the copy-on-write overlay,
+    /// which seeds its pages from a base image shared by worker threads.
     pub(crate) fn page_ref(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
         self.pages.get(page)
     }
@@ -145,14 +145,6 @@ impl FlatMemory {
     pub(crate) fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
         self.pages
             .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE]))
-    }
-
-    /// Replaces (or maps) one page with fully merged bytes. The parallel
-    /// overlay merge builds final page images off-thread and installs them
-    /// here — a pointer move, so the single-threaded tail of the merge stays
-    /// cheap.
-    pub(crate) fn install_page(&mut self, page: u64, bytes: Box<[u8; PAGE_SIZE]>) {
-        self.pages.insert(page, bytes);
     }
 
     /// Reads one byte without updating access statistics. Used by shared
@@ -230,6 +222,38 @@ impl GuestMemory for FlatMemory {
                 self.page_mut(page)[off] = *b;
             }
         }
+    }
+
+    /// One slice copy per touched page. Maps exactly the pages the byte loop
+    /// would (all-zero data included), wraps at `u64::MAX`, and counts one
+    /// store per byte.
+    fn write_bytes(&mut self, mut addr: u64, data: &[u8]) {
+        self.stores += data.len() as u64;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let (page, off) = Self::page_of(addr);
+            let (head, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.page_mut(page)[off..off + head.len()].copy_from_slice(head);
+            addr = addr.wrapping_add(head.len() as u64);
+            rest = tail;
+        }
+    }
+
+    /// One slice copy per touched page; maps nothing and counts one load
+    /// per byte.
+    fn read_bytes(&mut self, mut addr: u64, len: usize) -> Vec<u8> {
+        self.loads += len as u64;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let (page, off) = Self::page_of(addr);
+            let n = (len - out.len()).min(PAGE_SIZE - off);
+            match self.pages.get(page) {
+                Some(bytes) => out.extend_from_slice(&bytes[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            addr = addr.wrapping_add(n as u64);
+        }
+        out
     }
 }
 

@@ -3,8 +3,8 @@
 //! A parallelised loop chunk running on a real worker thread cannot share a
 //! `&mut FlatMemory` with its siblings. [`CowMemory`] gives each chunk a
 //! `Send`-able view instead: reads fall through to a shared read-only base
-//! image, writes land in a private page-structured overlay. After the
-//! workers join, the coordinating thread merges each overlay back into the
+//! image, writes land in a private page-structured overlay. Once the
+//! workers finish, the coordinating thread merges each overlay back into the
 //! base in chunk order, which reproduces the memory image a sequential
 //! chunk-by-chunk execution would have produced.
 //!
@@ -14,9 +14,7 @@
 //! per-word dirty bitmap plus per-byte dirty masks. The bitmaps are what
 //! make the merge page-aware — [`merge_chunk_overlays`] visits only touched
 //! pages (untouched base pages are skipped entirely, never re-hashed or
-//! re-scanned) and, when the touched set is large, builds the merged page
-//! images on worker threads and installs them into the target as pointer
-//! moves.
+//! re-scanned) and splices only their dirty words.
 
 use crate::memory::{FlatMemory, GuestMemory, PeekMemory, PAGE_SHIFT, PAGE_SIZE};
 use crate::pagetable::PageTable;
@@ -25,9 +23,6 @@ use crate::pagetable::PageTable;
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
 /// `u64` bitmap words needed to give each page word one dirty bit.
 const BITMAP_WORDS: usize = WORDS_PER_PAGE / 64;
-/// Below this many touched pages the merge stays on the calling thread —
-/// spawning workers costs more than splicing a handful of pages.
-const PARALLEL_MERGE_MIN_PAGES: usize = 32;
 
 /// A pending overlay write: the aligned word address, the value, and the
 /// mask of bytes (bit *i* ⇒ byte *i*) that were actually written.
@@ -313,26 +308,21 @@ pub struct MergeStats {
     pub pages_skipped: u64,
     /// Dirty words spliced into the target.
     pub words_applied: u64,
-    /// Worker threads used to build page images (1 ⇒ sequential merge).
-    pub merge_threads: u64,
 }
 
 /// Merges the overlays of all chunks into `target` in chunk order,
-/// page-aware and (for large touched sets) in parallel.
+/// page-aware, on the calling thread.
 ///
 /// The result is bit-identical to replaying every chunk's sorted word
 /// writes through [`CowMemory::apply_writes`] chunk by chunk: writes to
 /// different pages commute, and within a page each word is spliced in chunk
 /// order with the same per-byte dirty-mask semantics. Pages no chunk wrote
-/// are never visited. When the union of dirty pages is large enough,
-/// `max_threads` workers build the merged page images from the pre-merge
-/// base concurrently (page sets are disjoint, so this is race-free by
-/// construction) and the coordinator installs each finished page as a
-/// pointer move.
+/// are never visited. `_threads` is ignored; it stays so that callers
+/// written against the earlier, threaded merge still compile.
 pub fn merge_chunk_overlays(
     target: &mut FlatMemory,
     chunks: &[ChunkOverlay],
-    max_threads: usize,
+    _threads: usize,
 ) -> MergeStats {
     let mut pages: Vec<u64> = chunks
         .iter()
@@ -350,69 +340,16 @@ pub fn merge_chunk_overlays(
         pages_merged: pages.len() as u64,
         pages_skipped: mapped_before.saturating_sub(touched_mapped),
         words_applied: 0,
-        merge_threads: 1,
     };
-
-    let workers = max_threads
-        .max(1)
-        .min(pages.len() / PARALLEL_MERGE_MIN_PAGES);
-    if workers <= 1 {
-        for &page in &pages {
-            let bytes = target.page_mut(page);
-            for chunk in chunks {
-                if let Some(overlay) = chunk.get(page) {
-                    overlay.for_each_dirty(|idx, value, mask| {
-                        splice_word(bytes, idx, value, mask);
-                        stats.words_applied += 1;
-                    });
-                }
+    for &page in &pages {
+        let bytes = target.page_mut(page);
+        for chunk in chunks {
+            if let Some(overlay) = chunk.get(page) {
+                overlay.for_each_dirty(|idx, value, mask| {
+                    splice_word(bytes, idx, value, mask);
+                    stats.words_applied += 1;
+                });
             }
-        }
-        return stats;
-    }
-
-    stats.merge_threads = workers as u64;
-    let per_worker = pages.len().div_ceil(workers);
-    let base: &FlatMemory = target;
-    /// A worker's output: the page number, its fully merged image, and the
-    /// dirty words applied while building it.
-    type BuiltPage = (u64, Box<[u8; PAGE_SIZE]>, u64);
-    let built: Vec<Vec<BuiltPage>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pages
-            .chunks(per_worker)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|&page| {
-                            let mut bytes: Box<[u8; PAGE_SIZE]> = match base.page_ref(page) {
-                                Some(existing) => Box::new(*existing),
-                                None => Box::new([0u8; PAGE_SIZE]),
-                            };
-                            let mut words = 0u64;
-                            for chunk in chunks {
-                                if let Some(overlay) = chunk.get(page) {
-                                    overlay.for_each_dirty(|idx, value, mask| {
-                                        splice_word(&mut bytes, idx, value, mask);
-                                        words += 1;
-                                    });
-                                }
-                            }
-                            (page, bytes, words)
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("merge worker panicked"))
-            .collect()
-    });
-    for batch in built {
-        for (page, bytes, words) in batch {
-            stats.words_applied += words;
-            target.install_page(page, bytes);
         }
     }
     stats
@@ -529,12 +466,11 @@ mod tests {
             "the other mapped pages were skipped"
         );
         assert_eq!(stats.words_applied, 4);
-        assert_eq!(stats.merge_threads, 1, "small merges stay sequential");
         assert_eq!(page_merged.image_digest(), word_merged.image_digest());
     }
 
     #[test]
-    fn parallel_merge_is_bit_identical_to_sequential() {
+    fn many_page_merge_is_bit_identical_to_word_merge() {
         let mut base = FlatMemory::new();
         for page in 0..128u64 {
             base.write_u64((page << 12) + 8, page * 31 + 7);
@@ -561,10 +497,7 @@ mod tests {
 
         let mut page_merged = base.clone();
         let stats = merge_chunk_overlays(&mut page_merged, &[pa, pb], 4);
-        assert!(
-            stats.merge_threads > 1,
-            "128 pages should merge in parallel"
-        );
+        assert_eq!(stats.pages_merged, 128);
         assert_eq!(page_merged.image_digest(), word_merged.image_digest());
     }
 }

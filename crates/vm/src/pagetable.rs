@@ -87,16 +87,6 @@ impl<T> PageTable<T> {
         }
     }
 
-    /// Maps `page` to `payload`, replacing any previous mapping.
-    pub(crate) fn insert(&mut self, page: u64, payload: Box<T>) {
-        let previous = if page < RADIX_PAGES {
-            Self::radix_slot(&mut self.root, page).replace(payload)
-        } else {
-            self.spill.insert(page, payload)
-        };
-        self.len += usize::from(previous.is_none());
-    }
-
     /// Every mapped page in ascending page order (spilled pages are all
     /// `>= RADIX_PAGES`, so they follow the radix).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
@@ -143,8 +133,8 @@ mod tests {
         assert_eq!(t.root.len(), ROOT_LEN);
         assert_eq!(t.root.iter().filter(|l| l.is_some()).count(), 1);
         // A wild page costs one spill entry, not a leaf.
-        t.insert(u64::MAX >> 12, Box::new(9));
-        t.insert(RADIX_PAGES, Box::new(8));
+        t.get_or_insert_with(u64::MAX >> 12, || Box::new(9));
+        t.get_or_insert_with(RADIX_PAGES, || Box::new(8));
         assert_eq!(t.root.iter().filter(|l| l.is_some()).count(), 1);
         assert_eq!((t.len(), t.spill.len()), (3, 2));
         assert_eq!(t.get(5), Some(&2));
@@ -152,13 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_replaces_and_iteration_is_ascending() {
+    fn remapped_pages_count_once_and_iteration_is_ascending() {
         let mut t: PageTable<u32> = PageTable::default();
         for page in [u64::MAX >> 12, 3, RADIX_PAGES + 7, 1 << 18, 0, 1025] {
-            t.insert(page, Box::new(page as u32));
+            t.get_or_insert_with(page, || Box::new(page as u32));
         }
-        t.insert(3, Box::new(33));
-        assert_eq!(t.len(), 6, "a replaced page is counted once");
+        *t.get_or_insert_with(3, || unreachable!("page 3 is mapped")) = 33;
+        assert_eq!(t.len(), 6, "a page mapped twice is counted once");
         let order: Vec<u64> = t.iter().map(|(n, _)| n).collect();
         assert_eq!(
             order,

@@ -4,10 +4,11 @@
 //! [`FlatMemory`] and [`CowMemory`] index pages through a two-level radix
 //! table with a hashed spill above 2³¹; the model below is the plain
 //! `HashMap<u64, [u8; 4096]>` both used to be built on, driven byte by byte
-//! with wrapping address arithmetic. For any mix of byte and word accesses —
-//! page-crossing ones, addresses on both sides of the radix/spill boundary
-//! and up against `u64::MAX` included — both must return the same reads and
-//! end with the same `mapped_pages`, `image_digest` and overlay contents.
+//! with wrapping address arithmetic. For any mix of byte, word and (for
+//! `FlatMemory`) bulk accesses — page-crossing ones, addresses on both sides
+//! of the radix/spill boundary and up against `u64::MAX` included — both must
+//! return the same reads and end with the same `mapped_pages`,
+//! `image_digest` and overlay contents.
 
 use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
 use janus_vm::{merge_chunk_overlays, CowMemory, FlatMemory, GuestMemory, OverlayWrite};
@@ -113,16 +114,30 @@ fn arb_addr() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// `(kind, address, value)`: kinds 0/1 read a byte/word, 2/3 write one.
-fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
-    prop::collection::vec((0u8..4, arb_addr(), any::<u64>()), 0..max)
+/// `(kind, address, value)`: kinds 0/1 read a byte/word, 2/3 write one;
+/// with `kinds == 6`, 4/5 read/write [`bulk`] bytes.
+fn arb_ops(kinds: u8, max: usize) -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec((0u8..kinds, arb_addr(), any::<u64>()), 0..max)
+}
+
+/// The bytes of a bulk access drawn from `value`: 0..=3 pages of them, all
+/// zero when the low bit is clear.
+fn bulk(value: u64) -> Vec<u8> {
+    let len = (value >> 8) as usize % (3 * PAGE as usize + 1);
+    if value & 1 == 0 {
+        vec![0; len]
+    } else {
+        (0..len)
+            .map(|i| (value as u8).wrapping_add(i as u8))
+            .collect()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn flat_memory_matches_the_hashmap_model(ops in arb_ops(96)) {
+    fn flat_memory_matches_the_hashmap_model(ops in arb_ops(6, 96)) {
         let mut flat = FlatMemory::new();
         let mut model = Model::default();
         let (mut loads, mut stores) = (0, 0);
@@ -143,10 +158,25 @@ proptest! {
                     model.write_u8(addr, value as u8);
                     stores += 1;
                 }
-                _ => {
+                3 => {
                     flat.write_u64(addr, value);
                     model.write_u64(addr, value);
                     stores += 1;
+                }
+                4 => {
+                    let len = bulk(value).len();
+                    let expected: Vec<u8> =
+                        (0..len).map(|i| model.read_u8(addr.wrapping_add(i as u64))).collect();
+                    prop_assert_eq!(flat.read_bytes(addr, len), expected, "{} bytes @ {:#x}", len, addr);
+                    loads += len as u64;
+                }
+                _ => {
+                    let data = bulk(value);
+                    flat.write_bytes(addr, &data);
+                    for (i, b) in data.iter().enumerate() {
+                        model.write_u8(addr.wrapping_add(i as u64), *b);
+                    }
+                    stores += data.len() as u64;
                 }
             }
             // Reads do not allocate; writes map exactly the pages they touch.
@@ -162,7 +192,7 @@ proptest! {
     #[test]
     fn cow_memory_matches_the_hashmap_model(
         base_writes in prop::collection::vec((arb_addr(), any::<u64>()), 0..32),
-        ops in arb_ops(96),
+        ops in arb_ops(4, 96),
     ) {
         let mut base = FlatMemory::new();
         let mut base_model = Model::default();
