@@ -125,7 +125,7 @@ pub struct JanusConfig {
     /// Defaults to the null recorder — disabled, with a hot-path cost of
     /// one branch per emission site. Attach
     /// [`Recorder::enabled`](janus_obs::Recorder::enabled) and export via
-    /// its `chrome_trace`/`jsonl`/`prometheus_text` methods.
+    /// its `chrome_trace`/`jsonl` methods.
     pub trace: Recorder,
 }
 

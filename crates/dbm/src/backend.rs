@@ -32,7 +32,8 @@
 //! backend's default mode — its counters, modelled cycles and commit are the
 //! reported ones, so running anything beside it would only be paid for — and
 //! the racing Block-STM worker pool ([`janus_spec::run_speculative_pooled`],
-//! one OS thread per lane) alone under `RacedImage`. That both engines
+//! one OS thread per lane, traced into the run's recorder) alone under
+//! `RacedImage`. That both engines
 //! converge to the same serial-equivalent image is checked where both run
 //! anyway: the differential fuzzer's commit-mode axis and
 //! `crates/core/tests/spec_commit_mode.rs`.
@@ -730,7 +731,7 @@ impl ExecutionBackend for NativeThreadsBackend {
                     .span("dbm.spec", "spec.race")
                     .arg("iterations", iterations)
                     .arg("threads", threads);
-                janus_spec::run_speculative_pooled_traced(
+                janus_spec::run_speculative_pooled(
                     spec_config,
                     threads,
                     &*base,

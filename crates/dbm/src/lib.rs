@@ -54,7 +54,8 @@
 //!   deterministic coordinator the virtual-time backend drives (so
 //!   speculative reports are bit-identical to it), or — `RacedImage` — a
 //!   Block-STM worker pool ([`janus_spec::run_speculative_pooled`], one OS
-//!   thread per lane) racing over a read-only view of guest memory.
+//!   thread per lane, traced into the run's recorder) racing over a
+//!   read-only view of guest memory.
 //!   Only loops whose schedule carries `TX_START` rules (STM-wrapped
 //!   shared-library calls, i.e. potential cross-chunk dependences)
 //!   conservatively take the sequential chunk path so guest results stay

@@ -1,8 +1,8 @@
-//! Exporters: Chrome trace-event JSON (Perfetto-loadable), a JSONL event
-//! log, and a Prometheus-style text snapshot of the histogram registry.
+//! The flight recorder's two exporters: Chrome trace-event JSON
+//! (Perfetto-loadable) and a JSONL event log. Prometheus text is the
+//! metrics registry's job ([`Registry::prometheus_text`](crate::metrics::Registry::prometheus_text)).
 
 use crate::json::escape;
-use crate::metrics::{escape_help, render_histogram_series};
 use crate::{ArgValue, Phase, Recorder};
 use std::fmt::Write as _;
 
@@ -122,40 +122,6 @@ impl Recorder {
                 escape(&e.name),
                 json_args(&e.args)
             );
-        }
-        out
-    }
-
-    /// Renders the histogram registry as Prometheus text-format metrics:
-    /// `# HELP`/`# TYPE` once per family, `janus_<name>_bucket{le="..."}`
-    /// cumulative counts plus `_sum`, `_count` and a `_max` gauge family.
-    /// The output round-trips through
-    /// [`metrics::parse_exposition`](crate::metrics::parse_exposition).
-    /// Empty on a disabled recorder.
-    #[must_use]
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::new();
-        let sanitize = |name: &str| -> String {
-            name.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
-        };
-        for (name, hist) in self.histograms() {
-            let metric = format!("janus_{}_nanos", sanitize(&name));
-            let _ = writeln!(
-                out,
-                "# HELP {metric} Recorder histogram {} (nanoseconds).",
-                escape_help(&name)
-            );
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            render_histogram_series(&mut out, &metric, &[], &hist);
-            let _ = writeln!(
-                out,
-                "# HELP {metric}_max Largest value recorded by {}.",
-                escape_help(&name)
-            );
-            let _ = writeln!(out, "# TYPE {metric}_max gauge");
-            let _ = writeln!(out, "{metric}_max {}", hist.snapshot().max);
         }
         out
     }

@@ -88,16 +88,21 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound is what keeps hostile input from overflowing the
+/// stack; every document the workspace writes nests a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document, rejecting trailing garbage.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with the byte offset of the first
-/// syntax error.
+/// syntax error, or of the first value nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -120,12 +125,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -196,18 +204,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8".to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a char boundary
+                // and validating it costs O(1) per byte.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos])
+                        .map_err(|_| "invalid utf-8".to_string())?,
+                );
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -216,7 +229,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -231,7 +244,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -244,7 +257,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -257,5 +270,30 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of mixed ASCII, multi-byte characters and escapes: a
+        // per-character re-validation of the rest of the document would
+        // take minutes here.
+        let text = "ab\u{e9}\"c\\\u{20ac}\n".repeat((4 << 20) / 11);
+        let doc = format!("{{\"s\": \"{}\"}}", escape(&text));
+        let parsed = parse(&doc).expect("long string parses");
+        assert_eq!(parsed.get("s").and_then(Value::as_str), Some(text.as_str()));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).expect_err("100 000 open brackets are rejected");
+        assert!(err.contains("nesting"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok(), "nesting up to the bound parses");
     }
 }

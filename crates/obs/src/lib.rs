@@ -1,7 +1,8 @@
-//! Flight recorder for the janus stack: structured tracing spans, instant
-//! events, log-bucketed latency histograms and three exporters (Chrome
-//! trace-event JSON for Perfetto, a JSONL event log, and a Prometheus-style
-//! text snapshot).
+//! Flight recorder and metrics for the janus stack: structured tracing
+//! spans and instant events with two exporters (Chrome trace-event JSON for
+//! Perfetto and a JSONL event log), log-bucketed latency histograms, and an
+//! always-on metrics [`metrics::Registry`] whose Prometheus text exposition
+//! is the workspace's one Prometheus writer.
 //!
 //! The crate is dependency-free by design (it must build against the
 //! workspace's vendored shims) and is engineered so that a **disabled**
@@ -22,9 +23,9 @@
 //!   loss ([`Recorder::dropped`]).
 //! - **Histograms** bucket values by power of two ([`Histogram`]), so
 //!   p50/p90/p99/max snapshots ([`LatencyStats`]) need no retained samples.
-//!   Histograms work even on a disabled recorder (they are how
-//!   `ServeStats` reports latency with tracing off); only event recording
-//!   is gated.
+//!   They are not part of the recorder: callers register them in a
+//!   [`metrics::Registry`] (that is how `ServeStats` reports latency,
+//!   traced or not) or own them detached.
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@ pub use hist::{
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -177,9 +178,6 @@ struct Inner {
     shards: Vec<Mutex<Shard>>,
     /// Track id → human-readable name, registered via `set_thread_track`.
     tracks: Mutex<HashMap<u64, String>>,
-    /// Named histograms handed out by `histogram()`. BTreeMap so exports
-    /// are deterministically ordered.
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     /// Monotonic source for async-interval correlation ids.
     next_async_id: AtomicU64,
 }
@@ -188,7 +186,7 @@ struct Inner {
 /// the **null recorder**: disabled, allocation-free, every operation a
 /// single branch. [`Recorder::enabled`] builds a live one.
 ///
-/// Clones share the same buffers, histograms and epoch, so a recorder can
+/// Clones share the same buffers and epoch, so a recorder can
 /// be stored in a config struct, cloned into worker threads, and exported
 /// from the original handle afterwards.
 #[derive(Debug, Clone, Default)]
@@ -250,7 +248,6 @@ impl Recorder {
                 capacity_per_shard: capacity,
                 shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
                 tracks: Mutex::new(HashMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
                 next_async_id: AtomicU64::new(1),
             })),
         }
@@ -360,41 +357,6 @@ impl Recorder {
             args: Vec::new(),
         });
         id
-    }
-
-    /// A named histogram from this recorder's registry. On a **disabled**
-    /// recorder this returns a fresh, fully functional detached histogram
-    /// (callers that need latency stats with tracing off cache the `Arc`);
-    /// on an enabled recorder the same name always returns the same
-    /// histogram, and the Prometheus exporter walks the registry.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        match &self.inner {
-            Some(inner) => inner
-                .histograms
-                .lock()
-                .expect("histogram registry lock")
-                .entry(name.to_string())
-                .or_default()
-                .clone(),
-            None => Arc::new(Histogram::new()),
-        }
-    }
-
-    /// Snapshot of the registered histograms, name-ordered (empty when
-    /// disabled).
-    #[must_use]
-    pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        match &self.inner {
-            Some(inner) => inner
-                .histograms
-                .lock()
-                .expect("histogram registry lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Total events overwritten because a ring shard was full.

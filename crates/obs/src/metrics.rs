@@ -22,9 +22,10 @@
 //!
 //! A process-wide default registry is available through [`global`]; layers
 //! that cannot thread a handle (the DBM hot path) meter against it, while
-//! components with a configuration surface (the serving session) accept a
-//! registry and default to the global one — so a default session's
-//! `/metrics` endpoint exposes the whole process.
+//! components with a configuration surface (the serving session) own a
+//! registry — the configured one, or a fresh one each — so their counters
+//! are their own. A session's `/metrics` page renders its registry followed
+//! by the global families, so one scrape still covers the DBM.
 //!
 //! # Example
 //!
@@ -398,9 +399,8 @@ impl Registry {
 
 /// Renders one histogram series in exposition format: cumulative
 /// `_bucket{le="..."}` lines (the `+Inf` bucket always present), `_sum`
-/// and `_count`. Shared by the registry exporter and the flight recorder's
-/// [`prometheus_text`](crate::Recorder::prometheus_text).
-pub(crate) fn render_histogram_series(
+/// and `_count`.
+fn render_histogram_series(
     out: &mut String,
     name: &str,
     labels: &[(&'static str, String)],
@@ -447,7 +447,7 @@ pub fn escape_label_value(v: &str) -> String {
 }
 
 /// Escapes a `# HELP` string: `\` → `\\`, newline → `\n`.
-pub(crate) fn escape_help(v: &str) -> String {
+fn escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -485,8 +485,8 @@ fn render_labels_with(labels: &[(&'static str, String)], extra: (&str, &str)) ->
 }
 
 /// The process-wide default registry. Layers that cannot thread a handle
-/// (the DBM's execution hot path) meter against it; a default-configured
-/// serving session exports it, so one scrape covers the whole process.
+/// (the DBM's execution hot path) meter against it; every serving
+/// session's `/metrics` page appends it after the session's own registry.
 #[must_use]
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

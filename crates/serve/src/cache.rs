@@ -9,7 +9,6 @@ use crate::store::ArtifactStore;
 use crate::ServeError;
 use janus_core::{PipelineArtifacts, PreparedDbm};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Everything the serving layer derives from one binary, cached behind its
@@ -110,13 +109,9 @@ pub struct ArtifactCache {
     /// entries, so sessions with different configurations sharing one
     /// store directory never serve each other's schedules.
     fingerprint: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inflight_waits: AtomicU64,
-    evictions: AtomicU64,
-    /// Registry handles mirroring the counters above; detached (metering
-    /// into nowhere, same cost) unless a serving session installed its own
-    /// via [`ArtifactCache::set_meter`].
+    /// The cache's counters: detached (counting for this cache alone)
+    /// unless a serving session installed registered handles via
+    /// [`ArtifactCache::set_meter`].
     meter: CacheMeter,
 }
 
@@ -151,15 +146,11 @@ impl ArtifactCache {
             capacity_per_shard,
             store: None,
             fingerprint: 0,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inflight_waits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             meter: CacheMeter::default(),
         }
     }
 
-    /// Installs the registry handles the cache's counters mirror into.
+    /// Installs the registry handles the cache counts into.
     pub(crate) fn set_meter(&mut self, meter: CacheMeter) {
         self.meter = meter;
     }
@@ -248,12 +239,10 @@ impl ArtifactCache {
 
         match claim {
             Claim::Hit(artifact) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 self.meter.hits.inc();
                 Ok(artifact)
             }
             Claim::Wait(gate) => {
-                self.inflight_waits.fetch_add(1, Ordering::Relaxed);
                 self.meter.inflight_waits.inc();
                 let mut result = gate.result.lock().expect("build gate poisoned");
                 while result.is_none() {
@@ -272,7 +261,6 @@ impl ArtifactCache {
                 let built = match disk {
                     Some(pipeline) => hydrate(pipeline),
                     None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
                         self.meter.misses.inc();
                         let built = build();
                         if let (Ok(artifact), Some(store)) = (&built, &self.store) {
@@ -327,7 +315,6 @@ impl ArtifactCache {
                 .map(|(_, digest)| digest);
             let Some(victim) = victim else { break };
             shard.slots.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
             self.meter.evictions.inc();
         }
     }
@@ -350,25 +337,25 @@ impl ArtifactCache {
     /// Lookups served from a ready artifact.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.meter.hits.get()
     }
 
     /// Lookups that started a build (the number of analyses actually run).
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.meter.misses.get()
     }
 
     /// Lookups that blocked on another thread's in-progress build.
     #[must_use]
     pub fn inflight_waits(&self) -> u64 {
-        self.inflight_waits.load(Ordering::Relaxed)
+        self.meter.inflight_waits.get()
     }
 
     /// Entries evicted by the LRU capacity bound.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.meter.evictions.get()
     }
 }
 
@@ -377,7 +364,7 @@ mod tests {
     use super::*;
     use janus_core::Janus;
     use janus_vm::Process;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Hydrate closure for storeless caches: the disk tier is absent, so
     /// the cache can never call it.

@@ -12,7 +12,7 @@ use crate::{
 };
 use janus_core::{Janus, PipelineArtifacts, PreparedDbm};
 use janus_obs::ewma::KeyedEwma;
-use janus_obs::{Histogram, Recorder};
+use janus_obs::Recorder;
 use janus_vm::Process;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,9 +40,9 @@ struct PendingJob {
     submitted: Instant,
 }
 
-/// One tenant's FIFO backlog plus its deficit-round-robin account and SLO
-/// ledger. Entries persist for the session's lifetime (an emptied tenant
-/// leaves the scheduling ring but keeps its counters), so
+/// One tenant's FIFO backlog plus its deficit-round-robin account. Entries
+/// persist for the session's lifetime (an emptied tenant leaves the
+/// scheduling ring but keeps its counters), so
 /// [`ServeHandle::tenant_stats`] and the per-tenant metric families cover
 /// every tenant that ever submitted.
 struct TenantQueue {
@@ -52,15 +52,10 @@ struct TenantQueue {
     deficit: u64,
     /// Tokens granted per scheduler round ([`crate::TenantQuota::quantum`]).
     quantum: u64,
-    /// Jobs dequeued (started) for this tenant.
-    served: u64,
-    /// Completed deadline-carrying jobs that finished within budget.
-    deadline_hit: u64,
-    /// Completed deadline-carrying jobs that overran.
-    deadline_missed: u64,
-    /// The tenant's registered metric handles (deficit/pending gauges, SLO
-    /// counters), updated alongside the fields above.
-    meter: Arc<TenantMeter>,
+    /// The tenant's registered handles: its served / deadline counters are
+    /// the SLO ledger, and its deficit / pending gauges are copied from the
+    /// fields above at scrape time.
+    meter: TenantMeter,
 }
 
 /// The submission queues and result store, guarded by one mutex.
@@ -104,25 +99,16 @@ impl QueueState {
             let head_cost = tq.queue.front().expect("non-empty queue").cost_tokens;
             if tq.deficit < head_cost {
                 tq.deficit += tq.quantum;
-                tq.meter
-                    .deficit
-                    .set(i64::try_from(tq.deficit).unwrap_or(i64::MAX));
                 self.ring.rotate_left(1);
                 continue;
             }
             tq.deficit -= head_cost;
-            tq.served += 1;
-            tq.meter
-                .deficit
-                .set(i64::try_from(tq.deficit).unwrap_or(i64::MAX));
             tq.meter.served.inc();
             let pending = tq.queue.pop_front().expect("non-empty queue");
-            tq.meter.pending.dec();
             if tq.queue.is_empty() {
                 // Leave the ring (and bank nothing): the tenant re-enters
                 // at the back on its next submission.
                 tq.deficit = 0;
-                tq.meter.deficit.set(0);
                 self.ring.pop_front();
             } else {
                 // One job per visit: rotate so equal-cost tenants
@@ -202,16 +188,9 @@ pub(crate) struct Shared {
     /// The session's flight recorder ([`ServeConfig::trace`]); disabled by
     /// default, in which case every event site costs one branch.
     trace: Recorder,
-    /// End-to-end job latency (dequeue through execution). Cached `Arc`s so
-    /// the histograms work — and `stats()` reads them — with tracing off.
-    hist_job_wall: Arc<Histogram>,
-    /// Queue wait: submission to dequeue.
-    hist_queue_wait: Arc<Histogram>,
-    /// Guest execution alone, excluding artifact resolution.
-    hist_execute: Arc<Histogram>,
-    /// Always-on metrics handles: registered once at session start against
-    /// [`ServeConfig::metrics`] (or the process-global registry), updated
-    /// with relaxed atomics alongside the session's own counters below.
+    /// The session's counters and latency histograms, registered once at
+    /// session start in the session's own registry. Each event is recorded
+    /// here and nowhere else; [`ServeStats`] reads these handles.
     meter: ServeMeter,
     state: Mutex<QueueState>,
     /// Wakes workers when a job is queued (or shutdown begins).
@@ -219,14 +198,8 @@ pub(crate) struct Shared {
     /// Wakes [`ServeHandle::join`] when a job finishes.
     job_done: Condvar,
     stop: AtomicBool,
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_deadline_rejected: AtomicU64,
-    jobs_quota_rejected: AtomicU64,
-    jobs_deadline_hit: AtomicU64,
-    jobs_deadline_missed: AtomicU64,
+    /// High-water mark of in-flight jobs, raised by `fetch_max` at
+    /// admission; a scrape copies it into its gauge.
     max_in_flight_seen: AtomicU64,
 }
 
@@ -260,6 +233,7 @@ impl Shared {
         };
         let disk = self.cache.disk_store();
         let disk_stat = |get: fn(&ArtifactStore) -> u64| disk.map_or(0, get);
+        let meter = &self.meter;
         ServeStats {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
@@ -271,20 +245,20 @@ impl Shared {
             disk_corrupt: disk_stat(ArtifactStore::corrupt),
             disk_evicted_bytes: disk_stat(ArtifactStore::evicted_bytes),
             disk_entries: disk.map_or(0, |s| s.entries() as u64),
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_deadline_rejected: self.jobs_deadline_rejected.load(Ordering::Relaxed),
-            jobs_quota_rejected: self.jobs_quota_rejected.load(Ordering::Relaxed),
-            jobs_deadline_hit: self.jobs_deadline_hit.load(Ordering::Relaxed),
-            jobs_deadline_missed: self.jobs_deadline_missed.load(Ordering::Relaxed),
+            jobs_submitted: meter.jobs_submitted.get(),
+            jobs_completed: meter.jobs_completed.get(),
+            jobs_failed: meter.jobs_failed.get(),
+            jobs_rejected: meter.rejected_saturated.get(),
+            jobs_deadline_rejected: meter.rejected_deadline.get(),
+            jobs_quota_rejected: meter.rejected_quota.get(),
+            jobs_deadline_hit: meter.deadline_hit.get(),
+            jobs_deadline_missed: meter.deadline_missed.get(),
             jobs_pending: pending,
             jobs_running: running,
             max_in_flight_seen: self.max_in_flight_seen.load(Ordering::Relaxed),
-            job_wall: self.hist_job_wall.latency_stats(),
-            job_queue_wait: self.hist_queue_wait.latency_stats(),
-            job_execute: self.hist_execute.latency_stats(),
+            job_wall: meter.hist_job_wall.latency_stats(),
+            job_queue_wait: meter.hist_queue_wait.latency_stats(),
+            job_execute: meter.hist_execute.latency_stats(),
         }
     }
 
@@ -299,9 +273,9 @@ impl Shared {
                 pending: tq.queue.len() as u64,
                 deficit: tq.deficit,
                 quantum: tq.quantum,
-                served: tq.served,
-                deadline_hit: tq.deadline_hit,
-                deadline_missed: tq.deadline_missed,
+                served: tq.meter.served.get(),
+                deadline_hit: tq.meter.deadline_hit.get(),
+                deadline_missed: tq.meter.deadline_missed.get(),
             })
             .collect();
         out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -313,14 +287,17 @@ impl Shared {
     /// always sees current occupancy without the hot path ever touching a
     /// gauge it does not own.
     pub(crate) fn refresh_gauges(&self) {
-        let (pending, running) = {
-            let state = self.state.lock().expect("serve queue poisoned");
-            (state.pending_total, state.running)
-        };
         let meter = &self.meter;
         let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        meter.queue_depth.set(as_i64(pending as u64));
-        meter.jobs_running.set(as_i64(running as u64));
+        {
+            let state = self.state.lock().expect("serve queue poisoned");
+            meter.queue_depth.set(as_i64(state.pending_total as u64));
+            meter.jobs_running.set(as_i64(state.running as u64));
+            for tq in state.tenants.values() {
+                tq.meter.deficit.set(as_i64(tq.deficit));
+                tq.meter.pending.set(as_i64(tq.queue.len() as u64));
+            }
+        }
         meter
             .in_flight_max
             .set(as_i64(self.max_in_flight_seen.load(Ordering::Relaxed)));
@@ -396,10 +373,10 @@ impl ServeHandle {
         let trace = config.trace.clone();
         let janus = janus.with_trace(trace.clone());
         let fingerprint = config_fingerprint(&janus, &config.train_input);
-        // Metrics are always on: the configured registry, or the process
-        // global. Registration happens here, once; every event site after
-        // this is a relaxed atomic on a cached handle.
-        let registry = config.effective_metrics();
+        // Metrics are always on, in the configured registry or a fresh one
+        // this session owns. Registration happens here, once; every event
+        // site after this is a relaxed atomic on a cached handle.
+        let registry = config.metrics.clone().unwrap_or_default();
         let meter = ServeMeter::register(&registry);
         let mut cache = match &config.store_dir {
             Some(dir) => {
@@ -427,23 +404,12 @@ impl ServeHandle {
             config,
             cache,
             cost_model: CostModel::default(),
-            hist_job_wall: trace.histogram("serve.job.wall"),
-            hist_queue_wait: trace.histogram("serve.job.queue_wait"),
-            hist_execute: trace.histogram("serve.job.execute"),
             trace,
             meter,
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
             stop: AtomicBool::new(false),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-            jobs_deadline_rejected: AtomicU64::new(0),
-            jobs_quota_rejected: AtomicU64::new(0),
-            jobs_deadline_hit: AtomicU64::new(0),
-            jobs_deadline_missed: AtomicU64::new(0),
             max_in_flight_seen: AtomicU64::new(0),
         });
         let telemetry = match telemetry_addr {
@@ -495,7 +461,6 @@ impl ServeHandle {
         let in_flight = state.pending_total + state.running;
         let limit = shared.config.effective_max_in_flight();
         if state.pending_total >= shared.config.queue_depth || in_flight >= limit {
-            shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             shared.meter.rejected_saturated.inc();
             if shared.trace.is_enabled() {
                 shared.trace.instant(
@@ -512,7 +477,6 @@ impl ServeHandle {
         }
         let tenant_pending = state.tenants.get(&tenant_name).map_or(0, |t| t.queue.len());
         if quota.max_pending > 0 && tenant_pending >= quota.max_pending {
-            shared.jobs_quota_rejected.fetch_add(1, Ordering::Relaxed);
             shared.meter.rejected_quota.inc();
             if shared.trace.is_enabled() {
                 shared.trace.instant(
@@ -539,9 +503,6 @@ impl ServeHandle {
             let estimated_nanos = own_nanos + state.pending_est_nanos / workers;
             let budget_nanos = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
             if estimated_nanos > budget_nanos {
-                shared
-                    .jobs_deadline_rejected
-                    .fetch_add(1, Ordering::Relaxed);
                 shared.meter.rejected_deadline.inc();
                 if shared.trace.is_enabled() {
                     shared.trace.instant(
@@ -573,9 +534,6 @@ impl ServeHandle {
                     queue: VecDeque::new(),
                     deficit: 0,
                     quantum: quota.quantum.max(1),
-                    served: 0,
-                    deadline_hit: 0,
-                    deadline_missed: 0,
                     meter: shared.meter.tenant(&tenant_name),
                 });
         let was_empty = tenant_queue.queue.is_empty();
@@ -586,13 +544,11 @@ impl ServeHandle {
             est_nanos,
             submitted: Instant::now(),
         });
-        tenant_queue.meter.pending.inc();
         if was_empty {
             state.ring.push_back(tenant_name);
         }
         state.pending_total += 1;
         state.pending_est_nanos += est_nanos;
-        shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         shared.meter.jobs_submitted.inc();
         shared
             .max_in_flight_seen
@@ -729,7 +685,6 @@ fn worker_loop(shared: &Shared, index: usize) {
         // tracing is on (the histogram backs `ServeStats`); the async span —
         // which may overlap this worker's own job span — only when it is.
         let wait_nanos = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.hist_queue_wait.record(wait_nanos);
         shared.meter.hist_queue_wait.record(wait_nanos);
         if shared.trace.is_enabled() {
             let end = shared.trace.now_nanos();
@@ -749,24 +704,16 @@ fn worker_loop(shared: &Shared, index: usize) {
         }
         let result = run_job(shared, id, &job, sequence);
         if result.is_err() {
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             shared.meter.jobs_failed.inc();
         }
-        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
         shared.meter.jobs_completed.inc();
         // Deadline SLO attainment, judged on the latency the submitter
         // experienced: submission through completion. Admission promised
         // nothing it could not keep; here is where the promise is audited.
         let deadline_outcome = job.deadline.map(|deadline| submitted.elapsed() <= deadline);
         match deadline_outcome {
-            Some(true) => {
-                shared.jobs_deadline_hit.fetch_add(1, Ordering::Relaxed);
-                shared.meter.deadline_hit.inc();
-            }
-            Some(false) => {
-                shared.jobs_deadline_missed.fetch_add(1, Ordering::Relaxed);
-                shared.meter.deadline_missed.inc();
-            }
+            Some(true) => shared.meter.deadline_hit.inc(),
+            Some(false) => shared.meter.deadline_missed.inc(),
             None => {}
         }
         {
@@ -774,12 +721,10 @@ fn worker_loop(shared: &Shared, index: usize) {
             state.running -= 1;
             if let Some(hit) = deadline_outcome {
                 let tenant = job.tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                if let Some(tq) = state.tenants.get_mut(tenant) {
+                if let Some(tq) = state.tenants.get(tenant) {
                     if hit {
-                        tq.deadline_hit += 1;
                         tq.meter.deadline_hit.inc();
                     } else {
-                        tq.deadline_missed += 1;
                         tq.meter.deadline_missed.inc();
                     }
                 }
@@ -863,10 +808,8 @@ fn run_job(
     }
     .map_err(ServeError::Execution)?;
     let exec_nanos = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    shared.hist_execute.record(exec_nanos);
     shared.meter.hist_execute.record(exec_nanos);
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    shared.hist_job_wall.record(wall_nanos);
     shared.meter.hist_job_wall.record(wall_nanos);
     job_span.push_arg("cycles", run.cycles);
     shared.cost_model.observe(digest, wall_nanos);

@@ -189,24 +189,25 @@ pub struct ServeConfig {
     /// one branch per would-be event; pass
     /// [`Recorder::enabled`](janus_obs::Recorder::enabled) to collect
     /// per-job spans (queue wait, cache probe, disk hydrate, execute),
-    /// store events and per-worker tracks, exportable as a Chrome trace,
-    /// JSONL or Prometheus text. The handle installs this recorder into its
-    /// pipeline and store, so one export covers the whole stack. Latency
-    /// histograms ([`ServeStats::job_wall`] and friends) are maintained
-    /// either way.
+    /// store events and per-worker tracks, exportable as a Chrome trace or
+    /// JSONL. The handle installs this recorder into its pipeline and
+    /// store, so one export covers the whole stack. Latency histograms
+    /// ([`ServeStats::job_wall`] and friends) live in the session's
+    /// registry ([`ServeConfig::metrics`]), traced or not.
     pub trace: Recorder,
     /// The metrics registry this session meters into — counters, gauges and
     /// latency histograms for jobs, tenants, the artifact cache and the
     /// disk store, always on (a handful of relaxed atomic ops per event).
-    /// `None` (the default) uses the **process-global** registry
-    /// ([`janus_obs::metrics::global`]), so one scrape covers every
-    /// default-configured session plus the DBM's global families; pass a
-    /// fresh [`Registry`] for per-session isolation (tests, embedding).
+    /// They are the session's only counters: [`ServeHandle::stats`] and
+    /// `/statusz` read them. `None` (the default) gives the session a fresh
+    /// [`Registry`] of its own; pass one to read the families in-process.
+    /// Sessions given one registry share its counters, and so their stats.
     pub metrics: Option<Registry>,
     /// Address (`"host:port"`, e.g. `"127.0.0.1:9100"` or `"127.0.0.1:0"`
     /// for an ephemeral port) to serve live telemetry on: a dependency-free
     /// HTTP/1.0 endpoint answering `GET /metrics` (Prometheus exposition of
-    /// the effective registry), `/healthz` (liveness + saturation verdict),
+    /// the session's registry followed by the process-global one, which
+    /// carries the DBM's families), `/healthz` (liveness + saturation verdict),
     /// `/statusz` (JSON snapshot of [`ServeStats`], per-tenant queues and
     /// SLO attainment) and `/tracez` (Chrome trace, when
     /// [`ServeConfig::trace`] is enabled). `None` (the default) serves no
@@ -245,15 +246,6 @@ impl ServeConfig {
         } else {
             self.max_in_flight
         }
-    }
-
-    /// The registry this session meters into: [`ServeConfig::metrics`],
-    /// falling back to the process-global registry.
-    #[must_use]
-    pub fn effective_metrics(&self) -> Registry {
-        self.metrics
-            .clone()
-            .unwrap_or_else(|| janus_obs::metrics::global().clone())
     }
 
     /// The quota governing `tenant`: its `tenant_quotas` entry, falling

@@ -2,20 +2,19 @@
 //! [`janus_obs::metrics::Registry`], wired through the executor, the
 //! artifact cache and the persistent store.
 //!
-//! A session meters into [`ServeConfig::metrics`](crate::ServeConfig::metrics)
-//! when one is configured and into the process-global registry otherwise,
-//! so a default session's `/metrics` endpoint covers the whole process
-//! (including the DBM's global families). Handles are registered once at
+//! These handles are the session's only counters: each serving event is
+//! recorded once, here, and [`ServeStats`](crate::ServeStats),
+//! [`TenantSnapshot`](crate::TenantSnapshot), the cache's and the store's
+//! accessors, `/statusz` and `/metrics` all read them. A session meters
+//! into [`ServeConfig::metrics`](crate::ServeConfig::metrics) when one is
+//! configured and into a fresh registry of its own otherwise, so its
+//! counters are never another session's. Handles are registered once at
 //! session start; every event site is a relaxed atomic op on a cached
-//! `Arc` — no locks, no allocation on the hot path. Sessions sharing the
-//! global registry share counters: the exposition is a process-wide
-//! aggregate, which is what a scrape wants. Tests that need exact
-//! per-session reconciliation pass their own `Registry`.
+//! `Arc` — no locks, no allocation on the hot path.
 
 use janus_obs::metrics::{Counter, Gauge, Registry};
 use janus_obs::Histogram;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Cache-tier counters ([`ArtifactCache`](crate::ArtifactCache)). The
 /// default meter holds detached counters — a cache outside a serving
@@ -122,13 +121,13 @@ impl StoreMeter {
     }
 }
 
-/// Per-tenant handles, labelled `{tenant=...}`. Registered lazily on the
-/// tenant's first submission and cached in the scheduler's tenant entry.
-#[derive(Debug, Clone)]
+/// Per-tenant handles, labelled `{tenant=...}`. Registered on the tenant's
+/// first submission and owned by the scheduler's tenant entry, which lives
+/// for the whole session.
 pub(crate) struct TenantMeter {
-    /// Current deficit-round-robin balance (tokens).
+    /// Deficit-round-robin balance (tokens), copied at scrape time.
     pub deficit: Arc<Gauge>,
-    /// Jobs currently queued for this tenant.
+    /// Jobs queued for this tenant, copied at scrape time.
     pub pending: Arc<Gauge>,
     /// Jobs started (dequeued) for this tenant.
     pub served: Arc<Counter>,
@@ -139,7 +138,7 @@ pub(crate) struct TenantMeter {
 }
 
 /// Session-level handles plus the registry itself (the telemetry endpoint
-/// renders it) and the lazily-populated per-tenant map.
+/// renders it and per-tenant handles register in it).
 pub(crate) struct ServeMeter {
     pub registry: Registry,
     pub jobs_submitted: Arc<Counter>,
@@ -170,17 +169,6 @@ pub(crate) struct ServeMeter {
     pub hist_queue_wait: Arc<Histogram>,
     /// Guest execution alone, nanoseconds.
     pub hist_execute: Arc<Histogram>,
-    /// Tenant label → registered handles. Locked only on a tenant's first
-    /// submission and at completion bookkeeping — never on the job path.
-    tenants: Mutex<HashMap<String, Arc<TenantMeter>>>,
-}
-
-impl std::fmt::Debug for ServeMeter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeMeter")
-            .field("registry", &self.registry)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ServeMeter {
@@ -269,19 +257,14 @@ impl ServeMeter {
                 "Guest execution alone, excluding artifact resolution.",
                 &[],
             ),
-            tenants: Mutex::new(HashMap::new()),
             registry: registry.clone(),
         }
     }
 
-    /// The per-tenant handles for `tenant`, registering them on first use.
-    pub(crate) fn tenant(&self, tenant: &str) -> Arc<TenantMeter> {
-        let mut tenants = self.tenants.lock().expect("tenant meter map poisoned");
-        if let Some(meter) = tenants.get(tenant) {
-            return meter.clone();
-        }
+    /// Registers (idempotently) the per-tenant handles for `tenant`.
+    pub(crate) fn tenant(&self, tenant: &str) -> TenantMeter {
         let labels: &[(&'static str, &str)] = &[("tenant", tenant)];
-        let meter = Arc::new(TenantMeter {
+        TenantMeter {
             deficit: self.registry.gauge(
                 "janus_serve_tenant_deficit_tokens",
                 "Deficit-round-robin balance of the tenant (1 token ~ 1 ms of \
@@ -309,8 +292,6 @@ impl ServeMeter {
                 "The tenant's completed deadline-carrying jobs that overran.",
                 labels,
             ),
-        });
-        tenants.insert(tenant.to_string(), meter.clone());
-        meter
+        }
     }
 }

@@ -68,7 +68,6 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Version of the store's file envelope (magic + fingerprint + checksum).
@@ -114,17 +113,12 @@ pub struct ArtifactStore {
     /// least-recently-used entries (as seen by this process).
     max_bytes: u64,
     state: Mutex<StoreState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    evicted_bytes: AtomicU64,
-    store_errors: AtomicU64,
     /// Flight recorder for store events (write / quarantine / evict).
     /// Disabled by default; the serving session installs its own via
     /// [`ArtifactStore::set_recorder`].
     recorder: Recorder,
-    /// Registry handles mirroring the counters above; detached until a
-    /// serving session installs registered ones.
+    /// The store's counters: detached (counting for this store alone)
+    /// until a serving session installs registered ones.
     meter: StoreMeter,
 }
 
@@ -191,11 +185,6 @@ impl ArtifactStore {
                 clock: 0,
                 tmp_seq: 0,
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-            store_errors: AtomicU64::new(0),
             recorder: Recorder::default(),
             meter: StoreMeter::default(),
         })
@@ -209,7 +198,7 @@ impl ArtifactStore {
         self.recorder = recorder;
     }
 
-    /// Installs the registry handles the store's counters mirror into.
+    /// Installs the registry handles the store counts into.
     pub(crate) fn set_meter(&mut self, meter: StoreMeter) {
         self.meter = meter;
     }
@@ -227,7 +216,6 @@ impl ArtifactStore {
     /// Renames a damaged entry aside (never deleting the evidence) and
     /// counts it.
     fn quarantine(&self, digest: u64, path: &Path, reason: &str) {
-        self.corrupt.fetch_add(1, Ordering::Relaxed);
         self.meter.corrupt.inc();
         let mut state = self.state.lock().expect("store state poisoned");
         state.entries.remove(&digest);
@@ -274,7 +262,6 @@ impl ArtifactStore {
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.meter.misses.inc();
                 return None;
             }
@@ -293,7 +280,6 @@ impl ArtifactStore {
                     })
                     .last_used = now;
                 drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 self.meter.hits.inc();
                 Some(artifacts)
             }
@@ -305,13 +291,11 @@ impl ArtifactStore {
                 state.entries.remove(&digest);
                 drop(state);
                 let _ = fs::remove_file(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.meter.misses.inc();
                 None
             }
             Err(EntryFault::Corrupt(reason)) => {
                 self.quarantine(digest, &path, &reason);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.meter.misses.inc();
                 None
             }
@@ -429,7 +413,6 @@ impl ArtifactStore {
             }
             Err(_) => {
                 let _ = fs::remove_file(&tmp);
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
                 self.meter.errors.inc();
             }
         }
@@ -450,7 +433,6 @@ impl ArtifactStore {
             let (_, digest, bytes) = victim;
             state.entries.remove(&digest);
             let _ = fs::remove_file(self.entry_path(digest));
-            self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
             self.meter.evicted_bytes.add(bytes);
             if self.recorder.is_enabled() {
                 self.recorder.instant(
@@ -488,32 +470,32 @@ impl ArtifactStore {
     /// Loads served from a verified disk entry.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.meter.hits.get()
     }
 
     /// Loads that found no usable entry (absent, stale or corrupt).
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.meter.misses.get()
     }
 
     /// Entries quarantined because their bytes failed verification.
     #[must_use]
     pub fn corrupt(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
+        self.meter.corrupt.get()
     }
 
     /// Bytes removed by the byte-budget eviction policy.
     #[must_use]
     pub fn evicted_bytes(&self) -> u64 {
-        self.evicted_bytes.load(Ordering::Relaxed)
+        self.meter.evicted_bytes.get()
     }
 
     /// Persistence attempts that failed with an I/O error (the session
     /// keeps serving; the entry is rebuilt by the next process).
     #[must_use]
     pub fn store_errors(&self) -> u64 {
-        self.store_errors.load(Ordering::Relaxed)
+        self.meter.errors.get()
     }
 }
 

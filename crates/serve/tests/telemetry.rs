@@ -228,6 +228,61 @@ fn scraped_metrics_reconcile_exactly_with_serve_stats() {
 }
 
 #[test]
+fn default_sessions_keep_their_own_counters() {
+    // Two default-config sessions (no `metrics`) in one process: each owns
+    // its registry, so each scrape reconciles with that session's stats
+    // alone, and both pages still carry the DBM's process-global families.
+    let binary = train_binary("429.mcf");
+    let janus = session_janus();
+    let sessions: Vec<_> = [2usize, 3]
+        .into_iter()
+        .map(|jobs| {
+            let handle = janus.serve(ServeConfig {
+                workers: 1,
+                telemetry_addr: Some("127.0.0.1:0".to_string()),
+                ..ServeConfig::default()
+            });
+            for _ in 0..jobs {
+                handle.submit(JobSpec::new(binary.clone())).unwrap();
+            }
+            (handle, jobs)
+        })
+        .collect();
+    for (handle, jobs) in &sessions {
+        let outcomes = handle.join();
+        assert_eq!(outcomes.len(), *jobs);
+        assert!(outcomes.iter().all(|(_, r)| r.is_ok()));
+    }
+    for (handle, jobs) in &sessions {
+        let stats = handle.stats();
+        assert_eq!(stats.jobs_completed, *jobs as u64);
+        let (status, body) = http_get(handle.telemetry_addr().unwrap(), "/metrics");
+        assert_eq!(status, 200);
+        let doc = parse_exposition(&body).expect("exposition parses");
+        let value = |name: &str| {
+            doc.value(name, &[])
+                .unwrap_or_else(|| panic!("series {name} present\n{body}"))
+        };
+        assert_eq!(
+            value("janus_serve_jobs_completed_total"),
+            stats.jobs_completed as f64
+        );
+        assert_eq!(
+            value("janus_serve_cache_misses_total"),
+            stats.cache_misses as f64
+        );
+        assert_eq!(
+            value("janus_serve_job_wall_nanos_count"),
+            stats.job_wall.count as f64
+        );
+        assert!(
+            doc.families.contains_key("janus_dbm_runs_total"),
+            "the global DBM families ride along"
+        );
+    }
+}
+
+#[test]
 fn untraced_sessions_answer_tracez_with_404() {
     let janus = session_janus();
     let handle = janus.serve(ServeConfig {

@@ -38,7 +38,8 @@
 //!   scheduler. Workers observe real Block-STM visibility (everything
 //!   recorded so far); the converged image is serial-equivalent on every
 //!   schedule, while the abort/retry counters describe the actual race and
-//!   vary run to run.
+//!   vary run to run. It is one entry point: the caller passes its flight
+//!   recorder, or [`janus_obs::Recorder::disabled`] for an untraced race.
 //!
 //! ## Two execution modes
 //!
@@ -129,7 +130,7 @@ pub use mv::{
     Incarnation, Iteration, MvMemory, ReadOrigin, ReadResult, ReadSet, SpecView, ViewBuffers,
     ViewStats,
 };
-pub use pool::{run_speculative_pooled, run_speculative_pooled_traced, PooledOutcome};
+pub use pool::{run_speculative_pooled, PooledOutcome};
 pub use scheduler::Lanes;
 
 use std::fmt;

@@ -171,6 +171,12 @@ impl<E> Poison<E> {
 /// `Fn + Sync`. The base is only ever read — apply the returned image to
 /// commit.
 ///
+/// With an enabled `recorder` each worker registers a `spec-worker-N` track
+/// and every incarnation emits `spec.execute`/`spec.validate` spans plus
+/// `spec.abort`/`spec.retry` instants (category `spec.pool`); pass
+/// [`Recorder::disabled`] for an untraced run, where every recording call
+/// is one branch.
+///
 /// # Errors
 ///
 /// Returns [`SpecError::Body`] when an iteration faults on consistent state
@@ -180,38 +186,6 @@ impl<E> Poison<E> {
 /// when the task budget is exhausted — pathologically dependent loops; the
 /// caller should fall back to a deterministic path.
 pub fn run_speculative_pooled<M, P, E, F>(
-    config: &SpecConfig,
-    threads: usize,
-    base: &M,
-    iterations: usize,
-    body: F,
-) -> Result<PooledOutcome<P>, SpecError<E>>
-where
-    M: PeekMemory + Sync,
-    P: Send,
-    E: Send,
-    F: Fn(usize, &mut SpecView<'_, M>) -> Result<IterationRun<P>, E> + Sync,
-{
-    run_speculative_pooled_traced(
-        config,
-        threads,
-        base,
-        iterations,
-        body,
-        &Recorder::default(),
-    )
-}
-
-/// [`run_speculative_pooled`] with a flight recorder attached: each worker
-/// registers a `spec-worker-N` track and every incarnation emits
-/// `spec.execute`/`spec.validate` spans plus `spec.abort`/`spec.retry`
-/// instants (category `spec.pool`). With a disabled recorder this is
-/// byte-for-byte the untraced run — every recording call is one branch.
-///
-/// # Errors
-///
-/// Exactly as [`run_speculative_pooled`].
-pub fn run_speculative_pooled_traced<M, P, E, F>(
     config: &SpecConfig,
     threads: usize,
     base: &M,
@@ -532,6 +506,7 @@ mod tests {
                     payload: i,
                 })
             },
+            &Recorder::disabled(),
         )
         .unwrap();
         assert_eq!(out.threads_used, 4);
@@ -569,6 +544,7 @@ mod tests {
                         payload: (),
                     })
                 },
+                &Recorder::disabled(),
             );
             let out = out.unwrap_or_else(|e| panic!("round {round}: the pool gave up: {e:?}"));
             assert_eq!(out.stats.aborts, 0, "round {round}");
@@ -597,6 +573,7 @@ mod tests {
                         payload: (),
                     })
                 },
+                &Recorder::disabled(),
             )
             .unwrap();
             assert_eq!(out.live_estimates, 0);
@@ -632,6 +609,7 @@ mod tests {
                     })
                 }
             },
+            &Recorder::disabled(),
         );
         match result {
             Err(SpecError::Body("boom")) | Err(SpecError::AbortLimit { .. }) => {}
@@ -651,6 +629,7 @@ mod tests {
             |_, _: &mut SpecView<'_, FlatMemory>| -> Result<IterationRun<()>, ()> {
                 unreachable!()
             },
+            &Recorder::disabled(),
         )
         .unwrap();
         assert!(out.image.is_empty());

@@ -5,6 +5,7 @@
 //! memory image must equal the serial execution's final memory, and every
 //! iteration's validated payload must be its own.
 
+use janus_obs::Recorder;
 use janus_spec::{run_speculative, run_speculative_pooled, IterationRun, SpecConfig, SpecView};
 use janus_vm::{FlatMemory, GuestMemory};
 use proptest::prelude::*;
@@ -143,6 +144,7 @@ proptest! {
                 let acc = interpret(i, &programs[i], view);
                 Ok(IterationRun { cycles: 10 + programs[i].len() as u64, payload: acc })
             },
+            &Recorder::disabled(),
         )
         .expect("synthetic bodies never fault");
 

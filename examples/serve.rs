@@ -191,8 +191,9 @@ fn main() {
         matches += 1;
     }
 
-    // With telemetry on, scrape our own /metrics once before shutdown as a
-    // live demonstration (and self-check) of the exposition endpoint.
+    // With telemetry on, scrape our own /metrics once before shutdown and
+    // check it: the page parses, counts this session's batch exactly, and
+    // carries the DBM's process-global families after the session's own.
     if let Some(addr) = handle.telemetry_addr() {
         use std::io::{Read, Write};
         let mut stream = std::net::TcpStream::connect(addr).expect("telemetry endpoint accepts");
@@ -200,11 +201,22 @@ fn main() {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("response reads");
         assert!(raw.starts_with("HTTP/1.0 200"), "scrape succeeds: {raw}");
-        let series = raw
-            .lines()
-            .filter(|l| l.starts_with("janus_") && !l.starts_with('#'))
-            .count();
-        println!("telemetry: scraped /metrics — {series} janus_* series exposed");
+        let (_, body) = raw.split_once("\r\n\r\n").expect("response has a body");
+        let doc = janus::obs::metrics::parse_exposition(body).expect("exposition parses");
+        assert_eq!(
+            doc.value("janus_serve_jobs_completed_total", &[]),
+            Some(outcomes.len() as f64),
+            "the scrape counts this session's batch"
+        );
+        assert!(
+            doc.families.contains_key("janus_dbm_runs_total"),
+            "the scrape carries the DBM's families"
+        );
+        println!(
+            "telemetry: scraped /metrics — {} series, {} jobs completed",
+            doc.samples.len(),
+            outcomes.len()
+        );
     }
 
     let stats = handle.shutdown();

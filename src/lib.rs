@@ -16,10 +16,11 @@
 //! * [`serve`] — the multi-tenant serving layer: two-tier content-addressed
 //!   artifact cache (memory LRU over a persistent disk store) plus a fair
 //!   job executor with tenant quotas and deadline admission.
-//! * [`obs`] — the flight recorder: structured tracing spans, latency
-//!   histograms, and Chrome-trace/JSONL/Prometheus exporters, threaded
-//!   through the serving and execution stack behind
-//!   [`serve::ServeConfig::trace`] / [`core::JanusConfig::trace`].
+//! * [`obs`] — the flight recorder (structured tracing spans with
+//!   Chrome-trace/JSONL exporters, threaded through the serving and
+//!   execution stack behind [`serve::ServeConfig::trace`] /
+//!   [`core::JanusConfig::trace`]) and the always-on metrics registry
+//!   (counters, gauges, latency histograms, Prometheus exposition).
 //! * [`workloads`] — the synthetic SPEC-like benchmark programs.
 //!
 //! `docs/ARCHITECTURE.md` in the repository is the systems-level tour of
