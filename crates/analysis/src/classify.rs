@@ -55,6 +55,17 @@ impl LoopCategory {
     pub fn is_speculation_candidate(self) -> bool {
         self == LoopCategory::Speculative
     }
+
+    /// Returns `true` for the one category the dependence profile decides:
+    /// a Type C loop whose training run shows a cross-iteration dependence is
+    /// Type D and stays sequential. Type A needs no profile, Type B is never
+    /// DOALL, and speculation tolerates real dependences, so the profiler
+    /// stamps accesses for these loops only and loop selection reads the
+    /// answer for these loops only.
+    #[must_use]
+    pub fn needs_dependence_profile(self) -> bool {
+        self == LoopCategory::DynamicDoall
+    }
 }
 
 /// Everything Janus knows statically about one loop.

@@ -661,11 +661,9 @@ impl Janus {
                     if p.coverage(l.id) < self.config.coverage_threshold {
                         return false;
                     }
-                    // An observed dependence makes a loop Type D and rules
-                    // out DOALL execution — but the speculative engine
-                    // tolerates (and rolls back) real dependences, so it
-                    // only loses candidates to the coverage filter.
-                    if want != LoopCategory::Speculative
+                    // An observed dependence makes a Type C loop Type D and
+                    // rules out DOALL execution.
+                    if want.needs_dependence_profile()
                         && p.loop_profile(l.id)
                             .is_some_and(|lp| lp.observed_dependence)
                     {
@@ -1307,6 +1305,72 @@ mod tests {
             with_profile.speedup(),
             without_profile.speedup()
         );
+    }
+
+    /// `kernel(x + offset, x, 100)` with `kernel(d, s, n)` computing
+    /// `d[i] = s[i] + 1.0`: a Type C loop whose pointers alias on the
+    /// training input when `offset` is one element.
+    fn alias_program(offset: i64) -> JBinary {
+        let p = ast::Program::builder("alias")
+            .global_f64("x", 256)
+            .function(
+                ast::Function::new("kernel")
+                    .param("d", ast::Ty::Ptr)
+                    .param("s", ast::Ty::Ptr)
+                    .param("n", ast::Ty::I64)
+                    .local("i", ast::Ty::I64)
+                    .body(vec![ast::Stmt::simple_for(
+                        "i",
+                        ast::Expr::const_i(0),
+                        ast::Expr::var("n"),
+                        vec![ast::Stmt::assign(
+                            ast::LValue::store_ptr("d", ast::Expr::var("i")),
+                            ast::Expr::add(
+                                ast::Expr::load_ptr("s", ast::Expr::var("i")),
+                                ast::Expr::const_f(1.0),
+                            ),
+                        )],
+                    )]),
+            )
+            .function(ast::Function::new("main").body(vec![
+                ast::Stmt::Call {
+                    name: "kernel".into(),
+                    args: vec![
+                        ast::Expr::add(ast::Expr::addr_of("x"), ast::Expr::const_i(offset)),
+                        ast::Expr::addr_of("x"),
+                        ast::Expr::const_i(100),
+                    ],
+                    ret: None,
+                },
+                ast::Stmt::print(ast::Expr::load("x", ast::Expr::const_i(100))),
+            ]))
+            .build();
+        Compiler::with_options(CompileOptions::gcc_o2())
+            .compile(&p)
+            .unwrap()
+    }
+
+    #[test]
+    fn an_observed_dependence_vetoes_a_type_c_loop() {
+        let janus = Janus::new();
+        for (offset, vetoed) in [(8, true), (1024, false)] {
+            let bin = alias_program(offset);
+            let analysis = janus.analyze(&bin).unwrap();
+            let kernel = analysis
+                .loops
+                .iter()
+                .find(|l| !l.bounds_checks.is_empty())
+                .expect("pointer loop found");
+            assert_eq!(kernel.category, LoopCategory::DynamicDoall);
+            assert_eq!(janus.select_loops(&analysis, None), [kernel.id]);
+            let prepared = janus.prepare(&bin, &[]).unwrap();
+            let expected: &[usize] = if vetoed { &[] } else { &[kernel.id] };
+            assert_eq!(prepared.selected_loops, expected, "offset {offset}");
+            assert!(
+                janus.run(&bin, &[]).unwrap().outputs_match,
+                "offset {offset}"
+            );
+        }
     }
 
     fn scatter_program(n: i64, bins: i64) -> ast::Program {

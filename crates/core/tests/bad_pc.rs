@@ -2,7 +2,8 @@
 //! `VmError::BadPc` — from the plain interpreter, from the DBM's main
 //! dispatch loop and from inside a parallel chunk, on both backends. A guest
 //! whose frame pointer is no frame at a parallel loop gets that invocation
-//! run sequentially.
+//! run sequentially, and so does one whose loop bounds put the trip count or
+//! the last induction value outside an `i64`.
 //!
 //! Every per-instruction table of the DBM (code cache, lowered rules, loop
 //! flags) is indexed by instruction slot, and `Process::slot_of` is the only
@@ -60,8 +61,9 @@ fn guest(target: Option<u64>, fp: Option<i64>) -> (JBinary, u64, u64) {
     (binary, header, exit)
 }
 
-/// The schedule that parallelises the guest's loop as a static DOALL.
-fn doall_schedule(header: u64, exit: u64) -> RewriteSchedule {
+/// The schedule that parallelises the guest's loop as a static DOALL:
+/// induction variable `r0`, `r0 += step` while `r0 cond bound`.
+fn doall_schedule(header: u64, exit: u64, step: i64, cond: Cond) -> RewriteSchedule {
     let (kind, value) = VarSpec::Reg(Reg::R0.raw()).encode();
     let mut schedule = RewriteSchedule::new("bad-pc");
     schedule.push(
@@ -69,9 +71,9 @@ fn doall_schedule(header: u64, exit: u64) -> RewriteSchedule {
             .with_data(0, 0)
             .with_data(1, kind)
             .with_data(2, value)
-            .with_data(3, 1) // step
+            .with_data(3, step)
             .with_data(4, header as i64) // the bound compare
-            .with_data(5, 2), // continue while `<`
+            .with_data(5, cond as i64),
     );
     schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));
     schedule
@@ -82,10 +84,20 @@ fn run_dbm(
     schedule: &RewriteSchedule,
     backend: BackendKind,
 ) -> Result<janus_dbm::DbmRunResult, DbmError> {
+    run_dbm_limited(binary, schedule, backend, DbmConfig::default().cycle_limit)
+}
+
+fn run_dbm_limited(
+    binary: &JBinary,
+    schedule: &RewriteSchedule,
+    backend: BackendKind,
+    cycle_limit: u64,
+) -> Result<janus_dbm::DbmRunResult, DbmError> {
     let config = DbmConfig {
         threads: 2,
         backend,
         adaptive: false,
+        cycle_limit,
         ..DbmConfig::default()
     };
     PreparedDbm::new(Process::load(binary).expect("loads"), schedule, config).execute(&[])
@@ -115,7 +127,8 @@ fn the_well_behaved_guest_runs_its_loop_in_chunks() {
     let mut vm = Vm::new(Process::load(&binary).unwrap());
     vm.run().expect("the interpreter finishes");
     for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
-        let run = run_dbm(&binary, &doall_schedule(header, exit), backend).expect("finishes");
+        let run = run_dbm(&binary, &doall_schedule(header, exit, 1, Cond::Lt), backend)
+            .expect("finishes");
         assert_eq!(run.stats.parallel_invocations, 1, "{backend}");
         assert_eq!(run.stats.sequential_fallbacks, 0, "{backend}");
         assert_eq!(run.exit_code, 0, "{backend}");
@@ -144,7 +157,7 @@ fn bad_jump_targets_are_bad_pc_everywhere() {
                 "DBM main thread on {backend}, target {target:#x}"
             );
             // Parallelised: iteration 40 runs in the second of two chunks.
-            let chunk = run_dbm(&binary, &doall_schedule(header, exit), backend);
+            let chunk = run_dbm(&binary, &doall_schedule(header, exit, 1, Cond::Lt), backend);
             assert_eq!(
                 chunk.map(|r| r.cycles),
                 Err(DbmError::Vm(VmError::BadPc { pc: target })),
@@ -165,7 +178,7 @@ fn implausible_frame_pointers_run_the_loop_sequentially() {
         let mut vm = Vm::new(Process::load(&binary).unwrap());
         vm.run().expect("the interpreter finishes");
         for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
-            let run = run_dbm(&binary, &doall_schedule(header, exit), backend)
+            let run = run_dbm(&binary, &doall_schedule(header, exit, 1, Cond::Lt), backend)
                 .unwrap_or_else(|e| panic!("fp {fp:#x} on {backend}: {e}"));
             assert_eq!(run.output_ints, vm.output_ints(), "fp {fp:#x} on {backend}");
             assert_eq!(
@@ -180,6 +193,55 @@ fn implausible_frame_pointers_run_the_loop_sequentially() {
             );
             assert_eq!(run.stats.parallel_invocations, 0, "fp {fp:#x} on {backend}");
             assert_eq!(run.stats.sequential_fallbacks, 1, "fp {fp:#x} on {backend}");
+        }
+    }
+}
+
+/// `for (r0 = start; r0 cond bound; r0 += step) {}` with the loop header
+/// (also the bound compare) and exit addresses.
+fn counted_guest(start: i64, bound: i64, step: i64, cond: Cond) -> (JBinary, u64, u64) {
+    let mut asm = AsmBuilder::new();
+    asm.function("main");
+    asm.push(Inst::mov(Operand::reg(Reg::FP), Operand::reg(Reg::SP)));
+    asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(start)));
+    asm.label("header");
+    asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(bound)));
+    asm.push_branch(cond.negate(), "exit");
+    asm.push(Inst::alu(
+        AluOp::Add,
+        Operand::reg(Reg::R0),
+        Operand::imm(step),
+    ));
+    asm.push_jmp("header");
+    asm.label("exit");
+    asm.push(Inst::Halt);
+    let [header, exit] = ["header", "exit"].map(|l| asm.label_addr(l).expect("label exists"));
+    (asm.finish_binary("main").expect("assembles"), header, exit)
+}
+
+#[test]
+fn extreme_loop_bounds_run_out_of_cycles_not_into_a_panic() {
+    // Trip counts of 2^63 + 59, 2^63, 2^63 - 1 and 2^62 - 1: the first two
+    // do not fit in an `i64` and run sequentially, the last two are exact
+    // and run in chunks whose bounds must not overflow either. None of them
+    // ends within the cycle budget.
+    let limit = 100_000;
+    for (start, bound, step, cond) in [
+        (i64::MIN + 5, 64, 1, Cond::Lt),
+        (0, i64::MAX, 1, Cond::Le),
+        (0, i64::MAX, 1, Cond::Lt),
+        (0, i64::MAX - 1, 2, Cond::Lt),
+    ] {
+        let (binary, header, exit) = counted_guest(start, bound, step, cond);
+        let schedule = doall_schedule(header, exit, step, cond);
+        for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
+            assert!(
+                matches!(
+                    run_dbm_limited(&binary, &schedule, backend, limit),
+                    Err(DbmError::CycleLimitExceeded { .. })
+                ),
+                "start {start}, bound {bound}, step {step}, {cond:?} on {backend}"
+            );
         }
     }
 }

@@ -13,9 +13,14 @@
 //! never does (unaligned accesses, a conflicting iteration that leaves
 //! through the exit edge) both must report the same `ProfileData`, field for
 //! field.
+//!
+//! On the same binaries, stamping Type C loops only must select the same
+//! loops as the wider rule it replaced, which also stamped every loop with
+//! an access of unknown shape.
 
-use janus_analysis::analyze;
+use janus_analysis::{analyze, AccessPattern, BinaryAnalysis, LoopCategory};
 use janus_compile::{CompileOptions, Compiler};
+use janus_core::Janus;
 use janus_ir::{
     AluOp, AsmBuilder, Cond, Inst, JBinary, MemRef, Operand, Reg, SyscallNum, INST_SIZE,
 };
@@ -46,7 +51,6 @@ fn reference_profile(
     let mut input: VecDeque<i64> = input.iter().copied().collect();
 
     let mut loop_stack: Vec<usize> = Vec::new();
-    let mut in_excall: Option<usize> = None;
     let mut iter_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
     let mut prev_writes: HashMap<usize, HashSet<u64>> = HashMap::new();
     let mut prev_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
@@ -92,8 +96,6 @@ fn reference_profile(
                     prev_writes.entry(id).or_default().extend(writes);
                     prev_reads.entry(id).or_default().extend(reads);
                 }
-                RuleId::ProfExcallStart => in_excall = Some(id),
-                RuleId::ProfExcallFinish => in_excall = None,
                 _ => {}
             }
         }
@@ -121,15 +123,6 @@ fn reference_profile(
             let entry = data.loops.entry(current).or_default();
             entry.loop_id = current;
             entry.dyn_instructions += retired_delta;
-            if in_excall == Some(current) || process.is_syslib_code(pc) {
-                entry.excall_instructions += retired_delta;
-                if inst.mem_read().is_some() {
-                    entry.excall_reads += 1;
-                }
-                if inst.mem_write().is_some() {
-                    entry.excall_writes += 1;
-                }
-            }
         }
 
         match effect {
@@ -203,32 +196,120 @@ fn assert_schedule_profiles_agree(
     dense.loops
 }
 
-#[test]
-fn suite_binaries_profile_identically() {
-    let mut profiled = 0;
-    for name in parallel_benchmarks()
+/// The thirteen suite binaries, by name.
+fn suite_binaries() -> Vec<(String, JBinary)> {
+    parallel_benchmarks()
         .into_iter()
         .chain(speculative_benchmarks())
-    {
-        let w = workload(name).expect("known workload");
-        let binary = Compiler::with_options(CompileOptions::gcc_o3())
-            .compile(&w.train_program)
-            .expect("workload compiles");
-        profiled += assert_profiles_agree(name, &binary);
-    }
+        .map(|name| {
+            let w = workload(name).expect("known workload");
+            let binary = Compiler::with_options(CompileOptions::gcc_o3())
+                .compile(&w.train_program)
+                .expect("workload compiles");
+            (name.to_string(), binary)
+        })
+        .collect()
+}
+
+/// Generated programs 0..256, by seed.
+fn generated_binaries() -> Vec<(String, JBinary)> {
+    (0..256)
+        .map(|seed| {
+            let binary = Compiler::new()
+                .compile(&ProgramSpec::generate(seed).lower())
+                .expect("generated program compiles");
+            (format!("seed {seed}"), binary)
+        })
+        .collect()
+}
+
+#[test]
+fn suite_binaries_profile_identically() {
+    let profiled: usize = suite_binaries()
+        .iter()
+        .map(|(name, binary)| assert_profiles_agree(name, binary))
+        .sum();
     assert!(profiled >= 13, "every binary has a profiled loop");
 }
 
 #[test]
 fn generated_programs_profile_identically() {
-    let mut profiled = 0;
-    for seed in 0..256 {
-        let binary = Compiler::new()
-            .compile(&ProgramSpec::generate(seed).lower())
-            .expect("generated program compiles");
-        profiled += assert_profiles_agree(&format!("seed {seed}"), &binary);
-    }
+    let profiled: usize = generated_binaries()
+        .iter()
+        .map(|(name, binary)| assert_profiles_agree(name, binary))
+        .sum();
     assert!(profiled > 256, "generated programs contain loops");
+}
+
+/// The profiling schedule as it was when every loop with an access of
+/// unknown shape was stamped too: `PROF_MEM_ACCESS` for `DynamicDoall ||
+/// has_unknown_access`, plus the loop events of today's schedule.
+fn wide_profiling_schedule(analysis: &BinaryAnalysis, narrow: &RewriteSchedule) -> RewriteSchedule {
+    let mut schedule = RewriteSchedule::new("wide");
+    for rule in narrow.rules() {
+        if rule.id != RuleId::ProfMemAccess {
+            schedule.push(*rule);
+        }
+    }
+    for l in &analysis.loops {
+        let stamped = l.category == LoopCategory::DynamicDoall || l.has_unknown_access;
+        if !stamped || l.category == LoopCategory::Incompatible {
+            continue;
+        }
+        for a in &l.accesses {
+            if !matches!(
+                a.pattern,
+                AccessPattern::Spill | AccessPattern::StackSlot { .. }
+            ) {
+                schedule.push(
+                    RewriteRule::new(a.addr, RuleId::ProfMemAccess)
+                        .with_data(0, l.id as i64)
+                        .with_data(1, i64::from(a.is_write)),
+                );
+            }
+        }
+    }
+    schedule
+}
+
+#[test]
+fn stamping_type_c_loops_only_loses_no_decision() {
+    let janus = Janus::new();
+    for (what, binary) in suite_binaries().into_iter().chain(generated_binaries()) {
+        let analysis = analyze(&binary).expect("analysis succeeds");
+        let narrow = generate_profiling_schedule(&analysis, &what);
+        for rule in narrow.rules() {
+            assert!(
+                !matches!(rule.id, RuleId::ProfExcallStart | RuleId::ProfExcallFinish),
+                "{what}: no external-call accounting"
+            );
+            if rule.id == RuleId::ProfMemAccess {
+                assert!(
+                    analysis.loops[rule.loop_id()]
+                        .category
+                        .needs_dependence_profile(),
+                    "{what}: stamp on loop {}",
+                    rule.loop_id()
+                );
+            }
+        }
+        let wide = wide_profiling_schedule(&analysis, &narrow);
+        let process = Process::load(&binary).expect("binary loads");
+        let narrow = profile(&process, &narrow, &[]).expect("profiling succeeds");
+        let wide = profile(&process, &wide, &[]).expect("profiling succeeds");
+        assert_eq!(
+            janus.select_loops(&analysis, Some(&narrow)),
+            janus.select_loops(&analysis, Some(&wide)),
+            "{what}: selected loops"
+        );
+        for l in &analysis.loops {
+            if l.category.needs_dependence_profile() {
+                let observed =
+                    |p: &ProfileData| p.loop_profile(l.id).map(|lp| lp.observed_dependence);
+                assert_eq!(observed(&narrow), observed(&wide), "{what}: loop {}", l.id);
+            }
+        }
+    }
 }
 
 /// The profiling rules of a hand-assembled loop: entry, latch and exit by

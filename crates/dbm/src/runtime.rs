@@ -130,16 +130,15 @@ impl SideSpec {
     }
 
     /// The address range `[lo, hi)` touched over `iterations` iterations,
-    /// evaluated against the current register state.
-    fn range(&self, cpu: &Cpu, iterations: i64) -> (i64, i64) {
-        let start = match self.reg {
-            None => self.base_or_offset,
-            Some(r) => {
+    /// evaluated against the current register state; exact, as the register
+    /// and the count are the guest's.
+    fn range(&self, cpu: &Cpu, iterations: i64) -> (i128, i128) {
+        let start = i128::from(self.base_or_offset)
+            + self.reg.map_or(0, |r| {
                 let reg = Reg::from_raw(r).expect("valid register in rule");
-                cpu.read_gpr(reg) + self.base_or_offset
-            }
-        };
-        let span = self.stride * (iterations - 1).max(0);
+                i128::from(cpu.read_gpr(reg))
+            });
+        let span = i128::from(self.stride) * i128::from((iterations - 1).max(0));
         let (lo, hi) = if span >= 0 {
             (start, start + span)
         } else {
@@ -607,10 +606,13 @@ impl Dbm {
     }
 
     /// Computes the number of remaining iterations given start, bound, step
-    /// and the continue condition.
-    fn iteration_count(start: i64, end: i64, step: i64, cond: i64) -> i64 {
+    /// and the continue condition; `None` when the count or the induction
+    /// value after the last iteration, `start + count * step`, does not fit
+    /// in an `i64` (the bounds are the guest's).
+    fn iteration_count(start: i64, end: i64, step: i64, cond: i64) -> Option<i64> {
         // cond encoding matches janus_ir::Cond discriminants used by rulegen:
         // 2 = Lt, 3 = Le, 4 = Gt, 5 = Ge, 1 = Ne (others treated like Lt).
+        let (start, end, step) = (i128::from(start), i128::from(end), i128::from(step));
         let (span, step_abs) = if step > 0 {
             let end = if cond == 3 { end + 1 } else { end };
             (end - start, step)
@@ -618,11 +620,13 @@ impl Dbm {
             let end = if cond == 5 { end - 1 } else { end };
             (start - end, -step)
         };
-        if span <= 0 || step_abs == 0 {
+        let count = if span <= 0 || step_abs == 0 {
             0
         } else {
             (span + step_abs - 1) / step_abs
-        }
+        };
+        i64::try_from(start + count * step).ok()?;
+        i64::try_from(count).ok()
     }
 
     /// Feeds one pace-calibration sample to the tuner: wall time per
@@ -712,7 +716,8 @@ impl Dbm {
                 }
             };
         let end = self.read_operand_int(&bound_operand);
-        let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond);
+        // A count that does not fit runs sequentially, like a short one.
+        let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond).unwrap_or(0);
         let threads = i64::from(self.config.threads.max(1));
         if iterations < threads * self.config.min_iterations_per_thread.max(1) as i64 {
             self.stats.sequential_fallbacks += 1;
@@ -820,9 +825,9 @@ impl Dbm {
         let mut plans: Vec<ChunkPlan> = Vec::with_capacity(num_chunks);
         for t in 0..num_chunks {
             let chunk_start_iter = t as i64 * chunk;
-            let chunk_end_iter = ((t as i64 + 1) * chunk).min(iterations);
-            let thread_start = start + chunk_start_iter * lr.step;
-            let thread_end = start + chunk_end_iter * lr.step;
+            let chunk_end_iter = chunk_start_iter.saturating_add(chunk).min(iterations);
+            let thread_start = induction_at(start, chunk_start_iter, lr.step);
+            let thread_end = induction_at(start, chunk_end_iter, lr.step);
 
             let mut cpu = self.main.clone();
             cpu.cycles = 0;
@@ -1076,7 +1081,7 @@ impl Dbm {
              view: &mut janus_spec::SpecView<'_, FlatMemory>|
              -> std::result::Result<janus_spec::IterationRun<SpecPayload>, DbmError> {
                 let mut cpu = template.clone();
-                let value = start + iter as i64 * step;
+                let value = induction_at(start, iter as i64, step);
                 cpu.write_gpr(ind_reg, value);
                 // Privatised reduction accumulators: iteration 0 keeps the
                 // incoming value, the others start from the identity.
@@ -1230,6 +1235,15 @@ fn needs_indirect_lookup(inst: &Inst) -> bool {
         inst,
         Inst::JmpInd { .. } | Inst::CallInd { .. } | Inst::CallExt { .. } | Inst::Ret
     )
+}
+
+/// The induction value at iteration `iter` of an invocation that starts at
+/// `start`. Two's-complement arithmetic is exact modulo 2^64, so the result
+/// is exact whenever the true value fits, as it does for every `iter` up to
+/// a count [`Dbm::iteration_count`] accepted, even where `iter * step` alone
+/// does not.
+fn induction_at(start: i64, iter: i64, step: i64) -> i64 {
+    start.wrapping_add(iter.wrapping_mul(step))
 }
 
 /// The `LOOP_UPDATE_BOUND` handler: the loop's bound compare (`lhs` is its
@@ -1469,16 +1483,38 @@ mod tests {
     #[test]
     fn iteration_count_matches_loop_semantics() {
         // for (i = 0; i < 100; i += 1)
-        assert_eq!(Dbm::iteration_count(0, 100, 1, 2), 100);
+        assert_eq!(Dbm::iteration_count(0, 100, 1, 2), Some(100));
         // for (i = 0; i <= 100; i += 1)
-        assert_eq!(Dbm::iteration_count(0, 100, 1, 3), 101);
+        assert_eq!(Dbm::iteration_count(0, 100, 1, 3), Some(101));
         // for (i = 0; i < 100; i += 3)
-        assert_eq!(Dbm::iteration_count(0, 100, 3, 2), 34);
+        assert_eq!(Dbm::iteration_count(0, 100, 3, 2), Some(34));
         // for (i = 100; i > 0; i -= 1)
-        assert_eq!(Dbm::iteration_count(100, 0, -1, 4), 100);
+        assert_eq!(Dbm::iteration_count(100, 0, -1, 4), Some(100));
         // empty
-        assert_eq!(Dbm::iteration_count(10, 10, 1, 2), 0);
-        assert_eq!(Dbm::iteration_count(20, 10, 1, 2), 0);
+        assert_eq!(Dbm::iteration_count(10, 10, 1, 2), Some(0));
+        assert_eq!(Dbm::iteration_count(20, 10, 1, 2), Some(0));
+        assert_eq!(Dbm::iteration_count(i64::MAX, i64::MIN, 1, 3), Some(0));
+        // Guest-chosen extremes: counts and last values that fit...
+        assert_eq!(Dbm::iteration_count(0, i64::MAX, 1, 2), Some(i64::MAX));
+        assert_eq!(
+            Dbm::iteration_count(0, i64::MAX - 1, 2, 2),
+            Some((1 << 62) - 1)
+        );
+        // ...a count that does not (2^63 + 59, 2^63, 2^64 - 1, 2^63 + 1)...
+        assert_eq!(Dbm::iteration_count(i64::MIN + 5, 64, 1, 2), None);
+        assert_eq!(Dbm::iteration_count(0, i64::MAX, 1, 3), None);
+        assert_eq!(Dbm::iteration_count(i64::MAX, i64::MIN, -1, 4), None);
+        assert_eq!(Dbm::iteration_count(0, i64::MIN, -1, 5), None);
+        // ...and counts that do whose last value (2^63, -2^63 - 1) does not.
+        assert_eq!(Dbm::iteration_count(0, i64::MAX, 2, 3), None);
+        assert_eq!(Dbm::iteration_count(i64::MIN, i64::MIN, -1, 5), None);
+    }
+
+    #[test]
+    fn induction_values_are_exact_wherever_they_fit() {
+        assert_eq!(induction_at(i64::MIN, 1 << 62, 3), 1 << 62);
+        assert_eq!(induction_at(i64::MAX, i64::MAX, -1), 0);
+        assert_eq!(induction_at(-5, 0, i64::MIN), -5);
     }
 
     #[test]
@@ -1493,5 +1529,10 @@ mod tests {
         let (lo, hi) = s.range(&cpu, 10);
         assert_eq!(lo, 0x1008);
         assert_eq!(hi, 0x1008 + 9 * 8 + 8);
+        // A guest-chosen base and count are exact, not an overflow.
+        cpu.write_gpr(Reg::R5, i64::MAX);
+        let (lo, hi) = s.range(&cpu, i64::MAX);
+        assert_eq!(lo, i128::from(i64::MAX) + 8);
+        assert_eq!(hi, lo + 8 * (i128::from(i64::MAX) - 1) + 8);
     }
 }

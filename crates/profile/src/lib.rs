@@ -8,11 +8,13 @@
 //! 1. **Loop-coverage profiling**: counts the dynamic instructions executed
 //!    inside each candidate loop as a proxy for the time spent there, so that
 //!    low-coverage loops can be filtered out of the parallelisation plan.
-//! 2. **Memory-dependence profiling**: for loops whose independence could not
-//!    be proved statically, stamps every instrumented address with the
-//!    iteration that first read and first wrote it and reports whether a
-//!    cross-iteration dependence actually occurred on the training input
-//!    (Type C vs Type D classification).
+//! 2. **Memory-dependence profiling**: for Type C loops (DOALL modulo runtime
+//!    checks, [`LoopCategory::needs_dependence_profile`]) only, stamps every
+//!    instrumented address with the iteration that first read and first
+//!    wrote it and reports whether a cross-iteration dependence actually
+//!    occurred on the training input (Type C vs Type D classification). No
+//!    other category's selection reads the answer, so no other loop pays
+//!    for it.
 //!
 //! The profiler executes the *training* input through an instrumented
 //! interpreter; profiling runs are not included in any timing figure. Its
@@ -47,16 +49,9 @@ pub struct LoopProfile {
     pub dyn_instructions: u64,
     /// Fraction of all program instructions spent in this loop.
     pub coverage: f64,
-    /// `true` if a cross-iteration memory dependence was observed.
+    /// `true` if a cross-iteration memory dependence was observed. Meaningful
+    /// for Type C loops only: no other loop's accesses are instrumented.
     pub observed_dependence: bool,
-    /// Dynamic instructions executed inside external calls made by the loop.
-    pub excall_instructions: u64,
-    /// Instructions with a memory read retired inside external calls made by
-    /// the loop: a running total over the whole run, like the two fields
-    /// around it (not a per-call average).
-    pub excall_reads: u64,
-    /// Instructions with a memory write retired inside external calls.
-    pub excall_writes: u64,
 }
 
 /// The result of profiling one binary on one input.
@@ -110,9 +105,9 @@ impl ProfileData {
 
 /// Generates the profiling rewrite schedule for the candidate loops of a
 /// binary: `PROF_LOOP_START`/`FINISH` at loop entries and exits,
-/// `PROF_LOOP_ITER` at the latch, `PROF_MEM_ACCESS` for the memory accesses
-/// that need dependence profiling and `PROF_EXCALL_START/FINISH` around
-/// external calls.
+/// `PROF_LOOP_ITER` at the latch, and `PROF_MEM_ACCESS` on the heap and
+/// global accesses of the loops whose selection reads the dependence answer
+/// ([`LoopCategory::needs_dependence_profile`]).
 #[must_use]
 pub fn generate_profiling_schedule(analysis: &BinaryAnalysis, executable: &str) -> RewriteSchedule {
     let mut schedule = RewriteSchedule::new(executable);
@@ -128,7 +123,7 @@ pub fn generate_profiling_schedule(analysis: &BinaryAnalysis, executable: &str) 
         for &latch in &l.latch_branch_addrs {
             schedule.push(RewriteRule::new(latch, RuleId::ProfLoopIter).with_data(0, id));
         }
-        if l.category == LoopCategory::DynamicDoall || l.has_unknown_access {
+        if l.category.needs_dependence_profile() {
             for a in &l.accesses {
                 // Stack-slot and spill traffic is iteration-private by
                 // construction; only heap/global accesses are instrumented
@@ -146,13 +141,6 @@ pub fn generate_profiling_schedule(analysis: &BinaryAnalysis, executable: &str) 
                         .with_data(1, i64::from(a.is_write)),
                 );
             }
-        }
-        for &call in &l.external_call_addrs {
-            schedule.push(RewriteRule::new(call, RuleId::ProfExcallStart).with_data(0, id));
-            schedule.push(
-                RewriteRule::new(call + INST_SIZE as u64, RuleId::ProfExcallFinish)
-                    .with_data(0, id),
-            );
         }
     }
     schedule
@@ -174,19 +162,10 @@ pub fn profile(
     // per slot so an instruction without a flag pays for nothing below.
     const RULES: u8 = 1 << 0;
     const MEM_ACCESS: u8 = 1 << 1;
-    const SYSLIB: u8 = 1 << 2;
     let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
     loop_ids.sort_unstable();
     loop_ids.dedup();
-    let mut flags: Vec<u8> = (0..process.num_slots())
-        .map(|slot| {
-            if process.is_syslib_slot(slot) {
-                SYSLIB
-            } else {
-                0
-            }
-        })
-        .collect();
+    let mut flags = vec![0u8; process.num_slots()];
     let mut events = RewriteSchedule::new("");
     for rule in schedule.rules() {
         let Some(slot) = process.slot_of(rule.addr) else {
@@ -229,8 +208,6 @@ pub fn profile(
                     RuleId::ProfLoopStart => tracker.start(id, cpu.retired),
                     RuleId::ProfLoopFinish => tracker.finish(id, cpu.retired),
                     RuleId::ProfLoopIter => tracker.latch(id),
-                    RuleId::ProfExcallStart => tracker.in_excall = Some(id),
-                    RuleId::ProfExcallFinish => tracker.in_excall = None,
                     _ => {}
                 }
             }
@@ -245,17 +222,6 @@ pub fn profile(
                     l.touch(janus_vm::exec::effective_addr(&cpu, &m), true);
                 }
             }
-        }
-
-        // External-call accounting, only inside external calls. Every step
-        // that returns retires exactly one instruction, and a faulting one
-        // discards the profile, so this may run before the step.
-        if flags & SYSLIB != 0 || tracker.in_excall.is_some() {
-            tracker.charge_excall(
-                flags & SYSLIB != 0,
-                inst.mem_read().is_some(),
-                inst.mem_write().is_some(),
-            );
         }
 
         let next_pc = pc + INST_SIZE as u64;
@@ -428,53 +394,5 @@ mod tests {
             lp.observed_dependence,
             "aliased pointers must be detected as a dynamic dependence"
         );
-    }
-
-    #[test]
-    fn external_call_cost_is_attributed_to_the_loop() {
-        let p = ast::Program::builder("excall")
-            .global_f64("a", 32)
-            .global_f64("b", 32)
-            .function(
-                ast::Function::new("main")
-                    .local("i", ast::Ty::I64)
-                    .local("t", ast::Ty::F64)
-                    .body(vec![ast::Stmt::simple_for(
-                        "i",
-                        ast::Expr::const_i(0),
-                        ast::Expr::const_i(32),
-                        vec![
-                            ast::Stmt::call_ext(
-                                "pow",
-                                vec![
-                                    ast::Expr::load("a", ast::Expr::var("i")),
-                                    ast::Expr::const_f(2.0),
-                                ],
-                                Some(ast::LValue::var("t")),
-                            ),
-                            ast::Stmt::assign(
-                                ast::LValue::store("b", ast::Expr::var("i")),
-                                ast::Expr::var("t"),
-                            ),
-                        ],
-                    )]),
-            )
-            .build();
-        let bin = Compiler::with_options(CompileOptions::gcc_o2())
-            .compile(&p)
-            .unwrap();
-        let analysis = analyze(&bin).unwrap();
-        let schedule = generate_profiling_schedule(&analysis, "excall");
-        let process = Process::load(&bin).unwrap();
-        let data = profile(&process, &schedule, &[]).unwrap();
-        let l = analysis
-            .loops
-            .iter()
-            .find(|l| !l.external_call_addrs.is_empty())
-            .unwrap();
-        let lp = data.loop_profile(l.id).unwrap();
-        assert!(lp.excall_instructions > 0, "library instructions counted");
-        assert!(lp.excall_reads > 0, "pow reads its coefficient table");
-        assert_eq!(lp.excall_writes, 0, "pow performs no heap writes");
     }
 }

@@ -97,9 +97,6 @@ pub(crate) struct Tracker {
     /// `cpu.retired` when the top of the stack last changed: instructions
     /// retired since belong to the loop on top.
     mark: u64,
-    /// The loop whose external call is in flight (`PROF_EXCALL_START` sets
-    /// it, `PROF_EXCALL_FINISH` clears it).
-    pub(crate) in_excall: Option<usize>,
 }
 
 impl Tracker {
@@ -108,7 +105,6 @@ impl Tracker {
             loops: (0..loops).map(|_| LoopState::default()).collect(),
             stack: Vec::new(),
             mark: 0,
-            in_excall: None,
         }
     }
 
@@ -167,21 +163,6 @@ impl Tracker {
         (!l.profile.observed_dependence).then_some(l)
     }
 
-    /// Accounts one retired instruction that is system-library code
-    /// (`syslib`) or retired while `in_excall` is set: it counts towards the
-    /// loop on top if that loop made the call or the code is library code.
-    pub(crate) fn charge_excall(&mut self, syslib: bool, reads: bool, writes: bool) {
-        let Some(&top) = self.stack.last() else {
-            return;
-        };
-        if syslib || self.in_excall == Some(top) {
-            let p = &mut self.loops[top].profile;
-            p.excall_instructions += 1;
-            p.excall_reads += u64::from(reads);
-            p.excall_writes += u64::from(writes);
-        }
-    }
-
     /// Closes the accounting at `retired` and returns the profiles by dense
     /// index (`loop_id` and `coverage` are the caller's to fill).
     pub(crate) fn into_profiles(mut self, retired: u64) -> impl Iterator<Item = LoopProfile> {
@@ -210,14 +191,10 @@ mod tests {
             addr: u64,
             is_write: bool,
         },
-        Retire {
-            syslib: bool,
-            reads: bool,
-            writes: bool,
-        },
-        Excall(Option<usize>),
+        /// One retired instruction.
+        Retire,
     }
-    use Event::{Access, Excall, Finish, Latch, LatchTop, Retire, Start};
+    use Event::{Access, Finish, Latch, LatchTop, Retire, Start};
 
     const LOOPS: usize = 4;
 
@@ -252,20 +229,9 @@ mod tests {
                     }
                     old.access(addr, is_write);
                 }
-                Retire {
-                    syslib,
-                    reads,
-                    writes,
-                } => {
+                Retire => {
                     retired += 1;
-                    if syslib || new.in_excall.is_some() {
-                        new.charge_excall(syslib, reads, writes);
-                    }
-                    old.retire(syslib, reads, writes);
-                }
-                Excall(id) => {
-                    new.in_excall = id;
-                    old.in_excall = id;
+                    old.retire();
                 }
             }
         }
@@ -407,24 +373,19 @@ mod tests {
 
     #[test]
     fn instructions_are_charged_between_stack_switches() {
-        let tick = Retire {
-            syslib: false,
-            reads: false,
-            writes: false,
-        };
         let (new, old) = run_both(&[
-            tick,
+            Retire,
             Start(0),
-            tick,
-            tick,
+            Retire,
+            Retire,
             Start(1),
-            tick,
+            Retire,
             Finish(1),
-            tick,
+            Retire,
             Finish(0),
-            tick,
+            Retire,
             Start(2),
-            tick,
+            Retire,
         ]);
         assert_eq!(new, old);
         let charged: Vec<u64> = new.iter().map(|p| p.dyn_instructions).collect();
@@ -454,27 +415,23 @@ mod tests {
         /// Stamps and sets report the same `LoopProfile`s for any stream of
         /// loop events: nested loops, re-invocation with and without a pop,
         /// exits without a latch, latches and finishes of loops that are not
-        /// on top, unaligned and spilled addresses, external calls.
+        /// on top, unaligned and spilled addresses.
         #[test]
         fn matches_the_reference_model(
             steps in proptest::collection::vec(
-                (0u8..16, 0usize..LOOPS, 0usize..ADDRS.len(), 0u8..8),
+                (0u8..16, 0usize..LOOPS, 0usize..ADDRS.len(), proptest::arbitrary::any::<bool>()),
                 0..400,
             ),
         ) {
             let events: Vec<Event> = steps
                 .iter()
-                .map(|&(kind, id, addr, bits)| {
-                    let [a, b, c] = [1, 2, 4].map(|bit| bits & bit != 0);
-                    match kind {
-                        0 => Start(id),
-                        1 => Finish(id),
-                        2 => Latch(id),
-                        3..=4 => LatchTop,
-                        5 => Excall(a.then_some(id)),
-                        6..=7 => Retire { syslib: a && b, reads: b, writes: c },
-                        _ => Access { addr: ADDRS[addr], is_write: a },
-                    }
+                .map(|&(kind, id, addr, is_write)| match kind {
+                    0 => Start(id),
+                    1 => Finish(id),
+                    2 => Latch(id),
+                    3..=4 => LatchTop,
+                    5..=7 => Retire,
+                    _ => Access { addr: ADDRS[addr], is_write },
                 })
                 .collect();
             let (new, old) = run_both(&events);

@@ -1,7 +1,7 @@
 //! The address-set tracker the stamps replaced, kept as the test-only
 //! reference model: four sets per loop (this iteration's and all earlier
 //! iterations' reads and writes), cleared at loop entry, intersected and
-//! folded at every latch, and one accounting update per retired instruction.
+//! folded at every latch, and one instruction count per retired instruction.
 //! `tests::matches_the_reference_model` drives it in lockstep with
 //! [`super::Tracker`].
 
@@ -21,7 +21,6 @@ struct LoopState {
 pub(super) struct Tracker {
     loops: Vec<LoopState>,
     stack: Vec<usize>,
-    pub(super) in_excall: Option<usize>,
 }
 
 impl Tracker {
@@ -29,7 +28,6 @@ impl Tracker {
         Tracker {
             loops: (0..loops).map(|_| LoopState::default()).collect(),
             stack: Vec::new(),
-            in_excall: None,
         }
     }
 
@@ -90,16 +88,9 @@ impl Tracker {
     }
 
     /// One retired instruction.
-    pub(super) fn retire(&mut self, syslib: bool, reads: bool, writes: bool) {
-        let Some(&top) = self.stack.last() else {
-            return;
-        };
-        let p = &mut self.loops[top].profile;
-        p.dyn_instructions += 1;
-        if self.in_excall == Some(top) || syslib {
-            p.excall_instructions += 1;
-            p.excall_reads += u64::from(reads);
-            p.excall_writes += u64::from(writes);
+    pub(super) fn retire(&mut self) {
+        if let Some(&top) = self.stack.last() {
+            self.loops[top].profile.dyn_instructions += 1;
         }
     }
 

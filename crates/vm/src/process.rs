@@ -127,19 +127,6 @@ impl Process {
             .ok_or(VmError::UnresolvedPlt { plt: index })
     }
 
-    /// Returns `true` if `addr` lies in the shared system library (code that
-    /// the static analyser never saw).
-    #[must_use]
-    pub fn is_syslib_code(&self, addr: u64) -> bool {
-        self.syslib.text_contains(addr)
-    }
-
-    /// [`Process::is_syslib_code`] of the address in `slot`.
-    #[must_use]
-    pub fn is_syslib_slot(&self, slot: usize) -> bool {
-        slot >= self.main_slots
-    }
-
     /// Number of instruction slots (instructions of both text sections).
     #[must_use]
     pub fn num_slots(&self) -> usize {
@@ -254,7 +241,7 @@ mod tests {
         match p.resolve_plt(0).unwrap() {
             ResolvedPlt::Guest { name, addr } => {
                 assert_eq!(name, "pow");
-                assert!(p.is_syslib_code(*addr));
+                assert!(p.syslib().text_contains(*addr));
             }
             other => panic!("expected guest resolution, got {other:?}"),
         }
