@@ -1,11 +1,20 @@
 //! Function discovery and control-flow-graph recovery from a stripped binary.
+//!
+//! Recovery works on instruction *slots*, the numbering `janus_vm::Process`
+//! uses: slot `s` is the instruction at `text_base + s * INST_SIZE`. Each
+//! slot is decoded at most once per [`recover_functions`] call, and the
+//! exploration keeps its visited and leader marks and its block-start index
+//! in per-slot tables shared by every function of the binary: a function
+//! clears only the slots it touched.
 
-use crate::error::Result;
-use janus_ir::{decode_at, ControlFlow, DecodedInst, Inst, JBinary, INST_SIZE};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use crate::error::{AnalysisError, Result};
+use janus_ir::{decode_at, ControlFlow, DecodedInst, Inst, JBinary, SymbolKind, INST_SIZE};
+use std::collections::VecDeque;
 
 /// Index of a basic block within its function's CFG.
 pub type BlockId = usize;
+
+const STEP: u64 = INST_SIZE as u64;
 
 /// A basic block: a maximal single-entry, single-exit-point instruction
 /// sequence.
@@ -60,8 +69,6 @@ pub struct FunctionCfg {
     pub name: Option<String>,
     /// Basic blocks; index 0 is the entry block.
     pub blocks: Vec<BasicBlock>,
-    /// Map from block start address to block id.
-    pub block_at: HashMap<u64, BlockId>,
     /// Direct call targets made by this function.
     pub callees: Vec<u64>,
     /// `true` if the function contains indirect jumps or indirect calls,
@@ -77,7 +84,7 @@ impl FunctionCfg {
     /// The block starting at `addr`, if any.
     #[must_use]
     pub fn block_starting_at(&self, addr: u64) -> Option<&BasicBlock> {
-        self.block_at.get(&addr).map(|&id| &self.blocks[id])
+        self.blocks.iter().find(|b| b.start == addr)
     }
 
     /// The block containing the instruction at `addr`, if any.
@@ -98,29 +105,39 @@ impl FunctionCfg {
 ///
 /// # Errors
 ///
-/// Returns an error if instruction decoding fails.
+/// Returns an error if an instruction the exploration reaches fails to
+/// decode, or if control reaches an address inside the text section that is
+/// not on an instruction boundary.
 pub fn recover_functions(binary: &JBinary) -> Result<Vec<FunctionCfg>> {
+    let slots = binary.text().len().div_ceil(INST_SIZE);
+    let mut text = Text {
+        binary,
+        insts: vec![None; slots],
+        marks: vec![0; slots],
+        block_at: vec![NO_BLOCK; slots],
+    };
     let mut roots: Vec<u64> = vec![binary.entry()];
     for sym in binary.symbols() {
-        if sym.kind == janus_ir::SymbolKind::Function && !roots.contains(&sym.addr) {
+        if sym.kind == SymbolKind::Function && !roots.contains(&sym.addr) {
             roots.push(sym.addr);
         }
     }
-    let mut discovered: BTreeSet<u64> = roots.iter().copied().collect();
-    let mut queue: VecDeque<u64> = roots.into_iter().collect();
+    let mut discovered = vec![false; slots];
+    let mut queue = VecDeque::new();
+    for entry in roots {
+        if let Some(slot) = text.slot(entry)? {
+            discovered[slot] = true;
+            queue.push_back(entry);
+        }
+    }
     let mut functions = Vec::new();
-    let mut seen_entries = HashSet::new();
     while let Some(entry) = queue.pop_front() {
-        if !seen_entries.insert(entry) {
-            continue;
-        }
-        if !binary.text_contains(entry) {
-            continue;
-        }
-        let cfg = recover_function(binary, entry)?;
-        for callee in &cfg.callees {
-            if binary.text_contains(*callee) && discovered.insert(*callee) {
-                queue.push_back(*callee);
+        let cfg = text.function(entry)?;
+        for &callee in &cfg.callees {
+            if let Some(slot) = text.slot(callee)? {
+                if !std::mem::replace(&mut discovered[slot], true) {
+                    queue.push_back(callee);
+                }
             }
         }
         functions.push(cfg);
@@ -128,188 +145,224 @@ pub fn recover_functions(binary: &JBinary) -> Result<Vec<FunctionCfg>> {
     Ok(functions)
 }
 
-/// Recovers the CFG of the single function whose entry point is `entry`.
-///
-/// # Errors
-///
-/// Returns an error if instruction decoding fails.
-pub fn recover_function(binary: &JBinary, entry: u64) -> Result<FunctionCfg> {
-    let name = binary
-        .symbols()
-        .iter()
-        .find(|s| s.kind == janus_ir::SymbolKind::Function && s.addr == entry)
-        .map(|s| s.name.clone());
+/// `Text::marks` bit: the exploration reached the slot.
+const VISITED: u8 = 1;
+/// `Text::marks` bit: a block starts at the slot.
+const LEADER: u8 = 2;
+/// `Text::block_at` of a slot no block starts at.
+const NO_BLOCK: u32 = u32::MAX;
 
-    // Pass 1: explore and decode the reachable instructions, recording
-    // leaders (block start addresses), calls and hazards.
-    let mut visited: BTreeMap<u64, Inst> = BTreeMap::new();
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
-    leaders.insert(entry);
-    let mut callees = Vec::new();
-    let mut external_calls = Vec::new();
-    let mut has_indirect_flow = false;
-    let mut has_syscall = false;
+/// One binary's text section by slot, with the scratch tables of the
+/// function being recovered (clear between functions).
+struct Text<'a> {
+    binary: &'a JBinary,
+    /// Each slot's instruction, decoded on first visit.
+    insts: Vec<Option<Inst>>,
+    marks: Vec<u8>,
+    /// The id of the block starting at each slot.
+    block_at: Vec<u32>,
+}
 
-    let mut work = vec![entry];
-    while let Some(addr) = work.pop() {
-        if visited.contains_key(&addr) || !binary.text_contains(addr) {
-            continue;
+impl Text<'_> {
+    /// The slot of `addr`: `None` outside the text section, an error inside
+    /// it but between instruction boundaries.
+    fn slot(&self, addr: u64) -> Result<Option<usize>> {
+        if !self.binary.text_contains(addr) {
+            return Ok(None);
         }
-        let inst = decode_at(binary.text_base(), binary.text(), addr)?;
-        let next = addr + INST_SIZE as u64;
-        if matches!(inst, Inst::Syscall { .. }) {
-            has_syscall = true;
+        let off = addr - self.binary.text_base();
+        if off % STEP != 0 {
+            return Err(AnalysisError::Decode {
+                reason: format!("control reaches {addr:#x}, inside an instruction"),
+            });
         }
-        match inst.control_flow() {
-            ControlFlow::FallThrough => work.push(next),
-            ControlFlow::Jump(target) => {
-                leaders.insert(target);
-                work.push(target);
-            }
-            ControlFlow::Branch(target) => {
-                leaders.insert(target);
-                leaders.insert(next);
-                work.push(target);
-                work.push(next);
-            }
-            ControlFlow::IndirectJump => {
-                has_indirect_flow = true;
-                // Target unknown: the path ends here for static purposes.
-            }
-            ControlFlow::Call(target) => {
-                callees.push(target);
-                leaders.insert(next);
-                work.push(next);
-            }
-            ControlFlow::IndirectCall => {
-                if let Inst::CallExt { plt } = inst {
-                    external_calls.push(plt);
-                } else {
-                    has_indirect_flow = true;
-                }
-                leaders.insert(next);
-                work.push(next);
-            }
-            ControlFlow::Return | ControlFlow::Halt => {}
-        }
-        visited.insert(addr, inst);
+        Ok(Some((off / STEP) as usize))
     }
 
-    // Pass 2: build blocks from the visited instructions, in address order.
-    // A block starts at a leader or at the first visited instruction after a
-    // gap and runs until a terminator, the next leader or the next gap.
-    let mut blocks: Vec<BasicBlock> = Vec::new();
-    let mut block_at: HashMap<u64, BlockId> = HashMap::new();
-    let mut visited = visited.into_iter().peekable();
-    while let Some((start, inst)) = visited.next() {
-        let mut insts = vec![DecodedInst { addr: start, inst }];
-        let end = loop {
-            let last = insts.last().expect("a block has its first instruction");
-            let next = last.addr + INST_SIZE as u64;
-            if last.inst.is_terminator() || leaders.contains(&next) {
-                break next;
-            }
-            match visited.next_if(|(addr, _)| *addr == next) {
-                Some((addr, inst)) => insts.push(DecodedInst { addr, inst }),
-                None => break next,
-            }
-        };
-        let id = blocks.len();
-        block_at.insert(start, id);
-        blocks.push(BasicBlock {
-            id,
-            start,
-            end,
-            insts,
-            succs: Vec::new(),
-            preds: Vec::new(),
-        });
+    fn addr(&self, slot: usize) -> u64 {
+        self.binary.text_base() + slot as u64 * STEP
     }
 
-    // Pass 3: wire up edges. Fall-through edges between consecutive blocks
-    // exist when the earlier block does not end in an unconditional transfer.
-    let mut succ_sets: Vec<BTreeSet<BlockId>> = vec![BTreeSet::new(); blocks.len()];
-    for b in 0..blocks.len() {
-        let last = blocks[b].insts.last().cloned();
-        if let Some(last) = last {
-            match last.inst.control_flow() {
-                ControlFlow::FallThrough | ControlFlow::Call(_) | ControlFlow::IndirectCall => {
-                    let next = last.addr + INST_SIZE as u64;
-                    if let Some(&to) = block_at.get(&next) {
-                        succ_sets[b].insert(to);
-                    }
-                }
-                ControlFlow::Jump(t) => {
-                    if let Some(&to) = block_at.get(&t) {
-                        succ_sets[b].insert(to);
-                    }
-                }
-                ControlFlow::Branch(t) => {
-                    if let Some(&to) = block_at.get(&t) {
-                        succ_sets[b].insert(to);
-                    }
-                    let next = last.addr + INST_SIZE as u64;
-                    if let Some(&to) = block_at.get(&next) {
-                        succ_sets[b].insert(to);
-                    }
-                }
-                ControlFlow::IndirectJump | ControlFlow::Return | ControlFlow::Halt => {}
-            }
+    fn mark_leader(&mut self, addr: u64) -> Result<()> {
+        if let Some(slot) = self.slot(addr)? {
+            self.marks[slot] |= LEADER;
         }
-        // Blocks that were split because the next address is a leader fall
-        // through implicitly.
-        if let Some(last) = blocks[b].insts.last() {
-            if !last.inst.is_terminator() {
-                let next = last.addr + INST_SIZE as u64;
-                if let Some(&to) = block_at.get(&next) {
-                    succ_sets[b].insert(to);
-                }
-            }
-        }
-    }
-    for (b, succs) in succ_sets.iter().enumerate() {
-        blocks[b].succs = succs.iter().copied().collect();
-        for &s in succs {
-            blocks[s].preds.push(b);
-        }
+        Ok(())
     }
 
-    // Ensure the entry block is block 0 (swap if necessary).
-    if let Some(&entry_id) = block_at.get(&entry) {
-        if entry_id != 0 {
-            blocks.swap(0, entry_id);
-            // Fix ids and edges after the swap.
-            let remap = |id: BlockId| -> BlockId {
-                if id == 0 {
-                    entry_id
-                } else if id == entry_id {
-                    0
-                } else {
-                    id
-                }
+    /// The instruction in a slot the exploration visited.
+    fn decoded(&self, slot: usize) -> &Inst {
+        self.insts[slot]
+            .as_ref()
+            .expect("visited slots are decoded")
+    }
+
+    /// The block starting at `addr`, once pass 2 has built them.
+    fn block_at(&self, addr: u64) -> Option<BlockId> {
+        let slot = self.slot(addr).ok().flatten()?;
+        (self.block_at[slot] != NO_BLOCK).then_some(self.block_at[slot] as BlockId)
+    }
+
+    /// Recovers the CFG of the function whose entry point is `entry`.
+    fn function(&mut self, entry: u64) -> Result<FunctionCfg> {
+        let binary = self.binary;
+        let name = binary
+            .symbols()
+            .iter()
+            .find(|s| s.kind == SymbolKind::Function && s.addr == entry)
+            .map(|s| s.name.clone());
+
+        // Pass 1: explore and decode the reachable instructions, marking
+        // visited slots and leaders (block start addresses), recording calls
+        // and hazards.
+        let mut touched: Vec<usize> = Vec::new();
+        let mut callees = Vec::new();
+        let mut external_calls = Vec::new();
+        let mut has_indirect_flow = false;
+        let mut has_syscall = false;
+        self.mark_leader(entry)?;
+        let mut work = vec![entry];
+        while let Some(addr) = work.pop() {
+            let Some(slot) = self.slot(addr)? else {
+                continue;
             };
+            if self.marks[slot] & VISITED != 0 {
+                continue;
+            }
+            self.marks[slot] |= VISITED;
+            touched.push(slot);
+            let inst = match &mut self.insts[slot] {
+                Some(inst) => inst,
+                empty => empty.insert(decode_at(binary.text_base(), binary.text(), addr)?),
+            };
+            has_syscall |= matches!(inst, Inst::Syscall { .. });
+            let plt = match *inst {
+                Inst::CallExt { plt } => Some(plt),
+                _ => None,
+            };
+            let next = addr + STEP;
+            match inst.control_flow() {
+                ControlFlow::FallThrough => work.push(next),
+                ControlFlow::Jump(target) => {
+                    self.mark_leader(target)?;
+                    work.push(target);
+                }
+                ControlFlow::Branch(target) => {
+                    self.mark_leader(target)?;
+                    self.mark_leader(next)?;
+                    work.push(target);
+                    work.push(next);
+                }
+                ControlFlow::IndirectJump => {
+                    has_indirect_flow = true;
+                    // Target unknown: the path ends here for static purposes.
+                }
+                ControlFlow::Call(target) => {
+                    callees.push(target);
+                    self.mark_leader(next)?;
+                    work.push(next);
+                }
+                ControlFlow::IndirectCall => {
+                    match plt {
+                        Some(plt) => external_calls.push(plt),
+                        None => has_indirect_flow = true,
+                    }
+                    self.mark_leader(next)?;
+                    work.push(next);
+                }
+                ControlFlow::Return | ControlFlow::Halt => {}
+            }
+        }
+
+        // Pass 2: build blocks from the visited slots, in address order. A
+        // block starts at a leader or at the first visited instruction after
+        // a gap and runs until a terminator, the next leader or the next gap.
+        touched.sort_unstable();
+        let mut blocks: Vec<BasicBlock> = Vec::new();
+        let mut i = 0;
+        while i < touched.len() {
+            let first = touched[i];
+            let mut last = first;
+            while !self.decoded(last).is_terminator()
+                && touched.get(i + 1) == Some(&(last + 1))
+                && self.marks[last + 1] & LEADER == 0
+            {
+                i += 1;
+                last += 1;
+            }
+            i += 1;
+            self.block_at[first] = blocks.len() as u32;
+            blocks.push(BasicBlock {
+                id: blocks.len(),
+                start: self.addr(first),
+                end: self.addr(last) + STEP,
+                insts: (first..=last)
+                    .map(|slot| DecodedInst {
+                        addr: self.addr(slot),
+                        inst: self.decoded(slot).clone(),
+                    })
+                    .collect(),
+                succs: Vec::new(),
+                preds: Vec::new(),
+            });
+        }
+
+        // Pass 3: wire up edges, successors in ascending id order. A call
+        // returns to the next instruction; so does a block that was split
+        // because the next address is a leader.
+        for b in 0..blocks.len() {
+            let last = blocks[b].terminator().expect("blocks are not empty");
+            let next = last.addr + STEP;
+            let targets = match last.inst.control_flow() {
+                ControlFlow::FallThrough | ControlFlow::Call(_) | ControlFlow::IndirectCall => {
+                    [Some(next), None]
+                }
+                ControlFlow::Jump(t) => [Some(t), None],
+                ControlFlow::Branch(t) => [Some(t), Some(next)],
+                ControlFlow::IndirectJump | ControlFlow::Return | ControlFlow::Halt => [None; 2],
+            };
+            let mut succs: Vec<BlockId> = targets
+                .into_iter()
+                .filter_map(|t| self.block_at(t?))
+                .collect();
+            succs.sort_unstable();
+            succs.dedup();
+            for &s in &succs {
+                blocks[s].preds.push(b);
+            }
+            blocks[b].succs = succs;
+        }
+
+        // Ensure the entry block is block 0 (swap if necessary).
+        if let Some(entry_id) = self.block_at(entry).filter(|&id| id != 0) {
+            let remap = |id: BlockId| match id {
+                0 => entry_id,
+                id if id == entry_id => 0,
+                id => id,
+            };
+            blocks.swap(0, entry_id);
             for (new_id, b) in blocks.iter_mut().enumerate() {
                 b.id = new_id;
-                b.succs = b.succs.iter().map(|&s| remap(s)).collect();
-                b.preds = b.preds.iter().map(|&p| remap(p)).collect();
-            }
-            for (addr, id) in block_at.iter_mut() {
-                let _ = addr;
-                *id = remap(*id);
+                b.succs.iter_mut().for_each(|s| *s = remap(*s));
+                b.preds.iter_mut().for_each(|p| *p = remap(*p));
             }
         }
-    }
 
-    Ok(FunctionCfg {
-        entry,
-        name,
-        blocks,
-        block_at,
-        callees,
-        has_indirect_flow,
-        has_syscall,
-        external_calls,
-    })
+        // Every leader marked was also visited, so this clears every table.
+        for &slot in &touched {
+            self.marks[slot] = 0;
+            self.block_at[slot] = NO_BLOCK;
+        }
+        Ok(FunctionCfg {
+            entry,
+            name,
+            blocks,
+            callees,
+            has_indirect_flow,
+            has_syscall,
+            external_calls,
+        })
+    }
 }
 
 #[cfg(test)]

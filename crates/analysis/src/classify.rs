@@ -7,7 +7,7 @@ use crate::induction::{find_induction, InductionVar};
 use crate::liveness::Liveness;
 use crate::loops::{LoopId, NaturalLoop};
 use crate::memory::{collect_accesses, MemAccess};
-use janus_ir::{Inst, JBinary, Reg};
+use janus_ir::{Inst, Reg};
 
 /// The paper's loop categories (section II-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,19 +41,6 @@ impl LoopCategory {
             LoopCategory::Speculative => "Speculative",
             LoopCategory::Incompatible => "Incompatible",
         }
-    }
-
-    /// Returns `true` for the categories Janus can parallelise without
-    /// iteration-level speculation (A and C).
-    #[must_use]
-    pub fn is_parallelisable(self) -> bool {
-        matches!(self, LoopCategory::StaticDoall | LoopCategory::DynamicDoall)
-    }
-
-    /// Returns `true` for loops the speculative DOACROSS engine can attempt.
-    #[must_use]
-    pub fn is_speculation_candidate(self) -> bool {
-        self == LoopCategory::Speculative
     }
 
     /// Returns `true` for the one category the dependence profile decides:
@@ -138,26 +125,11 @@ impl LoopInfo {
     pub fn trip_count(&self) -> Option<u64> {
         self.induction.as_ref().and_then(|iv| iv.trip_count)
     }
-
-    /// Returns `true` if the loop needs runtime array-bounds checks before
-    /// parallel execution.
-    #[must_use]
-    pub fn needs_bounds_checks(&self) -> bool {
-        !self.bounds_checks.is_empty()
-    }
-
-    /// Returns `true` if the loop needs speculation (it calls dynamically
-    /// discovered code).
-    #[must_use]
-    pub fn needs_speculation(&self) -> bool {
-        !self.external_call_addrs.is_empty()
-    }
 }
 
 /// Classifies one natural loop.
 #[must_use]
 pub fn classify_loop(
-    _binary: &JBinary,
     func: &FunctionCfg,
     func_idx: usize,
     nl: &NaturalLoop,
@@ -187,11 +159,7 @@ pub fn classify_loop(
         }
     }
 
-    let live_in_regs: Vec<Reg> = {
-        let mut v: Vec<Reg> = live.live_in(nl.header).iter().copied().collect();
-        v.sort_by_key(|r| r.raw());
-        v
-    };
+    let live_in_regs: Vec<Reg> = live.live_in(nl.header).iter().collect();
     let dead_regs = live.dead_gprs_at(nl.header);
 
     // Category decision.
@@ -335,7 +303,7 @@ mod tests {
         let l = &analysis.loops[0];
         assert_eq!(l.category, LoopCategory::StaticDoall, "{l:#?}");
         assert!(l.trip_count().is_some());
-        assert!(!l.needs_bounds_checks());
+        assert!(l.bounds_checks.is_empty());
     }
 
     #[test]
@@ -453,7 +421,7 @@ mod tests {
             .find(|l| !l.accesses.is_empty())
             .expect("kernel loop found");
         assert_eq!(l.category, LoopCategory::DynamicDoall, "{l:#?}");
-        assert!(l.needs_bounds_checks());
+        assert!(!l.bounds_checks.is_empty());
     }
 
     #[test]
@@ -484,7 +452,6 @@ mod tests {
             .find(|l| !l.external_call_addrs.is_empty())
             .expect("loop with external call");
         assert_eq!(l.category, LoopCategory::DynamicDoall, "{l:#?}");
-        assert!(l.needs_speculation());
     }
 
     #[test]
@@ -514,8 +481,6 @@ mod tests {
             .find(|l| l.has_unknown_access)
             .expect("loop with a data-dependent access");
         assert_eq!(l.category, LoopCategory::Speculative, "{l:#?}");
-        assert!(l.category.is_speculation_candidate());
-        assert!(!l.category.is_parallelisable());
     }
 
     #[test]

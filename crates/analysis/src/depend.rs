@@ -5,9 +5,9 @@ use crate::cfg::FunctionCfg;
 use crate::induction::{InductionVar, VarRef};
 use crate::liveness::Liveness;
 use crate::loops::NaturalLoop;
-use crate::memory::{AccessPattern, AddressBase, MemAccess};
+use crate::memory::{written_regs, AccessPattern, AddressBase, MemAccess};
 use janus_ir::{AluOp, FpuOp, Inst, Operand, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Two statically-addressed (global) affine walks whose base addresses differ
 /// by at most this many bytes are treated as the *same* array accessed at a
@@ -338,14 +338,14 @@ fn ranges_overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 }
 
 /// Classifies stack-slot usage inside the loop: read-only slots, reduction
-/// accumulators and genuinely carried slots.
+/// accumulators and genuinely carried slots, each in ascending offset order.
 fn analyze_stack_slots(
     func: &FunctionCfg,
     nl: &NaturalLoop,
     accesses: &[MemAccess],
     result: &mut DependenceResult,
 ) {
-    let mut slots: HashMap<i64, (bool, bool)> = HashMap::new(); // offset -> (read, written)
+    let mut slots: BTreeMap<i64, (bool, bool)> = BTreeMap::new(); // offset -> (read, written)
     for a in accesses {
         if let AccessPattern::StackSlot { offset } = a.pattern {
             let e = slots.entry(offset).or_insert((false, false));
@@ -423,7 +423,8 @@ fn analyze_stack_slots(
     }
 }
 
-/// Finds loop-carried scalar registers and register reductions.
+/// Finds loop-carried scalar registers and register reductions, in register
+/// order.
 fn analyze_scalars(
     func: &FunctionCfg,
     nl: &NaturalLoop,
@@ -431,25 +432,18 @@ fn analyze_scalars(
     live: &Liveness,
     result: &mut DependenceResult,
 ) {
-    let mut written: HashSet<Reg> = HashSet::new();
-    for &bid in &nl.blocks {
-        for d in &func.blocks[bid].insts {
-            for r in d.inst.writes() {
-                written.insert(r);
-            }
-        }
-    }
-    let live_in_header: HashSet<Reg> = live.live_in(nl.header).clone();
     let induction_reg = induction.and_then(|iv| match iv.var {
         VarRef::Reg(r) => Some(r),
         _ => None,
     });
-    for r in written {
+    // Registers not live into the header are private to one iteration.
+    let live_in = live.live_in(nl.header);
+    for r in written_regs(func, nl)
+        .iter()
+        .filter(|&r| live_in.contains(r))
+    {
         if r == Reg::SP || r == Reg::FP || Some(r) == induction_reg {
             continue;
-        }
-        if !live_in_header.contains(&r) {
-            continue; // private to one iteration
         }
         // Candidate loop-carried register: a reduction if all its writes are
         // accumulations of the form `op r, x` (add/sub/fadd/fsub).
@@ -459,7 +453,7 @@ fn analyze_scalars(
         let mut is_float = false;
         for &bid in &nl.blocks {
             for d in &func.blocks[bid].insts {
-                if !d.inst.writes().contains(&r) {
+                if !d.inst.writes().contains(r) {
                     continue;
                 }
                 match &d.inst {
@@ -509,7 +503,6 @@ fn analyze_scalars(
             });
         }
     }
-    result.scalar_carried.sort_by_key(|r| r.raw());
 }
 
 fn dedup_bounds_checks(result: &mut DependenceResult) {

@@ -2,13 +2,17 @@
 
 use crate::cfg::{BlockId, FunctionCfg};
 
-/// Dominator sets for every block of a function, computed with the classic
-/// iterative data-flow algorithm.
+/// `Dominators::idom` entry of a block the entry block does not reach.
+const UNREACHED: BlockId = BlockId::MAX;
+
+/// The dominator tree of a function, computed with the iterative algorithm
+/// of Cooper, Harvey and Kennedy ("A Simple, Fast Dominance Algorithm"):
+/// immediate dominators, refined in reverse postorder until they settle.
 #[derive(Debug, Clone)]
 pub struct Dominators {
-    /// `doms[b]` is the set of blocks that dominate `b` (including `b`),
-    /// encoded as a sorted vector.
-    doms: Vec<Vec<BlockId>>,
+    /// The immediate dominator of each block; the entry block is its own,
+    /// and a block the entry does not reach has none ([`UNREACHED`]).
+    idom: Vec<BlockId>,
 }
 
 impl Dominators {
@@ -16,68 +20,79 @@ impl Dominators {
     #[must_use]
     pub fn compute(func: &FunctionCfg) -> Dominators {
         let n = func.blocks.len();
+        let mut idom = vec![UNREACHED; n];
         if n == 0 {
-            return Dominators { doms: Vec::new() };
+            return Dominators { idom };
         }
-        let all: Vec<BlockId> = (0..n).collect();
-        let mut doms: Vec<Vec<BlockId>> = vec![all.clone(); n];
-        doms[0] = vec![0];
+        // Postorder of the blocks reachable from the entry.
+        let mut postorder = Vec::with_capacity(n);
+        let mut po_index = vec![UNREACHED; n];
+        let mut seen = vec![false; n];
+        let mut stack = vec![(0, 0)];
+        seen[0] = true;
+        while let Some((b, next_succ)) = stack.last_mut() {
+            if let Some(&s) = func.blocks[*b].succs.get(*next_succ) {
+                *next_succ += 1;
+                if !std::mem::replace(&mut seen[s], true) {
+                    stack.push((s, 0));
+                }
+            } else {
+                po_index[*b] = postorder.len();
+                postorder.push(*b);
+                stack.pop();
+            }
+        }
+        idom[0] = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for b in 1..n {
-                let preds = &func.blocks[b].preds;
-                let mut new: Option<Vec<BlockId>> = None;
-                for &p in preds {
-                    new = Some(match new {
-                        None => doms[p].clone(),
-                        Some(cur) => intersect(&cur, &doms[p]),
-                    });
+            for &b in postorder.iter().rev().skip(1) {
+                let mut new = UNREACHED;
+                for &p in &func.blocks[b].preds {
+                    if idom[p] == UNREACHED {
+                        continue;
+                    }
+                    new = if new == UNREACHED {
+                        p
+                    } else {
+                        // Walk both fingers up the tree to their meeting point.
+                        let (mut x, mut y) = (p, new);
+                        while x != y {
+                            while po_index[x] < po_index[y] {
+                                x = idom[x];
+                            }
+                            while po_index[y] < po_index[x] {
+                                y = idom[y];
+                            }
+                        }
+                        x
+                    };
                 }
-                let mut new = new.unwrap_or_default();
-                if !new.contains(&b) {
-                    new.push(b);
-                    new.sort_unstable();
-                }
-                if new != doms[b] {
-                    doms[b] = new;
+                if idom[b] != new {
+                    idom[b] = new;
                     changed = true;
                 }
             }
         }
-        Dominators { doms }
+        Dominators { idom }
     }
 
-    /// Returns `true` if block `a` dominates block `b`.
+    /// Returns `true` if block `a` dominates block `b`: every path from the
+    /// entry to `b` passes through `a`. Every block dominates itself; a block
+    /// the entry does not reach is dominated by itself only.
     #[must_use]
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.doms
-            .get(b)
-            .is_some_and(|d| d.binary_search(&a).is_ok())
-    }
-
-    /// The full dominator set of `b`.
-    #[must_use]
-    pub fn dominators_of(&self, b: BlockId) -> &[BlockId] {
-        &self.doms[b]
-    }
-}
-
-fn intersect(a: &[BlockId], b: &[BlockId]) -> Vec<BlockId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
+        let mut x = b;
+        loop {
+            if x == a {
+                return x < self.idom.len();
+            }
+            match self.idom.get(x) {
+                Some(&up) if up != x && up != UNREACHED => x = up,
+                _ => return false,
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -133,7 +148,7 @@ mod tests {
                 "arm {arm} must not dominate join"
             );
         }
-        assert_eq!(doms.dominators_of(0), &[0]);
+        assert!((1..f.blocks.len()).all(|b| !doms.dominates(b, 0)));
     }
 
     #[test]

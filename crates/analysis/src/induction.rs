@@ -201,26 +201,24 @@ pub fn find_induction(func: &FunctionCfg, nl: &NaturalLoop) -> Option<InductionV
     // compiled pattern `mov rScratch, imm ; mov rVar, rScratch`.
     let mut init: Option<Operand> = None;
     for &ph in &nl.preheaders {
-        let mut known_consts: std::collections::HashMap<Reg, i64> =
-            std::collections::HashMap::new();
+        // The constant each register holds, indexed by `Reg::raw`.
+        let mut known_consts: [Option<i64>; 32] = [None; 32];
         for d in &func.blocks[ph].insts {
             if let Inst::Mov { dst, src } = &d.inst {
                 if VarRef::from_operand(dst) == Some(var) {
                     init = match src {
-                        Operand::Reg(r) => {
-                            known_consts.get(r).map(|v| Operand::Imm(*v)).or(Some(*src))
-                        }
+                        Operand::Reg(r) => known_consts[usize::from(r.raw())]
+                            .map(Operand::Imm)
+                            .or(Some(*src)),
                         other => Some(*other),
                     };
                 }
-                if let (Operand::Reg(r), Operand::Imm(v)) = (dst, src) {
-                    known_consts.insert(*r, *v);
-                } else if let Operand::Reg(r) = dst {
-                    known_consts.remove(r);
+                if let Operand::Reg(r) = dst {
+                    known_consts[usize::from(r.raw())] = src.as_imm();
                 }
             } else {
-                for w in d.inst.writes() {
-                    known_consts.remove(&w);
+                for w in d.inst.writes().iter() {
+                    known_consts[usize::from(w.raw())] = None;
                 }
             }
         }

@@ -85,17 +85,6 @@ pub struct BinaryAnalysis {
 }
 
 impl BinaryAnalysis {
-    /// Loops belonging to the function with the given CFG index.
-    pub fn loops_of_function(&self, func: usize) -> impl Iterator<Item = &LoopInfo> {
-        self.loops.iter().filter(move |l| l.function == func)
-    }
-
-    /// The loop whose header has the given address, if any.
-    #[must_use]
-    pub fn loop_by_header(&self, header_addr: u64) -> Option<&LoopInfo> {
-        self.loops.iter().find(|l| l.header_addr == header_addr)
-    }
-
     /// Counts loops per category (used by the Figure 6 reproduction).
     #[must_use]
     pub fn category_histogram(&self) -> [(LoopCategory, usize); 6] {
@@ -142,7 +131,7 @@ pub fn analyze(binary: &JBinary) -> Result<BinaryAnalysis> {
         let natural = loops::find_loops(func, &doms);
         let live = liveness::Liveness::compute(func);
         for nl in &natural {
-            let info = classify::classify_loop(binary, func, func_idx, nl, &natural, &live);
+            let info = classify::classify_loop(func, func_idx, nl, &natural, &live);
             loops.push(info);
         }
     }

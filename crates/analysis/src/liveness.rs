@@ -7,14 +7,17 @@
 //! spilling.
 
 use crate::cfg::{BlockId, FunctionCfg};
-use janus_ir::Reg;
-use std::collections::HashSet;
+use janus_ir::{Reg, RegSet};
 
-/// Live-in and live-out register sets per basic block.
+/// Live-in and live-out register sets per basic block, indexed by
+/// [`BlockId`].
+///
+/// Each set is a [`RegSet`], one 32-bit mask, so the data-flow iteration is
+/// a few word operations per block and the sets iterate in register order.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<HashSet<Reg>>,
-    live_out: Vec<HashSet<Reg>>,
+    live_in: Vec<RegSet>,
+    live_out: Vec<RegSet>,
 }
 
 impl Liveness {
@@ -23,37 +26,29 @@ impl Liveness {
     #[must_use]
     pub fn compute(func: &FunctionCfg) -> Liveness {
         let n = func.blocks.len();
-        // Per-block use/def sets.
-        let mut uses: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut defs: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        for (i, b) in func.blocks.iter().enumerate() {
-            for d in &b.insts {
-                for r in d.inst.reads() {
-                    if !defs[i].contains(&r) {
-                        uses[i].insert(r);
-                    }
-                }
-                for r in d.inst.writes() {
-                    defs[i].insert(r);
-                }
-            }
-        }
-        let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+        // Per-block use (read before any write in the block) and def sets.
+        let (uses, defs): (Vec<RegSet>, Vec<RegSet>) = func
+            .blocks
+            .iter()
+            .map(|b| {
+                b.insts
+                    .iter()
+                    .fold((RegSet::EMPTY, RegSet::EMPTY), |(uses, defs), d| {
+                        (uses | d.inst.reads().without(defs), defs | d.inst.writes())
+                    })
+            })
+            .unzip();
+        let mut live_in = vec![RegSet::EMPTY; n];
+        let mut live_out = vec![RegSet::EMPTY; n];
         let mut changed = true;
         while changed {
             changed = false;
             for i in (0..n).rev() {
-                let mut out = HashSet::new();
-                for &s in &func.blocks[i].succs {
-                    out.extend(live_in[s].iter().copied());
-                }
-                let mut inn: HashSet<Reg> = uses[i].clone();
-                for r in &out {
-                    if !defs[i].contains(r) {
-                        inn.insert(*r);
-                    }
-                }
+                let out = func.blocks[i]
+                    .succs
+                    .iter()
+                    .fold(RegSet::EMPTY, |out, &s| out | live_in[s]);
+                let inn = uses[i] | out.without(defs[i]);
                 if out != live_out[i] || inn != live_in[i] {
                     live_out[i] = out;
                     live_in[i] = inn;
@@ -66,14 +61,14 @@ impl Liveness {
 
     /// Registers live on entry to `block`.
     #[must_use]
-    pub fn live_in(&self, block: BlockId) -> &HashSet<Reg> {
-        &self.live_in[block]
+    pub fn live_in(&self, block: BlockId) -> RegSet {
+        self.live_in[block]
     }
 
     /// Registers live on exit from `block`.
     #[must_use]
-    pub fn live_out(&self, block: BlockId) -> &HashSet<Reg> {
-        &self.live_out[block]
+    pub fn live_out(&self, block: BlockId) -> RegSet {
+        self.live_out[block]
     }
 
     /// General-purpose registers that are dead on entry to `block`
@@ -81,7 +76,7 @@ impl Liveness {
     #[must_use]
     pub fn dead_gprs_at(&self, block: BlockId) -> Vec<Reg> {
         Reg::all_gprs()
-            .filter(|r| !self.live_in[block].contains(r) && *r != Reg::SP && *r != Reg::FP)
+            .filter(|&r| !self.live_in[block].contains(r) && r != Reg::SP && r != Reg::FP)
             .collect()
     }
 }
@@ -120,8 +115,8 @@ mod tests {
             .iter()
             .find(|b| matches!(b.terminator().map(|d| &d.inst), Some(Inst::Jcc { .. })))
             .unwrap();
-        assert!(live.live_in(loop_block.id).contains(&Reg::R0));
-        assert!(live.live_in(loop_block.id).contains(&Reg::R1));
+        assert!(live.live_in(loop_block.id).contains(Reg::R0));
+        assert!(live.live_in(loop_block.id).contains(Reg::R1));
         // A register never mentioned is dead everywhere.
         assert!(live.dead_gprs_at(loop_block.id).contains(&Reg::R9));
         assert!(!live.dead_gprs_at(loop_block.id).contains(&Reg::R0));
@@ -142,7 +137,7 @@ mod tests {
         let bin = asm.finish_binary("main").unwrap();
         let f = &recover_functions(&bin).unwrap()[0];
         let live = Liveness::compute(f);
-        assert!(!live.live_in(0).contains(&Reg::R2));
-        assert!(live.live_out(0).is_empty());
+        assert!(!live.live_in(0).contains(Reg::R2));
+        assert_eq!(live.live_out(0), RegSet::EMPTY);
     }
 }

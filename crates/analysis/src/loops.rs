@@ -2,7 +2,6 @@
 
 use crate::cfg::{BlockId, FunctionCfg};
 use crate::dom::Dominators;
-use std::collections::BTreeSet;
 
 /// Index of a loop within one function's loop list.
 pub type LoopId = usize;
@@ -17,8 +16,8 @@ pub struct NaturalLoop {
     pub header: BlockId,
     /// Blocks that jump back to the header.
     pub latches: Vec<BlockId>,
-    /// All blocks belonging to the loop (including the header).
-    pub blocks: BTreeSet<BlockId>,
+    /// All blocks belonging to the loop (including the header), ascending.
+    pub blocks: Vec<BlockId>,
     /// Blocks inside the loop with at least one successor outside it.
     pub exit_blocks: Vec<BlockId>,
     /// Blocks outside the loop that are jumped to when the loop exits.
@@ -36,13 +35,7 @@ impl NaturalLoop {
     /// Returns `true` if `block` belongs to the loop.
     #[must_use]
     pub fn contains(&self, block: BlockId) -> bool {
-        self.blocks.contains(&block)
-    }
-
-    /// Number of blocks in the loop.
-    #[must_use]
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.blocks.binary_search(&block).is_ok()
     }
 }
 
@@ -63,26 +56,30 @@ pub fn find_loops(func: &FunctionCfg, doms: &Dominators) -> Vec<NaturalLoop> {
     }
 
     let mut loops = Vec::new();
+    let mut in_loop = vec![false; func.blocks.len()];
     for (header, latches) in by_header {
         // Natural loop body: header plus all blocks that reach a latch without
         // passing through the header.
-        let mut blocks: BTreeSet<BlockId> = BTreeSet::new();
-        blocks.insert(header);
+        in_loop.fill(false);
+        in_loop[header] = true;
+        let mut blocks = vec![header];
         let mut stack: Vec<BlockId> = latches.clone();
         while let Some(b) = stack.pop() {
-            if blocks.insert(b) {
+            if !std::mem::replace(&mut in_loop[b], true) {
+                blocks.push(b);
                 for &p in &func.blocks[b].preds {
-                    if !blocks.contains(&p) {
+                    if !in_loop[p] {
                         stack.push(p);
                     }
                 }
             }
         }
+        blocks.sort_unstable();
         let mut exit_blocks = Vec::new();
         let mut exit_targets = Vec::new();
         for &b in &blocks {
             for &s in &func.blocks[b].succs {
-                if !blocks.contains(&s) {
+                if !in_loop[s] {
                     if !exit_blocks.contains(&b) {
                         exit_blocks.push(b);
                     }
@@ -96,7 +93,7 @@ pub fn find_loops(func: &FunctionCfg, doms: &Dominators) -> Vec<NaturalLoop> {
             .preds
             .iter()
             .copied()
-            .filter(|p| !blocks.contains(p))
+            .filter(|&p| !in_loop[p])
             .collect();
         loops.push(NaturalLoop {
             id: 0,
@@ -124,7 +121,7 @@ pub fn find_loops(func: &FunctionCfg, doms: &Dominators) -> Vec<NaturalLoop> {
                 continue;
             }
             if loops[j].blocks.len() > loops[i].blocks.len()
-                && loops[i].blocks.iter().all(|b| loops[j].blocks.contains(b))
+                && loops[i].blocks.iter().all(|&b| loops[j].contains(b))
             {
                 let size = loops[j].blocks.len();
                 if best.is_none_or(|(s, _)| size < s) {
@@ -193,7 +190,7 @@ mod tests {
         assert_eq!(loops.len(), 2);
         let outer = &loops[0];
         let inner = &loops[1];
-        assert!(outer.num_blocks() > inner.num_blocks());
+        assert!(outer.blocks.len() > inner.blocks.len());
         assert_eq!(outer.depth, 1);
         assert_eq!(inner.depth, 2);
         assert_eq!(inner.parent, Some(outer.id));

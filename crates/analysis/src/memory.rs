@@ -15,8 +15,7 @@
 use crate::cfg::FunctionCfg;
 use crate::induction::{InductionVar, VarRef};
 use crate::loops::NaturalLoop;
-use janus_ir::{AluOp, Inst, MemRef, Operand, Reg};
-use std::collections::{HashMap, HashSet};
+use janus_ir::{AluOp, Inst, MemRef, Operand, Reg, RegSet};
 
 /// The base object an affine access walks over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,18 +110,12 @@ impl MemAccess {
     }
 }
 
-/// Registers whose values do not change inside the loop.
-#[must_use]
-pub fn invariant_regs(func: &FunctionCfg, nl: &NaturalLoop) -> HashSet<Reg> {
-    let mut written: HashSet<Reg> = HashSet::new();
-    for &bid in &nl.blocks {
-        for d in &func.blocks[bid].insts {
-            for r in d.inst.writes() {
-                written.insert(r);
-            }
-        }
-    }
-    Reg::all().filter(|r| !written.contains(r)).collect()
+/// Registers written anywhere inside the loop.
+pub(crate) fn written_regs(func: &FunctionCfg, nl: &NaturalLoop) -> RegSet {
+    nl.blocks
+        .iter()
+        .flat_map(|&bid| &func.blocks[bid].insts)
+        .fold(RegSet::EMPTY, |written, d| written | d.inst.writes())
 }
 
 /// The symbolic value of a general-purpose register at one program point,
@@ -147,6 +140,29 @@ enum SymVal {
     Unknown,
 }
 
+/// The induction variable itself.
+const INDUCTION: SymVal = SymVal::Lin { coeff: 1, konst: 0 };
+
+/// The symbolic value of every register, indexed by [`Reg::raw`].
+type SymState = [SymVal; 32];
+
+/// Register values at the top of a block: the induction register is the
+/// induction variable, a loop-invariant register other than the stack and
+/// frame pointers is itself, anything else is unknown.
+fn entry_state(ind_reg: Option<Reg>, invariant: RegSet) -> SymState {
+    let mut state = [SymVal::Unknown; 32];
+    for r in invariant
+        .without(RegSet::from(Reg::FP) | RegSet::from(Reg::SP))
+        .iter()
+    {
+        state[usize::from(r.raw())] = SymVal::InvariantPlus { base: r, konst: 0 };
+    }
+    if let Some(ind) = ind_reg {
+        state[usize::from(ind.raw())] = INDUCTION;
+    }
+    state
+}
+
 /// Collects and classifies every explicit memory access inside a loop.
 #[must_use]
 pub fn collect_accesses(
@@ -154,26 +170,16 @@ pub fn collect_accesses(
     nl: &NaturalLoop,
     induction: Option<&InductionVar>,
 ) -> Vec<MemAccess> {
-    let invariant = invariant_regs(func, nl);
     let ind_reg = induction.and_then(|iv| match iv.var {
         VarRef::Reg(r) => Some(r),
         _ => None,
     });
+    let invariant = RegSet::all().without(written_regs(func, nl));
+    let entry = entry_state(ind_reg, invariant);
     let mut out = Vec::new();
     for &bid in &nl.blocks {
         // Per-block symbolic state for scratch registers.
-        let mut state: HashMap<Reg, SymVal> = HashMap::new();
-        let resolve = |state: &HashMap<Reg, SymVal>, r: Reg| -> SymVal {
-            if Some(r) == ind_reg {
-                SymVal::Lin { coeff: 1, konst: 0 }
-            } else if let Some(v) = state.get(&r) {
-                *v
-            } else if invariant.contains(&r) && r != Reg::FP && r != Reg::SP {
-                SymVal::InvariantPlus { base: r, konst: 0 }
-            } else {
-                SymVal::Unknown
-            }
-        };
+        let mut state = entry;
         for d in &func.blocks[bid].insts {
             // Classify memory operands using the state *before* this
             // instruction updates it.
@@ -188,7 +194,7 @@ pub fn collect_accesses(
                         is_write: false,
                         mem: m,
                         width,
-                        pattern: pattern_with_state(&m, ind_reg, &invariant, &state, &resolve),
+                        pattern: pattern_with_state(&m, &state),
                     });
                 }
                 if let Some(m) = d.inst.mem_write() {
@@ -197,22 +203,18 @@ pub fn collect_accesses(
                         is_write: true,
                         mem: m,
                         width,
-                        pattern: pattern_with_state(&m, ind_reg, &invariant, &state, &resolve),
+                        pattern: pattern_with_state(&m, &state),
                     });
                 }
             }
-            step_symbolic_state(&d.inst, ind_reg, &mut state, &resolve);
+            step_symbolic_state(&d.inst, ind_reg, &mut state);
         }
     }
     out
 }
 
-fn step_symbolic_state(
-    inst: &Inst,
-    ind_reg: Option<Reg>,
-    state: &mut HashMap<Reg, SymVal>,
-    resolve: &dyn Fn(&HashMap<Reg, SymVal>, Reg) -> SymVal,
-) {
+fn step_symbolic_state(inst: &Inst, ind_reg: Option<Reg>, state: &mut SymState) {
+    let resolve = |state: &SymState, r: Reg| state[usize::from(r.raw())];
     match inst {
         Inst::Mov {
             dst: Operand::Reg(d),
@@ -226,7 +228,7 @@ fn step_symbolic_state(
                 Operand::Reg(s) if s.is_gpr() => resolve(state, *s),
                 _ => SymVal::Unknown,
             };
-            state.insert(*d, v);
+            state[usize::from(d.raw())] = v;
         }
         Inst::Lea { dst, mem } if dst.is_gpr() => {
             // lea dst, [base + index*scale + disp]
@@ -240,7 +242,7 @@ fn step_symbolic_state(
             if let Some(i) = mem.index {
                 val = sym_add(val, sym_mul(resolve(state, i), i64::from(mem.scale)));
             }
-            state.insert(*dst, val);
+            state[usize::from(dst.raw())] = val;
         }
         Inst::Alu {
             op,
@@ -265,26 +267,21 @@ fn step_symbolic_state(
                 }
                 _ => SymVal::Unknown,
             };
-            state.insert(*d, new);
+            state[usize::from(d.raw())] = new;
         }
         _ => {
-            for w in inst.writes() {
+            for w in inst.writes().iter() {
                 if w.is_gpr() {
-                    state.insert(w, SymVal::Unknown);
+                    state[usize::from(w.raw())] = SymVal::Unknown;
                 }
             }
         }
     }
-    // The induction register itself always resolves through `resolve`, even if
-    // updated; remove any stale entry so later uses see the canonical value.
+    // Uses of the induction register always see the canonical induction
+    // value, even after `ind += step` (offset copies within one iteration
+    // are what matter for addressing).
     if let Some(ind) = ind_reg {
-        if let Some(SymVal::Lin { coeff: 1, konst }) = state.get(&ind).copied() {
-            // `ind += step` keeps it linear; treat the post-update value as the
-            // canonical induction value again (offset copies within one
-            // iteration are what matter for addressing).
-            let _ = konst;
-            state.remove(&ind);
-        }
+        state[usize::from(ind.raw())] = INDUCTION;
     }
 }
 
@@ -325,13 +322,7 @@ fn sym_mul(a: SymVal, m: i64) -> SymVal {
 }
 
 /// Classifies one memory operand using the current symbolic register state.
-fn pattern_with_state(
-    m: &MemRef,
-    ind_reg: Option<Reg>,
-    invariant: &HashSet<Reg>,
-    state: &HashMap<Reg, SymVal>,
-    resolve: &dyn Fn(&HashMap<Reg, SymVal>, Reg) -> SymVal,
-) -> AccessPattern {
+fn pattern_with_state(m: &MemRef, state: &SymState) -> AccessPattern {
     // Stack accesses are classified structurally.
     if m.base == Some(Reg::SP) && m.index.is_none() {
         return AccessPattern::Spill;
@@ -349,53 +340,31 @@ fn pattern_with_state(
     let mut konst: i64 = m.disp;
     let mut unknown = false;
 
-    let absorb = |val: SymVal,
-                  mult: i64,
-                  base_reg: &mut Option<Reg>,
-                  unknown: &mut bool,
-                  coeff: &mut i64,
-                  konst: &mut i64| {
-        match val {
-            SymVal::Lin { coeff: c, konst: k } => {
-                *coeff += c * mult;
-                *konst += k * mult;
-            }
-            SymVal::InvariantPlus { base, konst: k } => {
-                if mult != 1 || base_reg.is_some() {
-                    *unknown = true;
-                } else {
-                    *base_reg = Some(base);
-                    *konst += k;
-                }
-            }
-            SymVal::Unknown => *unknown = true,
+    let mut absorb = |r: Reg, mult: i64| match state[usize::from(r.raw())] {
+        SymVal::Lin { coeff: c, konst: k } => {
+            coeff += c * mult;
+            konst += k * mult;
         }
+        SymVal::InvariantPlus { base, konst: k } => {
+            if mult != 1 || base_reg.is_some() {
+                unknown = true;
+            } else {
+                base_reg = Some(base);
+                konst += k;
+            }
+        }
+        SymVal::Unknown => unknown = true,
     };
 
     if let Some(b) = m.base {
         if b == Reg::FP || b == Reg::SP {
             return AccessPattern::Unknown;
         }
-        absorb(
-            resolve(state, b),
-            1,
-            &mut base_reg,
-            &mut unknown,
-            &mut coeff,
-            &mut konst,
-        );
+        absorb(b, 1);
     }
     if let Some(i) = m.index {
-        absorb(
-            resolve(state, i),
-            i64::from(m.scale),
-            &mut base_reg,
-            &mut unknown,
-            &mut coeff,
-            &mut konst,
-        );
+        absorb(i, i64::from(m.scale));
     }
-    let _ = (ind_reg, invariant);
     if unknown {
         return AccessPattern::Unknown;
     }
@@ -425,24 +394,8 @@ fn pattern_with_state(
 /// richer per-block symbolic evaluation that additionally understands scratch
 /// registers derived from the induction variable.
 #[must_use]
-pub fn classify_pattern(
-    m: &MemRef,
-    induction: Option<Reg>,
-    invariant: &HashSet<Reg>,
-) -> AccessPattern {
-    let state: HashMap<Reg, SymVal> = HashMap::new();
-    let resolve = |s: &HashMap<Reg, SymVal>, r: Reg| -> SymVal {
-        if Some(r) == induction {
-            SymVal::Lin { coeff: 1, konst: 0 }
-        } else if let Some(v) = s.get(&r) {
-            *v
-        } else if invariant.contains(&r) && r != Reg::FP && r != Reg::SP {
-            SymVal::InvariantPlus { base: r, konst: 0 }
-        } else {
-            SymVal::Unknown
-        }
-    };
-    pattern_with_state(m, induction, invariant, &state, &resolve)
+pub fn classify_pattern(m: &MemRef, induction: Option<Reg>, invariant: RegSet) -> AccessPattern {
+    pattern_with_state(m, &entry_state(induction, invariant))
 }
 
 #[cfg(test)]
@@ -450,7 +403,7 @@ mod tests {
     use super::*;
     use janus_ir::{MemRef, Operand};
 
-    fn inv(regs: &[Reg]) -> HashSet<Reg> {
+    fn inv(regs: &[Reg]) -> RegSet {
         regs.iter().copied().collect()
     }
 
@@ -462,7 +415,7 @@ mod tests {
             scale: 8,
             disp: 0x600100,
         };
-        let p = classify_pattern(&m, Some(Reg::R4), &inv(&[]));
+        let p = classify_pattern(&m, Some(Reg::R4), inv(&[]));
         assert_eq!(
             p,
             AccessPattern::Affine {
@@ -476,7 +429,7 @@ mod tests {
     #[test]
     fn pointer_affine_access() {
         let m = MemRef::base_index(Reg::R8, Reg::R4, 8).with_disp(16);
-        let p = classify_pattern(&m, Some(Reg::R4), &inv(&[Reg::R8]));
+        let p = classify_pattern(&m, Some(Reg::R4), inv(&[Reg::R8]));
         assert_eq!(
             p,
             AccessPattern::Affine {
@@ -491,17 +444,17 @@ mod tests {
     fn stack_slot_spill_and_invariant_accesses() {
         let m = MemRef::base_disp(Reg::FP, -24);
         assert_eq!(
-            classify_pattern(&m, Some(Reg::R4), &inv(&[])),
+            classify_pattern(&m, Some(Reg::R4), inv(&[])),
             AccessPattern::StackSlot { offset: -24 }
         );
         let m = MemRef::base_disp(Reg::SP, 0);
         assert_eq!(
-            classify_pattern(&m, Some(Reg::R4), &inv(&[])),
+            classify_pattern(&m, Some(Reg::R4), inv(&[])),
             AccessPattern::Spill
         );
         let m = MemRef::absolute(0x600040);
         assert_eq!(
-            classify_pattern(&m, Some(Reg::R4), &inv(&[])),
+            classify_pattern(&m, Some(Reg::R4), inv(&[])),
             AccessPattern::Invariant {
                 base: AddressBase::Global(0x600040),
                 offset: 0
@@ -509,7 +462,7 @@ mod tests {
         );
         let m = MemRef::base_disp(Reg::R9, 8);
         assert_eq!(
-            classify_pattern(&m, Some(Reg::R4), &inv(&[Reg::R9])),
+            classify_pattern(&m, Some(Reg::R4), inv(&[Reg::R9])),
             AccessPattern::Invariant {
                 base: AddressBase::Reg(Reg::R9),
                 offset: 8
@@ -528,7 +481,7 @@ mod tests {
             disp: 0x600000,
         };
         assert_eq!(
-            classify_pattern(&m, Some(Reg::R4), &inv(&[])),
+            classify_pattern(&m, Some(Reg::R4), inv(&[])),
             AccessPattern::Unknown
         );
     }

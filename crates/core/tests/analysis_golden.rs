@@ -15,11 +15,15 @@
 //! (reductions by stack offset first, then by register encoding), which is
 //! the order `analyze` itself now emits them in. On a mismatch the test
 //! prints the digest as it is now.
+//!
+//! The last two tests hold `analyze` to that order: the same binary must
+//! give the same `{:?}` and the same rewrite schedule on every call.
 
 use janus_analysis::{analyze, BinaryAnalysis, FunctionCfg, LoopInfo, VarRef};
 use janus_compile::{CompileOptions, Compiler, OptLevel};
+use janus_core::Janus;
 use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
-use janus_ir::JBinary;
+use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, Operand, Reg};
 use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload, ProgramSpec};
 
 /// The digest of every rendering below, recorded before the analyser was
@@ -120,4 +124,73 @@ fn analysis_of_the_corpus_matches_its_golden_digest() {
         digest, GOLDEN,
         "analysis digest is now {digest:#018x} over {loops} loops"
     );
+}
+
+/// `for (r0 = 0; r0 < 100; r0++) { r7 += r0; r3 -= r0; }`: two register
+/// accumulators, written in the opposite of register order.
+fn two_accumulator_loop() -> JBinary {
+    let mut asm = AsmBuilder::new();
+    asm.function("main");
+    for r in [Reg::R0, Reg::R3, Reg::R7] {
+        asm.push(Inst::mov(Operand::reg(r), Operand::imm(0)));
+    }
+    asm.label("loop");
+    asm.push(Inst::alu(
+        AluOp::Add,
+        Operand::reg(Reg::R7),
+        Operand::reg(Reg::R0),
+    ));
+    asm.push(Inst::alu(
+        AluOp::Sub,
+        Operand::reg(Reg::R3),
+        Operand::reg(Reg::R0),
+    ));
+    asm.push(Inst::alu(
+        AluOp::Add,
+        Operand::reg(Reg::R0),
+        Operand::imm(1),
+    ));
+    asm.push(Inst::cmp(Operand::reg(Reg::R0), Operand::imm(100)));
+    asm.push_branch(Cond::Lt, "loop");
+    asm.push(Inst::Halt);
+    asm.finish_binary("main").expect("assembles")
+}
+
+#[test]
+fn reductions_come_out_in_register_order_every_time() {
+    let binary = two_accumulator_loop();
+    let janus = Janus::new();
+    let mut digests = Vec::new();
+    for _ in 0..32 {
+        let analysis = analyze(&binary).expect("analysis succeeds");
+        assert_eq!(analysis.loops.len(), 1);
+        let vars: Vec<VarRef> = analysis.loops[0].reductions.iter().map(|r| r.var).collect();
+        assert_eq!(vars, [VarRef::Reg(Reg::R3), VarRef::Reg(Reg::R7)]);
+        let selected = janus.select_loops(&analysis, None);
+        assert_eq!(selected, [0], "the loop is a static DOALL");
+        digests.push(
+            janus
+                .generate_schedule(&binary, &analysis, &selected)
+                .content_digest(),
+        );
+    }
+    assert!(digests.iter().all(|&d| d == digests[0]), "{digests:x?}");
+}
+
+#[test]
+fn analysing_twice_gives_the_same_answer() {
+    let suite = corpus()
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(" O3"));
+    let generated = (0..64).map(|seed| {
+        let binary = Compiler::new()
+            .compile(&ProgramSpec::generate(seed).lower())
+            .expect("generated program compiles");
+        (format!("seed {seed}"), binary)
+    });
+    for (name, binary) in suite.chain(generated) {
+        let first = format!("{:?}", analyze(&binary).expect("analysis succeeds"));
+        let second = format!("{:?}", analyze(&binary).expect("analysis succeeds"));
+        assert!(first == second, "{name}: two analyses differ");
+    }
 }

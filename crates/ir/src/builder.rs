@@ -121,12 +121,6 @@ impl AsmBuilder {
         self.label(name);
     }
 
-    /// Returns `true` if `label` has been defined.
-    #[must_use]
-    pub fn has_label(&self, label: &str) -> bool {
-        self.labels.contains_key(label)
-    }
-
     /// Appends an instruction and returns its address.
     pub fn push(&mut self, inst: Inst) -> u64 {
         let addr = self.current_addr();
@@ -207,11 +201,6 @@ impl AsmBuilder {
         self.data_symbols
             .push((name.into(), addr, bytes.len() as u64));
         addr
-    }
-
-    /// Reserves `len` zero-initialised bytes and returns the virtual address.
-    pub fn zeroed_object(&mut self, name: impl Into<String>, len: u64) -> u64 {
-        self.data_object(name, &vec![0u8; len as usize])
     }
 
     /// Reserves an array of `len` 64-bit integers initialised from `values`

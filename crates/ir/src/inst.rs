@@ -1,7 +1,7 @@
 //! The JVA instruction set.
 
 use crate::operand::{MemRef, Operand};
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 use std::fmt;
 
 /// Integer ALU operations.
@@ -448,85 +448,64 @@ impl Inst {
         matches!(self, Inst::Jcc { .. } | Inst::CMov { .. })
     }
 
-    /// Registers read by this instruction (excluding implicit flag reads).
+    /// Registers read by this instruction, excluding implicit flag reads.
+    ///
+    /// The two-operand forms (`Alu`, `Fpu`, `Vec`, `CMov`) read their
+    /// destination too; a memory destination reads its address registers;
+    /// push, pop, call and return read the stack pointer. The answer is a
+    /// [`RegSet`], so asking costs no allocation: liveness and dependence
+    /// analysis ask it of every instruction they visit.
     #[must_use]
-    pub fn reads(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
+    pub fn reads(&self) -> RegSet {
+        let sp = RegSet::from(Reg::SP);
         match self {
             Inst::Mov { dst, src } | Inst::FMov { dst, src } | Inst::VMov { dst, src, .. } => {
-                out.extend(src.read_regs());
-                out.extend(dst.dest_addr_regs());
+                src.read_regs() | dst.dest_addr_regs()
             }
-            Inst::Lea { mem, .. } => out.extend(mem.regs()),
+            Inst::Lea { mem, .. } => mem.regs().collect(),
             Inst::Alu { dst, src, .. } | Inst::Fpu { dst, src, .. } => {
-                // Two-operand form: the destination is also a source.
-                out.extend(src.read_regs());
-                out.extend(dst.read_regs());
+                src.read_regs() | dst.read_regs()
             }
-            Inst::Vec { dst, src, .. } => {
-                out.push(*dst);
-                out.extend(src.read_regs());
+            Inst::Vec { dst, src, .. } | Inst::CMov { dst, src, .. } => {
+                RegSet::from(*dst) | src.read_regs()
             }
-            Inst::CvtIntToFloat { src, .. } | Inst::CvtFloatToInt { src, .. } => {
-                out.extend(src.read_regs());
-            }
+            Inst::CvtIntToFloat { src, .. } | Inst::CvtFloatToInt { src, .. } => src.read_regs(),
             Inst::Cmp { lhs, rhs } | Inst::FCmp { lhs, rhs } | Inst::Test { lhs, rhs } => {
-                out.extend(lhs.read_regs());
-                out.extend(rhs.read_regs());
+                lhs.read_regs() | rhs.read_regs()
             }
-            Inst::CMov { dst, src, .. } => {
-                out.push(*dst);
-                out.extend(src.read_regs());
-            }
-            Inst::JmpInd { target } | Inst::CallInd { target } => out.extend(target.read_regs()),
-            Inst::Push { src } => {
-                out.extend(src.read_regs());
-                out.push(Reg::SP);
-            }
-            Inst::Pop { dst } => {
-                out.extend(dst.dest_addr_regs());
-                out.push(Reg::SP);
-            }
-            Inst::Call { .. } | Inst::CallExt { .. } | Inst::Ret => out.push(Reg::SP),
-            Inst::Syscall { .. } => {
-                out.push(Reg::R0);
-                out.push(Reg::R1);
-            }
-            Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::Nop | Inst::Halt => {}
+            Inst::JmpInd { target } | Inst::CallInd { target } => target.read_regs(),
+            Inst::Push { src } => src.read_regs() | sp,
+            Inst::Pop { dst } => dst.dest_addr_regs() | sp,
+            Inst::Call { .. } | Inst::CallExt { .. } | Inst::Ret => sp,
+            Inst::Syscall { .. } => RegSet::from(Reg::R0) | RegSet::from(Reg::R1),
+            Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::Nop | Inst::Halt => RegSet::EMPTY,
         }
-        out
     }
 
-    /// Registers written by this instruction.
+    /// Registers written by this instruction, as a [`RegSet`]: a register
+    /// destination, the stack pointer for push, pop, call and return, and
+    /// `r0` for a system call.
     #[must_use]
-    pub fn writes(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
+    pub fn writes(&self) -> RegSet {
+        let sp = RegSet::from(Reg::SP);
         match self {
             Inst::Mov { dst, .. }
             | Inst::FMov { dst, .. }
             | Inst::VMov { dst, .. }
             | Inst::Alu { dst, .. }
-            | Inst::Fpu { dst, .. } => {
-                if let Some(r) = dst.as_reg() {
-                    out.push(r);
-                }
-            }
+            | Inst::Fpu { dst, .. } => dst.as_reg().into_iter().collect(),
             Inst::Lea { dst, .. }
             | Inst::Vec { dst, .. }
             | Inst::CvtIntToFloat { dst, .. }
             | Inst::CvtFloatToInt { dst, .. }
-            | Inst::CMov { dst, .. } => out.push(*dst),
-            Inst::Push { .. } => out.push(Reg::SP),
-            Inst::Pop { dst } => {
-                if let Some(r) = dst.as_reg() {
-                    out.push(r);
-                }
-                out.push(Reg::SP);
-            }
-            Inst::Call { .. } | Inst::CallInd { .. } | Inst::CallExt { .. } | Inst::Ret => {
-                out.push(Reg::SP);
-            }
-            Inst::Syscall { .. } => out.push(Reg::R0),
+            | Inst::CMov { dst, .. } => RegSet::from(*dst),
+            Inst::Pop { dst } => dst.as_reg().into_iter().collect::<RegSet>() | sp,
+            Inst::Push { .. }
+            | Inst::Call { .. }
+            | Inst::CallInd { .. }
+            | Inst::CallExt { .. }
+            | Inst::Ret => sp,
+            Inst::Syscall { .. } => RegSet::from(Reg::R0),
             Inst::Cmp { .. }
             | Inst::FCmp { .. }
             | Inst::Test { .. }
@@ -534,9 +513,8 @@ impl Inst {
             | Inst::Jcc { .. }
             | Inst::JmpInd { .. }
             | Inst::Nop
-            | Inst::Halt => {}
+            | Inst::Halt => RegSet::EMPTY,
         }
-        out
     }
 
     /// Memory operand read by this instruction, if any (excluding implicit
@@ -682,10 +660,10 @@ mod tests {
             Operand::reg(Reg::R0),
         );
         let reads = i.reads();
-        assert!(reads.contains(&Reg::R2));
-        assert!(reads.contains(&Reg::R0));
+        assert!(reads.contains(Reg::R2));
+        assert!(reads.contains(Reg::R0));
         assert!(
-            i.writes().is_empty(),
+            i.writes() == RegSet::EMPTY,
             "memory destination writes no register"
         );
         assert!(i.mem_read().is_some());
@@ -700,9 +678,9 @@ mod tests {
             Operand::reg(Reg::R3),
             Operand::mem(MemRef::base_index(Reg::R8, Reg::R1, 8)),
         );
-        assert_eq!(i.writes(), vec![Reg::R3]);
+        assert_eq!(i.writes(), RegSet::from(Reg::R3));
         let reads = i.reads();
-        assert!(reads.contains(&Reg::R8) && reads.contains(&Reg::R1));
+        assert!(reads.contains(Reg::R8) && reads.contains(Reg::R1));
         assert!(i.mem_read().is_some());
         assert!(i.mem_write().is_none());
         assert!(!i.writes_flags());
@@ -713,13 +691,13 @@ mod tests {
         let push = Inst::Push {
             src: Operand::reg(Reg::R5),
         };
-        assert!(push.reads().contains(&Reg::SP));
-        assert_eq!(push.writes(), vec![Reg::SP]);
+        assert!(push.reads().contains(Reg::SP));
+        assert_eq!(push.writes(), RegSet::from(Reg::SP));
         let pop = Inst::Pop {
             dst: Operand::reg(Reg::R5),
         };
-        assert!(pop.writes().contains(&Reg::R5));
-        assert!(pop.writes().contains(&Reg::SP));
+        assert!(pop.writes().contains(Reg::R5));
+        assert!(pop.writes().contains(Reg::SP));
     }
 
     #[test]
@@ -729,9 +707,9 @@ mod tests {
             dst: Reg::R1,
             src: Operand::reg(Reg::R2),
         };
-        assert!(i.reads().contains(&Reg::R1));
-        assert!(i.reads().contains(&Reg::R2));
-        assert_eq!(i.writes(), vec![Reg::R1]);
+        assert!(i.reads().contains(Reg::R1));
+        assert!(i.reads().contains(Reg::R2));
+        assert_eq!(i.writes(), RegSet::from(Reg::R1));
         assert!(i.reads_flags());
     }
 

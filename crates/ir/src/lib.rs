@@ -58,4 +58,4 @@ pub use layout::{
     DATA_BASE, HEAP_BASE, STACK_BASE, STACK_SIZE, SYSLIB_BASE, SYSLIB_DATA_BASE, TEXT_BASE,
 };
 pub use operand::{MemRef, Operand};
-pub use reg::{Reg, RegClass, NUM_GPR, NUM_VREG};
+pub use reg::{Reg, RegClass, RegSet, NUM_GPR, NUM_VREG};

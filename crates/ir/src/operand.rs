@@ -1,6 +1,6 @@
 //! Instruction operands: registers, immediates and memory references.
 
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 use std::fmt;
 
 /// A memory reference of the form `[base + index * scale + disp]`.
@@ -84,22 +84,6 @@ impl MemRef {
     #[must_use]
     pub fn with_disp(mut self, disp: i64) -> MemRef {
         self.disp = disp;
-        self
-    }
-
-    /// Returns a copy with the index register and scale set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not 1, 2, 4 or 8.
-    #[must_use]
-    pub fn with_index(mut self, index: Reg, scale: u8) -> MemRef {
-        assert!(
-            matches!(scale, 1 | 2 | 4 | 8),
-            "scale must be 1, 2, 4 or 8, got {scale}"
-        );
-        self.index = Some(index);
-        self.scale = scale;
         self
     }
 
@@ -231,20 +215,22 @@ impl Operand {
     }
 
     /// Registers read when evaluating this operand **as a source**.
-    pub fn read_regs(&self) -> Vec<Reg> {
+    #[must_use]
+    pub fn read_regs(&self) -> RegSet {
         match self {
-            Operand::Reg(r) => vec![*r],
-            Operand::Imm(_) => vec![],
+            Operand::Reg(r) => RegSet::from(*r),
+            Operand::Imm(_) => RegSet::EMPTY,
             Operand::Mem(m) => m.regs().collect(),
         }
     }
 
     /// Registers read when this operand is used **as a destination**
     /// (address registers of a memory destination).
-    pub fn dest_addr_regs(&self) -> Vec<Reg> {
+    #[must_use]
+    pub fn dest_addr_regs(&self) -> RegSet {
         match self {
             Operand::Mem(m) => m.regs().collect(),
-            _ => vec![],
+            _ => RegSet::EMPTY,
         }
     }
 
@@ -339,12 +325,13 @@ mod tests {
 
     #[test]
     fn operand_read_regs() {
-        assert_eq!(Operand::reg(Reg::R5).read_regs(), vec![Reg::R5]);
-        assert!(Operand::imm(1).read_regs().is_empty());
+        assert_eq!(Operand::reg(Reg::R5).read_regs(), RegSet::from(Reg::R5));
+        assert_eq!(Operand::imm(1).read_regs(), RegSet::EMPTY);
         let m = Operand::mem(MemRef::base_index(Reg::R1, Reg::R2, 8));
-        assert_eq!(m.read_regs(), vec![Reg::R1, Reg::R2]);
-        assert_eq!(m.dest_addr_regs(), vec![Reg::R1, Reg::R2]);
-        assert!(Operand::reg(Reg::R5).dest_addr_regs().is_empty());
+        let both = RegSet::from(Reg::R1) | RegSet::from(Reg::R2);
+        assert_eq!(m.read_regs(), both);
+        assert_eq!(m.dest_addr_regs(), both);
+        assert_eq!(Operand::reg(Reg::R5).dest_addr_regs(), RegSet::EMPTY);
     }
 
     #[test]

@@ -162,6 +162,70 @@ impl Reg {
     }
 }
 
+/// A set of architectural registers: bit [`Reg::raw`] of one `u32` per
+/// member. Every raw encoding is below 32, so a set is `Copy`, union and
+/// difference are one instruction each and nothing allocates. Iteration is
+/// in ascending raw order (`R0`–`R15`, then `V0`–`V15`).
+///
+/// ```
+/// use janus_ir::{Reg, RegSet};
+/// let set = RegSet::from(Reg::V1) | [Reg::R3, Reg::R0].into_iter().collect();
+/// assert!(set.contains(Reg::R3) && !set.contains(Reg::R1));
+/// assert_eq!(set.iter().collect::<Vec<_>>(), [Reg::R0, Reg::R3, Reg::V1]);
+/// assert_eq!(RegSet::all().without(set).iter().count(), 29);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct RegSet(u32);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+
+    /// Every architectural register.
+    #[must_use]
+    pub fn all() -> RegSet {
+        RegSet(u32::MAX)
+    }
+
+    /// Returns `true` if `r` is a member.
+    #[must_use]
+    pub fn contains(self, r: Reg) -> bool {
+        self.0 & (1 << r.0) != 0
+    }
+
+    /// The members of `self` that are not in `other`.
+    #[must_use]
+    pub fn without(self, other: RegSet) -> RegSet {
+        RegSet(self.0 & !other.0)
+    }
+
+    /// The members, in ascending raw order.
+    pub fn iter(self) -> impl Iterator<Item = Reg> {
+        (0..32).filter(move |raw| self.0 & (1 << raw) != 0).map(Reg)
+    }
+}
+
+impl From<Reg> for RegSet {
+    fn from(r: Reg) -> RegSet {
+        RegSet(1 << r.0)
+    }
+}
+
+impl std::ops::BitOr for RegSet {
+    type Output = RegSet;
+
+    fn bitor(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+}
+
+impl FromIterator<Reg> for RegSet {
+    fn from_iter<I: IntoIterator<Item = Reg>>(regs: I) -> RegSet {
+        regs.into_iter()
+            .fold(RegSet::EMPTY, |set, r| set | RegSet::from(r))
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.class() {
@@ -237,6 +301,19 @@ mod tests {
         assert_eq!(Reg::R15.to_string(), "sp");
         assert_eq!(Reg::R14.to_string(), "fp");
         assert_eq!(Reg::V4.to_string(), "v4");
+    }
+
+    #[test]
+    fn reg_sets_are_masks_in_raw_order() {
+        let all: Vec<Reg> = Reg::all().collect();
+        assert_eq!(RegSet::all().iter().collect::<Vec<_>>(), all);
+        assert_eq!(all.iter().copied().collect::<RegSet>(), RegSet::all());
+        for r in Reg::all() {
+            let others = RegSet::all().without(RegSet::from(r));
+            assert_eq!(RegSet::from(r).iter().collect::<Vec<_>>(), [r]);
+            assert!(!others.contains(r) && others.iter().count() == 31);
+        }
+        assert_eq!(RegSet::EMPTY.iter().next(), None);
     }
 
     #[test]

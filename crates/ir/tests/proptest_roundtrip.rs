@@ -170,7 +170,7 @@ proptest! {
 
     #[test]
     fn reads_and_writes_never_report_invalid_registers(inst in arb_inst()) {
-        for r in inst.reads().into_iter().chain(inst.writes()) {
+        for r in inst.reads().iter().chain(inst.writes().iter()) {
             prop_assert!(Reg::from_raw(r.raw()).is_some());
         }
     }

@@ -5,6 +5,7 @@ use crate::error::{Result, VmError};
 use crate::memory::{FlatMemory, GuestMemory};
 use crate::syslib::build_syslib;
 use janus_ir::{disassemble, Inst, JBinary, HEAP_BASE, INST_SIZE, STACK_BASE};
+use std::sync::OnceLock;
 
 /// Resolution of one PLT entry performed by the loader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +38,7 @@ pub const NATIVE_EXTERNALS: &[&str] = &["par_for", "print_i64", "print_f64"];
 #[derive(Debug, Clone)]
 pub struct Process {
     binary: JBinary,
-    syslib: JBinary,
+    syslib: &'static JBinary,
     /// Both decoded text sections, indexed by slot.
     insts: Vec<Inst>,
     /// [`CostModel::default`]'s cycle cost of each instruction, by slot.
@@ -45,6 +46,27 @@ pub struct Process {
     /// Slots below this belong to the main executable.
     main_slots: usize,
     plt: Vec<ResolvedPlt>,
+}
+
+/// `binary`'s decoded text and [`CostModel::default`]'s cycle cost of each
+/// instruction, by slot.
+fn decode_costed(binary: &JBinary) -> janus_ir::Result<(Vec<Inst>, Vec<u64>)> {
+    let insts: Vec<Inst> = disassemble(binary)?.into_iter().map(|d| d.inst).collect();
+    let model = CostModel::default();
+    let costs = insts.iter().map(|inst| model.cost(inst)).collect();
+    Ok((insts, costs))
+}
+
+/// The system library image, decoded and costed. It is the same for every
+/// process, so it is built once per host process: [`Process::load`] borrows
+/// the image and copies the slots.
+fn system_library() -> &'static (JBinary, Vec<Inst>, Vec<u64>) {
+    static LIBRARY: OnceLock<(JBinary, Vec<Inst>, Vec<u64>)> = OnceLock::new();
+    LIBRARY.get_or_init(|| {
+        let image = build_syslib();
+        let (insts, costs) = decode_costed(&image).expect("the system library decodes");
+        (image, insts, costs)
+    })
 }
 
 impl Process {
@@ -55,25 +77,13 @@ impl Process {
     /// Returns an error if the binary fails to decode or imports a function
     /// that neither the system library nor the native runtime provides.
     pub fn load(binary: &JBinary) -> Result<Process> {
-        Process::load_with_syslib(binary, build_syslib())
-    }
-
-    /// Loads a main binary with a caller-provided library image.
-    ///
-    /// # Errors
-    ///
-    /// See [`Process::load`].
-    pub fn load_with_syslib(binary: &JBinary, syslib: JBinary) -> Result<Process> {
-        let main = disassemble(binary).map_err(|e| VmError::Load {
+        let (syslib, lib_insts, lib_costs) = system_library();
+        let (insts, costs) = decode_costed(binary).map_err(|e| VmError::Load {
             reason: format!("main binary: {e}"),
         })?;
-        let lib = disassemble(&syslib).map_err(|e| VmError::Load {
-            reason: format!("system library: {e}"),
-        })?;
-        let main_slots = main.len();
-        let insts: Vec<Inst> = main.into_iter().chain(lib).map(|d| d.inst).collect();
-        let model = CostModel::default();
-        let costs = insts.iter().map(|inst| model.cost(inst)).collect();
+        let main_slots = insts.len();
+        let insts = [&insts[..], lib_insts].concat();
+        let costs = [&costs[..], lib_costs].concat();
         let mut plt = Vec::with_capacity(binary.plt().len());
         for entry in binary.plt() {
             let name = entry.name.clone();
@@ -107,7 +117,7 @@ impl Process {
     /// The shared system library image.
     #[must_use]
     pub fn syslib(&self) -> &JBinary {
-        &self.syslib
+        self.syslib
     }
 
     /// PLT resolutions, indexed by PLT entry number.
