@@ -26,9 +26,9 @@ type Golden = (&'static str, u32, u64, u64, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
-    ("410.bwaves", 1, 24939953, 129, 1168567, 28500, 0xf9501b8470fa672d, 0xac18279013b52694),
-    ("410.bwaves", 2, 16529003, 129, 1168567, 28500, 0xd985084f54c44050, 0x0cdeafc1375d0563),
-    ("410.bwaves", 4, 12339783, 129, 1168567, 28500, 0x6e42667eb5679bf1, 0xe71e89cb87f644b7),
+    ("410.bwaves", 1, 16902953, 129, 1168567, 28500, 0xf9501b8470fa672d, 0xac18279013b52694),
+    ("410.bwaves", 2, 8492003, 129, 1168567, 28500, 0xd985084f54c44050, 0x0cdeafc1375d0563),
+    ("410.bwaves", 4, 4302783, 129, 1168567, 28500, 0x6e42667eb5679bf1, 0xe71e89cb87f644b7),
     ("433.milc", 1, 2592448, 141, 866308, 0, 0xbc961249dc1bbc1b, 0x97c5124c0e4f8747),
     ("433.milc", 2, 2241448, 141, 866308, 0, 0x5c0a90ce812d7675, 0x97c5124c0e4f8747),
     ("433.milc", 4, 2389948, 141, 866308, 0, 0xe8c879d5e3f68160, 0x97c5124c0e4f8747),
