@@ -36,62 +36,60 @@ fn threads_settled_at(expected: usize) -> usize {
 #[test]
 fn native_runs_join_their_pool_and_match_virtual_time() {
     // 433.milc: its tuner probes more chunks than threads within one run.
-    let w = workload("433.milc").expect("known workload");
-    let binary = Compiler::new()
-        .compile(&w.program)
-        .expect("workload compiles");
-    let janus = Janus::new();
-    let artifacts = janus.prepare(&binary, &[]).expect("pipeline prepares");
-    let process = Process::load(&binary).expect("binary loads");
-    for threads in [2u32, 4] {
-        let run = |backend, adaptive| {
-            let config = DbmConfig {
-                threads,
-                backend,
-                adaptive,
-                ..janus.dbm_config()
+    // 410.bwaves: its `pow` loop runs transactions in every chunk.
+    for (name, runs) in [("433.milc", 20), ("410.bwaves", 4)] {
+        let w = workload(name).expect("known workload");
+        let binary = Compiler::new()
+            .compile(&w.program)
+            .expect("workload compiles");
+        let janus = Janus::new();
+        let artifacts = janus.prepare(&binary, &[]).expect("pipeline prepares");
+        let process = Process::load(&binary).expect("binary loads");
+        for threads in [2u32, 4] {
+            let run = |backend, adaptive| {
+                let config = DbmConfig {
+                    threads,
+                    backend,
+                    adaptive,
+                    ..janus.dbm_config()
+                };
+                PreparedDbm::new(process.clone(), &artifacts.schedule, config)
+                    .execute(&[])
+                    .expect("execution succeeds")
             };
-            PreparedDbm::new(process.clone(), &artifacts.schedule, config)
-                .execute(&[])
-                .expect("execution succeeds")
-        };
-        let virt = run(BackendKind::VirtualTime, false);
-        let baseline = os_threads();
-        // When the tuner probes twice as many chunks as threads, they run
-        // in waves: no more than T threads ever run one invocation. (Other
-        // chunk counts place the private stack frames elsewhere, so only
-        // the outputs are comparable.)
-        let adaptive = run(BackendKind::NativeThreads, true);
-        assert_eq!(
-            adaptive.output_ints, virt.output_ints,
-            "T={threads} adaptive"
-        );
-        assert!(
-            adaptive.stats.os_threads_used <= u64::from(threads),
-            "T={threads} adaptive: {} threads ran one invocation",
-            adaptive.stats.os_threads_used
-        );
-        for i in 0..20 {
-            let native = run(BackendKind::NativeThreads, false);
-            assert_eq!(native.output_ints, virt.output_ints, "T={threads} run {i}");
+            let virt = run(BackendKind::VirtualTime, false);
+            let baseline = os_threads();
+            // When the tuner probes twice as many chunks as threads, they
+            // run in waves: no more than T threads ever run one invocation.
+            // (Other chunk counts place the private stack frames elsewhere,
+            // so only the outputs are comparable.)
+            let adaptive = run(BackendKind::NativeThreads, true);
             assert_eq!(
-                native.output_floats, virt.output_floats,
-                "T={threads} run {i}"
+                adaptive.output_ints, virt.output_ints,
+                "{name} T={threads} adaptive"
             );
-            assert_eq!(
-                native.memory_digest, virt.memory_digest,
-                "T={threads} run {i}"
+            assert!(
+                adaptive.stats.os_threads_used <= u64::from(threads),
+                "{name} T={threads} adaptive: {} threads ran one invocation",
+                adaptive.stats.os_threads_used
             );
-            assert_eq!(
-                native.stats.os_threads_used,
-                u64::from(threads),
-                "the caller and T - 1 workers ran the chunks (T={threads} run {i})"
-            );
-            assert_eq!(
-                threads_settled_at(baseline),
-                baseline,
-                "the pool was joined before execute returned (T={threads} run {i})"
-            );
+            for i in 0..runs {
+                let at = format!("{name} T={threads} run {i}");
+                let native = run(BackendKind::NativeThreads, false);
+                assert_eq!(native.output_ints, virt.output_ints, "{at}");
+                assert_eq!(native.output_floats, virt.output_floats, "{at}");
+                assert_eq!(native.memory_digest, virt.memory_digest, "{at}");
+                assert_eq!(
+                    native.stats.os_threads_used,
+                    u64::from(threads),
+                    "the caller and T - 1 workers ran the chunks ({at})"
+                );
+                assert_eq!(
+                    threads_settled_at(baseline),
+                    baseline,
+                    "the pool was joined before execute returned ({at})"
+                );
+            }
         }
     }
 }

@@ -14,14 +14,16 @@
 //!   the run's first batch of two or more chunks and joined when the run
 //!   returns, so an invocation wakes threads instead of creating them. Each
 //!   chunk executes against a [`CowMemory`] view (the batch's read-only base
-//!   image plus a private byte-masked write overlay) and records its block
-//!   executions for deferred accounting; once every chunk has reported,
-//!   overlays and counters are merged back in chunk order on the calling
-//!   thread, reproducing the virtual-time backend's memory image while the
-//!   work itself ran concurrently. Loops whose schedule carries `TX_START`
-//!   rules (STM-wrapped shared-library calls — potential cross-chunk
-//!   dependences by definition) conservatively take the sequential chunk
-//!   path instead.
+//!   image plus a private byte-masked write overlay) and counts its block
+//!   executions privately; once every chunk has reported, overlays and
+//!   counts are merged back in chunk order on the calling thread,
+//!   reproducing the virtual-time backend's memory image while the work
+//!   itself ran concurrently. Loops whose schedule carries `TX_START` rules
+//!   (STM-wrapped shared-library calls — potential cross-chunk dependences
+//!   by definition) run the same way, and each chunk also reports what its
+//!   transactions touched outside its stack window. The merge commits
+//!   chunks in order while none could have seen a stale word; from the
+//!   first that could, the rest run again in order on the calling thread.
 //!
 //! Both backends charge modelled cycles through the same worker lanes
 //! ([`janus_spec::Lanes`]) that the speculation engine uses, so reported
@@ -38,7 +40,8 @@
 //! anyway: the differential fuzzer's commit-mode axis and
 //! `crates/core/tests/spec_commit_mode.rs`.
 
-use crate::runtime::{LoopRt, PreparedParts};
+use crate::runtime::{run_chunk, LoopRt, PreparedParts};
+use crate::stm::WordSet;
 use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
 use janus_ir::Operand;
 use janus_obs::Recorder;
@@ -47,6 +50,7 @@ use janus_vm::{
     merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, GuestMemory, MergeStats,
 };
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -116,12 +120,12 @@ impl fmt::Display for BackendKind {
 
 /// Code-cache model state: how often each block has been dispatched, one
 /// counter per instruction slot ("a block is approximated by its entry
-/// address"); a block has been translated exactly when its count is
-/// non-zero. Shared by the main thread's dispatch loop and (directly, or
-/// via deferred per-worker counts) by chunk execution.
+/// address"). Every dispatch loop only counts — the main thread and
+/// in-order chunks here, chunks on worker threads in a private copy added
+/// in once the chunk commits — and the run is charged from the final counts.
 #[derive(Debug, Clone)]
 pub struct CodeCache {
-    exec_counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
 }
 
 impl CodeCache {
@@ -129,101 +133,49 @@ impl CodeCache {
     #[must_use]
     pub(crate) fn new(num_slots: usize) -> CodeCache {
         CodeCache {
-            exec_counts: vec![0; num_slots],
+            counts: vec![0; num_slots],
         }
     }
 
-    /// Records `executions` executions of the block in `slot` and returns
-    /// `(overhead_cycles, newly_translated)` per the code-cache cost model: a
-    /// translation cost the first time the block is reached and a dispatch
-    /// cost per execution until it has run often enough to be linked into a
-    /// trace. The charge depends only on the running count, so a batch costs
-    /// what its executions would have cost one by one: this is how worker
-    /// threads' deferred counts are folded back — in chunk order — so the
-    /// native-threads backend charges exactly what the virtual-time backend
-    /// charges.
-    pub(crate) fn charge_executions(
-        &mut self,
-        slot: usize,
-        executions: u64,
-        config: &DbmConfig,
-    ) -> (u64, bool) {
-        let count = &mut self.exec_counts[slot];
-        let before = *count;
-        *count += executions;
-        let mut overhead = 0;
-        let newly_translated = before == 0 && executions > 0;
-        if newly_translated {
-            overhead += config.translation_cost;
+    /// Adds a committed chunk's per-slot execution counts.
+    fn absorb(&mut self, counts: &[u64]) {
+        for (count, executions) in self.counts.iter_mut().zip(counts) {
+            *count += executions;
         }
-        let dispatched = config.link_threshold.saturating_sub(before).min(executions);
-        overhead += config.dispatch_cost * dispatched;
-        (overhead, newly_translated)
     }
-}
 
-/// How chunk execution accounts basic-block executions against the code
-/// cache: immediately against the shared cache (virtual time — chunks run
-/// sequentially, so the cache is free), or deferred into private per-slot
-/// counts that the coordinator replays in chunk order once every chunk has
-/// reported (native threads). Both roads produce identical charge totals.
-pub(crate) trait BlockAccounting {
-    /// Records one execution of the block in `slot`.
-    fn record(&mut self, slot: usize, config: &DbmConfig, fx: &mut ChunkSideEffects);
-}
-
-/// Immediate accounting against the shared [`CodeCache`].
-pub(crate) struct LiveAccounting<'a>(pub(crate) &'a mut CodeCache);
-
-impl BlockAccounting for LiveAccounting<'_> {
-    fn record(&mut self, slot: usize, config: &DbmConfig, fx: &mut ChunkSideEffects) {
-        let (overhead, newly_translated) = self.0.charge_executions(slot, 1, config);
-        if newly_translated {
-            fx.blocks_translated += 1;
-        }
-        fx.block_executions += 1;
-        fx.translation_cycles += overhead;
-    }
-}
-
-/// Deferred accounting: one execution count per instruction slot, charged
-/// later by [`CodeCache::charge_executions`].
-#[derive(Debug)]
-pub(crate) struct DeferredAccounting(pub(crate) Vec<u64>);
-
-impl BlockAccounting for DeferredAccounting {
-    fn record(&mut self, slot: usize, _config: &DbmConfig, _fx: &mut ChunkSideEffects) {
-        self.0[slot] += 1;
-    }
-}
-
-impl DeferredAccounting {
-    /// Replays the recorded executions against the shared cache, folding the
-    /// charges into `fx`, in slot order (the totals are order-independent
-    /// anyway — distinct blocks have independent counters).
-    fn replay(self, cache: &mut CodeCache, config: &DbmConfig, fx: &mut ChunkSideEffects) {
-        for (slot, &executions) in self.0.iter().enumerate() {
-            if executions == 0 {
-                continue;
-            }
-            let (overhead, newly_translated) = cache.charge_executions(slot, executions, config);
-            if newly_translated {
-                fx.blocks_translated += 1;
-            }
-            fx.block_executions += executions;
-            fx.translation_cycles += overhead;
-        }
+    /// `(blocks translated, block executions, cycles)` for the executions
+    /// counted so far, per the code-cache cost model: a translation cost the
+    /// first time a block is reached and a dispatch cost per execution until
+    /// it has run often enough to be linked into a trace. Per slot with `c`
+    /// executions that is `translation_cost + dispatch_cost · min(c,
+    /// link_threshold)` whatever order they came in, so where a chunk ran
+    /// cannot change the charge.
+    pub(crate) fn charges(&self, config: &DbmConfig) -> (u64, u64, u64) {
+        let dispatched = |c: u64| config.dispatch_cost * c.min(config.link_threshold);
+        let charged = self.counts.iter().filter(|&&c| c > 0);
+        charged.fold((0, 0, 0), |(blocks, executions, cycles), &c| {
+            (
+                blocks + 1,
+                executions + c,
+                cycles + config.translation_cost + dispatched(c),
+            )
+        })
     }
 }
 
 /// One planned chunk of a parallel-loop invocation: a prepared guest context
 /// (program counter at the loop header, redirected stack, thread-private
-/// induction value and reduction accumulators) plus the chunk's rewritten
-/// loop bound.
+/// induction value and reduction accumulators), the chunk's rewritten loop
+/// bound and its stack window.
 #[derive(Debug, Clone)]
 pub struct ChunkPlan {
     pub(crate) cpu: Cpu,
     pub(crate) bound: i64,
+    /// The chunk's private stack, below the main frame and disjoint from
+    /// every other chunk's: what its transactions touch here no other chunk
+    /// can see.
+    pub(crate) window: Range<u64>,
 }
 
 /// What executing one chunk produced: the final guest context and the
@@ -234,31 +186,33 @@ pub struct ChunkResult {
     pub(crate) exit_pc: u64,
 }
 
-/// Side effects accumulated while executing chunks: guest output, code-cache
-/// accounting and STM counters. Collected per worker and merged in chunk
-/// order so the native-threads backend reproduces the virtual-time backend's
-/// output ordering.
+/// Side effects accumulated while executing chunks: guest output,
+/// indirect-branch lookups, STM counters and what the chunk's transactions
+/// touched outside its stack window. Collected per worker and merged in
+/// chunk order so the native-threads backend reproduces the virtual-time
+/// backend's output ordering.
 #[derive(Debug, Default)]
 pub struct ChunkSideEffects {
     pub(crate) output_ints: Vec<i64>,
     pub(crate) output_floats: Vec<f64>,
-    pub(crate) blocks_translated: u64,
-    pub(crate) block_executions: u64,
-    pub(crate) translation_cycles: u64,
+    /// [`DbmConfig::indirect_lookup_cost`], charged per execution.
+    pub(crate) lookup_cycles: u64,
     pub(crate) stm_transactions: u64,
     pub(crate) stm_aborts: u64,
     pub(crate) stm_reads: u64,
     pub(crate) stm_writes: u64,
     pub(crate) stm_cycles: u64,
+    /// Words committed transactions read outside the window.
+    pub(crate) tx_reads: WordSet,
+    /// A committed transaction wrote outside the window.
+    pub(crate) tx_escaped: bool,
 }
 
 impl ChunkSideEffects {
     fn absorb(&mut self, other: ChunkSideEffects) {
         self.output_ints.extend(other.output_ints);
         self.output_floats.extend(other.output_floats);
-        self.blocks_translated += other.blocks_translated;
-        self.block_executions += other.block_executions;
-        self.translation_cycles += other.translation_cycles;
+        self.lookup_cycles += other.lookup_cycles;
         self.stm_transactions += other.stm_transactions;
         self.stm_aborts += other.stm_aborts;
         self.stm_reads += other.stm_reads;
@@ -302,8 +256,9 @@ pub struct BatchOutcome {
     /// Wall-clock nanoseconds the batch took (0 under virtual time).
     pub wall_nanos: u64,
     /// OS threads that ran the batch's chunks, the calling thread included:
-    /// the chunk count, at most `threads` (0 under virtual time, and for
-    /// loops that take the sequential chunk path).
+    /// the chunk count, at most `threads` (0 under virtual time). Counted
+    /// also when some chunks were then run again in order on the calling
+    /// thread.
     pub os_threads: u64,
     /// What the page-aware overlay merge did (all-zero under virtual time,
     /// which writes straight to shared memory and has nothing to merge).
@@ -373,7 +328,7 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
     fn kind(&self) -> BackendKind;
 
     /// Executes the planned chunks of one parallel-loop invocation and
-    /// merges all memory effects into `mem` and all code-cache effects into
+    /// merges all memory effects into `mem` and all block executions into
     /// `cache` before returning. `pool` is the run's worker pool; backends
     /// that run chunks on the calling thread leave it untouched.
     ///
@@ -404,6 +359,30 @@ pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
         body: SpecBody<'_>,
         recorder: &Recorder,
     ) -> SpecInvocationOutcome;
+}
+
+/// Runs `plans[results.len()..]` one after another on the calling thread
+/// over `mem`, counting block executions straight into `cache`: the whole
+/// batch under virtual time, and the native backend's in-order re-run of
+/// the chunks it could not commit.
+fn run_in_order(
+    ctx: &ChunkContext<'_>,
+    plans: &[ChunkPlan],
+    mem: &mut FlatMemory,
+    cache: &mut CodeCache,
+    results: &mut Vec<ChunkResult>,
+    effects: &mut ChunkSideEffects,
+) -> Result<()> {
+    for (i, plan) in plans.iter().enumerate().skip(results.len()) {
+        let _span = ctx
+            .recorder
+            .span("dbm.chunk", "chunk.run")
+            .arg("chunk", i)
+            .arg("bound", plan.bound)
+            .arg("backend", "virtual");
+        results.push(run_chunk(ctx, plan, mem, &mut cache.counts, effects)?);
+    }
+    Ok(())
 }
 
 /// Charges each chunk's cycles to the least-loaded worker lane and returns
@@ -438,25 +417,7 @@ impl ExecutionBackend for VirtualTimeBackend {
     ) -> Result<BatchOutcome> {
         let mut results = Vec::with_capacity(plans.len());
         let mut effects = ChunkSideEffects::default();
-        for (i, plan) in plans.iter().enumerate() {
-            let _span = ctx
-                .recorder
-                .span("dbm.chunk", "chunk.run")
-                .arg("chunk", i)
-                .arg("bound", plan.bound)
-                .arg("backend", "virtual");
-            let mut cpu = plan.cpu.clone();
-            let mut accounting = LiveAccounting(cache);
-            let exit_pc = crate::runtime::run_chunk(
-                ctx,
-                &mut cpu,
-                mem,
-                &mut accounting,
-                plan.bound,
-                &mut effects,
-            )?;
-            results.push(ChunkResult { cpu, exit_pc });
-        }
+        run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
         let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
         Ok(BatchOutcome {
             results,
@@ -563,10 +524,9 @@ impl Drop for ChunkPool {
     }
 }
 
-/// What one chunk run on a copy-on-write view leaves behind: its final
-/// context, exit address, dirty pages, side effects and deferred block
-/// counts.
-type ViewOut = Result<(Cpu, u64, ChunkOverlay, ChunkSideEffects, DeferredAccounting)>;
+/// What one chunk run on a copy-on-write view leaves behind: its result,
+/// dirty pages, side effects and per-slot block executions.
+type ViewOut = Result<(ChunkResult, ChunkOverlay, ChunkSideEffects, Vec<u64>)>;
 
 /// Runs one planned chunk against a private [`CowMemory`] view of `image`.
 fn run_on_view(
@@ -581,19 +541,23 @@ fn run_on_view(
         .arg("chunk", chunk)
         .arg("bound", plan.bound)
         .arg("backend", "native");
-    let mut overlay = CowMemory::new(image);
-    let mut accounting = DeferredAccounting(vec![0; ctx.parts.process.num_slots()]);
+    let mut view = CowMemory::new(image);
+    let mut counts = vec![0; ctx.parts.process.num_slots()];
     let mut effects = ChunkSideEffects::default();
-    let mut cpu = plan.cpu.clone();
-    let exit_pc = crate::runtime::run_chunk(
-        ctx,
-        &mut cpu,
-        &mut overlay,
-        &mut accounting,
-        plan.bound,
-        &mut effects,
-    )?;
-    Ok((cpu, exit_pc, overlay.into_pages(), effects, accounting))
+    let result = run_chunk(ctx, plan, &mut view, &mut counts, &mut effects)?;
+    Ok((result, view.into_pages(), effects, counts))
+}
+
+/// Whether a chunk's transactions saw current values after `earlier`, the
+/// committed overlays before it: none aborted, and none read a word outside
+/// the chunk's window that an earlier chunk wrote (the view served the base
+/// image's stale value). The rest is the DOALL guarantee and `contained`.
+fn reads_are_current(fx: &ChunkSideEffects, earlier: &[ChunkOverlay]) -> bool {
+    fx.stm_aborts == 0
+        && !fx
+            .tx_reads
+            .iter()
+            .any(|word| earlier.iter().any(|overlay| overlay.is_dirty_word(word)))
 }
 
 /// The native-threads backend: chunk 0 on the calling thread and the rest
@@ -617,18 +581,6 @@ impl ExecutionBackend for NativeThreadsBackend {
         cache: &mut CodeCache,
         pool: &mut ChunkPool,
     ) -> Result<BatchOutcome> {
-        // STM-wrapped shared-library calls may carry real cross-chunk
-        // read-after-write dependences (that is exactly why they run under a
-        // transaction). Snapshot isolation cannot reproduce the sequential
-        // chunk order the virtual-time backend commits in, so such batches
-        // conservatively run through the sequential chunk path — identical
-        // guest results by construction, no OS-thread fan-out for this loop.
-        if ctx.lr.has_tx_calls {
-            let start = Instant::now();
-            let mut batch = VirtualTimeBackend.run_chunks(ctx, plans, mem, cache, pool)?;
-            batch.wall_nanos = start.elapsed().as_nanos() as u64;
-            return Ok(batch);
-        }
         let start = Instant::now();
         // The batch owns the image (an O(1) move): workers read it through
         // their own handles, which they drop before reporting, so once every
@@ -669,13 +621,13 @@ impl ExecutionBackend for NativeThreadsBackend {
         *mem =
             Arc::try_unwrap(image).expect("every chunk dropped its image handle before reporting");
 
-        // Merge in chunk order: dirty bytes splice over the shared image
-        // (later chunks win on whole-byte overlaps, which a legal DOALL
-        // cannot produce) and code-cache charges replay sequentially,
-        // matching the sequential chunk order — and therefore the exact
-        // cycle totals — of the virtual-time backend. The memory merge is
-        // page-aware: untouched base pages are skipped outright, and the
-        // merged image is bit-identical to the word-by-word replay.
+        // Commit in chunk order. Chunk 0 saw exactly what it would have seen
+        // in order; a later chunk commits only if it finished, nothing
+        // before it escaped its window and its transactions read nothing an
+        // earlier chunk wrote. The first chunk that fails ends the committed
+        // prefix: it and every chunk after it are discarded (overlay, block
+        // counts, output) and run again below, in order over the merged
+        // image, as the virtual-time backend runs them.
         let merge_span = ctx
             .recorder
             .span("dbm.chunk", "chunk.merge")
@@ -683,19 +635,45 @@ impl ExecutionBackend for NativeThreadsBackend {
         let mut results = Vec::with_capacity(plans.len());
         let mut effects = ChunkSideEffects::default();
         let mut overlays = Vec::with_capacity(plans.len());
+        let mut contained = true;
         for out in outs {
-            let (cpu, exit_pc, overlay, chunk_effects, accounting) = out?;
+            let first = overlays.is_empty();
+            let (result, overlay, fx, counts) = match out {
+                Ok(out) if first || contained && reads_are_current(&out.2, &overlays) => out,
+                Err(e) if first => return Err(e),
+                _ => break,
+            };
+            // Nothing written where a later chunk could see it, and no
+            // untracked re-run of an aborted transaction.
+            contained &= !fx.tx_escaped && fx.stm_aborts == 0;
             overlays.push(overlay);
-            effects.absorb(chunk_effects);
-            accounting.replay(cache, ctx.config, &mut effects);
-            results.push(ChunkResult { cpu, exit_pc });
+            effects.absorb(fx);
+            cache.absorb(&counts);
+            results.push(result);
         }
+        // Dirty bytes splice over the shared image in chunk order (later
+        // chunks win on whole-byte overlaps, which a legal DOALL cannot
+        // produce). The merge is page-aware: untouched base pages are
+        // skipped outright, and the merged image is bit-identical to the
+        // word-by-word replay.
         let merge = merge_chunk_overlays(mem, &overlays, 1);
         drop(
             merge_span
                 .arg("pages_merged", merge.pages_merged)
                 .arg("pages_skipped", merge.pages_skipped),
         );
+        if results.len() < plans.len() {
+            ctx.recorder.instant(
+                "dbm.chunk",
+                "chunk.rerun",
+                &[
+                    ("loop", ctx.loop_id.into()),
+                    ("from", results.len().into()),
+                    ("chunks", plans.len().into()),
+                ],
+            );
+            run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
+        }
         let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
         Ok(BatchOutcome {
             results,
@@ -827,9 +805,14 @@ mod tests {
             ..DbmConfig::default()
         };
         let mut cache = CodeCache::new(8);
-        assert_eq!(cache.charge_executions(4, 1, &config), (107, true));
-        assert_eq!(cache.charge_executions(4, 1, &config), (7, false));
-        assert_eq!(cache.charge_executions(4, 1, &config), (0, false), "linked");
+        assert_eq!(cache.charges(&config), (0, 0, 0));
+        let executed = |cache: &mut CodeCache| {
+            cache.counts[4] += 1;
+            cache.charges(&config)
+        };
+        assert_eq!(executed(&mut cache), (1, 1, 107));
+        assert_eq!(executed(&mut cache), (1, 2, 114));
+        assert_eq!(executed(&mut cache), (1, 3, 114), "linked");
     }
 
     #[test]
@@ -840,21 +823,26 @@ mod tests {
             link_threshold: 5,
             ..DbmConfig::default()
         };
-        // Replaying a batch must charge exactly what the same executions
-        // charged one at a time — including the partially-linked window.
+        // A chunk's counts absorbed at once must charge exactly what the
+        // same executions charged one at a time — including the partially
+        // linked window.
         for (warmup, batch) in [(0u64, 3u64), (2, 9), (5, 4), (9, 2)] {
             let mut live = CodeCache::new(8);
-            for _ in 0..warmup {
-                let _ = live.charge_executions(4, 1, &config);
-            }
-            let mut replayed = live.clone();
+            live.counts[4] = warmup;
+            let mut batched = live.clone();
             let mut per_exec = 0;
             for _ in 0..batch {
-                per_exec += live.charge_executions(4, 1, &config).0;
+                let before = live.charges(&config).2;
+                live.counts[4] += 1;
+                per_exec += live.charges(&config).2 - before;
             }
-            let (batched, _) = replayed.charge_executions(4, batch, &config);
-            assert_eq!(batched, per_exec, "warmup {warmup}, batch {batch}");
-            assert_eq!(replayed.exec_counts, live.exec_counts);
+            let before = batched.charges(&config).2;
+            let mut chunk = vec![0; 8];
+            chunk[4] = batch;
+            batched.absorb(&chunk);
+            let charged = batched.charges(&config).2 - before;
+            assert_eq!(charged, per_exec, "warmup {warmup}, batch {batch}");
+            assert_eq!(batched.counts, live.counts);
         }
     }
 

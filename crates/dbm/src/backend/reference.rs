@@ -1,12 +1,13 @@
 //! The hashed code-cache model the slot-addressed [`CodeCache`] replaced,
-//! kept as the reference the dense tables are property-tested against.
+//! kept as the reference the dense counts are property-tested against.
 //!
 //! It keys everything by guest address — a `HashSet` of translated blocks, a
 //! `HashMap` of execution counts, a `HashMap` of deferred per-chunk counts
-//! replayed in address order — exactly as the runtime did when every
-//! executed instruction paid those probes.
+//! replayed in address order — and charges every execution as it happens,
+//! exactly as the runtime did before it charged the run once, from the final
+//! counts.
 
-use super::{BlockAccounting, ChunkSideEffects, CodeCache, DeferredAccounting, LiveAccounting};
+use super::CodeCache;
 use crate::DbmConfig;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -68,19 +69,30 @@ fn pc_of(slot: usize) -> u64 {
     0x40_0000 + 32 * slot as u64
 }
 
-fn totals(fx: &ChunkSideEffects) -> (u64, u64, u64) {
-    (
-        fx.blocks_translated,
-        fx.block_executions,
-        fx.translation_cycles,
-    )
+/// `(blocks translated, block executions, cycles)` summed as the hashed
+/// model charged them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Totals(u64, u64, u64);
+
+impl Totals {
+    fn add(&mut self, (overhead, newly_translated): (u64, bool), executions: u64) {
+        self.0 += u64::from(newly_translated);
+        self.1 += executions;
+        self.2 += overhead;
+    }
+}
+
+fn settled(cache: &CodeCache, config: &DbmConfig) -> Totals {
+    let (translated, executions, cycles) = cache.charges(config);
+    Totals(translated, executions, cycles)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Live accounting: the same `(overhead, newly_translated)` stream for
-    /// any execution sequence, at any link threshold.
+    /// Counting only and charging from the counts: after every execution of
+    /// any sequence, at any link threshold, the settled charge is what the
+    /// hashed cache had charged execution by execution.
     #[test]
     fn dense_cache_charges_what_the_hashed_cache_charged(
         sequence in prop::collection::vec(0usize..SLOTS, 0..400),
@@ -89,18 +101,18 @@ proptest! {
         let config = DbmConfig { link_threshold, ..DbmConfig::default() };
         let mut dense = CodeCache::new(SLOTS);
         let mut hashed = HashedCodeCache::default();
+        let mut charged = Totals::default();
         for &slot in &sequence {
-            prop_assert_eq!(
-                dense.charge_executions(slot, 1, &config),
-                hashed.account_block(pc_of(slot), &config)
-            );
+            dense.counts[slot] += 1;
+            charged.add(hashed.account_block(pc_of(slot), &config), 1);
+            prop_assert_eq!(settled(&dense, &config), charged);
         }
     }
 
-    /// Deferred accounting: chunks record privately and replay in chunk
-    /// order over a cache the main thread has already warmed; every chunk's
-    /// replay totals match, and so does a live tail afterwards (the caches
-    /// ended in the same state).
+    /// Chunks count privately and are absorbed in chunk order over a cache
+    /// the main thread has already warmed, and the main thread counts on
+    /// afterwards; the settled totals match the hashed model's live charges
+    /// plus its replay of every chunk's counts, after each step.
     #[test]
     fn deferred_replay_matches_the_hashed_replay(
         warmup in prop::collection::vec(0usize..SLOTS, 0..64),
@@ -111,31 +123,27 @@ proptest! {
         let config = DbmConfig { link_threshold, ..DbmConfig::default() };
         let mut dense = CodeCache::new(SLOTS);
         let mut hashed = HashedCodeCache::default();
+        let mut charged = Totals::default();
         for &slot in &warmup {
-            let _ = dense.charge_executions(slot, 1, &config);
-            let _ = hashed.account_block(pc_of(slot), &config);
+            dense.counts[slot] += 1;
+            charged.add(hashed.account_block(pc_of(slot), &config), 1);
         }
         for chunk in &chunks {
-            let mut deferred = DeferredAccounting(vec![0; SLOTS]);
+            let mut private = vec![0; SLOTS];
             let mut counts: HashMap<u64, u64> = HashMap::new();
-            let mut fx = ChunkSideEffects::default();
             for &slot in chunk {
-                deferred.record(slot, &config, &mut fx);
+                private[slot] += 1;
                 *counts.entry(pc_of(slot)).or_insert(0) += 1;
             }
-            prop_assert_eq!(totals(&fx), (0, 0, 0), "recording charges nothing");
-            deferred.replay(&mut dense, &config, &mut fx);
-            prop_assert_eq!(totals(&fx), hashed.replay(counts, &config));
+            dense.absorb(&private);
+            let (translated, executed, cycles) = hashed.replay(counts, &config);
+            charged = Totals(charged.0 + translated, charged.1 + executed, charged.2 + cycles);
+            prop_assert_eq!(settled(&dense, &config), charged);
         }
-        let mut fx = ChunkSideEffects::default();
-        let mut expected = (0, 0, 0);
         for &slot in &tail {
-            LiveAccounting(&mut dense).record(slot, &config, &mut fx);
-            let (overhead, newly_translated) = hashed.account_block(pc_of(slot), &config);
-            expected.0 += u64::from(newly_translated);
-            expected.1 += 1;
-            expected.2 += overhead;
+            dense.counts[slot] += 1;
+            charged.add(hashed.account_block(pc_of(slot), &config), 1);
         }
-        prop_assert_eq!(totals(&fx), expected);
+        prop_assert_eq!(settled(&dense, &config), charged);
     }
 }

@@ -56,10 +56,13 @@
 //!   Block-STM worker pool ([`janus_spec::run_speculative_pooled`], one OS
 //!   thread per lane, traced into the run's recorder) racing over a
 //!   read-only view of guest memory.
-//!   Only loops whose schedule carries `TX_START` rules (STM-wrapped
-//!   shared-library calls, i.e. potential cross-chunk dependences)
-//!   conservatively take the sequential chunk path so guest results stay
-//!   identical by construction.
+//!   Loops whose schedule carries `TX_START` rules (STM-wrapped
+//!   shared-library calls, i.e. potential cross-chunk dependences) run on
+//!   the pool too. Each chunk records which words its transactions read and
+//!   whether any wrote outside its private stack window or aborted; chunks
+//!   commit in chunk order, and the first one that may have seen a stale
+//!   word is run again, with every chunk after it, on the calling thread
+//!   over the merged image, exactly as the virtual-time backend runs them.
 //!
 //! Pick the virtual-time backend to reproduce the paper's figures, and the
 //! native-threads backend to exercise real parallel hardware (thread-scaling
@@ -434,14 +437,14 @@ pub struct DbmStats {
     pub spec_writes: u64,
     /// Largest number of OS threads that ran any single parallel-loop
     /// invocation: for a DOALL batch the calling thread plus the run's pool
-    /// workers, i.e. the chunk count up to `threads`; for a
-    /// [`SpecCommitMode::RacedImage`] invocation its racing pool. Stays at 0
-    /// under the virtual-time backend, for runs with no parallel
-    /// invocations, for loops that take the sequential chunk path, and for
-    /// speculative invocations in the default `Deterministic` mode (the
-    /// coordinator runs on the calling thread); a value above 1 is the
-    /// observable proof that the native-threads backend fanned work out
-    /// across real threads.
+    /// workers, i.e. the chunk count up to `threads`, transactional loops
+    /// included (chunks that then run again in order on the calling thread
+    /// do not lower it); for a [`SpecCommitMode::RacedImage`] invocation its
+    /// racing pool. Stays at 0 under the virtual-time backend, for runs with
+    /// no parallel invocations, and for speculative invocations in the
+    /// default `Deterministic` mode (the coordinator runs on the calling
+    /// thread); a value above 1 is the observable proof that the
+    /// native-threads backend fanned work out across real threads.
     pub os_threads_used: u64,
     /// Wall-clock nanoseconds spent inside parallel-region execution
     /// (chunk batches and speculative invocations), summed over invocations.

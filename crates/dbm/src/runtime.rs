@@ -4,9 +4,9 @@
 //! chunks lives behind [`crate::ExecutionBackend`] in `backend.rs`.
 
 use crate::backend::{
-    BlockAccounting, ChunkContext, ChunkPlan, ChunkPool, ChunkSideEffects, CodeCache, SpecPayload,
+    ChunkContext, ChunkPlan, ChunkPool, ChunkResult, ChunkSideEffects, CodeCache, SpecPayload,
 };
-use crate::stm::TxView;
+use crate::stm::{TxLog, TxView};
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
 use janus_ir::{Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
@@ -530,17 +530,9 @@ impl Dbm {
                 }
             }
 
-            // Code-cache costs (chunks charge the same through their
-            // `ChunkSideEffects`). A "block" is approximated by its entry
-            // address: translated when first reached, paying a dispatch
-            // penalty on every execution until it is hot.
-            let (overhead, newly_translated) = self.cache.charge_executions(slot, 1, &self.config);
-            if newly_translated {
-                self.stats.blocks_translated += 1;
-            }
-            self.stats.block_executions += 1;
-            self.stats.breakdown.translation += overhead;
-
+            // A "block" is approximated by its entry address; the code
+            // cache is charged from the counts when the run ends.
+            self.cache.counts[slot] += 1;
             let next_pc = pc + INST_SIZE as u64;
             let cost = parts.process.cost(slot);
             let effect = exec_inst_costed(&mut self.main, &mut self.mem, inst, cost, next_pc)?;
@@ -562,6 +554,10 @@ impl Dbm {
             }
         }
         self.stats.retired += self.main.retired;
+        let (translated, executions, cache_cycles) = self.cache.charges(&self.config);
+        self.stats.blocks_translated = translated;
+        self.stats.block_executions = executions;
+        self.stats.breakdown.translation += cache_cycles;
         let cycles = self.stats.breakdown.total();
         Ok(DbmRunResult {
             exit_code: self.os.exit_code,
@@ -580,7 +576,7 @@ impl Dbm {
     #[cold]
     #[inline(never)]
     fn handle_syscall(&mut self, num: u32) -> Result<bool> {
-        let clock = self.stats.breakdown.total();
+        let clock = self.stats.breakdown.total() + self.cache.charges(&self.config).2;
         Ok(self.os.syscall(&mut self.main, num, clock)?)
     }
 
@@ -855,9 +851,12 @@ impl Dbm {
             }
             self.stats.breakdown.init_finish += self.config.loop_init_cost;
             cpu.pc = lr.header;
+            // The chunk's own stack, below its frame copy and the main frame.
+            let window_top = (frame_hi - delta).min(frame_lo);
             plans.push(ChunkPlan {
                 cpu,
                 bound: thread_bound,
+                window: frame_hi.saturating_sub(delta + STACK_SIZE)..window_top,
             });
         }
 
@@ -992,9 +991,7 @@ impl Dbm {
     /// Folds the side effects of one chunk batch into the run's statistics
     /// and output streams.
     fn fold_chunk_effects(&mut self, fx: ChunkSideEffects) {
-        self.stats.blocks_translated += fx.blocks_translated;
-        self.stats.block_executions += fx.block_executions;
-        self.stats.breakdown.translation += fx.translation_cycles;
+        self.stats.breakdown.translation += fx.lookup_cycles;
         self.stats.stm_transactions += fx.stm_transactions;
         self.stats.stm_aborts += fx.stm_aborts;
         self.stats.stm_reads += fx.stm_reads;
@@ -1261,27 +1258,27 @@ fn bound_compare(lhs: Operand, bound: i64) -> (Inst, u64) {
 }
 
 /// Runs one planned chunk from the loop header until it reaches a
-/// `LOOP_FINISH` address, and returns that address.
+/// `LOOP_FINISH` address, and returns its final context and that address.
 ///
 /// This is the backend-agnostic chunk executor: generic over the guest
 /// memory view (`&mut FlatMemory` under virtual time, a [`janus_vm::CowMemory`]
-/// overlay on an OS worker thread) and over the code-cache accounting
-/// strategy ([`BlockAccounting`]: live against the shared cache, or deferred
-/// counts replayed once every chunk has reported). It is free of `Dbm` state —
-/// every other side effect (guest output, STM counters) goes into
+/// overlay on an OS worker thread). Block executions are counted into
+/// `counts` (the run's [`CodeCache`], or a worker's private copy); every other
+/// side effect (guest output, lookups, STM counters and footprint) goes into
 /// [`ChunkSideEffects`], which the caller folds back in chunk order.
-pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
+pub(crate) fn run_chunk<M: GuestMemory>(
     ctx: &ChunkContext<'_>,
-    cpu: &mut Cpu,
+    plan: &ChunkPlan,
     mem: &mut M,
-    accounting: &mut A,
-    thread_bound: i64,
+    counts: &mut [u64],
     fx: &mut ChunkSideEffects,
-) -> Result<u64> {
+) -> Result<ChunkResult> {
     let config = ctx.config;
     let lr = ctx.lr;
     let process = &ctx.parts.process;
-    let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, thread_bound);
+    let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, plan.bound);
+    let mut cpu = plan.cpu.clone();
+    let mut log = TxLog::default();
     loop {
         if cpu.cycles > config.cycle_limit {
             return Err(DbmError::CycleLimitExceeded {
@@ -1292,9 +1289,9 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
         let (slot, fetched) = process.fetch(pc)?;
         let flags = lr.flags[slot];
         if flags & slot_flags::FINISH != 0 {
-            return Ok(pc);
+            return Ok(ChunkResult { cpu, exit_pc: pc });
         }
-        accounting.record(slot, config, fx);
+        counts[slot] += 1;
         let next_pc = pc + INST_SIZE as u64;
         let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
             (&bound_cmp, bound_cmp_cost)
@@ -1305,23 +1302,30 @@ pub(crate) fn run_chunk<M: GuestMemory, A: BlockAccounting>(
         // just-in-time STM.
         if flags & slot_flags::TX_CALL != 0 && config.enable_runtime_checks {
             if let Inst::CallExt { plt } = *inst {
-                run_transactional_call(ctx, cpu, mem, plt, next_pc, fx)?;
+                if run_transactional_call(ctx, &mut cpu, mem, plt, next_pc, &mut log, fx)? {
+                    // What it touched outside the chunk's own stack.
+                    let outside = |&&(word, _): &&(u64, u64)| !plan.window.contains(&word);
+                    for &(word, _) in log.reads.iter().filter(outside) {
+                        fx.tx_reads.insert(word);
+                    }
+                    fx.tx_escaped |= log.writes.iter().any(|w| outside(&w));
+                }
                 cpu.pc = next_pc;
                 continue;
             }
         }
         if flags & slot_flags::INDIRECT != 0 {
-            fx.translation_cycles += config.indirect_lookup_cost;
+            fx.lookup_cycles += config.indirect_lookup_cost;
         }
-        match exec_inst_costed(cpu, mem, inst, cost, next_pc)? {
+        match exec_inst_costed(&mut cpu, mem, inst, cost, next_pc)? {
             Effect::Continue => cpu.pc = next_pc,
             Effect::Jump(t) => cpu.pc = t,
-            Effect::Halt => return Ok(pc),
+            Effect::Halt => return Ok(ChunkResult { cpu, exit_pc: pc }),
             Effect::External { plt } => match process.resolve_plt(plt)? {
                 ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
-                    run_native_helper(name, cpu, fx)?;
-                    cpu.pc = janus_vm::exec::pop_value(cpu, mem) as u64;
+                    run_native_helper(name, &cpu, fx)?;
+                    cpu.pc = janus_vm::exec::pop_value(&mut cpu, mem) as u64;
                 }
             },
             Effect::Syscall { .. } => {
@@ -1353,25 +1357,27 @@ fn run_native_helper(name: &str, cpu: &Cpu, fx: &mut ChunkSideEffects) -> Result
 /// software transactional memory: the `TX_START` / `TX_FINISH` pair of
 /// the paper. Generic over the guest memory view for the same reason as
 /// [`run_chunk`]; under the native-threads backend the transaction commits
-/// into the chunk's private overlay.
+/// into the chunk's private overlay. Returns whether a transaction
+/// committed, its reads and writes left in `log`.
 fn run_transactional_call<M: GuestMemory>(
     ctx: &ChunkContext<'_>,
     cpu: &mut Cpu,
     mem: &mut M,
     plt: u32,
     return_pc: u64,
+    log: &mut TxLog,
     fx: &mut ChunkSideEffects,
-) -> Result<()> {
+) -> Result<bool> {
     let config = ctx.config;
     let target = match ctx.parts.process.resolve_plt(plt)? {
         ResolvedPlt::Guest { addr, .. } => *addr,
         // Native helpers have no guest-visible memory effects; run them
         // directly.
-        ResolvedPlt::Native { name } => return run_native_helper(name, cpu, fx),
+        ResolvedPlt::Native { name } => return run_native_helper(name, cpu, fx).map(|()| false),
     };
     fx.stm_transactions += 1;
     let checkpoint = cpu.clone();
-    let mut tx = TxView::new(mem);
+    let mut tx = TxView::new(mem, log);
     // The call's return address is pushed inside the transaction.
     janus_vm::exec::push_value(cpu, &mut tx, return_pc as i64);
     cpu.pc = target;
@@ -1390,22 +1396,24 @@ fn run_transactional_call<M: GuestMemory>(
     let tx_stats = tx.stats();
     fx.stm_reads += tx_stats.reads;
     fx.stm_writes += tx_stats.writes;
+    // Charged to the chunk, so it reaches `parallel` through the lanes;
+    // `stm_cycles` only attributes it.
     let stm_cost = tx_stats.reads * config.stm.read
         + tx_stats.writes * config.stm.write
         + (tx_stats.reads + tx_stats.writes) * config.stm.commit;
     fx.stm_cycles += stm_cost;
     cpu.cycles += stm_cost;
-    let committed = ok && tx.commit();
-    if !committed {
-        // Abort: roll back to the checkpoint and re-execute the call
-        // non-speculatively (the thread is treated as the oldest).
-        fx.stm_aborts += 1;
-        *cpu = checkpoint;
-        janus_vm::exec::push_value(cpu, mem, return_pc as i64);
-        cpu.pc = target;
-        run_callee(ctx, cpu, mem, return_pc)?;
+    if ok && tx.commit() {
+        return Ok(true);
     }
-    Ok(())
+    // Abort: roll back to the checkpoint and re-execute the call
+    // non-speculatively (the thread is treated as the oldest).
+    fx.stm_aborts += 1;
+    *cpu = checkpoint;
+    janus_vm::exec::push_value(cpu, mem, return_pc as i64);
+    cpu.pc = target;
+    run_callee(ctx, cpu, mem, return_pc)?;
+    Ok(false)
 }
 
 /// Runs a shared-library callee until control returns to `return_pc`: the one

@@ -288,6 +288,14 @@ impl ChunkOverlay {
         writes
     }
 
+    /// Whether this chunk wrote any byte of the aligned word holding `addr`.
+    #[must_use]
+    pub fn is_dirty_word(&self, addr: u64) -> bool {
+        let (page, idx) = CowMemory::split(addr & !7);
+        self.get(page)
+            .is_some_and(|p| p.dirty[idx / 64] & (1 << (idx % 64)) != 0)
+    }
+
     /// The overlay page for `page`, if this chunk touched it.
     fn get(&self, page: u64) -> Option<&PageOverlay> {
         self.pages
@@ -457,6 +465,8 @@ mod tests {
         for chunk in [&pa, &pb] {
             CowMemory::apply_writes(&mut word_merged, &chunk.to_writes());
         }
+        assert!(pa.is_dirty_word(0x1000) && pa.is_dirty_word(0x3007));
+        assert!(!pa.is_dirty_word(0x1008) && !pa.is_dirty_word(0x2000));
 
         let mut page_merged = base.clone();
         let stats = merge_chunk_overlays(&mut page_merged, &[pa, pb], 4);

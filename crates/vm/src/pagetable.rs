@@ -8,9 +8,9 @@
 //! address. The root (4 KiB) and each leaf (8 KiB) are allocated by the
 //! first insert that needs them; lookups never allocate.
 //!
-//! The table is public (its construction and the two keyed accessors) so
-//! that shadow state over guest addresses — `janus-profile`'s per-word
-//! iteration stamps — indexes the same radix instead of growing a second one.
+//! The table is public so that shadow state over guest addresses (the
+//! profiler's iteration stamps, the DBM's transactional read sets) indexes
+//! the same radix instead of growing a second one.
 
 use std::collections::HashMap;
 
@@ -89,7 +89,7 @@ impl<T> PageTable<T> {
 
     /// Every mapped page in ascending page order (spilled pages are all
     /// `>= RADIX_PAGES`, so they follow the radix).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         let mut spilled: Vec<(u64, &T)> = self.spill.iter().map(|(&n, p)| (n, &**p)).collect();
         spilled.sort_unstable_by_key(|&(n, _)| n);
         let leaves = self.root.iter().enumerate();
