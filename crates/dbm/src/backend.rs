@@ -41,7 +41,7 @@
 //! `crates/core/tests/spec_commit_mode.rs`.
 
 use crate::runtime::{run_chunk, LoopRt, PreparedParts};
-use crate::stm::WordSet;
+use crate::stm::TxFootprint;
 use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
 use janus_ir::Operand;
 use janus_obs::Recorder;
@@ -202,10 +202,7 @@ pub struct ChunkSideEffects {
     pub(crate) stm_reads: u64,
     pub(crate) stm_writes: u64,
     pub(crate) stm_cycles: u64,
-    /// Words committed transactions read outside the window.
-    pub(crate) tx_reads: WordSet,
-    /// A committed transaction wrote outside the window.
-    pub(crate) tx_escaped: bool,
+    pub(crate) tx: TxFootprint,
 }
 
 impl ChunkSideEffects {
@@ -553,11 +550,8 @@ fn run_on_view(
 /// the chunk's window that an earlier chunk wrote (the view served the base
 /// image's stale value). The rest is the DOALL guarantee and `contained`.
 fn reads_are_current(fx: &ChunkSideEffects, earlier: &[ChunkOverlay]) -> bool {
-    fx.stm_aborts == 0
-        && !fx
-            .tx_reads
-            .iter()
-            .any(|word| earlier.iter().any(|overlay| overlay.is_dirty_word(word)))
+    let stale = |word| earlier.iter().any(|overlay| overlay.is_dirty_word(word));
+    fx.stm_aborts == 0 && !fx.tx.reads.iter().any(stale)
 }
 
 /// The native-threads backend: chunk 0 on the calling thread and the rest
@@ -645,7 +639,7 @@ impl ExecutionBackend for NativeThreadsBackend {
             };
             // Nothing written where a later chunk could see it, and no
             // untracked re-run of an aborted transaction.
-            contained &= !fx.tx_escaped && fx.stm_aborts == 0;
+            contained &= !fx.tx.escaped && fx.stm_aborts == 0;
             overlays.push(overlay);
             effects.absorb(fx);
             cache.absorb(&counts);

@@ -1303,12 +1303,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
         if flags & slot_flags::TX_CALL != 0 && config.enable_runtime_checks {
             if let Inst::CallExt { plt } = *inst {
                 if run_transactional_call(ctx, &mut cpu, mem, plt, next_pc, &mut log, fx)? {
-                    // What it touched outside the chunk's own stack.
-                    let outside = |&&(word, _): &&(u64, u64)| !plan.window.contains(&word);
-                    for &(word, _) in log.reads.iter().filter(outside) {
-                        fx.tx_reads.insert(word);
-                    }
-                    fx.tx_escaped |= log.writes.iter().any(|w| outside(&w));
+                    fx.tx.record(&log, &plan.window);
                 }
                 cpu.pc = next_pc;
                 continue;

@@ -12,6 +12,7 @@
 //! append) and a chunk's read set is a bitset on the page table.
 
 use janus_vm::{GuestMemory, PageTable};
+use std::ops::Range;
 
 /// Statistics of one transaction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,8 +27,27 @@ pub struct TxStats {
 /// logged read in read order, and per buffered word sorted by address.
 #[derive(Debug, Default)]
 pub(crate) struct TxLog {
-    pub(crate) reads: Vec<(u64, u64)>,
-    pub(crate) writes: Vec<(u64, u64)>,
+    reads: Vec<(u64, u64)>,
+    writes: Vec<(u64, u64)>,
+}
+
+/// What a chunk's committed transactions touched outside its stack window.
+#[derive(Debug, Default)]
+pub(crate) struct TxFootprint {
+    /// The words they read there.
+    pub(crate) reads: WordSet,
+    /// Whether any wrote there.
+    pub(crate) escaped: bool,
+}
+
+impl TxFootprint {
+    /// Adds the transaction `log` holds, which has just committed.
+    pub(crate) fn record(&mut self, log: &TxLog, window: &Range<u64>) {
+        for &(word, _) in log.reads.iter().filter(|(w, _)| !window.contains(w)) {
+            self.reads.insert(word);
+        }
+        self.escaped |= log.writes.iter().any(|(w, _)| !window.contains(w));
+    }
 }
 
 /// A set of aligned guest words: one bit per word, 512 to a page.
