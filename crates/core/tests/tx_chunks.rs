@@ -195,7 +195,8 @@ fn transactional_loops_commit_in_chunk_order_on_the_pool() {
             assert_eq!(stm(&native), stm(&virt), "{at}");
             assert_eq!(native.stats.os_threads_used, u64::from(threads), "{at}");
             match body {
-                // The callee touched nothing outside each chunk's stack.
+                // The callee wrote only the chunk's stack and read its own
+                // table, which no chunk writes.
                 Body::Pow => assert_eq!(rerun, None, "{at}: every chunk commits"),
                 // Chunk 0's calls wrote the global; chunk 1 may not commit.
                 Body::SharedMemset => assert_eq!(rerun, Some(1), "{at}"),

@@ -851,7 +851,7 @@ impl Dbm {
             }
             self.stats.breakdown.init_finish += self.config.loop_init_cost;
             cpu.pc = lr.header;
-            // The chunk's own stack, below its frame copy and the main frame.
+            // The chunk's frame copy and the stack below it, under the main frame.
             let window_top = (frame_hi - delta).min(frame_lo);
             plans.push(ChunkPlan {
                 cpu,

@@ -4,7 +4,7 @@
 //! section II-E2 of the paper: inside a transaction every heap read records
 //! the value observed and every heap write is buffered. At commit the
 //! recorded reads are validated against shared memory and, when they still
-//! hold, the buffered writes are applied in address order.
+//! hold, the buffered writes are applied in thread order.
 //!
 //! A chunk's transactions reuse one [`TxLog`], so a warm chunk allocates
 //! nothing per call, and nothing hashes a guest address: the write buffer is
