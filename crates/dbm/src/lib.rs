@@ -91,7 +91,7 @@ mod tuner;
 pub use backend::{
     BackendKind, BatchOutcome, ExecutionBackend, NativeThreadsBackend, VirtualTimeBackend,
 };
-pub use runtime::{DbmRunResult, PreparedDbm, SideSpec, VarSpec};
+pub use runtime::{DbmRunResult, PreparedDbm, SideSpec, VarSpec, MAX_SPECULATIVE_ITERATIONS};
 pub use stm::TxStats;
 pub use tuner::{TuneDecision, TuneOutcome, Tuner};
 
@@ -428,8 +428,8 @@ pub struct DbmStats {
     pub spec_aborts: u64,
     /// Validation tasks performed by the speculative engine.
     pub spec_validations: u64,
-    /// Speculative invocations abandoned (task budget) and re-run
-    /// sequentially.
+    /// Speculative invocations run sequentially instead: abandoned on the
+    /// task budget, or longer than [`MAX_SPECULATIVE_ITERATIONS`].
     pub spec_fallbacks: u64,
     /// Word reads tracked by the speculation engine's multi-version views.
     pub spec_reads: u64,

@@ -20,6 +20,17 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The most iterations one speculative invocation may take; a longer one
+/// runs sequentially. The guest chooses the trip count, and the engine keeps
+/// about 200 bytes of state per iteration before the first guest access:
+/// the scheduler's status slot (48), the multi-version store's write-set
+/// slot (32), the iteration's read-set slot and payload (64, or 80 in a
+/// racing-pool slot) and the payload handed back (40). The cap bounds that
+/// at about 13 MiB per invocation, where 2⁴⁰ iterations would ask the
+/// allocator for hundreds of TiB. The suite's largest invocation is 4 410
+/// iterations (`spec.histogram`).
+pub const MAX_SPECULATIVE_ITERATIONS: usize = 1 << 16;
+
 /// How a scalar variable location is encoded inside rewrite-rule data words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarSpec {
@@ -1017,6 +1028,11 @@ impl Dbm {
         start: i64,
         iterations: i64,
     ) -> Result<bool> {
+        if iterations > MAX_SPECULATIVE_ITERATIONS as i64 {
+            self.stats.spec_fallbacks += 1;
+            self.stats.sequential_fallbacks += 1;
+            return Ok(false);
+        }
         // Per-iteration contexts restart from the loop-entry register state,
         // so the induction variable and any reduction accumulators must live
         // in registers (the rule generator guarantees this for selected
