@@ -3,7 +3,7 @@
 //! dependents of failed iterations, and accounts everything in deterministic
 //! virtual time.
 
-use crate::mv::{MvMemory, ReadOrigin, ReadResult, ViewBuffers};
+use crate::mv::{MvMemory, ReadEntry, ReadOrigin, ReadResult, ViewBuffers};
 use crate::scheduler::{Lanes, Scheduler, Task};
 use crate::{SpecConfig, SpecError, SpecStats};
 use janus_vm::{GuestMemory, PeekMemory};
@@ -41,13 +41,9 @@ impl<P> fmt::Debug for SpecOutcome<P> {
     }
 }
 
-/// One read of an incarnation's read set: the word, where its value came
-/// from and what it was.
-pub(crate) type ReadEntry = (u64, (ReadOrigin, u64));
-
 /// Per-iteration bookkeeping kept between tasks: the latest completed
-/// incarnation's read set (the vector is reused by the next incarnation)
-/// and payload.
+/// incarnation's read set, sorted by word (the vector is reused by the next
+/// incarnation), and payload.
 pub(crate) struct IterData<P> {
     pub(crate) reads: Vec<ReadEntry>,
     pub(crate) payload: Option<P>,
@@ -64,10 +60,12 @@ impl<P> Default for IterData<P> {
 
 impl<P> IterData<P> {
     /// Keeps what a finished incarnation left in `buffers` and returned.
+    /// The read set is copied, not swapped in: a copy has exactly the
+    /// capacity it needs, where the view's buffer keeps its growth slack.
     pub(crate) fn store(&mut self, buffers: &ViewBuffers, payload: P) {
         self.reads.clear();
-        self.reads
-            .extend(buffers.reads.iter().map(|(&word, &read)| (word, read)));
+        self.reads.reserve_exact(buffers.reads.len());
+        self.reads.extend_from_slice(&buffers.reads);
         self.payload = Some(payload);
     }
 }
@@ -154,8 +152,12 @@ where
                         } else {
                             stats.executions += 1;
                             stats.max_incarnation = stats.max_incarnation.max(incarnation);
-                            let changed =
-                                mv.record(iteration, incarnation, &buffers.writes, done_at);
+                            let changed = mv.record(
+                                iteration,
+                                incarnation,
+                                buffers.writes.iter().map(|(w, v)| (w, v)),
+                                done_at,
+                            );
                             data[iteration].store(&buffers, run.payload);
                             sched.finish_execution(iteration, changed);
                         }

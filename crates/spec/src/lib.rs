@@ -13,8 +13,9 @@
 //! ## Architecture
 //!
 //! * [`MvMemory`] — a **multi-version guest-memory store** keyed by
-//!   `(word address, iteration)`, page-indexed like the copy-on-write
-//!   overlay and layered over [`janus_vm::GuestMemory`]. A speculative read
+//!   `(word address, iteration)`, indexed on the same
+//!   [`janus_vm::PageTable`] radix as the copy-on-write overlay and layered
+//!   over [`janus_vm::GuestMemory`]. A speculative read
 //!   by iteration *i* observes the highest write below *i* that is *visible
 //!   at the reader's virtual start time*; aborted incarnations leave
 //!   *estimate* markers that block readers instead of letting them execute
@@ -22,6 +23,8 @@
 //! * [`SpecView`] — the per-incarnation view: buffered writes, first-read
 //!   origin+value tracking, byte accesses composed through aligned words,
 //!   over [`ViewBuffers`] its engine reuses from incarnation to incarnation.
+//!   Both sets are vectors sorted by word, searched by bisection: nothing in
+//!   the engine hashes a guest address.
 //! * [`scheduler::Scheduler`] — the **collaborative scheduler**: Block-STM's
 //!   execution/validation counters and task preference, with both frontier
 //!   operations bounded by the highest iteration ever dispatched, so an
@@ -127,7 +130,7 @@ pub mod scheduler;
 
 pub use engine::{run_speculative, IterationRun, SpecOutcome};
 pub use mv::{
-    Incarnation, Iteration, MvMemory, ReadOrigin, ReadResult, ReadSet, SpecView, ViewBuffers,
+    Incarnation, Iteration, MvMemory, ReadEntry, ReadOrigin, ReadResult, SpecView, ViewBuffers,
     ViewStats,
 };
 pub use pool::{run_speculative_pooled, PooledOutcome};

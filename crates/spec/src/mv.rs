@@ -22,25 +22,35 @@
 //!
 //! ## Layout
 //!
-//! The store is page-indexed, in the shape `janus-vm`'s copy-on-write
-//! overlay proved: a touched 4 KiB guest page maps to one block holding a
-//! small version vector per word, ascending by iteration. A read is a page
-//! lookup, an index and a binary search; most vectors hold a handful of
-//! versions and those of never-written words stay unallocated.
+//! Index, don't hash. The store is one [`janus_vm::PageTable`], the radix
+//! under every guest-memory view: a touched 4 KiB guest page maps to one
+//! block holding a version vector per word, ascending by iteration. A read
+//! is a radix lookup, an index and a binary search; most vectors hold a
+//! handful of versions and those of never-written words stay unallocated.
+//! The table iterates pages in ascending order, so the final image comes out
+//! sorted by address. Each iteration's latest write set is kept as a sorted
+//! word list, and recording the next incarnation finds the stale entries by
+//! diffing two sorted lists.
+//!
+//! A [`SpecView`] keeps its read and write sets in sorted vectors in the
+//! [`ViewBuffers`] its engine reuses: a lookup is a binary search, a warm
+//! engine allocates nothing per access, and a read set is already in the
+//! order the iteration's saved copy and validation want. Nothing in the
+//! engine hashes a guest address.
 //!
 //! ## Thread safety
 //!
-//! The store is safe to share across OS worker threads: the page table is
-//! sharded over [`RwLock`]s (readers proceed in parallel, writers only
-//! contend within a shard) and per-iteration write-set bookkeeping sits
-//! behind per-iteration [`Mutex`]es (the scheduler guarantees at most one
-//! live incarnation per iteration, so these never contend). All operations
-//! take `&self`; driven from a single thread the behaviour is bit-identical
-//! to the pre-concurrency store, which is what keeps the deterministic
-//! virtual-time engine reproducible.
+//! The store is safe to share across OS worker threads: the page table sits
+//! behind one [`RwLock`] (readers proceed in parallel; a `record` or an
+//! estimate conversion takes it for writing once, for its whole write set)
+//! and per-iteration write-set bookkeeping sits behind per-iteration
+//! [`Mutex`]es (the scheduler guarantees at most one live incarnation per
+//! iteration, so these never contend). All operations take `&self`; driven
+//! from a single thread the behaviour is bit-identical to an unshared
+//! store, which is what keeps the deterministic virtual-time engine
+//! reproducible.
 
-use janus_vm::{GuestMemory, PeekMemory};
-use std::collections::{hash_map, HashMap};
+use janus_vm::{GuestMemory, PageTable, PeekMemory};
 use std::sync::{Mutex, RwLock};
 
 /// Index of a loop iteration inside one speculative invocation.
@@ -49,10 +59,6 @@ pub type Iteration = usize;
 /// The i-th re-execution of an iteration, counting from 0.
 pub type Incarnation = u32;
 
-/// Number of page-table shards. A small power of two: enough to keep eight
-/// workers from serialising on one lock, small enough that collecting the
-/// final image stays cheap.
-const SHARDS: usize = 16;
 /// A store page covers one 4 KiB guest page.
 const PAGE_SHIFT: u64 = 12;
 const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 3);
@@ -73,7 +79,7 @@ pub enum ReadOrigin {
 }
 
 /// One multi-version entry for a word.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     /// A committed speculative write.
     Data {
@@ -93,9 +99,26 @@ enum Entry {
 /// The versions of one word, ascending by iteration.
 type Versions = Vec<(Iteration, Entry)>;
 
-/// One shard of the page table: page number -> one version vector per word
-/// of the page.
-type Shard = RwLock<HashMap<u64, Box<[Versions]>>>;
+/// One store page: the version vector of every word of a guest page.
+type Page = [Versions; PAGE_WORDS];
+
+/// The page number and in-page index of an aligned word.
+fn split(word: u64) -> (u64, usize) {
+    (word >> PAGE_SHIFT, (word >> 3) as usize % PAGE_WORDS)
+}
+
+/// The version vector of `word`, mapping its page first if needed.
+fn versions_mut(pages: &mut PageTable<Page>, word: u64) -> &mut Versions {
+    let (page, index) = split(word);
+    &mut pages.get_or_insert_with(page, || Box::new(std::array::from_fn(|_| Versions::new())))
+        [index]
+}
+
+/// `iteration`'s slot in a version vector: `Ok(pos)` when the iteration has
+/// a version there, `Err(pos)` with the insertion point when it does not.
+fn slot(versions: &Versions, iteration: Iteration) -> Result<usize, usize> {
+    versions.binary_search_by_key(&iteration, |&(it, _)| it)
+}
 
 /// The outcome of resolving a speculative read in the multi-version store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,9 +137,9 @@ pub enum ReadResult {
 /// commit. Shareable across worker threads; see the module docs.
 #[derive(Debug)]
 pub struct MvMemory {
-    shards: Vec<Shard>,
-    /// The word set written by the latest incarnation of each iteration, used
-    /// to remove stale entries when the next incarnation writes less.
+    pages: RwLock<PageTable<Page>>,
+    /// The words written by the latest incarnation of each iteration, sorted,
+    /// used to remove stale entries when the next incarnation writes less.
     last_writes: Vec<Mutex<Vec<u64>>>,
 }
 
@@ -125,45 +148,18 @@ impl MvMemory {
     #[must_use]
     pub fn new(iterations: usize) -> MvMemory {
         MvMemory {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            pages: RwLock::default(),
             last_writes: (0..iterations).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
-    /// The shard, page number and in-page index of an aligned word.
-    fn locate(&self, word: u64) -> (&Shard, u64, usize) {
-        let page = word >> PAGE_SHIFT;
-        let index = (word >> 3) as usize % PAGE_WORDS;
-        (&self.shards[page as usize % SHARDS], page, index)
-    }
-
-    /// Runs `f` on `iteration`'s slot in `word`'s version vector: `Ok(pos)`
-    /// when the iteration has a version there, `Err(pos)` with the insertion
-    /// point when it does not.
-    fn with_version<R>(
-        &self,
-        word: u64,
-        iteration: Iteration,
-        f: impl FnOnce(&mut Versions, Result<usize, usize>) -> R,
-    ) -> R {
-        let (shard, page, index) = self.locate(word);
-        let mut shard = shard.write().expect("mv shard poisoned");
-        let versions = &mut shard
-            .entry(page)
-            .or_insert_with(|| (0..PAGE_WORDS).map(|_| Versions::new()).collect())[index];
-        let pos = versions.binary_search_by_key(&iteration, |&(it, _)| it);
-        f(versions, pos)
-    }
-
     /// Calls `f(word, versions)` for every word holding at least one
-    /// version, in no particular order.
+    /// version, in ascending address order.
     fn for_each_word(&self, mut f: impl FnMut(u64, &Versions)) {
-        for shard in &self.shards {
-            for (&page, words) in shard.read().expect("mv shard poisoned").iter() {
-                for (index, versions) in words.iter().enumerate() {
-                    if !versions.is_empty() {
-                        f((page << PAGE_SHIFT) | (index as u64) << 3, versions);
-                    }
+        for (page, words) in self.pages.read().expect("mv pages poisoned").iter() {
+            for (index, versions) in words.iter().enumerate() {
+                if !versions.is_empty() {
+                    f((page << PAGE_SHIFT) | (index as u64) << 3, versions);
                 }
             }
         }
@@ -190,11 +186,12 @@ impl MvMemory {
     /// the same to get real Block-STM visibility).
     #[must_use]
     pub fn read(&self, word: u64, iteration: Iteration, now: u64) -> ReadResult {
-        let (shard, page, index) = self.locate(word);
-        let shard = shard.read().expect("mv shard poisoned");
-        let Some(versions) = shard.get(&page).map(|words| &words[index]) else {
+        let (page, index) = split(word);
+        let pages = self.pages.read().expect("mv pages poisoned");
+        let Some(words) = pages.get(page) else {
             return ReadResult::Base;
         };
+        let versions = &words[index];
         let below = versions.partition_point(|&(it, _)| it < iteration);
         for &(it, entry) in versions[..below].iter().rev() {
             match entry {
@@ -220,50 +217,58 @@ impl MvMemory {
     }
 
     /// Records the write set of one finished incarnation, stamped with the
-    /// virtual time `at` at which it completed. Entries written by the
-    /// previous incarnation but absent from the new write set are removed.
-    /// Returns `true` when the incarnation wrote to a word its predecessor
-    /// did not touch (Block-STM's `wrote_new_location`).
+    /// virtual time `at` at which it completed. `writes` yields each written
+    /// word once, in any order (a view's sorted buffer, or a map). Entries
+    /// written by the previous incarnation but absent from the new write set
+    /// are removed. Returns `true` when the incarnation wrote to a word its
+    /// predecessor did not touch (Block-STM's `wrote_new_location`).
     ///
     /// The scheduler dispatches at most one live incarnation per iteration,
     /// so concurrent `record` calls always target different iterations.
-    pub fn record(
+    pub fn record<'w>(
         &self,
         iteration: Iteration,
         incarnation: Incarnation,
-        writes: &HashMap<u64, u64>,
+        writes: impl IntoIterator<Item = (&'w u64, &'w u64)>,
         at: u64,
     ) -> bool {
+        let mut last = self.last_writes[iteration]
+            .lock()
+            .expect("mv write set poisoned");
+        let mut pages = self.pages.write().expect("mv pages poisoned");
         let mut wrote_new = false;
+        let previous = last.len();
         for (&word, &value) in writes {
             let entry = Entry::Data {
                 incarnation,
                 value,
                 at,
             };
-            wrote_new |= self.with_version(word, iteration, |versions, pos| match pos {
-                Ok(pos) => {
-                    versions[pos].1 = entry;
-                    false
-                }
+            let versions = versions_mut(&mut pages, word);
+            match slot(versions, iteration) {
+                Ok(pos) => versions[pos].1 = entry,
                 Err(pos) => {
                     versions.insert(pos, (iteration, entry));
-                    true
+                    wrote_new = true;
                 }
-            });
+            }
+            last.push(word);
         }
-        let mut last = self.last_writes[iteration]
-            .lock()
-            .expect("mv write set poisoned");
-        for &word in last.iter().filter(|word| !writes.contains_key(word)) {
-            self.with_version(word, iteration, |versions, pos| {
-                if let Ok(pos) = pos {
+        // The previous write set is `last[..previous]`, the new one follows
+        // it; sorting an already sorted buffer is a linear pass.
+        last[previous..].sort_unstable();
+        let (old, new) = last.split_at(previous);
+        let mut new = new.iter().peekable();
+        for &word in old {
+            while new.next_if(|&&w| w < word).is_some() {}
+            if new.peek() != Some(&&word) {
+                let versions = versions_mut(&mut pages, word);
+                if let Ok(pos) = slot(versions, iteration) {
                     versions.remove(pos);
                 }
-            });
+            }
         }
-        last.clear();
-        last.extend(writes.keys());
+        last.drain(..previous);
         wrote_new
     }
 
@@ -273,12 +278,12 @@ impl MvMemory {
         let last = self.last_writes[iteration]
             .lock()
             .expect("mv write set poisoned");
+        let mut pages = self.pages.write().expect("mv pages poisoned");
         for &word in last.iter() {
-            self.with_version(word, iteration, |versions, pos| {
-                if let Ok(pos) = pos {
-                    versions[pos].1 = Entry::Estimate { at };
-                }
-            });
+            let versions = versions_mut(&mut pages, word);
+            if let Ok(pos) = slot(versions, iteration) {
+                versions[pos].1 = Entry::Estimate { at };
+            }
         }
     }
 
@@ -293,7 +298,6 @@ impl MvMemory {
                 out.push((word, *value));
             }
         });
-        out.sort_unstable();
         out
     }
 
@@ -306,30 +310,31 @@ impl MvMemory {
     }
 }
 
-/// A read recorded by one incarnation: where the value came from and what it
-/// was (the latter enables lazy *value* validation on top of read-from
-/// tracking).
-pub type ReadSet = HashMap<u64, (ReadOrigin, u64)>;
+/// One read of an incarnation's read set: the word, where its value came
+/// from and what it was (the latter enables lazy *value* validation on top
+/// of read-from tracking).
+pub type ReadEntry = (u64, (ReadOrigin, u64));
 
 /// Counters of one incarnation's execution through a [`SpecView`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewStats {
     /// 64-bit word reads that consulted shared state (own-buffer hits are
-    /// not counted).
+    /// not counted; repeated reads of a word are).
     pub reads: u64,
     /// 64-bit word writes buffered.
     pub writes: u64,
 }
 
 /// The read and write sets a [`SpecView`] fills. One per engine (or per
-/// racing worker), reused by every incarnation it runs: the maps keep their
-/// tables, so an incarnation allocates nothing for them.
+/// racing worker), reused by every incarnation it runs: the vectors keep
+/// their capacity, so a warm engine allocates nothing for them.
 #[derive(Debug, Default)]
 pub struct ViewBuffers {
-    /// Origin and value of the first read of every shared word.
-    pub reads: ReadSet,
-    /// Buffered writes, by aligned word.
-    pub writes: HashMap<u64, u64>,
+    /// Origin and value of the first read of every shared word, sorted by
+    /// word.
+    pub reads: Vec<ReadEntry>,
+    /// Buffered writes, `(aligned word, value)` sorted by word.
+    pub writes: Vec<(u64, u64)>,
 }
 
 /// A per-incarnation speculative view over `MvMemory` + base memory.
@@ -398,6 +403,11 @@ impl<'a, M: PeekMemory> SpecView<'a, M> {
         self.blocked_on
     }
 
+    /// Where `word` is, or would be inserted, in the write buffer.
+    fn buffered(&self, word: u64) -> Result<usize, usize> {
+        self.buffers.writes.binary_search_by_key(&word, |&(w, _)| w)
+    }
+
     fn aligned(addr: u64) -> u64 {
         addr & !7
     }
@@ -420,15 +430,15 @@ impl<M: PeekMemory> GuestMemory for SpecView<'_, M> {
     fn read_u64(&mut self, addr: u64) -> u64 {
         let word = Self::aligned(addr);
         if word == addr {
-            if let Some(v) = self.buffers.writes.get(&word) {
-                return *v;
+            if let Ok(pos) = self.buffered(word) {
+                return self.buffers.writes[pos].1;
             }
             self.stats.reads += 1;
             // First read wins: the incarnation's view of a word must be the
             // value it first observed.
-            let slot = match self.buffers.reads.entry(word) {
-                hash_map::Entry::Occupied(seen) => return seen.get().1,
-                hash_map::Entry::Vacant(slot) => slot,
+            let slot = match self.buffers.reads.binary_search_by_key(&word, |&(w, _)| w) {
+                Ok(seen) => return self.buffers.reads[seen].1 .1,
+                Err(slot) => slot,
             };
             let (origin, value) = match self.mv.read(word, self.iteration, self.now) {
                 ReadResult::Versioned(origin, value) => (origin, value),
@@ -441,7 +451,8 @@ impl<M: PeekMemory> GuestMemory for SpecView<'_, M> {
                     (ReadOrigin::Base, self.base.peek_u64(word))
                 }
             };
-            slot.insert((origin, value)).1
+            self.buffers.reads.insert(slot, (word, (origin, value)));
+            value
         } else {
             // Unaligned: compose from the two covering words.
             let lo = self.read_u64(word);
@@ -454,7 +465,10 @@ impl<M: PeekMemory> GuestMemory for SpecView<'_, M> {
     fn write_u64(&mut self, addr: u64, value: u64) {
         let word = Self::aligned(addr);
         if word == addr {
-            self.buffers.writes.insert(word, value);
+            match self.buffered(word) {
+                Ok(pos) => self.buffers.writes[pos].1 = value,
+                Err(pos) => self.buffers.writes.insert(pos, (word, value)),
+            }
             self.stats.writes += 1;
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
@@ -468,16 +482,36 @@ impl<M: PeekMemory> GuestMemory for SpecView<'_, M> {
 mod tests {
     use super::*;
     use janus_vm::FlatMemory;
+    use std::collections::HashMap;
+
+    /// Records a write set given as `(word, value)` pairs.
+    fn record(
+        mv: &MvMemory,
+        iteration: Iteration,
+        incarnation: Incarnation,
+        writes: &[(u64, u64)],
+        at: u64,
+    ) -> bool {
+        mv.record(
+            iteration,
+            incarnation,
+            writes.iter().map(|(w, v)| (w, v)),
+            at,
+        )
+    }
+
+    /// Every version of every word, in address then iteration order.
+    fn versions(mv: &MvMemory) -> Vec<(u64, Versions)> {
+        let mut out = Vec::new();
+        mv.for_each_word(|word, versions| out.push((word, versions.clone())));
+        out
+    }
 
     #[test]
     fn reads_observe_highest_visible_lower_iteration() {
-        let mut base = FlatMemory::new();
-        base.write_u64(0x1000, 1);
         let mv = MvMemory::new(8);
-        let w2: HashMap<u64, u64> = [(0x1000u64, 22u64)].into_iter().collect();
-        let w5: HashMap<u64, u64> = [(0x1000u64, 55u64)].into_iter().collect();
-        assert!(mv.record(2, 0, &w2, 10));
-        assert!(mv.record(5, 0, &w5, 30));
+        assert!(record(&mv, 2, 0, &[(0x1000, 22)], 10));
+        assert!(record(&mv, 5, 0, &[(0x1000, 55)], 30));
         // Iteration 7, started at t=40: sees iteration 5.
         assert_eq!(
             mv.read(0x1000, 7, 40),
@@ -508,14 +542,12 @@ mod tests {
     #[test]
     fn estimates_block_readers_and_rerecording_clears_them() {
         let mv = MvMemory::new(8);
-        let w: HashMap<u64, u64> = [(0x2000u64, 7u64)].into_iter().collect();
-        mv.record(3, 0, &w, 5);
+        record(&mv, 3, 0, &[(0x2000, 7)], 5);
         mv.convert_writes_to_estimates(3, 6);
         assert_eq!(mv.read(0x2000, 4, 10), ReadResult::Blocked(3));
         assert_eq!(mv.live_estimates(), 1);
         // The next incarnation writes elsewhere: the estimate is removed.
-        let w2: HashMap<u64, u64> = [(0x2008u64, 8u64)].into_iter().collect();
-        mv.record(3, 1, &w2, 12);
+        record(&mv, 3, 1, &[(0x2008, 8)], 12);
         assert_eq!(mv.read(0x2000, 4, 20), ReadResult::Base);
         assert_eq!(mv.live_estimates(), 0);
         assert_eq!(
@@ -531,6 +563,74 @@ mod tests {
     }
 
     #[test]
+    fn rerecording_a_smaller_write_set_removes_the_stale_versions() {
+        let mv = MvMemory::new(4);
+        // Three pages, out of address order, under two iterations.
+        let wide = [(0x5010, 1), (0x3000, 2), (0x7ff8, 3), (0x3008, 4)];
+        record(&mv, 1, 0, &wide, 1);
+        record(&mv, 2, 0, &[(0x3000, 9)], 2);
+        // Iteration 1 re-executes writing two of its four words, one of them
+        // a word it did not write before.
+        record(&mv, 1, 1, &[(0x7ff8, 30), (0x4000, 40)], 3);
+        assert_eq!(
+            mv.final_image(),
+            [(0x3000, 9), (0x4000, 40), (0x7ff8, 30)],
+            "the stale 0x3008 and 0x5010 are gone, iteration 2 keeps 0x3000"
+        );
+        assert_eq!(mv.read(0x3000, 2, u64::MAX), ReadResult::Base);
+        assert_eq!(mv.read(0x5010, 3, u64::MAX), ReadResult::Base);
+        // An empty write set removes everything the iteration wrote.
+        record(&mv, 1, 2, &[], 4);
+        assert_eq!(mv.final_image(), [(0x3000, 9)]);
+        assert_eq!(*mv.last_writes[1].lock().unwrap(), Vec::<u64>::new());
+        assert_eq!(*mv.last_writes[2].lock().unwrap(), [0x3000]);
+    }
+
+    #[test]
+    fn wrote_new_is_true_only_for_new_words() {
+        let mv = MvMemory::new(4);
+        assert!(record(&mv, 1, 0, &[(0x10, 1), (0x18, 2)], 1), "first write");
+        assert!(!record(&mv, 1, 1, &[(0x18, 3), (0x10, 4)], 2), "same words");
+        assert!(!record(&mv, 1, 2, &[(0x10, 5)], 3), "a subset");
+        assert!(record(&mv, 1, 3, &[(0x10, 6), (0x18, 7)], 4), "0x18 again");
+        assert!(!record(&mv, 1, 4, &[], 5), "nothing");
+        // Another iteration's versions of the same words do not count.
+        record(&mv, 1, 5, &[(0x10, 8)], 6);
+        assert!(record(&mv, 2, 0, &[(0x10, 9)], 7));
+        assert!(!record(&mv, 2, 1, &[(0x10, 9)], 8));
+    }
+
+    #[test]
+    fn map_and_sorted_inputs_leave_identical_stores() {
+        // The same incarnations recorded once from maps, once from sorted
+        // buffers: every version, estimate and write-set list must agree.
+        let sets = [
+            (0, 0, vec![(0x9008, 1), (0x1000, 2), (0x5000, 3)]),
+            (3, 0, vec![(0x1000, 4), (0x1ff8, 5)]),
+            (1, 0, vec![(0x5000, 6)]),
+            (0, 1, vec![(0x5000, 7), (0x2000, 8)]),
+            (3, 1, vec![(0x1ff8, 9), (0x1000, 10), (0x0, 11)]),
+        ];
+        let from_maps = MvMemory::new(4);
+        let from_sorted = MvMemory::new(4);
+        for (at, (iteration, incarnation, mut sorted)) in sets.into_iter().enumerate() {
+            let map: HashMap<u64, u64> = sorted.iter().copied().collect();
+            sorted.sort_unstable();
+            assert_eq!(
+                from_maps.record(iteration, incarnation, &map, at as u64),
+                record(&from_sorted, iteration, incarnation, &sorted, at as u64),
+                "wrote_new of set {at}"
+            );
+        }
+        from_maps.convert_writes_to_estimates(1, 9);
+        from_sorted.convert_writes_to_estimates(1, 9);
+        assert_eq!(versions(&from_maps), versions(&from_sorted));
+        for (a, b) in from_maps.last_writes.iter().zip(&from_sorted.last_writes) {
+            assert_eq!(*a.lock().unwrap(), *b.lock().unwrap());
+        }
+    }
+
+    #[test]
     fn view_buffers_writes_and_records_first_read() {
         let mut base = FlatMemory::new();
         base.write_u64(0x3000, 9);
@@ -542,11 +642,42 @@ mod tests {
         assert_eq!(view.read_u64(0x3000), 11, "reads observe own writes");
         assert!(view.blocked_on().is_none());
         let stats = view.stats();
-        assert_eq!(buffers.reads.get(&0x3000), Some(&(ReadOrigin::Base, 9)));
-        assert_eq!(buffers.writes.get(&0x3000), Some(&11));
+        assert_eq!(buffers.reads, [(0x3000, (ReadOrigin::Base, 9))]);
+        assert_eq!(buffers.writes, [(0x3000, 11)]);
         assert_eq!(stats.reads, 1);
         assert_eq!(stats.writes, 1);
         assert_eq!(base.peek_u64(0x3000), 9, "base untouched until commit");
+    }
+
+    #[test]
+    fn view_sets_stay_sorted_and_the_first_read_wins() {
+        let mut base = FlatMemory::new();
+        for word in [0x1000, 0x2000, 0x3000] {
+            base.write_u64(word, word);
+        }
+        let mv = MvMemory::new(2);
+        let mut buffers = ViewBuffers::default();
+        let mut view = SpecView::new(&base, &mv, 1, 0, &mut buffers);
+        for word in [0x3000, 0x1000, 0x2000, 0x1000] {
+            assert_eq!(view.read_u64(word), word);
+        }
+        // A lower iteration writes 0x1000 meanwhile: the view keeps the value
+        // it first observed.
+        record(&mv, 0, 0, &[(0x1000, 7)], 0);
+        assert_eq!(view.read_u64(0x1000), 0x1000);
+        for word in [0x2008, 0x0ff8, 0x2008] {
+            view.write_u64(word, 1);
+        }
+        assert_eq!(
+            view.stats(),
+            ViewStats {
+                reads: 5,
+                writes: 3
+            }
+        );
+        let words: Vec<u64> = buffers.reads.iter().map(|&(w, _)| w).collect();
+        assert_eq!(words, [0x1000, 0x2000, 0x3000]);
+        assert_eq!(buffers.writes, [(0x0ff8, 1), (0x2008, 1)]);
     }
 
     #[test]
@@ -559,15 +690,15 @@ mod tests {
         assert_eq!(view.read_u8(0x1001), 0x77);
         view.write_u8(0x1001, 0xaa);
         assert_eq!(view.read_u8(0x1001), 0xaa);
-        assert_eq!(buffers.writes.get(&0x1000), Some(&0x1122_3344_5566_aa88));
+        assert_eq!(buffers.writes, [(0x1000, 0x1122_3344_5566_aa88)]);
     }
 
     #[test]
     fn final_image_takes_the_highest_iteration_per_word() {
         let mv = MvMemory::new(8);
-        mv.record(0, 0, &[(0x10u64, 1u64)].into_iter().collect(), 1);
-        mv.record(4, 0, &[(0x10u64, 5u64), (0x18, 6)].into_iter().collect(), 2);
-        mv.record(2, 0, &[(0x10u64, 3u64)].into_iter().collect(), 3);
+        record(&mv, 0, 0, &[(0x10, 1)], 1);
+        record(&mv, 4, 0, &[(0x10, 5), (0x18, 6)], 2);
+        record(&mv, 2, 0, &[(0x10, 3)], 3);
         assert_eq!(mv.final_image(), vec![(0x10, 5), (0x18, 6)]);
         let mut base = FlatMemory::new();
         mv.commit_into(&mut base);
@@ -577,7 +708,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writers_do_not_lose_entries() {
-        // A smoke test of the sharded store itself: 8 threads record and
+        // A smoke test of the shared store itself: 8 threads record and
         // re-read disjoint iterations' writes over a shared word pool.
         let mv = MvMemory::new(64);
         std::thread::scope(|scope| {
@@ -587,9 +718,7 @@ mod tests {
                     for k in 0..8usize {
                         let iteration = t * 8 + k;
                         let word = 0x9000 + (iteration as u64 % 16) * 8;
-                        let writes: HashMap<u64, u64> =
-                            [(word, iteration as u64)].into_iter().collect();
-                        mv.record(iteration, 0, &writes, 1);
+                        record(mv, iteration, 0, &[(word, iteration as u64)], 1);
                         // The write is immediately visible to higher readers.
                         match mv.read(word, iteration + 1, u64::MAX) {
                             ReadResult::Versioned(_, _) => {}

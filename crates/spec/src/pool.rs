@@ -314,8 +314,12 @@ where
                                         c.executions.fetch_add(1, Ordering::Relaxed);
                                         c.max_incarnation.fetch_max(incarnation, Ordering::Relaxed);
                                         span.push_arg("outcome", "ok");
-                                        let changed =
-                                            mv.record(iteration, incarnation, &buffers.writes, 0);
+                                        let changed = mv.record(
+                                            iteration,
+                                            incarnation,
+                                            buffers.writes.iter().map(|(w, v)| (w, v)),
+                                            0,
+                                        );
                                         {
                                             let mut slot = slots[iteration]
                                                 .lock()
