@@ -23,8 +23,7 @@
 //! * [`SpecView`] — the per-incarnation view: buffered writes, first-read
 //!   origin+value tracking, byte accesses composed through aligned words,
 //!   over [`ViewBuffers`] its engine reuses from incarnation to incarnation.
-//!   Both sets are vectors sorted by word, searched by bisection: nothing in
-//!   the engine hashes a guest address.
+//!   Both sets are vectors sorted by word, searched by bisection.
 //! * [`scheduler::Scheduler`] — the **collaborative scheduler**: Block-STM's
 //!   execution/validation counters and task preference, with both frontier
 //!   operations bounded by the highest iteration ever dispatched, so an

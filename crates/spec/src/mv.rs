@@ -35,8 +35,9 @@
 //! A [`SpecView`] keeps its read and write sets in sorted vectors in the
 //! [`ViewBuffers`] its engine reuses: a lookup is a binary search, a warm
 //! engine allocates nothing per access, and a read set is already in the
-//! order the iteration's saved copy and validation want. Nothing in the
-//! engine hashes a guest address.
+//! order the iteration's saved copy and validation want. The only hash over
+//! guest addresses left is the page table's keyed spill for pages above its
+//! radix.
 //!
 //! ## Thread safety
 //!
