@@ -50,11 +50,106 @@ pub struct Process {
 
 /// `binary`'s decoded text and [`CostModel::default`]'s cycle cost of each
 /// instruction, by slot.
-fn decode_costed(binary: &JBinary) -> janus_ir::Result<(Vec<Inst>, Vec<u64>)> {
-    let insts: Vec<Inst> = disassemble(binary)?.into_iter().map(|d| d.inst).collect();
+///
+/// # Errors
+///
+/// Returns a description naming the address of the first instruction that
+/// fails to decode or whose operands the executor cannot run.
+fn decode_costed(binary: &JBinary) -> std::result::Result<(Vec<Inst>, Vec<u64>), String> {
+    let decoded = disassemble(binary).map_err(|e| e.to_string())?;
     let model = CostModel::default();
-    let costs = insts.iter().map(|inst| model.cost(inst)).collect();
+    let mut insts = Vec::with_capacity(decoded.len());
+    let mut costs = Vec::with_capacity(decoded.len());
+    for d in decoded {
+        check_operands(&d.inst).map_err(|why| format!("{:#x}: `{}`: {why}", d.addr, d.inst))?;
+        costs.push(model.cost(&d.inst));
+        insts.push(d.inst);
+    }
     Ok((insts, costs))
+}
+
+/// Whether the executor can run `inst`: every destination is a register of
+/// the file it writes or memory, every register it reads as a whole vector
+/// is a vector register, every address is formed from general-purpose
+/// registers and no vector op names more than four lanes.
+fn check_operands(inst: &Inst) -> std::result::Result<(), &'static str> {
+    use janus_ir::{Operand, RegClass};
+    let is = |r: janus_ir::Reg, class: RegClass, why| (r.class() == class).then_some(()).ok_or(why);
+    let dst = |op: &Operand, class: RegClass| match op {
+        Operand::Reg(r) => is(*r, class, "destination register of the wrong file"),
+        Operand::Imm(_) => Err("immediate destination"),
+        Operand::Mem(_) => Ok(()),
+    };
+    let lanes_of = |op: &Operand| match op {
+        Operand::Reg(r) => is(*r, RegClass::Vec, "lanes of a general-purpose register"),
+        _ => Ok(()),
+    };
+    let operands: [Option<&Operand>; 2] = match inst {
+        Inst::Mov { dst, src }
+        | Inst::Alu { dst, src, .. }
+        | Inst::FMov { dst, src }
+        | Inst::Fpu { dst, src, .. }
+        | Inst::VMov { dst, src, .. } => [Some(dst), Some(src)],
+        Inst::Cmp { lhs, rhs } | Inst::FCmp { lhs, rhs } | Inst::Test { lhs, rhs } => {
+            [Some(lhs), Some(rhs)]
+        }
+        Inst::Vec { src, .. }
+        | Inst::CvtIntToFloat { src, .. }
+        | Inst::CvtFloatToInt { src, .. }
+        | Inst::CMov { src, .. }
+        | Inst::Push { src }
+        | Inst::JmpInd { target: src }
+        | Inst::CallInd { target: src }
+        | Inst::Pop { dst: src } => [Some(src), None],
+        _ => [None, None],
+    };
+    let lea = match inst {
+        Inst::Lea { mem, .. } => Some(*mem),
+        _ => None,
+    };
+    let addrs = operands
+        .into_iter()
+        .flatten()
+        .filter_map(Operand::as_mem)
+        .chain(lea);
+    for m in addrs {
+        for r in m.regs() {
+            is(r, RegClass::Gpr, "vector register in an address")?;
+        }
+    }
+    match inst {
+        Inst::Mov { dst: d, .. } | Inst::Alu { dst: d, .. } | Inst::Pop { dst: d } => {
+            dst(d, RegClass::Gpr)
+        }
+        Inst::Lea { dst: d, .. }
+        | Inst::CvtFloatToInt { dst: d, .. }
+        | Inst::CMov { dst: d, .. } => {
+            is(*d, RegClass::Gpr, "destination register of the wrong file")
+        }
+        Inst::FMov { dst: d, .. } | Inst::Fpu { dst: d, .. } => dst(d, RegClass::Vec),
+        Inst::CvtIntToFloat { dst: d, .. } => {
+            is(*d, RegClass::Vec, "destination register of the wrong file")
+        }
+        Inst::VMov { dst: d, src, lanes } => {
+            dst(d, RegClass::Vec)?;
+            lanes_of(src)?;
+            if d.as_reg().is_some() && *lanes > 4 {
+                return Err("more than four lanes");
+            }
+            Ok(())
+        }
+        Inst::Vec {
+            dst: d, src, lanes, ..
+        } => {
+            is(*d, RegClass::Vec, "destination register of the wrong file")?;
+            lanes_of(src)?;
+            if *lanes > 4 {
+                return Err("more than four lanes");
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
 }
 
 /// The system library image, decoded and costed. It is the same for every
@@ -74,12 +169,15 @@ impl Process {
     ///
     /// # Errors
     ///
-    /// Returns an error if the binary fails to decode or imports a function
+    /// Returns an error if the binary fails to decode, holds an instruction
+    /// whose operands the executor cannot run (an immediate destination, a
+    /// register of the wrong file, a vector register in an address) — the
+    /// error names its address, reachable or not — or imports a function
     /// that neither the system library nor the native runtime provides.
     pub fn load(binary: &JBinary) -> Result<Process> {
         let (syslib, lib_insts, lib_costs) = system_library();
-        let (insts, costs) = decode_costed(binary).map_err(|e| VmError::Load {
-            reason: format!("main binary: {e}"),
+        let (insts, costs) = decode_costed(binary).map_err(|reason| VmError::Load {
+            reason: format!("main binary: {reason}"),
         })?;
         let main_slots = insts.len();
         let insts = [&insts[..], lib_insts].concat();
