@@ -522,8 +522,14 @@ impl fmt::Display for DbmError {
 impl std::error::Error for DbmError {}
 
 impl From<janus_vm::VmError> for DbmError {
+    /// A guest fault; the stepper's cycle-limit stop is the DBM's own.
     fn from(e: janus_vm::VmError) -> Self {
-        DbmError::Vm(e)
+        match e {
+            janus_vm::VmError::CycleLimitExceeded { limit } => {
+                DbmError::CycleLimitExceeded { limit }
+            }
+            e => DbmError::Vm(e),
+        }
     }
 }
 

@@ -10,11 +10,13 @@ use crate::stm::{TxLog, TxView};
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
 use janus_ir::{Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
+
+const STEP: u64 = INST_SIZE as u64;
 use janus_obs::Recorder;
 use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{
-    exec_inst_costed, CostModel, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Process,
-    ResolvedPlt,
+    step_op, step_run, CostModel, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Limit, Op,
+    Process, ResolvedPlt, Run,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -161,6 +163,9 @@ impl SideSpec {
 
 /// Per-slot flag bits of the lowered tables: everything a dispatch loop asks
 /// about the instruction it is about to execute, folded into one byte load.
+/// Each table comes with a run table whose runs end before every flagged
+/// slot ([`janus_vm::Plan::runs_ending_before`]), so a loop tests its flags
+/// only where a run starts.
 pub(crate) mod slot_flags {
     /// The instruction pays [`crate::DbmConfig::indirect_lookup_cost`]; set
     /// in every table from the one `needs_indirect_lookup`.
@@ -192,6 +197,8 @@ pub(crate) struct LoopRt {
     pub(crate) speculative: bool,
     /// [`slot_flags`] per slot: `INDIRECT` plus this loop's own addresses.
     pub(crate) flags: Vec<u8>,
+    /// Runs ending before every slot `flags` marks.
+    pub(crate) runs: Vec<Run>,
 }
 
 /// The result of running a binary under the dynamic binary modifier.
@@ -250,6 +257,8 @@ pub(crate) struct PreparedParts {
     rules: RuleTable,
     /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`.
     flags: Vec<u8>,
+    /// Runs ending before every slot `flags` marks.
+    runs: Vec<Run>,
     pub(crate) loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
 }
@@ -331,11 +340,16 @@ impl PreparedDbm {
                 lr.flags[slot] |= flag;
             }
         }
+        for lr in loops.values_mut() {
+            lr.runs = process.plan().runs_ending_before(&lr.flags);
+        }
+        let runs = process.plan().runs_ending_before(&flags);
         PreparedDbm {
             parts: Arc::new(PreparedParts {
                 process,
                 rules,
                 flags,
+                runs,
                 loops,
                 config,
             }),
@@ -498,15 +512,12 @@ impl Dbm {
         // A second handle, so fetched instructions borrow from it, not `self`.
         let prepared = self.prepared.clone();
         let parts = &*prepared.parts;
+        let plan = &**parts.process.plan();
+        let limit = Limit::Cycles(self.config.cycle_limit);
         loop {
-            let total = self.main.cycles;
-            if total > self.config.cycle_limit {
-                return Err(DbmError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            }
+            limit.check(&self.main)?;
             let pc = self.main.pc;
-            let (slot, inst) = parts.process.fetch(pc)?;
+            let slot = parts.process.slot(pc)?;
             let flags = parts.flags[slot];
 
             // Rewrite-rule interpretation for the main thread: LOOP_INIT
@@ -541,18 +552,21 @@ impl Dbm {
                 }
             }
 
-            // A "block" is approximated by its entry address; the code
-            // cache is charged from the counts when the run ends.
-            self.cache.counts[slot] += 1;
-            let next_pc = pc + INST_SIZE as u64;
-            let cost = parts.process.cost(slot);
-            let effect = exec_inst_costed(&mut self.main, &mut self.mem, inst, cost, next_pc)?;
-            self.stats.breakdown.sequential += cost;
             if flags & slot_flags::INDIRECT != 0 {
                 self.stats.breakdown.translation += self.config.indirect_lookup_cost;
             }
-            match effect {
-                Effect::Continue => self.main.pc = next_pc,
+            let retired = self.main.retired;
+            let stepped = step_run(
+                &mut self.main,
+                &mut self.mem,
+                plan,
+                &parts.runs,
+                slot,
+                limit,
+            );
+            count_blocks(&mut self.cache.counts, slot, self.main.retired - retired);
+            match stepped? {
+                Effect::Continue => self.main.pc += STEP,
                 Effect::Jump(t) => self.main.pc = t,
                 Effect::Halt => break,
                 Effect::External { plt } => self.handle_external_main(plt)?,
@@ -560,10 +574,12 @@ impl Dbm {
                     if self.handle_syscall(num)? {
                         break;
                     }
-                    self.main.pc = next_pc;
+                    self.main.pc += STEP;
                 }
             }
         }
+        // Every cycle the main thread is charged is a sequential one.
+        self.stats.breakdown.sequential = self.main.cycles;
         self.stats.retired += self.main.retired;
         let (translated, executions, cache_cycles) = self.cache.charges(&self.config);
         self.stats.blocks_translated = translated;
@@ -587,6 +603,7 @@ impl Dbm {
     #[cold]
     #[inline(never)]
     fn handle_syscall(&mut self, num: u32) -> Result<bool> {
+        self.stats.breakdown.sequential = self.main.cycles;
         let clock = self.stats.breakdown.total() + self.cache.charges(&self.config).2;
         Ok(self.os.syscall(&mut self.main, num, clock)?)
     }
@@ -1078,8 +1095,9 @@ impl Dbm {
         // Split the borrows the iteration body needs off `self` so the guest
         // memory can be temporarily moved into the engine.
         let process = &self.prepared.parts.process;
-        let cycle_limit = self.config.cycle_limit;
-        let flags = &lr.flags;
+        let plan = &**process.plan();
+        let limit = Limit::Cycles(self.config.cycle_limit);
+        let (flags, runs) = (&lr.flags, &lr.runs);
         let header = lr.header;
         let continue_cond = lr.continue_cond;
         let step = lr.step;
@@ -1113,11 +1131,8 @@ impl Dbm {
                 let (bound_cmp, bound_cmp_cost) = bound_compare(bound_lhs, bound);
                 cpu.pc = header;
                 loop {
-                    if cpu.cycles > cycle_limit {
-                        return Err(DbmError::CycleLimitExceeded { limit: cycle_limit });
-                    }
-                    let pc = cpu.pc;
-                    let (slot, fetched) = process.fetch(pc)?;
+                    limit.check(&cpu)?;
+                    let slot = process.slot(cpu.pc)?;
                     let flags = flags[slot];
                     if flags & slot_flags::FINISH != 0 {
                         return Ok(janus_spec::IterationRun {
@@ -1132,14 +1147,13 @@ impl Dbm {
                             },
                         });
                     }
-                    let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
-                        (&bound_cmp, bound_cmp_cost)
+                    let effect = if flags & slot_flags::BOUND_CMP != 0 {
+                        step_op(&mut cpu, &mut *view, &bound_cmp, bound_cmp_cost)?
                     } else {
-                        (fetched, process.cost(slot))
+                        step_run(&mut cpu, &mut *view, plan, runs, slot, limit)?
                     };
-                    let next_pc = pc + INST_SIZE as u64;
-                    match exec_inst_costed(&mut cpu, &mut *view, inst, cost, next_pc)? {
-                        Effect::Continue => cpu.pc = next_pc,
+                    match effect {
+                        Effect::Continue => cpu.pc += STEP,
                         Effect::Jump(t) => cpu.pc = t,
                         // Calls and system calls are excluded from
                         // speculative loops by classification; reaching one
@@ -1264,13 +1278,22 @@ fn induction_at(start: i64, iter: i64, step: i64) -> i64 {
 /// iteration and run in place of the [`slot_flags::BOUND_CMP`] slot at its
 /// own cost — an immediate compare — not the original's, whose `rhs` may be
 /// a memory operand.
-fn bound_compare(lhs: Operand, bound: i64) -> (Inst, u64) {
+fn bound_compare(lhs: Operand, bound: i64) -> (Op, u64) {
     let inst = Inst::Cmp {
         lhs,
         rhs: Operand::Imm(bound),
     };
-    let cost = CostModel::default().cost(&inst);
-    (inst, cost)
+    let op = Op::lower(&inst).expect("the operand of a loaded compare lowers");
+    (op, CostModel::default().cost(&inst))
+}
+
+/// Counts one execution of each of the `retired` slots from `slot` on: the
+/// instructions a run retired, each standing for the block it starts (see
+/// [`CodeCache`]).
+fn count_blocks(counts: &mut [u64], slot: usize, retired: u64) {
+    for count in &mut counts[slot..slot + retired as usize] {
+        *count += 1;
+    }
 }
 
 /// Runs one planned chunk from the loop header until it reaches a
@@ -1292,46 +1315,50 @@ pub(crate) fn run_chunk<M: GuestMemory>(
     let config = ctx.config;
     let lr = ctx.lr;
     let process = &ctx.parts.process;
+    let text = &**process.plan();
+    let limit = Limit::Cycles(config.cycle_limit);
     let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, plan.bound);
     let mut cpu = plan.cpu.clone();
     let mut log = TxLog::default();
     loop {
-        if cpu.cycles > config.cycle_limit {
-            return Err(DbmError::CycleLimitExceeded {
-                limit: config.cycle_limit,
-            });
-        }
+        limit.check(&cpu)?;
         let pc = cpu.pc;
-        let (slot, fetched) = process.fetch(pc)?;
+        let slot = process.slot(pc)?;
         let flags = lr.flags[slot];
         if flags & slot_flags::FINISH != 0 {
             return Ok(ChunkResult { cpu, exit_pc: pc });
         }
-        counts[slot] += 1;
-        let next_pc = pc + INST_SIZE as u64;
-        let (inst, cost) = if flags & slot_flags::BOUND_CMP != 0 {
-            (&bound_cmp, bound_cmp_cost)
-        } else {
-            (fetched, process.cost(slot))
-        };
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
         if flags & slot_flags::TX_CALL != 0 && config.enable_runtime_checks {
-            if let Inst::CallExt { plt } = *inst {
-                if run_transactional_call(ctx, &mut cpu, mem, plt, next_pc, &mut log, fx)? {
+            if let Inst::CallExt { plt } = *process.inst(slot) {
+                counts[slot] += 1;
+                if run_transactional_call(ctx, &mut cpu, mem, plt, pc + STEP, &mut log, fx)? {
                     fx.tx.record(&log, &plan.window);
                 }
-                cpu.pc = next_pc;
+                cpu.pc = pc + STEP;
                 continue;
             }
         }
         if flags & slot_flags::INDIRECT != 0 {
             fx.lookup_cycles += config.indirect_lookup_cost;
         }
-        match exec_inst_costed(&mut cpu, mem, inst, cost, next_pc)? {
-            Effect::Continue => cpu.pc = next_pc,
+        let effect = if flags & slot_flags::BOUND_CMP != 0 {
+            counts[slot] += 1;
+            step_op(&mut cpu, mem, &bound_cmp, bound_cmp_cost)?
+        } else {
+            let retired = cpu.retired;
+            let stepped = step_run(&mut cpu, mem, text, &lr.runs, slot, limit);
+            count_blocks(counts, slot, cpu.retired - retired);
+            stepped?
+        };
+        match effect {
+            Effect::Continue => cpu.pc += STEP,
             Effect::Jump(t) => cpu.pc = t,
-            Effect::Halt => return Ok(ChunkResult { cpu, exit_pc: pc }),
+            Effect::Halt => {
+                let exit_pc = cpu.pc;
+                return Ok(ChunkResult { cpu, exit_pc });
+            }
             Effect::External { plt } => match process.resolve_plt(plt)? {
                 ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
@@ -1437,18 +1464,14 @@ fn run_callee<M: GuestMemory>(
     return_pc: u64,
 ) -> Result<()> {
     let process = &ctx.parts.process;
+    let plan = &**process.plan();
+    let limit = Limit::Cycles(ctx.config.cycle_limit);
+    // No run steps past `return_pc`: the slot before it is the call.
     while cpu.pc != return_pc {
-        if cpu.cycles > ctx.config.cycle_limit {
-            return Err(DbmError::CycleLimitExceeded {
-                limit: ctx.config.cycle_limit,
-            });
-        }
-        let pc = cpu.pc;
-        let (slot, inst) = process.fetch(pc)?;
-        let cost = process.cost(slot);
-        let next_pc = pc + INST_SIZE as u64;
-        match exec_inst_costed(cpu, mem, inst, cost, next_pc)? {
-            Effect::Continue => cpu.pc = next_pc,
+        limit.check(cpu)?;
+        let slot = process.slot(cpu.pc)?;
+        match step_run(cpu, mem, plan, plan.runs(), slot, limit)? {
+            Effect::Continue => cpu.pc += STEP,
             Effect::Jump(t) => cpu.pc = t,
             // Halting, trapping or calling out: anything but straight-line
             // code, jumps and the callee's own return.

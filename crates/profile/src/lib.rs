@@ -31,7 +31,7 @@ mod tracker;
 use janus_analysis::{BinaryAnalysis, LoopCategory};
 use janus_ir::INST_SIZE;
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_inst_costed, Cpu, Effect, GuestOs, Process, ResolvedPlt, VmError};
+use janus_vm::{step_run, Cpu, Effect, GuestOs, Limit, Process, ResolvedPlt, VmError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tracker::Tracker;
@@ -158,8 +158,9 @@ pub fn profile(
 ) -> Result<ProfileData, VmError> {
     // Lower what the per-instruction path looks up, once: loops by position
     // in `loop_ids` (a wild id costs a table entry, not memory), loop events
-    // by slot with that position already in data word 0, and one flag byte
-    // per slot so an instruction without a flag pays for nothing below.
+    // by slot with that position already in data word 0, one flag byte per
+    // slot, and runs that end before every flagged slot, so flags are tested
+    // only where a run starts and an unflagged run pays for nothing below.
     const RULES: u8 = 1 << 0;
     const MEM_ACCESS: u8 = 1 << 1;
     let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
@@ -182,6 +183,8 @@ pub fn profile(
         }
     }
     let events = events.lower(process.num_slots(), |addr| process.slot_of(addr));
+    let plan = process.plan();
+    let runs = plan.runs_ending_before(&flags);
     let mut tracker = Tracker::new(loop_ids.len());
 
     let mut mem = process.initial_memory();
@@ -191,13 +194,10 @@ pub fn profile(
 
     let mut os = GuestOs::new(process, input);
 
-    let cycle_guard = 50_000_000_000u64;
+    let guard = Limit::Retired(50_000_000_000);
     loop {
-        if cpu.retired > cycle_guard {
-            return Err(VmError::CycleLimitExceeded { limit: cycle_guard });
-        }
-        let pc = cpu.pc;
-        let (slot, inst) = process.fetch(pc)?;
+        guard.check(&cpu)?;
+        let (slot, inst) = process.fetch(cpu.pc)?;
         let flags = flags[slot];
         // Loop events attached to this address move the loop stack; the
         // instruction itself is then charged to whichever loop ends up on top.
@@ -224,10 +224,8 @@ pub fn profile(
             }
         }
 
-        let next_pc = pc + INST_SIZE as u64;
-        let effect = exec_inst_costed(&mut cpu, &mut mem, inst, process.cost(slot), next_pc)?;
-        match effect {
-            Effect::Continue => cpu.pc = next_pc,
+        match step_run(&mut cpu, &mut mem, plan, &runs, slot, guard)? {
+            Effect::Continue => cpu.pc += INST_SIZE as u64,
             Effect::Jump(t) => cpu.pc = t,
             Effect::Halt => break,
             Effect::External { plt } => match process.resolve_plt(plt)? {
@@ -244,7 +242,7 @@ pub fn profile(
                 if os.syscall(&mut cpu, num, clock)? {
                     break;
                 }
-                cpu.pc = next_pc;
+                cpu.pc += INST_SIZE as u64;
             }
         }
     }

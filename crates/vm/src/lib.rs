@@ -8,11 +8,21 @@
 //!   system library) is loaded and interpreted directly, with a deterministic
 //!   cycle cost model. This is the baseline every speedup in the evaluation
 //!   is normalised against.
-//! * **As the execution engine of the dynamic binary modifier**: the
-//!   [`exec::exec_inst_costed`] single-step interpreter is generic over the
-//!   [`GuestMemory`] trait, which lets the DBM route memory accesses of
-//!   translated (and possibly rewritten) instructions through privatised or
-//!   transactional views.
+//! * **As the execution engine of the dynamic binary modifier**: the one
+//!   executor, [`exec_op`], is generic over the [`GuestMemory`] trait, which
+//!   lets the DBM route memory accesses of translated (and possibly
+//!   rewritten) instructions through privatised or transactional views.
+//!
+//! Like a DBM's code cache, the VM decodes once: [`Process::load`] lowers
+//! every instruction slot into an [`Op`] — operand forms resolved, registers
+//! as bare file indices, anything the executor cannot run refused with a
+//! typed [`VmError::Load`] — and tabulates the straight-line [`Run`] that
+//! starts at each slot ([`plan`]). Every interpreter loop (the [`Vm`], the
+//! profiler, the DBM's main thread, chunks, speculative iterations and
+//! transactional callees) calls the one stepper, [`step_run`], which charges
+//! a run's cycles and instruction count once and executes its ops, exactly:
+//! a cycle limit or a fault inside a run leaves the machine as stepping one
+//! instruction at a time would.
 //!
 //! The [`syslib`] module contains a small math/string library written in JVA
 //! assembly and loaded at a high address range; calls into it through the PLT
@@ -49,6 +59,7 @@ pub mod exec;
 pub mod memory;
 pub mod overlay;
 pub mod pagetable;
+pub mod plan;
 pub mod process;
 pub mod syslib;
 pub mod vm;
@@ -58,10 +69,11 @@ mod error;
 pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};
 pub use error::{Result, VmError};
-pub use exec::{exec_inst, exec_inst_costed, Effect};
+pub use exec::{exec_inst, exec_op, Effect, Op};
 pub use memory::{FlatMemory, GuestMemory, PeekMemory};
 pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, OverlayWrite};
 pub use pagetable::PageTable;
+pub use plan::{step_op, step_run, Limit, Plan, Run};
 pub use process::{Process, ResolvedPlt};
 pub use syslib::build_syslib;
 pub use vm::{GuestOs, RunResult, Vm, VmConfig};

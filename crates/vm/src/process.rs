@@ -1,11 +1,11 @@
 //! Process images: a loaded main binary plus the shared system library.
 
-use crate::cost::CostModel;
 use crate::error::{Result, VmError};
 use crate::memory::{FlatMemory, GuestMemory};
+use crate::plan::{Plan, Run, Text};
 use crate::syslib::build_syslib;
-use janus_ir::{disassemble, Inst, JBinary, HEAP_BASE, INST_SIZE, STACK_BASE};
-use std::sync::OnceLock;
+use janus_ir::{Inst, JBinary, HEAP_BASE, INST_SIZE, STACK_BASE};
+use std::sync::{Arc, OnceLock};
 
 /// Resolution of one PLT entry performed by the loader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum ResolvedPlt {
 pub const NATIVE_EXTERNALS: &[&str] = &["par_for", "print_i64", "print_f64"];
 
 /// A loaded process: the main executable, the shared system library and the
-/// pre-decoded instruction streams for both.
+/// [`Plan`] both text sections were lowered into.
 ///
 /// Every instruction address has a dense *slot* number — main text first,
 /// the system library after it — so tables keyed by program counter are
@@ -39,128 +39,24 @@ pub const NATIVE_EXTERNALS: &[&str] = &["par_for", "print_i64", "print_f64"];
 pub struct Process {
     binary: JBinary,
     syslib: &'static JBinary,
-    /// Both decoded text sections, indexed by slot.
-    insts: Vec<Inst>,
-    /// [`CostModel::default`]'s cycle cost of each instruction, by slot.
-    costs: Vec<u64>,
+    /// Both text sections lowered, indexed by slot; shared by clones.
+    plan: Arc<Plan>,
     /// Slots below this belong to the main executable.
     main_slots: usize,
     plt: Vec<ResolvedPlt>,
 }
 
-/// `binary`'s decoded text and [`CostModel::default`]'s cycle cost of each
-/// instruction, by slot.
-///
-/// # Errors
-///
-/// Returns a description naming the address of the first instruction that
-/// fails to decode or whose operands the executor cannot run.
-fn decode_costed(binary: &JBinary) -> std::result::Result<(Vec<Inst>, Vec<u64>), String> {
-    let decoded = disassemble(binary).map_err(|e| e.to_string())?;
-    let model = CostModel::default();
-    let mut insts = Vec::with_capacity(decoded.len());
-    let mut costs = Vec::with_capacity(decoded.len());
-    for d in decoded {
-        check_operands(&d.inst).map_err(|why| format!("{:#x}: `{}`: {why}", d.addr, d.inst))?;
-        costs.push(model.cost(&d.inst));
-        insts.push(d.inst);
-    }
-    Ok((insts, costs))
-}
-
-/// Whether the executor can run `inst`: every destination is a register of
-/// the file it writes or memory, every register it reads as a whole vector
-/// is a vector register, every address is formed from general-purpose
-/// registers and no vector op names more than four lanes.
-fn check_operands(inst: &Inst) -> std::result::Result<(), &'static str> {
-    use janus_ir::{Operand, RegClass};
-    let is = |r: janus_ir::Reg, class: RegClass, why| (r.class() == class).then_some(()).ok_or(why);
-    let dst = |op: &Operand, class: RegClass| match op {
-        Operand::Reg(r) => is(*r, class, "destination register of the wrong file"),
-        Operand::Imm(_) => Err("immediate destination"),
-        Operand::Mem(_) => Ok(()),
-    };
-    let lanes_of = |op: &Operand| match op {
-        Operand::Reg(r) => is(*r, RegClass::Vec, "lanes of a general-purpose register"),
-        _ => Ok(()),
-    };
-    let operands: [Option<&Operand>; 2] = match inst {
-        Inst::Mov { dst, src }
-        | Inst::Alu { dst, src, .. }
-        | Inst::FMov { dst, src }
-        | Inst::Fpu { dst, src, .. }
-        | Inst::VMov { dst, src, .. } => [Some(dst), Some(src)],
-        Inst::Cmp { lhs, rhs } | Inst::FCmp { lhs, rhs } | Inst::Test { lhs, rhs } => {
-            [Some(lhs), Some(rhs)]
-        }
-        Inst::Vec { src, .. }
-        | Inst::CvtIntToFloat { src, .. }
-        | Inst::CvtFloatToInt { src, .. }
-        | Inst::CMov { src, .. }
-        | Inst::Push { src }
-        | Inst::JmpInd { target: src }
-        | Inst::CallInd { target: src }
-        | Inst::Pop { dst: src } => [Some(src), None],
-        _ => [None, None],
-    };
-    let lea = match inst {
-        Inst::Lea { mem, .. } => Some(*mem),
-        _ => None,
-    };
-    let addrs = operands
-        .into_iter()
-        .flatten()
-        .filter_map(Operand::as_mem)
-        .chain(lea);
-    for m in addrs {
-        for r in m.regs() {
-            is(r, RegClass::Gpr, "vector register in an address")?;
-        }
-    }
-    match inst {
-        Inst::Mov { dst: d, .. } | Inst::Alu { dst: d, .. } | Inst::Pop { dst: d } => {
-            dst(d, RegClass::Gpr)
-        }
-        Inst::Lea { dst: d, .. }
-        | Inst::CvtFloatToInt { dst: d, .. }
-        | Inst::CMov { dst: d, .. } => {
-            is(*d, RegClass::Gpr, "destination register of the wrong file")
-        }
-        Inst::FMov { dst: d, .. } | Inst::Fpu { dst: d, .. } => dst(d, RegClass::Vec),
-        Inst::CvtIntToFloat { dst: d, .. } => {
-            is(*d, RegClass::Vec, "destination register of the wrong file")
-        }
-        Inst::VMov { dst: d, src, lanes } => {
-            dst(d, RegClass::Vec)?;
-            lanes_of(src)?;
-            if d.as_reg().is_some() && *lanes > 4 {
-                return Err("more than four lanes");
-            }
-            Ok(())
-        }
-        Inst::Vec {
-            dst: d, src, lanes, ..
-        } => {
-            is(*d, RegClass::Vec, "destination register of the wrong file")?;
-            lanes_of(src)?;
-            if *lanes > 4 {
-                return Err("more than four lanes");
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// The system library image, decoded and costed. It is the same for every
-/// process, so it is built once per host process: [`Process::load`] borrows
-/// the image and copies the slots.
-fn system_library() -> &'static (JBinary, Vec<Inst>, Vec<u64>) {
-    static LIBRARY: OnceLock<(JBinary, Vec<Inst>, Vec<u64>)> = OnceLock::new();
+/// The system library image, lowered, with its run table. It is the same
+/// for every process, so it is built once per host process:
+/// [`Process::load`] borrows the image and copies the slots behind the main
+/// binary's.
+fn system_library() -> &'static (JBinary, Text, Vec<Run>) {
+    static LIBRARY: OnceLock<(JBinary, Text, Vec<Run>)> = OnceLock::new();
     LIBRARY.get_or_init(|| {
         let image = build_syslib();
-        let (insts, costs) = decode_costed(&image).expect("the system library decodes");
-        (image, insts, costs)
+        let text = Text::lower(&image).expect("the system library lowers");
+        let runs = text.runs();
+        (image, text, runs)
     })
 }
 
@@ -170,18 +66,18 @@ impl Process {
     /// # Errors
     ///
     /// Returns an error if the binary fails to decode, holds an instruction
-    /// whose operands the executor cannot run (an immediate destination, a
-    /// register of the wrong file, a vector register in an address) — the
-    /// error names its address, reachable or not — or imports a function
-    /// that neither the system library nor the native runtime provides.
+    /// that does not lower ([`crate::exec::Op::lower`]: an immediate
+    /// destination, a register of the wrong file, a vector register in an
+    /// address) — the error names its address, reachable or not — or imports
+    /// a function that neither the system library nor the native runtime
+    /// provides.
     pub fn load(binary: &JBinary) -> Result<Process> {
-        let (syslib, lib_insts, lib_costs) = system_library();
-        let (insts, costs) = decode_costed(binary).map_err(|reason| VmError::Load {
+        let (syslib, lib, lib_runs) = system_library();
+        let main = Text::lower(binary).map_err(|reason| VmError::Load {
             reason: format!("main binary: {reason}"),
         })?;
-        let main_slots = insts.len();
-        let insts = [&insts[..], lib_insts].concat();
-        let costs = [&costs[..], lib_costs].concat();
+        let plan = Plan::new(main, lib, lib_runs);
+        let main_slots = plan.num_slots() - lib_runs.len();
         let mut plt = Vec::with_capacity(binary.plt().len());
         for entry in binary.plt() {
             let name = entry.name.clone();
@@ -199,8 +95,7 @@ impl Process {
         Ok(Process {
             binary: binary.clone(),
             syslib,
-            insts,
-            costs,
+            plan: Arc::new(plan),
             main_slots,
             plt,
         })
@@ -238,7 +133,13 @@ impl Process {
     /// Number of instruction slots (instructions of both text sections).
     #[must_use]
     pub fn num_slots(&self) -> usize {
-        self.insts.len()
+        self.plan.num_slots()
+    }
+
+    /// The lowered text every interpreter loop steps.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<Plan> {
+        &self.plan
     }
 
     /// The slot of the instruction at `pc`; `None` if `pc` is outside both
@@ -262,14 +163,14 @@ impl Process {
     /// The decoded instruction in `slot` (panics if `slot >= num_slots()`).
     #[must_use]
     pub fn inst(&self, slot: usize) -> &Inst {
-        &self.insts[slot]
+        self.plan.inst(slot)
     }
 
     /// The cycle cost of the instruction in `slot`, tabulated at load so no
     /// retired instruction re-derives it (panics if `slot >= num_slots()`).
     #[must_use]
     pub fn cost(&self, slot: usize) -> u64 {
-        self.costs[slot]
+        self.plan.cost(slot)
     }
 
     /// The slot and decoded instruction at `pc`.
@@ -278,8 +179,18 @@ impl Process {
     ///
     /// Returns [`VmError::BadPc`] if `pc` has no slot.
     pub fn fetch(&self, pc: u64) -> Result<(usize, &Inst)> {
-        let slot = self.slot_of(pc).ok_or(VmError::BadPc { pc })?;
-        Ok((slot, &self.insts[slot]))
+        let slot = self.slot(pc)?;
+        Ok((slot, self.plan.inst(slot)))
+    }
+
+    /// The slot of the instruction at `pc`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::BadPc`] if `pc` has no slot.
+    #[inline]
+    pub fn slot(&self, pc: u64) -> Result<usize> {
+        self.slot_of(pc).ok_or(VmError::BadPc { pc })
     }
 
     /// The decoded instruction at `addr`.

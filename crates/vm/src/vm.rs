@@ -8,13 +8,15 @@
 
 use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
-use crate::exec::{exec_inst_costed, pop_value, Effect};
+use crate::exec::{pop_value, Effect};
 use crate::memory::FlatMemory;
 #[cfg(test)]
 use crate::memory::GuestMemory as _;
+use crate::plan::{step_run, Limit};
 use crate::process::{Process, ResolvedPlt};
 use janus_ir::{Reg, SyscallNum, INST_SIZE};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Sentinel return address used when the VM calls a guest function on behalf
 /// of a native service.
@@ -220,21 +222,24 @@ impl Vm {
     /// the program halts or exits, or — when calling a guest function on
     /// behalf of a native service — until control returns to `stop_pc`.
     fn run_until(&mut self, stop_pc: Option<u64>) -> Result<()> {
+        let plan = Arc::clone(self.process.plan());
+        let limit = Limit::Cycles(self.config.cycle_limit);
         loop {
-            if self.cpu.cycles > self.config.cycle_limit {
-                return Err(VmError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            }
+            limit.check(&self.cpu)?;
             let pc = self.cpu.pc;
             if stop_pc == Some(pc) {
                 return Ok(());
             }
-            let (slot, inst) = self.process.fetch(pc)?;
-            let cost = self.process.cost(slot);
-            let next_pc = pc + INST_SIZE as u64;
-            match exec_inst_costed(&mut self.cpu, &mut self.mem, inst, cost, next_pc)? {
-                Effect::Continue => self.cpu.pc = next_pc,
+            let slot = self.process.slot(pc)?;
+            match step_run(
+                &mut self.cpu,
+                &mut self.mem,
+                &plan,
+                plan.runs(),
+                slot,
+                limit,
+            )? {
+                Effect::Continue => self.cpu.pc += INST_SIZE as u64,
                 Effect::Jump(target) => self.cpu.pc = target,
                 Effect::Halt => return Ok(()),
                 Effect::External { plt } => self.handle_external(plt)?,
@@ -243,7 +248,7 @@ impl Vm {
                     if self.os.syscall(&mut self.cpu, num, clock)? {
                         return Ok(());
                     }
-                    self.cpu.pc = next_pc;
+                    self.cpu.pc += INST_SIZE as u64;
                 }
             }
         }
