@@ -10,8 +10,6 @@ use crate::stm::{TxLog, TxView};
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
 use janus_ir::{Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
-
-const STEP: u64 = INST_SIZE as u64;
 use janus_obs::Recorder;
 use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{
@@ -21,6 +19,8 @@ use janus_vm::{
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
+
+const STEP: u64 = INST_SIZE as u64;
 
 /// The most iterations one speculative invocation may take; a longer one
 /// runs sequentially. The guest chooses the trip count, and the engine keeps

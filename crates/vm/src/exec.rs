@@ -123,11 +123,13 @@ enum Kind {
     Jcc(Cond),
     /// Push the return address, jump to `a`.
     Call,
-    CallExt(u32),
+    /// Push the return address, call PLT entry `a`.
+    CallExt,
     Ret,
     Push,
     Pop,
-    Syscall(u32),
+    /// System call number `a`.
+    Syscall,
 }
 
 /// One instruction slot, lowered once by [`Op::lower`] for [`exec_op`]:
@@ -280,11 +282,11 @@ impl Op {
             Inst::JmpInd { target: t } => (Kind::Jmp, src(t)?, none),
             Inst::Call { target: t } => (Kind::Call, target(*t), none),
             Inst::CallInd { target: t } => (Kind::Call, src(t)?, none),
-            Inst::CallExt { plt } => (Kind::CallExt(*plt), none, none),
+            Inst::CallExt { plt } => (Kind::CallExt, Loc::Imm(i64::from(*plt)), none),
             Inst::Ret => (Kind::Ret, none, none),
             Inst::Push { src: s } => (Kind::Push, src(s)?, none),
             Inst::Pop { dst: d } => (Kind::Pop, dst(d, GPR)?, none),
-            Inst::Syscall { num } => (Kind::Syscall(*num), none, none),
+            Inst::Syscall { num } => (Kind::Syscall, Loc::Imm(i64::from(*num)), none),
         };
         Ok(Op(match (kind, a, b) {
             (Kind::Mov, Loc::Gpr(dst), Loc::Gpr(src)) => Form::MovRR { dst, src },
@@ -315,9 +317,9 @@ impl Op {
                 | Kind::Jmp
                 | Kind::Jcc(_)
                 | Kind::Call
-                | Kind::CallExt(_)
+                | Kind::CallExt
                 | Kind::Ret
-                | Kind::Syscall(_)
+                | Kind::Syscall
         )
     }
 }
@@ -632,7 +634,8 @@ fn exec_any<M: GuestMemory>(
             push_value(cpu, mem, next_pc as i64);
             return Ok(Effect::Jump(t));
         }
-        Kind::CallExt(plt) => {
+        Kind::CallExt => {
+            let plt = read_int(cpu, mem, a) as u32;
             push_value(cpu, mem, next_pc as i64);
             return Ok(Effect::External { plt });
         }
@@ -645,7 +648,10 @@ fn exec_any<M: GuestMemory>(
             let v = pop_value(cpu, mem);
             write_int(cpu, mem, a, v);
         }
-        Kind::Syscall(num) => return Ok(Effect::Syscall { num }),
+        Kind::Syscall => {
+            let num = read_int(cpu, mem, a) as u32;
+            return Ok(Effect::Syscall { num });
+        }
     }
     Ok(Effect::Continue)
 }
@@ -1216,6 +1222,11 @@ mod equivalence {
             }
             prop_assert!(lowered > 0);
         }
+    }
+
+    #[test]
+    fn an_op_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 40);
     }
 
     #[test]
