@@ -89,6 +89,12 @@ enum Loc {
     },
 }
 
+impl Loc {
+    fn is_mem(self) -> bool {
+        !matches!(self, Loc::Gpr(_) | Loc::Vreg(_) | Loc::Imm(_))
+    }
+}
+
 /// What a lowered op does; its operands are [`Op`]'s `a` and `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
@@ -156,6 +162,18 @@ enum Form {
     CmpRI { lhs: u8, imm: i64 },
     /// `vreg[dst][0] = vreg[dst][0] op vreg[src][0]`.
     FpuVV { op: FpuOp, dst: u8, src: u8 },
+    /// `gpr[dst] = [src]`.
+    Load { dst: u8, src: Loc },
+    /// `[dst] = gpr[src]`.
+    Store { dst: Loc, src: u8 },
+    /// `vreg[dst][0] = [src]`.
+    FLoad { dst: u8, src: Loc },
+    /// `[dst] = vreg[src][0]`.
+    FStore { dst: Loc, src: u8 },
+    /// Push `gpr[src]`.
+    PushR { src: u8 },
+    /// Pop into `gpr[dst]`.
+    PopR { dst: u8 },
     /// Jump to `target` if the condition holds.
     Jcc { cond: Cond, target: u64 },
     /// Any instruction: what it does and its operands.
@@ -296,6 +314,12 @@ impl Op {
             (Kind::Cmp, Loc::Gpr(lhs), Loc::Gpr(rhs)) => Form::CmpRR { lhs, rhs },
             (Kind::Cmp, Loc::Gpr(lhs), Loc::Imm(imm)) => Form::CmpRI { lhs, imm },
             (Kind::Fpu(op), Loc::Vreg(dst), Loc::Vreg(src)) => Form::FpuVV { op, dst, src },
+            (Kind::Mov, Loc::Gpr(dst), src) if src.is_mem() => Form::Load { dst, src },
+            (Kind::Mov, dst, Loc::Gpr(src)) if dst.is_mem() => Form::Store { dst, src },
+            (Kind::FMov, Loc::Vreg(dst), src) if src.is_mem() => Form::FLoad { dst, src },
+            (Kind::FMov, dst, Loc::Vreg(src)) if dst.is_mem() => Form::FStore { dst, src },
+            (Kind::Push, Loc::Gpr(src), _) => Form::PushR { src },
+            (Kind::Pop, Loc::Gpr(dst), _) => Form::PopR { dst },
             (Kind::Jcc(cond), Loc::Imm(target), _) => Form::Jcc {
                 cond,
                 target: target as u64,
@@ -531,6 +555,27 @@ pub fn exec_op<M: GuestMemory>(
             let y = cpu.vreg[usize::from(src) % NUM_VREG][0];
             let x = &mut vreg_mut(cpu, dst)[0];
             *x = fpu_apply(op, *x, y);
+        }
+        Form::Load { dst, src } => {
+            let v = mem.read_i64(ea(cpu, src));
+            *gpr_mut(cpu, dst) = v;
+        }
+        Form::Store { dst, src } => mem.write_i64(ea(cpu, dst), gpr(cpu, src)),
+        Form::FLoad { dst, src } => {
+            let v = mem.read_f64(ea(cpu, src));
+            vreg_mut(cpu, dst)[0] = v;
+        }
+        Form::FStore { dst, src } => {
+            let v = cpu.vreg[usize::from(src) % NUM_VREG][0];
+            mem.write_f64(ea(cpu, dst), v);
+        }
+        Form::PushR { src } => {
+            let v = gpr(cpu, src);
+            push_value(cpu, mem, v);
+        }
+        Form::PopR { dst } => {
+            let v = pop_value(cpu, mem);
+            *gpr_mut(cpu, dst) = v;
         }
         Form::Jcc { cond, target } => {
             if cpu.flags.eval(cond) {
@@ -1246,7 +1291,7 @@ mod equivalence {
             }
         }
         // 23 kinds by first operand form, the operand-less ones with only a
-        // placeholder, plus the eight specialised forms.
+        // placeholder, plus the fourteen specialised forms.
         assert!(seen.len() > 80, "{} forms", seen.len());
     }
 }

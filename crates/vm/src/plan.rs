@@ -32,13 +32,14 @@ use janus_ir::{disassemble, Inst, JBinary, INST_SIZE};
 const STEP: u64 = INST_SIZE as u64;
 
 /// The straight-line run that starts at a slot: its first instruction
-/// through its terminator.
+/// through its terminator. A run that would overflow either field ends
+/// early instead, as at a control transfer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Run {
     /// Number of instructions in the run (at least one).
     pub len: u32,
     /// Their summed cycle cost.
-    pub cost: u64,
+    pub cost: u32,
 }
 
 /// One text section, decoded, costed and lowered, by slot.
@@ -73,35 +74,41 @@ impl Text {
     /// The section's own run table: runs end at control transfers and at
     /// its last slot.
     pub(crate) fn runs(&self) -> Vec<Run> {
-        runs_of(&self.ops, &self.costs, &[self.ops.len()], |_| false)
+        runs_of(
+            &self.ops,
+            |slot| self.costs[slot],
+            &[self.ops.len()],
+            |_| false,
+        )
     }
 }
 
-/// A process's lowered text: both sections' instructions, ops and costs by
-/// slot (main text first, the system library after it) and the run table
-/// every loop without per-slot flags steps.
+/// A process's lowered text by slot, main text first and the system library
+/// after it: both sections' ops and the run table every loop without
+/// per-slot flags steps, in one piece, and each section's instructions and
+/// costs — the library's shared by every process.
 #[derive(Debug)]
 pub struct Plan {
-    insts: Vec<Inst>,
     ops: Vec<Op>,
-    costs: Vec<u64>,
     runs: Vec<Run>,
-    /// Slots below this belong to the main executable.
-    main_slots: usize,
+    /// The main text's instructions; slot `insts.len()` is the library's first.
+    insts: Vec<Inst>,
+    costs: Vec<u64>,
+    lib: &'static Text,
 }
 
 impl Plan {
     /// The main text behind the system library, whose run table is built
     /// once with it.
-    pub(crate) fn new(main: Text, lib: &Text, lib_runs: &[Run]) -> Plan {
-        let main_slots = main.ops.len();
+    pub(crate) fn new(main: Text, lib: &'static Text, lib_runs: &[Run]) -> Plan {
         let runs = [&main.runs()[..], lib_runs].concat();
+        let Text { insts, ops, costs } = main;
         Plan {
-            insts: [&main.insts[..], &lib.insts].concat(),
-            ops: [&main.ops[..], &lib.ops].concat(),
-            costs: [&main.costs[..], &lib.costs].concat(),
+            ops: [&ops[..], &lib.ops].concat(),
             runs,
-            main_slots,
+            insts,
+            costs,
+            lib,
         }
     }
 
@@ -114,13 +121,19 @@ impl Plan {
     /// The decoded instruction in `slot` (panics if out of range).
     #[must_use]
     pub fn inst(&self, slot: usize) -> &Inst {
-        &self.insts[slot]
+        match self.insts.get(slot) {
+            Some(inst) => inst,
+            None => &self.lib.insts[slot - self.insts.len()],
+        }
     }
 
     /// The cycle cost of the instruction in `slot` (panics if out of range).
     #[must_use]
     pub fn cost(&self, slot: usize) -> u64 {
-        self.costs[slot]
+        match self.costs.get(slot) {
+            Some(&cost) => cost,
+            None => self.lib.costs[slot - self.costs.len()],
+        }
     }
 
     /// The run table: runs end at control transfers and at the last slot of
@@ -135,10 +148,13 @@ impl Plan {
     /// only meets flagged slots where a run starts.
     #[must_use]
     pub fn runs_ending_before(&self, flags: &[u8]) -> Vec<Run> {
-        let ends = [self.main_slots, self.num_slots()];
-        runs_of(&self.ops, &self.costs, &ends, |slot| {
-            flags.get(slot).is_some_and(|&f| f != 0)
-        })
+        let ends = [self.insts.len(), self.num_slots()];
+        runs_of(
+            &self.ops,
+            |slot| self.cost(slot),
+            &ends,
+            |slot| flags.get(slot).is_some_and(|&f| f != 0),
+        )
     }
 }
 
@@ -146,19 +162,22 @@ impl Plan {
 /// slot in `ends` and before each slot `stop_before` holds for.
 fn runs_of(
     ops: &[Op],
-    costs: &[u64],
+    cost: impl Fn(usize) -> u64,
     ends: &[usize],
     stop_before: impl Fn(usize) -> bool,
 ) -> Vec<Run> {
     let mut runs = vec![Run::default(); ops.len()];
     for slot in (0..ops.len()).rev() {
         let next = slot + 1;
-        let (len, cost) = if ops[slot].ends_run() || ends.contains(&next) || stop_before(next) {
-            (1, costs[slot])
-        } else {
-            (runs[next].len + 1, runs[next].cost + costs[slot])
-        };
-        runs[slot] = Run { len, cost };
+        let own = u32::try_from(cost(slot)).expect("an instruction costs under 2^32 cycles");
+        let ends_here = ops[slot].ends_run() || ends.contains(&next) || stop_before(next);
+        let extended = (!ends_here).then(|| {
+            Some(Run {
+                len: runs[next].len.checked_add(1)?,
+                cost: runs[next].cost.checked_add(own)?,
+            })
+        });
+        runs[slot] = extended.flatten().unwrap_or(Run { len: 1, cost: own });
     }
     runs
 }
@@ -195,7 +214,7 @@ impl Limit {
     #[inline(always)]
     fn admits(self, cpu: &Cpu, run: Run) -> bool {
         match self {
-            Limit::Cycles(limit) => cpu.cycles.saturating_add(run.cost) <= limit,
+            Limit::Cycles(limit) => cpu.cycles.saturating_add(u64::from(run.cost)) <= limit,
             Limit::Retired(limit) => cpu.retired.saturating_add(u64::from(run.len)) <= limit,
         }
     }
@@ -226,7 +245,7 @@ pub fn step_run<M: GuestMemory>(
     }
     let ops = &plan.ops[slot..slot + run.len as usize];
     let (cycles, retired, mut pc) = (cpu.cycles, cpu.retired, cpu.pc);
-    cpu.cycles += run.cost;
+    cpu.cycles += u64::from(run.cost);
     cpu.retired += u64::from(run.len);
     let last = ops.len() - 1;
     for (k, op) in ops.iter().enumerate() {
@@ -237,7 +256,7 @@ pub fn step_run<M: GuestMemory>(
             }
             Ok(_) => pc += STEP,
             Err(e) => {
-                cpu.cycles = cycles + plan.costs[slot..=slot + k].iter().sum::<u64>();
+                cpu.cycles = cycles + (slot..=slot + k).map(|s| plan.cost(s)).sum::<u64>();
                 cpu.retired = retired + k as u64 + 1;
                 cpu.pc = pc;
                 return Err(e);
@@ -266,7 +285,7 @@ fn step_exact<M: GuestMemory>(
         if k > 0 {
             limit.check(cpu)?;
         }
-        cpu.cycles += plan.costs[slot + k];
+        cpu.cycles += plan.cost(slot + k);
         cpu.retired += 1;
         let effect = exec_op(cpu, mem, &plan.ops[slot + k], pc, pc + STEP)?;
         if k + 1 == len {
