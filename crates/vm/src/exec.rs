@@ -144,7 +144,8 @@ enum Kind {
 pub struct Op(Form);
 
 /// The shapes that dominate the dynamic mix, spelled out so that they run
-/// with no operand match, and the general form for everything else.
+/// with no kind match and no operand match beyond an address's form, and
+/// the general form for everything else.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(u8)]
 enum Form {
@@ -217,10 +218,7 @@ fn addr(m: &MemRef) -> std::result::Result<Loc, &'static str> {
 /// files, as the executor always has), an immediate or memory.
 fn src(op: &Operand) -> std::result::Result<Loc, &'static str> {
     match op {
-        Operand::Reg(r) => Ok(match r.class() {
-            RegClass::Gpr => Loc::Gpr(r.index()),
-            RegClass::Vec => Loc::Vreg(r.index()),
-        }),
+        Operand::Reg(r) => reg(*r, r.class()),
         Operand::Imm(v) => Ok(Loc::Imm(*v)),
         Operand::Mem(m) => addr(m),
     }
