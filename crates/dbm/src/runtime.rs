@@ -163,9 +163,10 @@ impl SideSpec {
 
 /// Per-slot flag bits of the lowered tables: everything a dispatch loop asks
 /// about the instruction it is about to execute, folded into one byte load.
-/// Each table comes with a run table whose runs end before every flagged
-/// slot ([`janus_vm::Plan::runs_ending_before`]), so a loop tests its flags
-/// only where a run starts.
+/// Each table comes with a run table whose runs end before every slot with
+/// a flag but `INDIRECT` set ([`janus_vm::Plan::runs_ending_before`]), so a
+/// loop tests those flags only where a run starts. An `INDIRECT` slot is a
+/// control transfer, the end of its run, so its lookup is charged there.
 pub(crate) mod slot_flags {
     /// The instruction pays [`crate::DbmConfig::indirect_lookup_cost`]; set
     /// in every table from the one `needs_indirect_lookup`.
@@ -197,7 +198,7 @@ pub(crate) struct LoopRt {
     pub(crate) speculative: bool,
     /// [`slot_flags`] per slot: `INDIRECT` plus this loop's own addresses.
     pub(crate) flags: Vec<u8>,
-    /// Runs ending before every slot `flags` marks.
+    /// Runs ending before every `FINISH`, `TX_CALL` and `BOUND_CMP` slot.
     pub(crate) runs: Vec<Run>,
 }
 
@@ -257,7 +258,7 @@ pub(crate) struct PreparedParts {
     rules: RuleTable,
     /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`.
     flags: Vec<u8>,
-    /// Runs ending before every slot `flags` marks.
+    /// Runs ending before every `RULES` slot.
     runs: Vec<Run>,
     pub(crate) loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
@@ -340,10 +341,12 @@ impl PreparedDbm {
                 lr.flags[slot] |= flag;
             }
         }
+        let plan = process.plan();
         for lr in loops.values_mut() {
-            lr.runs = process.plan().runs_ending_before(&lr.flags);
+            let ends = slot_flags::FINISH | slot_flags::TX_CALL | slot_flags::BOUND_CMP;
+            lr.runs = plan.runs_ending_before(&lr.flags, ends);
         }
-        let runs = process.plan().runs_ending_before(&flags);
+        let runs = plan.runs_ending_before(&flags, slot_flags::RULES);
         PreparedDbm {
             parts: Arc::new(PreparedParts {
                 process,
@@ -552,9 +555,6 @@ impl Dbm {
                 }
             }
 
-            if flags & slot_flags::INDIRECT != 0 {
-                self.stats.breakdown.translation += self.config.indirect_lookup_cost;
-            }
             let retired = self.main.retired;
             let stepped = step_run(
                 &mut self.main,
@@ -564,8 +564,12 @@ impl Dbm {
                 slot,
                 limit,
             );
-            count_blocks(&mut self.cache.counts, slot, self.main.retired - retired);
-            match stepped? {
+            let last = count_blocks(&mut self.cache.counts, slot, self.main.retired - retired);
+            let effect = stepped?;
+            if parts.flags[last] & slot_flags::INDIRECT != 0 {
+                self.stats.breakdown.translation += self.config.indirect_lookup_cost;
+            }
+            match effect {
                 Effect::Continue => self.main.pc += STEP,
                 Effect::Jump(t) => self.main.pc = t,
                 Effect::Halt => break,
@@ -1287,13 +1291,15 @@ fn bound_compare(lhs: Operand, bound: i64) -> (Op, u64) {
     (op, CostModel::default().cost(&inst))
 }
 
-/// Counts one execution of each of the `retired` slots from `slot` on: the
+/// Counts one execution of each of the `retired` slots from `slot` on — the
 /// instructions a run retired, each standing for the block it starts (see
-/// [`CodeCache`]).
-fn count_blocks(counts: &mut [u64], slot: usize, retired: u64) {
-    for count in &mut counts[slot..slot + retired as usize] {
+/// [`CodeCache`]) — and returns the last of them.
+fn count_blocks(counts: &mut [u64], slot: usize, retired: u64) -> usize {
+    let end = slot + retired as usize;
+    for count in &mut counts[slot..end] {
         *count += 1;
     }
+    end - 1
 }
 
 /// Runs one planned chunk from the loop header until it reaches a
@@ -1340,17 +1346,18 @@ pub(crate) fn run_chunk<M: GuestMemory>(
                 continue;
             }
         }
-        if flags & slot_flags::INDIRECT != 0 {
-            fx.lookup_cycles += config.indirect_lookup_cost;
-        }
         let effect = if flags & slot_flags::BOUND_CMP != 0 {
             counts[slot] += 1;
             step_op(&mut cpu, mem, &bound_cmp, bound_cmp_cost)?
         } else {
             let retired = cpu.retired;
             let stepped = step_run(&mut cpu, mem, text, &lr.runs, slot, limit);
-            count_blocks(counts, slot, cpu.retired - retired);
-            stepped?
+            let last = count_blocks(counts, slot, cpu.retired - retired);
+            let effect = stepped?;
+            if lr.flags[last] & slot_flags::INDIRECT != 0 {
+                fx.lookup_cycles += config.indirect_lookup_cost;
+            }
+            effect
         };
         match effect {
             Effect::Continue => cpu.pc += STEP,

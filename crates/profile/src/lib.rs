@@ -184,7 +184,7 @@ pub fn profile(
     }
     let events = events.lower(process.num_slots(), |addr| process.slot_of(addr));
     let plan = process.plan();
-    let runs = plan.runs_ending_before(&flags);
+    let runs = plan.runs_ending_before(&flags, RULES | MEM_ACCESS);
     let mut tracker = Tracker::new(loop_ids.len());
 
     let mut mem = process.initial_memory();

@@ -71,51 +71,57 @@ impl Text {
         Ok(text)
     }
 
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
     /// The section's own run table: runs end at control transfers and at
     /// its last slot.
     pub(crate) fn runs(&self) -> Vec<Run> {
+        let len = self.ops.len();
         runs_of(
-            &self.ops,
+            len,
+            |slot| self.ops[slot].ends_run() || slot + 1 == len,
             |slot| self.costs[slot],
-            &[self.ops.len()],
-            |_| false,
         )
     }
 }
 
 /// A process's lowered text by slot, main text first and the system library
-/// after it: both sections' ops and the run table every loop without
-/// per-slot flags steps, in one piece, and each section's instructions and
-/// costs — the library's shared by every process.
+/// after it. The main text's instructions, costs, ops and run table are the
+/// process's own; the library's are lowered once per host process and
+/// shared by every process.
 #[derive(Debug)]
 pub struct Plan {
+    /// The main text's ops; slot `ops.len()` is the library's first.
     ops: Vec<Op>,
     runs: Vec<Run>,
-    /// The main text's instructions; slot `insts.len()` is the library's first.
     insts: Vec<Inst>,
     costs: Vec<u64>,
     lib: &'static Text,
+    lib_runs: &'static [Run],
 }
 
 impl Plan {
-    /// The main text behind the system library, whose run table is built
-    /// once with it.
-    pub(crate) fn new(main: Text, lib: &'static Text, lib_runs: &[Run]) -> Plan {
-        let runs = [&main.runs()[..], lib_runs].concat();
+    /// The main text behind the system library and its run table.
+    pub(crate) fn new(main: Text, lib: &'static Text, lib_runs: &'static [Run]) -> Plan {
+        let runs = main.runs();
         let Text { insts, ops, costs } = main;
         Plan {
-            ops: [&ops[..], &lib.ops].concat(),
+            ops,
             runs,
             insts,
             costs,
             lib,
+            lib_runs,
         }
     }
 
     /// Number of instruction slots.
     #[must_use]
     pub fn num_slots(&self) -> usize {
-        self.ops.len()
+        self.ops.len() + self.lib.ops.len()
     }
 
     /// The decoded instruction in `slot` (panics if out of range).
@@ -136,45 +142,54 @@ impl Plan {
         }
     }
 
+    fn op(&self, slot: usize) -> &Op {
+        match self.ops.get(slot) {
+            Some(op) => op,
+            None => &self.lib.ops[slot - self.ops.len()],
+        }
+    }
+
     /// The run table: runs end at control transfers and at the last slot of
-    /// each text section.
+    /// each text section. It covers the main text; [`step_run`] takes a
+    /// slot past the end of any table from the library's own.
     #[must_use]
     pub fn runs(&self) -> &[Run] {
         &self.runs
     }
 
-    /// A run table whose runs also end before every slot with a non-zero
-    /// entry in `flags` (indexed by slot), so a loop that tests those flags
-    /// only meets flagged slots where a run starts.
+    /// A run table whose runs also end before every slot whose `flags`
+    /// entry (indexed by slot) has a bit of `mask` set, so a loop that tests
+    /// those flags only meets flagged slots where a run starts. It covers
+    /// the library too only if a library slot is flagged.
     #[must_use]
-    pub fn runs_ending_before(&self, flags: &[u8]) -> Vec<Run> {
-        let ends = [self.insts.len(), self.num_slots()];
+    pub fn runs_ending_before(&self, flags: &[u8], mask: u8) -> Vec<Run> {
+        let (main, total) = (self.ops.len(), self.num_slots());
+        let flagged = |slot: usize| flags.get(slot).is_some_and(|&f| f & mask != 0);
+        let len = if (main..total).any(flagged) {
+            total
+        } else {
+            main
+        };
         runs_of(
-            &self.ops,
+            len,
+            |slot| {
+                self.op(slot).ends_run() || [main, total].contains(&(slot + 1)) || flagged(slot + 1)
+            },
             |slot| self.cost(slot),
-            &ends,
-            |slot| flags.get(slot).is_some_and(|&f| f != 0),
         )
     }
 }
 
-/// The run table over `ops`: a run ends at a control transfer, before each
-/// slot in `ends` and before each slot `stop_before` holds for.
-fn runs_of(
-    ops: &[Op],
-    cost: impl Fn(usize) -> u64,
-    ends: &[usize],
-    stop_before: impl Fn(usize) -> bool,
-) -> Vec<Run> {
-    let mut runs = vec![Run::default(); ops.len()];
-    for slot in (0..ops.len()).rev() {
-        let next = slot + 1;
+/// The run table over slots `0..len`: a run ends at each slot `ends_at`
+/// holds for.
+fn runs_of(len: usize, ends_at: impl Fn(usize) -> bool, cost: impl Fn(usize) -> u64) -> Vec<Run> {
+    let mut runs = vec![Run::default(); len];
+    for slot in (0..len).rev() {
         let own = u32::try_from(cost(slot)).expect("an instruction costs under 2^32 cycles");
-        let ends_here = ops[slot].ends_run() || ends.contains(&next) || stop_before(next);
-        let extended = (!ends_here).then(|| {
+        let extended = (!ends_at(slot)).then(|| {
             Some(Run {
-                len: runs[next].len.checked_add(1)?,
-                cost: runs[next].cost.checked_add(own)?,
+                len: runs[slot + 1].len.checked_add(1)?,
+                cost: runs[slot + 1].cost.checked_add(own)?,
             })
         });
         runs[slot] = extended.flatten().unwrap_or(Run { len: 1, cost: own });
@@ -220,7 +235,8 @@ impl Limit {
     }
 }
 
-/// Steps the run of `runs` that starts at `slot`, the slot of `cpu.pc`,
+/// Steps the run of `runs` (or of the library's table, for a slot past its
+/// end) that starts at `slot`, the slot of `cpu.pc`,
 /// whose first instruction the caller has already tested against `limit`.
 /// Charges the run's cost and instruction count, executes its ops and
 /// leaves `cpu.pc` at its last instruction, whose [`Effect`] it returns.
@@ -239,11 +255,20 @@ pub fn step_run<M: GuestMemory>(
     slot: usize,
     limit: Limit,
 ) -> Result<Effect> {
-    let run = runs[slot];
+    let main = plan.ops.len();
+    let run = match runs.get(slot) {
+        Some(&run) => run,
+        None => plan.lib_runs[slot - main],
+    };
+    let len = run.len as usize;
     if !limit.admits(cpu, run) {
-        return step_exact(cpu, mem, plan, slot, run.len as usize, limit);
+        return step_exact(cpu, mem, plan, slot, len, limit);
     }
-    let ops = &plan.ops[slot..slot + run.len as usize];
+    // A run never crosses from one section into the other.
+    let ops = match plan.ops.get(slot..slot + len) {
+        Some(ops) => ops,
+        None => &plan.lib.ops[slot - main..slot - main + len],
+    };
     let (cycles, retired, mut pc) = (cpu.cycles, cpu.retired, cpu.pc);
     cpu.cycles += u64::from(run.cost);
     cpu.retired += u64::from(run.len);
@@ -287,7 +312,7 @@ fn step_exact<M: GuestMemory>(
         }
         cpu.cycles += plan.cost(slot + k);
         cpu.retired += 1;
-        let effect = exec_op(cpu, mem, &plan.ops[slot + k], pc, pc + STEP)?;
+        let effect = exec_op(cpu, mem, plan.op(slot + k), pc, pc + STEP)?;
         if k + 1 == len {
             return Ok(effect);
         }

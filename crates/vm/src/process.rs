@@ -76,8 +76,8 @@ impl Process {
         let main = Text::lower(binary).map_err(|reason| VmError::Load {
             reason: format!("main binary: {reason}"),
         })?;
+        let main_slots = main.len();
         let plan = Plan::new(main, lib, lib_runs);
-        let main_slots = plan.num_slots() - lib_runs.len();
         let mut plt = Vec::with_capacity(binary.plt().len());
         for entry in binary.plt() {
             let name = entry.name.clone();
