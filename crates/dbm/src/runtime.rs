@@ -163,10 +163,10 @@ impl SideSpec {
 
 /// Per-slot flag bits of the lowered tables: everything a dispatch loop asks
 /// about the instruction it is about to execute, folded into one byte load.
-/// Each table comes with a run table whose runs end before every slot with
-/// a flag but `INDIRECT` set ([`janus_vm::Plan::runs_ending_before`]), so a
-/// loop tests those flags only where a run starts. An `INDIRECT` slot is a
-/// control transfer, the end of its run, so its lookup is charged there.
+/// One run table serves every loop: its runs end before every slot any
+/// table flags but for `INDIRECT` ([`janus_vm::Plan::runs_ending_before`]),
+/// so a loop tests its flags only where a run starts. An `INDIRECT` slot is
+/// a control transfer, the end of its run, so its lookup is charged there.
 pub(crate) mod slot_flags {
     /// The instruction pays [`crate::DbmConfig::indirect_lookup_cost`]; set
     /// in every table from the one `needs_indirect_lookup`.
@@ -198,8 +198,6 @@ pub(crate) struct LoopRt {
     pub(crate) speculative: bool,
     /// [`slot_flags`] per slot: `INDIRECT` plus this loop's own addresses.
     pub(crate) flags: Vec<u8>,
-    /// Runs ending before every `FINISH`, `TX_CALL` and `BOUND_CMP` slot.
-    pub(crate) runs: Vec<Run>,
 }
 
 /// The result of running a binary under the dynamic binary modifier.
@@ -256,10 +254,11 @@ pub(crate) struct PreparedParts {
     pub(crate) process: Process,
     /// The schedule's rules by instruction slot.
     rules: RuleTable,
-    /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`.
+    /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`, plus
+    /// every loop's own flags, which only the run table reads.
     flags: Vec<u8>,
-    /// Runs ending before every `RULES` slot.
-    runs: Vec<Run>,
+    /// Runs ending before every slot `flags` marks but for `INDIRECT`.
+    pub(crate) runs: Vec<Run>,
     pub(crate) loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
 }
@@ -339,14 +338,12 @@ impl PreparedDbm {
             };
             if let Some(slot) = process.slot_of(addr) {
                 lr.flags[slot] |= flag;
+                flags[slot] |= flag;
             }
         }
-        let plan = process.plan();
-        for lr in loops.values_mut() {
-            let ends = slot_flags::FINISH | slot_flags::TX_CALL | slot_flags::BOUND_CMP;
-            lr.runs = plan.runs_ending_before(&lr.flags, ends);
-        }
-        let runs = plan.runs_ending_before(&flags, slot_flags::RULES);
+        let runs = process
+            .plan()
+            .runs_ending_before(&flags, !slot_flags::INDIRECT);
         PreparedDbm {
             parts: Arc::new(PreparedParts {
                 process,
@@ -1101,7 +1098,7 @@ impl Dbm {
         let process = &self.prepared.parts.process;
         let plan = &**process.plan();
         let limit = Limit::Cycles(self.config.cycle_limit);
-        let (flags, runs) = (&lr.flags, &lr.runs);
+        let (flags, runs) = (&lr.flags, &self.prepared.parts.runs);
         let header = lr.header;
         let continue_cond = lr.continue_cond;
         let step = lr.step;
@@ -1351,7 +1348,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
             step_op(&mut cpu, mem, &bound_cmp, bound_cmp_cost)?
         } else {
             let retired = cpu.retired;
-            let stepped = step_run(&mut cpu, mem, text, &lr.runs, slot, limit);
+            let stepped = step_run(&mut cpu, mem, text, &ctx.parts.runs, slot, limit);
             let last = count_blocks(counts, slot, cpu.retired - retired);
             let effect = stepped?;
             if lr.flags[last] & slot_flags::INDIRECT != 0 {

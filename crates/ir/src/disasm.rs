@@ -45,7 +45,7 @@ pub fn disassemble_range(
     start: u64,
     end: u64,
 ) -> Result<Vec<DecodedInst>> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity((end.saturating_sub(start) / INST_SIZE as u64) as usize);
     let mut addr = start;
     while addr < end {
         let off = (addr - text_base) as usize;

@@ -185,6 +185,7 @@ enum Form {
 const GPR: RegClass = RegClass::Gpr;
 const VEC: RegClass = RegClass::Vec;
 
+#[inline]
 fn reg(r: Reg, class: RegClass) -> std::result::Result<Loc, &'static str> {
     if r.class() != class {
         return Err("a register of the wrong file");
@@ -195,6 +196,7 @@ fn reg(r: Reg, class: RegClass) -> std::result::Result<Loc, &'static str> {
     })
 }
 
+#[inline]
 fn addr(m: &MemRef) -> std::result::Result<Loc, &'static str> {
     let gpr = |r: Option<Reg>| match r {
         Some(r) if r.class() != GPR => Err("a vector register in an address"),
@@ -216,6 +218,7 @@ fn addr(m: &MemRef) -> std::result::Result<Loc, &'static str> {
 
 /// An operand that is only read: a register of either file (read across
 /// files, as the executor always has), an immediate or memory.
+#[inline]
 fn src(op: &Operand) -> std::result::Result<Loc, &'static str> {
     match op {
         Operand::Reg(r) => reg(*r, r.class()),
@@ -225,6 +228,7 @@ fn src(op: &Operand) -> std::result::Result<Loc, &'static str> {
 }
 
 /// An operand that is written: a register of `class` or memory.
+#[inline]
 fn dst(op: &Operand, class: RegClass) -> std::result::Result<Loc, &'static str> {
     match op {
         Operand::Reg(r) => reg(*r, class),
@@ -234,6 +238,7 @@ fn dst(op: &Operand, class: RegClass) -> std::result::Result<Loc, &'static str> 
 }
 
 /// An operand read as whole lanes: a vector register, an immediate or memory.
+#[inline]
 fn lanes_src(op: &Operand) -> std::result::Result<Loc, &'static str> {
     match op {
         Operand::Reg(r) => reg(*r, VEC),

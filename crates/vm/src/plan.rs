@@ -27,7 +27,7 @@ use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
 use crate::exec::{exec_op, Effect, Op};
 use crate::memory::GuestMemory;
-use janus_ir::{disassemble, Inst, JBinary, INST_SIZE};
+use janus_ir::{decode, Inst, JBinary, INST_SIZE};
 
 const STEP: u64 = INST_SIZE as u64;
 
@@ -37,9 +37,9 @@ const STEP: u64 = INST_SIZE as u64;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Run {
     /// Number of instructions in the run (at least one).
-    pub len: u32,
+    pub len: u16,
     /// Their summed cycle cost.
-    pub cost: u32,
+    pub cost: u16,
 }
 
 /// One text section, decoded, costed and lowered, by slot.
@@ -58,15 +58,22 @@ impl Text {
     /// Returns a description naming the address of the first instruction that
     /// fails to decode or to lower ([`Op::lower`]).
     pub(crate) fn lower(binary: &JBinary) -> std::result::Result<Text, String> {
-        let decoded = disassemble(binary).map_err(|e| e.to_string())?;
         let model = CostModel::default();
-        let mut text = Text::default();
-        for d in decoded {
-            let op =
-                Op::lower(&d.inst).map_err(|why| format!("{:#x}: `{}`: {why}", d.addr, d.inst))?;
+        let slots = binary.text().len().div_ceil(INST_SIZE);
+        let mut text = Text {
+            insts: Vec::with_capacity(slots),
+            ops: Vec::with_capacity(slots),
+            costs: Vec::with_capacity(slots),
+        };
+        for (addr, bytes) in (binary.text_base()..)
+            .step_by(INST_SIZE)
+            .zip(binary.text().chunks(INST_SIZE))
+        {
+            let inst = decode(addr, bytes).map_err(|e| e.to_string())?;
+            let op = Op::lower(&inst).map_err(|why| format!("{addr:#x}: `{inst}`: {why}"))?;
             text.ops.push(op);
-            text.costs.push(model.cost(&d.inst));
-            text.insts.push(d.inst);
+            text.costs.push(model.cost(&inst));
+            text.insts.push(inst);
         }
         Ok(text)
     }
@@ -89,16 +96,15 @@ impl Text {
 }
 
 /// A process's lowered text by slot, main text first and the system library
-/// after it. The main text's instructions, costs, ops and run table are the
-/// process's own; the library's are lowered once per host process and
-/// shared by every process.
+/// after it. The main text's instructions, ops and run table are the
+/// process's own (its costs are the run table's differences); the
+/// library's are lowered once per host process and shared by every process.
 #[derive(Debug)]
 pub struct Plan {
     /// The main text's ops; slot `ops.len()` is the library's first.
     ops: Vec<Op>,
     runs: Vec<Run>,
     insts: Vec<Inst>,
-    costs: Vec<u64>,
     lib: &'static Text,
     lib_runs: &'static [Run],
 }
@@ -107,12 +113,10 @@ impl Plan {
     /// The main text behind the system library and its run table.
     pub(crate) fn new(main: Text, lib: &'static Text, lib_runs: &'static [Run]) -> Plan {
         let runs = main.runs();
-        let Text { insts, ops, costs } = main;
         Plan {
-            ops,
+            ops: main.ops,
             runs,
-            insts,
-            costs,
+            insts: main.insts,
             lib,
             lib_runs,
         }
@@ -136,10 +140,16 @@ impl Plan {
     /// The cycle cost of the instruction in `slot` (panics if out of range).
     #[must_use]
     pub fn cost(&self, slot: usize) -> u64 {
-        match self.costs.get(slot) {
-            Some(&cost) => cost,
-            None => self.lib.costs[slot - self.costs.len()],
-        }
+        let Some(&run) = self.runs.get(slot) else {
+            return self.lib.costs[slot - self.runs.len()];
+        };
+        // A run that goes on holds the next slot's run.
+        let rest = if run.len > 1 {
+            self.runs[slot + 1].cost
+        } else {
+            0
+        };
+        u64::from(run.cost - rest)
     }
 
     fn op(&self, slot: usize) -> &Op {
@@ -164,19 +174,26 @@ impl Plan {
     #[must_use]
     pub fn runs_ending_before(&self, flags: &[u8], mask: u8) -> Vec<Run> {
         let (main, total) = (self.ops.len(), self.num_slots());
-        let flagged = |slot: usize| flags.get(slot).is_some_and(|&f| f & mask != 0);
-        let len = if (main..total).any(flagged) {
-            total
+        let flagged = |slot: &usize| flags.get(*slot).is_some_and(|&f| f & mask != 0);
+        let base = if (main..total).any(|slot| flagged(&slot)) {
+            [&self.runs[..], self.lib_runs].concat()
         } else {
-            main
+            self.runs.clone()
         };
-        runs_of(
-            len,
-            |slot| {
-                self.op(slot).ends_run() || [main, total].contains(&(slot + 1)) || flagged(slot + 1)
-            },
-            |slot| self.cost(slot),
-        )
+        // Cut every run that reaches a flagged slot just before it: a slot
+        // whose run goes on to the next (`len > 1`) keeps its run up to the
+        // cut, and the cost up to it is the difference of two suffix sums.
+        // Later cuts first, so an earlier one in the same run wins.
+        let mut runs = base.clone();
+        for cut in (1..base.len()).rev().filter(flagged) {
+            for slot in (0..cut).rev().take_while(|&slot| base[slot].len > 1) {
+                runs[slot] = Run {
+                    len: (cut - slot) as u16,
+                    cost: base[slot].cost - base[cut].cost,
+                };
+            }
+        }
+        runs
     }
 }
 
@@ -185,7 +202,7 @@ impl Plan {
 fn runs_of(len: usize, ends_at: impl Fn(usize) -> bool, cost: impl Fn(usize) -> u64) -> Vec<Run> {
     let mut runs = vec![Run::default(); len];
     for slot in (0..len).rev() {
-        let own = u32::try_from(cost(slot)).expect("an instruction costs under 2^32 cycles");
+        let own = u16::try_from(cost(slot)).expect("an instruction costs under 2^16 cycles");
         let extended = (!ends_at(slot)).then(|| {
             Some(Run {
                 len: runs[slot + 1].len.checked_add(1)?,
@@ -333,4 +350,64 @@ pub fn step_op<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Op, cost: u64) -
     cpu.retired += 1;
     let pc = cpu.pc;
     exec_op(cpu, mem, op, pc, pc + STEP)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Process;
+    use janus_ir::{AluOp, AsmBuilder, Cond, Operand, Reg};
+
+    /// A flagged table cut from the base one is the table its definition
+    /// builds: runs end at control transfers, at each section's last slot and
+    /// before every flagged slot; past its end, the library's own.
+    #[test]
+    fn cut_run_tables_match_their_definition() {
+        let mut asm = AsmBuilder::new();
+        asm.function("main");
+        asm.label("top");
+        for k in 0..40 {
+            asm.push(Inst::alu(
+                AluOp::Add,
+                Operand::reg(Reg::R0),
+                Operand::imm(k),
+            ));
+            if k % 9 == 4 {
+                asm.push_branch(Cond::Lt, "top");
+            }
+        }
+        asm.push_call_ext("pow");
+        asm.push(Inst::Halt);
+        let process = Process::load(&asm.finish_binary("main").unwrap()).unwrap();
+        let plan = process.plan();
+        let (main, total) = (plan.ops.len(), plan.num_slots());
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        for case in 0..200 {
+            let flags: Vec<u8> = (0..total)
+                .map(|slot| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    let lib_odds = if case % 2 == 0 { 0 } else { 8 };
+                    let odds = if slot < main { 6 } else { lib_odds };
+                    u8::from(seed % 64 < odds) << (seed % 3)
+                })
+                .collect();
+            let mask = 0b011;
+            let flagged = |slot: usize| flags.get(slot).is_some_and(|&f| f & mask != 0);
+            let want = runs_of(
+                total,
+                |slot| {
+                    plan.op(slot).ends_run()
+                        || [main, total].contains(&(slot + 1))
+                        || flagged(slot + 1)
+                },
+                |slot| plan.cost(slot),
+            );
+            let got = plan.runs_ending_before(&flags, mask);
+            let covered = [&got[..], &plan.lib_runs[got.len() - main..]].concat();
+            assert_eq!(covered, want, "case {case}");
+            assert_eq!(got.len() == total, (main..total).any(flagged));
+        }
+    }
 }
