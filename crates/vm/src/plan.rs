@@ -6,10 +6,10 @@
 //! to and including the next control transfer, or the last slot of the text
 //! section — a run never falls from the main text into the system library.
 //! Any slot starts a run, so an indirect jump into the middle of one needs
-//! no leader analysis. A loop that tests per-slot flags (rule sites, loop
-//! exits, transactional calls) builds its own table once with
-//! [`Plan::runs_ending_before`], so those flags are only ever tested where a
-//! run starts.
+//! no leader analysis. A dispatcher that tests per-slot flags (rule sites,
+//! loop exits, transactional calls) builds a table once with
+//! [`Plan::runs_ending_before`] whose runs also end before every flagged
+//! slot, so those flags are only ever tested where a run starts.
 //!
 //! [`step_run`] is the one stepper all interpreter loops call: it charges a
 //! run's cycles and instruction count at once, executes its ops and returns
@@ -43,7 +43,7 @@ pub struct Run {
 }
 
 /// One text section, decoded, costed and lowered, by slot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct Text {
     insts: Vec<Inst>,
     ops: Vec<Op>,
