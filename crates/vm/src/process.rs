@@ -48,8 +48,8 @@ pub struct Process {
 
 /// The system library image, lowered, with its run table. It is the same
 /// for every process, so it is built once per host process:
-/// [`Process::load`] borrows the image and copies the slots behind the main
-/// binary's.
+/// [`Process::load`] borrows all of it, and the library's slots follow the
+/// main binary's in the slot space.
 fn system_library() -> &'static (JBinary, Text, Vec<Run>) {
     static LIBRARY: OnceLock<(JBinary, Text, Vec<Run>)> = OnceLock::new();
     LIBRARY.get_or_init(|| {
