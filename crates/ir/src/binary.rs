@@ -360,12 +360,12 @@ impl JBinary {
         let bss_size = r.u64()?;
         let text = r.bytes()?.to_vec();
         let data = r.bytes()?.to_vec();
-        let plt_len = r.u32()? as usize;
+        let plt_len = r.count(4)?;
         let mut plt = Vec::with_capacity(plt_len);
         for _ in 0..plt_len {
             plt.push(PltEntry { name: r.string()? });
         }
-        let sym_len = r.u32()? as usize;
+        let sym_len = r.count(4 + 8 + 8 + 1)?;
         let mut symbols = Vec::with_capacity(sym_len);
         for _ in 0..sym_len {
             let name = r.string()?;
@@ -443,7 +443,7 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(IrError::MalformedBinary {
                 reason: "unexpected end of file".to_string(),
             });
@@ -465,6 +465,19 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().unwrap()))
+    }
+
+    /// A table length, checked against the bytes left: each entry takes at
+    /// least `entry_bytes`, so a length they cannot hold is malformed rather
+    /// than an allocation the length alone decides.
+    fn count(&mut self, entry_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        if count > (self.bytes.len() - self.pos) / entry_bytes {
+            return Err(IrError::MalformedBinary {
+                reason: format!("a table of {count} entries runs past the end of file"),
+            });
+        }
+        Ok(count)
     }
 
     fn bytes(&mut self) -> Result<&'a [u8]> {
@@ -530,6 +543,25 @@ mod tests {
     fn rejects_truncated_file() {
         let bytes = simple_binary().to_bytes();
         assert!(JBinary::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn rejects_table_lengths_the_bytes_cannot_hold() {
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for word in [TEXT_BASE, TEXT_BASE, DATA_BASE, 0, 0, 0] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        // PLT length u32::MAX; then an empty PLT and symbol count u32::MAX.
+        let mut plt = header.clone();
+        plt.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut symbols = header;
+        symbols.extend_from_slice(&0u32.to_le_bytes());
+        symbols.extend_from_slice(&u32::MAX.to_le_bytes());
+        for bytes in [plt, symbols] {
+            let err = JBinary::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, IrError::MalformedBinary { .. }), "{err}");
+        }
     }
 
     #[test]

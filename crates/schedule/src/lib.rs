@@ -389,7 +389,7 @@ impl RewriteSchedule {
         };
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], ScheduleError> {
-            if *pos + n > bytes.len() {
+            if n > bytes.len() - *pos {
                 return Err(ScheduleError::Malformed {
                     reason: "unexpected end of schedule".to_string(),
                 });
@@ -414,6 +414,11 @@ impl RewriteSchedule {
             .map_err(|_| err("executable name is not UTF-8"))?;
         let threads = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        // The count is untrusted: reserve only what the bytes can hold.
+        const RULE_BYTES: usize = 16 + 8 * RULE_DATA_WORDS;
+        if count > (bytes.len() - pos) / RULE_BYTES {
+            return Err(err("rule count runs past the end of the schedule"));
+        }
         let mut rules = Vec::with_capacity(count);
         for _ in 0..count {
             let addr = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
@@ -534,6 +539,19 @@ mod tests {
         };
         let bytes = s.to_bytes();
         assert!(RewriteSchedule::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+    }
+
+    #[test]
+    fn a_rule_count_the_bytes_cannot_hold_is_malformed() {
+        let mut bytes = b"JRWS".to_vec();
+        bytes.extend_from_slice(&SCHEDULE_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        bytes.extend_from_slice(b"470.lbm!");
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 28);
+        let err = RewriteSchedule::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, ScheduleError::Malformed { .. }), "{err}");
     }
 
     #[test]
