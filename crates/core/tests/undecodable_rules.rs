@@ -1,0 +1,122 @@
+//! A rewrite rule whose data words do not decode costs its loop, never the
+//! host and never the loop's meaning. The DBM reads registers named by
+//! `LOOP_INIT`, `MEM_PRIVATISE` and `MEM_BOUNDS_CHECK` data words; a
+//! schedule comes from bytes janus may not have produced, so a word may name
+//! a register outside the file, or a variable kind the DBM does not know.
+//! `PreparedDbm::new` drops every loop with such a rule, as it drops one
+//! without `LOOP_INIT`: the run finishes with the interpreter's integer
+//! outputs, one parallel loop fewer, and exactly what a schedule that never
+//! named the loop yields. It never runs a loop with a rule skipped — a
+//! reduction that is not privatised would race.
+
+use janus_compile::Compiler;
+use janus_core::{DbmConfig, Janus, PreparedDbm, VarSpec};
+use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
+use janus_vm::{Process, Vm};
+use janus_workloads::workload;
+
+/// Register byte of a `MEM_BOUNDS_CHECK` side word set to `reg`, marking
+/// the side register-based.
+fn side_register(word: i64, reg: i64) -> i64 {
+    (word & !0xff00) | 1 | (reg << 8)
+}
+
+/// Each case: a binary, the rule kind whose first rule is corrupted and how.
+type Case = (&'static str, RuleId, fn(&mut RewriteRule));
+
+const CASES: &[Case] = &[
+    // An induction register past the file.
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[1] = 0;
+        rule.data[2] = 200;
+    }),
+    // 260 is r4 once truncated to a byte: not a register either.
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[1] = 0;
+        rule.data[2] = 260;
+    }),
+    // A bounds-check base register past the file...
+    ("410.bwaves", RuleId::MemBoundsCheck, |rule| {
+        rule.data[1] = side_register(rule.data[1], 200);
+    }),
+    ("436.cactusADM", RuleId::MemBoundsCheck, |rule| {
+        rule.data[3] = side_register(rule.data[3], 200);
+    }),
+    ("459.GemsFDTD", RuleId::MemBoundsCheck, |rule| {
+        rule.data[1] = side_register(rule.data[1], 200);
+    }),
+    // ...and one in the vector file: an address base is a GPR.
+    ("459.GemsFDTD", RuleId::MemBoundsCheck, |rule| {
+        rule.data[3] = side_register(rule.data[3], 20);
+    }),
+    // A reduction variable of no known kind.
+    ("410.bwaves", RuleId::MemPrivatise, |rule| rule.data[1] = 9),
+];
+
+#[test]
+fn a_loop_with_an_undecodable_rule_runs_sequentially() {
+    let janus = Janus::new();
+    for &(name, id, corrupt) in CASES {
+        let binary = Compiler::new()
+            .compile(&workload(name).expect("known workload").train_program)
+            .expect("workload compiles");
+        let schedule = janus.prepare(&binary, &[]).expect("prepares").schedule;
+        let process = Process::load(&binary).expect("loads");
+        let mut vm = Vm::new(process.clone());
+        vm.run().expect("the interpreter finishes");
+
+        // The first `id` rule corrupted, and the schedule without its loop.
+        let mut bad = RewriteSchedule::new(name);
+        let mut without = RewriteSchedule::new(name);
+        let victim = schedule
+            .rules()
+            .iter()
+            .position(|rule| rule.id == id)
+            .unwrap_or_else(|| panic!("{name} has a {id:?} rule"));
+        let loop_id = schedule.rules()[victim].loop_id();
+        for (k, rule) in schedule.rules().iter().enumerate() {
+            let mut rule = *rule;
+            if k == victim {
+                corrupt(&mut rule);
+            }
+            bad.push(rule);
+            if rule.loop_id() != loop_id {
+                without.push(rule);
+            }
+        }
+
+        let config = DbmConfig {
+            threads: 2,
+            adaptive: false,
+            ..janus.dbm_config()
+        };
+        let good = PreparedDbm::new(process.clone(), &schedule, config);
+        let dbm = PreparedDbm::new(process.clone(), &bad, config);
+        assert_eq!(
+            dbm.num_parallel_loops() + 1,
+            good.num_parallel_loops(),
+            "{name}, {id:?}"
+        );
+        let run = dbm
+            .execute(&[])
+            .unwrap_or_else(|e| panic!("{name}, {id:?}: {e}"));
+        assert_eq!(run.output_ints, vm.output_ints(), "{name}, {id:?}");
+        // The loop runs as if the schedule had never named it; floats match
+        // the interpreter's up to the other loops' parallel reductions.
+        let dropped = PreparedDbm::new(process, &without, config)
+            .execute(&[])
+            .expect("runs");
+        assert_eq!(run.output_floats, dropped.output_floats, "{name}, {id:?}");
+        assert_eq!(run.memory_digest, dropped.memory_digest, "{name}, {id:?}");
+        assert_eq!(run.cycles, dropped.cycles, "{name}, {id:?}");
+    }
+}
+
+#[test]
+fn register_words_decode_only_inside_the_file() {
+    assert_eq!(VarSpec::decode(0, 4), Some(VarSpec::Reg(4)));
+    assert_eq!(VarSpec::decode(0, 31), Some(VarSpec::Reg(31)));
+    for value in [32, 200, 260, -1, i64::MAX] {
+        assert_eq!(VarSpec::decode(0, value), None, "{value}");
+    }
+}

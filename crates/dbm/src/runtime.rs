@@ -52,11 +52,15 @@ impl VarSpec {
         }
     }
 
-    /// Decodes from `(kind, value)` data words.
+    /// Decodes from `(kind, value)` data words; `None` for an unknown kind
+    /// or a register outside the file.
     #[must_use]
     pub fn decode(kind: i64, value: i64) -> Option<VarSpec> {
         match kind {
-            0 => Some(VarSpec::Reg(value as u8)),
+            0 => {
+                let reg = Reg::from_raw(u8::try_from(value).ok()?)?;
+                Some(VarSpec::Reg(reg.raw()))
+            }
             1 => Some(VarSpec::Stack(value)),
             _ => None,
         }
@@ -126,20 +130,21 @@ impl SideSpec {
         (w1, self.base_or_offset)
     }
 
-    /// Decodes from two data words.
+    /// Decodes from two data words; `None` if the base register is not a
+    /// general-purpose register.
     #[must_use]
-    pub fn decode(w1: i64, w2: i64) -> SideSpec {
-        let is_reg = (w1 & 1) == 1;
-        let reg = if is_reg {
-            Some(((w1 >> 8) & 0xff) as u8)
+    pub fn decode(w1: i64, w2: i64) -> Option<SideSpec> {
+        let reg = if (w1 & 1) == 1 {
+            let reg = Reg::from_raw(((w1 >> 8) & 0xff) as u8).filter(|r| r.is_gpr())?;
+            Some(reg.raw())
         } else {
             None
         };
-        SideSpec {
+        Some(SideSpec {
             reg,
             base_or_offset: w2,
             stride: w1 >> 16,
-        }
+        })
     }
 
     /// The address range `[lo, hi)` touched over `iterations` iterations,
@@ -287,39 +292,49 @@ impl PreparedDbm {
         }
 
         let mut loops: HashMap<usize, LoopRt> = HashMap::new();
+        // Loops with a rule whose data words do not decode.
+        let mut undecodable = HashSet::new();
         for rule in schedule.rules() {
             let entry = loops.entry(rule.loop_id()).or_default();
-            match rule.id {
+            let decoded = match rule.id {
                 RuleId::LoopInit => {
                     entry.header = rule.addr;
                     entry.induction = VarSpec::decode(rule.data[1], rule.data[2]);
                     entry.step = rule.data[3];
                     entry.bound_cmp_addr = rule.data[4] as u64;
                     entry.continue_cond = rule.data[5];
+                    entry.induction.is_some()
                 }
-                RuleId::MemPrivatise => {
-                    if let Some(var) = VarSpec::decode(rule.data[1], rule.data[2]) {
+                RuleId::MemPrivatise => VarSpec::decode(rule.data[1], rule.data[2])
+                    .map(|var| {
                         entry
                             .reductions
                             .push((var, rule.data[3], rule.data[4] != 0));
-                    }
+                    })
+                    .is_some(),
+                RuleId::MemBoundsCheck => SideSpec::decode(rule.data[1], rule.data[2])
+                    .zip(SideSpec::decode(rule.data[3], rule.data[4]))
+                    .map(|pair| entry.bounds_pairs.push(pair))
+                    .is_some(),
+                RuleId::TxStart => {
+                    entry.has_tx_calls = true;
+                    true
                 }
-                RuleId::MemBoundsCheck => {
-                    entry.bounds_pairs.push((
-                        SideSpec::decode(rule.data[1], rule.data[2]),
-                        SideSpec::decode(rule.data[3], rule.data[4]),
-                    ));
-                }
-                RuleId::TxStart => entry.has_tx_calls = true,
                 RuleId::Speculate => {
                     entry.speculative = true;
+                    true
                 }
-                _ => {}
+                _ => true,
+            };
+            if !decoded {
+                undecodable.insert(rule.loop_id());
             }
         }
         // Drop loop entries without a LOOP_INIT rule (e.g. profiling-only
-        // schedules) — they cannot drive parallelisation.
-        loops.retain(|_, l| l.header != 0 && l.induction.is_some());
+        // schedules) — they cannot drive parallelisation — and every loop
+        // with a rule that does not decode: running one with a rule skipped
+        // could race (an unprivatised reduction, an unchecked overlap).
+        loops.retain(|id, l| l.header != 0 && !undecodable.contains(id));
         // Second pass, over the loops that survived: mark each loop's exits,
         // transactional calls and bound compare in its own flag table (an
         // address without a slot can never be reached and needs no mark).
@@ -1500,6 +1515,7 @@ mod tests {
             assert_eq!(VarSpec::decode(k, v), Some(spec));
         }
         assert_eq!(VarSpec::decode(9, 0), None);
+        assert_eq!(VarSpec::decode(0, 260), None, "not r4 truncated");
     }
 
     #[test]
@@ -1522,7 +1538,11 @@ mod tests {
             },
         ] {
             let (a, b) = spec.encode();
-            assert_eq!(SideSpec::decode(a, b), spec);
+            assert_eq!(SideSpec::decode(a, b), Some(spec));
+        }
+        // A base register past the file, or in the vector file.
+        for raw in [200, Reg::V4.raw()] {
+            assert_eq!(SideSpec::decode(1 | (i64::from(raw) << 8), 0), None);
         }
     }
 
