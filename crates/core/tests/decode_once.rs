@@ -13,11 +13,11 @@ fn assert_costs_tabulated(what: &str, binary: &JBinary) {
     let process = Process::load(binary).expect("binary loads");
     let model = CostModel::default();
     for slot in 0..process.num_slots() {
+        let inst = process.inst(slot);
         assert_eq!(
             process.cost(slot),
-            model.cost(process.inst(slot)),
-            "{what}: slot {slot} ({:?})",
-            process.inst(slot)
+            model.cost(&inst),
+            "{what}: slot {slot} ({inst:?})"
         );
     }
 }

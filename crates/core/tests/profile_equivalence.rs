@@ -100,7 +100,7 @@ fn reference_profile(
             }
         }
 
-        let inst = process.inst_at(pc)?.clone();
+        let inst = process.inst_at(pc)?;
         if let Some(&current) = loop_stack.last() {
             if at(pc).iter().any(|r| r.id == RuleId::ProfMemAccess) {
                 if let Some(m) = inst.mem_read() {

@@ -42,7 +42,7 @@ fn step_each(
         if stop == Some(cpu.pc) {
             return Ok(());
         }
-        let inst = process.inst_at(cpu.pc)?.clone();
+        let inst = process.inst_at(cpu.pc)?;
         let next = cpu.pc + STEP;
         match exec_inst(cpu, mem, &inst, next)? {
             Effect::Continue => cpu.pc = next,

@@ -166,26 +166,6 @@ impl SideSpec {
     }
 }
 
-/// Per-slot flag bits of the lowered tables: everything a dispatch loop asks
-/// about the instruction it is about to execute, folded into one byte load.
-/// One run table serves every loop: its runs end before every slot any
-/// table flags but for `INDIRECT` ([`janus_vm::Plan::runs_ending_before`]),
-/// so a loop tests its flags only where a run starts. An `INDIRECT` slot is
-/// a control transfer, the end of its run, so its lookup is charged there.
-pub(crate) mod slot_flags {
-    /// The instruction pays [`crate::DbmConfig::indirect_lookup_cost`]; set
-    /// in every table from the one `needs_indirect_lookup`.
-    pub(crate) const INDIRECT: u8 = 1 << 0;
-    /// Main-thread table: rewrite rules are attached to this slot.
-    pub(crate) const RULES: u8 = 1 << 1;
-    /// Loop table: a `LOOP_FINISH` / `THREAD_YIELD` address of the loop.
-    pub(crate) const FINISH: u8 = 1 << 2;
-    /// Loop table: a `TX_START` call of the loop.
-    pub(crate) const TX_CALL: u8 = 1 << 3;
-    /// Loop table: the loop-bound compare (`LOOP_UPDATE_BOUND` target).
-    pub(crate) const BOUND_CMP: u8 = 1 << 4;
-}
-
 /// Per-loop runtime information derived from the rewrite schedule.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoopRt {
@@ -201,8 +181,15 @@ pub(crate) struct LoopRt {
     /// `SPECULATE`: run invocations of this loop under the iteration-level
     /// speculation engine instead of chunked DOALL execution.
     pub(crate) speculative: bool,
-    /// [`slot_flags`] per slot: `INDIRECT` plus this loop's own addresses.
-    pub(crate) flags: Vec<u8>,
+    // The loop's own stops, sized by the loop: where its chunks and
+    // speculative iterations do more than step a run. Each starts a run of
+    // `PreparedParts::runs`; another loop's stops never stop them.
+    /// The slot of the bound compare, run specialised to a chunk's bound.
+    bound_cmp: Option<usize>,
+    /// The slots of the `LOOP_FINISH` / `THREAD_YIELD` rules: a chunk ends.
+    exits: Vec<usize>,
+    /// The `TX_START` calls by slot, with the PLT index each calls.
+    tx_calls: Vec<(usize, u32)>,
 }
 
 /// The result of running a binary under the dynamic binary modifier.
@@ -237,9 +224,10 @@ impl DbmRunResult {
 }
 
 /// The immutable, shareable half of a DBM: the loaded process, the rewrite
-/// schedule lowered into slot-addressed tables (the rules attached to each
-/// instruction slot, per-slot flag bytes for the main thread and for each
-/// loop) and per-loop runtime records, and the baseline configuration.
+/// schedule lowered into the one slot-addressed table (the rules attached to
+/// each instruction slot), the run table cut at every slot a loop may stop
+/// at, per-loop runtime records with each loop's own stops, and the
+/// baseline configuration.
 ///
 /// Decoding a schedule and loading a process is per-*binary* work; executing
 /// a run is per-*invocation* work. [`PreparedDbm`] holds the former behind an
@@ -257,12 +245,11 @@ pub struct PreparedDbm {
 #[derive(Debug)]
 pub(crate) struct PreparedParts {
     pub(crate) process: Process,
-    /// The schedule's rules by instruction slot.
+    /// The schedule's rules by instruction slot: the main thread's only
+    /// per-slot test.
     rules: RuleTable,
-    /// Main-thread [`slot_flags`] per slot: `INDIRECT` and `RULES`, plus
-    /// every loop's own flags, which only the run table reads.
-    flags: Vec<u8>,
-    /// Runs ending before every slot `flags` marks but for `INDIRECT`.
+    /// Runs ending before every slot with rules and every loop's bound
+    /// compare, so every stop of a loop starts a run.
     pub(crate) runs: Vec<Run>,
     pub(crate) loops: HashMap<usize, LoopRt>,
     config: DbmConfig,
@@ -277,20 +264,7 @@ impl PreparedDbm {
     /// [`PreparedDbm::execute_with`]).
     #[must_use]
     pub fn new(process: Process, schedule: &RewriteSchedule, config: DbmConfig) -> PreparedDbm {
-        let num_slots = process.num_slots();
-        let rules = schedule.lower(num_slots, |addr| process.slot_of(addr));
-        let mut indirect = vec![0u8; num_slots];
-        let mut flags = vec![0u8; num_slots];
-        for slot in 0..num_slots {
-            if needs_indirect_lookup(process.inst(slot)) {
-                indirect[slot] = slot_flags::INDIRECT;
-            }
-            flags[slot] = indirect[slot];
-            if !rules.at(slot).is_empty() {
-                flags[slot] |= slot_flags::RULES;
-            }
-        }
-
+        let rules = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
         let mut loops: HashMap<usize, LoopRt> = HashMap::new();
         // Loops with a rule whose data words do not decode.
         let mut undecodable = HashSet::new();
@@ -302,6 +276,7 @@ impl PreparedDbm {
                     entry.induction = VarSpec::decode(rule.data[1], rule.data[2]);
                     entry.step = rule.data[3];
                     entry.bound_cmp_addr = rule.data[4] as u64;
+                    entry.bound_cmp = process.slot_of(entry.bound_cmp_addr);
                     entry.continue_cond = rule.data[5];
                     entry.induction.is_some()
                 }
@@ -316,8 +291,18 @@ impl PreparedDbm {
                     .zip(SideSpec::decode(rule.data[3], rule.data[4]))
                     .map(|pair| entry.bounds_pairs.push(pair))
                     .is_some(),
+                RuleId::LoopFinish | RuleId::ThreadYield => {
+                    entry.exits.extend(process.slot_of(rule.addr));
+                    true
+                }
                 RuleId::TxStart => {
                     entry.has_tx_calls = true;
+                    // The call's PLT index, resolved here once.
+                    if let Some(slot) = process.slot_of(rule.addr) {
+                        if let Inst::CallExt { plt } = process.inst(slot) {
+                            entry.tx_calls.push((slot, plt));
+                        }
+                    }
                     true
                 }
                 RuleId::Speculate => {
@@ -335,35 +320,14 @@ impl PreparedDbm {
         // with a rule that does not decode: running one with a rule skipped
         // could race (an unprivatised reduction, an unchecked overlap).
         loops.retain(|id, l| l.header != 0 && !undecodable.contains(id));
-        // Second pass, over the loops that survived: mark each loop's exits,
-        // transactional calls and bound compare in its own flag table (an
-        // address without a slot can never be reached and needs no mark).
-        for lr in loops.values_mut() {
-            lr.flags = indirect.clone();
-        }
-        for rule in schedule.rules() {
-            let Some(lr) = loops.get_mut(&rule.loop_id()) else {
-                continue;
-            };
-            let (addr, flag) = match rule.id {
-                RuleId::LoopInit => (lr.bound_cmp_addr, slot_flags::BOUND_CMP),
-                RuleId::LoopFinish | RuleId::ThreadYield => (rule.addr, slot_flags::FINISH),
-                RuleId::TxStart => (rule.addr, slot_flags::TX_CALL),
-                _ => continue,
-            };
-            if let Some(slot) = process.slot_of(addr) {
-                lr.flags[slot] |= flag;
-                flags[slot] |= flag;
-            }
-        }
+        let bound_cmps: Vec<usize> = loops.values().filter_map(|lr| lr.bound_cmp).collect();
         let runs = process
             .plan()
-            .runs_ending_before(&flags, !slot_flags::INDIRECT);
+            .runs_ending_before(|slot| !rules.at(slot).is_empty() || bound_cmps.contains(&slot));
         PreparedDbm {
             parts: Arc::new(PreparedParts {
                 process,
                 rules,
-                flags,
                 runs,
                 loops,
                 config,
@@ -533,13 +497,13 @@ impl Dbm {
             limit.check(&self.main)?;
             let pc = self.main.pc;
             let slot = parts.process.slot(pc)?;
-            let flags = parts.flags[slot];
 
             // Rewrite-rule interpretation for the main thread: LOOP_INIT
             // triggers the parallel loop runtime, LOOP_FINISH clears any
             // sequential-fallback marker.
-            if flags & slot_flags::RULES != 0 {
-                for rule in parts.rules.at(slot) {
+            let rules = parts.rules.at(slot);
+            if !rules.is_empty() {
+                for rule in rules {
                     match rule.id {
                         RuleId::LoopFinish => {
                             let loop_id = rule.loop_id();
@@ -578,7 +542,9 @@ impl Dbm {
             );
             let last = count_blocks(&mut self.cache.counts, slot, self.main.retired - retired);
             let effect = stepped?;
-            if parts.flags[last] & slot_flags::INDIRECT != 0 {
+            // An indirect transfer ends its run and pays the DBM's target
+            // lookup.
+            if plan.op(last).is_indirect() {
                 self.stats.breakdown.translation += self.config.indirect_lookup_cost;
             }
             match effect {
@@ -748,7 +714,7 @@ impl Dbm {
         let start = induction.read(&self.main, &mut self.mem);
         let (bound_lhs, bound_operand) =
             match self.prepared.parts.process.inst_at(lr.bound_cmp_addr)? {
-                Inst::Cmp { lhs, rhs } => (*lhs, *rhs),
+                Inst::Cmp { lhs, rhs } => (lhs, rhs),
                 other => {
                     return Err(DbmError::BadRule {
                         reason: format!("LOOP_UPDATE_BOUND target is not a compare: {other:?}"),
@@ -1113,7 +1079,7 @@ impl Dbm {
         let process = &self.prepared.parts.process;
         let plan = &**process.plan();
         let limit = Limit::Cycles(self.config.cycle_limit);
-        let (flags, runs) = (&lr.flags, &self.prepared.parts.runs);
+        let runs = &self.prepared.parts.runs;
         let header = lr.header;
         let continue_cond = lr.continue_cond;
         let step = lr.step;
@@ -1149,8 +1115,7 @@ impl Dbm {
                 loop {
                     limit.check(&cpu)?;
                     let slot = process.slot(cpu.pc)?;
-                    let flags = flags[slot];
-                    if flags & slot_flags::FINISH != 0 {
+                    if lr.exits.contains(&slot) {
                         return Ok(janus_spec::IterationRun {
                             cycles: cpu.cycles,
                             payload: SpecPayload {
@@ -1163,7 +1128,7 @@ impl Dbm {
                             },
                         });
                     }
-                    let effect = if flags & slot_flags::BOUND_CMP != 0 {
+                    let effect = if lr.bound_cmp == Some(slot) {
                         step_op(&mut cpu, &mut *view, &bound_cmp, bound_cmp_cost)?
                     } else {
                         step_run(&mut cpu, &mut *view, plan, runs, slot, limit)?
@@ -1270,16 +1235,6 @@ impl Dbm {
     }
 }
 
-/// Whether executing `inst` goes through the DBM's indirect-branch target
-/// lookup ([`DbmConfig::indirect_lookup_cost`]). Evaluated once per slot at
-/// [`PreparedDbm::new`] into [`slot_flags::INDIRECT`].
-fn needs_indirect_lookup(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::JmpInd { .. } | Inst::CallInd { .. } | Inst::CallExt { .. } | Inst::Ret
-    )
-}
-
 /// The induction value at iteration `iter` of an invocation that starts at
 /// `start`. Two's-complement arithmetic is exact modulo 2^64, so the result
 /// is exact whenever the true value fits, as it does for every `iter` up to
@@ -1291,7 +1246,7 @@ fn induction_at(start: i64, iter: i64, step: i64) -> i64 {
 
 /// The `LOOP_UPDATE_BOUND` handler: the loop's bound compare (`lhs` is its
 /// left operand) specialised to `bound`, built once per chunk or speculative
-/// iteration and run in place of the [`slot_flags::BOUND_CMP`] slot at its
+/// iteration and run in place of the loop's [`LoopRt::bound_cmp`] at its
 /// own cost — an immediate compare — not the original's, whose `rhs` may be
 /// a memory operand.
 fn bound_compare(lhs: Operand, bound: i64) -> (Op, u64) {
@@ -1342,23 +1297,21 @@ pub(crate) fn run_chunk<M: GuestMemory>(
         limit.check(&cpu)?;
         let pc = cpu.pc;
         let slot = process.slot(pc)?;
-        let flags = lr.flags[slot];
-        if flags & slot_flags::FINISH != 0 {
+        if lr.exits.contains(&slot) {
             return Ok(ChunkResult { cpu, exit_pc: pc });
         }
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
-        if flags & slot_flags::TX_CALL != 0 && config.enable_runtime_checks {
-            if let Inst::CallExt { plt } = *process.inst(slot) {
-                counts[slot] += 1;
-                if run_transactional_call(ctx, &mut cpu, mem, plt, pc + STEP, &mut log, fx)? {
-                    fx.tx.record(&log, &plan.window);
-                }
-                cpu.pc = pc + STEP;
-                continue;
+        let tx_call = lr.tx_calls.iter().find(|&&(at, _)| at == slot);
+        if let Some(&(_, plt)) = tx_call.filter(|_| config.enable_runtime_checks) {
+            counts[slot] += 1;
+            if run_transactional_call(ctx, &mut cpu, mem, plt, pc + STEP, &mut log, fx)? {
+                fx.tx.record(&log, &plan.window);
             }
+            cpu.pc = pc + STEP;
+            continue;
         }
-        let effect = if flags & slot_flags::BOUND_CMP != 0 {
+        let effect = if lr.bound_cmp == Some(slot) {
             counts[slot] += 1;
             step_op(&mut cpu, mem, &bound_cmp, bound_cmp_cost)?
         } else {
@@ -1366,7 +1319,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
             let stepped = step_run(&mut cpu, mem, text, &ctx.parts.runs, slot, limit);
             let last = count_blocks(counts, slot, cpu.retired - retired);
             let effect = stepped?;
-            if lr.flags[last] & slot_flags::INDIRECT != 0 {
+            if text.op(last).is_indirect() {
                 fx.lookup_cycles += config.indirect_lookup_cost;
             }
             effect

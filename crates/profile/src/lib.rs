@@ -29,7 +29,7 @@
 mod tracker;
 
 use janus_analysis::{BinaryAnalysis, LoopCategory};
-use janus_ir::INST_SIZE;
+use janus_ir::{MemRef, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{step_run, Cpu, Effect, GuestOs, Limit, Process, ResolvedPlt, VmError};
 use serde::{Deserialize, Serialize};
@@ -157,34 +157,34 @@ pub fn profile(
     input: &[i64],
 ) -> Result<ProfileData, VmError> {
     // Lower what the per-instruction path looks up, once: loops by position
-    // in `loop_ids` (a wild id costs a table entry, not memory), loop events
-    // by slot with that position already in data word 0, one flag byte per
-    // slot, and runs that end before every flagged slot, so flags are tested
-    // only where a run starts and an unflagged run pays for nothing below.
-    const RULES: u8 = 1 << 0;
-    const MEM_ACCESS: u8 = 1 << 1;
+    // in `loop_ids` (a wild id costs a table entry, not memory), rules by
+    // slot with that position already in data word 0 — a memory access's
+    // with its operands' index in `accesses` in word 1 — and runs that end
+    // before every slot with rules, so rules are looked up only where a run
+    // starts and a run without any pays for nothing below.
     let mut loop_ids: Vec<usize> = schedule.rules().iter().map(RewriteRule::loop_id).collect();
     loop_ids.sort_unstable();
     loop_ids.dedup();
-    let mut flags = vec![0u8; process.num_slots()];
+    let mut accesses: Vec<[Option<MemRef>; 2]> = Vec::new();
     let mut events = RewriteSchedule::new("");
     for rule in schedule.rules() {
         let Some(slot) = process.slot_of(rule.addr) else {
             continue; // can never fire
         };
+        let dense = loop_ids
+            .binary_search(&rule.loop_id())
+            .expect("collected above");
+        let mut event = rule.with_data(0, dense as i64);
         if rule.id == RuleId::ProfMemAccess {
-            flags[slot] |= MEM_ACCESS;
-        } else {
-            flags[slot] |= RULES;
-            let dense = loop_ids
-                .binary_search(&rule.loop_id())
-                .expect("collected above");
-            events.push(rule.with_data(0, dense as i64));
+            let inst = process.inst(slot);
+            event = event.with_data(1, accesses.len() as i64);
+            accesses.push([inst.mem_read(), inst.mem_write()]);
         }
+        events.push(event);
     }
     let events = events.lower(process.num_slots(), |addr| process.slot_of(addr));
     let plan = process.plan();
-    let runs = plan.runs_ending_before(&flags, RULES | MEM_ACCESS);
+    let runs = plan.runs_ending_before(|slot| !events.at(slot).is_empty());
     let mut tracker = Tracker::new(loop_ids.len());
 
     let mut mem = process.initial_memory();
@@ -197,29 +197,31 @@ pub fn profile(
     let guard = Limit::Retired(50_000_000_000);
     loop {
         guard.check(&cpu)?;
-        let (slot, inst) = process.fetch(cpu.pc)?;
-        let flags = flags[slot];
-        // Loop events attached to this address move the loop stack; the
-        // instruction itself is then charged to whichever loop ends up on top.
-        if flags & RULES != 0 {
-            for rule in events.at(slot) {
+        let slot = process.slot(cpu.pc)?;
+        let rules = events.at(slot);
+        if !rules.is_empty() {
+            // Loop events attached to this address move the loop stack; the
+            // instruction itself is then charged to whichever loop ends up
+            // on top.
+            let mut access = None;
+            for rule in rules {
                 let id = rule.loop_id();
                 match rule.id {
                     RuleId::ProfLoopStart => tracker.start(id, cpu.retired),
                     RuleId::ProfLoopFinish => tracker.finish(id, cpu.retired),
                     RuleId::ProfLoopIter => tracker.latch(id),
+                    RuleId::ProfMemAccess => access = Some(&accesses[rule.data[1] as usize]),
                     _ => {}
                 }
             }
-        }
-        // PROF_MEM_ACCESS: stamp the addresses for dependence detection.
-        if flags & MEM_ACCESS != 0 {
-            if let Some(l) = tracker.tracked() {
-                if let Some(m) = inst.mem_read() {
-                    l.touch(janus_vm::exec::effective_addr(&cpu, &m), false);
+            // PROF_MEM_ACCESS: stamp the addresses for dependence detection,
+            // once however many loops instrument the access.
+            if let (Some([read, write]), Some(l)) = (access, tracker.tracked()) {
+                if let Some(m) = read {
+                    l.touch(janus_vm::exec::effective_addr(&cpu, m), false);
                 }
-                if let Some(m) = inst.mem_write() {
-                    l.touch(janus_vm::exec::effective_addr(&cpu, &m), true);
+                if let Some(m) = write {
+                    l.touch(janus_vm::exec::effective_addr(&cpu, m), true);
                 }
             }
         }

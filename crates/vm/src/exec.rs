@@ -123,12 +123,16 @@ enum Kind {
     Test,
     /// `if cond { gpr[a] = b }`.
     CMov(Cond),
-    /// Jump to `a` (an immediate for a direct jump).
+    /// Jump to the immediate `a`.
     Jmp,
+    /// Jump to the target `a` holds.
+    JmpInd,
     /// Jump to `a` if the condition holds.
     Jcc(Cond),
-    /// Push the return address, jump to `a`.
+    /// Push the return address, jump to the immediate `a`.
     Call,
+    /// Push the return address, jump to the target `a` holds.
+    CallInd,
     /// Push the return address, call PLT entry `a`.
     CallExt,
     Ret,
@@ -300,9 +304,9 @@ impl Op {
             } => (Kind::CMov(*cond), reg(*d, GPR)?, src(s)?),
             Inst::Jmp { target: t } => (Kind::Jmp, target(*t), none),
             Inst::Jcc { cond, target: t } => (Kind::Jcc(*cond), target(*t), none),
-            Inst::JmpInd { target: t } => (Kind::Jmp, src(t)?, none),
+            Inst::JmpInd { target: t } => (Kind::JmpInd, src(t)?, none),
             Inst::Call { target: t } => (Kind::Call, target(*t), none),
-            Inst::CallInd { target: t } => (Kind::Call, src(t)?, none),
+            Inst::CallInd { target: t } => (Kind::CallInd, src(t)?, none),
             Inst::CallExt { plt } => (Kind::CallExt, Loc::Imm(i64::from(*plt)), none),
             Inst::Ret => (Kind::Ret, none, none),
             Inst::Push { src: s } => (Kind::Push, src(s)?, none),
@@ -342,11 +346,26 @@ impl Op {
             kind,
             Kind::Halt
                 | Kind::Jmp
+                | Kind::JmpInd
                 | Kind::Jcc(_)
                 | Kind::Call
+                | Kind::CallInd
                 | Kind::CallExt
                 | Kind::Ret
                 | Kind::Syscall
+        )
+    }
+
+    /// Whether this op transfers control to a target only known at run
+    /// time: an indirect jump or call, a PLT call or a return.
+    #[must_use]
+    pub fn is_indirect(&self) -> bool {
+        matches!(
+            self.0,
+            Form::Any {
+                kind: Kind::JmpInd | Kind::CallInd | Kind::CallExt | Kind::Ret,
+                ..
+            }
         )
     }
 }
@@ -671,13 +690,13 @@ fn exec_any<M: GuestMemory>(
                 *gpr_mut(cpu, index(a)) = v;
             }
         }
-        Kind::Jmp => return Ok(Effect::Jump(read_int(cpu, mem, a) as u64)),
+        Kind::Jmp | Kind::JmpInd => return Ok(Effect::Jump(read_int(cpu, mem, a) as u64)),
         Kind::Jcc(cond) => {
             if cpu.flags.eval(cond) {
                 return Ok(Effect::Jump(read_int(cpu, mem, a) as u64));
             }
         }
-        Kind::Call => {
+        Kind::Call | Kind::CallInd => {
             let t = read_int(cpu, mem, a) as u64;
             push_value(cpu, mem, next_pc as i64);
             return Ok(Effect::Jump(t));
@@ -1273,6 +1292,36 @@ mod equivalence {
     }
 
     #[test]
+    fn only_runtime_targets_are_indirect() {
+        let r1 = Operand::reg(Reg::R1);
+        let target = Operand::imm(0x40_0040);
+        let indirect = [
+            Inst::JmpInd { target },
+            Inst::JmpInd { target: r1 },
+            Inst::CallInd { target },
+            Inst::CallExt { plt: 0 },
+            Inst::Ret,
+        ];
+        let direct = [
+            Inst::Jmp { target: 0x40_0040 },
+            Inst::Call { target: 0x40_0040 },
+            Inst::Jcc {
+                cond: Cond::Eq,
+                target: 0x40_0040,
+            },
+            Inst::Syscall { num: 0 },
+            Inst::mov(r1, target),
+        ];
+        for inst in indirect {
+            let op = Op::lower(&inst).unwrap();
+            assert!(op.is_indirect() && op.ends_run(), "{inst}");
+        }
+        for inst in direct {
+            assert!(!Op::lower(&inst).unwrap().is_indirect(), "{inst}");
+        }
+    }
+
+    #[test]
     fn an_op_is_forty_bytes() {
         assert_eq!(std::mem::size_of::<Op>(), 40);
     }
@@ -1293,7 +1342,7 @@ mod equivalence {
                 };
             }
         }
-        // 23 kinds by first operand form, the operand-less ones with only a
+        // 25 kinds by first operand form, the operand-less ones with only a
         // placeholder, plus the fourteen specialised forms.
         assert!(seen.len() > 80, "{} forms", seen.len());
     }

@@ -6,10 +6,11 @@
 //! to and including the next control transfer, or the last slot of the text
 //! section — a run never falls from the main text into the system library.
 //! Any slot starts a run, so an indirect jump into the middle of one needs
-//! no leader analysis. A dispatcher that tests per-slot flags (rule sites,
-//! loop exits, transactional calls) builds a table once with
-//! [`Plan::runs_ending_before`] whose runs also end before every flagged
-//! slot, so those flags are only ever tested where a run starts.
+//! no leader analysis. Ops and runs are all a process keeps per slot: the
+//! decoded instructions are dropped once lowered. A dispatcher that stops at
+//! some slots (rule sites, loop exits, a loop's bound compare) builds a table
+//! once with [`Plan::runs_ending_before`] whose runs also end before each of
+//! them, so it tests for a stop only where a run starts.
 //!
 //! [`step_run`] is the one stepper all interpreter loops call: it charges a
 //! run's cycles and instruction count at once, executes its ops and returns
@@ -27,7 +28,7 @@ use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
 use crate::exec::{exec_op, Effect, Op};
 use crate::memory::GuestMemory;
-use janus_ir::{decode, Inst, JBinary, INST_SIZE};
+use janus_ir::{decode, JBinary, INST_SIZE};
 
 const STEP: u64 = INST_SIZE as u64;
 
@@ -42,10 +43,9 @@ pub struct Run {
     pub cost: u16,
 }
 
-/// One text section, decoded, costed and lowered, by slot.
+/// One text section, costed and lowered, by slot.
 #[derive(Debug)]
 pub(crate) struct Text {
-    insts: Vec<Inst>,
     ops: Vec<Op>,
     costs: Vec<u64>,
 }
@@ -61,7 +61,6 @@ impl Text {
         let model = CostModel::default();
         let slots = binary.text().len().div_ceil(INST_SIZE);
         let mut text = Text {
-            insts: Vec::with_capacity(slots),
             ops: Vec::with_capacity(slots),
             costs: Vec::with_capacity(slots),
         };
@@ -73,7 +72,6 @@ impl Text {
             let op = Op::lower(&inst).map_err(|why| format!("{addr:#x}: `{inst}`: {why}"))?;
             text.ops.push(op);
             text.costs.push(model.cost(&inst));
-            text.insts.push(inst);
         }
         Ok(text)
     }
@@ -96,15 +94,14 @@ impl Text {
 }
 
 /// A process's lowered text by slot, main text first and the system library
-/// after it. The main text's instructions, ops and run table are the
-/// process's own (its costs are the run table's differences); the
-/// library's are lowered once per host process and shared by every process.
+/// after it. The main text's ops and run table are the process's own (its
+/// costs are the run table's differences); the library's are lowered once
+/// per host process and shared by every process.
 #[derive(Debug)]
 pub struct Plan {
     /// The main text's ops; slot `ops.len()` is the library's first.
     ops: Vec<Op>,
     runs: Vec<Run>,
-    insts: Vec<Inst>,
     lib: &'static Text,
     lib_runs: &'static [Run],
 }
@@ -116,7 +113,6 @@ impl Plan {
         Plan {
             ops: main.ops,
             runs,
-            insts: main.insts,
             lib,
             lib_runs,
         }
@@ -126,15 +122,6 @@ impl Plan {
     #[must_use]
     pub fn num_slots(&self) -> usize {
         self.ops.len() + self.lib.ops.len()
-    }
-
-    /// The decoded instruction in `slot` (panics if out of range).
-    #[must_use]
-    pub fn inst(&self, slot: usize) -> &Inst {
-        match self.insts.get(slot) {
-            Some(inst) => inst,
-            None => &self.lib.insts[slot - self.insts.len()],
-        }
     }
 
     /// The cycle cost of the instruction in `slot` (panics if out of range).
@@ -152,7 +139,10 @@ impl Plan {
         u64::from(run.cost - rest)
     }
 
-    fn op(&self, slot: usize) -> &Op {
+    /// The lowered op in `slot` (panics if out of range).
+    #[must_use]
+    #[inline]
+    pub fn op(&self, slot: usize) -> &Op {
         match self.ops.get(slot) {
             Some(op) => op,
             None => &self.lib.ops[slot - self.ops.len()],
@@ -167,25 +157,24 @@ impl Plan {
         &self.runs
     }
 
-    /// A run table whose runs also end before every slot whose `flags`
-    /// entry (indexed by slot) has a bit of `mask` set, so a loop that tests
-    /// those flags only meets flagged slots where a run starts. It covers
-    /// the library too only if a library slot is flagged.
+    /// A run table whose runs also end before every slot `stop` holds for,
+    /// so a loop that stops at those slots only meets them where a run
+    /// starts. It covers the library too only if `stop` holds for a library
+    /// slot.
     #[must_use]
-    pub fn runs_ending_before(&self, flags: &[u8], mask: u8) -> Vec<Run> {
+    pub fn runs_ending_before(&self, stop: impl Fn(usize) -> bool) -> Vec<Run> {
         let (main, total) = (self.ops.len(), self.num_slots());
-        let flagged = |slot: &usize| flags.get(*slot).is_some_and(|&f| f & mask != 0);
-        let base = if (main..total).any(|slot| flagged(&slot)) {
+        let base = if (main..total).any(&stop) {
             [&self.runs[..], self.lib_runs].concat()
         } else {
             self.runs.clone()
         };
-        // Cut every run that reaches a flagged slot just before it: a slot
-        // whose run goes on to the next (`len > 1`) keeps its run up to the
-        // cut, and the cost up to it is the difference of two suffix sums.
-        // Later cuts first, so an earlier one in the same run wins.
+        // Cut every run that reaches a stop just before it: a slot whose run
+        // goes on to the next (`len > 1`) keeps its run up to the cut, and
+        // the cost up to it is the difference of two suffix sums. Later cuts
+        // first, so an earlier one in the same run wins.
         let mut runs = base.clone();
-        for cut in (1..base.len()).rev().filter(flagged) {
+        for cut in (1..base.len()).rev().filter(|&slot| stop(slot)) {
             for slot in (0..cut).rev().take_while(|&slot| base[slot].len > 1) {
                 runs[slot] = Run {
                     len: (cut - slot) as u16,
@@ -356,11 +345,11 @@ pub fn step_op<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Op, cost: u64) -
 mod tests {
     use super::*;
     use crate::Process;
-    use janus_ir::{AluOp, AsmBuilder, Cond, Operand, Reg};
+    use janus_ir::{AluOp, AsmBuilder, Cond, Inst, Operand, Reg};
 
-    /// A flagged table cut from the base one is the table its definition
-    /// builds: runs end at control transfers, at each section's last slot and
-    /// before every flagged slot; past its end, the library's own.
+    /// A table cut from the base one is the table its definition builds:
+    /// runs end at control transfers, at each section's last slot and before
+    /// every stop; past its end, the library's own.
     #[test]
     fn cut_run_tables_match_their_definition() {
         let mut asm = AsmBuilder::new();
@@ -383,31 +372,30 @@ mod tests {
         let (main, total) = (plan.ops.len(), plan.num_slots());
         let mut seed = 0x2545_f491_4f6c_dd1d_u64;
         for case in 0..200 {
-            let flags: Vec<u8> = (0..total)
+            let stops: Vec<bool> = (0..total)
                 .map(|slot| {
                     seed ^= seed << 13;
                     seed ^= seed >> 7;
                     seed ^= seed << 17;
-                    let lib_odds = if case % 2 == 0 { 0 } else { 8 };
-                    let odds = if slot < main { 6 } else { lib_odds };
-                    u8::from(seed % 64 < odds) << (seed % 3)
+                    let lib_odds = if case % 2 == 0 { 0 } else { 6 };
+                    let odds = if slot < main { 4 } else { lib_odds };
+                    seed % 64 < odds
                 })
                 .collect();
-            let mask = 0b011;
-            let flagged = |slot: usize| flags.get(slot).is_some_and(|&f| f & mask != 0);
+            let stop = |slot: usize| stops[slot];
             let want = runs_of(
                 total,
                 |slot| {
                     plan.op(slot).ends_run()
                         || [main, total].contains(&(slot + 1))
-                        || flagged(slot + 1)
+                        || (slot + 1 < total && stop(slot + 1))
                 },
                 |slot| plan.cost(slot),
             );
-            let got = plan.runs_ending_before(&flags, mask);
+            let got = plan.runs_ending_before(stop);
             let covered = [&got[..], &plan.lib_runs[got.len() - main..]].concat();
             assert_eq!(covered, want, "case {case}");
-            assert_eq!(got.len() == total, (main..total).any(flagged));
+            assert_eq!(got.len() == total, (main..total).any(stop));
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::error::{Result, VmError};
 use crate::memory::{FlatMemory, GuestMemory};
 use crate::plan::{Plan, Run, Text};
 use crate::syslib::build_syslib;
-use janus_ir::{Inst, JBinary, HEAP_BASE, INST_SIZE, STACK_BASE};
+use janus_ir::{decode, Inst, JBinary, HEAP_BASE, INST_SIZE, STACK_BASE};
 use std::sync::{Arc, OnceLock};
 
 /// Resolution of one PLT entry performed by the loader.
@@ -160,10 +160,18 @@ impl Process {
         (off % INST_SIZE as u64 == 0).then(|| first + (off / INST_SIZE as u64) as usize)
     }
 
-    /// The decoded instruction in `slot` (panics if `slot >= num_slots()`).
+    /// The instruction in `slot`, decoded from the text on each call: no
+    /// interpreter loop asks, only setup and tests (panics if
+    /// `slot >= num_slots()`).
     #[must_use]
-    pub fn inst(&self, slot: usize) -> &Inst {
-        self.plan.inst(slot)
+    pub fn inst(&self, slot: usize) -> Inst {
+        let (image, index) = match slot.checked_sub(self.main_slots) {
+            None => (&self.binary, slot),
+            Some(index) => (self.syslib, index),
+        };
+        let offset = index * INST_SIZE;
+        let bytes = &image.text()[offset..offset + INST_SIZE];
+        decode(image.text_base() + offset as u64, bytes).expect("the text decoded at load")
     }
 
     /// The cycle cost of the instruction in `slot`, tabulated at load so no
@@ -171,16 +179,6 @@ impl Process {
     #[must_use]
     pub fn cost(&self, slot: usize) -> u64 {
         self.plan.cost(slot)
-    }
-
-    /// The slot and decoded instruction at `pc`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::BadPc`] if `pc` has no slot.
-    pub fn fetch(&self, pc: u64) -> Result<(usize, &Inst)> {
-        let slot = self.slot(pc)?;
-        Ok((slot, self.plan.inst(slot)))
     }
 
     /// The slot of the instruction at `pc`.
@@ -193,14 +191,14 @@ impl Process {
         self.slot_of(pc).ok_or(VmError::BadPc { pc })
     }
 
-    /// The decoded instruction at `addr`.
+    /// The instruction at `addr`, decoded as [`Process::inst`] does.
     ///
     /// # Errors
     ///
     /// Returns [`VmError::BadPc`] if `addr` is not a valid instruction
     /// address in either text section.
-    pub fn inst_at(&self, addr: u64) -> Result<&Inst> {
-        self.fetch(addr).map(|(_, inst)| inst)
+    pub fn inst_at(&self, addr: u64) -> Result<Inst> {
+        self.slot(addr).map(|slot| self.inst(slot))
     }
 
     /// Builds the initial memory image: `.data` sections of the main binary
@@ -289,9 +287,14 @@ mod tests {
     fn inst_at_decodes_both_sections() {
         let bin = tiny_binary(&["pow"]);
         let p = Process::load(&bin).unwrap();
-        assert!(p.inst_at(bin.entry()).is_ok());
+        assert_eq!(p.inst_at(bin.entry()), Ok(Inst::CallExt { plt: 0 }));
+        let last = bin.text_base() + bin.text_len() - INST_SIZE as u64;
+        assert_eq!(p.inst_at(last), Ok(Inst::Halt));
         let pow_addr = p.syslib().symbol("pow").unwrap().addr;
-        assert!(p.inst_at(pow_addr).is_ok());
+        let lib = p.syslib();
+        let off = (pow_addr - lib.text_base()) as usize;
+        let want = decode(pow_addr, &lib.text()[off..off + INST_SIZE]).unwrap();
+        assert_eq!(p.inst_at(pow_addr), Ok(want));
         assert!(p.inst_at(0x1234).is_err());
         assert!(p.inst_at(bin.entry() + 1).is_err(), "misaligned address");
     }
@@ -323,10 +326,11 @@ mod tests {
             u64::MAX,
         ] {
             assert_eq!(p.slot_of(pc), None, "{pc:#x}");
-            assert!(matches!(p.fetch(pc), Err(VmError::BadPc { pc: bad }) if bad == pc));
+            assert_eq!(p.slot(pc), Err(VmError::BadPc { pc }));
+            assert_eq!(p.inst_at(pc), Err(VmError::BadPc { pc }));
         }
-        let (slot, inst) = p.fetch(bin.entry()).unwrap();
-        assert_eq!(p.inst(slot), inst);
+        let slot = p.slot(bin.entry()).unwrap();
+        assert_eq!(p.inst_at(bin.entry()), Ok(p.inst(slot)));
     }
 
     #[test]
