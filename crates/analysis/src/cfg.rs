@@ -87,12 +87,6 @@ impl FunctionCfg {
         self.blocks.iter().find(|b| b.start == addr)
     }
 
-    /// The block containing the instruction at `addr`, if any.
-    #[must_use]
-    pub fn block_containing(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks.iter().find(|b| b.contains(addr))
-    }
-
     /// Total number of instructions across all blocks.
     #[must_use]
     pub fn num_instructions(&self) -> usize {
@@ -471,7 +465,6 @@ mod tests {
         let main = &funcs[0];
         let b0 = &main.blocks[0];
         assert!(main.block_starting_at(b0.start).is_some());
-        assert!(main.block_containing(b0.start).is_some());
         assert!(main.block_starting_at(0xdead).is_none());
         assert!(main.num_instructions() >= 5);
     }

@@ -387,17 +387,6 @@ fn pattern_with_state(m: &MemRef, state: &SymState) -> AccessPattern {
     }
 }
 
-/// Classifies one memory operand against the induction register and the
-/// loop-invariant register set, without any surrounding-block context.
-///
-/// This is the simple structural classification; [`collect_accesses`] uses a
-/// richer per-block symbolic evaluation that additionally understands scratch
-/// registers derived from the induction variable.
-#[must_use]
-pub fn classify_pattern(m: &MemRef, induction: Option<Reg>, invariant: RegSet) -> AccessPattern {
-    pattern_with_state(m, &entry_state(induction, invariant))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +394,12 @@ mod tests {
 
     fn inv(regs: &[Reg]) -> RegSet {
         regs.iter().copied().collect()
+    }
+
+    /// Classifies one memory operand from a block's entry state, with no
+    /// scratch registers derived yet.
+    fn classify_pattern(m: &MemRef, induction: Option<Reg>, invariant: RegSet) -> AccessPattern {
+        pattern_with_state(m, &entry_state(induction, invariant))
     }
 
     #[test]

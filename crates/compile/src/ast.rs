@@ -474,8 +474,6 @@ pub struct Function {
     pub params: Vec<(String, Ty)>,
     /// Local variables.
     pub locals: Vec<(String, Ty)>,
-    /// Return type, if the function returns a value.
-    pub ret: Option<Ty>,
     /// Function body.
     pub body: Vec<Stmt>,
 }
@@ -488,7 +486,6 @@ impl Function {
             name: name.into(),
             params: Vec::new(),
             locals: Vec::new(),
-            ret: None,
             body: Vec::new(),
         }
     }
@@ -504,13 +501,6 @@ impl Function {
     #[must_use]
     pub fn local(mut self, name: impl Into<String>, ty: Ty) -> Function {
         self.locals.push((name.into(), ty));
-        self
-    }
-
-    /// Sets the return type.
-    #[must_use]
-    pub fn returns(mut self, ty: Ty) -> Function {
-        self.ret = Some(ty);
         self
     }
 
@@ -667,14 +657,10 @@ mod tests {
 
     #[test]
     fn function_var_types() {
-        let f = Function::new("f")
-            .param("p", Ty::Ptr)
-            .local("x", Ty::F64)
-            .returns(Ty::F64);
+        let f = Function::new("f").param("p", Ty::Ptr).local("x", Ty::F64);
         assert_eq!(f.var_type("p"), Some(Ty::Ptr));
         assert_eq!(f.var_type("x"), Some(Ty::F64));
         assert_eq!(f.var_type("missing"), None);
-        assert_eq!(f.ret, Some(Ty::F64));
     }
 
     #[test]

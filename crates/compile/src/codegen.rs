@@ -1685,7 +1685,6 @@ mod tests {
                 Function::new("addmul")
                     .param("x", Ty::I64)
                     .param("y", Ty::I64)
-                    .returns(Ty::I64)
                     .body(vec![Stmt::Return(Some(Expr::add(
                         Expr::mul(Expr::var("x"), Expr::var("y")),
                         Expr::const_i(1),
@@ -1885,20 +1884,20 @@ mod tests {
             .compile(&sum_program(8))
             .unwrap();
         let count_stack = |bin: &janus_ir::JBinary| {
-            janus_ir::disassemble(bin)
-                .unwrap()
-                .iter()
-                .filter(|d| {
-                    d.inst
-                        .mem_read()
-                        .map(|m| m.is_stack_relative())
-                        .unwrap_or(false)
-                        || d.inst
-                            .mem_write()
-                            .map(|m| m.is_stack_relative())
-                            .unwrap_or(false)
-                })
-                .count()
+            let stack_relative = |m: janus_ir::MemRef| matches!(m.base, Some(Reg::SP | Reg::FP));
+            janus_ir::disassemble_range(
+                bin.text_base(),
+                bin.text(),
+                bin.text_base(),
+                bin.text_end(),
+            )
+            .unwrap()
+            .iter()
+            .filter(|d| {
+                d.inst.mem_read().is_some_and(stack_relative)
+                    || d.inst.mem_write().is_some_and(stack_relative)
+            })
+            .count()
         };
         assert!(
             count_stack(&o0) > count_stack(&o3),

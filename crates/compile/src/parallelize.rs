@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 /// Applies compiler auto-parallelisation to a program.
 #[must_use]
-pub fn parallelize(program: &Program, options: &CompileOptions) -> Program {
+pub(crate) fn parallelize(program: &Program, options: &CompileOptions) -> Program {
     let mut out = program.clone();
     let mut new_functions = Vec::new();
     let mut counter = 0usize;

@@ -12,7 +12,7 @@ use crate::options::{CompileOptions, Vectorize};
 
 /// Applies inner-loop unrolling to every function of a program.
 #[must_use]
-pub fn unroll_program(program: &Program, options: &CompileOptions) -> Program {
+pub(crate) fn unroll_program(program: &Program, options: &CompileOptions) -> Program {
     let factor = options.unroll_factor();
     if factor <= 1 {
         return program.clone();

@@ -125,7 +125,7 @@ pub struct JanusConfig {
     /// Defaults to the null recorder — disabled, with a hot-path cost of
     /// one branch per emission site. Attach
     /// [`Recorder::enabled`](janus_obs::Recorder::enabled) and export via
-    /// its `chrome_trace`/`jsonl` methods.
+    /// its `chrome_trace` method, the one event exporter.
     pub trace: Recorder,
 }
 
@@ -490,12 +490,6 @@ impl JanusReport {
         self.parallel.stats.spec_retries()
     }
 
-    /// Speculative aborts per completed incarnation.
-    #[must_use]
-    pub fn spec_abort_rate(&self) -> f64 {
-        self.parallel.stats.spec_abort_rate()
-    }
-
     /// Largest number of OS worker threads any parallel-loop invocation
     /// spawned (0 under the virtual-time backend — its parallelism is
     /// modelled, not physical).
@@ -504,33 +498,11 @@ impl JanusReport {
         self.parallel.stats.os_threads_used
     }
 
-    /// Wall-clock seconds of the parallel run (whole DBM dispatch loop).
-    /// Host-dependent, unlike the modelled [`JanusReport::speedup`]; use it
-    /// to compare backends on the same machine.
-    #[must_use]
-    pub fn wall_seconds(&self) -> f64 {
-        self.parallel.wall_nanos as f64 / 1e9
-    }
-
     /// Wall-clock seconds spent inside parallel regions (chunk batches and
     /// speculative invocations). 0 under the virtual-time backend.
     #[must_use]
     pub fn parallel_wall_seconds(&self) -> f64 {
         self.parallel.stats.parallel_wall_nanos as f64 / 1e9
-    }
-
-    /// Adaptive-tuner decisions that chose (or kept) parallel execution.
-    /// 0 when adaptation was off for the run.
-    #[must_use]
-    pub fn tune_parallel_decisions(&self) -> u64 {
-        self.parallel.stats.tune_parallel_decisions
-    }
-
-    /// Adaptive-tuner decisions that sent a parallelisable invocation down
-    /// the sequential path because parallelism was not paying for itself.
-    #[must_use]
-    pub fn tune_sequential_decisions(&self) -> u64 {
-        self.parallel.stats.tune_sequential_decisions
     }
 
     /// Mapped guest pages the page-aware overlay merge skipped (no chunk
@@ -740,13 +712,56 @@ impl Janus {
     ///
     /// The same `input` is used for training (when profiling is enabled) and
     /// for the measured runs; callers with distinct train/reference inputs
-    /// should use [`Janus::run_with_inputs`].
+    /// run [`Janus::prepare`] on the training input and execute the
+    /// artifacts' schedule themselves, as `janus-serve` does.
     ///
     /// # Errors
     ///
     /// Returns an error if any stage fails.
     pub fn run(&self, binary: &JBinary, input: &[i64]) -> Result<JanusReport, JanusError> {
-        self.run_with_inputs(binary, input, input)
+        let artifacts = self.prepare(binary, input)?;
+
+        // Native baseline.
+        let process = Process::load(binary)?;
+        let mut vm = Vm::new(process.clone());
+        vm.set_input(input);
+        let native = vm.run()?;
+        let native_ints = vm.output_ints().to_vec();
+        let native_floats = vm.output_floats().to_vec();
+
+        // Parallel execution under the DBM.
+        let config = self.dbm_config();
+        let parallel = PreparedDbm::new(process, &artifacts.schedule, config).execute_traced(
+            input,
+            config,
+            &self.config.trace,
+        )?;
+
+        // Bit-equality first: `|a - b| <= tol` is false for NaN vs NaN, so a
+        // guest that prints NaN (0.0/0.0 is IEEE-legal in the JVA) would be
+        // reported as diverging even when both legs produced the identical
+        // bit pattern. Found by the differential fuzzer (seed 1093).
+        let outputs_match = native_ints == parallel.output_ints
+            && native_floats.len() == parallel.output_floats.len()
+            && native_floats
+                .iter()
+                .zip(parallel.output_floats.iter())
+                .all(|(a, b)| {
+                    a.to_bits() == b.to_bits() || (a - b).abs() <= 1e-9 * a.abs().max(1.0)
+                });
+
+        Ok(JanusReport {
+            native,
+            parallel,
+            backend: self.config.backend,
+            binary_digest: artifacts.binary_digest,
+            selected_loops: artifacts.selected_loops,
+            speculative_loops: artifacts.speculative_loops,
+            schedule_size: artifacts.schedule_size,
+            binary_size: artifacts.binary_size,
+            outputs_match,
+            profile: artifacts.profile,
+        })
     }
 
     /// Runs the front half of the pipeline — analysis, optional profiling on
@@ -803,8 +818,8 @@ impl Janus {
     /// The [`DbmConfig`] a measured run under this configuration uses: the
     /// configured cost knobs with the pipeline-level choices (threads,
     /// backend, runtime checks, speculation) folded in. Exposed so serving
-    /// layers derive per-job configurations exactly the way
-    /// [`Janus::run_with_inputs`] does.
+    /// layers derive per-job configurations exactly the way [`Janus::run`]
+    /// does.
     #[must_use]
     pub fn dbm_config(&self) -> DbmConfig {
         DbmConfig {
@@ -815,62 +830,6 @@ impl Janus {
             adaptive: self.config.adaptive || self.config.dbm.adaptive,
             ..self.config.dbm
         }
-    }
-
-    /// Runs the full pipeline with separate training and reference inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any stage fails.
-    pub fn run_with_inputs(
-        &self,
-        binary: &JBinary,
-        train_input: &[i64],
-        ref_input: &[i64],
-    ) -> Result<JanusReport, JanusError> {
-        let artifacts = self.prepare(binary, train_input)?;
-
-        // Native baseline.
-        let process = Process::load(binary)?;
-        let mut vm = Vm::new(process.clone());
-        vm.set_input(ref_input);
-        let native = vm.run()?;
-        let native_ints = vm.output_ints().to_vec();
-        let native_floats = vm.output_floats().to_vec();
-
-        // Parallel execution under the DBM.
-        let config = self.dbm_config();
-        let parallel = PreparedDbm::new(process, &artifacts.schedule, config).execute_traced(
-            ref_input,
-            config,
-            &self.config.trace,
-        )?;
-
-        // Bit-equality first: `|a - b| <= tol` is false for NaN vs NaN, so a
-        // guest that prints NaN (0.0/0.0 is IEEE-legal in the JVA) would be
-        // reported as diverging even when both legs produced the identical
-        // bit pattern. Found by the differential fuzzer (seed 1093).
-        let outputs_match = native_ints == parallel.output_ints
-            && native_floats.len() == parallel.output_floats.len()
-            && native_floats
-                .iter()
-                .zip(parallel.output_floats.iter())
-                .all(|(a, b)| {
-                    a.to_bits() == b.to_bits() || (a - b).abs() <= 1e-9 * a.abs().max(1.0)
-                });
-
-        Ok(JanusReport {
-            native,
-            parallel,
-            backend: self.config.backend,
-            binary_digest: artifacts.binary_digest,
-            selected_loops: artifacts.selected_loops,
-            speculative_loops: artifacts.speculative_loops,
-            schedule_size: artifacts.schedule_size,
-            binary_size: artifacts.binary_size,
-            outputs_match,
-            profile: artifacts.profile,
-        })
     }
 }
 

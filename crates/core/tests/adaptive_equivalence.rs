@@ -59,7 +59,9 @@ fn adaptive_execution_preserves_results_on_every_workload() {
                 .saturating_sub(stats.spec_invocations);
             if chunked > 0 {
                 assert!(
-                    report.tune_parallel_decisions() + report.tune_sequential_decisions() > 0,
+                    report.parallel.stats.tune_parallel_decisions
+                        + report.parallel.stats.tune_sequential_decisions
+                        > 0,
                     "{name}@{backend}: chunked invocations ran but no tuner decision was taken"
                 );
             }
@@ -77,8 +79,7 @@ fn virtual_time_adaptation_never_chooses_sequential() {
         let report = run_adaptive(&binary, BackendKind::VirtualTime, 4);
         assert!(report.outputs_match, "{name}");
         assert_eq!(
-            report.tune_sequential_decisions(),
-            0,
+            report.parallel.stats.tune_sequential_decisions, 0,
             "{name}: virtual time must never measure parallelism as a loss"
         );
     }
@@ -101,8 +102,8 @@ fn adaptation_off_keeps_tuning_counters_at_zero() {
     .run(&binary, &[])
     .expect("pipeline succeeds");
     assert!(report.outputs_match);
-    assert_eq!(report.tune_parallel_decisions(), 0);
-    assert_eq!(report.tune_sequential_decisions(), 0);
+    assert_eq!(report.parallel.stats.tune_parallel_decisions, 0);
+    assert_eq!(report.parallel.stats.tune_sequential_decisions, 0);
 }
 
 #[test]

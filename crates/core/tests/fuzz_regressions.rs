@@ -8,7 +8,7 @@ use janus_bench::fuzz::check_spec;
 use janus_compile::ast::{Expr, Function, Program, Stmt};
 use janus_compile::Compiler;
 use janus_core::{BackendKind, Janus, JanusConfig};
-use janus_workloads::{program_by_name, ArraySpec, ElemTy, GenOp, LoopSpec, ProgramSpec};
+use janus_workloads::{workload, ArraySpec, ElemTy, GenOp, LoopSpec, ProgramSpec};
 
 /// Generator seed 1093, shrunk: aliasing pointer kernel + shifted
 /// element-wise subtraction + signed scatter. Before the fixes this
@@ -87,7 +87,9 @@ fn seed_1093_as_generated_passes_the_matrix() {
 /// both backends.
 #[test]
 fn promoted_nan_scatter_workload_passes() {
-    let program = program_by_name("fuzz.nan-scatter").expect("promoted workload exists");
+    let program = workload("fuzz.nan-scatter")
+        .expect("promoted workload exists")
+        .program;
     let binary = Compiler::new().compile(&program).expect("compiles");
     for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
         let report = Janus::with_config(JanusConfig {

@@ -99,7 +99,10 @@ fn run_everywhere(binary: &JBinary, input: &[i64]) -> Observed {
     // the loop that services system calls and natives.
     let schedule = RewriteSchedule::new("guest_abi");
     for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
-        let config = DbmConfig::with_backend(backend);
+        let config = DbmConfig {
+            backend,
+            ..DbmConfig::default()
+        };
         let run = PreparedDbm::new(process.clone(), &schedule, config)
             .execute(input)
             .expect("PreparedDbm::execute succeeds");

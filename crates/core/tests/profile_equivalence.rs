@@ -26,7 +26,7 @@ use janus_ir::{
 };
 use janus_profile::{generate_profiling_schedule, profile, LoopProfile, ProfileData};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_inst, Cpu, Effect, Process, ResolvedPlt, VmError};
+use janus_vm::{exec_op, CostModel, Cpu, Effect, Op, Process, ResolvedPlt, VmError};
 use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload, ProgramSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -116,7 +116,12 @@ fn reference_profile(
 
         let retired_before = cpu.retired;
         let next_pc = pc + INST_SIZE as u64;
-        let effect = exec_inst(&mut cpu, &mut mem, &inst, next_pc)?;
+        let op = Op::lower(&inst).map_err(|why| VmError::Load {
+            reason: why.to_string(),
+        })?;
+        cpu.cycles += CostModel::default().cost(&inst);
+        cpu.retired += 1;
+        let effect = exec_op(&mut cpu, &mut mem, &op, pc, next_pc)?;
         let retired_delta = cpu.retired - retired_before;
         data.total_instructions += retired_delta;
         if let Some(&current) = loop_stack.last() {

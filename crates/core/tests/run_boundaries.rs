@@ -1,8 +1,9 @@
 //! Run boundaries are invisible: every interpreter loop steps a whole
 //! straight-line run at a time, and nothing a guest or a caller can observe
 //! tells that apart from stepping one instruction at a time. Each guest is
-//! hand-assembled and compared against per-instruction stepping through the
-//! one-off executor, `exec_inst`:
+//! hand-assembled and compared against per-instruction stepping: each
+//! instruction lowered on its own, charged its default cost and executed
+//! through `exec_op`:
 //!
 //! * a cycle limit that falls inside a run stops at the same instruction,
 //!   with the same error and the same `pc`, `cycles` and `retired`;
@@ -21,7 +22,7 @@ use janus_core::{BackendKind, DbmConfig, PreparedDbm, VarSpec};
 use janus_dbm::DbmError;
 use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, Operand, Reg, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_inst, Cpu, Effect, FlatMemory, Process, Vm, VmConfig, VmError};
+use janus_vm::{exec_op, CostModel, Cpu, Effect, FlatMemory, Op, Process, Vm, VmConfig, VmError};
 
 const STEP: u64 = INST_SIZE as u64;
 
@@ -43,8 +44,11 @@ fn step_each(
             return Ok(());
         }
         let inst = process.inst_at(cpu.pc)?;
+        let op = Op::lower(&inst).expect("these guests are well typed");
+        cpu.cycles += CostModel::default().cost(&inst);
+        cpu.retired += 1;
         let next = cpu.pc + STEP;
-        match exec_inst(cpu, mem, &inst, next)? {
+        match exec_op(cpu, mem, &op, cpu.pc, next)? {
             Effect::Continue => cpu.pc = next,
             Effect::Jump(target) => cpu.pc = target,
             Effect::Halt | Effect::Syscall { .. } => return Ok(()),

@@ -4,12 +4,13 @@
 //! The run loop (`runtime.rs`) plans a parallel-loop invocation —
 //! iteration counting, chunking, per-chunk register contexts, private stack
 //! frames, bounds checks — without committing to an execution substrate.
-//! The plan is then handed to an [`ExecutionBackend`]:
+//! The plan is then handed to [`BackendKind::run_chunks`], which is a
+//! `match` on the backend kind:
 //!
-//! * [`VirtualTimeBackend`] executes the chunks one after another on the
+//! * `VirtualTime` executes the chunks one after another on the
 //!   coordinating thread against the shared guest memory, exactly as the
 //!   original virtual-time runtime did. Deterministic and bit-reproducible.
-//! * [`NativeThreadsBackend`] runs chunk 0 on the calling thread and the
+//! * `NativeThreads` runs chunk 0 on the calling thread and the
 //!   other chunks on the run's [`ChunkPool`]: parked OS threads, spawned at
 //!   the run's first batch of two or more chunks and joined when the run
 //!   returns, so an invocation wakes threads instead of creating them. Each
@@ -28,8 +29,9 @@
 //! Both backends charge modelled cycles through the same worker lanes
 //! ([`janus_spec::Lanes`]) that the speculation engine uses, so reported
 //! cycle counts are deterministic and comparable regardless of where the
-//! chunks physically ran. The speculative (`SPECULATE`) path is also routed
-//! through the trait, one engine per [`SpecCommitMode`]: the deterministic
+//! chunks physically ran. The speculative (`SPECULATE`) path is the same
+//! kind of `match` ([`BackendKind::run_speculative_invocation`]), one engine
+//! per [`SpecCommitMode`]: the deterministic
 //! `janus-spec` coordinator under virtual time and under the native
 //! backend's default mode — its counters, modelled cycles and commit are the
 //! reported ones, so running anything beside it would only be paid for — and
@@ -59,7 +61,8 @@ use std::time::Instant;
 #[cfg(test)]
 mod reference;
 
-/// Selects which [`ExecutionBackend`] runs parallel-loop chunks.
+/// Selects how parallel-loop chunks run: one after another in virtual time,
+/// or concurrently on OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Deterministic virtual-time simulation: chunks run sequentially on the
@@ -101,15 +104,6 @@ impl BackendKind {
             BackendKind::NativeThreads => "native",
         }
     }
-
-    /// The (stateless, shared) backend implementation for this kind.
-    #[must_use]
-    pub fn backend(self) -> &'static dyn ExecutionBackend {
-        match self {
-            BackendKind::VirtualTime => &VirtualTimeBackend,
-            BackendKind::NativeThreads => &NativeThreadsBackend,
-        }
-    }
 }
 
 impl fmt::Display for BackendKind {
@@ -124,7 +118,7 @@ impl fmt::Display for BackendKind {
 /// in-order chunks here, chunks on worker threads in a private copy added
 /// in once the chunk commits — and the run is charged from the final counts.
 #[derive(Debug, Clone)]
-pub struct CodeCache {
+pub(crate) struct CodeCache {
     pub(crate) counts: Vec<u64>,
 }
 
@@ -169,7 +163,7 @@ impl CodeCache {
 /// induction value and reduction accumulators), the chunk's rewritten loop
 /// bound and its stack window.
 #[derive(Debug, Clone)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     pub(crate) cpu: Cpu,
     pub(crate) bound: i64,
     /// The chunk's private stack, below the main frame and disjoint from
@@ -181,7 +175,7 @@ pub struct ChunkPlan {
 /// What executing one chunk produced: the final guest context and the
 /// `LOOP_FINISH` address it stopped at.
 #[derive(Debug)]
-pub struct ChunkResult {
+pub(crate) struct ChunkResult {
     pub(crate) cpu: Cpu,
     pub(crate) exit_pc: u64,
 }
@@ -192,7 +186,7 @@ pub struct ChunkResult {
 /// chunk order so the native-threads backend reproduces the virtual-time
 /// backend's output ordering.
 #[derive(Debug, Default)]
-pub struct ChunkSideEffects {
+pub(crate) struct ChunkSideEffects {
     pub(crate) output_ints: Vec<i64>,
     pub(crate) output_floats: Vec<f64>,
     /// [`DbmConfig::indirect_lookup_cost`], charged per execution.
@@ -223,7 +217,7 @@ impl ChunkSideEffects {
 /// pool workers, which cannot borrow from the run, rebuild a context from
 /// their own handle to the prepared binary and the loop's id.
 #[derive(Debug, Clone, Copy)]
-pub struct ChunkContext<'a> {
+pub(crate) struct ChunkContext<'a> {
     /// The loaded process and every loop's runtime record.
     pub(crate) parts: &'a Arc<PreparedParts>,
     /// The loop's key in `parts.loops`.
@@ -240,7 +234,7 @@ pub struct ChunkContext<'a> {
 
 /// The result of executing one batch of chunks.
 #[derive(Debug)]
-pub struct BatchOutcome {
+pub(crate) struct BatchOutcome {
     /// Per-chunk results, in chunk order.
     pub(crate) results: Vec<ChunkResult>,
     /// Merged side effects, in chunk order.
@@ -249,27 +243,27 @@ pub struct BatchOutcome {
     /// charged to the least-loaded of `threads` worker lanes, makespan
     /// reported. Identical across backends because chunk cycle counts do not
     /// depend on where the chunk ran.
-    pub parallel_cycles: u64,
+    pub(crate) parallel_cycles: u64,
     /// Wall-clock nanoseconds the batch took (0 under virtual time).
-    pub wall_nanos: u64,
+    pub(crate) wall_nanos: u64,
     /// OS threads that ran the batch's chunks, the calling thread included:
     /// the chunk count, at most `threads` (0 under virtual time). Counted
     /// also when some chunks were then run again in order on the calling
     /// thread.
-    pub os_threads: u64,
+    pub(crate) os_threads: u64,
     /// What the page-aware overlay merge did (all-zero under virtual time,
     /// which writes straight to shared memory and has nothing to merge).
-    pub merge: MergeStats,
+    pub(crate) merge: MergeStats,
 }
 
 /// What a routed speculative invocation returned, plus its wall-clock cost.
-pub struct SpecInvocationOutcome {
+pub(crate) struct SpecInvocationOutcome {
     pub(crate) result: std::result::Result<SpecOutcome<SpecPayload>, SpecError<DbmError>>,
     /// Wall-clock nanoseconds of the invocation (0 under virtual time).
-    pub wall_nanos: u64,
+    pub(crate) wall_nanos: u64,
     /// OS worker threads the invocation's racing pool spawned (0 when the
     /// deterministic coordinator ran alone).
-    pub os_threads: u64,
+    pub(crate) os_threads: u64,
 }
 
 impl fmt::Debug for SpecInvocationOutcome {
@@ -286,7 +280,7 @@ impl fmt::Debug for SpecInvocationOutcome {
 /// sums the invocation folds over all iterations, and — for the last
 /// iteration only — the register context a sequential run would have left.
 #[derive(Debug)]
-pub struct SpecPayload {
+pub(crate) struct SpecPayload {
     pub(crate) retired: u64,
     /// The reduction accumulators' raw bits, in rule order.
     pub(crate) reductions: Vec<i64>,
@@ -297,66 +291,11 @@ pub struct SpecPayload {
 /// The loop body driven by the speculation engine for one iteration.
 /// `Fn + Sync`: the native-threads backend calls it concurrently from racing
 /// worker threads, one incarnation per call.
-pub type SpecBody<'a> = &'a (dyn Fn(
+pub(crate) type SpecBody<'a> = &'a (dyn Fn(
     usize,
     &mut SpecView<'_, FlatMemory>,
 ) -> std::result::Result<IterationRun<SpecPayload>, DbmError>
          + Sync);
-
-mod sealed {
-    /// The backend set is closed: plans and results carry crate-private
-    /// execution state, so external implementations could not construct or
-    /// consume them meaningfully.
-    pub trait Sealed {}
-    impl Sealed for super::VirtualTimeBackend {}
-    impl Sealed for super::NativeThreadsBackend {}
-}
-
-/// An execution substrate for planned parallel-loop work.
-///
-/// Implementations differ in *where* guest chunks run (inline vs. on OS
-/// worker threads) and in what they can measure (modelled cycles only vs.
-/// modelled cycles plus wall-clock time); they must agree on the resulting
-/// guest memory image and program output. This trait is sealed — the two
-/// implementations ship with the crate and are selected via
-/// [`BackendKind::backend`] / [`DbmConfig::backend`](crate::DbmConfig).
-pub trait ExecutionBackend: fmt::Debug + Send + Sync + sealed::Sealed {
-    /// Which kind this backend is.
-    fn kind(&self) -> BackendKind;
-
-    /// Executes the planned chunks of one parallel-loop invocation and
-    /// merges all memory effects into `mem` and all block executions into
-    /// `cache` before returning. `pool` is the run's worker pool; backends
-    /// that run chunks on the calling thread leave it untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing chunk's error, in chunk order.
-    fn run_chunks(
-        &self,
-        ctx: &ChunkContext<'_>,
-        plans: &[ChunkPlan],
-        mem: &mut FlatMemory,
-        cache: &mut CodeCache,
-        pool: &mut ChunkPool,
-    ) -> Result<BatchOutcome>;
-
-    /// Runs one speculative (`SPECULATE`) loop invocation through the
-    /// `janus-spec` engine `commit` selects under the native-threads backend
-    /// ([`SpecCommitMode`]); the virtual-time backend is always
-    /// deterministic and ignores it. `recorder` receives incarnation events
-    /// from the racing pool plus fallback diagnostics (pass the null
-    /// recorder to trace nothing).
-    fn run_speculative_invocation(
-        &self,
-        spec_config: &SpecConfig,
-        commit: SpecCommitMode,
-        base: &mut FlatMemory,
-        iterations: usize,
-        body: SpecBody<'_>,
-        recorder: &Recorder,
-    ) -> SpecInvocationOutcome;
-}
 
 /// Runs `plans[results.len()..]` one after another on the calling thread
 /// over `mem`, counting block executions straight into `cache`: the whole
@@ -393,68 +332,13 @@ fn modelled_parallel_cycles(threads: u32, results: &[ChunkResult]) -> u64 {
     lanes.makespan()
 }
 
-/// The deterministic virtual-time backend: chunks execute sequentially on
-/// the coordinating thread against shared guest memory and the shared code
-/// cache; only the modelled clock is parallel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualTimeBackend;
-
-impl ExecutionBackend for VirtualTimeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::VirtualTime
-    }
-
-    fn run_chunks(
-        &self,
-        ctx: &ChunkContext<'_>,
-        plans: &[ChunkPlan],
-        mem: &mut FlatMemory,
-        cache: &mut CodeCache,
-        _pool: &mut ChunkPool,
-    ) -> Result<BatchOutcome> {
-        let mut results = Vec::with_capacity(plans.len());
-        let mut effects = ChunkSideEffects::default();
-        run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
-        let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
-        Ok(BatchOutcome {
-            results,
-            effects,
-            parallel_cycles,
-            wall_nanos: 0,
-            os_threads: 0,
-            merge: MergeStats::default(),
-        })
-    }
-
-    fn run_speculative_invocation(
-        &self,
-        spec_config: &SpecConfig,
-        _commit: SpecCommitMode,
-        base: &mut FlatMemory,
-        iterations: usize,
-        body: SpecBody<'_>,
-        recorder: &Recorder,
-    ) -> SpecInvocationOutcome {
-        let _span = recorder
-            .span("dbm.spec", "spec.deterministic")
-            .arg("iterations", iterations)
-            .arg("lanes", spec_config.lanes);
-        let result = janus_spec::run_speculative(spec_config, base, iterations, body);
-        SpecInvocationOutcome {
-            result,
-            wall_nanos: 0,
-            os_threads: 0,
-        }
-    }
-}
-
 /// A run-scoped pool of parked OS threads: the only place janus-dbm spawns
 /// one. It starts empty, grows to the run's widest batch minus one — at most
 /// `threads - 1` workers, as the calling thread runs a chunk too, so a
 /// one-chunk batch spawns nothing — and is joined when it is dropped, when
 /// the run returns. Between batches its workers block on their queues.
 #[derive(Debug, Default)]
-pub struct ChunkPool {
+pub(crate) struct ChunkPool {
     workers: Vec<(mpsc::Sender<Task>, JoinHandle<()>)>,
 }
 
@@ -554,133 +438,160 @@ fn reads_are_current(fx: &ChunkSideEffects, earlier: &[ChunkOverlay]) -> bool {
     fx.stm_aborts == 0 && !fx.tx.reads.iter().any(stale)
 }
 
-/// The native-threads backend: chunk 0 on the calling thread and the rest
-/// on a pool of parked worker threads that lives as long as the run,
-/// copy-on-write memory views, merge-in-chunk-order. Modelled cycles are reported through the same lane
-/// accounting as the virtual-time backend, wall-clock time and thread counts
-/// on top.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeThreadsBackend;
-
-impl ExecutionBackend for NativeThreadsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::NativeThreads
-    }
-
-    fn run_chunks(
-        &self,
+impl BackendKind {
+    /// Executes the planned chunks of one parallel-loop invocation and
+    /// merges all memory effects into `mem` and all block executions into
+    /// `cache` before returning. Under virtual time the chunks run one after
+    /// another on the calling thread against shared guest memory and the
+    /// shared code cache, and only the modelled clock is parallel. The
+    /// native-threads backend runs chunk 0 on the calling thread and the
+    /// rest on `pool`, the run's parked worker threads, over copy-on-write
+    /// views merged in chunk order. Modelled cycles go through the same lane
+    /// accounting either way; wall-clock time and thread counts come on top.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing chunk's error, in chunk order.
+    pub(crate) fn run_chunks(
+        self,
         ctx: &ChunkContext<'_>,
         plans: &[ChunkPlan],
         mem: &mut FlatMemory,
         cache: &mut CodeCache,
         pool: &mut ChunkPool,
     ) -> Result<BatchOutcome> {
-        let start = Instant::now();
-        // The batch owns the image (an O(1) move): workers read it through
-        // their own handles, which they drop before reporting, so once every
-        // chunk has reported the image comes back whole.
-        let image = Arc::new(std::mem::take(mem));
-        // One wave of `threads` chunks at a time, the first of each on this
-        // thread, so the pool never holds more than `threads - 1` workers.
-        // Only the adaptive tuner plans more chunks than threads.
-        let lanes = (ctx.config.threads.max(1) as usize).min(plans.len());
-        let mut outs = Vec::with_capacity(plans.len());
-        for (wave, wave_plans) in plans.chunks(lanes).enumerate() {
-            let first = wave * lanes;
-            let rest: Vec<Job<ViewOut>> = wave_plans
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(j, plan)| {
-                    let (parts, loop_id, bound_lhs) =
-                        (Arc::clone(ctx.parts), ctx.loop_id, ctx.bound_lhs);
-                    let (config, recorder) = (*ctx.config, ctx.recorder.clone());
-                    let (image, plan) = (Arc::clone(&image), plan.clone());
-                    Box::new(move || {
-                        let ctx = ChunkContext {
-                            parts: &parts,
-                            loop_id,
-                            lr: &parts.loops[&loop_id],
-                            bound_lhs,
-                            config: &config,
-                            recorder: &recorder,
-                        };
-                        run_on_view(&ctx, &image, &plan, first + j)
-                    }) as Job<ViewOut>
+        match self {
+            BackendKind::VirtualTime => {
+                let mut results = Vec::with_capacity(plans.len());
+                let mut effects = ChunkSideEffects::default();
+                run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
+                let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
+                Ok(BatchOutcome {
+                    results,
+                    effects,
+                    parallel_cycles,
+                    wall_nanos: 0,
+                    os_threads: 0,
+                    merge: MergeStats::default(),
                 })
-                .collect();
-            let local = || run_on_view(ctx, &image, &wave_plans[0], first);
-            outs.extend(pool.fork_join(local, rest));
-        }
-        *mem =
-            Arc::try_unwrap(image).expect("every chunk dropped its image handle before reporting");
+            }
+            BackendKind::NativeThreads => {
+                let start = Instant::now();
+                // The batch owns the image (an O(1) move): workers read it through
+                // their own handles, which they drop before reporting, so once every
+                // chunk has reported the image comes back whole.
+                let image = Arc::new(std::mem::take(mem));
+                // One wave of `threads` chunks at a time, the first of each on this
+                // thread, so the pool never holds more than `threads - 1` workers.
+                // Only the adaptive tuner plans more chunks than threads.
+                let lanes = (ctx.config.threads.max(1) as usize).min(plans.len());
+                let mut outs = Vec::with_capacity(plans.len());
+                for (wave, wave_plans) in plans.chunks(lanes).enumerate() {
+                    let first = wave * lanes;
+                    let rest: Vec<Job<ViewOut>> = wave_plans
+                        .iter()
+                        .enumerate()
+                        .skip(1)
+                        .map(|(j, plan)| {
+                            let (parts, loop_id, bound_lhs) =
+                                (Arc::clone(ctx.parts), ctx.loop_id, ctx.bound_lhs);
+                            let (config, recorder) = (*ctx.config, ctx.recorder.clone());
+                            let (image, plan) = (Arc::clone(&image), plan.clone());
+                            Box::new(move || {
+                                let ctx = ChunkContext {
+                                    parts: &parts,
+                                    loop_id,
+                                    lr: &parts.loops[&loop_id],
+                                    bound_lhs,
+                                    config: &config,
+                                    recorder: &recorder,
+                                };
+                                run_on_view(&ctx, &image, &plan, first + j)
+                            }) as Job<ViewOut>
+                        })
+                        .collect();
+                    let local = || run_on_view(ctx, &image, &wave_plans[0], first);
+                    outs.extend(pool.fork_join(local, rest));
+                }
+                *mem = Arc::try_unwrap(image)
+                    .expect("every chunk dropped its image handle before reporting");
 
-        // Commit in chunk order. Chunk 0 saw exactly what it would have seen
-        // in order; a later chunk commits only if it finished, nothing
-        // before it escaped its window and its transactions read nothing an
-        // earlier chunk wrote. The first chunk that fails ends the committed
-        // prefix: it and every chunk after it are discarded (overlay, block
-        // counts, output) and run again below, in order over the merged
-        // image, as the virtual-time backend runs them.
-        let merge_span = ctx
-            .recorder
-            .span("dbm.chunk", "chunk.merge")
-            .arg("chunks", plans.len());
-        let mut results = Vec::with_capacity(plans.len());
-        let mut effects = ChunkSideEffects::default();
-        let mut overlays = Vec::with_capacity(plans.len());
-        let mut contained = true;
-        for out in outs {
-            let first = overlays.is_empty();
-            let (result, overlay, fx, counts) = match out {
-                Ok(out) if first || contained && reads_are_current(&out.2, &overlays) => out,
-                Err(e) if first => return Err(e),
-                _ => break,
-            };
-            // Nothing written where a later chunk could see it, and no
-            // untracked re-run of an aborted transaction.
-            contained &= !fx.tx.escaped && fx.stm_aborts == 0;
-            overlays.push(overlay);
-            effects.absorb(fx);
-            cache.absorb(&counts);
-            results.push(result);
+                // Commit in chunk order. Chunk 0 saw exactly what it would have seen
+                // in order; a later chunk commits only if it finished, nothing
+                // before it escaped its window and its transactions read nothing an
+                // earlier chunk wrote. The first chunk that fails ends the committed
+                // prefix: it and every chunk after it are discarded (overlay, block
+                // counts, output) and run again below, in order over the merged
+                // image, as the virtual-time backend runs them.
+                let merge_span = ctx
+                    .recorder
+                    .span("dbm.chunk", "chunk.merge")
+                    .arg("chunks", plans.len());
+                let mut results = Vec::with_capacity(plans.len());
+                let mut effects = ChunkSideEffects::default();
+                let mut overlays = Vec::with_capacity(plans.len());
+                let mut contained = true;
+                for out in outs {
+                    let first = overlays.is_empty();
+                    let (result, overlay, fx, counts) = match out {
+                        Ok(out) if first || contained && reads_are_current(&out.2, &overlays) => {
+                            out
+                        }
+                        Err(e) if first => return Err(e),
+                        _ => break,
+                    };
+                    // Nothing written where a later chunk could see it, and no
+                    // untracked re-run of an aborted transaction.
+                    contained &= !fx.tx.escaped && fx.stm_aborts == 0;
+                    overlays.push(overlay);
+                    effects.absorb(fx);
+                    cache.absorb(&counts);
+                    results.push(result);
+                }
+                // Dirty bytes splice over the shared image in chunk order (later
+                // chunks win on whole-byte overlaps, which a legal DOALL cannot
+                // produce). The merge is page-aware: untouched base pages are
+                // skipped outright, and the merged image is bit-identical to the
+                // word-by-word replay.
+                let merge = merge_chunk_overlays(mem, &overlays, 1);
+                drop(
+                    merge_span
+                        .arg("pages_merged", merge.pages_merged)
+                        .arg("pages_skipped", merge.pages_skipped),
+                );
+                if results.len() < plans.len() {
+                    ctx.recorder.instant(
+                        "dbm.chunk",
+                        "chunk.rerun",
+                        &[
+                            ("loop", ctx.loop_id.into()),
+                            ("from", results.len().into()),
+                            ("chunks", plans.len().into()),
+                        ],
+                    );
+                    run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
+                }
+                let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
+                Ok(BatchOutcome {
+                    results,
+                    effects,
+                    parallel_cycles,
+                    wall_nanos: start.elapsed().as_nanos() as u64,
+                    os_threads: lanes as u64,
+                    merge,
+                })
+            }
         }
-        // Dirty bytes splice over the shared image in chunk order (later
-        // chunks win on whole-byte overlaps, which a legal DOALL cannot
-        // produce). The merge is page-aware: untouched base pages are
-        // skipped outright, and the merged image is bit-identical to the
-        // word-by-word replay.
-        let merge = merge_chunk_overlays(mem, &overlays, 1);
-        drop(
-            merge_span
-                .arg("pages_merged", merge.pages_merged)
-                .arg("pages_skipped", merge.pages_skipped),
-        );
-        if results.len() < plans.len() {
-            ctx.recorder.instant(
-                "dbm.chunk",
-                "chunk.rerun",
-                &[
-                    ("loop", ctx.loop_id.into()),
-                    ("from", results.len().into()),
-                    ("chunks", plans.len().into()),
-                ],
-            );
-            run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
-        }
-        let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
-        Ok(BatchOutcome {
-            results,
-            effects,
-            parallel_cycles,
-            wall_nanos: start.elapsed().as_nanos() as u64,
-            os_threads: lanes as u64,
-            merge,
-        })
     }
 
-    fn run_speculative_invocation(
-        &self,
+    /// Runs one speculative (`SPECULATE`) loop invocation through the
+    /// `janus-spec` engine `commit` selects under the native-threads backend
+    /// ([`SpecCommitMode`]); the virtual-time backend is always
+    /// deterministic and ignores it. `recorder` receives incarnation events
+    /// from the racing pool plus fallback diagnostics (pass the null
+    /// recorder to trace nothing).
+    pub(crate) fn run_speculative_invocation(
+        self,
         spec_config: &SpecConfig,
         commit: SpecCommitMode,
         base: &mut FlatMemory,
@@ -688,85 +599,101 @@ impl ExecutionBackend for NativeThreadsBackend {
         body: SpecBody<'_>,
         recorder: &Recorder,
     ) -> SpecInvocationOutcome {
-        let start = Instant::now();
-        // `RacedImage`: the Block-STM pool alone — one OS worker per lane
-        // races incarnations over the read-only image and its converged
-        // (serial-equivalent) image is committed as is. Counters describe
-        // the race that happened and no modelled parallel cycles are
-        // charged: callers pick this mode because they consume neither.
-        let mut os_threads = 0;
-        if commit == SpecCommitMode::RacedImage {
-            let threads = spec_config.lanes.max(1) as usize;
-            os_threads = threads.min(iterations.max(1)) as u64;
-            let raced = {
+        match self {
+            BackendKind::VirtualTime => {
                 let _span = recorder
-                    .span("dbm.spec", "spec.race")
+                    .span("dbm.spec", "spec.deterministic")
                     .arg("iterations", iterations)
-                    .arg("threads", threads);
-                janus_spec::run_speculative_pooled(
+                    .arg("lanes", spec_config.lanes);
+                let result = janus_spec::run_speculative(spec_config, base, iterations, body);
+                SpecInvocationOutcome {
+                    result,
+                    wall_nanos: 0,
+                    os_threads: 0,
+                }
+            }
+            BackendKind::NativeThreads => {
+                let start = Instant::now();
+                // `RacedImage`: the Block-STM pool alone — one OS worker per lane
+                // races incarnations over the read-only image and its converged
+                // (serial-equivalent) image is committed as is. Counters describe
+                // the race that happened and no modelled parallel cycles are
+                // charged: callers pick this mode because they consume neither.
+                let mut os_threads = 0;
+                if commit == SpecCommitMode::RacedImage {
+                    let threads = spec_config.lanes.max(1) as usize;
+                    os_threads = threads.min(iterations.max(1)) as u64;
+                    let raced = {
+                        let _span = recorder
+                            .span("dbm.spec", "spec.race")
+                            .arg("iterations", iterations)
+                            .arg("threads", threads);
+                        janus_spec::run_speculative_pooled(
+                            spec_config,
+                            threads,
+                            &*base,
+                            iterations,
+                            body,
+                            recorder,
+                        )
+                    };
+                    // A pool that gave up (`AbortLimit`), saw a fault, or left live
+                    // estimate markers (the convergence invariant every committed
+                    // image must satisfy; asserted in test builds, never trusted in
+                    // release) falls through to the deterministic engine, which
+                    // classifies genuine faults exactly and always commits a
+                    // correct image.
+                    if let Ok(pooled) = raced {
+                        debug_assert_eq!(pooled.live_estimates, 0);
+                        if pooled.live_estimates == 0 {
+                            for &(word, value) in &pooled.image {
+                                base.write_u64(word, value);
+                            }
+                            return SpecInvocationOutcome {
+                                result: Ok(SpecOutcome {
+                                    stats: pooled.stats,
+                                    parallel_cycles: 0,
+                                    payloads: pooled.payloads,
+                                }),
+                                wall_nanos: start.elapsed().as_nanos() as u64,
+                                os_threads,
+                            };
+                        }
+                        // Structured diagnostic: visible in trace exports when a
+                        // recorder is attached, on stderr otherwise (never silent).
+                        if recorder.is_enabled() {
+                            recorder.instant(
+                                "dbm.spec",
+                                "spec.pool-fallback",
+                                &[("reason", "live-estimates".into())],
+                            );
+                        } else {
+                            eprintln!(
+                                "janus-dbm: racing speculative pool left live estimates; \
+                                     falling back to the deterministic engine"
+                            );
+                        }
+                    }
+                }
+                // `Deterministic`: the coordinator alone, on this thread. Its
+                // modelled cycles, abort counts, payloads and commit are bit-identical
+                // to the virtual-time backend's because they *are* the virtual-time
+                // backend's; no pool runs, and `os_threads` says so. That the two
+                // engines agree on the image is checked where both run anyway: the
+                // fuzzer's commit-mode axis and `spec_commit_mode.rs`.
+                let mut outcome = BackendKind::VirtualTime.run_speculative_invocation(
                     spec_config,
-                    threads,
-                    &*base,
+                    commit,
+                    base,
                     iterations,
                     body,
                     recorder,
-                )
-            };
-            // A pool that gave up (`AbortLimit`), saw a fault, or left live
-            // estimate markers (the convergence invariant every committed
-            // image must satisfy; asserted in test builds, never trusted in
-            // release) falls through to the deterministic engine, which
-            // classifies genuine faults exactly and always commits a
-            // correct image.
-            if let Ok(pooled) = raced {
-                debug_assert_eq!(pooled.live_estimates, 0);
-                if pooled.live_estimates == 0 {
-                    for &(word, value) in &pooled.image {
-                        base.write_u64(word, value);
-                    }
-                    return SpecInvocationOutcome {
-                        result: Ok(SpecOutcome {
-                            stats: pooled.stats,
-                            parallel_cycles: 0,
-                            payloads: pooled.payloads,
-                        }),
-                        wall_nanos: start.elapsed().as_nanos() as u64,
-                        os_threads,
-                    };
-                }
-                // Structured diagnostic: visible in trace exports when a
-                // recorder is attached, on stderr otherwise (never silent).
-                if recorder.is_enabled() {
-                    recorder.instant(
-                        "dbm.spec",
-                        "spec.pool-fallback",
-                        &[("reason", "live-estimates".into())],
-                    );
-                } else {
-                    eprintln!(
-                        "janus-dbm: racing speculative pool left live estimates; \
-                         falling back to the deterministic engine"
-                    );
-                }
+                );
+                outcome.wall_nanos = start.elapsed().as_nanos() as u64;
+                outcome.os_threads = os_threads;
+                outcome
             }
         }
-        // `Deterministic`: the coordinator alone, on this thread. Its
-        // modelled cycles, abort counts, payloads and commit are bit-identical
-        // to the virtual-time backend's because they *are* the virtual-time
-        // backend's; no pool runs, and `os_threads` says so. That the two
-        // engines agree on the image is checked where both run anyway: the
-        // fuzzer's commit-mode axis and `spec_commit_mode.rs`.
-        let mut outcome = VirtualTimeBackend.run_speculative_invocation(
-            spec_config,
-            commit,
-            base,
-            iterations,
-            body,
-            recorder,
-        );
-        outcome.wall_nanos = start.elapsed().as_nanos() as u64;
-        outcome.os_threads = os_threads;
-        outcome
     }
 }
 
@@ -778,7 +705,6 @@ mod tests {
     fn backend_kind_parses_labels_and_aliases() {
         for kind in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.backend().kind(), kind);
         }
         assert_eq!(
             BackendKind::parse("Native-Threads"),
@@ -871,7 +797,7 @@ mod tests {
                 },
             })
         };
-        let run = |backend: &dyn ExecutionBackend, commit: SpecCommitMode| {
+        let run = |backend: BackendKind, commit: SpecCommitMode| {
             calls.store(0, Ordering::Relaxed);
             let mut base = FlatMemory::new();
             let out = backend.run_speculative_invocation(
@@ -889,7 +815,7 @@ mod tests {
         let serial = [(0..40).step_by(2).sum::<u64>(), (1..40).step_by(2).sum()];
 
         let (virt_calls, virt_stats, virt_threads, virt_image) =
-            run(&VirtualTimeBackend, SpecCommitMode::Deterministic);
+            run(BackendKind::VirtualTime, SpecCommitMode::Deterministic);
         assert_eq!(virt_image, serial);
         assert_eq!(virt_threads, 0);
         assert_eq!(
@@ -900,13 +826,13 @@ mod tests {
         assert!(virt_calls > 40, "the conflicts must cause retries");
 
         let (calls, stats, threads, image) =
-            run(&NativeThreadsBackend, SpecCommitMode::Deterministic);
+            run(BackendKind::NativeThreads, SpecCommitMode::Deterministic);
         assert_eq!(calls, virt_calls, "the body ran once per incarnation");
         assert_eq!(stats, virt_stats);
         assert_eq!(image, serial);
         assert_eq!(threads, 0, "no pool ran, and the report says so");
 
-        let (_, _, threads, image) = run(&NativeThreadsBackend, SpecCommitMode::RacedImage);
+        let (_, _, threads, image) = run(BackendKind::NativeThreads, SpecCommitMode::RacedImage);
         assert_eq!(image, serial);
         assert_eq!(threads, 4, "the raced mode runs one worker per lane");
     }

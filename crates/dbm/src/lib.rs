@@ -26,10 +26,10 @@
 //!
 //! ## Execution backends
 //!
-//! Chunk execution is routed through the [`ExecutionBackend`] trait, selected
-//! by [`DbmConfig::backend`]:
+//! Chunk execution is a `match` on the [`BackendKind`] in
+//! [`DbmConfig::backend`]:
 //!
-//! * [`VirtualTimeBackend`] (the default) executes chunks deterministically,
+//! * [`BackendKind::VirtualTime`] (the default) executes chunks deterministically,
 //!   one after another on the coordinating thread, and reports *virtual*
 //!   parallel time: each chunk's cycle count is charged to the least-loaded
 //!   of `threads` modelled worker lanes ([`janus_spec::Lanes`]) and the
@@ -38,7 +38,7 @@
 //!   address space); only the notion of time is simulated. This backend is
 //!   bit-reproducible across runs and machines — it is what Figures 7, 8, 9,
 //!   11 and 12 are built from.
-//! * [`NativeThreadsBackend`] runs the chunks of each parallel-loop
+//! * [`BackendKind::NativeThreads`] runs the chunks of each parallel-loop
 //!   invocation on real OS threads: chunk 0 on the calling thread, the rest
 //!   on a pool of parked workers that the run spawns at its first parallel
 //!   batch and joins when it returns. Every chunk executes against a
@@ -88,9 +88,7 @@ mod runtime;
 mod stm;
 mod tuner;
 
-pub use backend::{
-    BackendKind, BatchOutcome, ExecutionBackend, NativeThreadsBackend, VirtualTimeBackend,
-};
+pub use backend::BackendKind;
 pub use runtime::{DbmRunResult, PreparedDbm, SideSpec, VarSpec, MAX_SPECULATIVE_ITERATIONS};
 pub use stm::TxStats;
 pub use tuner::{TuneDecision, TuneOutcome, Tuner};
@@ -195,7 +193,7 @@ impl SpecCommitMode {
 pub struct DbmConfig {
     /// Number of guest threads used for parallelised loops.
     pub threads: u32,
-    /// Which [`ExecutionBackend`] runs parallel-loop chunks.
+    /// Which backend runs parallel-loop chunks.
     pub backend: BackendKind,
     /// Allow dynamic-DOALL loops: evaluate `MEM_BOUNDS_CHECK` rules and run
     /// shared-library calls under the STM. When `false`, only rules for
@@ -305,27 +303,6 @@ fn adaptive_from_value(value: Option<&str>) -> std::result::Result<bool, String>
         "1" | "true" | "yes" | "on" => Ok(true),
         "" | "0" | "false" | "no" | "off" => Ok(false),
         _ => Err(raw.to_string()),
-    }
-}
-
-impl DbmConfig {
-    /// A configuration with `threads` worker threads and defaults otherwise.
-    #[must_use]
-    pub fn with_threads(threads: u32) -> DbmConfig {
-        DbmConfig {
-            threads,
-            ..DbmConfig::default()
-        }
-    }
-
-    /// A configuration with an explicit execution backend and defaults
-    /// otherwise.
-    #[must_use]
-    pub fn with_backend(backend: BackendKind) -> DbmConfig {
-        DbmConfig {
-            backend,
-            ..DbmConfig::default()
-        }
     }
 }
 
@@ -563,11 +540,6 @@ mod tests {
         assert_eq!(c.threads, 8);
         assert!(c.enable_runtime_checks);
         assert!(c.translation_cost > c.dispatch_cost);
-        assert_eq!(DbmConfig::with_threads(4).threads, 4);
-        assert_eq!(
-            DbmConfig::with_backend(BackendKind::NativeThreads).backend,
-            BackendKind::NativeThreads
-        );
         // The grouped cost structs carry the historical default values.
         assert_eq!((c.stm.read, c.stm.write, c.stm.commit), (8, 14, 16));
         assert_eq!(

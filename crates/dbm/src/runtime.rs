@@ -1,7 +1,7 @@
 //! The rewrite-rule-driven execution engine: rule decoding, parallel-loop
 //! *planning* (chunking, context forking, bounds checks) and the merge of
 //! chunk results back into the main thread. The *execution* of planned
-//! chunks lives behind [`crate::ExecutionBackend`] in `backend.rs`.
+//! chunks is a `match` on [`crate::BackendKind`] in `backend.rs`.
 
 use crate::backend::{
     ChunkContext, ChunkPlan, ChunkPool, ChunkResult, ChunkSideEffects, CodeCache, SpecPayload,
@@ -213,14 +213,6 @@ pub struct DbmRunResult {
     /// ([`FlatMemory::image_digest`]). Equal across execution backends for
     /// the same program and input — the cross-backend equivalence anchor.
     pub memory_digest: u64,
-}
-
-impl DbmRunResult {
-    /// Speedup relative to a native execution that took `native_cycles`.
-    #[must_use]
-    pub fn speedup_vs(&self, native_cycles: u64) -> f64 {
-        native_cycles as f64 / self.cycles.max(1) as f64
-    }
 }
 
 /// The immutable, shareable half of a DBM: the loaded process, the rewrite
@@ -873,7 +865,6 @@ impl Dbm {
         // Execute: the configured backend runs the chunks (inline in virtual
         // time, or on the run's OS worker pool) and merges all memory and
         // code-cache effects back before returning.
-        let backend = self.config.backend.backend();
         let ctx = ChunkContext {
             parts: &self.prepared.parts,
             loop_id,
@@ -882,8 +873,13 @@ impl Dbm {
             config: &self.config,
             recorder: &self.recorder,
         };
-        let batch =
-            backend.run_chunks(&ctx, &plans, &mut self.mem, &mut self.cache, &mut self.pool)?;
+        let batch = self.config.backend.run_chunks(
+            &ctx,
+            &plans,
+            &mut self.mem,
+            &mut self.cache,
+            &mut self.pool,
+        )?;
         self.fold_chunk_effects(batch.effects);
         for r in &batch.results {
             self.stats.retired += r.cpu.retired;
@@ -1072,7 +1068,6 @@ impl Dbm {
             commit_cost_per_write: self.config.spec.write / 2,
             max_task_factor: self.config.spec.max_task_factor,
         };
-        let backend = self.config.backend.backend();
 
         // Split the borrows the iteration body needs off `self` so the guest
         // memory can be temporarily moved into the engine.
@@ -1150,7 +1145,7 @@ impl Dbm {
                     }
                 }
             };
-        let invocation = backend.run_speculative_invocation(
+        let invocation = self.config.backend.run_speculative_invocation(
             &spec_config,
             self.config.spec_commit,
             &mut base,

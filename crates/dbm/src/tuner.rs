@@ -197,12 +197,6 @@ impl Tuner {
             .observe(wall_nanos as f64 / sequential_cycles as f64);
     }
 
-    /// Samples folded into the global pace estimator.
-    #[must_use]
-    pub fn pace_samples(&self) -> u64 {
-        self.pace.samples()
-    }
-
     /// Decides how one invocation of `loop_id` with `iterations` iterations
     /// should run under `threads` configured worker threads.
     pub fn decide(&mut self, loop_id: usize, iterations: u64, threads: u32) -> TuneOutcome {

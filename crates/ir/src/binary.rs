@@ -10,7 +10,6 @@ use crate::digest::fnv1a;
 use crate::encode::INST_SIZE;
 use crate::error::{IrError, Result};
 use crate::layout::{DATA_BASE, TEXT_BASE};
-use std::collections::BTreeMap;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"JBIN";
@@ -43,17 +42,6 @@ pub struct Symbol {
 pub struct PltEntry {
     /// The imported function's name (e.g. `"pow"`).
     pub name: String,
-}
-
-/// A named section identifier used when inspecting a binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Section {
-    /// Executable code.
-    Text,
-    /// Initialised data.
-    Data,
-    /// Zero-initialised data.
-    Bss,
 }
 
 /// A JVA executable image.
@@ -148,14 +136,6 @@ impl JBinary {
         self.text_base
     }
 
-    /// Overrides the base addresses of the text and data sections. Used when
-    /// building the shared system library image, which is loaded at a high
-    /// address range.
-    pub fn relocate(&mut self, text_base: u64, data_base: u64) {
-        self.text_base = text_base;
-        self.data_base = data_base;
-    }
-
     /// Raw bytes of the text section.
     #[must_use]
     pub fn text(&self) -> &[u8] {
@@ -214,12 +194,6 @@ impl JBinary {
         (self.plt.len() - 1) as u32
     }
 
-    /// Looks up a PLT entry name by index.
-    #[must_use]
-    pub fn plt_name(&self, index: u32) -> Option<&str> {
-        self.plt.get(index as usize).map(|e| e.name.as_str())
-    }
-
     /// The symbol table (may be empty for stripped binaries).
     #[must_use]
     pub fn symbols(&self) -> &[Symbol] {
@@ -249,12 +223,6 @@ impl JBinary {
     /// paper targets).
     pub fn strip(&mut self) {
         self.symbols.clear();
-    }
-
-    /// Returns `true` when the binary carries no symbol information.
-    #[must_use]
-    pub fn is_stripped(&self) -> bool {
-        self.symbols.is_empty()
     }
 
     /// Identifier of the tool that produced the binary (e.g. `"jcc -O3"`).
@@ -293,16 +261,6 @@ impl JBinary {
     #[must_use]
     pub fn content_digest(&self) -> u64 {
         fnv1a(&self.to_bytes())
-    }
-
-    /// Map from address to function symbol, for diagnostics.
-    #[must_use]
-    pub fn function_map(&self) -> BTreeMap<u64, &str> {
-        self.symbols
-            .iter()
-            .filter(|s| s.kind == SymbolKind::Function)
-            .map(|s| (s.addr, s.name.as_str()))
-            .collect()
     }
 
     /// Serialises the binary to its on-disk representation.
@@ -582,17 +540,15 @@ mod tests {
         let idx = bin.add_plt_entry("pow");
         assert_eq!(idx, 0);
         assert_eq!(bin.plt().len(), 2);
-        assert_eq!(bin.plt_name(1), Some("memcpy"));
-        assert_eq!(bin.plt_name(9), None);
+        assert_eq!(bin.plt()[1].name, "memcpy");
     }
 
     #[test]
     fn strip_removes_symbols() {
         let mut bin = simple_binary();
-        assert!(!bin.is_stripped());
         assert!(bin.symbol("main").is_ok());
         bin.strip();
-        assert!(bin.is_stripped());
+        assert!(bin.symbols().is_empty());
         assert!(bin.symbol("main").is_err());
     }
 
@@ -603,22 +559,6 @@ mod tests {
         assert!(bin.text_contains(bin.text_end() - 1));
         assert!(!bin.text_contains(bin.text_end()));
         assert_eq!(bin.num_instructions(), 3);
-    }
-
-    #[test]
-    fn function_map_only_contains_functions() {
-        let bin = simple_binary();
-        let map = bin.function_map();
-        assert_eq!(map.len(), 1);
-        assert_eq!(map[&TEXT_BASE], "main");
-    }
-
-    #[test]
-    fn relocate_moves_bases() {
-        let mut bin = simple_binary();
-        bin.relocate(crate::layout::SYSLIB_BASE, crate::layout::SYSLIB_DATA_BASE);
-        assert_eq!(bin.text_base(), crate::layout::SYSLIB_BASE);
-        assert!(bin.text_contains(crate::layout::SYSLIB_BASE));
     }
 
     #[test]

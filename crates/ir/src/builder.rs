@@ -416,7 +416,7 @@ mod tests {
         asm.push(Inst::Ret);
         let bin = asm.finish_binary("main").unwrap();
         assert_eq!(bin.entry(), TEXT_BASE);
-        assert_eq!(bin.plt_name(0), Some("pow"));
+        assert_eq!(bin.plt()[0].name, "pow");
         assert!(bin.symbol("helper").is_ok());
         assert!(bin.symbol("numbers").is_ok());
         assert_eq!(bin.producer(), "test");
@@ -443,7 +443,8 @@ mod tests {
         asm.push_branch(Cond::Ne, "loop");
         asm.push(Inst::Halt);
         let bin = asm.finish_binary("main").unwrap();
-        let insts = crate::disasm::disassemble(&bin).unwrap();
+        let text = (bin.text_base(), bin.text(), bin.text_base(), bin.text_end());
+        let insts = crate::disasm::disassemble_range(text.0, text.1, text.2, text.3).unwrap();
         match &insts[1].inst {
             Inst::Jcc { cond, target } => {
                 assert_eq!(*cond, Cond::Ne);

@@ -4,7 +4,6 @@
 //! static analyser never sees the structures the compiler used to *produce*
 //! the binary, only what can be recovered from the bytes.
 
-use crate::binary::JBinary;
 use crate::encode::{decode, INST_SIZE};
 use crate::error::Result;
 use crate::inst::Inst;
@@ -16,20 +15,6 @@ pub struct DecodedInst {
     pub addr: u64,
     /// The decoded instruction.
     pub inst: Inst,
-}
-
-/// Disassembles the entire text section of a binary.
-///
-/// # Errors
-///
-/// Returns an error if any instruction fails to decode.
-pub fn disassemble(binary: &JBinary) -> Result<Vec<DecodedInst>> {
-    disassemble_range(
-        binary.text_base(),
-        binary.text(),
-        binary.text_base(),
-        binary.text_end(),
-    )
 }
 
 /// Disassembles the instructions within `[start, end)` of a text section that
@@ -96,6 +81,7 @@ pub fn format_inst(inst: &Inst) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binary::JBinary;
     use crate::builder::AsmBuilder;
     use crate::inst::{AluOp, Cond};
     use crate::operand::{MemRef, Operand};
@@ -125,7 +111,8 @@ mod tests {
     #[test]
     fn disassembles_whole_binary_in_order() {
         let bin = build_sample();
-        let insts = disassemble(&bin).unwrap();
+        let (base, end) = (bin.text_base(), bin.text_end());
+        let insts = disassemble_range(base, bin.text(), base, end).unwrap();
         assert_eq!(insts.len(), 6);
         for (i, d) in insts.iter().enumerate() {
             assert_eq!(d.addr, bin.text_base() + (i * INST_SIZE) as u64);

@@ -32,15 +32,6 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// Returns `true` if the operation is commutative.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            AluOp::Add | AluOp::Mul | AluOp::And | AluOp::Or | AluOp::Xor
-        )
-    }
-
     /// Mnemonic used by the disassembler.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {
@@ -433,21 +424,6 @@ impl Inst {
             )
     }
 
-    /// Returns `true` if this instruction writes the flags register.
-    #[must_use]
-    pub fn writes_flags(&self) -> bool {
-        matches!(
-            self,
-            Inst::Alu { .. } | Inst::Cmp { .. } | Inst::FCmp { .. } | Inst::Test { .. }
-        )
-    }
-
-    /// Returns `true` if this instruction reads the flags register.
-    #[must_use]
-    pub fn reads_flags(&self) -> bool {
-        matches!(self, Inst::Jcc { .. } | Inst::CMov { .. })
-    }
-
     /// Registers read by this instruction, excluding implicit flag reads.
     ///
     /// The two-operand forms (`Alu`, `Fpu`, `Vec`, `CMov`) read their
@@ -563,13 +539,6 @@ impl Inst {
         self.mem_read().is_some() || self.mem_write().is_some()
     }
 
-    /// Returns `true` if this instruction is a system call or other operation
-    /// incompatible with parallelisation (IO, process control).
-    #[must_use]
-    pub fn is_incompatible_with_parallel(&self) -> bool {
-        matches!(self, Inst::Syscall { .. })
-    }
-
     /// Size in bytes each access transfers (8 for scalar, `lanes * 8` for
     /// vector operations). Returns 0 for instructions without memory access.
     #[must_use]
@@ -669,7 +638,6 @@ mod tests {
         assert!(i.mem_read().is_some());
         assert!(i.mem_write().is_some());
         assert!(i.touches_memory());
-        assert!(i.writes_flags());
     }
 
     #[test]
@@ -683,7 +651,6 @@ mod tests {
         assert!(reads.contains(Reg::R8) && reads.contains(Reg::R1));
         assert!(i.mem_read().is_some());
         assert!(i.mem_write().is_none());
-        assert!(!i.writes_flags());
     }
 
     #[test]
@@ -710,7 +677,6 @@ mod tests {
         assert!(i.reads().contains(Reg::R1));
         assert!(i.reads().contains(Reg::R2));
         assert_eq!(i.writes(), RegSet::from(Reg::R1));
-        assert!(i.reads_flags());
     }
 
     #[test]
@@ -727,19 +693,5 @@ mod tests {
         };
         assert_eq!(s.access_width(), 8);
         assert_eq!(Inst::Nop.access_width(), 0);
-    }
-
-    #[test]
-    fn syscall_incompatible_with_parallel() {
-        assert!(Inst::Syscall { num: 1 }.is_incompatible_with_parallel());
-        assert!(!Inst::Nop.is_incompatible_with_parallel());
-    }
-
-    #[test]
-    fn alu_commutativity() {
-        assert!(AluOp::Add.is_commutative());
-        assert!(AluOp::Xor.is_commutative());
-        assert!(!AluOp::Sub.is_commutative());
-        assert!(!AluOp::Shl.is_commutative());
     }
 }

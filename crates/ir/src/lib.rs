@@ -47,10 +47,10 @@ mod layout;
 mod operand;
 mod reg;
 
-pub use binary::{JBinary, PltEntry, Section, Symbol, SymbolKind};
+pub use binary::{JBinary, PltEntry, Symbol, SymbolKind};
 pub use builder::AsmBuilder;
 pub use digest::fnv1a;
-pub use disasm::{disassemble, disassemble_range, format_inst, DecodedInst};
+pub use disasm::{disassemble_range, format_inst, DecodedInst};
 pub use encode::{decode, decode_at, encode, encode_into, INST_SIZE};
 pub use error::{IrError, Result};
 pub use inst::{AluOp, Cond, ControlFlow, FpuOp, Inst, SyscallNum};

@@ -87,19 +87,6 @@ impl MemRef {
         self
     }
 
-    /// Returns `true` if this reference uses no registers (absolute address).
-    #[must_use]
-    pub fn is_absolute(self) -> bool {
-        self.base.is_none() && self.index.is_none()
-    }
-
-    /// Returns `true` if this reference is relative to the stack pointer or
-    /// frame pointer.
-    #[must_use]
-    pub fn is_stack_relative(self) -> bool {
-        self.base == Some(Reg::SP) || self.base == Some(Reg::FP)
-    }
-
     /// Registers read when computing the effective address.
     pub fn regs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.base.into_iter().chain(self.index)
@@ -282,15 +269,12 @@ mod tests {
         let m = MemRef::base(Reg::R3);
         assert_eq!(m.base, Some(Reg::R3));
         assert_eq!(m.disp, 0);
-        assert!(!m.is_absolute());
 
         let m = MemRef::absolute(0x600010);
-        assert!(m.is_absolute());
-        assert_eq!(m.disp, 0x600010);
+        assert_eq!((m.base, m.index, m.disp), (None, None, 0x600010));
 
         let m = MemRef::base_disp(Reg::SP, -8);
-        assert!(m.is_stack_relative());
-        assert_eq!(m.disp, -8);
+        assert_eq!((m.base, m.disp), (Some(Reg::SP), -8));
 
         let m = MemRef::base_index(Reg::R8, Reg::R1, 4).with_disp(8);
         assert_eq!(m.scale, 4);

@@ -67,9 +67,6 @@ impl Reg {
     pub const SP: Reg = Reg::R15;
     /// The frame pointer (alias of [`Reg::R14`]).
     pub const FP: Reg = Reg::R14;
-    /// Register used for function return values and the first argument
-    /// (alias of [`Reg::R0`]).
-    pub const RET: Reg = Reg::R0;
 
     /// Creates a general-purpose register from its index.
     ///
@@ -134,26 +131,9 @@ impl Reg {
         self.class() == RegClass::Gpr
     }
 
-    /// Returns `true` for vector registers.
-    #[must_use]
-    pub fn is_vec(self) -> bool {
-        self.class() == RegClass::Vec
-    }
-
-    /// Returns `true` if this register is the stack pointer.
-    #[must_use]
-    pub fn is_sp(self) -> bool {
-        self == Reg::SP
-    }
-
     /// Iterator over all general-purpose registers.
     pub fn all_gprs() -> impl Iterator<Item = Reg> {
         (0..NUM_GPR as u8).map(Reg)
-    }
-
-    /// Iterator over all vector registers.
-    pub fn all_vregs() -> impl Iterator<Item = Reg> {
-        (0..NUM_VREG as u8).map(|i| Reg(16 + i))
     }
 
     /// Iterator over every architectural register.
@@ -257,9 +237,6 @@ mod tests {
     fn aliases_match_indices() {
         assert_eq!(Reg::SP, Reg::R15);
         assert_eq!(Reg::FP, Reg::R14);
-        assert_eq!(Reg::RET, Reg::R0);
-        assert!(Reg::SP.is_sp());
-        assert!(!Reg::R3.is_sp());
     }
 
     #[test]
@@ -268,7 +245,7 @@ mod tests {
             assert_eq!(r.class(), RegClass::Gpr);
             assert_eq!(Reg::gpr(r.index()), r);
         }
-        for r in Reg::all_vregs() {
+        for r in Reg::all().skip(NUM_GPR) {
             assert_eq!(r.class(), RegClass::Vec);
             assert_eq!(Reg::vreg(r.index()), r);
         }
@@ -319,7 +296,6 @@ mod tests {
     #[test]
     fn all_counts() {
         assert_eq!(Reg::all_gprs().count(), NUM_GPR);
-        assert_eq!(Reg::all_vregs().count(), NUM_VREG);
         assert_eq!(Reg::all().count(), NUM_GPR + NUM_VREG);
     }
 }

@@ -1,6 +1,5 @@
-//! The flight recorder's two exporters: Chrome trace-event JSON
-//! (Perfetto-loadable) and a JSONL event log. Prometheus text is the
-//! metrics registry's job ([`Registry::prometheus_text`](crate::metrics::Registry::prometheus_text)).
+//! The flight recorder's one event exporter: Chrome trace-event JSON
+//! (Perfetto-loadable). Prometheus text is the metrics registry's job ([`Registry::prometheus_text`](crate::metrics::Registry::prometheus_text)).
 
 use crate::json::escape;
 use crate::{ArgValue, Phase, Recorder};
@@ -98,37 +97,5 @@ impl Recorder {
         }
         out.push_str("\n]}\n");
         out
-    }
-
-    /// Renders every resident event as one JSON object per line
-    /// (timestamps in nanoseconds; `ph` uses the Chrome letters).
-    #[must_use]
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events() {
-            let (ph, extra) = match &e.phase {
-                Phase::Complete { dur_nanos } => ("X", format!(",\"dur_nanos\":{dur_nanos}")),
-                Phase::Instant => ("i", String::new()),
-                Phase::AsyncBegin { id } => ("b", format!(",\"id\":{id}")),
-                Phase::AsyncEnd { id } => ("e", format!(",\"id\":{id}")),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"ts_nanos\":{},\"tid\":{},\"ph\":\"{ph}\",\"cat\":\"{}\",\
-                 \"name\":\"{}\"{extra},\"args\":{}}}",
-                e.ts_nanos,
-                e.tid,
-                escape(e.cat),
-                escape(&e.name),
-                json_args(&e.args)
-            );
-        }
-        out
-    }
-
-    /// Total events dropped plus resident, for export footers and tests.
-    #[must_use]
-    pub fn observed_events(&self) -> u64 {
-        self.len() as u64 + self.dropped()
     }
 }

@@ -68,20 +68,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Folds another histogram's counts into this one (shard merging).
-    /// `max` merges as the larger of the two; `sum`/`count` add.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {

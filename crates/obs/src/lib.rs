@@ -1,6 +1,6 @@
 //! Flight recorder and metrics for the janus stack: structured tracing
-//! spans and instant events with two exporters (Chrome trace-event JSON for
-//! Perfetto and a JSONL event log), log-bucketed latency histograms, and an
+//! spans and instant events with one exporter (Chrome trace-event JSON for
+//! Perfetto), log-bucketed latency histograms, and an
 //! always-on metrics [`metrics::Registry`] whose Prometheus text exposition
 //! is the workspace's one Prometheus writer.
 //!

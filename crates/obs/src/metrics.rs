@@ -118,12 +118,6 @@ impl Gauge {
         self.add(1);
     }
 
-    /// Subtracts one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// The current value.
     #[inline]
     #[must_use]
@@ -774,7 +768,7 @@ mod tests {
         assert_eq!(other.get(), 1);
         let g = registry.gauge("janus_g", "help", &[]);
         g.set(7);
-        g.dec();
+        g.add(-1);
         assert_eq!(g.get(), 6);
         assert_eq!(registry.len(), 2);
     }

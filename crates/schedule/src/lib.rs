@@ -22,8 +22,7 @@
 //! schedule.push(RewriteRule::new(0x400180, RuleId::LoopFinish).with_data(0, 7));
 //! let bytes = schedule.to_bytes();
 //! let reloaded = RewriteSchedule::from_bytes(&bytes).unwrap();
-//! assert_eq!(reloaded.rules().len(), 2);
-//! assert_eq!(reloaded.rules_at(0x400100).count(), 1);
+//! assert_eq!(reloaded.rules(), schedule.rules());
 //! ```
 
 #![warn(missing_docs)]
@@ -131,20 +130,6 @@ impl RuleId {
     #[must_use]
     pub fn from_u16(v: u16) -> Option<RuleId> {
         RuleId::ALL.get(v as usize).copied()
-    }
-
-    /// Returns `true` for the rules used only during profiling runs.
-    #[must_use]
-    pub fn is_profiling(self) -> bool {
-        matches!(
-            self,
-            RuleId::ProfLoopStart
-                | RuleId::ProfLoopFinish
-                | RuleId::ProfLoopIter
-                | RuleId::ProfExcallStart
-                | RuleId::ProfExcallFinish
-                | RuleId::ProfMemAccess
-        )
     }
 }
 
@@ -293,16 +278,6 @@ impl RewriteSchedule {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Rules attached to `addr`, in schedule order.
-    pub fn rules_at(&self, addr: u64) -> impl Iterator<Item = &RewriteRule> {
-        self.rules.iter().filter(move |r| r.addr == addr)
-    }
-
-    /// Rules with the given id.
-    pub fn rules_with_id(&self, id: RuleId) -> impl Iterator<Item = &RewriteRule> + '_ {
-        self.rules.iter().filter(move |r| r.id == id)
     }
 
     /// Lowers the schedule, once per binary, into a table addressed by
@@ -478,19 +453,7 @@ mod tests {
             assert_eq!(RuleId::from_u16(id.as_u16()), Some(id));
         }
         assert_eq!(RuleId::from_u16(999), None);
-    }
-
-    #[test]
-    fn profiling_rules_are_flagged() {
-        assert!(RuleId::ProfMemAccess.is_profiling());
-        assert!(!RuleId::LoopInit.is_profiling());
-        assert_eq!(
-            RuleId::ALL.iter().filter(|r| r.is_profiling()).count(),
-            6,
-            "six profiling rules as in Figure 3"
-        );
         assert_eq!(RuleId::ALL.len(), 19, "Figure 3's 18 rules plus SPECULATE");
-        assert!(!RuleId::Speculate.is_profiling());
     }
 
     #[test]
@@ -587,8 +550,9 @@ mod tests {
         s.push(RewriteRule::new(1, RuleId::LoopInit).with_data(0, 3));
         s.push(RewriteRule::new(2, RuleId::LoopFinish).with_data(0, 3));
         s.push(RewriteRule::new(3, RuleId::LoopInit).with_data(0, 4));
-        assert_eq!(s.rules_with_id(RuleId::LoopInit).count(), 2);
-        assert_eq!(s.rules_at(2).count(), 1);
+        let with_id = s.rules().iter().filter(|r| r.id == RuleId::LoopInit);
+        assert_eq!(with_id.count(), 2);
+        assert_eq!(s.rules().iter().filter(|r| r.addr == 2).count(), 1);
         assert_eq!(s.rules()[0].loop_id(), 3);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());

@@ -42,9 +42,8 @@ struct PendingJob {
 
 /// One tenant's FIFO backlog plus its deficit-round-robin account. Entries
 /// persist for the session's lifetime (an emptied tenant leaves the
-/// scheduling ring but keeps its counters), so
-/// [`ServeHandle::tenant_stats`] and the per-tenant metric families cover
-/// every tenant that ever submitted.
+/// scheduling ring but keeps its counters), so `/statusz` and the
+/// per-tenant metric families cover every tenant that ever submitted.
 struct TenantQueue {
     queue: VecDeque<PendingJob>,
     /// Accumulated tokens; a job starts only when the deficit covers its
@@ -203,25 +202,25 @@ pub(crate) struct Shared {
     max_in_flight_seen: AtomicU64,
 }
 
-/// One tenant's public snapshot ([`ServeHandle::tenant_stats`] and the
-/// `/statusz` telemetry endpoint): backlog, fair-scheduler account and
+/// One tenant's snapshot for the `/statusz` telemetry endpoint and the
+/// per-tenant metric families: backlog, fair-scheduler account and
 /// deadline SLO ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantSnapshot {
+pub(crate) struct TenantSnapshot {
     /// The tenant's name ([`crate::DEFAULT_TENANT`] for unlabelled jobs).
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// Jobs currently queued for this tenant.
-    pub pending: u64,
+    pub(crate) pending: u64,
     /// The tenant's current deficit-round-robin balance (tokens).
-    pub deficit: u64,
+    pub(crate) deficit: u64,
     /// Tokens granted per scheduler round.
-    pub quantum: u64,
+    pub(crate) quantum: u64,
     /// Jobs dequeued (started) for this tenant over the session.
-    pub served: u64,
+    pub(crate) served: u64,
     /// Completed deadline-carrying jobs that finished within budget.
-    pub deadline_hit: u64,
+    pub(crate) deadline_hit: u64,
     /// Completed deadline-carrying jobs that overran.
-    pub deadline_missed: u64,
+    pub(crate) deadline_missed: u64,
 }
 
 impl Shared {
@@ -262,7 +261,7 @@ impl Shared {
         }
     }
 
-    /// Per-tenant snapshots, name-sorted (see [`ServeHandle::tenant_stats`]).
+    /// Per-tenant snapshots, name-sorted.
     pub(crate) fn tenant_snapshots(&self) -> Vec<TenantSnapshot> {
         let state = self.state.lock().expect("serve queue poisoned");
         let mut out: Vec<TenantSnapshot> = state
@@ -339,8 +338,7 @@ impl Shared {
 /// A running serving session: worker pool plus submission interface.
 ///
 /// Obtained from [`ServeSession::serve`](crate::ServeSession::serve). Jobs
-/// go in through [`submit`](ServeHandle::submit) /
-/// [`submit_batch`](ServeHandle::submit_batch); results come back from
+/// go in through [`submit`](ServeHandle::submit); results come back from
 /// [`join`](ServeHandle::join) in submission order. Dropping the handle (or
 /// calling [`shutdown`](ServeHandle::shutdown)) stops the workers after
 /// their current job; queued-but-unstarted jobs are abandoned, so call
@@ -558,26 +556,6 @@ impl ServeHandle {
         Ok(id)
     }
 
-    /// Submits a batch of jobs, stopping at the first rejection.
-    ///
-    /// # Errors
-    ///
-    /// Returns the ids accepted so far alongside the error that stopped the
-    /// batch; the accepted jobs stay queued and will run.
-    pub fn submit_batch(
-        &self,
-        jobs: impl IntoIterator<Item = JobSpec>,
-    ) -> Result<Vec<JobId>, (Vec<JobId>, ServeError)> {
-        let mut accepted = Vec::new();
-        for job in jobs {
-            match self.submit(job) {
-                Ok(id) => accepted.push(id),
-                Err(e) => return Err((accepted, e)),
-            }
-        }
-        Ok(accepted)
-    }
-
     /// Waits until every submitted job has finished and drains their
     /// outcomes, ordered by [`JobId`] (= submission order). Jobs submitted
     /// concurrently with the wait are waited for too; outcomes are returned
@@ -602,13 +580,6 @@ impl ServeHandle {
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         self.shared.stats_snapshot()
-    }
-
-    /// Snapshots every tenant that ever submitted to this session: backlog,
-    /// scheduler account and deadline SLO ledger, sorted by tenant name.
-    #[must_use]
-    pub fn tenant_stats(&self) -> Vec<TenantSnapshot> {
-        self.shared.tenant_snapshots()
     }
 
     /// The telemetry endpoint's bound address (useful with an ephemeral
@@ -793,9 +764,6 @@ fn run_job(
     }
     if let Some(backend) = job.backend {
         config.backend = backend;
-    }
-    if let Some(mode) = job.spec_commit {
-        config.spec_commit = mode;
     }
 
     let exec_start = Instant::now();

@@ -51,8 +51,8 @@
 //!   fast with typed errors instead of queueing unboundedly.
 //! * [`ServeSession`] — the session API on the `janus` facade:
 //!   `janus.serve(ServeConfig)` returns a [`ServeHandle`] with
-//!   [`submit`](ServeHandle::submit) / [`submit_batch`](ServeHandle::submit_batch)
-//!   / [`join`](ServeHandle::join), so callers drive the serving layer
+//!   [`submit`](ServeHandle::submit) / [`join`](ServeHandle::join), so
+//!   callers drive the serving layer
 //!   without touching internals.
 //!
 //! ## The digest-keyed artifact lifecycle
@@ -135,10 +135,10 @@ pub mod store;
 pub mod telemetry;
 
 pub use cache::{Artifact, ArtifactCache};
-pub use executor::{ServeHandle, TenantSnapshot};
+pub use executor::ServeHandle;
 pub use store::{ArtifactStore, STORE_FORMAT_VERSION};
 
-use janus_core::{BackendKind, Janus, SpecCommitMode};
+use janus_core::{BackendKind, Janus};
 use janus_dbm::DbmError;
 use janus_ir::JBinary;
 use janus_obs::metrics::Registry;
@@ -189,8 +189,8 @@ pub struct ServeConfig {
     /// one branch per would-be event; pass
     /// [`Recorder::enabled`](janus_obs::Recorder::enabled) to collect
     /// per-job spans (queue wait, cache probe, disk hydrate, execute),
-    /// store events and per-worker tracks, exportable as a Chrome trace or
-    /// JSONL. The handle installs this recorder into its pipeline and
+    /// store events and per-worker tracks, exportable as a Chrome trace.
+    /// The handle installs this recorder into its pipeline and
     /// store, so one export covers the whole stack. Latency histograms
     /// ([`ServeStats::job_wall`] and friends) live in the session's
     /// registry ([`ServeConfig::metrics`]), traced or not.
@@ -533,12 +533,6 @@ pub struct JobSpec {
     pub threads: Option<u32>,
     /// Per-job override of the execution backend.
     pub backend: Option<BackendKind>,
-    /// Per-job override of which speculation engine a native-threads job
-    /// runs: `None` keeps the session default (the deterministic coordinator
-    /// alone, whose modelled counters are backend-invariant);
-    /// [`SpecCommitMode::RacedImage`] runs the racing OS-thread pool alone,
-    /// for jobs that do not consume modelled figures.
-    pub spec_commit: Option<SpecCommitMode>,
     /// The submitting tenant, for fair scheduling and quotas. `None` files
     /// the job under [`DEFAULT_TENANT`].
     pub tenant: Option<String>,
@@ -562,24 +556,9 @@ impl JobSpec {
             input: Vec::new(),
             threads: None,
             backend: None,
-            spec_commit: None,
             tenant: None,
             deadline: None,
         }
-    }
-
-    /// Sets the job's input.
-    #[must_use]
-    pub fn with_input(mut self, input: Vec<i64>) -> JobSpec {
-        self.input = input;
-        self
-    }
-
-    /// Overrides the thread count for this job.
-    #[must_use]
-    pub fn with_threads(mut self, threads: u32) -> JobSpec {
-        self.threads = Some(threads);
-        self
     }
 
     /// Overrides the execution backend for this job.
@@ -589,24 +568,10 @@ impl JobSpec {
         self
     }
 
-    /// Overrides the speculative commit mode for this job.
-    #[must_use]
-    pub fn with_spec_commit(mut self, mode: SpecCommitMode) -> JobSpec {
-        self.spec_commit = Some(mode);
-        self
-    }
-
     /// Files this job under `tenant` for fair scheduling and quotas.
     #[must_use]
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> JobSpec {
         self.tenant = Some(tenant.into());
-        self
-    }
-
-    /// Sets the job's latency budget (see [`JobSpec::deadline`]).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> JobSpec {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -777,13 +742,11 @@ mod tests {
         asm.push(janus_ir::Inst::Halt);
         let binary = Arc::new(asm.finish_binary("main").unwrap());
         let job = JobSpec::new(binary)
-            .with_input(vec![1, 2])
-            .with_threads(2)
             .with_backend(BackendKind::NativeThreads)
-            .with_spec_commit(SpecCommitMode::RacedImage);
-        assert_eq!(job.input, vec![1, 2]);
-        assert_eq!(job.threads, Some(2));
+            .with_tenant("alpha");
+        assert!(job.input.is_empty());
+        assert_eq!(job.threads, None);
         assert_eq!(job.backend, Some(BackendKind::NativeThreads));
-        assert_eq!(job.spec_commit, Some(SpecCommitMode::RacedImage));
+        assert_eq!(job.tenant.as_deref(), Some("alpha"));
     }
 }

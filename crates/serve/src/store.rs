@@ -350,7 +350,7 @@ impl ArtifactStore {
     /// session's pipeline-config `fingerprint`.
     ///
     /// Best-effort by design: persistence failures (full disk, permissions)
-    /// are counted in [`ArtifactStore::store_errors`] and the session keeps
+    /// are counted in the `janus_store_errors_total` metric and the session keeps
     /// serving from memory — the entry is simply rebuilt by the next
     /// process. The write path is temp file + `sync_all` + atomic rename;
     /// see the module docs for why a concurrent reader or a crash can never
@@ -489,13 +489,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn evicted_bytes(&self) -> u64 {
         self.meter.evicted_bytes.get()
-    }
-
-    /// Persistence attempts that failed with an I/O error (the session
-    /// keeps serving; the entry is rebuilt by the next process).
-    #[must_use]
-    pub fn store_errors(&self) -> u64 {
-        self.meter.errors.get()
     }
 }
 

@@ -204,10 +204,11 @@ fn per_job_thread_overrides_do_not_change_guest_results() {
         workers: 2,
         ..ServeConfig::default()
     });
-    let ids = handle
-        .submit_batch([1u32, 2, 4, 8].map(|t| JobSpec::new(binary.clone()).with_threads(t)))
-        .expect("batch admitted");
-    assert_eq!(ids.len(), 4);
+    for threads in [1u32, 2, 4, 8] {
+        let mut job = JobSpec::new(binary.clone());
+        job.threads = Some(threads);
+        handle.submit(job).expect("job admitted");
+    }
     for (id, outcome) in handle.join() {
         let report = outcome.unwrap_or_else(|e| panic!("{id}: {e}"));
         // Guest output is invariant under the thread count — up to the

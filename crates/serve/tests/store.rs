@@ -334,8 +334,12 @@ fn deadline_admission_needs_evidence_and_then_rejects_unmeetable_budgets() {
     });
     // No completed job yet: the cost model has no evidence, so even an
     // absurd budget is admitted rather than guessed at.
+    let with_deadline = |deadline| JobSpec {
+        deadline: Some(deadline),
+        ..JobSpec::new(binary.clone())
+    };
     handle
-        .submit(JobSpec::new(binary.clone()).with_deadline(Duration::from_nanos(1)))
+        .submit(with_deadline(Duration::from_nanos(1)))
         .unwrap();
     assert!(handle.join()[0].1.is_ok());
 
@@ -343,7 +347,7 @@ fn deadline_admission_needs_evidence_and_then_rejects_unmeetable_budgets() {
     // than a nanosecond: the unmeetable budget is rejected, a generous one
     // admitted.
     let err = handle
-        .submit(JobSpec::new(binary.clone()).with_deadline(Duration::from_nanos(1)))
+        .submit(with_deadline(Duration::from_nanos(1)))
         .expect_err("1 ns budget is unmeetable once the model has evidence");
     match err {
         ServeError::DeadlineUnmeetable {
@@ -356,7 +360,7 @@ fn deadline_admission_needs_evidence_and_then_rejects_unmeetable_budgets() {
         other => panic!("expected DeadlineUnmeetable, got {other}"),
     }
     handle
-        .submit(JobSpec::new(binary).with_deadline(Duration::from_secs(3600)))
+        .submit(with_deadline(Duration::from_secs(3600)))
         .expect("a generous budget is admitted");
     let outcomes = handle.join();
     assert_eq!(outcomes.len(), 1);

@@ -92,9 +92,10 @@ fn scraped_metrics_reconcile_exactly_with_serve_stats() {
     // generous deadline that every job will hit.
     for i in 0..6 {
         let tenant = if i % 2 == 0 { "alpha" } else { "beta" };
-        let job = JobSpec::new(binary.clone())
-            .with_tenant(tenant)
-            .with_deadline(Duration::from_secs(600));
+        let job = JobSpec {
+            deadline: Some(Duration::from_secs(600)),
+            ..JobSpec::new(binary.clone()).with_tenant(tenant)
+        };
         handle.submit(job).unwrap();
     }
     let outcomes = handle.join();

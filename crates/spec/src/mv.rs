@@ -301,14 +301,6 @@ impl MvMemory {
         });
         out
     }
-
-    /// Applies the final image to `base` (the commit at the end of a
-    /// successful speculative invocation).
-    pub fn commit_into<M: GuestMemory>(&self, base: &mut M) {
-        for (word, value) in self.final_image() {
-            base.write_u64(word, value);
-        }
-    }
 }
 
 /// One read of an incarnation's read set: the word, where its value came
@@ -701,10 +693,6 @@ mod tests {
         record(&mv, 4, 0, &[(0x10, 5), (0x18, 6)], 2);
         record(&mv, 2, 0, &[(0x10, 3)], 3);
         assert_eq!(mv.final_image(), vec![(0x10, 5), (0x18, 6)]);
-        let mut base = FlatMemory::new();
-        mv.commit_into(&mut base);
-        assert_eq!(base.read_u64(0x10), 5);
-        assert_eq!(base.read_u64(0x18), 6);
     }
 
     #[test]

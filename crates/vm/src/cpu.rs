@@ -137,27 +137,6 @@ impl Cpu {
         self.vreg[reg.index() as usize][0] = value;
     }
 
-    /// Reads a whole vector register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` is not a vector register.
-    #[must_use]
-    pub fn read_vec(&self, reg: Reg) -> [f64; 4] {
-        assert_eq!(reg.class(), RegClass::Vec, "expected a vector register");
-        self.vreg[reg.index() as usize]
-    }
-
-    /// Writes a whole vector register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` is not a vector register.
-    pub fn write_vec(&mut self, reg: Reg, value: [f64; 4]) {
-        assert_eq!(reg.class(), RegClass::Vec, "expected a vector register");
-        self.vreg[reg.index() as usize] = value;
-    }
-
     /// The stack pointer.
     #[must_use]
     pub fn sp(&self) -> u64 {
@@ -167,15 +146,6 @@ impl Cpu {
     /// Sets the stack pointer.
     pub fn set_sp(&mut self, sp: u64) {
         self.write_gpr(Reg::SP, sp as i64);
-    }
-
-    /// Copies the full architectural state (registers and flags, not the
-    /// counters) from another CPU. Used when forking thread contexts.
-    pub fn copy_arch_state_from(&mut self, other: &Cpu) {
-        self.gpr = other.gpr;
-        self.vreg = other.vreg;
-        self.flags = other.flags;
-        self.pc = other.pc;
     }
 }
 
@@ -235,8 +205,6 @@ mod tests {
         assert_eq!(cpu.read_gpr(Reg::R3), -17);
         cpu.write_f64(Reg::V2, 2.75);
         assert_eq!(cpu.read_f64(Reg::V2), 2.75);
-        cpu.write_vec(Reg::V4, [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cpu.read_vec(Reg::V4), [1.0, 2.0, 3.0, 4.0]);
         cpu.set_sp(0x7fff_0000);
         assert_eq!(cpu.sp(), 0x7fff_0000);
     }
@@ -246,18 +214,5 @@ mod tests {
     fn reading_vector_as_gpr_panics() {
         let cpu = Cpu::new();
         let _ = cpu.read_gpr(Reg::V0);
-    }
-
-    #[test]
-    fn copy_arch_state_preserves_counters() {
-        let mut a = Cpu::new();
-        a.cycles = 100;
-        let mut b = Cpu::new();
-        b.write_gpr(Reg::R1, 9);
-        b.pc = 0x400040;
-        a.copy_arch_state_from(&b);
-        assert_eq!(a.read_gpr(Reg::R1), 9);
-        assert_eq!(a.pc, 0x400040);
-        assert_eq!(a.cycles, 100, "cycle counter must not be copied");
     }
 }

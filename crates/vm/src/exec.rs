@@ -18,11 +18,13 @@
 //! call per retired instruction or per operand — a measured choice, see
 //! "Decode once" in `docs/ARCHITECTURE.md`.
 
-use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
 use crate::memory::GuestMemory;
 use janus_ir::{AluOp, Cond, FpuOp, Inst, MemRef, Operand, Reg, RegClass, NUM_GPR, NUM_VREG};
+
+#[cfg(test)]
+use crate::cost::CostModel;
 
 #[cfg(test)]
 mod reference;
@@ -519,16 +521,11 @@ fn fpu_apply(op: FpuOp, a: f64, b: f64) -> f64 {
 }
 
 /// Lowers and executes one instruction at `cpu.pc`, charging it
-/// [`CostModel::default`]'s cost: for one-off instructions and tests; the
-/// interpreter loops step lowered runs ([`crate::plan::step_run`]).
-///
-/// `next_pc` is the return address a call pushes.
-///
-/// # Errors
-///
-/// Returns [`VmError::Load`] if `inst` does not lower ([`Op::lower`]) and
-/// [`VmError::DivisionByZero`] on division by zero.
-pub fn exec_inst<M: GuestMemory>(
+/// [`CostModel::default`]'s cost. `next_pc` is the return address a call
+/// pushes. The interpreter loops step lowered runs instead
+/// ([`crate::plan::step_run`]).
+#[cfg(test)]
+fn exec_inst<M: GuestMemory>(
     cpu: &mut Cpu,
     mem: &mut M,
     inst: &Inst,
@@ -962,7 +959,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(cpu.read_vec(Reg::V2), [0.0, 2.0, 4.0, 6.0]);
+        assert_eq!(cpu.vreg[2], [0.0, 2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -8,7 +8,17 @@ use super::{alu_apply, fpu_apply, pop_value, push_value, Effect};
 use crate::cpu::Cpu;
 use crate::error::Result;
 use crate::memory::GuestMemory;
-use janus_ir::{Inst, MemRef, Operand, RegClass};
+use janus_ir::{Inst, MemRef, Operand, Reg, RegClass};
+
+fn read_vec(cpu: &Cpu, reg: Reg) -> [f64; 4] {
+    assert_eq!(reg.class(), RegClass::Vec, "expected a vector register");
+    cpu.vreg[reg.index() as usize]
+}
+
+fn write_vec(cpu: &mut Cpu, reg: Reg, value: [f64; 4]) {
+    assert_eq!(reg.class(), RegClass::Vec, "expected a vector register");
+    cpu.vreg[reg.index() as usize] = value;
+}
 
 fn effective_addr(cpu: &Cpu, m: &MemRef) -> u64 {
     let mut addr = m.disp;
@@ -67,7 +77,7 @@ fn write_float<M: GuestMemory>(cpu: &mut Cpu, mem: &mut M, op: &Operand, value: 
 
 fn read_lanes<M: GuestMemory>(cpu: &Cpu, mem: &mut M, op: &Operand, lanes: u8) -> [f64; 4] {
     match op {
-        Operand::Reg(r) => cpu.read_vec(*r),
+        Operand::Reg(r) => read_vec(cpu, *r),
         Operand::Mem(m) => {
             let base = effective_addr(cpu, m);
             let mut out = [0.0; 4];
@@ -89,9 +99,9 @@ fn write_lanes<M: GuestMemory>(
 ) {
     match op {
         Operand::Reg(r) => {
-            let mut cur = cpu.read_vec(*r);
+            let mut cur = read_vec(cpu, *r);
             cur[..lanes as usize].copy_from_slice(&value[..lanes as usize]);
-            cpu.write_vec(*r, cur);
+            write_vec(cpu, *r, cur);
         }
         Operand::Mem(m) => {
             let base = effective_addr(cpu, m);
@@ -168,13 +178,13 @@ pub(crate) fn exec_inst_costed<M: GuestMemory>(
             src,
             lanes,
         } => {
-            let a = cpu.read_vec(*dst);
+            let a = read_vec(cpu, *dst);
             let b = read_lanes(cpu, mem, src, *lanes);
             let mut r = a;
             for i in 0..(*lanes as usize) {
                 r[i] = fpu_apply(*op, a[i], b[i]);
             }
-            cpu.write_vec(*dst, r);
+            write_vec(cpu, *dst, r);
             Effect::Continue
         }
         Inst::CvtIntToFloat { dst, src } => {

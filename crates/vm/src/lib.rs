@@ -69,7 +69,7 @@ mod error;
 pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};
 pub use error::{Result, VmError};
-pub use exec::{exec_inst, exec_op, Effect, Op};
+pub use exec::{exec_op, Effect, Op};
 pub use memory::{FlatMemory, GuestMemory, PeekMemory};
 pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, OverlayWrite};
 pub use pagetable::PageTable;

@@ -146,7 +146,8 @@ impl<'a> CowMemory<'a> {
     /// Merges overlay writes into `target`, honouring each write's dirty
     /// mask: fully-written words are stored directly, partially-written
     /// words splice only their dirty bytes over the target's current value.
-    pub fn apply_writes(target: &mut FlatMemory, writes: &[OverlayWrite]) {
+    #[cfg(test)]
+    fn apply_writes(target: &mut FlatMemory, writes: &[OverlayWrite]) {
         for &(addr, value, dirty) in writes {
             if dirty == 0xff {
                 target.write_u64(addr, value);
@@ -262,20 +263,14 @@ pub struct ChunkOverlay {
 }
 
 impl ChunkOverlay {
-    /// Number of dirty pages carried by this chunk.
-    #[must_use]
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Total dirty words across all pages.
     #[must_use]
     pub fn dirty_words(&self) -> usize {
         self.pages.iter().map(|(_, p)| p.dirty_words()).sum()
     }
 
-    /// The chunk's writes as sorted `(word address, value, mask)` triples —
-    /// the word-granular form, for tests and compatibility paths.
+    /// The chunk's writes as sorted `(word address, value, mask)` triples:
+    /// the word-granular form the property tests hold the page merge to.
     #[must_use]
     pub fn to_writes(&self) -> Vec<OverlayWrite> {
         let mut writes = Vec::new();
@@ -322,7 +317,7 @@ pub struct MergeStats {
 /// page-aware, on the calling thread.
 ///
 /// The result is bit-identical to replaying every chunk's sorted word
-/// writes through [`CowMemory::apply_writes`] chunk by chunk: writes to
+/// writes ([`ChunkOverlay::to_writes`]) chunk by chunk: writes to
 /// different pages commute, and within a page each word is spliced in chunk
 /// order with the same per-byte dirty-mask semantics. Pages no chunk wrote
 /// are never visited. `_threads` is ignored; it stays so that callers

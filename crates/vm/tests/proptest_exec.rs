@@ -3,8 +3,20 @@
 //! Rust arithmetic.
 
 use janus_ir::{AluOp, Cond, Inst, Operand, Reg};
-use janus_vm::{exec_inst, Cpu, FlatMemory, GuestMemory};
+use janus_vm::{exec_op, Cpu, Effect, FlatMemory, GuestMemory, Op};
 use proptest::prelude::*;
+
+/// Lowers one well-typed instruction and executes it at `cpu.pc`.
+fn exec_inst(
+    cpu: &mut Cpu,
+    mem: &mut FlatMemory,
+    inst: &Inst,
+    next_pc: u64,
+) -> janus_vm::Result<Effect> {
+    let op = Op::lower(inst).expect("the generated instructions are well typed");
+    let pc = cpu.pc;
+    exec_op(cpu, mem, &op, pc, next_pc)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

@@ -2,15 +2,30 @@
 //! multi-chunk write pattern — word and byte writes, aligned and unaligned,
 //! overlapping across chunks — [`merge_chunk_overlays`] must produce a
 //! memory image bit-identical to replaying each chunk's sorted word writes
-//! through [`CowMemory::apply_writes`] in chunk order.
+//! through [`apply_writes`] in chunk order.
 
-use janus_vm::{merge_chunk_overlays, CowMemory, FlatMemory, GuestMemory};
+use janus_vm::{merge_chunk_overlays, CowMemory, FlatMemory, GuestMemory, OverlayWrite};
 use proptest::prelude::*;
 
 /// One generated guest write: an address inside the exercised window, a
 /// value, and whether it is a byte store (`true`) or a possibly-unaligned
 /// 64-bit store (`false`).
 type GenWrite = (u64, u64, bool);
+
+/// Splices `(word, value, mask)` writes into `target`: only the masked
+/// bytes of each word land.
+fn apply_writes(target: &mut FlatMemory, writes: &[OverlayWrite]) {
+    for &(addr, value, dirty) in writes {
+        let mut bytes = target.peek_u64(addr).to_le_bytes();
+        let new = value.to_le_bytes();
+        for (i, b) in bytes.iter_mut().enumerate() {
+            if dirty & (1 << i) != 0 {
+                *b = new[i];
+            }
+        }
+        target.write_u64(addr, u64::from_le_bytes(bytes));
+    }
+}
 
 fn apply(view: &mut CowMemory<'_>, writes: &[GenWrite]) {
     for &(addr, value, is_byte) in writes {
@@ -55,7 +70,7 @@ proptest! {
         // (word, value, dirty-mask) triples spliced in chunk order.
         let mut word_merged = base.clone();
         for overlay in &overlays {
-            CowMemory::apply_writes(&mut word_merged, &overlay.to_writes());
+            apply_writes(&mut word_merged, &overlay.to_writes());
         }
 
         let mut page_merged = base.clone();

@@ -29,7 +29,6 @@
 //! output stream captures the final memory state and a divergence in any
 //! array is visible even without comparing memory digests.
 
-use crate::suite::{Workload, WorkloadClass};
 use janus_compile::ast::{
     BinOp, CmpOp, Cond, Expr, Function, GlobalArray, Init, LValue, Program, Stmt, Ty,
 };
@@ -604,20 +603,6 @@ impl ProgramSpec {
                 }
             }
             return current;
-        }
-    }
-
-    /// Wraps the lowered program as a [`Workload`] so a generator-discovered
-    /// shape can be promoted into the named suite (the counterexample rule:
-    /// any divergence the fuzzer finds becomes a named workload).
-    #[must_use]
-    pub fn into_workload(&self, name: &'static str, class: WorkloadClass) -> Workload {
-        let program = self.lower();
-        Workload {
-            name,
-            class,
-            program: program.clone(),
-            train_program: program,
         }
     }
 }

@@ -34,6 +34,6 @@ pub mod suite;
 
 pub use gen::{ArraySpec, ElemTy, GenOp, LoopSpec, ProgramSpec};
 pub use suite::{
-    all_names, fuzz_regressions, parallel_benchmarks, program_by_name, spec_suite,
-    speculative_benchmarks, suite, workload, Workload, WorkloadClass,
+    all_names, fuzz_regressions, parallel_benchmarks, speculative_benchmarks, suite, workload,
+    Workload, WorkloadClass,
 };

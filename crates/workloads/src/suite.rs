@@ -32,22 +32,6 @@ pub struct Workload {
     pub train_program: Program,
 }
 
-impl Workload {
-    /// Returns `true` if the paper parallelises this benchmark (the nine bars
-    /// of Figure 7).
-    #[must_use]
-    pub fn is_parallel_candidate(&self) -> bool {
-        parallel_benchmarks().contains(&self.name)
-    }
-
-    /// Returns `true` if this workload's hot loop needs iteration-level
-    /// speculation (the `janus-spec` engine) to parallelise.
-    #[must_use]
-    pub fn is_speculative_candidate(&self) -> bool {
-        speculative_benchmarks().contains(&self.name)
-    }
-}
-
 /// The nine benchmarks the paper parallelises in Figures 7–12.
 #[must_use]
 pub fn parallel_benchmarks() -> [&'static str; 9] {
@@ -94,15 +78,6 @@ pub fn fuzz_regressions() -> [&'static str; 1] {
     ["fuzz.nan-scatter"]
 }
 
-/// Builds every speculative workload.
-#[must_use]
-pub fn spec_suite() -> Vec<Workload> {
-    speculative_benchmarks()
-        .into_iter()
-        .map(|n| workload(n).unwrap())
-        .collect()
-}
-
 /// Names of every workload in the suite (Figure 6's x-axis).
 #[must_use]
 pub fn all_names() -> Vec<&'static str> {
@@ -142,12 +117,6 @@ pub fn suite() -> Vec<Workload> {
         .into_iter()
         .map(|n| workload(n).unwrap())
         .collect()
-}
-
-/// The reference-scale program of a named workload.
-#[must_use]
-pub fn program_by_name(name: &str) -> Option<Program> {
-    workload(name).map(|w| w.program)
 }
 
 /// Builds one workload by name.
@@ -1162,21 +1131,24 @@ mod tests {
 
     #[test]
     fn workload_lookup_and_classification() {
-        assert!(workload("470.lbm").unwrap().is_parallel_candidate());
-        assert!(!workload("403.gcc").unwrap().is_parallel_candidate());
+        assert!(parallel_benchmarks().contains(&"470.lbm"));
+        assert!(!parallel_benchmarks().contains(&"403.gcc"));
         assert!(workload("does-not-exist").is_none());
         assert_eq!(all_names().len(), 25);
         assert_eq!(parallel_benchmarks().len(), 9);
         let h = workload("spec.histogram").unwrap();
-        assert!(h.is_speculative_candidate());
-        assert!(!h.is_parallel_candidate());
+        assert!(speculative_benchmarks().contains(&h.name));
+        assert!(!parallel_benchmarks().contains(&h.name));
         assert_eq!(h.class, WorkloadClass::MayDependent);
-        assert!(!workload("470.lbm").unwrap().is_speculative_candidate());
+        assert!(!speculative_benchmarks().contains(&"470.lbm"));
     }
 
     #[test]
     fn speculative_workloads_compile_and_run_natively() {
-        let suite = spec_suite();
+        let suite: Vec<Workload> = speculative_benchmarks()
+            .into_iter()
+            .map(|n| workload(n).unwrap())
+            .collect();
         assert_eq!(suite.len(), 4);
         for w in &suite {
             let bin = Compiler::with_options(CompileOptions::gcc_o2())

@@ -9,7 +9,7 @@ use janus::core::BackendKind;
 /// arguments, plus a legacy positional thread count; unknown flags are
 /// ignored. The backend defaults to the `JANUS_BACKEND` environment
 /// variable (or virtual time), the thread count to `default_threads`.
-pub fn parse(default_threads: u32) -> (BackendKind, u32) {
+pub(crate) fn parse(default_threads: u32) -> (BackendKind, u32) {
     let mut backend = BackendKind::from_env();
     let mut threads = default_threads;
     let mut args = std::env::args().skip(1);
