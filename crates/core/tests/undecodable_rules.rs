@@ -1,8 +1,10 @@
 //! A rewrite rule whose data words do not decode costs its loop, never the
 //! host and never the loop's meaning. The DBM reads registers named by
-//! `LOOP_INIT`, `MEM_PRIVATISE` and `MEM_BOUNDS_CHECK` data words; a
+//! `LOOP_INIT`, `MEM_PRIVATISE` and `MEM_BOUNDS_CHECK` data words, the bound
+//! compare `LOOP_INIT` points at and the call under each `TX_START`; a
 //! schedule comes from bytes janus may not have produced, so a word may name
-//! a register outside the file, or a variable kind the DBM does not know.
+//! a register outside the file, a variable kind the DBM does not know, an
+//! address with no instruction, or an instruction of the wrong kind.
 //! `PreparedDbm::new` drops every loop with such a rule, as it drops one
 //! without `LOOP_INIT`: the run finishes with the interpreter's integer
 //! outputs, one parallel loop fewer, and exactly what a schedule that never
@@ -11,6 +13,7 @@
 
 use janus_compile::Compiler;
 use janus_core::{DbmConfig, Janus, PreparedDbm, VarSpec};
+use janus_ir::INST_SIZE;
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{Process, Vm};
 use janus_workloads::workload;
@@ -51,6 +54,17 @@ const CASES: &[Case] = &[
     }),
     // A reduction variable of no known kind.
     ("410.bwaves", RuleId::MemPrivatise, |rule| rule.data[1] = 9),
+    // A bound compare at an address with no instruction...
+    ("470.lbm", RuleId::LoopInit, |rule| rule.data[4] = 0),
+    // ...and at the branch after the compare, which is no compare.
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[4] += INST_SIZE as i64;
+    }),
+    // A transaction start moved off its shared-library call: the call
+    // would run outside the STM.
+    ("410.bwaves", RuleId::TxStart, |rule| {
+        rule.addr += INST_SIZE as u64;
+    }),
 ];
 
 #[test]

@@ -172,7 +172,9 @@ pub(crate) struct LoopRt {
     pub(crate) header: u64,
     pub(crate) induction: Option<VarSpec>,
     pub(crate) step: i64,
-    pub(crate) bound_cmp_addr: u64,
+    /// The operands `(lhs, rhs)` of the bound compare `LOOP_INIT` names:
+    /// `rhs` is the loop bound, and a chunk compares `lhs` with its own.
+    pub(crate) bound: Option<(Operand, Operand)>,
     pub(crate) continue_cond: i64,
     pub(crate) reductions: Vec<(VarSpec, i64 /*op*/, bool /*float*/)>,
     pub(crate) bounds_pairs: Vec<(SideSpec, SideSpec)>,
@@ -258,7 +260,8 @@ impl PreparedDbm {
     pub fn new(process: Process, schedule: &RewriteSchedule, config: DbmConfig) -> PreparedDbm {
         let rules = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
         let mut loops: HashMap<usize, LoopRt> = HashMap::new();
-        // Loops with a rule whose data words do not decode.
+        // Loops with a rule whose data words do not decode, or that names an
+        // instruction of the wrong kind.
         let mut undecodable = HashSet::new();
         for rule in schedule.rules() {
             let entry = loops.entry(rule.loop_id()).or_default();
@@ -267,10 +270,13 @@ impl PreparedDbm {
                     entry.header = rule.addr;
                     entry.induction = VarSpec::decode(rule.data[1], rule.data[2]);
                     entry.step = rule.data[3];
-                    entry.bound_cmp_addr = rule.data[4] as u64;
-                    entry.bound_cmp = process.slot_of(entry.bound_cmp_addr);
+                    entry.bound_cmp = process.slot_of(rule.data[4] as u64);
+                    entry.bound = match entry.bound_cmp.map(|slot| process.inst(slot)) {
+                        Some(Inst::Cmp { lhs, rhs }) => Some((lhs, rhs)),
+                        _ => None,
+                    };
                     entry.continue_cond = rule.data[5];
-                    entry.induction.is_some()
+                    entry.induction.is_some() && entry.bound.is_some()
                 }
                 RuleId::MemPrivatise => VarSpec::decode(rule.data[1], rule.data[2])
                     .map(|var| {
@@ -289,13 +295,16 @@ impl PreparedDbm {
                 }
                 RuleId::TxStart => {
                     entry.has_tx_calls = true;
-                    // The call's PLT index, resolved here once.
-                    if let Some(slot) = process.slot_of(rule.addr) {
-                        if let Inst::CallExt { plt } = process.inst(slot) {
+                    // The call's PLT index, resolved here once. A start on
+                    // anything else would leave the real call outside the STM.
+                    let slot = process.slot_of(rule.addr);
+                    match slot.map(|slot| (slot, process.inst(slot))) {
+                        Some((slot, Inst::CallExt { plt })) => {
                             entry.tx_calls.push((slot, plt));
+                            true
                         }
+                        _ => false,
                     }
-                    true
                 }
                 RuleId::Speculate => {
                     entry.speculative = true;
@@ -310,7 +319,8 @@ impl PreparedDbm {
         // Drop loop entries without a LOOP_INIT rule (e.g. profiling-only
         // schedules) — they cannot drive parallelisation — and every loop
         // with a rule that does not decode: running one with a rule skipped
-        // could race (an unprivatised reduction, an unchecked overlap).
+        // could race (an unprivatised reduction, an unchecked overlap) or
+        // fail (a bound that is no compare), or call outside the STM.
         loops.retain(|id, l| l.header != 0 && !undecodable.contains(id));
         let bound_cmps: Vec<usize> = loops.values().filter_map(|lr| lr.bound_cmp).collect();
         let runs = process
@@ -701,18 +711,10 @@ impl Dbm {
     fn try_parallel_loop(&mut self, loop_id: usize, lr: &LoopRt) -> Result<bool> {
         self.calibrate_pace();
         let induction = lr.induction.expect("loop has induction variable");
+        let (bound_lhs, bound_operand) = lr.bound.expect("loop has a bound compare");
 
         // Evaluate the current induction value and the loop bound.
         let start = induction.read(&self.main, &mut self.mem);
-        let (bound_lhs, bound_operand) =
-            match self.prepared.parts.process.inst_at(lr.bound_cmp_addr)? {
-                Inst::Cmp { lhs, rhs } => (lhs, rhs),
-                other => {
-                    return Err(DbmError::BadRule {
-                        reason: format!("LOOP_UPDATE_BOUND target is not a compare: {other:?}"),
-                    })
-                }
-            };
         let end = self.read_operand_int(&bound_operand);
         // A count that does not fit runs sequentially, like a short one.
         let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond).unwrap_or(0);
