@@ -4,7 +4,7 @@
 //!
 //! These handles are the session's only counters: each serving event is
 //! recorded once, here, and [`ServeStats`](crate::ServeStats),
-//! [`TenantSnapshot`](crate::TenantSnapshot), the cache's and the store's
+//! the per-tenant snapshots, the cache's and the store's
 //! accessors, `/statusz` and `/metrics` all read them. A session meters
 //! into [`ServeConfig::metrics`](crate::ServeConfig::metrics) when one is
 //! configured and into a fresh registry of its own otherwise, so its

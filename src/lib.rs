@@ -16,8 +16,8 @@
 //! * [`serve`] — the multi-tenant serving layer: two-tier content-addressed
 //!   artifact cache (memory LRU over a persistent disk store) plus a fair
 //!   job executor with tenant quotas and deadline admission.
-//! * [`obs`] — the flight recorder (structured tracing spans with
-//!   Chrome-trace/JSONL exporters, threaded through the serving and
+//! * [`obs`] — the flight recorder (structured tracing spans with the
+//!   Chrome-trace exporter, threaded through the serving and
 //!   execution stack behind [`serve::ServeConfig::trace`] /
 //!   [`core::JanusConfig::trace`]) and the always-on metrics registry
 //!   (counters, gauges, latency histograms, Prometheus exposition).
