@@ -52,7 +52,7 @@ impl TxFootprint {
 
 /// A set of aligned guest words: one bit per word, 512 to a page.
 #[derive(Debug, Default)]
-pub(crate) struct WordSet(PageTable<[u64; 8]>);
+pub(crate) struct WordSet(PageTable<Box<[u64; 8]>>);
 
 impl WordSet {
     pub(crate) fn insert(&mut self, word: u64) {

@@ -91,19 +91,6 @@ impl MemRef {
     pub fn regs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.base.into_iter().chain(self.index)
     }
-
-    /// Rewrites every use of register `from` to register `to`, returning the
-    /// modified reference.
-    #[must_use]
-    pub fn replace_reg(mut self, from: Reg, to: Reg) -> MemRef {
-        if self.base == Some(from) {
-            self.base = Some(to);
-        }
-        if self.index == Some(from) {
-            self.index = Some(to);
-        }
-        self
-    }
 }
 
 impl fmt::Display for MemRef {
@@ -220,16 +207,6 @@ impl Operand {
             _ => RegSet::EMPTY,
         }
     }
-
-    /// Rewrites every use of register `from` to `to`.
-    #[must_use]
-    pub fn replace_reg(self, from: Reg, to: Reg) -> Operand {
-        match self {
-            Operand::Reg(r) if r == from => Operand::Reg(to),
-            Operand::Mem(m) => Operand::Mem(m.replace_reg(from, to)),
-            other => other,
-        }
-    }
 }
 
 impl From<Reg> for Operand {
@@ -286,16 +263,6 @@ mod tests {
     #[should_panic(expected = "scale must be")]
     fn bad_scale_panics() {
         let _ = MemRef::base_index(Reg::R0, Reg::R1, 3);
-    }
-
-    #[test]
-    fn replace_reg_in_memref() {
-        let m = MemRef::base_index(Reg::R2, Reg::R3, 8);
-        let r = m.replace_reg(Reg::R2, Reg::R10);
-        assert_eq!(r.base, Some(Reg::R10));
-        assert_eq!(r.index, Some(Reg::R3));
-        let r = m.replace_reg(Reg::R3, Reg::R11);
-        assert_eq!(r.index, Some(Reg::R11));
     }
 
     #[test]

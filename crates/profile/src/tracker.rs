@@ -35,7 +35,7 @@ struct Cell {
 /// so `a` and `a + 4` stay distinct.
 #[derive(Debug, Default)]
 struct Shadow {
-    words: PageTable<[Cell; WORDS_PER_PAGE]>,
+    words: PageTable<Box<[Cell; WORDS_PER_PAGE]>>,
     unaligned: HashMap<u64, Cell>,
 }
 

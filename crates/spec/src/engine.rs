@@ -327,7 +327,10 @@ mod tests {
             assert_eq!(base.read_u64(0x3000 + k * 8), expect);
         }
         assert_eq!(out.payloads, (0..40).collect::<Vec<_>>());
-        assert!(out.stats.retries() > 0, "conflicts must cause retries");
+        assert!(
+            out.stats.executions > out.stats.iterations,
+            "conflicts must cause re-executions"
+        );
     }
 
     /// Body faults on consistent state are reported, not retried forever.

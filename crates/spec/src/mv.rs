@@ -51,7 +51,7 @@
 //! store, which is what keeps the deterministic virtual-time engine
 //! reproducible.
 
-use janus_vm::{GuestMemory, PageTable, PeekMemory};
+use janus_vm::{BasePages, GuestMemory, PageTable, PeekMemory};
 use std::sync::{Mutex, RwLock};
 
 /// Index of a loop iteration inside one speculative invocation.
@@ -109,7 +109,7 @@ fn split(word: u64) -> (u64, usize) {
 }
 
 /// The version vector of `word`, mapping its page first if needed.
-fn versions_mut(pages: &mut PageTable<Page>, word: u64) -> &mut Versions {
+fn versions_mut(pages: &mut PageTable<Box<Page>>, word: u64) -> &mut Versions {
     let (page, index) = split(word);
     &mut pages.get_or_insert_with(page, || Box::new(std::array::from_fn(|_| Versions::new())))
         [index]
@@ -138,7 +138,7 @@ pub enum ReadResult {
 /// commit. Shareable across worker threads; see the module docs.
 #[derive(Debug)]
 pub struct MvMemory {
-    pages: RwLock<PageTable<Page>>,
+    pages: RwLock<PageTable<Box<Page>>>,
     /// The words written by the latest incarnation of each iteration, sorted,
     /// used to remove stale entries when the next incarnation writes less.
     last_writes: Vec<Mutex<Vec<u64>>>,
@@ -339,10 +339,13 @@ pub struct ViewBuffers {
 ///
 /// The base is borrowed *immutably* (through [`PeekMemory`]): any number of
 /// views — one per racing worker thread — can execute over the same shared
-/// image at once, and nothing touches the base until the final commit.
+/// image at once, and nothing touches the base until the final commit. Base
+/// words are read through the view's own [`BasePages`] cache, so a read of a
+/// page the incarnation has already read skips the base's page table.
 #[derive(Debug)]
 pub struct SpecView<'a, M: PeekMemory> {
     base: &'a M,
+    base_pages: BasePages<'a>,
     mv: &'a MvMemory,
     iteration: Iteration,
     /// Virtual time at which this incarnation started executing
@@ -367,6 +370,7 @@ impl<'a, M: PeekMemory> SpecView<'a, M> {
         buffers.writes.clear();
         SpecView {
             base,
+            base_pages: BasePages::default(),
             mv,
             iteration,
             now,
@@ -435,13 +439,13 @@ impl<M: PeekMemory> GuestMemory for SpecView<'_, M> {
             };
             let (origin, value) = match self.mv.read(word, self.iteration, self.now) {
                 ReadResult::Versioned(origin, value) => (origin, value),
-                ReadResult::Base => (ReadOrigin::Base, self.base.peek_u64(word)),
+                ReadResult::Base => (ReadOrigin::Base, self.base_pages.peek_u64(self.base, word)),
                 ReadResult::Blocked(on) => {
                     // Remember the *lowest* blocking iteration; execution is
                     // abandoned by the engine, the value is a placeholder.
                     let lowest = self.blocked_on.map_or(on, |prev| prev.min(on));
                     self.blocked_on = Some(lowest);
-                    (ReadOrigin::Base, self.base.peek_u64(word))
+                    (ReadOrigin::Base, self.base_pages.peek_u64(self.base, word))
                 }
             };
             self.buffers.reads.insert(slot, (word, (origin, value)));

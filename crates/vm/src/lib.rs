@@ -70,7 +70,7 @@ pub use cost::CostModel;
 pub use cpu::{Cpu, Flags};
 pub use error::{Result, VmError};
 pub use exec::{exec_op, Effect, Op};
-pub use memory::{FlatMemory, GuestMemory, PeekMemory};
+pub use memory::{BasePages, FlatMemory, GuestMemory, PeekMemory};
 pub use overlay::{merge_chunk_overlays, ChunkOverlay, CowMemory, MergeStats, OverlayWrite};
 pub use pagetable::PageTable;
 pub use plan::{step_op, step_run, Limit, Plan, Run};

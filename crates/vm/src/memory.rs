@@ -1,10 +1,37 @@
 //! Guest memory: the flat virtual address space and the access trait used to
 //! interpose on loads and stores.
+//!
+//! [`FlatMemory`] keeps its pages in a slab of boxed 4 KiB frames, numbered
+//! in mapping order, and its [`PageTable`] maps a page number to a frame
+//! number. Growing the slab moves frame pointers, never page bytes, so a
+//! large image costs no copy. In front of the table sits a [`PageCache`] of
+//! the last eight translations; a load or store that hits it is one compare
+//! and two indexes, inlined into the interpreter, and only a miss walks the
+//! radix (`#[cold]`, out of line).
+//!
+//! The cache is filled by `&mut` accesses only. Reads through `&self` — the
+//! [`PeekMemory`] face worker threads share — walk the table and write
+//! nothing, so `FlatMemory` stays `Sync` without interior mutability. A view
+//! over a shared base caches base *pages* instead ([`BasePages`]): the base
+//! cannot change while the view borrows it, so a page reference stays right
+//! for the whole borrow, and each view owns its cache, so threads never
+//! contend on one.
 
-use crate::pagetable::PageTable;
+use crate::pagetable::{PageCache, PageTable};
 
 pub(crate) const PAGE_SHIFT: u64 = 12;
 pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// What an unmapped page reads as.
+pub(crate) static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// The little-endian word at byte `off` of a page (`off <= PAGE_SIZE - 8`).
+#[inline(always)]
+pub(crate) fn word_at(bytes: &[u8; PAGE_SIZE], off: usize) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[off..off + 8]);
+    u64::from_le_bytes(word)
+}
 
 /// The interface through which executed instructions access guest memory.
 ///
@@ -91,6 +118,15 @@ pub trait PeekMemory {
         }
         u64::from_le_bytes(bytes)
     }
+
+    /// The bytes of page `page` (`addr >> 12`), for a reader that caches
+    /// pages for as long as it borrows `self` ([`BasePages`]), or `None`
+    /// when this memory keeps no page of plain bytes (the default; such a
+    /// reader falls back to [`PeekMemory::peek_u64`]).
+    fn page_bytes(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+        let _ = page;
+        None
+    }
 }
 
 impl PeekMemory for FlatMemory {
@@ -101,14 +137,65 @@ impl PeekMemory for FlatMemory {
     fn peek_u64(&self, addr: u64) -> u64 {
         FlatMemory::peek_u64(self, addr)
     }
+
+    /// Every page: an unmapped one is the shared zero page, which is what
+    /// it reads as.
+    fn page_bytes(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+        Some(self.page_ref(page).unwrap_or(&ZERO_PAGE))
+    }
 }
 
-/// A sparse, page-granular flat address space over a radix page table.
-/// Unmapped memory reads as zero; address arithmetic wraps, so no
-/// guest-chosen address can fault the host.
+/// A [`PageCache`] of a shared base's pages, owned by a view that only reads
+/// that base (`janus-spec`'s speculative view). Feed one cache one base:
+/// the entries are that base's pages.
+pub type BasePages<'a> = PageCache<&'a [u8; PAGE_SIZE]>;
+
+impl Default for BasePages<'_> {
+    fn default() -> Self {
+        PageCache::new(&ZERO_PAGE)
+    }
+}
+
+impl<'a> BasePages<'a> {
+    /// `base.peek_u64(addr)`, from a cached page when there is one. A read
+    /// across a page boundary, and every read of a base without plain pages
+    /// ([`PeekMemory::page_bytes`] `None`), goes to the base.
+    #[inline(always)]
+    pub fn peek_u64<M: PeekMemory + ?Sized>(&mut self, base: &'a M, addr: u64) -> u64 {
+        let (page, off) = FlatMemory::page_of(addr);
+        match self.get(page) {
+            Some(bytes) if off <= PAGE_SIZE - 8 => word_at(bytes, off),
+            _ => self.peek_u64_miss(base, addr),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn peek_u64_miss<M: PeekMemory + ?Sized>(&mut self, base: &'a M, addr: u64) -> u64 {
+        let (page, off) = FlatMemory::page_of(addr);
+        match base.page_bytes(page) {
+            Some(bytes) if off <= PAGE_SIZE - 8 => {
+                self.insert(page, bytes);
+                word_at(bytes, off)
+            }
+            _ => base.peek_u64(addr),
+        }
+    }
+}
+
+/// A sparse, page-granular flat address space: a slab of page frames, a
+/// radix page table from page number to frame, and a page cache in front
+/// (see the module docs). Unmapped memory reads as zero; address arithmetic
+/// wraps, so no guest-chosen address can fault the host.
 #[derive(Debug, Default, Clone)]
 pub struct FlatMemory {
-    pages: PageTable<[u8; PAGE_SIZE]>,
+    /// Page number → frame number.
+    table: PageTable<u32>,
+    /// The page frames, in mapping order.
+    frames: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// The last translations `&mut` accesses made. A clone keeps them: it
+    /// copies the frames in order, so every frame number still holds.
+    cache: PageCache<u32>,
     /// Number of load operations serviced (for statistics).
     pub loads: u64,
     /// Number of store operations serviced (for statistics).
@@ -122,6 +209,7 @@ impl FlatMemory {
         FlatMemory::default()
     }
 
+    #[inline(always)]
     fn page_of(addr: u64) -> (u64, usize) {
         (addr >> PAGE_SHIFT, (addr & (PAGE_SIZE as u64 - 1)) as usize)
     }
@@ -129,22 +217,59 @@ impl FlatMemory {
     /// Number of pages currently mapped.
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
     }
 
     /// The raw bytes of one mapped page, by page index (`addr >> PAGE_SHIFT`),
     /// or `None` for an unmapped page. Used by the copy-on-write overlay,
     /// which seeds its pages from a base image shared by worker threads.
     pub(crate) fn page_ref(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(page)
+        let frame = *self.table.get(page)?;
+        Some(&self.frames[frame as usize])
+    }
+
+    /// The frame of a mapped page, through the cache.
+    #[inline(always)]
+    fn frame(&mut self, page: u64) -> Option<u32> {
+        match self.cache.get(page) {
+            Some(frame) => Some(frame),
+            None => self.translate(page),
+        }
+    }
+
+    /// A cache miss: walks the table and caches a mapped page's frame.
+    #[cold]
+    #[inline(never)]
+    fn translate(&mut self, page: u64) -> Option<u32> {
+        let frame = *self.table.get(page)?;
+        self.cache.insert(page, frame);
+        Some(frame)
     }
 
     /// The bytes of one page, mapping it (zero-filled) if absent. Access
     /// statistics are not touched — this is the store path's and the merge
     /// path's primitive, not a guest access.
+    #[inline(always)]
     pub(crate) fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE]))
+        let frame = match self.cache.get(page) {
+            Some(frame) => frame,
+            None => self.map(page),
+        };
+        &mut self.frames[frame as usize]
+    }
+
+    /// A cache miss on the store path: the page's frame, a fresh zero frame
+    /// if it is unmapped, cached.
+    #[cold]
+    #[inline(never)]
+    fn map(&mut self, page: u64) -> u32 {
+        let frames = &mut self.frames;
+        let frame = *self.table.get_or_insert_with(page, || {
+            frames.push(Box::new([0; PAGE_SIZE]));
+            u32::try_from(frames.len() - 1).expect("fewer than 2^32 frames")
+        });
+        self.cache.insert(page, frame);
+        frame
     }
 
     /// Reads one byte without updating access statistics. Used by shared
@@ -153,25 +278,19 @@ impl FlatMemory {
     #[must_use]
     pub fn peek_u8(&self, addr: u64) -> u8 {
         let (page, off) = Self::page_of(addr);
-        self.pages.get(page).map_or(0, |p| p[off])
+        self.page_ref(page).map_or(0, |p| p[off])
     }
 
     /// Reads a little-endian 64-bit value without updating access statistics.
     #[must_use]
     pub fn peek_u64(&self, addr: u64) -> u64 {
         let (page, off) = Self::page_of(addr);
-        let mut bytes = [0u8; 8];
-        if off + 8 <= PAGE_SIZE {
-            match self.pages.get(page) {
-                Some(p) => bytes.copy_from_slice(&p[off..off + 8]),
-                None => return 0,
-            }
+        if off <= PAGE_SIZE - 8 {
+            self.page_ref(page).map_or(0, |p| word_at(p, off))
         } else {
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = self.peek_u8(addr.wrapping_add(i as u64));
-            }
+            let bytes = std::array::from_fn(|i| self.peek_u8(addr.wrapping_add(i as u64)));
+            u64::from_le_bytes(bytes)
         }
-        u64::from_le_bytes(bytes)
     }
 
     /// A deterministic digest of the guest-visible memory image (FNV-1a over
@@ -184,7 +303,8 @@ impl FlatMemory {
     pub fn image_digest(&self) -> u64 {
         use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
         let mut h = FNV1A_OFFSET;
-        for (page, bytes) in self.pages.iter() {
+        for (page, &frame) in self.table.iter() {
+            let bytes = &self.frames[frame as usize];
             if bytes.iter().any(|b| *b != 0) {
                 h = fnv1a_update(h, &page.to_le_bytes());
                 h = fnv1a_update(h, &bytes[..]);
@@ -195,26 +315,37 @@ impl FlatMemory {
 }
 
 impl GuestMemory for FlatMemory {
+    #[inline(always)]
     fn read_u8(&mut self, addr: u64) -> u8 {
         self.loads += 1;
-        self.peek_u8(addr)
+        let (page, off) = Self::page_of(addr);
+        self.frame(page)
+            .map_or(0, |frame| self.frames[frame as usize][off])
     }
 
+    #[inline(always)]
     fn write_u8(&mut self, addr: u64, value: u8) {
         self.stores += 1;
         let (page, off) = Self::page_of(addr);
         self.page_mut(page)[off] = value;
     }
 
+    #[inline(always)]
     fn read_u64(&mut self, addr: u64) -> u64 {
         self.loads += 1;
-        self.peek_u64(addr)
+        let (page, off) = Self::page_of(addr);
+        if off > PAGE_SIZE - 8 {
+            return self.peek_u64(addr);
+        }
+        self.frame(page)
+            .map_or(0, |frame| word_at(&self.frames[frame as usize], off))
     }
 
+    #[inline(always)]
     fn write_u64(&mut self, addr: u64, value: u64) {
         self.stores += 1;
         let (page, off) = Self::page_of(addr);
-        if off + 8 <= PAGE_SIZE {
+        if off <= PAGE_SIZE - 8 {
             self.page_mut(page)[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
@@ -247,8 +378,8 @@ impl GuestMemory for FlatMemory {
         while out.len() < len {
             let (page, off) = Self::page_of(addr);
             let n = (len - out.len()).min(PAGE_SIZE - off);
-            match self.pages.get(page) {
-                Some(bytes) => out.extend_from_slice(&bytes[off..off + n]),
+            match self.frame(page) {
+                Some(frame) => out.extend_from_slice(&self.frames[frame as usize][off..off + n]),
                 None => out.resize(out.len() + n, 0),
             }
             addr = addr.wrapping_add(n as u64);

@@ -15,9 +15,21 @@
 //! make the merge page-aware — [`merge_chunk_overlays`] visits only touched
 //! pages (untouched base pages are skipped entirely, never re-hashed or
 //! re-scanned) and splices only their dirty words.
+//!
+//! Like [`FlatMemory`], a view keeps its overlay pages in a slab of boxed
+//! frames, maps page numbers to frames in a [`PageTable`], and puts a
+//! [`PageCache`] in front. One cache serves both halves of a lookup: an
+//! entry is either the page's overlay frame or, for a page the view has not
+//! written, a reference to the base's page. The base is borrowed for the
+//! view's lifetime, so such a reference cannot go stale, and the first write
+//! to a page replaces its entry with the overlay frame. The cache belongs to
+//! the view, not to the shared base: a base cache would need interior
+//! mutability, and every worker thread would contend on it.
 
-use crate::memory::{FlatMemory, GuestMemory, PeekMemory, PAGE_SHIFT, PAGE_SIZE};
-use crate::pagetable::PageTable;
+use crate::memory::{
+    word_at, FlatMemory, GuestMemory, PeekMemory, PAGE_SHIFT, PAGE_SIZE, ZERO_PAGE,
+};
+use crate::pagetable::{PageCache, PageTable};
 
 /// 64-bit words per page.
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -96,6 +108,14 @@ fn splice_word(bytes: &mut [u8; PAGE_SIZE], idx: usize, value: u64, mask: u8) {
     }
 }
 
+/// Where a [`CowMemory`] finds one page: its own overlay frame, or the base
+/// image's bytes (the shared zero page for an unmapped base page).
+#[derive(Debug, Clone, Copy)]
+enum CowPage<'a> {
+    Overlay(u32),
+    Base(&'a [u8; PAGE_SIZE]),
+}
+
 /// A private, writable view over a shared read-only [`FlatMemory`] image.
 ///
 /// Writes are buffered at aligned-64-bit-word granularity with a per-byte
@@ -106,7 +126,12 @@ fn splice_word(bytes: &mut [u8; PAGE_SIZE], idx: usize, value: u64, mask: u8) {
 #[derive(Debug)]
 pub struct CowMemory<'a> {
     base: &'a FlatMemory,
-    pages: PageTable<PageOverlay>,
+    /// Page number → overlay frame.
+    table: PageTable<u32>,
+    /// The overlay pages, in first-touch order.
+    frames: Vec<Box<PageOverlay>>,
+    /// The last pages this view reached, overlay or base.
+    cache: PageCache<CowPage<'a>>,
     written: usize,
 }
 
@@ -116,7 +141,9 @@ impl<'a> CowMemory<'a> {
     pub fn new(base: &'a FlatMemory) -> CowMemory<'a> {
         CowMemory {
             base,
-            pages: PageTable::default(),
+            table: PageTable::default(),
+            frames: Vec::new(),
+            cache: PageCache::new(CowPage::Base(&ZERO_PAGE)),
             written: 0,
         }
     }
@@ -130,7 +157,7 @@ impl<'a> CowMemory<'a> {
     /// Number of distinct pages the view has touched with at least one write.
     #[must_use]
     pub fn touched_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
     }
 
     /// Consumes the view and returns its dirty pages as a [`ChunkOverlay`],
@@ -138,8 +165,19 @@ impl<'a> CowMemory<'a> {
     /// one dirty word are retained.
     #[must_use]
     pub fn into_pages(self) -> ChunkOverlay {
-        let mut pages = self.pages.into_sorted();
-        pages.retain(|(_, overlay)| overlay.dirty.iter().any(|&w| w != 0));
+        let mut frames: Vec<Option<Box<PageOverlay>>> = self.frames.into_iter().map(Some).collect();
+        let pages = self
+            .table
+            .iter()
+            .filter_map(|(page, &frame)| {
+                let overlay = frames[frame as usize].take().expect("one page per frame");
+                overlay
+                    .dirty
+                    .iter()
+                    .any(|&w| w != 0)
+                    .then_some((page, overlay))
+            })
+            .collect();
         ChunkOverlay { pages }
     }
 
@@ -169,6 +207,7 @@ impl<'a> CowMemory<'a> {
     }
 
     /// Splits an aligned word address into (page index, word-in-page index).
+    #[inline(always)]
     fn split(word: u64) -> (u64, usize) {
         (
             word >> PAGE_SHIFT,
@@ -176,21 +215,73 @@ impl<'a> CowMemory<'a> {
         )
     }
 
-    fn word(&self, word: u64) -> u64 {
+    /// Where `page` is, from the table and the base (no cache).
+    fn locate(&self, page: u64) -> CowPage<'a> {
+        match self.table.get(page) {
+            Some(&frame) => CowPage::Overlay(frame),
+            None => CowPage::Base(self.base.page_ref(page).unwrap_or(&ZERO_PAGE)),
+        }
+    }
+
+    /// A cache miss on the read path: locates `page` and caches it.
+    #[cold]
+    #[inline(never)]
+    fn locate_and_cache(&mut self, page: u64) -> CowPage<'a> {
+        let found = self.locate(page);
+        self.cache.insert(page, found);
+        found
+    }
+
+    /// Word `idx` of a located page.
+    #[inline(always)]
+    fn word_in(&self, page: CowPage<'a>, idx: usize) -> u64 {
+        match page {
+            CowPage::Overlay(frame) => self.frames[frame as usize].values[idx],
+            CowPage::Base(bytes) => word_at(bytes, idx * 8),
+        }
+    }
+
+    /// The current value of an aligned word, through the cache.
+    #[inline(always)]
+    fn word(&mut self, word: u64) -> u64 {
         let (page, idx) = Self::split(word);
-        self.pages
-            .get(page)
-            .map_or_else(|| self.base.peek_u64(word), |p| p.values[idx])
+        let found = match self.cache.get(page) {
+            Some(found) => found,
+            None => self.locate_and_cache(page),
+        };
+        self.word_in(found, idx)
+    }
+
+    /// [`CowMemory::word`] for `&self`, past the cache.
+    fn peek_word(&self, word: u64) -> u64 {
+        let (page, idx) = Self::split(word);
+        self.word_in(self.locate(page), idx)
+    }
+
+    /// The overlay frame of `page`, seeding it from the base on first touch;
+    /// the cache entry becomes the frame either way.
+    #[cold]
+    #[inline(never)]
+    fn touch(&mut self, page: u64) -> u32 {
+        let (base, frames) = (self.base, &mut self.frames);
+        let frame = *self.table.get_or_insert_with(page, || {
+            frames.push(PageOverlay::from_base(base, page));
+            u32::try_from(frames.len() - 1).expect("fewer than 2^32 frames")
+        });
+        self.cache.insert(page, CowPage::Overlay(frame));
+        frame
     }
 
     /// Mutates one overlay word in place, seeding the covering page from the
     /// base on first touch, and keeps the written-word counter exact.
+    #[inline(always)]
     fn mutate_word(&mut self, word: u64, f: impl FnOnce(&mut u64, &mut u8)) {
         let (page, idx) = Self::split(word);
-        let base = self.base;
-        let overlay = self
-            .pages
-            .get_or_insert_with(page, || PageOverlay::from_base(base, page));
+        let frame = match self.cache.get(page) {
+            Some(CowPage::Overlay(frame)) => frame,
+            _ => self.touch(page),
+        };
+        let overlay = &mut self.frames[frame as usize];
         let newly_dirty = overlay.masks[idx] == 0;
         f(&mut overlay.values[idx], &mut overlay.masks[idx]);
         if newly_dirty && overlay.masks[idx] != 0 {
@@ -200,28 +291,33 @@ impl<'a> CowMemory<'a> {
     }
 }
 
+/// The little-endian value at `addr`, composed from the aligned words that
+/// `word` returns: one for an aligned address, the two covering ones else.
+#[inline(always)]
+fn compose(addr: u64, mut word: impl FnMut(u64) -> u64) -> u64 {
+    let aligned = addr & !7;
+    if aligned == addr {
+        return word(addr);
+    }
+    let shift = (addr - aligned) * 8;
+    (word(aligned) >> shift) | (word(aligned.wrapping_add(8)) << (64 - shift))
+}
+
 impl PeekMemory for CowMemory<'_> {
     fn peek_u8(&self, addr: u64) -> u8 {
         let word = Self::aligned(addr);
-        self.word(word).to_le_bytes()[(addr - word) as usize]
+        self.peek_word(word).to_le_bytes()[(addr - word) as usize]
     }
 
     fn peek_u64(&self, addr: u64) -> u64 {
-        let word = Self::aligned(addr);
-        if word == addr {
-            self.word(word)
-        } else {
-            let lo = self.word(word);
-            let hi = self.word(word.wrapping_add(8));
-            let shift = (addr - word) * 8;
-            (lo >> shift) | (hi << (64 - shift))
-        }
+        compose(addr, |word| self.peek_word(word))
     }
 }
 
 impl GuestMemory for CowMemory<'_> {
     fn read_u8(&mut self, addr: u64) -> u8 {
-        self.peek_u8(addr)
+        let word = Self::aligned(addr);
+        self.word(word).to_le_bytes()[(addr - word) as usize]
     }
 
     fn write_u8(&mut self, addr: u64, value: u8) {
@@ -235,10 +331,12 @@ impl GuestMemory for CowMemory<'_> {
         });
     }
 
+    #[inline(always)]
     fn read_u64(&mut self, addr: u64) -> u64 {
-        self.peek_u64(addr)
+        compose(addr, |word| self.word(word))
     }
 
+    #[inline(always)]
     fn write_u64(&mut self, addr: u64, value: u64) {
         let word = Self::aligned(addr);
         if word == addr {
