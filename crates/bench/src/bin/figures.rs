@@ -162,8 +162,8 @@ fn bench_diff(baseline: &str, fresh: &str) {
 }
 
 /// The differential guest-program fuzzer: `cases` generated programs from
-/// `seed`, each checked across the whole (backend × threads × commit mode ×
-/// adaptive) equivalence matrix. Both backends are always exercised —
+/// `seed`, each checked across the whole (backend × threads × adaptive)
+/// equivalence matrix. Both backends are always exercised —
 /// `--backend` does not apply here.
 fn fuzz(cases: usize, seed: u64) {
     println!("=== Differential fuzz: {cases} generated programs, seed {seed} ===");

@@ -121,7 +121,7 @@ pub struct JanusConfig {
     /// Flight recorder the pipeline and the execution backends emit
     /// structured events to: analysis/profile/schedule spans from
     /// [`Janus::prepare`], per-chunk run/merge spans from both execution
-    /// backends, and incarnation events from the racing speculation pool.
+    /// backends, and one span per speculative invocation.
     /// Defaults to the null recorder — disabled, with a hot-path cost of
     /// one branch per emission site. Attach
     /// [`Recorder::enabled`](janus_obs::Recorder::enabled) and export via

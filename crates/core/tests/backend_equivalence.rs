@@ -9,7 +9,7 @@
 //! OS-thread statistics the native backend adds on top.
 
 use janus_compile::{CompileOptions, Compiler};
-use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport, SpecCommitMode};
+use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport};
 use janus_ir::JBinary;
 use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload};
 
@@ -21,15 +21,6 @@ fn train_binary(name: &str) -> JBinary {
 }
 
 fn run(binary: &JBinary, backend: BackendKind, threads: u32) -> JanusReport {
-    run_in_mode(binary, backend, threads, SpecCommitMode::Deterministic)
-}
-
-fn run_in_mode(
-    binary: &JBinary,
-    backend: BackendKind,
-    threads: u32,
-    spec_commit: SpecCommitMode,
-) -> JanusReport {
     // Modelled-cycle invariance is a *static-policy* contract: the adaptive
     // tuner may legitimately retarget chunk counts from wall-time evidence,
     // so pin it off here even when JANUS_ADAPTIVE is set (the adaptive CI
@@ -39,7 +30,6 @@ fn run_in_mode(
         backend,
         dbm: DbmConfig {
             adaptive: false,
-            spec_commit,
             ..DbmConfig::default()
         },
         ..JanusConfig::default()
@@ -112,11 +102,9 @@ fn backends_agree_on_every_workload() {
 /// Speculative (`SPECULATE`) equivalence across the thread axis: the
 /// *reported* numbers — final memory image, output streams, modelled cycles
 /// and breakdown, and the speculation counters feeding table 3 — must be
-/// bit-identical between the backends at every thread count, because in the
-/// default commit mode the native backend runs the very deterministic
-/// coordinator the virtual-time backend runs, and nothing else. The racing
-/// Block-STM pool is `RacedImage`'s engine: there it must fan out across OS
-/// threads and land the same guest state.
+/// bit-identical between the backends at every thread count, because the
+/// native backend runs the very engine the virtual-time backend runs, and
+/// nothing else.
 #[test]
 fn speculative_workloads_agree_across_thread_counts() {
     for name in speculative_benchmarks() {
@@ -168,30 +156,7 @@ fn speculative_workloads_agree_across_thread_counts() {
                 ),
                 "{name}@{threads}: speculation statistics differ"
             );
-
-            // Physical fan-out belongs to the raced mode: whenever
-            // speculative invocations ran with >1 lane, the racing pool must
-            // have spawned >1 OS worker thread, and converged to the image
-            // the deterministic engine committed.
             assert_eq!(virt.os_threads_used(), 0, "{name}@{threads}");
-            if threads >= 2 && ns.spec_invocations > 0 {
-                let raced = run_in_mode(
-                    &binary,
-                    BackendKind::NativeThreads,
-                    threads,
-                    SpecCommitMode::RacedImage,
-                );
-                assert!(
-                    raced.os_threads_used() > 1,
-                    "{name}@{threads}: the raced mode must race speculative \
-                     incarnations across OS threads, reported {}",
-                    raced.os_threads_used()
-                );
-                assert_eq!(
-                    raced.parallel.memory_digest, native.parallel.memory_digest,
-                    "{name}@{threads}: raced and deterministic images differ"
-                );
-            }
         }
     }
 }

@@ -1,19 +1,16 @@
 //! Determinism stress for the speculative runtime under the native backend.
 //!
-//! In the default commit mode the backend runs the deterministic
-//! coordinator alone, so re-running the same workload many times must
-//! produce bit-identical memory digests, outputs, modelled cycles and
-//! table-3 speculation statistics — and must report that no OS-thread pool
-//! ran. The racing Block-STM pool is `RacedImage`'s engine: its counters
-//! describe whatever race the OS scheduled, but the guest state it lands
-//! must be the deterministic one on every run.
+//! The backend runs the deterministic speculation engine on the calling
+//! thread, so re-running the same workload many times must produce
+//! bit-identical memory digests, outputs, modelled cycles and table-3
+//! speculation statistics — and must report that no worker thread ran.
 //!
 //! `spec.doacross-window` is the stress pick: its sliding-window
 //! read-after-write chain has the highest abort rate of the suite, so it
 //! exercises estimates, dependency wakeups and re-execution on every run.
 
 use janus_compile::{CompileOptions, Compiler};
-use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport, SpecCommitMode};
+use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig, JanusReport};
 use janus_ir::JBinary;
 use janus_workloads::workload;
 
@@ -24,7 +21,7 @@ fn compile_once() -> JBinary {
         .expect("workload compiles")
 }
 
-fn run_native(binary: &JBinary, threads: u32, spec_commit: SpecCommitMode) -> JanusReport {
+fn run_native(binary: &JBinary, threads: u32) -> JanusReport {
     // Bit-identical repeats are a static-policy contract: the adaptive
     // tuner folds measured wall time into its decisions, which is
     // legitimately run-dependent. Pin it off even under JANUS_ADAPTIVE=1.
@@ -33,7 +30,6 @@ fn run_native(binary: &JBinary, threads: u32, spec_commit: SpecCommitMode) -> Ja
         backend: BackendKind::NativeThreads,
         dbm: DbmConfig {
             adaptive: false,
-            spec_commit,
             ..DbmConfig::default()
         },
         ..JanusConfig::default()
@@ -42,8 +38,8 @@ fn run_native(binary: &JBinary, threads: u32, spec_commit: SpecCommitMode) -> Ja
     .expect("pipeline succeeds")
 }
 
-/// Everything the run reports that must not depend on the race the OS
-/// happened to schedule.
+/// Everything the run reports that must not depend on how the OS scheduled
+/// the run.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     memory_digest: u64,
@@ -80,7 +76,7 @@ fn fingerprint(report: &JanusReport) -> Fingerprint {
 #[test]
 fn twenty_native_runs_are_bit_identical() {
     let binary = compile_once();
-    let first = run_native(&binary, 4, SpecCommitMode::Deterministic);
+    let first = run_native(&binary, 4);
     assert!(first.outputs_match, "doacross-window must reproduce output");
     assert!(
         first.parallel.stats.spec_invocations > 0,
@@ -93,45 +89,15 @@ fn twenty_native_runs_are_bit_identical() {
     assert_eq!(
         first.os_threads_used(),
         0,
-        "the deterministic mode runs no pool (and this workload no DOALL loop)"
+        "speculation runs no worker thread (and this workload no DOALL loop)"
     );
     let reference = fingerprint(&first);
     for attempt in 1..20 {
-        let report = run_native(&binary, 4, SpecCommitMode::Deterministic);
+        let report = run_native(&binary, 4);
         assert_eq!(
             fingerprint(&report),
             reference,
             "run {attempt}: native speculative run drifted from run 0"
-        );
-    }
-}
-
-#[test]
-fn twenty_raced_runs_land_the_deterministic_guest_state() {
-    let binary = compile_once();
-    let reference = run_native(&binary, 4, SpecCommitMode::Deterministic);
-    for attempt in 0..20 {
-        let raced = run_native(&binary, 4, SpecCommitMode::RacedImage);
-        assert!(
-            raced.os_threads_used() > 1,
-            "run {attempt}: incarnations must race on >1 OS thread, got {}",
-            raced.os_threads_used()
-        );
-        assert!(raced.outputs_match, "run {attempt}: raced output diverged");
-        assert_eq!(
-            (
-                raced.parallel.memory_digest,
-                &raced.parallel.output_ints,
-                &raced.parallel.output_floats,
-                raced.parallel.exit_code,
-            ),
-            (
-                reference.parallel.memory_digest,
-                &reference.parallel.output_ints,
-                &reference.parallel.output_floats,
-                reference.parallel.exit_code,
-            ),
-            "run {attempt}: the race leaked into the guest state"
         );
     }
 }

@@ -3,9 +3,9 @@
 //! hundred bytes of state per iteration, so an invocation above
 //! `MAX_SPECULATIVE_ITERATIONS` runs sequentially instead, counted as a
 //! speculation fallback, before any engine state is built. Checked on both
-//! backends and both speculative commit modes.
+//! backends.
 
-use janus_core::{BackendKind, DbmConfig, PreparedDbm, SpecCommitMode, VarSpec};
+use janus_core::{BackendKind, DbmConfig, PreparedDbm, VarSpec};
 use janus_dbm::{DbmError, DbmRunResult, MAX_SPECULATIVE_ITERATIONS};
 use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, MemRef, Operand, Reg};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
@@ -88,25 +88,14 @@ fn speculative_schedule(header: u64, exit: u64) -> RewriteSchedule {
     schedule
 }
 
-/// Every backend and speculative commit mode the DBM offers.
-const MODES: [(BackendKind, SpecCommitMode); 4] = [
-    (BackendKind::VirtualTime, SpecCommitMode::Deterministic),
-    (BackendKind::VirtualTime, SpecCommitMode::RacedImage),
-    (BackendKind::NativeThreads, SpecCommitMode::Deterministic),
-    (BackendKind::NativeThreads, SpecCommitMode::RacedImage),
-];
+/// Every backend the DBM offers.
+const MODES: [BackendKind; 2] = [BackendKind::VirtualTime, BackendKind::NativeThreads];
 
-fn run(
-    n: i64,
-    backend: BackendKind,
-    spec_commit: SpecCommitMode,
-    cycle_limit: u64,
-) -> Result<DbmRunResult, DbmError> {
+fn run(n: i64, backend: BackendKind, cycle_limit: u64) -> Result<DbmRunResult, DbmError> {
     let (binary, header, exit) = histogram(n);
     let config = DbmConfig {
         threads: 2,
         backend,
-        spec_commit,
         adaptive: false,
         cycle_limit,
         ..DbmConfig::default()
@@ -115,7 +104,7 @@ fn run(
     PreparedDbm::new(process, &speculative_schedule(header, exit), config).execute(&[])
 }
 
-/// Runs `n` iterations in every mode, checks the guest result against
+/// Runs `n` iterations on every backend, checks the guest result against
 /// `Vm::run` and returns each mode's run.
 fn run_everywhere(n: i64) -> Vec<DbmRunResult> {
     let (binary, ..) = histogram(n);
@@ -123,16 +112,12 @@ fn run_everywhere(n: i64) -> Vec<DbmRunResult> {
     vm.run().expect("the interpreter finishes");
     MODES
         .iter()
-        .map(|&(backend, commit)| {
-            let run = run(n, backend, commit, DbmConfig::default().cycle_limit)
-                .unwrap_or_else(|e| panic!("n = {n} on {backend} / {commit:?}: {e}"));
-            assert_eq!(run.output_ints, vm.output_ints(), "{backend} / {commit:?}");
-            assert_eq!(
-                run.memory_digest,
-                vm.mem.image_digest(),
-                "{backend} / {commit:?}"
-            );
-            assert_eq!(run.exit_code, 0, "{backend} / {commit:?}");
+        .map(|&backend| {
+            let run = run(n, backend, DbmConfig::default().cycle_limit)
+                .unwrap_or_else(|e| panic!("n = {n} on {backend}: {e}"));
+            assert_eq!(run.output_ints, vm.output_ints(), "{backend}");
+            assert_eq!(run.memory_digest, vm.mem.image_digest(), "{backend}");
+            assert_eq!(run.exit_code, 0, "{backend}");
             run
         })
         .collect()
@@ -143,11 +128,11 @@ fn a_huge_guest_trip_count_runs_out_of_cycles_instead_of_memory() {
     // 2^40 iterations of engine state would be hundreds of TiB: the host
     // used to abort in the allocator. Sequentially the loop simply runs
     // until the cycle budget is spent.
-    for (backend, commit) in MODES {
-        let result = run(1 << 40, backend, commit, 50_000_000);
+    for backend in MODES {
+        let result = run(1 << 40, backend, 50_000_000);
         assert!(
             matches!(result, Err(DbmError::CycleLimitExceeded { .. })),
-            "{backend} / {commit:?}: {:?}",
+            "{backend}: {:?}",
             result.map(|r| r.stats)
         );
     }

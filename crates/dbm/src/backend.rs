@@ -29,28 +29,19 @@
 //! Both backends charge modelled cycles through the same worker lanes
 //! ([`janus_spec::Lanes`]) that the speculation engine uses, so reported
 //! cycle counts are deterministic and comparable regardless of where the
-//! chunks physically ran. The speculative (`SPECULATE`) path is the same
-//! kind of `match` ([`BackendKind::run_speculative_invocation`]), one engine
-//! per [`SpecCommitMode`]: the deterministic
-//! `janus-spec` coordinator under virtual time and under the native
-//! backend's default mode — its counters, modelled cycles and commit are the
-//! reported ones, so running anything beside it would only be paid for — and
-//! the racing Block-STM worker pool ([`janus_spec::run_speculative_pooled`],
-//! one OS thread per lane, traced into the run's recorder) alone under
-//! `RacedImage`. That both engines
-//! converge to the same serial-equivalent image is checked where both run
-//! anyway: the differential fuzzer's commit-mode axis and
-//! `crates/core/tests/spec_commit_mode.rs`.
+//! chunks physically ran. A speculative (`SPECULATE`) invocation
+//! ([`BackendKind::run_speculative_invocation`]) runs the one `janus-spec`
+//! engine on the calling thread under both backends, so its counters,
+//! modelled cycles and commit are the same everywhere; the native backend
+//! adds only the invocation's wall-clock time.
 
 use crate::runtime::{run_chunk, LoopRt, PreparedParts};
 use crate::stm::TxFootprint;
-use crate::{DbmConfig, DbmError, Result, SpecCommitMode};
+use crate::{DbmConfig, DbmError, Result};
 use janus_ir::Operand;
 use janus_obs::Recorder;
 use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
-use janus_vm::{
-    merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, GuestMemory, MergeStats,
-};
+use janus_vm::{merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, MergeStats};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -256,14 +247,11 @@ pub(crate) struct BatchOutcome {
     pub(crate) merge: MergeStats,
 }
 
-/// What a routed speculative invocation returned, plus its wall-clock cost.
+/// What a speculative invocation returned, plus its wall-clock cost.
 pub(crate) struct SpecInvocationOutcome {
     pub(crate) result: std::result::Result<SpecOutcome<SpecPayload>, SpecError<DbmError>>,
     /// Wall-clock nanoseconds of the invocation (0 under virtual time).
     pub(crate) wall_nanos: u64,
-    /// OS worker threads the invocation's racing pool spawned (0 when the
-    /// deterministic coordinator ran alone).
-    pub(crate) os_threads: u64,
 }
 
 impl fmt::Debug for SpecInvocationOutcome {
@@ -271,7 +259,6 @@ impl fmt::Debug for SpecInvocationOutcome {
         f.debug_struct("SpecInvocationOutcome")
             .field("ok", &self.result.is_ok())
             .field("wall_nanos", &self.wall_nanos)
-            .field("os_threads", &self.os_threads)
             .finish()
     }
 }
@@ -288,14 +275,13 @@ pub(crate) struct SpecPayload {
     pub(crate) last: Option<Box<Cpu>>,
 }
 
-/// The loop body driven by the speculation engine for one iteration.
-/// `Fn + Sync`: the native-threads backend calls it concurrently from racing
-/// worker threads, one incarnation per call.
-pub(crate) type SpecBody<'a> = &'a (dyn Fn(
-    usize,
-    &mut SpecView<'_, FlatMemory>,
-) -> std::result::Result<IterationRun<SpecPayload>, DbmError>
-         + Sync);
+/// The loop body driven by the speculation engine, one incarnation of one
+/// iteration per call.
+pub(crate) type SpecBody<'a> =
+    &'a dyn Fn(
+        usize,
+        &mut SpecView<'_, FlatMemory>,
+    ) -> std::result::Result<IterationRun<SpecPayload>, DbmError>;
 
 /// Runs `plans[results.len()..]` one after another on the calling thread
 /// over `mem`, counting block executions straight into `cache`: the whole
@@ -585,115 +571,30 @@ impl BackendKind {
     }
 
     /// Runs one speculative (`SPECULATE`) loop invocation through the
-    /// `janus-spec` engine `commit` selects under the native-threads backend
-    /// ([`SpecCommitMode`]); the virtual-time backend is always
-    /// deterministic and ignores it. `recorder` receives incarnation events
-    /// from the racing pool plus fallback diagnostics (pass the null
-    /// recorder to trace nothing).
+    /// `janus-spec` engine on the calling thread. Both backends run the same
+    /// engine; the native-threads backend also times it. `recorder` gets one
+    /// span per invocation (pass the null recorder to trace nothing).
     pub(crate) fn run_speculative_invocation(
         self,
         spec_config: &SpecConfig,
-        commit: SpecCommitMode,
         base: &mut FlatMemory,
         iterations: usize,
         body: SpecBody<'_>,
         recorder: &Recorder,
     ) -> SpecInvocationOutcome {
-        match self {
-            BackendKind::VirtualTime => {
-                let _span = recorder
-                    .span("dbm.spec", "spec.deterministic")
-                    .arg("iterations", iterations)
-                    .arg("lanes", spec_config.lanes);
-                let result = janus_spec::run_speculative(spec_config, base, iterations, body);
-                SpecInvocationOutcome {
-                    result,
-                    wall_nanos: 0,
-                    os_threads: 0,
-                }
-            }
-            BackendKind::NativeThreads => {
-                let start = Instant::now();
-                // `RacedImage`: the Block-STM pool alone — one OS worker per lane
-                // races incarnations over the read-only image and its converged
-                // (serial-equivalent) image is committed as is. Counters describe
-                // the race that happened and no modelled parallel cycles are
-                // charged: callers pick this mode because they consume neither.
-                let mut os_threads = 0;
-                if commit == SpecCommitMode::RacedImage {
-                    let threads = spec_config.lanes.max(1) as usize;
-                    os_threads = threads.min(iterations.max(1)) as u64;
-                    let raced = {
-                        let _span = recorder
-                            .span("dbm.spec", "spec.race")
-                            .arg("iterations", iterations)
-                            .arg("threads", threads);
-                        janus_spec::run_speculative_pooled(
-                            spec_config,
-                            threads,
-                            &*base,
-                            iterations,
-                            body,
-                            recorder,
-                        )
-                    };
-                    // A pool that gave up (`AbortLimit`), saw a fault, or left live
-                    // estimate markers (the convergence invariant every committed
-                    // image must satisfy; asserted in test builds, never trusted in
-                    // release) falls through to the deterministic engine, which
-                    // classifies genuine faults exactly and always commits a
-                    // correct image.
-                    if let Ok(pooled) = raced {
-                        debug_assert_eq!(pooled.live_estimates, 0);
-                        if pooled.live_estimates == 0 {
-                            for &(word, value) in &pooled.image {
-                                base.write_u64(word, value);
-                            }
-                            return SpecInvocationOutcome {
-                                result: Ok(SpecOutcome {
-                                    stats: pooled.stats,
-                                    parallel_cycles: 0,
-                                    payloads: pooled.payloads,
-                                }),
-                                wall_nanos: start.elapsed().as_nanos() as u64,
-                                os_threads,
-                            };
-                        }
-                        // Structured diagnostic: visible in trace exports when a
-                        // recorder is attached, on stderr otherwise (never silent).
-                        if recorder.is_enabled() {
-                            recorder.instant(
-                                "dbm.spec",
-                                "spec.pool-fallback",
-                                &[("reason", "live-estimates".into())],
-                            );
-                        } else {
-                            eprintln!(
-                                "janus-dbm: racing speculative pool left live estimates; \
-                                     falling back to the deterministic engine"
-                            );
-                        }
-                    }
-                }
-                // `Deterministic`: the coordinator alone, on this thread. Its
-                // modelled cycles, abort counts, payloads and commit are bit-identical
-                // to the virtual-time backend's because they *are* the virtual-time
-                // backend's; no pool runs, and `os_threads` says so. That the two
-                // engines agree on the image is checked where both run anyway: the
-                // fuzzer's commit-mode axis and `spec_commit_mode.rs`.
-                let mut outcome = BackendKind::VirtualTime.run_speculative_invocation(
-                    spec_config,
-                    commit,
-                    base,
-                    iterations,
-                    body,
-                    recorder,
-                );
-                outcome.wall_nanos = start.elapsed().as_nanos() as u64;
-                outcome.os_threads = os_threads;
-                outcome
-            }
-        }
+        let start = Instant::now();
+        let result = {
+            let _span = recorder
+                .span("dbm.spec", "spec.deterministic")
+                .arg("iterations", iterations)
+                .arg("lanes", spec_config.lanes);
+            janus_spec::run_speculative(spec_config, base, iterations, body)
+        };
+        let wall_nanos = match self {
+            BackendKind::VirtualTime => 0,
+            BackendKind::NativeThreads => start.elapsed().as_nanos() as u64,
+        };
+        SpecInvocationOutcome { result, wall_nanos }
     }
 }
 
@@ -766,13 +667,12 @@ mod tests {
         }
     }
 
-    /// One engine per commit mode: in the default mode the native backend
-    /// calls the iteration body exactly as often as the virtual-time backend
-    /// does — once per incarnation, not once to race and once more to
-    /// replay — and truthfully reports that no pool ran; the pool is the
-    /// raced mode's engine.
+    /// The native backend calls the iteration body exactly as often as the
+    /// virtual-time backend does — once per incarnation — and reports the
+    /// same counters and image.
     #[test]
-    fn deterministic_mode_runs_each_incarnation_once_and_spawns_no_pool() {
+    fn both_backends_run_each_incarnation_once() {
+        use janus_vm::GuestMemory;
         use std::sync::atomic::{AtomicU64, Ordering};
         let config = SpecConfig {
             lanes: 4,
@@ -797,12 +697,11 @@ mod tests {
                 },
             })
         };
-        let run = |backend: BackendKind, commit: SpecCommitMode| {
+        let run = |backend: BackendKind| {
             calls.store(0, Ordering::Relaxed);
             let mut base = FlatMemory::new();
             let out = backend.run_speculative_invocation(
                 &config,
-                commit,
                 &mut base,
                 40,
                 &body,
@@ -810,14 +709,12 @@ mod tests {
             );
             let stats = out.result.expect("the invocation converges").stats;
             let image = [base.read_u64(0x3000), base.read_u64(0x3008)];
-            (calls.load(Ordering::Relaxed), stats, out.os_threads, image)
+            (calls.load(Ordering::Relaxed), stats, image)
         };
         let serial = [(0..40).step_by(2).sum::<u64>(), (1..40).step_by(2).sum()];
 
-        let (virt_calls, virt_stats, virt_threads, virt_image) =
-            run(BackendKind::VirtualTime, SpecCommitMode::Deterministic);
+        let (virt_calls, virt_stats, virt_image) = run(BackendKind::VirtualTime);
         assert_eq!(virt_image, serial);
-        assert_eq!(virt_threads, 0);
         assert_eq!(
             virt_calls,
             virt_stats.executions + virt_stats.estimate_stalls,
@@ -825,16 +722,10 @@ mod tests {
         );
         assert!(virt_calls > 40, "the conflicts must cause retries");
 
-        let (calls, stats, threads, image) =
-            run(BackendKind::NativeThreads, SpecCommitMode::Deterministic);
+        let (calls, stats, image) = run(BackendKind::NativeThreads);
         assert_eq!(calls, virt_calls, "the body ran once per incarnation");
         assert_eq!(stats, virt_stats);
         assert_eq!(image, serial);
-        assert_eq!(threads, 0, "no pool ran, and the report says so");
-
-        let (_, _, threads, image) = run(BackendKind::NativeThreads, SpecCommitMode::RacedImage);
-        assert_eq!(image, serial);
-        assert_eq!(threads, 4, "the raced mode runs one worker per lane");
     }
 
     #[test]

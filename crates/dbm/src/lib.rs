@@ -49,13 +49,10 @@
 //!   the same worker-lane code path (so cycle counts remain deterministic and
 //!   comparable), while wall-clock time and the number of OS threads that
 //!   ran chunks are additionally reported in
-//!   [`DbmStats::parallel_wall_nanos`] and [`DbmStats::os_threads_used`]. Speculative (`SPECULATE`) invocations
-//!   run one engine, chosen by [`SpecCommitMode`]: by default the same
-//!   deterministic coordinator the virtual-time backend drives (so
-//!   speculative reports are bit-identical to it), or — `RacedImage` — a
-//!   Block-STM worker pool ([`janus_spec::run_speculative_pooled`], one OS
-//!   thread per lane, traced into the run's recorder) racing over a
-//!   read-only view of guest memory.
+//!   [`DbmStats::parallel_wall_nanos`] and [`DbmStats::os_threads_used`].
+//!   Speculative (`SPECULATE`) invocations run the same `janus-spec` engine
+//!   the virtual-time backend drives, on the calling thread, so speculative
+//!   reports are bit-identical to it.
 //!   Loops whose schedule carries `TX_START` rules (STM-wrapped
 //!   shared-library calls, i.e. potential cross-chunk dependences) run on
 //!   the pool too. Each chunk records which words its transactions read and
@@ -146,46 +143,17 @@ impl Default for SpecCosts {
     }
 }
 
-/// Which `janus-spec` engine the native-threads backend runs for a
-/// speculative (`SPECULATE`) invocation — one engine per mode, never both.
-///
-/// The virtual-time backend always runs the deterministic coordinator (it
-/// has no racing pool), so this knob only changes behaviour under
-/// [`BackendKind::NativeThreads`]. Either way the committed memory image is
-/// the serial-equivalent one — the equivalence test in `janus-core` and the
-/// fuzzer's commit-mode axis assert identical memory digests between the
-/// two modes.
+/// **Ignored**: every speculative (`SPECULATE`) invocation runs the one
+/// deterministic `janus-spec` engine, whichever mode is set. Kept only until
+/// the ledger drops its `dbm.execute.raced` extra, which still builds a
+/// [`DbmConfig`] naming [`SpecCommitMode::RacedImage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpecCommitMode {
-    /// Run the deterministic coordinator on the calling thread, exactly as
-    /// the virtual-time backend does: its modelled cycles and speculation
-    /// counters are the reported ones (so they are bit-identical across
-    /// backends) and its commit is what lands. No pool runs, and
-    /// [`DbmStats::os_threads_used`] does not count one. The default: every
-    /// figure and table is built from this mode.
+    /// The default.
     #[default]
     Deterministic,
-    /// Run the racing Block-STM pool (one OS worker per lane) and commit its
-    /// converged image — for callers (serving batches, latency-sensitive
-    /// jobs) that do not consume modelled figures. Guest results are
-    /// unchanged; speculation counters describe the actual race
-    /// (nondeterministic) and modelled parallel cycles are not charged for
-    /// the invocation, so cycle totals are not comparable with
-    /// `Deterministic` runs. A pool that gives up ([`janus_spec::SpecError`])
-    /// falls back to the deterministic engine, which classifies genuine
-    /// faults exactly.
+    /// The same as [`SpecCommitMode::Deterministic`].
     RacedImage,
-}
-
-impl SpecCommitMode {
-    /// Stable machine-readable name.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SpecCommitMode::Deterministic => "deterministic",
-            SpecCommitMode::RacedImage => "raced-image",
-        }
-    }
 }
 
 /// Configuration of the dynamic binary modifier.
@@ -226,10 +194,8 @@ pub struct DbmConfig {
     pub stm: StmCosts,
     /// Cost knobs of the iteration-level speculation engine.
     pub spec: SpecCosts,
-    /// Which engine the native-threads backend runs for speculative
-    /// invocations: the deterministic coordinator (default; modelled figures
-    /// stay backend-invariant) or the racing pool. Ignored by the
-    /// virtual-time backend.
+    /// Ignored: see [`SpecCommitMode`]. Kept only for the ledger's
+    /// `dbm.execute.raced` extra.
     pub spec_commit: SpecCommitMode,
     /// Minimum iterations per thread below which a loop invocation is run
     /// sequentially (parallelisation would not be profitable).
@@ -416,12 +382,11 @@ pub struct DbmStats {
     /// invocation: for a DOALL batch the calling thread plus the run's pool
     /// workers, i.e. the chunk count up to `threads`, transactional loops
     /// included (chunks that then run again in order on the calling thread
-    /// do not lower it); for a [`SpecCommitMode::RacedImage`] invocation its
-    /// racing pool. Stays at 0 under the virtual-time backend, for runs with
-    /// no parallel invocations, and for speculative invocations in the
-    /// default `Deterministic` mode (the coordinator runs on the calling
-    /// thread); a value above 1 is the observable proof that the
-    /// native-threads backend fanned work out across real threads.
+    /// do not lower it). Stays at 0 under the virtual-time backend, for runs
+    /// with no parallel invocations, and for speculative invocations (the
+    /// engine runs on the calling thread); a value above 1 is the
+    /// observable proof that the native-threads backend fanned work out
+    /// across real threads.
     pub os_threads_used: u64,
     /// Wall-clock nanoseconds spent inside parallel-region execution
     /// (chunk batches and speculative invocations), summed over invocations.
@@ -552,10 +517,7 @@ mod tests {
             ),
             (6, 10, 4, 60, 64)
         );
-        // Figures are built from the deterministic engine by default.
         assert_eq!(c.spec_commit, SpecCommitMode::Deterministic);
-        assert_eq!(SpecCommitMode::Deterministic.label(), "deterministic");
-        assert_eq!(SpecCommitMode::RacedImage.label(), "raced-image");
     }
 
     #[test]

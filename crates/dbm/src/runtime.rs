@@ -26,8 +26,8 @@ const STEP: u64 = INST_SIZE as u64;
 /// runs sequentially. The guest chooses the trip count, and the engine keeps
 /// about 200 bytes of state per iteration before the first guest access:
 /// the scheduler's status slot (48), the multi-version store's write-set
-/// slot (32), the iteration's read-set slot and payload (64, or 80 in a
-/// racing-pool slot) and the payload handed back (40). The cap bounds that
+/// slot (32), the iteration's read-set slot and payload (64) and the
+/// payload handed back (40). The cap bounds that
 /// at about 13 MiB per invocation, where 2⁴⁰ iterations would ask the
 /// allocator for hundreds of TiB. The suite's largest invocation is 4 410
 /// iterations (`spec.histogram`).
@@ -374,8 +374,8 @@ impl PreparedDbm {
     }
 
     /// [`PreparedDbm::execute_with`] with a flight recorder attached: the
-    /// execution backends emit per-chunk run/merge spans and the racing
-    /// speculation pool emits per-incarnation events to it. `DbmConfig`
+    /// execution backends emit per-chunk run/merge spans and one span per
+    /// speculative invocation to it. `DbmConfig`
     /// stays `Copy`, so the recorder rides alongside the config rather than
     /// inside it. Passing the null recorder is exactly `execute_with`.
     ///
@@ -1083,9 +1083,8 @@ impl Dbm {
         let last_iter = iterations as usize - 1;
         let mut base = std::mem::take(&mut self.mem);
 
-        // `Fn + Sync`, not `FnMut`: the native backend calls the body
-        // concurrently from racing pool workers (every capture is read-only;
-        // per-incarnation state lives in the cloned `Cpu` and the view).
+        // Every capture is read-only: per-incarnation state lives in the
+        // cloned `Cpu` and the view.
         let body =
             |iter: usize,
              view: &mut janus_spec::SpecView<'_, FlatMemory>|
@@ -1149,7 +1148,6 @@ impl Dbm {
             };
         let invocation = self.config.backend.run_speculative_invocation(
             &spec_config,
-            self.config.spec_commit,
             &mut base,
             iterations as usize,
             &body,
@@ -1160,7 +1158,6 @@ impl Dbm {
         crate::meter::meter(self.config.backend)
             .chunk_wall_nanos
             .record(invocation.wall_nanos);
-        self.stats.os_threads_used = self.stats.os_threads_used.max(invocation.os_threads);
 
         let outcome = match invocation.result {
             Ok(outcome) => outcome,

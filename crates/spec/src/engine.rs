@@ -44,9 +44,9 @@ impl<P> fmt::Debug for SpecOutcome<P> {
 /// Per-iteration bookkeeping kept between tasks: the latest completed
 /// incarnation's read set, sorted by word (the vector is reused by the next
 /// incarnation), and payload.
-pub(crate) struct IterData<P> {
-    pub(crate) reads: Vec<ReadEntry>,
-    pub(crate) payload: Option<P>,
+struct IterData<P> {
+    reads: Vec<ReadEntry>,
+    payload: Option<P>,
 }
 
 impl<P> Default for IterData<P> {
@@ -62,7 +62,7 @@ impl<P> IterData<P> {
     /// Keeps what a finished incarnation left in `buffers` and returned.
     /// The read set is copied, not swapped in: a copy has exactly the
     /// capacity it needs, where the view's buffer keeps its growth slack.
-    pub(crate) fn store(&mut self, buffers: &ViewBuffers, payload: P) {
+    fn store(&mut self, buffers: &ViewBuffers, payload: P) {
         self.reads.clear();
         self.reads.reserve_exact(buffers.reads.len());
         self.reads.extend_from_slice(&buffers.reads);
@@ -220,14 +220,8 @@ where
 /// Lazy validation of one iteration's read set against the *current*
 /// multi-version state: a read is still good when it would re-resolve to the
 /// same version (read-from check) or, failing that, to the same value (value
-/// check — the JudoSTM trick that forgives silent re-writes). Shared by the
-/// deterministic coordinator engine and the racing worker pool.
-pub(crate) fn validate<M: PeekMemory>(
-    mv: &MvMemory,
-    base: &M,
-    iteration: usize,
-    reads: &[ReadEntry],
-) -> bool {
+/// check — the JudoSTM trick that forgives silent re-writes).
+fn validate<M: PeekMemory>(mv: &MvMemory, base: &M, iteration: usize, reads: &[ReadEntry]) -> bool {
     reads.iter().all(
         |&(word, (origin, value))| match mv.read(word, iteration, u64::MAX) {
             ReadResult::Blocked(_) => false,

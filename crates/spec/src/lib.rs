@@ -30,34 +30,20 @@
 //!   invocation costs O(iterations + aborts); [`scheduler::Lanes`] charges
 //!   every task to the least-loaded of `lanes` virtual workers so the
 //!   reported parallel time is a reproducible model of `lanes`-way execution.
-//! * [`run_speculative`] — the deterministic engine: dispatches tasks until
-//!   every iteration validates, re-executing **only the dependents of a
-//!   failed iteration**, then commits the serial-equivalent final image into
-//!   base memory.
-//! * [`run_speculative_pooled`] — the **racing worker pool**: the same task
-//!   machine driven concurrently by one OS thread per lane
-//!   (`std::thread::scope`), made possible by the thread-safe store and
-//!   scheduler. Workers observe real Block-STM visibility (everything
-//!   recorded so far); the converged image is serial-equivalent on every
-//!   schedule, while the abort/retry counters describe the actual race and
-//!   vary run to run. It is one entry point: the caller passes its flight
-//!   recorder, or [`janus_obs::Recorder::disabled`] for an untraced race.
+//! * [`run_speculative`] — the engine: dispatches tasks until every
+//!   iteration validates, re-executing **only the dependents of a failed
+//!   iteration**, then commits the serial-equivalent final image into base
+//!   memory.
 //!
-//! ## Two execution modes
+//! ## One engine
 //!
-//! Every subsystem here is shared between two drivers. The *deterministic
-//! coordinator* ([`run_speculative`]) runs tasks one at a time, gates
-//! multi-version visibility by virtual lane time, and therefore produces
-//! bit-identical conflicts, abort counts and modelled parallel cycles on
-//! every run and every machine — it is what all figures are built from. The
-//! *racing pool* ([`run_speculative_pooled`]) runs the same tasks on real
-//! threads. An invocation runs one of them: `janus-dbm`'s backends pick the
-//! coordinator wherever modelled numbers are reported (always under virtual
-//! time, and by default under native threads — which is why modelled cycles
-//! and every figure are invariant across execution backends) and the pool
-//! only in the raced-image commit mode. That the two converge to the same
-//! serial-equivalent image is asserted by the proptests here and, end to
-//! end, by the differential fuzzer's commit-mode axis.
+//! [`run_speculative`] runs tasks one at a time from a single coordinator,
+//! gates multi-version visibility by virtual lane time, and therefore
+//! produces bit-identical conflicts, abort counts and modelled parallel
+//! cycles on every run and every machine. Both of `janus-dbm`'s backends
+//! call it for every speculative invocation, which is why modelled cycles
+//! and every figure are invariant across execution backends; the native
+//! backend only adds the invocation's wall-clock time.
 //!
 //! ## Lazy validation vs. the JudoSTM design
 //!
@@ -124,7 +110,6 @@
 
 mod engine;
 mod mv;
-mod pool;
 pub mod scheduler;
 
 pub use engine::{run_speculative, IterationRun, SpecOutcome};
@@ -132,7 +117,6 @@ pub use mv::{
     Incarnation, Iteration, MvMemory, ReadEntry, ReadOrigin, ReadResult, SpecView, ViewBuffers,
     ViewStats,
 };
-pub use pool::{run_speculative_pooled, PooledOutcome};
 pub use scheduler::Lanes;
 
 use std::fmt;

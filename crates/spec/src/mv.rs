@@ -11,9 +11,6 @@
 //! and an execution that starts at virtual time `t` only sees entries
 //! recorded at or before `t`. Two iterations that would race on real hardware
 //! therefore conflict in exactly the same (reproducible) way on every run.
-//! The racing worker pool ([`crate::run_speculative_pooled`]) opts out of the
-//! gate by reading at `t = u64::MAX`: workers observe everything recorded so
-//! far, which is classic Block-STM visibility.
 //!
 //! When an incarnation is aborted its entries are replaced by *estimate*
 //! markers: a later iteration that reads an estimate knows a lower iteration
@@ -39,17 +36,16 @@
 //! guest addresses left is the page table's keyed spill for pages above its
 //! radix.
 //!
-//! ## Thread safety
+//! ## Locks without threads
 //!
-//! The store is safe to share across OS worker threads: the page table sits
-//! behind one [`RwLock`] (readers proceed in parallel; a `record` or an
-//! estimate conversion takes it for writing once, for its whole write set)
-//! and per-iteration write-set bookkeeping sits behind per-iteration
-//! [`Mutex`]es (the scheduler guarantees at most one live incarnation per
-//! iteration, so these never contend). All operations take `&self`; driven
-//! from a single thread the behaviour is bit-identical to an unshared
-//! store, which is what keeps the deterministic virtual-time engine
-//! reproducible.
+//! The speculation engine drives the store from one thread, yet it is
+//! `Sync` and every operation takes `&self`: the page table sits behind one
+//! [`RwLock`] (a `record` or an estimate conversion takes it for writing
+//! once, for its whole write set) and per-iteration write-set bookkeeping
+//! behind per-iteration [`Mutex`]es. The reason is the ledger's
+//! micro-benchmarks, which share one `&MvMemory` across reader threads to
+//! price the read path. Uncontended, the behaviour is bit-identical to an
+//! unshared store.
 
 use janus_vm::{BasePages, GuestMemory, PageTable, PeekMemory};
 use std::sync::{Mutex, RwLock};
@@ -135,7 +131,7 @@ pub enum ReadResult {
 
 /// The multi-version memory: `(word address, iteration) -> value`, layered
 /// over a base memory that is only read, never written, until the final
-/// commit. Shareable across worker threads; see the module docs.
+/// commit. `Sync`, for the reason the module docs give.
 #[derive(Debug)]
 pub struct MvMemory {
     pages: RwLock<PageTable<Box<Page>>>,
@@ -166,25 +162,9 @@ impl MvMemory {
         }
     }
 
-    /// Number of estimate markers currently live in the store. Zero once
-    /// every iteration has (re-)executed and validated — the invariant the
-    /// convergence tests assert.
-    #[must_use]
-    pub fn live_estimates(&self) -> u64 {
-        let mut estimates = 0;
-        self.for_each_word(|_, versions| {
-            estimates += versions
-                .iter()
-                .filter(|(_, e)| matches!(e, Entry::Estimate { .. }))
-                .count() as u64;
-        });
-        estimates
-    }
-
     /// Resolves a read of `word` by `iteration` whose execution started at
     /// virtual time `now`. Pass [`u64::MAX`] to see every entry (validation
-    /// and commit are "late" and observe the full store; racing workers use
-    /// the same to get real Block-STM visibility).
+    /// and commit are "late" and observe the full store).
     #[must_use]
     pub fn read(&self, word: u64, iteration: Iteration, now: u64) -> ReadResult {
         let (page, index) = split(word);
@@ -223,9 +203,6 @@ impl MvMemory {
     /// written by the previous incarnation but absent from the new write set
     /// are removed. Returns `true` when the incarnation wrote to a word its
     /// predecessor did not touch (Block-STM's `wrote_new_location`).
-    ///
-    /// The scheduler dispatches at most one live incarnation per iteration,
-    /// so concurrent `record` calls always target different iterations.
     pub fn record<'w>(
         &self,
         iteration: Iteration,
@@ -318,8 +295,8 @@ pub struct ViewStats {
     pub writes: u64,
 }
 
-/// The read and write sets a [`SpecView`] fills. One per engine (or per
-/// racing worker), reused by every incarnation it runs: the vectors keep
+/// The read and write sets a [`SpecView`] fills. One per engine, reused by
+/// every incarnation it runs: the vectors keep
 /// their capacity, so a warm engine allocates nothing for them.
 #[derive(Debug, Default)]
 pub struct ViewBuffers {
@@ -337,9 +314,8 @@ pub struct ViewBuffers {
 /// virtual start time), then shared memory — recording the origin and value
 /// of every shared read. Writes are buffered until the engine records them.
 ///
-/// The base is borrowed *immutably* (through [`PeekMemory`]): any number of
-/// views — one per racing worker thread — can execute over the same shared
-/// image at once, and nothing touches the base until the final commit. Base
+/// The base is borrowed *immutably* (through [`PeekMemory`]): nothing
+/// touches the base until the final commit. Base
 /// words are read through the view's own [`BasePages`] cache, so a read of a
 /// page the incarnation has already read skips the base's page table.
 #[derive(Debug)]
@@ -348,8 +324,7 @@ pub struct SpecView<'a, M: PeekMemory> {
     base_pages: BasePages<'a>,
     mv: &'a MvMemory,
     iteration: Iteration,
-    /// Virtual time at which this incarnation started executing
-    /// ([`u64::MAX`] for racing workers: see everything recorded so far).
+    /// Virtual time at which this incarnation started executing.
     now: u64,
     buffers: &'a mut ViewBuffers,
     blocked_on: Option<Iteration>,
@@ -504,6 +479,15 @@ mod tests {
         out
     }
 
+    /// Estimate markers live in the store.
+    fn estimates(mv: &MvMemory) -> usize {
+        let versions = versions(mv);
+        let entries = versions.iter().flat_map(|(_, v)| v);
+        entries
+            .filter(|(_, e)| matches!(e, Entry::Estimate { .. }))
+            .count()
+    }
+
     #[test]
     fn reads_observe_highest_visible_lower_iteration() {
         let mv = MvMemory::new(8);
@@ -542,11 +526,11 @@ mod tests {
         record(&mv, 3, 0, &[(0x2000, 7)], 5);
         mv.convert_writes_to_estimates(3, 6);
         assert_eq!(mv.read(0x2000, 4, 10), ReadResult::Blocked(3));
-        assert_eq!(mv.live_estimates(), 1);
+        assert_eq!(estimates(&mv), 1);
         // The next incarnation writes elsewhere: the estimate is removed.
         record(&mv, 3, 1, &[(0x2008, 8)], 12);
         assert_eq!(mv.read(0x2000, 4, 20), ReadResult::Base);
-        assert_eq!(mv.live_estimates(), 0);
+        assert_eq!(estimates(&mv), 0);
         assert_eq!(
             mv.read(0x2008, 4, 20),
             ReadResult::Versioned(

@@ -1,35 +1,30 @@
 //! The collaborative scheduler: Block-STM's execution/validation task state
-//! machine, shareable across OS worker threads, plus the virtual worker
-//! lanes that account every task in virtual time.
+//! machine, plus the virtual worker lanes that account every task in
+//! virtual time.
 //!
-//! ## Thread safety
+//! ## Locks without threads
 //!
-//! Every method takes `&self`: the two task frontiers are atomics
-//! (lowered with `fetch_min` when aborts invalidate downstream work) and
-//! each iteration's `(incarnation, status, dependents)` sits behind its own
-//! [`Mutex`] — the shape of `block-stm-revm`'s atomic scheduler. Driven from
-//! a single thread the task sequence is bit-identical to the original
-//! sequential scheduler (kept as the test-only `reference` model and
-//! compared task for task), which keeps the deterministic virtual-time
-//! engine reproducible; driven from many threads, transitions are
-//! serialised per iteration and stale tasks are rejected by incarnation
-//! checks.
+//! Every method takes `&self`: the two task frontiers are atomics (lowered
+//! with `fetch_min` when aborts invalidate downstream work) and each
+//! iteration's `(incarnation, status, dependents)` sits behind its own
+//! [`Mutex`]. The one engine, [`crate::run_speculative`], drives the
+//! scheduler from a single thread, so none of these is ever contended; the
+//! `&self` surface stays because the ledger's micro-benchmarks drive a
+//! `Scheduler` through a shared reference. The task sequence is
+//! bit-identical to the original sequential scheduler (kept as the
+//! test-only `reference` model and compared task for task), which keeps the
+//! virtual-time engine reproducible.
 //!
-//! ## The lost-wakeup window
+//! ## Blocking on an iteration that has already executed
 //!
-//! The racing pool resurfaces a classic Block-STM hazard the sequential
-//! driver never hit: iteration *i* reads *j*'s estimate and goes to sleep on
-//! *j* while, concurrently, *j* finishes re-executing and drains its
-//! dependents — if *i* enqueues itself after the drain, nobody ever wakes it.
-//! [`Scheduler::abort_on_dependency`] therefore (a) marks *i* `Aborting`
-//! *before* inspecting *j*, and (b) inspects *j*'s status and appends to
-//! *j*'s dependency list while holding *j*'s status lock, the same lock
-//! under which [`Scheduler::finish_execution`] publishes `Executed` and
-//! drains. Either the enqueue happens before the status flip (the drain sees
-//! it) or after (the enqueue sees `Executed` and resumes *i* immediately);
-//! there is no in-between. The regression test
-//! `dependency_resuming_between_finish_and_repop_is_not_lost` pins the
-//! interleaving.
+//! A fault on speculative state blocks its iteration on the highest lower
+//! iteration that has not validated yet, which may already have executed
+//! and wait only for its validation: its dependency list has been drained
+//! and will not be drained again. [`Scheduler::abort_on_dependency`]
+//! therefore inspects the blocking iteration's status and, when it has
+//! executed, resumes the blocked one at once instead of parking it. The
+//! test `dependency_resuming_between_finish_and_repop_is_not_lost` pins
+//! this.
 
 use crate::mv::{Incarnation, Iteration};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,7 +56,7 @@ pub enum Status {
     Aborting,
 }
 
-/// A unit of work dispatched to a (virtual or OS-thread) worker lane.
+/// A unit of work dispatched to a virtual worker lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
     /// Execute the named incarnation.
@@ -75,10 +70,6 @@ pub enum Task {
     Validation {
         /// Iteration to validate.
         iteration: Iteration,
-        /// Incarnation that was current when the task was popped; racing
-        /// validators use it to reject the task if the iteration has been
-        /// aborted and re-executed in the meantime.
-        incarnation: Incarnation,
     },
 }
 
@@ -86,20 +77,12 @@ pub enum Task {
 struct IterState {
     incarnation: Incarnation,
     status: Status,
-    /// Bumped every time a *lower* iteration re-records or aborts (the
-    /// demote sweep passes over this iteration): a racing validator that
-    /// began before the bump validated against superseded multi-version
-    /// state, and its verdict must not be allowed to stick. See
-    /// [`Scheduler::finish_validation_ok`].
-    revalidation_epoch: u64,
-    /// Iterations blocked on an estimate this iteration wrote. Guarded by
-    /// the status lock, which is what closes the lost-wakeup window (see the
-    /// module docs).
+    /// Iterations blocked on an estimate this iteration wrote.
     dependents: Vec<Iteration>,
 }
 
-/// The collaborative scheduler (see the module docs for the concurrency
-/// story).
+/// The collaborative scheduler (see the module docs for why it takes
+/// `&self`).
 ///
 /// Mirrors Block-STM's two shared counters: `execution_idx` is the next
 /// iteration to consider for execution, `validation_idx` the next to consider
@@ -119,10 +102,6 @@ struct IterState {
 pub struct Scheduler {
     states: Vec<Mutex<IterState>>,
     execution_idx: AtomicUsize,
-    /// Only ever raised by the `fetch_add` that claims an index to examine
-    /// and lowered by `fetch_min`. Never stored to after a check: a racing
-    /// `finish_execution`'s `fetch_min` between the check and the store
-    /// would be overwritten, and its validation task lost for good.
     validation_idx: AtomicUsize,
     /// One past the highest iteration ever dispatched.
     dispatched: AtomicUsize,
@@ -142,7 +121,6 @@ impl Scheduler {
                     Mutex::new(IterState {
                         incarnation: 0,
                         status: Status::ReadyToExecute,
-                        revalidation_epoch: 0,
                         dependents: Vec::new(),
                     })
                 })
@@ -164,17 +142,15 @@ impl Scheduler {
             .expect("iteration state poisoned")
     }
 
-    /// `true` once every iteration has validated. Stable under concurrency:
-    /// all-validated means no incarnation is in flight, so no transition can
-    /// demote anything again.
+    /// `true` once every iteration has validated.
     #[must_use]
     pub fn done(&self) -> bool {
         self.validated.load(Ordering::SeqCst) == self.states.len()
     }
 
-    /// Current status of an iteration.
-    #[must_use]
-    pub fn status(&self, iteration: Iteration) -> (Incarnation, bool) {
+    /// An iteration's incarnation and whether it has validated.
+    #[cfg(test)]
+    fn status(&self, iteration: Iteration) -> (Incarnation, bool) {
         let s = self.state(iteration);
         (s.incarnation, s.status == Status::Validated)
     }
@@ -215,18 +191,13 @@ impl Scheduler {
             {
                 return None;
             }
-            // Racing scanners can still overshoot by one index each; those
-            // are examined like any other, as the unbounded scan did.
             let i = self.validation_idx.fetch_add(1, Ordering::SeqCst);
             if i >= self.states.len() {
                 return None;
             }
             let s = self.state(i);
             if s.status == Status::Executed {
-                return Some(Task::Validation {
-                    iteration: i,
-                    incarnation: s.incarnation,
-                });
+                return Some(Task::Validation { iteration: i });
             }
         }
     }
@@ -236,9 +207,6 @@ impl Scheduler {
     /// previous incarnation's (new or removed words): everything above must
     /// then be revalidated. Iterations blocked on this one are resumed.
     pub fn finish_execution(&self, iteration: Iteration, changed_locations: bool) {
-        // Flip and drain under one hold of the status lock: a racing
-        // `abort_on_dependency` either enqueued before the flip (drained
-        // here) or observes `Executed` and resumes its iteration itself.
         let (incarnation, deps) = {
             let mut s = self.state(iteration);
             debug_assert_eq!(s.status, Status::Executing);
@@ -257,109 +225,27 @@ impl Scheduler {
     /// Records the validation verdict. On failure the iteration is scheduled
     /// for its next incarnation and every validated iteration above it is
     /// demoted (its reads may have observed the aborted writes).
-    ///
-    /// This is the single-coordinator entry point; racing validators use
-    /// [`Scheduler::try_validation_abort`] / [`Scheduler::finish_abort`] /
-    /// [`Scheduler::finish_validation_ok`] instead, which tolerate stale
-    /// tasks.
     pub fn finish_validation(&self, iteration: Iteration, aborted: bool) {
+        let mut s = self.state(iteration);
+        debug_assert_eq!(s.status, Status::Executed);
         if aborted {
-            // The same transition the racing handshake performs in two
-            // steps; sharing `finish_abort` keeps the subtle
-            // frontier-lowering/demote sequence in one place.
-            {
-                let mut s = self.state(iteration);
-                debug_assert_eq!(s.status, Status::Executed);
-                s.status = Status::Aborting;
-            }
-            self.finish_abort(iteration);
+            s.status = Status::ReadyToExecute;
+            s.incarnation += 1;
+            drop(s);
+            self.execution_idx.fetch_min(iteration, Ordering::SeqCst);
+            self.demote_validated_above(iteration);
+            self.validation_idx
+                .fetch_min(iteration + 1, Ordering::SeqCst);
         } else {
-            {
-                let mut s = self.state(iteration);
-                debug_assert_eq!(s.status, Status::Executed);
-                s.status = Status::Validated;
-            }
+            s.status = Status::Validated;
             self.validated.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Claims the right to abort `iteration`'s `incarnation` after a failed
-    /// validation. Only one racing validator can win (the status moves to
-    /// [`Status::Aborting`]); a validator holding a stale task — the
-    /// iteration re-executed since the task was popped — loses and must drop
-    /// the task. The winner converts the incarnation's writes to estimates
-    /// and then calls [`Scheduler::finish_abort`].
-    pub fn try_validation_abort(&self, iteration: Iteration, incarnation: Incarnation) -> bool {
-        let mut s = self.state(iteration);
-        if s.status == Status::Executed && s.incarnation == incarnation {
-            s.status = Status::Aborting;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Completes a validation abort claimed via
-    /// [`Scheduler::try_validation_abort`]: schedules the next incarnation
-    /// and demotes/revalidates everything above.
-    pub fn finish_abort(&self, iteration: Iteration) {
-        {
-            let mut s = self.state(iteration);
-            debug_assert_eq!(s.status, Status::Aborting);
-            s.status = Status::ReadyToExecute;
-            s.incarnation += 1;
-        }
-        self.execution_idx.fetch_min(iteration, Ordering::SeqCst);
-        self.demote_validated_above(iteration);
-        self.validation_idx
-            .fetch_min(iteration + 1, Ordering::SeqCst);
-    }
-
-    /// The iteration's current revalidation epoch. A racing validator must
-    /// snapshot this *before* reading the multi-version store and hand it
-    /// back to [`Scheduler::finish_validation_ok`]: if a lower iteration
-    /// re-records or aborts in between, the demote sweep bumps the epoch and
-    /// the stale pass-verdict is rejected (the lowered validation frontier
-    /// guarantees a fresh task re-pops the iteration).
-    #[must_use]
-    pub fn validation_epoch(&self, iteration: Iteration) -> u64 {
-        self.state(iteration).revalidation_epoch
-    }
-
-    /// Marks `iteration`'s `incarnation` validated. Returns `false` (and
-    /// changes nothing) when the task is stale — the iteration was aborted
-    /// and re-executed after the validation task was popped, or a lower
-    /// iteration's re-record/abort bumped the revalidation epoch since the
-    /// validator snapshotted `epoch` (its verdict was computed against
-    /// superseded multi-version state). Without the epoch check a stale
-    /// pass could stick permanently: the demote sweep only downgrades
-    /// iterations already `Validated`, so a verdict landing *after* the
-    /// sweep would never be revisited.
-    pub fn finish_validation_ok(
-        &self,
-        iteration: Iteration,
-        incarnation: Incarnation,
-        epoch: u64,
-    ) -> bool {
-        {
-            let mut s = self.state(iteration);
-            if s.status != Status::Executed
-                || s.incarnation != incarnation
-                || s.revalidation_epoch != epoch
-            {
-                return false;
-            }
-            s.status = Status::Validated;
-        }
-        self.validated.fetch_add(1, Ordering::SeqCst);
-        true
-    }
-
     /// The executing incarnation read an estimate written by `blocking` (or
     /// faulted on speculative state): abort it and wake it when `blocking`
-    /// re-executes. If `blocking` has already re-executed, the iteration is
-    /// resumed immediately. See the module docs for why the enqueue happens
-    /// under `blocking`'s status lock.
+    /// re-executes. If `blocking` has already executed, the iteration is
+    /// resumed immediately (see the module docs).
     pub fn abort_on_dependency(&self, iteration: Iteration, blocking: Iteration) {
         debug_assert!(blocking < iteration);
         {
@@ -382,19 +268,6 @@ impl Scheduler {
         }
     }
 
-    /// The executing incarnation faulted on speculative state with no
-    /// identifiable blocking iteration (racing pool only): re-dispatch it
-    /// immediately as the next incarnation.
-    pub fn abort_and_retry(&self, iteration: Iteration) {
-        {
-            let mut s = self.state(iteration);
-            debug_assert_eq!(s.status, Status::Executing);
-            s.status = Status::ReadyToExecute;
-            s.incarnation += 1;
-        }
-        self.execution_idx.fetch_min(iteration, Ordering::SeqCst);
-    }
-
     /// The highest iteration below `iteration` that has not validated yet —
     /// the conservative dependency for an execution fault on speculative
     /// state. Never looks at or above the dispatch high-water mark (an
@@ -410,13 +283,7 @@ impl Scheduler {
     fn resume(&self, iteration: Iteration) {
         {
             let mut s = self.state(iteration);
-            // A dependent can be woken twice in pathological racing
-            // interleavings (premature wake, re-enqueue, real wake); resuming
-            // is a no-op unless the iteration is still parked. The sequential
-            // driver never takes the lenient branch.
-            if s.status != Status::Aborting {
-                return;
-            }
+            debug_assert_eq!(s.status, Status::Aborting);
             s.status = Status::ReadyToExecute;
             s.incarnation += 1;
         }
@@ -424,16 +291,9 @@ impl Scheduler {
     }
 
     fn demote_validated_above(&self, iteration: Iteration) {
-        // An iteration dispatched after this load began executing after the
-        // caller's re-record/estimates were in place: it needs no epoch bump.
         for j in iteration + 1..self.dispatched.load(Ordering::SeqCst) {
             let demoted = {
                 let mut s = self.state(j);
-                // Invalidate in-flight validators of `j` whatever its
-                // status: an `Executed` iteration mid-validation cannot be
-                // demoted here (it is not `Validated` yet), so the epoch is
-                // how its validator learns its verdict is stale.
-                s.revalidation_epoch += 1;
                 if s.status == Status::Validated {
                     s.status = Status::Executed;
                     true
@@ -605,28 +465,25 @@ mod tests {
         assert!(s.done());
     }
 
-    /// Regression test for the lost-wakeup window (ISSUE 4, satellite 4):
-    /// with racing workers, iteration 1 can decide to block on iteration 0
-    /// *after* 0 has already finished its re-execution and drained its
-    /// dependents — under the old single-threaded decrement ordering the
-    /// enqueue would never be seen and 1 would sleep forever. The scheduler
-    /// must instead observe 0's `Executed` status and resume 1 immediately.
+    /// Iteration 1 can report a block on iteration 0 *after* 0 has
+    /// finished executing and drained its dependents (a fault blocks on the
+    /// highest unvalidated lower iteration, executed or not). The scheduler
+    /// must observe 0's `Executed` status and resume 1 at once, not park it
+    /// on a list nobody drains again.
     #[test]
     fn dependency_resuming_between_finish_and_repop_is_not_lost() {
         let s = Scheduler::new(2);
-        // Both iterations claimed concurrently (only possible with the
-        // thread-safe `&self` API — the sequential driver never holds two
-        // execution tasks at once).
+        // Both iterations claimed before either finishes.
         let Some(Task::Execution { iteration: 0, .. }) = s.next_task() else {
             panic!("expected execution of 0");
         };
         let Some(Task::Execution { iteration: 1, .. }) = s.next_task() else {
             panic!("expected execution of 1");
         };
-        // Worker A finishes 0 and drains its (empty) dependency list.
+        // 0 finishes and drains its (empty) dependency list.
         s.finish_execution(0, true);
-        // Worker B, which read 0's estimate earlier in its execution, only
-        // now reports the dependency — after the drain already happened.
+        // 1 faults and only now reports the dependency — after the drain
+        // already happened.
         s.abort_on_dependency(1, 0);
         // 1 must not be parked: it is immediately re-dispatchable with a
         // bumped incarnation.
@@ -650,162 +507,6 @@ mod tests {
             tasks.contains(&"E1".to_string()),
             "1's next incarnation must be dispatched ({tasks:?})"
         );
-    }
-
-    /// The racing-validator handshake: only one validator may win the abort
-    /// of a given incarnation, stale winners are rejected by the incarnation
-    /// check, and `finish_validation_ok` refuses tasks for re-executed
-    /// iterations.
-    #[test]
-    fn stale_validation_tasks_are_rejected() {
-        let s = Scheduler::new(1);
-        let Some(Task::Execution { iteration: 0, .. }) = s.next_task() else {
-            panic!("expected execution of 0");
-        };
-        s.finish_execution(0, true);
-        let Some(Task::Validation {
-            iteration: 0,
-            incarnation: 0,
-        }) = s.next_task()
-        else {
-            panic!("expected validation of (0, 0)");
-        };
-        // Two racing validators popped the same task; the first wins.
-        assert!(s.try_validation_abort(0, 0));
-        assert!(!s.try_validation_abort(0, 0), "second aborter must lose");
-        s.finish_abort(0);
-        // The stale validator's success path must also be rejected now.
-        let epoch = s.validation_epoch(0);
-        assert!(
-            !s.finish_validation_ok(0, 0, epoch),
-            "stale ok must be rejected"
-        );
-        // Re-execute and validate for real.
-        let Some(Task::Execution {
-            iteration: 0,
-            incarnation: 1,
-        }) = s.next_task()
-        else {
-            panic!("expected re-execution of 0");
-        };
-        s.finish_execution(0, false);
-        let Some(Task::Validation {
-            iteration: 0,
-            incarnation: 1,
-        }) = s.next_task()
-        else {
-            panic!("expected validation of (0, 1)");
-        };
-        let epoch = s.validation_epoch(0);
-        assert!(s.finish_validation_ok(0, 1, epoch));
-        assert!(s.done());
-    }
-
-    /// Regression test for the lost-revalidation race: iteration 1's
-    /// validator snapshots its epoch and verdict *before* iteration 0
-    /// re-records writes; 0's demote sweep runs while 1 is merely `Executed`
-    /// (mid-validation), so nothing is demoted — the epoch bump is the only
-    /// thing standing between the stale pass and a permanently-validated
-    /// iteration whose reads were never checked against 0's new writes.
-    #[test]
-    fn stale_pass_verdict_after_lower_rerecord_is_rejected() {
-        let s = Scheduler::new(2);
-        // Claim both iterations; finish both executions.
-        let Some(Task::Execution { iteration: 0, .. }) = s.next_task() else {
-            panic!("expected execution of 0");
-        };
-        let Some(Task::Execution { iteration: 1, .. }) = s.next_task() else {
-            panic!("expected execution of 1");
-        };
-        s.finish_execution(0, true);
-        s.finish_execution(1, true);
-        // A validator pops (1, 0) and snapshots the epoch...
-        let epoch = s.validation_epoch(1);
-        // ...then 0 fails its own validation, re-executes and re-records —
-        // the demote sweep passes over 1 (still Executed: no demote) and
-        // bumps its epoch.
-        assert!(s.try_validation_abort(0, 0));
-        s.finish_abort(0);
-        // Drive until 0 has re-recorded. Validation tasks for 1 popped along
-        // the way model racing validators whose verdicts are still in
-        // flight: dropping them is exactly what a stalled validator looks
-        // like, and the re-record below must re-deliver the work.
-        loop {
-            match s.next_task().expect("work remains") {
-                Task::Execution { iteration: 0, .. } => {
-                    s.finish_execution(0, true);
-                    break;
-                }
-                Task::Validation { iteration: 1, .. } => {}
-                other => panic!("unexpected task {other:?}"),
-            }
-        }
-        // The validator's stale pass must not stick.
-        assert!(
-            !s.finish_validation_ok(1, 0, epoch),
-            "a pass computed against pre-re-record state must be rejected"
-        );
-        let (_, validated) = s.status(1);
-        assert!(!validated, "1 must await a fresh validation task");
-        // And a fresh task for 1 is re-delivered by the lowered frontier.
-        let mut saw_revalidation = false;
-        while !s.done() {
-            match s.next_task().expect("no task may be lost") {
-                Task::Execution { iteration, .. } => s.finish_execution(iteration, false),
-                Task::Validation {
-                    iteration,
-                    incarnation,
-                } => {
-                    saw_revalidation |= iteration == 1;
-                    let epoch = s.validation_epoch(iteration);
-                    assert!(s.finish_validation_ok(iteration, incarnation, epoch));
-                }
-            }
-        }
-        assert!(
-            saw_revalidation,
-            "1 must be revalidated against fresh state"
-        );
-    }
-
-    /// Hammer the scheduler from real threads: every iteration must end up
-    /// validated exactly once, with no lost or duplicated work, for any
-    /// interleaving the OS produces.
-    #[test]
-    fn concurrent_drive_terminates_with_all_validated() {
-        for _ in 0..8 {
-            let n = 24;
-            let s = Scheduler::new(n);
-            let executed = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| loop {
-                        if s.done() {
-                            break;
-                        }
-                        match s.next_task() {
-                            Some(Task::Execution { iteration, .. }) => {
-                                executed.fetch_add(1, Ordering::SeqCst);
-                                s.finish_execution(iteration, true);
-                            }
-                            Some(Task::Validation {
-                                iteration,
-                                incarnation,
-                            }) => {
-                                let epoch = s.validation_epoch(iteration);
-                                let _ = s.finish_validation_ok(iteration, incarnation, epoch);
-                            }
-                            None => std::thread::yield_now(),
-                        }
-                    });
-                }
-            });
-            assert!(s.done());
-            assert!(executed.load(Ordering::SeqCst) >= n);
-            for i in 0..n {
-                assert!(s.status(i).1, "iteration {i} must be validated");
-            }
-        }
     }
 
     /// What the coordinator does with one popped task, drawn from the

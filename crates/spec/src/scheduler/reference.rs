@@ -1,9 +1,7 @@
 //! The scheduler as it stood before the frontiers were bounded by the
 //! dispatch high-water mark, kept as the test-only reference model: both
-//! frontier operations walk to `n`. Only the single-coordinator surface is
-//! kept (the racing handshake has no sequential reference to compare with);
-//! `tests::matches_the_reference_model` drives it in lockstep with
-//! [`super::Scheduler`].
+//! frontier operations walk to `n`. `tests::matches_the_reference_model`
+//! drives it in lockstep with [`super::Scheduler`].
 
 use super::{Status, Task};
 use crate::mv::{Incarnation, Iteration};
@@ -86,10 +84,7 @@ impl Scheduler {
             }
             let s = self.state(i);
             if s.status == Status::Executed {
-                return Some(Task::Validation {
-                    iteration: i,
-                    incarnation: s.incarnation,
-                });
+                return Some(Task::Validation { iteration: i });
             }
         }
     }

@@ -10,10 +10,7 @@
 //! image to a reference view that keeps its read and write sets in
 //! `HashMap`s.
 
-use janus_obs::Recorder;
-use janus_spec::{
-    run_speculative, run_speculative_pooled, IterationRun, SpecConfig, SpecView, ViewStats,
-};
+use janus_spec::{run_speculative, IterationRun, SpecConfig, SpecView, ViewStats};
 use janus_vm::{FlatMemory, GuestMemory};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -119,62 +116,6 @@ proptest! {
         prop_assert_eq!(out.stats.iterations as usize, programs.len());
         prop_assert!(out.stats.executions >= out.stats.iterations);
         prop_assert!(out.stats.validations >= out.stats.iterations);
-    }
-
-    /// The threaded path: the same arbitrary conflict structures executed
-    /// through the *racing* worker pool — concurrent `MvMemory` + atomic
-    /// `Scheduler`, real OS threads, nondeterministic interleavings — must
-    /// also converge to the serial memory image, leave no estimate markers
-    /// behind, and keep every iteration's serial payload.
-    #[test]
-    fn pooled_execution_converges_to_serial(
-        programs in proptest::collection::vec(
-            proptest::collection::vec(arb_op(6), 1..6),
-            1..24,
-        ),
-        threads in 2usize..5,
-    ) {
-        let pool = 6u64;
-        // Serial reference.
-        let mut serial = initial_memory(pool);
-        let mut serial_accs = Vec::new();
-        for (i, ops) in programs.iter().enumerate() {
-            serial_accs.push(interpret(i, ops, &mut serial));
-        }
-
-        // Raced run over a shared read-only base.
-        let base = initial_memory(pool);
-        let out = run_speculative_pooled(
-            &SpecConfig::default(),
-            threads,
-            &base,
-            programs.len(),
-            |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
-                let acc = interpret(i, &programs[i], view);
-                Ok(IterationRun { cycles: 10 + programs[i].len() as u64, payload: acc })
-            },
-            &Recorder::disabled(),
-        )
-        .expect("synthetic bodies never fault");
-
-        prop_assert_eq!(out.live_estimates, 0, "aborted writes must be re-resolved");
-        let mut committed = base.clone();
-        for &(w, v) in &out.image {
-            committed.write_u64(w, v);
-        }
-        for s in 0..pool {
-            let addr = POOL_BASE + s * 8;
-            prop_assert_eq!(
-                committed.read_u64(addr),
-                serial.read_u64(addr),
-                "word {} diverged (threads={}, aborts={})",
-                s, threads, out.stats.aborts
-            );
-        }
-        prop_assert_eq!(&out.payloads, &serial_accs);
-        prop_assert_eq!(out.stats.iterations as usize, programs.len());
-        prop_assert!(out.stats.executions >= out.stats.iterations);
-        prop_assert_eq!(out.threads_used, threads.min(programs.len()));
     }
 
     /// A single lane degenerates to in-order execution: no aborts, ever.
