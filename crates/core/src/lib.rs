@@ -853,22 +853,9 @@ fn rulegen_supported(l: &LoopInfo) -> bool {
     !matches!(bound.continue_cond, Cond::Eq | Cond::Below | Cond::AboveEq)
 }
 
-fn cond_code(c: Cond) -> i64 {
-    match c {
-        Cond::Eq => 0,
-        Cond::Ne => 1,
-        Cond::Lt => 2,
-        Cond::Le => 3,
-        Cond::Gt => 4,
-        Cond::Ge => 5,
-        Cond::Below => 6,
-        Cond::AboveEq => 7,
-    }
-}
-
 fn var_spec(v: &VarRef) -> Option<VarSpec> {
     match v {
-        VarRef::Reg(r) => Some(VarSpec::Reg(r.raw())),
+        VarRef::Reg(r) => Some(VarSpec::Reg(*r)),
         VarRef::Stack(off) => Some(VarSpec::Stack(*off)),
         VarRef::Global(_) => None,
     }
@@ -882,7 +869,7 @@ fn side_spec(extent: &janus_analysis::depend::BaseExtent, step: i64) -> SideSpec
             stride: extent.scale * step,
         },
         janus_analysis::AddressBase::Reg(r) => SideSpec {
-            reg: Some(r.raw()),
+            reg: Some(r),
             base_or_offset: extent.offset,
             stride: extent.scale * step,
         },
@@ -908,7 +895,7 @@ fn emit_loop_rules(schedule: &mut RewriteSchedule, l: &LoopInfo) {
             .with_data(2, ind_value)
             .with_data(3, iv.step)
             .with_data(4, bound.cmp_addr as i64)
-            .with_data(5, cond_code(bound.continue_cond)),
+            .with_data(5, i64::from(bound.continue_cond.code())),
     );
     schedule.push(RewriteRule::new(l.header_addr, RuleId::ThreadSchedule).with_data(0, id));
 

@@ -64,7 +64,7 @@ fn guest(target: Option<u64>, fp: Option<i64>) -> (JBinary, u64, u64) {
 /// The schedule that parallelises the guest's loop as a static DOALL:
 /// induction variable `r0`, `r0 += step` while `r0 cond bound`.
 fn doall_schedule(header: u64, exit: u64, step: i64, cond: Cond) -> RewriteSchedule {
-    let (kind, value) = VarSpec::Reg(Reg::R0.raw()).encode();
+    let (kind, value) = VarSpec::Reg(Reg::R0).encode();
     let mut schedule = RewriteSchedule::new("bad-pc");
     schedule.push(
         RewriteRule::new(header, RuleId::LoopInit)
@@ -73,7 +73,7 @@ fn doall_schedule(header: u64, exit: u64, step: i64, cond: Cond) -> RewriteSched
             .with_data(2, value)
             .with_data(3, step)
             .with_data(4, header as i64) // the bound compare
-            .with_data(5, cond as i64),
+            .with_data(5, i64::from(cond.code())),
     );
     schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));
     schedule

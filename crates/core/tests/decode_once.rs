@@ -113,7 +113,7 @@ fn vm_cycles_are_the_sum_of_the_retired_slots_costs() {
 #[test]
 fn the_specialised_bound_compare_is_charged_as_an_immediate_compare() {
     let (binary, header, exit) = guest();
-    let (kind, value) = VarSpec::Reg(Reg::R0.raw()).encode();
+    let (kind, value) = VarSpec::Reg(Reg::R0).encode();
     let mut schedule = RewriteSchedule::new("decode-once");
     schedule.push(
         RewriteRule::new(header, RuleId::LoopInit)
@@ -122,7 +122,7 @@ fn the_specialised_bound_compare_is_charged_as_an_immediate_compare() {
             .with_data(2, value)
             .with_data(3, 1) // step
             .with_data(4, header as i64) // the bound compare
-            .with_data(5, 2), // continue while `<`
+            .with_data(5, i64::from(Cond::Lt.code())),
     );
     schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));
 

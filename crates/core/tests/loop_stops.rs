@@ -28,14 +28,14 @@ fn element(base: u64, index: Reg) -> Operand {
 /// `LOOP_INIT` for loop `id`: induction register `reg`, `reg += 1` while
 /// `reg < bound`, the bound compared at `bound_cmp`.
 fn loop_init(header: u64, id: i64, reg: Reg, bound_cmp: u64) -> RewriteRule {
-    let (kind, value) = VarSpec::Reg(reg.raw()).encode();
+    let (kind, value) = VarSpec::Reg(reg).encode();
     RewriteRule::new(header, RuleId::LoopInit)
         .with_data(0, id)
         .with_data(1, kind)
         .with_data(2, value)
         .with_data(3, 1)
         .with_data(4, bound_cmp as i64)
-        .with_data(5, Cond::Lt as i64)
+        .with_data(5, i64::from(Cond::Lt.code()))
 }
 
 /// Sums the `len` words at `arr` into `r0` and prints it, then halts.

@@ -310,7 +310,7 @@ fn a_chunk_faulting_mid_run_fails_alike_on_both_backends() {
         assert_same_as_stepping(&binary, u64::MAX),
         Err(VmError::DivisionByZero { pc: div })
     );
-    let (kind, value) = VarSpec::Reg(Reg::R0.raw()).encode();
+    let (kind, value) = VarSpec::Reg(Reg::R0).encode();
     let mut schedule = RewriteSchedule::new("run-boundaries");
     schedule.push(
         RewriteRule::new(header, RuleId::LoopInit)
@@ -319,7 +319,7 @@ fn a_chunk_faulting_mid_run_fails_alike_on_both_backends() {
             .with_data(2, value)
             .with_data(3, 1)
             .with_data(4, header as i64)
-            .with_data(5, Cond::Lt as i64),
+            .with_data(5, i64::from(Cond::Lt.code())),
     );
     schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));
     for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {

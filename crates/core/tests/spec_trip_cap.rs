@@ -72,7 +72,7 @@ fn histogram(n: i64) -> (JBinary, u64, u64) {
 /// The schedule the rule generator emits for a may-dependent loop: a
 /// `SPECULATE` loop on `r5`, `r5 += 1` while `r5 < bound`.
 fn speculative_schedule(header: u64, exit: u64) -> RewriteSchedule {
-    let (kind, value) = VarSpec::Reg(Reg::R5.raw()).encode();
+    let (kind, value) = VarSpec::Reg(Reg::R5).encode();
     let mut schedule = RewriteSchedule::new("spec-trip-cap");
     schedule.push(
         RewriteRule::new(header, RuleId::LoopInit)
@@ -81,7 +81,7 @@ fn speculative_schedule(header: u64, exit: u64) -> RewriteSchedule {
             .with_data(2, value)
             .with_data(3, 1)
             .with_data(4, header as i64) // the bound compare
-            .with_data(5, Cond::Lt as i64),
+            .with_data(5, i64::from(Cond::Lt.code())),
     );
     schedule.push(RewriteRule::new(header, RuleId::Speculate).with_data(0, 0));
     schedule.push(RewriteRule::new(exit, RuleId::LoopFinish).with_data(0, 0));

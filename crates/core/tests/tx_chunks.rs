@@ -119,7 +119,7 @@ fn guest(body: Body) -> (JBinary, u64, u64, u64) {
 /// The schedule the rule generator emits for such a loop: a DOALL on `r5`
 /// with the library call wrapped in `TX_START` / `TX_FINISH`.
 fn tx_schedule(header: u64, call: u64, exit: u64) -> RewriteSchedule {
-    let (kind, value) = VarSpec::Reg(Reg::R5.raw()).encode();
+    let (kind, value) = VarSpec::Reg(Reg::R5).encode();
     let mut schedule = RewriteSchedule::new("tx-chunks");
     schedule.push(
         RewriteRule::new(header, RuleId::LoopInit)
@@ -128,7 +128,7 @@ fn tx_schedule(header: u64, call: u64, exit: u64) -> RewriteSchedule {
             .with_data(2, value)
             .with_data(3, 1)
             .with_data(4, header as i64)
-            .with_data(5, Cond::Lt as i64),
+            .with_data(5, i64::from(Cond::Lt.code())),
     );
     schedule.push(RewriteRule::new(call, RuleId::TxStart).with_data(0, 0));
     schedule.push(RewriteRule::new(call + INST_SIZE as u64, RuleId::TxFinish).with_data(0, 0));

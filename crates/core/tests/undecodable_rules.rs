@@ -1,10 +1,14 @@
 //! A rewrite rule whose data words do not decode costs its loop, never the
 //! host and never the loop's meaning. The DBM reads registers named by
-//! `LOOP_INIT`, `MEM_PRIVATISE` and `MEM_BOUNDS_CHECK` data words, the bound
-//! compare `LOOP_INIT` points at and the call under each `TX_START`; a
-//! schedule comes from bytes janus may not have produced, so a word may name
-//! a register outside the file, a variable kind the DBM does not know, an
-//! address with no instruction, or an instruction of the wrong kind.
+//! `LOOP_INIT`, `MEM_PRIVATISE` and `MEM_BOUNDS_CHECK` data words (an
+//! induction variable or an address base must be a GPR), the bound
+//! compare and the continue condition `LOOP_INIT` names, and the call under
+//! each `TX_START`; a schedule comes from bytes janus may not have produced,
+//! so a word may name a register outside the file, a variable kind the DBM
+//! does not know, an address with no instruction, an instruction of the
+//! wrong kind, or a condition code that is no condition or names one the
+//! rule generator never emits (only Ne, Lt, Le, Gt and Ge bound a counted
+//! loop).
 //! `PreparedDbm::new` drops every loop with such a rule, as it drops one
 //! without `LOOP_INIT`: the run finishes with the interpreter's integer
 //! outputs, one parallel loop fewer, and exactly what a schedule that never
@@ -13,7 +17,7 @@
 
 use janus_compile::Compiler;
 use janus_core::{DbmConfig, Janus, PreparedDbm, VarSpec};
-use janus_ir::INST_SIZE;
+use janus_ir::{Cond, Reg, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{Process, Vm};
 use janus_workloads::workload;
@@ -38,6 +42,16 @@ const CASES: &[Case] = &[
         rule.data[1] = 0;
         rule.data[2] = 260;
     }),
+    // An induction variable in the vector file: it is an integer. (A
+    // speculative loop used to write it with a GPR-only store.)
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[1] = 0;
+        rule.data[2] = i64::from(Reg::V0.raw());
+    }),
+    ("spec.histogram", RuleId::LoopInit, |rule| {
+        rule.data[1] = 0;
+        rule.data[2] = i64::from(Reg::V0.raw());
+    }),
     // A bounds-check base register past the file...
     ("410.bwaves", RuleId::MemBoundsCheck, |rule| {
         rule.data[1] = side_register(rule.data[1], 200);
@@ -54,11 +68,23 @@ const CASES: &[Case] = &[
     }),
     // A reduction variable of no known kind.
     ("410.bwaves", RuleId::MemPrivatise, |rule| rule.data[1] = 9),
+    // A header at an address with no instruction.
+    ("470.lbm", RuleId::LoopInit, |rule| rule.addr = 0),
     // A bound compare at an address with no instruction...
     ("470.lbm", RuleId::LoopInit, |rule| rule.data[4] = 0),
     // ...and at the branch after the compare, which is no compare.
     ("470.lbm", RuleId::LoopInit, |rule| {
         rule.data[4] += INST_SIZE as i64;
+    }),
+    // A continue condition past the code table, negative, equality and
+    // unsigned below: none bounds a counted loop.
+    ("470.lbm", RuleId::LoopInit, |rule| rule.data[5] = 8),
+    ("470.lbm", RuleId::LoopInit, |rule| rule.data[5] = -1),
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[5] = i64::from(Cond::Eq.code());
+    }),
+    ("470.lbm", RuleId::LoopInit, |rule| {
+        rule.data[5] = i64::from(Cond::Below.code());
     }),
     // A transaction start moved off its shared-library call: the call
     // would run outside the STM.
@@ -128,8 +154,8 @@ fn a_loop_with_an_undecodable_rule_runs_sequentially() {
 
 #[test]
 fn register_words_decode_only_inside_the_file() {
-    assert_eq!(VarSpec::decode(0, 4), Some(VarSpec::Reg(4)));
-    assert_eq!(VarSpec::decode(0, 31), Some(VarSpec::Reg(31)));
+    assert_eq!(VarSpec::decode(0, 4), Some(VarSpec::Reg(Reg::R4)));
+    assert_eq!(VarSpec::decode(0, 31), Some(VarSpec::Reg(Reg::V15)));
     for value in [32, 200, 260, -1, i64::MAX] {
         assert_eq!(VarSpec::decode(0, value), None, "{value}");
     }

@@ -38,7 +38,6 @@
 use crate::runtime::{run_chunk, LoopRt, PreparedParts};
 use crate::stm::TxFootprint;
 use crate::{DbmConfig, DbmError, Result};
-use janus_ir::Operand;
 use janus_obs::Recorder;
 use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
 use janus_vm::{merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, MergeStats};
@@ -163,14 +162,6 @@ pub(crate) struct ChunkPlan {
     pub(crate) window: Range<u64>,
 }
 
-/// What executing one chunk produced: the final guest context and the
-/// `LOOP_FINISH` address it stopped at.
-#[derive(Debug)]
-pub(crate) struct ChunkResult {
-    pub(crate) cpu: Cpu,
-    pub(crate) exit_pc: u64,
-}
-
 /// Side effects accumulated while executing chunks: guest output,
 /// indirect-branch lookups, STM counters and what the chunk's transactions
 /// touched outside its stack window. Collected per worker and merged in
@@ -215,8 +206,6 @@ pub(crate) struct ChunkContext<'a> {
     pub(crate) loop_id: usize,
     /// `parts.loops[&loop_id]`, looked up once.
     pub(crate) lr: &'a LoopRt,
-    /// Left operand of the loop's bound compare (`LOOP_UPDATE_BOUND`).
-    pub(crate) bound_lhs: Operand,
     pub(crate) config: &'a DbmConfig,
     /// Flight recorder the backends emit per-chunk run/merge spans to (the
     /// null recorder when tracing is off — one branch per emission site).
@@ -226,8 +215,9 @@ pub(crate) struct ChunkContext<'a> {
 /// The result of executing one batch of chunks.
 #[derive(Debug)]
 pub(crate) struct BatchOutcome {
-    /// Per-chunk results, in chunk order.
-    pub(crate) results: Vec<ChunkResult>,
+    /// Each chunk's final context, in chunk order (its `pc` is the loop
+    /// exit it stopped at).
+    pub(crate) results: Vec<Cpu>,
     /// Merged side effects, in chunk order.
     pub(crate) effects: ChunkSideEffects,
     /// Modelled parallel cycles of the batch: each chunk's cycle count
@@ -292,7 +282,7 @@ fn run_in_order(
     plans: &[ChunkPlan],
     mem: &mut FlatMemory,
     cache: &mut CodeCache,
-    results: &mut Vec<ChunkResult>,
+    results: &mut Vec<Cpu>,
     effects: &mut ChunkSideEffects,
 ) -> Result<()> {
     for (i, plan) in plans.iter().enumerate().skip(results.len()) {
@@ -310,10 +300,10 @@ fn run_in_order(
 /// Charges each chunk's cycles to the least-loaded worker lane and returns
 /// the makespan — the one modelled-time code path shared by both backends
 /// (and, via [`Lanes`], with the speculation engine).
-fn modelled_parallel_cycles(threads: u32, results: &[ChunkResult]) -> u64 {
+fn modelled_parallel_cycles(threads: u32, results: &[Cpu]) -> u64 {
     let mut lanes = Lanes::new(threads.max(1));
-    for r in results {
-        lanes.charge(r.cpu.cycles);
+    for cpu in results {
+        lanes.charge(cpu.cycles);
     }
     lanes.makespan()
 }
@@ -391,9 +381,9 @@ impl Drop for ChunkPool {
     }
 }
 
-/// What one chunk run on a copy-on-write view leaves behind: its result,
+/// What one chunk run on a copy-on-write view leaves behind: its final context,
 /// dirty pages, side effects and per-slot block executions.
-type ViewOut = Result<(ChunkResult, ChunkOverlay, ChunkSideEffects, Vec<u64>)>;
+type ViewOut = Result<(Cpu, ChunkOverlay, ChunkSideEffects, Vec<u64>)>;
 
 /// Runs one planned chunk against a private [`CowMemory`] view of `image`.
 fn run_on_view(
@@ -479,8 +469,7 @@ impl BackendKind {
                         .enumerate()
                         .skip(1)
                         .map(|(j, plan)| {
-                            let (parts, loop_id, bound_lhs) =
-                                (Arc::clone(ctx.parts), ctx.loop_id, ctx.bound_lhs);
+                            let (parts, loop_id) = (Arc::clone(ctx.parts), ctx.loop_id);
                             let (config, recorder) = (*ctx.config, ctx.recorder.clone());
                             let (image, plan) = (Arc::clone(&image), plan.clone());
                             Box::new(move || {
@@ -488,7 +477,6 @@ impl BackendKind {
                                     parts: &parts,
                                     loop_id,
                                     lr: &parts.loops[&loop_id],
-                                    bound_lhs,
                                     config: &config,
                                     recorder: &recorder,
                                 };
@@ -788,12 +776,12 @@ mod tests {
 
     #[test]
     fn modelled_cycles_take_the_lane_makespan() {
-        let results: Vec<ChunkResult> = [300u64, 100, 200]
+        let results: Vec<Cpu> = [300u64, 100, 200]
             .iter()
             .map(|&cycles| {
                 let mut cpu = Cpu::new();
                 cpu.cycles = cycles;
-                ChunkResult { cpu, exit_pc: 0 }
+                cpu
             })
             .collect();
         // Three chunks over three lanes: makespan is the largest chunk.

@@ -2,16 +2,25 @@
 //! *planning* (chunking, context forking, bounds checks) and the merge of
 //! chunk results back into the main thread. The *execution* of planned
 //! chunks is a `match` on [`crate::BackendKind`] in `backend.rs`.
+//!
+//! Rules are decoded once. [`PreparedDbm::new`] turns each loop's rules into
+//! a `LoopRt` whose fields are already valid — registers as [`Reg`]s, the
+//! continue condition as a [`Cond`] read through janus-ir's one code table
+//! ([`Cond::from_code`]), the bound compare's slot and operands — and drops
+//! every loop with a rule that does not decode. No handler checks a rule
+//! word again. A parallel invocation, whether DOALL chunks or speculative
+//! iterations, then has one fork (`LoopRt::fork`, per unit) and one join
+//! (`Dbm::join`).
 
 use crate::backend::{
-    ChunkContext, ChunkPlan, ChunkPool, ChunkResult, ChunkSideEffects, CodeCache, SpecPayload,
+    ChunkContext, ChunkPlan, ChunkPool, ChunkSideEffects, CodeCache, SpecPayload,
 };
 use crate::stm::{TxLog, TxView};
 use crate::tuner::{TuneDecision, Tuner};
 use crate::{DbmConfig, DbmError, DbmStats, Result};
-use janus_ir::{Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
+use janus_ir::{Cond, Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
 use janus_obs::Recorder;
-use janus_schedule::{RewriteSchedule, RuleId, RuleTable};
+use janus_schedule::{RewriteRule, RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{
     step_op, step_run, CostModel, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Limit, Op,
     Process, ResolvedPlt, Run,
@@ -36,8 +45,8 @@ pub const MAX_SPECULATIVE_ITERATIONS: usize = 1 << 16;
 /// How a scalar variable location is encoded inside rewrite-rule data words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarSpec {
-    /// An architectural register (by raw number).
-    Reg(u8),
+    /// An architectural register.
+    Reg(Reg),
     /// A frame-pointer-relative stack slot.
     Stack(i64),
 }
@@ -47,7 +56,7 @@ impl VarSpec {
     #[must_use]
     pub fn encode(self) -> (i64, i64) {
         match self {
-            VarSpec::Reg(r) => (0, i64::from(r)),
+            VarSpec::Reg(r) => (0, i64::from(r.raw())),
             VarSpec::Stack(off) => (1, off),
         }
     }
@@ -57,52 +66,29 @@ impl VarSpec {
     #[must_use]
     pub fn decode(kind: i64, value: i64) -> Option<VarSpec> {
         match kind {
-            0 => {
-                let reg = Reg::from_raw(u8::try_from(value).ok()?)?;
-                Some(VarSpec::Reg(reg.raw()))
-            }
+            0 => Reg::from_raw(u8::try_from(value).ok()?).map(VarSpec::Reg),
             1 => Some(VarSpec::Stack(value)),
             _ => None,
         }
     }
 
-    fn read(self, cpu: &Cpu, mem: &mut FlatMemory) -> i64 {
+    /// The raw bits of the scalar, whichever register file or frame holds it.
+    fn read<M: GuestMemory>(self, cpu: &Cpu, mem: &mut M) -> i64 {
         match self {
-            VarSpec::Reg(r) => read_reg(cpu, Reg::from_raw(r).expect("valid register in rule")),
+            VarSpec::Reg(r) if r.is_gpr() => cpu.read_gpr(r),
+            VarSpec::Reg(r) => cpu.read_f64(r).to_bits() as i64,
             VarSpec::Stack(off) => mem.read_i64(cpu.read_gpr(Reg::FP).wrapping_add(off) as u64),
         }
     }
 
-    fn write(self, cpu: &mut Cpu, mem: &mut FlatMemory, value: i64) {
+    fn write<M: GuestMemory>(self, cpu: &mut Cpu, mem: &mut M, value: i64) {
         match self {
-            VarSpec::Reg(r) => {
-                write_reg(
-                    cpu,
-                    Reg::from_raw(r).expect("valid register in rule"),
-                    value,
-                );
-            }
+            VarSpec::Reg(r) if r.is_gpr() => cpu.write_gpr(r, value),
+            VarSpec::Reg(r) => cpu.write_f64(r, f64::from_bits(value as u64)),
             VarSpec::Stack(off) => {
                 mem.write_i64(cpu.read_gpr(Reg::FP).wrapping_add(off) as u64, value);
             }
         }
-    }
-}
-
-/// The raw bits of the scalar held in `reg`, whichever register file it is in.
-fn read_reg(cpu: &Cpu, reg: Reg) -> i64 {
-    if reg.is_gpr() {
-        cpu.read_gpr(reg)
-    } else {
-        cpu.read_f64(reg).to_bits() as i64
-    }
-}
-
-fn write_reg(cpu: &mut Cpu, reg: Reg, value: i64) {
-    if reg.is_gpr() {
-        cpu.write_gpr(reg, value);
-    } else {
-        cpu.write_f64(reg, f64::from_bits(value as u64));
     }
 }
 
@@ -111,8 +97,9 @@ fn write_reg(cpu: &mut Cpu, reg: Reg, value: i64) {
 /// stride per iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SideSpec {
-    /// `None` for a statically known base, `Some(reg)` for a register base.
-    pub reg: Option<u8>,
+    /// `None` for a statically known base, `Some(reg)` for a register base
+    /// (always a general-purpose register once decoded).
+    pub reg: Option<Reg>,
     /// Absolute base (global) or byte offset from the register base.
     pub base_or_offset: i64,
     /// Byte stride per loop iteration.
@@ -125,7 +112,7 @@ impl SideSpec {
     pub fn encode(self) -> (i64, i64) {
         let w1 = match self.reg {
             None => self.stride << 16,
-            Some(r) => 1 | (i64::from(r) << 8) | (self.stride << 16),
+            Some(r) => 1 | (i64::from(r.raw()) << 8) | (self.stride << 16),
         };
         (w1, self.base_or_offset)
     }
@@ -135,8 +122,7 @@ impl SideSpec {
     #[must_use]
     pub fn decode(w1: i64, w2: i64) -> Option<SideSpec> {
         let reg = if (w1 & 1) == 1 {
-            let reg = Reg::from_raw(((w1 >> 8) & 0xff) as u8).filter(|r| r.is_gpr())?;
-            Some(reg.raw())
+            Some(Reg::from_raw(((w1 >> 8) & 0xff) as u8).filter(|r| r.is_gpr())?)
         } else {
             None
         };
@@ -151,11 +137,8 @@ impl SideSpec {
     /// evaluated against the current register state; exact, as the register
     /// and the count are the guest's.
     fn range(&self, cpu: &Cpu, iterations: i64) -> (i128, i128) {
-        let start = i128::from(self.base_or_offset)
-            + self.reg.map_or(0, |r| {
-                let reg = Reg::from_raw(r).expect("valid register in rule");
-                i128::from(cpu.read_gpr(reg))
-            });
+        let start =
+            i128::from(self.base_or_offset) + self.reg.map_or(0, |r| i128::from(cpu.read_gpr(r)));
         let span = i128::from(self.stride) * i128::from((iterations - 1).max(0));
         let (lo, hi) = if span >= 0 {
             (start, start + span)
@@ -166,32 +149,106 @@ impl SideSpec {
     }
 }
 
-/// Per-loop runtime information derived from the rewrite schedule.
-#[derive(Debug, Clone, Default)]
+/// One loop's rules, decoded and checked once by [`PreparedDbm::new`]: every
+/// register is in its file (the induction variable's and every address
+/// base's a GPR), the continue condition is one the rule generator emits,
+/// the bound compare is a `Cmp` and every `TX_START` sits on its call. Rule
+/// handlers act on these fields and check nothing again.
+#[derive(Debug, Clone)]
 pub(crate) struct LoopRt {
-    pub(crate) header: u64,
-    pub(crate) induction: Option<VarSpec>,
-    pub(crate) step: i64,
-    /// The operands `(lhs, rhs)` of the bound compare `LOOP_INIT` names:
-    /// `rhs` is the loop bound, and a chunk compares `lhs` with its own.
-    pub(crate) bound: Option<(Operand, Operand)>,
-    pub(crate) continue_cond: i64,
-    pub(crate) reductions: Vec<(VarSpec, i64 /*op*/, bool /*float*/)>,
-    pub(crate) bounds_pairs: Vec<(SideSpec, SideSpec)>,
-    /// The loop carries `TX_START` rules (STM-wrapped shared-library calls).
-    pub(crate) has_tx_calls: bool,
+    header: u64,
+    induction: VarSpec,
+    step: i64,
+    /// The condition under which the loop continues: Ne, Lt, Le, Gt or Ge.
+    continue_cond: Cond,
+    /// The slot of the bound compare, run specialised to a unit's bound.
+    bound_cmp: usize,
+    /// The bound compare's left operand: a unit compares it with its own
+    /// bound.
+    bound_lhs: Operand,
+    /// The bound compare's right operand: the loop bound.
+    bound_rhs: Operand,
+    /// The privatised reduction variables, each with whether it is a float.
+    reductions: Vec<(VarSpec, bool)>,
+    bounds_pairs: Vec<(SideSpec, SideSpec)>,
     /// `SPECULATE`: run invocations of this loop under the iteration-level
     /// speculation engine instead of chunked DOALL execution.
-    pub(crate) speculative: bool,
+    speculative: bool,
     // The loop's own stops, sized by the loop: where its chunks and
     // speculative iterations do more than step a run. Each starts a run of
     // `PreparedParts::runs`; another loop's stops never stop them.
-    /// The slot of the bound compare, run specialised to a chunk's bound.
-    bound_cmp: Option<usize>,
     /// The slots of the `LOOP_FINISH` / `THREAD_YIELD` rules: a chunk ends.
     exits: Vec<usize>,
-    /// The `TX_START` calls by slot, with the PLT index each calls.
+    /// The `TX_START` calls (STM-wrapped shared-library calls) by slot,
+    /// with the PLT index each calls.
     tx_calls: Vec<(usize, u32)>,
+}
+
+impl LoopRt {
+    /// Decodes a `LOOP_INIT` rule into a loop with no other rules yet;
+    /// `None` if a word does not decode or names the wrong instruction.
+    fn decode(process: &Process, rule: &RewriteRule) -> Option<LoopRt> {
+        // A header with no instruction never fires.
+        process.slot_of(rule.addr)?;
+        let bound_cmp = process.slot_of(rule.data[4] as u64)?;
+        let Inst::Cmp { lhs, rhs } = process.inst(bound_cmp) else {
+            return None;
+        };
+        let continue_cond = u8::try_from(rule.data[5])
+            .ok()
+            .and_then(Cond::from_code)
+            .filter(|c| matches!(c, Cond::Ne | Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge))?;
+        // The induction variable is an integer: a stack slot or a GPR.
+        let induction = VarSpec::decode(rule.data[1], rule.data[2])
+            .filter(|var| !matches!(var, VarSpec::Reg(r) if !r.is_gpr()))?;
+        Some(LoopRt {
+            header: rule.addr,
+            induction,
+            step: rule.data[3],
+            continue_cond,
+            bound_cmp,
+            bound_lhs: lhs,
+            bound_rhs: rhs,
+            reductions: Vec::new(),
+            bounds_pairs: Vec::new(),
+            speculative: false,
+            exits: Vec::new(),
+            tx_calls: Vec::new(),
+        })
+    }
+
+    /// The fork (`LOOP_INIT` per unit): readies `cpu`, a copy of the main
+    /// context, to run iterations `from..to` of an invocation whose
+    /// induction variable starts at `start`. Its counters are zeroed, it
+    /// starts at the header with its own induction value, and every unit
+    /// but the first starts its reduction accumulators from the identity
+    /// (all-zero bits, integer or float); the first keeps the incoming
+    /// value. Returns the unit's `LOOP_UPDATE_BOUND` bound.
+    fn fork<M: GuestMemory>(
+        &self,
+        cpu: &mut Cpu,
+        mem: &mut M,
+        start: i64,
+        from: i64,
+        to: i64,
+    ) -> i64 {
+        cpu.cycles = 0;
+        cpu.retired = 0;
+        cpu.pc = self.header;
+        self.induction
+            .write(cpu, mem, induction_at(start, from, self.step));
+        if from > 0 {
+            for &(var, _) in &self.reductions {
+                var.write(cpu, mem, 0);
+            }
+        }
+        let end = induction_at(start, to, self.step);
+        match self.continue_cond {
+            // An inclusive bound names the unit's last value.
+            Cond::Le | Cond::Ge => end - self.step,
+            _ => end,
+        }
+    }
 }
 
 /// The result of running a binary under the dynamic binary modifier.
@@ -259,31 +316,26 @@ impl PreparedDbm {
     #[must_use]
     pub fn new(process: Process, schedule: &RewriteSchedule, config: DbmConfig) -> PreparedDbm {
         let rules = schedule.lower(process.num_slots(), |addr| process.slot_of(addr));
-        let mut loops: HashMap<usize, LoopRt> = HashMap::new();
         // Loops with a rule whose data words do not decode, or that names an
         // instruction of the wrong kind.
         let mut undecodable = HashSet::new();
+        let mut loops: HashMap<usize, LoopRt> = HashMap::new();
+        for rule in schedule.rules().iter().filter(|r| r.id == RuleId::LoopInit) {
+            if let Some(lr) = LoopRt::decode(&process, rule) {
+                loops.insert(rule.loop_id(), lr);
+            } else {
+                undecodable.insert(rule.loop_id());
+            }
+        }
         for rule in schedule.rules() {
-            let entry = loops.entry(rule.loop_id()).or_default();
+            // Loops without a LOOP_INIT rule (e.g. profiling-only schedules)
+            // cannot drive parallelisation.
+            let Some(entry) = loops.get_mut(&rule.loop_id()) else {
+                continue;
+            };
             let decoded = match rule.id {
-                RuleId::LoopInit => {
-                    entry.header = rule.addr;
-                    entry.induction = VarSpec::decode(rule.data[1], rule.data[2]);
-                    entry.step = rule.data[3];
-                    entry.bound_cmp = process.slot_of(rule.data[4] as u64);
-                    entry.bound = match entry.bound_cmp.map(|slot| process.inst(slot)) {
-                        Some(Inst::Cmp { lhs, rhs }) => Some((lhs, rhs)),
-                        _ => None,
-                    };
-                    entry.continue_cond = rule.data[5];
-                    entry.induction.is_some() && entry.bound.is_some()
-                }
                 RuleId::MemPrivatise => VarSpec::decode(rule.data[1], rule.data[2])
-                    .map(|var| {
-                        entry
-                            .reductions
-                            .push((var, rule.data[3], rule.data[4] != 0));
-                    })
+                    .map(|var| entry.reductions.push((var, rule.data[4] != 0)))
                     .is_some(),
                 RuleId::MemBoundsCheck => SideSpec::decode(rule.data[1], rule.data[2])
                     .zip(SideSpec::decode(rule.data[3], rule.data[4]))
@@ -294,7 +346,6 @@ impl PreparedDbm {
                     true
                 }
                 RuleId::TxStart => {
-                    entry.has_tx_calls = true;
                     // The call's PLT index, resolved here once. A start on
                     // anything else would leave the real call outside the STM.
                     let slot = process.slot_of(rule.addr);
@@ -316,13 +367,11 @@ impl PreparedDbm {
                 undecodable.insert(rule.loop_id());
             }
         }
-        // Drop loop entries without a LOOP_INIT rule (e.g. profiling-only
-        // schedules) — they cannot drive parallelisation — and every loop
-        // with a rule that does not decode: running one with a rule skipped
-        // could race (an unprivatised reduction, an unchecked overlap) or
-        // fail (a bound that is no compare), or call outside the STM.
-        loops.retain(|id, l| l.header != 0 && !undecodable.contains(id));
-        let bound_cmps: Vec<usize> = loops.values().filter_map(|lr| lr.bound_cmp).collect();
+        // Running a loop with a rule skipped could race (an unprivatised
+        // reduction, an unchecked overlap) or fail (a bound that is no
+        // compare), or call outside the STM: drop it.
+        loops.retain(|id, _| !undecodable.contains(id));
+        let bound_cmps: Vec<usize> = loops.values().map(|lr| lr.bound_cmp).collect();
         let runs = process
             .plan()
             .runs_ending_before(|slot| !rules.at(slot).is_empty() || bound_cmps.contains(&slot));
@@ -617,15 +666,13 @@ impl Dbm {
     /// and the continue condition; `None` when the count or the induction
     /// value after the last iteration, `start + count * step`, does not fit
     /// in an `i64` (the bounds are the guest's).
-    fn iteration_count(start: i64, end: i64, step: i64, cond: i64) -> Option<i64> {
-        // cond encoding matches janus_ir::Cond discriminants used by rulegen:
-        // 2 = Lt, 3 = Le, 4 = Gt, 5 = Ge, 1 = Ne (others treated like Lt).
+    fn iteration_count(start: i64, end: i64, step: i64, cond: Cond) -> Option<i64> {
         let (start, end, step) = (i128::from(start), i128::from(end), i128::from(step));
         let (span, step_abs) = if step > 0 {
-            let end = if cond == 3 { end + 1 } else { end };
+            let end = if cond == Cond::Le { end + 1 } else { end };
             (end - start, step)
         } else {
-            let end = if cond == 5 { end - 1 } else { end };
+            let end = if cond == Cond::Ge { end - 1 } else { end };
             (start - end, -step)
         };
         let count = if span <= 0 || step_abs == 0 {
@@ -710,12 +757,9 @@ impl Dbm {
     /// invocation must run sequentially.
     fn try_parallel_loop(&mut self, loop_id: usize, lr: &LoopRt) -> Result<bool> {
         self.calibrate_pace();
-        let induction = lr.induction.expect("loop has induction variable");
-        let (bound_lhs, bound_operand) = lr.bound.expect("loop has a bound compare");
-
         // Evaluate the current induction value and the loop bound.
-        let start = induction.read(&self.main, &mut self.mem);
-        let end = self.read_operand_int(&bound_operand);
+        let start = lr.induction.read(&self.main, &mut self.mem);
+        let end = self.read_operand_int(&lr.bound_rhs);
         // A count that does not fit runs sequentially, like a short one.
         let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond).unwrap_or(0);
         let threads = i64::from(self.config.threads.max(1));
@@ -731,7 +775,7 @@ impl Dbm {
                 self.stats.sequential_fallbacks += 1;
                 return Ok(false);
             }
-            return self.try_speculative_loop(lr, induction, bound_lhs, start, iterations);
+            return self.try_speculative_loop(lr, start, iterations);
         }
 
         // Runtime array-bounds checks (MEM_BOUNDS_CHECK).
@@ -754,7 +798,7 @@ impl Dbm {
                 }
             }
         }
-        if lr.has_tx_calls && !self.config.enable_runtime_checks {
+        if !lr.tx_calls.is_empty() && !self.config.enable_runtime_checks {
             self.stats.sequential_fallbacks += 1;
             return Ok(false);
         }
@@ -793,9 +837,8 @@ impl Dbm {
         }
 
         // Plan: split the iteration space into contiguous chunks and fork a
-        // guest context per chunk — a copy of the main context with a private
-        // stack holding a copy of the main frame, the chunk's induction start
-        // and privatised reduction accumulators.
+        // guest context per chunk: a copy of the main context with a private
+        // stack holding a copy of the main frame, then `LoopRt::fork`.
         // Iteration and chunk-target counts are positive here, so the
         // unsigned `div_ceil` (stable, unlike the signed one) applies.
         let chunk = (iterations as u64).div_ceil(chunk_target as u64) as i64;
@@ -824,42 +867,20 @@ impl Dbm {
 
         let mut plans: Vec<ChunkPlan> = Vec::with_capacity(num_chunks);
         for t in 0..num_chunks {
-            let chunk_start_iter = t as i64 * chunk;
-            let chunk_end_iter = chunk_start_iter.saturating_add(chunk).min(iterations);
-            let thread_start = induction_at(start, chunk_start_iter, lr.step);
-            let thread_end = induction_at(start, chunk_end_iter, lr.step);
-
+            let from = t as i64 * chunk;
+            let to = from.saturating_add(chunk).min(iterations);
             let mut cpu = self.main.clone();
-            cpu.cycles = 0;
-            cpu.retired = 0;
             let delta = (t as u64 + 1) * STACK_SIZE;
             cpu.write_gpr(Reg::FP, (main_fp - delta) as i64);
             cpu.set_sp(main_sp - delta);
             self.mem.write_bytes(frame_lo - delta, &frame_bytes);
-
-            // LOOP_UPDATE_BOUND: the thread's bound is its chunk end.
-            let thread_bound = match lr.continue_cond {
-                3 => thread_end - lr.step, // Le
-                5 => thread_end - lr.step, // Ge
-                _ => thread_end,
-            };
-            // Thread-private induction start.
-            induction.write(&mut cpu, &mut self.mem, thread_start);
-            // Privatised reduction accumulators: thread 0 keeps the incoming
-            // value, the others start from the identity.
-            if t > 0 {
-                for (var, _, is_float) in &lr.reductions {
-                    let zero = if *is_float { 0f64.to_bits() as i64 } else { 0 };
-                    var.write(&mut cpu, &mut self.mem, zero);
-                }
-            }
+            let bound = lr.fork(&mut cpu, &mut self.mem, start, from, to);
             self.stats.breakdown.init_finish += self.config.loop_init_cost;
-            cpu.pc = lr.header;
             // The chunk's frame copy and the stack below it, under the main frame.
             let window_top = (frame_hi - delta).min(frame_lo);
             plans.push(ChunkPlan {
                 cpu,
-                bound: thread_bound,
+                bound,
                 window: frame_hi.saturating_sub(delta + STACK_SIZE)..window_top,
             });
         }
@@ -871,7 +892,6 @@ impl Dbm {
             parts: &self.prepared.parts,
             loop_id,
             lr,
-            bound_lhs,
             config: &self.config,
             recorder: &self.recorder,
         };
@@ -883,9 +903,7 @@ impl Dbm {
             &mut self.pool,
         )?;
         self.fold_chunk_effects(batch.effects);
-        for r in &batch.results {
-            self.stats.retired += r.cpu.retired;
-        }
+        self.stats.retired += batch.results.iter().map(|cpu| cpu.retired).sum::<u64>();
         self.stats.breakdown.init_finish += self.config.loop_finish_cost * num_chunks as u64;
         self.stats.breakdown.parallel += batch.parallel_cycles;
         self.stats.os_threads_used = self.stats.os_threads_used.max(batch.os_threads);
@@ -909,7 +927,7 @@ impl Dbm {
 
         // Feed the measurement back to the tuner and surface the decision.
         if let Some(outcome) = tune {
-            let chunk_cycles: u64 = batch.results.iter().map(|r| r.cpu.cycles).sum();
+            let chunk_cycles: u64 = batch.results.iter().map(|cpu| cpu.cycles).sum();
             if let Some(tuner) = self.tuner.as_mut() {
                 tuner.observe_parallel(
                     loop_id,
@@ -940,60 +958,58 @@ impl Dbm {
             );
         }
 
-        // Accumulate reduction contributions.
-        // Both add- and sub-reductions merge by addition: every thread
-        // after the first starts from the identity, so its accumulator
-        // holds a (possibly negative) delta to fold into the total.
-        let mut reduction_totals: Vec<i64> = lr
-            .reductions
+        // Each chunk's reduction accumulators, read from its final context
+        // (a stack slot from its frame copy, now merged).
+        let accumulators: Vec<Vec<i64>> = batch
+            .results
             .iter()
-            .map(
-                |(_var, _, is_float)| {
-                    if *is_float {
-                        0f64.to_bits() as i64
-                    } else {
-                        0
-                    }
-                },
-            )
+            .map(|cpu| {
+                lr.reductions
+                    .iter()
+                    .map(|&(var, _)| var.read(cpu, &mut self.mem))
+                    .collect()
+            })
             .collect();
-        for r in &batch.results {
-            for (idx, (var, _op, is_float)) in lr.reductions.iter().enumerate() {
-                let v = var.read(&r.cpu, &mut self.mem);
-                let total = &mut reduction_totals[idx];
-                if *is_float {
-                    let sum = f64::from_bits(*total as u64);
-                    let val = f64::from_bits(v as u64);
-                    *total = (sum + val).to_bits() as i64;
+        let last = batch.results.last().expect("at least one chunk ran");
+        self.join(lr, last, accumulators.iter().map(Vec::as_slice));
+        Ok(true)
+    }
+
+    /// The join (`LOOP_FINISH`): merges one parallel invocation back into
+    /// the main context. The last unit ran the final iterations, so the
+    /// main context adopts its registers, flags and exit, keeping its own SP
+    /// and FP; a stack-slot induction variable is copied out of the last
+    /// unit's frame. Each reduction is then the sum of every unit's
+    /// accumulator (`accumulators`, in unit order): the first unit's holds
+    /// the incoming value and the others' hold deltas from the identity, so
+    /// add- and sub-reductions both merge by addition.
+    fn join<'a>(&mut self, lr: &LoopRt, last: &Cpu, accumulators: impl Iterator<Item = &'a [i64]>) {
+        let mut totals = vec![0i64; lr.reductions.len()];
+        for unit in accumulators {
+            for ((total, &v), &(_, is_float)) in totals.iter_mut().zip(unit).zip(&lr.reductions) {
+                *total = if is_float {
+                    (f64::from_bits(*total as u64) + f64::from_bits(v as u64)).to_bits() as i64
                 } else {
-                    *total = total.wrapping_add(v);
-                }
+                    total.wrapping_add(v)
+                };
             }
         }
-
-        // LOOP_FINISH: merge contexts back into the main thread. The last
-        // thread executed the final iterations, so its register state is the
-        // state a sequential execution would have left behind.
-        let last = batch.results.last().expect("at least one chunk ran");
         let saved_sp = self.main.sp();
         let saved_fp = self.main.read_gpr(Reg::FP);
-        self.main.gpr = last.cpu.gpr;
-        self.main.vreg = last.cpu.vreg;
-        self.main.flags = last.cpu.flags;
+        self.main.gpr = last.gpr;
+        self.main.vreg = last.vreg;
+        self.main.flags = last.flags;
         self.main.set_sp(saved_sp);
         self.main.write_gpr(Reg::FP, saved_fp);
-        // Stack-slot induction variables live in the (private) frame of the
-        // last thread; propagate the final value to the main frame.
-        if let VarSpec::Stack(_) = induction {
-            let final_value = induction.read(&last.cpu, &mut self.mem);
-            induction.write(&mut self.main, &mut self.mem, final_value);
+        self.main.pc = last.pc;
+        if let VarSpec::Stack(_) = lr.induction {
+            let final_value = lr.induction.read(last, &mut self.mem);
+            lr.induction
+                .write(&mut self.main, &mut self.mem, final_value);
         }
-        // Combined reductions overwrite the merged context.
-        for (idx, (var, _, _)) in lr.reductions.iter().enumerate() {
-            var.write(&mut self.main, &mut self.mem, reduction_totals[idx]);
+        for (&(var, _), total) in lr.reductions.iter().zip(totals) {
+            var.write(&mut self.main, &mut self.mem, total);
         }
-        self.main.pc = last.exit_pc;
-        Ok(true)
     }
 
     /// Folds the side effects of one chunk batch into the run's statistics
@@ -1017,14 +1033,7 @@ impl Dbm {
     /// Returns `true` when the invocation succeeded (main's context has been
     /// merged and `main.pc` points after the loop), `false` when the engine
     /// gave up and the loop must run sequentially.
-    fn try_speculative_loop(
-        &mut self,
-        lr: &LoopRt,
-        induction: VarSpec,
-        bound_lhs: Operand,
-        start: i64,
-        iterations: i64,
-    ) -> Result<bool> {
+    fn try_speculative_loop(&mut self, lr: &LoopRt, start: i64, iterations: i64) -> Result<bool> {
         if iterations > MAX_SPECULATIVE_ITERATIONS as i64 {
             self.stats.spec_fallbacks += 1;
             self.stats.sequential_fallbacks += 1;
@@ -1034,32 +1043,13 @@ impl Dbm {
         // so the induction variable and any reduction accumulators must live
         // in registers (the rule generator guarantees this for selected
         // loops; fall back rather than fault if a schedule says otherwise).
-        let VarSpec::Reg(ind_raw) = induction else {
+        let in_register = |var: VarSpec| matches!(var, VarSpec::Reg(_));
+        if !in_register(lr.induction) || !lr.reductions.iter().all(|&(var, _)| in_register(var)) {
             self.stats.sequential_fallbacks += 1;
             return Ok(false);
-        };
-        let ind_reg = Reg::from_raw(ind_raw).ok_or_else(|| DbmError::BadRule {
-            reason: format!("bad induction register {ind_raw} in SPECULATE loop"),
-        })?;
-        let Some(reductions) = lr
-            .reductions
-            .iter()
-            .map(|&(var, _, is_float)| match var {
-                VarSpec::Reg(r) => Reg::from_raw(r).map(|reg| (reg, is_float)),
-                VarSpec::Stack(_) => None,
-            })
-            .collect::<Option<Vec<(Reg, bool)>>>()
-        else {
-            self.stats.sequential_fallbacks += 1;
-            return Ok(false);
-        };
+        }
 
-        let template = {
-            let mut cpu = self.main.clone();
-            cpu.cycles = 0;
-            cpu.retired = 0;
-            cpu
-        };
+        let template = self.main.clone();
         let spec_config = janus_spec::SpecConfig {
             lanes: self.config.threads.max(1),
             read_overhead: self.config.spec.read,
@@ -1077,10 +1067,7 @@ impl Dbm {
         let plan = &**process.plan();
         let limit = Limit::Cycles(self.config.cycle_limit);
         let runs = &self.prepared.parts.runs;
-        let header = lr.header;
-        let continue_cond = lr.continue_cond;
-        let step = lr.step;
-        let last_iter = iterations as usize - 1;
+        let last_iter = iterations - 1;
         let mut base = std::mem::take(&mut self.mem);
 
         // Every capture is read-only: per-incarnation state lives in the
@@ -1089,25 +1076,11 @@ impl Dbm {
             |iter: usize,
              view: &mut janus_spec::SpecView<'_, FlatMemory>|
              -> std::result::Result<janus_spec::IterationRun<SpecPayload>, DbmError> {
+                let iter = iter as i64;
                 let mut cpu = template.clone();
-                let value = induction_at(start, iter as i64, step);
-                cpu.write_gpr(ind_reg, value);
-                // Privatised reduction accumulators: iteration 0 keeps the
-                // incoming value, the others start from the identity.
-                if iter > 0 {
-                    for &(reg, _) in &reductions {
-                        // The identity is all-zero bits for both register files.
-                        write_reg(&mut cpu, reg, 0);
-                    }
-                }
-                // LOOP_UPDATE_BOUND specialised to exactly one iteration.
-                let iter_end = value + step;
-                let bound = match continue_cond {
-                    3 | 5 => iter_end - step, // Le / Ge
-                    _ => iter_end,
-                };
-                let (bound_cmp, bound_cmp_cost) = bound_compare(bound_lhs, bound);
-                cpu.pc = header;
+                // A unit of exactly one iteration.
+                let bound = lr.fork(&mut cpu, &mut *view, start, iter, iter + 1);
+                let (bound_cmp, bound_cmp_cost) = bound_compare(lr.bound_lhs, bound);
                 loop {
                     limit.check(&cpu)?;
                     let slot = process.slot(cpu.pc)?;
@@ -1116,15 +1089,16 @@ impl Dbm {
                             cycles: cpu.cycles,
                             payload: SpecPayload {
                                 retired: cpu.retired,
-                                reductions: reductions
+                                reductions: lr
+                                    .reductions
                                     .iter()
-                                    .map(|&(reg, _)| read_reg(&cpu, reg))
+                                    .map(|&(var, _)| var.read(&cpu, &mut *view))
                                     .collect(),
                                 last: (iter == last_iter).then(|| Box::new(cpu)),
                             },
                         });
                     }
-                    let effect = if lr.bound_cmp == Some(slot) {
+                    let effect = if lr.bound_cmp == slot {
                         step_op(&mut cpu, &mut *view, &bound_cmp, bound_cmp_cost)?
                     } else {
                         step_run(&mut cpu, &mut *view, plan, runs, slot, limit)?
@@ -1184,35 +1158,16 @@ impl Dbm {
             + self.config.loop_finish_cost)
             * u64::from(self.config.threads.max(1));
 
-        // Merge the last iteration's context back into the main thread, as a
-        // sequential execution would have left it.
-        let last_cpu = outcome
+        let last = outcome
             .payloads
             .last()
             .and_then(|p| p.last.as_deref())
             .expect("the last iteration carries its context");
-        let saved_sp = self.main.sp();
-        let saved_fp = self.main.read_gpr(Reg::FP);
-        self.main.gpr = last_cpu.gpr;
-        self.main.vreg = last_cpu.vreg;
-        self.main.flags = last_cpu.flags;
-        self.main.set_sp(saved_sp);
-        self.main.write_gpr(Reg::FP, saved_fp);
-        self.main.pc = last_cpu.pc;
-
-        // Reduction totals across iterations, in iteration order (iteration
-        // 0 carries the incoming value, the rest are deltas).
-        for (idx, &(reg, is_float)) in reductions.iter().enumerate() {
-            let total = outcome.payloads.iter().fold(0i64, |total, p| {
-                let v = p.reductions[idx];
-                if is_float {
-                    (f64::from_bits(total as u64) + f64::from_bits(v as u64)).to_bits() as i64
-                } else {
-                    total.wrapping_add(v)
-                }
-            });
-            write_reg(&mut self.main, reg, total);
-        }
+        self.join(
+            lr,
+            last,
+            outcome.payloads.iter().map(|p| p.reductions.as_slice()),
+        );
         self.stats.retired += outcome.payloads.iter().map(|p| p.retired).sum::<u64>();
         Ok(true)
     }
@@ -1264,7 +1219,8 @@ fn count_blocks(counts: &mut [u64], slot: usize, retired: u64) -> usize {
 }
 
 /// Runs one planned chunk from the loop header until it reaches a
-/// `LOOP_FINISH` address, and returns its final context and that address.
+/// `LOOP_FINISH` address, and returns its final context (its `pc` is that
+/// address).
 ///
 /// This is the backend-agnostic chunk executor: generic over the guest
 /// memory view (`&mut FlatMemory` under virtual time, a [`janus_vm::CowMemory`]
@@ -1278,13 +1234,13 @@ pub(crate) fn run_chunk<M: GuestMemory>(
     mem: &mut M,
     counts: &mut [u64],
     fx: &mut ChunkSideEffects,
-) -> Result<ChunkResult> {
+) -> Result<Cpu> {
     let config = ctx.config;
     let lr = ctx.lr;
     let process = &ctx.parts.process;
     let text = &**process.plan();
     let limit = Limit::Cycles(config.cycle_limit);
-    let (bound_cmp, bound_cmp_cost) = bound_compare(ctx.bound_lhs, plan.bound);
+    let (bound_cmp, bound_cmp_cost) = bound_compare(lr.bound_lhs, plan.bound);
     let mut cpu = plan.cpu.clone();
     let mut log = TxLog::default();
     loop {
@@ -1292,7 +1248,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
         let pc = cpu.pc;
         let slot = process.slot(pc)?;
         if lr.exits.contains(&slot) {
-            return Ok(ChunkResult { cpu, exit_pc: pc });
+            return Ok(cpu);
         }
         // TX_START handler: dynamically discovered code runs under the
         // just-in-time STM.
@@ -1305,7 +1261,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
             cpu.pc = pc + STEP;
             continue;
         }
-        let effect = if lr.bound_cmp == Some(slot) {
+        let effect = if lr.bound_cmp == slot {
             counts[slot] += 1;
             step_op(&mut cpu, mem, &bound_cmp, bound_cmp_cost)?
         } else {
@@ -1321,10 +1277,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
         match effect {
             Effect::Continue => cpu.pc += STEP,
             Effect::Jump(t) => cpu.pc = t,
-            Effect::Halt => {
-                let exit_pc = cpu.pc;
-                return Ok(ChunkResult { cpu, exit_pc });
-            }
+            Effect::Halt => return Ok(cpu),
             Effect::External { plt } => match process.resolve_plt(plt)? {
                 ResolvedPlt::Guest { addr, .. } => cpu.pc = *addr,
                 ResolvedPlt::Native { name } => {
@@ -1457,7 +1410,11 @@ mod tests {
 
     #[test]
     fn varspec_encoding_round_trip() {
-        for spec in [VarSpec::Reg(4), VarSpec::Reg(31), VarSpec::Stack(-64)] {
+        for spec in [
+            VarSpec::Reg(Reg::R4),
+            VarSpec::Reg(Reg::V15),
+            VarSpec::Stack(-64),
+        ] {
             let (k, v) = spec.encode();
             assert_eq!(VarSpec::decode(k, v), Some(spec));
         }
@@ -1474,12 +1431,12 @@ mod tests {
                 stride: 8,
             },
             SideSpec {
-                reg: Some(5),
+                reg: Some(Reg::R5),
                 base_or_offset: 16,
                 stride: 32,
             },
             SideSpec {
-                reg: Some(9),
+                reg: Some(Reg::R9),
                 base_or_offset: -8,
                 stride: -16,
             },
@@ -1496,31 +1453,37 @@ mod tests {
     #[test]
     fn iteration_count_matches_loop_semantics() {
         // for (i = 0; i < 100; i += 1)
-        assert_eq!(Dbm::iteration_count(0, 100, 1, 2), Some(100));
+        assert_eq!(Dbm::iteration_count(0, 100, 1, Cond::Lt), Some(100));
         // for (i = 0; i <= 100; i += 1)
-        assert_eq!(Dbm::iteration_count(0, 100, 1, 3), Some(101));
+        assert_eq!(Dbm::iteration_count(0, 100, 1, Cond::Le), Some(101));
         // for (i = 0; i < 100; i += 3)
-        assert_eq!(Dbm::iteration_count(0, 100, 3, 2), Some(34));
+        assert_eq!(Dbm::iteration_count(0, 100, 3, Cond::Lt), Some(34));
         // for (i = 100; i > 0; i -= 1)
-        assert_eq!(Dbm::iteration_count(100, 0, -1, 4), Some(100));
+        assert_eq!(Dbm::iteration_count(100, 0, -1, Cond::Gt), Some(100));
         // empty
-        assert_eq!(Dbm::iteration_count(10, 10, 1, 2), Some(0));
-        assert_eq!(Dbm::iteration_count(20, 10, 1, 2), Some(0));
-        assert_eq!(Dbm::iteration_count(i64::MAX, i64::MIN, 1, 3), Some(0));
-        // Guest-chosen extremes: counts and last values that fit...
-        assert_eq!(Dbm::iteration_count(0, i64::MAX, 1, 2), Some(i64::MAX));
+        assert_eq!(Dbm::iteration_count(10, 10, 1, Cond::Lt), Some(0));
+        assert_eq!(Dbm::iteration_count(20, 10, 1, Cond::Lt), Some(0));
         assert_eq!(
-            Dbm::iteration_count(0, i64::MAX - 1, 2, 2),
+            Dbm::iteration_count(i64::MAX, i64::MIN, 1, Cond::Le),
+            Some(0)
+        );
+        // Guest-chosen extremes: counts and last values that fit...
+        assert_eq!(
+            Dbm::iteration_count(0, i64::MAX, 1, Cond::Lt),
+            Some(i64::MAX)
+        );
+        assert_eq!(
+            Dbm::iteration_count(0, i64::MAX - 1, 2, Cond::Lt),
             Some((1 << 62) - 1)
         );
         // ...a count that does not (2^63 + 59, 2^63, 2^64 - 1, 2^63 + 1)...
-        assert_eq!(Dbm::iteration_count(i64::MIN + 5, 64, 1, 2), None);
-        assert_eq!(Dbm::iteration_count(0, i64::MAX, 1, 3), None);
-        assert_eq!(Dbm::iteration_count(i64::MAX, i64::MIN, -1, 4), None);
-        assert_eq!(Dbm::iteration_count(0, i64::MIN, -1, 5), None);
+        assert_eq!(Dbm::iteration_count(i64::MIN + 5, 64, 1, Cond::Lt), None);
+        assert_eq!(Dbm::iteration_count(0, i64::MAX, 1, Cond::Le), None);
+        assert_eq!(Dbm::iteration_count(i64::MAX, i64::MIN, -1, Cond::Gt), None);
+        assert_eq!(Dbm::iteration_count(0, i64::MIN, -1, Cond::Ge), None);
         // ...and counts that do whose last value (2^63, -2^63 - 1) does not.
-        assert_eq!(Dbm::iteration_count(0, i64::MAX, 2, 3), None);
-        assert_eq!(Dbm::iteration_count(i64::MIN, i64::MIN, -1, 5), None);
+        assert_eq!(Dbm::iteration_count(0, i64::MAX, 2, Cond::Le), None);
+        assert_eq!(Dbm::iteration_count(i64::MIN, i64::MIN, -1, Cond::Ge), None);
     }
 
     #[test]
@@ -1535,7 +1498,7 @@ mod tests {
         let mut cpu = Cpu::new();
         cpu.write_gpr(Reg::R5, 0x1000);
         let s = SideSpec {
-            reg: Some(Reg::R5.raw()),
+            reg: Some(Reg::R5),
             base_or_offset: 8,
             stride: 8,
         };

@@ -106,33 +106,6 @@ fn fpu_from_code(code: u8) -> Option<FpuOp> {
     })
 }
 
-fn cond_code(c: Cond) -> u8 {
-    match c {
-        Cond::Eq => 0,
-        Cond::Ne => 1,
-        Cond::Lt => 2,
-        Cond::Le => 3,
-        Cond::Gt => 4,
-        Cond::Ge => 5,
-        Cond::Below => 6,
-        Cond::AboveEq => 7,
-    }
-}
-
-fn cond_from_code(code: u8) -> Option<Cond> {
-    Some(match code {
-        0 => Cond::Eq,
-        1 => Cond::Ne,
-        2 => Cond::Lt,
-        3 => Cond::Le,
-        4 => Cond::Gt,
-        5 => Cond::Ge,
-        6 => Cond::Below,
-        7 => Cond::AboveEq,
-        _ => return None,
-    })
-}
-
 fn encode_operand(op: Option<&Operand>, out: &mut [u8]) {
     debug_assert_eq!(out.len(), 10);
     out.fill(0);
@@ -334,7 +307,7 @@ pub fn encode_into(inst: &Inst, out: &mut [u8]) {
         }
         Inst::CMov { cond, dst, src } => {
             out[0] = OP_CMOV;
-            out[1] = cond_code(*cond);
+            out[1] = cond.code();
             out[3] = dst.raw();
             op1 = None;
             op2 = Some(src);
@@ -347,7 +320,7 @@ pub fn encode_into(inst: &Inst, out: &mut [u8]) {
         }
         Inst::Jcc { cond, target } => {
             out[0] = OP_JCC;
-            out[1] = cond_code(*cond);
+            out[1] = cond.code();
             out[4..12].copy_from_slice(&target.to_le_bytes());
             op1 = None;
             op2 = None;
@@ -491,13 +464,13 @@ pub fn decode(addr: u64, bytes: &[u8]) -> Result<Inst> {
             rhs: expect_operand(addr, op2)?,
         },
         OP_CMOV => Inst::CMov {
-            cond: cond_from_code(sub).ok_or(IrError::InvalidOpcode { addr, opcode: sub })?,
+            cond: Cond::from_code(sub).ok_or(IrError::InvalidOpcode { addr, opcode: sub })?,
             dst: expect_reg(addr, regf)?,
             src: expect_operand(addr, op2)?,
         },
         OP_JMP => Inst::Jmp { target: u64field },
         OP_JCC => Inst::Jcc {
-            cond: cond_from_code(sub).ok_or(IrError::InvalidOpcode { addr, opcode: sub })?,
+            cond: Cond::from_code(sub).ok_or(IrError::InvalidOpcode { addr, opcode: sub })?,
             target: u64field,
         },
         OP_JMP_IND => Inst::JmpInd {

@@ -137,6 +137,38 @@ impl Cond {
             Cond::AboveEq => "ae",
         }
     }
+
+    /// The condition's code: its byte in an encoded `Jcc`/`CMov` and its
+    /// word in a rewrite rule.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            Cond::Eq => 0,
+            Cond::Ne => 1,
+            Cond::Lt => 2,
+            Cond::Le => 3,
+            Cond::Gt => 4,
+            Cond::Ge => 5,
+            Cond::Below => 6,
+            Cond::AboveEq => 7,
+        }
+    }
+
+    /// The condition with code `code` ([`Cond::code`]), if any.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Cond> {
+        Some(match code {
+            0 => Cond::Eq,
+            1 => Cond::Ne,
+            2 => Cond::Lt,
+            3 => Cond::Le,
+            4 => Cond::Gt,
+            5 => Cond::Ge,
+            6 => Cond::Below,
+            7 => Cond::AboveEq,
+            _ => return None,
+        })
+    }
 }
 
 /// System call numbers understood by the JVA runtime.
@@ -577,7 +609,9 @@ mod tests {
         for c in all {
             assert_eq!(c.negate().negate(), c);
             assert_ne!(c.negate(), c);
+            assert_eq!(Cond::from_code(c.code()), Some(c));
         }
+        assert_eq!(Cond::from_code(8), None);
     }
 
     #[test]

@@ -185,22 +185,6 @@ pub struct SpecStats {
     pub versioned_words: u64,
 }
 
-impl SpecStats {
-    /// Folds another invocation's counters into this one.
-    pub fn merge(&mut self, other: &SpecStats) {
-        self.iterations += other.iterations;
-        self.executions += other.executions;
-        self.aborts += other.aborts;
-        self.validations += other.validations;
-        self.estimate_stalls += other.estimate_stalls;
-        self.faults_retried += other.faults_retried;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.max_incarnation = self.max_incarnation.max(other.max_incarnation);
-        self.versioned_words += other.versioned_words;
-    }
-}
-
 /// Errors raised by the speculative engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError<E> {
@@ -233,24 +217,6 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for SpecError<E> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_merge_folds_another_invocation() {
-        let mut s = SpecStats {
-            iterations: 10,
-            executions: 13,
-            aborts: 3,
-            ..SpecStats::default()
-        };
-        s.merge(&SpecStats {
-            iterations: 2,
-            executions: 2,
-            max_incarnation: 4,
-            ..SpecStats::default()
-        });
-        assert_eq!((s.iterations, s.executions, s.aborts), (12, 15, 3));
-        assert_eq!(s.max_incarnation, 4);
-    }
 
     #[test]
     fn errors_display() {

@@ -355,12 +355,6 @@ impl<'a, M: PeekMemory> SpecView<'a, M> {
         }
     }
 
-    /// The iteration this view belongs to.
-    #[must_use]
-    pub fn iteration(&self) -> Iteration {
-        self.iteration
-    }
-
     /// Counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> ViewStats {
