@@ -465,7 +465,7 @@ pub fn backend_bench(backend: BackendKind, threads: u32) -> Vec<BackendBenchRow>
                 backend,
                 speedup: report.speedup(),
                 cycles: report.parallel.cycles,
-                os_threads_used: report.os_threads_used(),
+                os_threads_used: report.parallel.stats.os_threads_used,
                 outputs_match: report.outputs_match,
             }
         })

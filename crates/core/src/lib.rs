@@ -82,6 +82,10 @@ impl OptimisationMode {
     }
 }
 
+/// Loops with profile coverage below this fraction are not parallelised
+/// (only applies when profiling is enabled).
+pub const COVERAGE_THRESHOLD: f64 = 0.02;
+
 /// Configuration of a Janus run.
 ///
 /// Not `Copy` (the [`trace`](JanusConfig::trace) recorder is a shared
@@ -98,9 +102,6 @@ pub struct JanusConfig {
     pub backend: BackendKind,
     /// Which parts of the pipeline to enable.
     pub mode: OptimisationMode,
-    /// Loops with profile coverage below this fraction are not parallelised
-    /// (only applies when profiling is enabled).
-    pub coverage_threshold: f64,
     /// Attempt may-dependent (`Speculative`) loops under the Block-STM-style
     /// iteration-level speculation engine (`janus-spec`). Only takes effect
     /// in modes with runtime checks enabled; when `false`, loops with
@@ -116,7 +117,12 @@ pub struct JanusConfig {
     /// still honours the `JANUS_ADAPTIVE` environment variable through
     /// [`DbmConfig::default`]; setting it `true` forces adaptation on.
     pub adaptive: bool,
-    /// Overrides for the DBM cost model.
+    /// The base of the DBM configuration [`Janus::dbm_config`] builds. Janus
+    /// reads `cycle_limit` from it, combines `enable_speculation` with
+    /// [`JanusConfig::speculation`] (both must be on) and `adaptive` with
+    /// [`JanusConfig::adaptive`] (either turns it on), and overrides
+    /// `threads`, `backend` and `enable_runtime_checks` with this config's
+    /// threads, backend and mode.
     pub dbm: DbmConfig,
     /// Flight recorder the pipeline and the execution backends emit
     /// structured events to: analysis/profile/schedule spans from
@@ -135,7 +141,6 @@ impl Default for JanusConfig {
             threads: 8,
             backend: BackendKind::from_env(),
             mode: OptimisationMode::Full,
-            coverage_threshold: 0.02,
             speculation: true,
             adaptive: false,
             dbm: DbmConfig::default(),
@@ -477,41 +482,6 @@ impl JanusReport {
     pub fn schedule_size_fraction(&self) -> f64 {
         self.schedule_size as f64 / self.binary_size.max(1) as f64
     }
-
-    /// Speculative aborts observed by the run (0 when nothing speculated).
-    #[must_use]
-    pub fn spec_aborts(&self) -> u64 {
-        self.parallel.stats.spec_aborts
-    }
-
-    /// Per-iteration retries of the speculative engine.
-    #[must_use]
-    pub fn spec_retries(&self) -> u64 {
-        self.parallel.stats.spec_retries()
-    }
-
-    /// Largest number of OS worker threads any parallel-loop invocation
-    /// spawned (0 under the virtual-time backend — its parallelism is
-    /// modelled, not physical).
-    #[must_use]
-    pub fn os_threads_used(&self) -> u64 {
-        self.parallel.stats.os_threads_used
-    }
-
-    /// Wall-clock seconds spent inside parallel regions (chunk batches and
-    /// speculative invocations). 0 under the virtual-time backend.
-    #[must_use]
-    pub fn parallel_wall_seconds(&self) -> f64 {
-        self.parallel.stats.parallel_wall_nanos as f64 / 1e9
-    }
-
-    /// Mapped guest pages the page-aware overlay merge skipped (no chunk
-    /// dirtied them), summed over parallel invocations. 0 under the
-    /// virtual-time backend.
-    #[must_use]
-    pub fn merge_pages_skipped(&self) -> u64 {
-        self.parallel.stats.merge_pages_skipped
-    }
 }
 
 /// The Janus automatic binary paralleliser.
@@ -630,7 +600,7 @@ impl Janus {
             }
             if let Some(p) = profile {
                 if self.config.mode.uses_profile() {
-                    if p.coverage(l.id) < self.config.coverage_threshold {
+                    if p.coverage(l.id) < COVERAGE_THRESHOLD {
                         return false;
                     }
                     // An observed dependence makes a Type C loop Type D and

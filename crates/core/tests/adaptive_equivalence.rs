@@ -116,7 +116,8 @@ fn native_adaptive_runs_report_page_merge_savings() {
     assert!(report.outputs_match);
     if report.parallel.stats.parallel_invocations > report.parallel.stats.spec_invocations {
         assert!(
-            report.merge_pages_skipped() + report.parallel.stats.merge_pages_merged > 0,
+            report.parallel.stats.merge_pages_skipped + report.parallel.stats.merge_pages_merged
+                > 0,
             "chunked parallel work ran but the merge visited no pages at all"
         );
     }

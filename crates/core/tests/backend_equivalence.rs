@@ -85,15 +85,15 @@ fn backends_agree_on_every_workload() {
         // STM-wrapped calls conservatively take the sequential chunk path,
         // so a workload whose only chunked loops carry transactions may
         // legitimately report 0).
-        assert_eq!(virt.os_threads_used(), 0, "{name}");
+        assert_eq!(virt.parallel.stats.os_threads_used, 0, "{name}");
         let chunked_invocations =
             native.parallel.stats.parallel_invocations - native.parallel.stats.spec_invocations;
         if chunked_invocations > 0 && native.parallel.stats.stm_transactions == 0 {
             assert!(
-                native.os_threads_used() > 1,
+                native.parallel.stats.os_threads_used > 1,
                 "{name}: native backend must fan chunked loops out across \
                  OS threads, reported {}",
-                native.os_threads_used()
+                native.parallel.stats.os_threads_used
             );
         }
     }
@@ -156,7 +156,7 @@ fn speculative_workloads_agree_across_thread_counts() {
                 ),
                 "{name}@{threads}: speculation statistics differ"
             );
-            assert_eq!(virt.os_threads_used(), 0, "{name}@{threads}");
+            assert_eq!(virt.parallel.stats.os_threads_used, 0, "{name}@{threads}");
         }
     }
 }
@@ -167,9 +167,9 @@ fn native_backend_spawns_real_threads_and_measures_wall_time() {
     let native = run(&binary, BackendKind::NativeThreads, 8);
     assert!(native.outputs_match);
     assert!(
-        native.os_threads_used() > 1,
+        native.parallel.stats.os_threads_used > 1,
         "expected >1 OS threads, got {}",
-        native.os_threads_used()
+        native.parallel.stats.os_threads_used
     );
     assert!(
         native.parallel.stats.parallel_wall_nanos > 0,

@@ -6,17 +6,16 @@ use janus_compile::{CompileOptions, Compiler};
 use janus_core::{BackendKind, DbmConfig, PreparedDbm, VarSpec};
 use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, MemRef, Operand, Reg};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{CostModel, Process, Vm};
+use janus_vm::{cost, Process, Vm};
 use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload, ProgramSpec};
 
 fn assert_costs_tabulated(what: &str, binary: &JBinary) {
     let process = Process::load(binary).expect("binary loads");
-    let model = CostModel::default();
     for slot in 0..process.num_slots() {
         let inst = process.inst(slot);
         assert_eq!(
             process.cost(slot),
-            model.cost(&inst),
+            cost(&inst),
             "{what}: slot {slot} ({inst:?})"
         );
     }
@@ -129,12 +128,11 @@ fn the_specialised_bound_compare_is_charged_as_an_immediate_compare() {
     let process = Process::load(&binary).unwrap();
     let native = Vm::new(process.clone()).run().unwrap();
     // In the table the compare pays for its memory operand; in a chunk it is
-    // `cmp r0, imm`.
-    let model = CostModel::default();
+    // `cmp r0, imm`. A memory access costs 3 cycles.
     let cmp_slot = process.slot_of(header).unwrap();
     let in_table = process.cost(cmp_slot);
-    let in_chunk = model.cost(&Inst::cmp(Operand::reg(Reg::R0), Operand::imm(0)));
-    assert_eq!(in_table, in_chunk + model.mem_access);
+    let in_chunk = cost(&Inst::cmp(Operand::reg(Reg::R0), Operand::imm(0)));
+    assert_eq!(in_table, in_chunk + 3);
     // Two chunks of 32 iterations on two lanes: each runs its body 32 times
     // and its compare and exit branch 33 times.
     let per_chunk = ITERATIONS / 2;

@@ -26,7 +26,7 @@ use janus_ir::{
 };
 use janus_profile::{generate_profiling_schedule, profile, LoopProfile, ProfileData};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_op, CostModel, Cpu, Effect, Op, Process, ResolvedPlt, VmError};
+use janus_vm::{cost, exec_op, Cpu, Effect, Op, Process, ResolvedPlt, VmError};
 use janus_workloads::{parallel_benchmarks, speculative_benchmarks, workload, ProgramSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -119,7 +119,7 @@ fn reference_profile(
         let op = Op::lower(&inst).map_err(|why| VmError::Load {
             reason: why.to_string(),
         })?;
-        cpu.cycles += CostModel::default().cost(&inst);
+        cpu.cycles += cost(&inst);
         cpu.retired += 1;
         let effect = exec_op(&mut cpu, &mut mem, &op, pc, next_pc)?;
         let retired_delta = cpu.retired - retired_before;

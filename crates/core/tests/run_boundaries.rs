@@ -22,7 +22,7 @@ use janus_core::{BackendKind, DbmConfig, PreparedDbm, VarSpec};
 use janus_dbm::DbmError;
 use janus_ir::{AluOp, AsmBuilder, Cond, Inst, JBinary, Operand, Reg, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
-use janus_vm::{exec_op, CostModel, Cpu, Effect, FlatMemory, Op, Process, Vm, VmConfig, VmError};
+use janus_vm::{cost, exec_op, Cpu, Effect, FlatMemory, Op, Process, Vm, VmConfig, VmError};
 
 const STEP: u64 = INST_SIZE as u64;
 
@@ -45,7 +45,7 @@ fn step_each(
         }
         let inst = process.inst_at(cpu.pc)?;
         let op = Op::lower(&inst).expect("these guests are well typed");
-        cpu.cycles += CostModel::default().cost(&inst);
+        cpu.cycles += cost(&inst);
         cpu.retired += 1;
         let next = cpu.pc + STEP;
         match exec_op(cpu, mem, &op, cpu.pc, next)? {
@@ -61,13 +61,7 @@ fn step_each(
 /// process: the outcomes and the machines they leave must be equal.
 fn assert_same_as_stepping(binary: &JBinary, limit: u64) -> Result<(), VmError> {
     let process = Process::load(binary).expect("loads");
-    let mut vm = Vm::with_config(
-        process.clone(),
-        VmConfig {
-            cycle_limit: limit,
-            ..VmConfig::default()
-        },
-    );
+    let mut vm = Vm::with_config(process.clone(), VmConfig { cycle_limit: limit });
     let ran = vm.run().map(|_| ());
 
     let mut cpu = Cpu::new();

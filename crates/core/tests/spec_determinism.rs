@@ -87,8 +87,7 @@ fn twenty_native_runs_are_bit_identical() {
         "doacross-window must conflict (that is the point of the stress)"
     );
     assert_eq!(
-        first.os_threads_used(),
-        0,
+        first.parallel.stats.os_threads_used, 0,
         "speculation runs no worker thread (and this workload no DOALL loop)"
     );
     let reference = fingerprint(&first);

@@ -39,7 +39,7 @@ use crate::runtime::{run_chunk, LoopRt, PreparedParts};
 use crate::stm::TxFootprint;
 use crate::{DbmConfig, DbmError, Result};
 use janus_obs::Recorder;
-use janus_spec::{IterationRun, Lanes, SpecConfig, SpecError, SpecOutcome, SpecView};
+use janus_spec::{IterationRun, Lanes, SpecError, SpecOutcome, SpecView};
 use janus_vm::{merge_chunk_overlays, ChunkOverlay, CowMemory, Cpu, FlatMemory, MergeStats};
 use std::fmt;
 use std::ops::Range;
@@ -102,6 +102,15 @@ impl fmt::Display for BackendKind {
     }
 }
 
+/// Cycles charged the first time a basic block is copied into the code cache
+/// (decode + modify + encode).
+const TRANSLATION_COST: u64 = 350;
+/// Cycles charged per block execution until the block is linked into a trace.
+const DISPATCH_COST: u64 = 3;
+/// Executions after which a block counts as linked (trace optimisation
+/// removes its dispatch overhead).
+const LINK_THRESHOLD: u64 = 16;
+
 /// Code-cache model state: how often each block has been dispatched, one
 /// counter per instruction slot ("a block is approximated by its entry
 /// address"). Every dispatch loop only counts — the main thread and
@@ -132,18 +141,14 @@ impl CodeCache {
     /// counted so far, per the code-cache cost model: a translation cost the
     /// first time a block is reached and a dispatch cost per execution until
     /// it has run often enough to be linked into a trace. Per slot with `c`
-    /// executions that is `translation_cost + dispatch_cost · min(c,
-    /// link_threshold)` whatever order they came in, so where a chunk ran
+    /// executions that is `TRANSLATION_COST + DISPATCH_COST · min(c,
+    /// LINK_THRESHOLD)` whatever order they came in, so where a chunk ran
     /// cannot change the charge.
-    pub(crate) fn charges(&self, config: &DbmConfig) -> (u64, u64, u64) {
-        let dispatched = |c: u64| config.dispatch_cost * c.min(config.link_threshold);
+    pub(crate) fn charges(&self) -> (u64, u64, u64) {
         let charged = self.counts.iter().filter(|&&c| c > 0);
         charged.fold((0, 0, 0), |(blocks, executions, cycles), &c| {
-            (
-                blocks + 1,
-                executions + c,
-                cycles + config.translation_cost + dispatched(c),
-            )
+            let cycles = cycles + TRANSLATION_COST + DISPATCH_COST * c.min(LINK_THRESHOLD);
+            (blocks + 1, executions + c, cycles)
         })
     }
 }
@@ -171,7 +176,7 @@ pub(crate) struct ChunkPlan {
 pub(crate) struct ChunkSideEffects {
     pub(crate) output_ints: Vec<i64>,
     pub(crate) output_floats: Vec<f64>,
-    /// [`DbmConfig::indirect_lookup_cost`], charged per execution.
+    /// The indirect-branch target lookups, charged per execution.
     pub(crate) lookup_cycles: u64,
     pub(crate) stm_transactions: u64,
     pub(crate) stm_aborts: u64,
@@ -564,7 +569,7 @@ impl BackendKind {
     /// span per invocation (pass the null recorder to trace nothing).
     pub(crate) fn run_speculative_invocation(
         self,
-        spec_config: &SpecConfig,
+        lanes: u32,
         base: &mut FlatMemory,
         iterations: usize,
         body: SpecBody<'_>,
@@ -575,8 +580,8 @@ impl BackendKind {
             let _span = recorder
                 .span("dbm.spec", "spec.deterministic")
                 .arg("iterations", iterations)
-                .arg("lanes", spec_config.lanes);
-            janus_spec::run_speculative(spec_config, base, iterations, body)
+                .arg("lanes", lanes);
+            janus_spec::run_speculative(lanes, base, iterations, body)
         };
         let wall_nanos = match self {
             BackendKind::VirtualTime => 0,
@@ -607,49 +612,46 @@ mod tests {
 
     #[test]
     fn code_cache_charges_translation_once_and_dispatch_until_linked() {
-        let config = DbmConfig {
-            translation_cost: 100,
-            dispatch_cost: 7,
-            link_threshold: 2,
-            ..DbmConfig::default()
-        };
         let mut cache = CodeCache::new(8);
-        assert_eq!(cache.charges(&config), (0, 0, 0));
+        assert_eq!(cache.charges(), (0, 0, 0));
         let executed = |cache: &mut CodeCache| {
             cache.counts[4] += 1;
-            cache.charges(&config)
+            cache.charges()
         };
-        assert_eq!(executed(&mut cache), (1, 1, 107));
-        assert_eq!(executed(&mut cache), (1, 2, 114));
-        assert_eq!(executed(&mut cache), (1, 3, 114), "linked");
+        for n in 1..=LINK_THRESHOLD {
+            let charged = TRANSLATION_COST + n * DISPATCH_COST;
+            assert_eq!(executed(&mut cache), (1, n, charged));
+        }
+        let linked = (
+            1,
+            LINK_THRESHOLD + 1,
+            TRANSLATION_COST + LINK_THRESHOLD * DISPATCH_COST,
+        );
+        assert_eq!(executed(&mut cache), linked, "linked");
+        // 350 + 16 × 3, the charge every recorded figure was modelled with.
+        assert_eq!(linked.2, 398);
     }
 
     #[test]
     fn batched_charges_equal_per_execution_charges() {
-        let config = DbmConfig {
-            translation_cost: 100,
-            dispatch_cost: 7,
-            link_threshold: 5,
-            ..DbmConfig::default()
-        };
         // A chunk's counts absorbed at once must charge exactly what the
         // same executions charged one at a time — including the partially
-        // linked window.
-        for (warmup, batch) in [(0u64, 3u64), (2, 9), (5, 4), (9, 2)] {
+        // linked window around the 16th execution.
+        for (warmup, batch) in [(0u64, 3u64), (0, 40), (10, 9), (16, 4), (20, 2)] {
             let mut live = CodeCache::new(8);
             live.counts[4] = warmup;
             let mut batched = live.clone();
             let mut per_exec = 0;
             for _ in 0..batch {
-                let before = live.charges(&config).2;
+                let before = live.charges().2;
                 live.counts[4] += 1;
-                per_exec += live.charges(&config).2 - before;
+                per_exec += live.charges().2 - before;
             }
-            let before = batched.charges(&config).2;
+            let before = batched.charges().2;
             let mut chunk = vec![0; 8];
             chunk[4] = batch;
             batched.absorb(&chunk);
-            let charged = batched.charges(&config).2 - before;
+            let charged = batched.charges().2 - before;
             assert_eq!(charged, per_exec, "warmup {warmup}, batch {batch}");
             assert_eq!(batched.counts, live.counts);
         }
@@ -662,10 +664,6 @@ mod tests {
     fn both_backends_run_each_incarnation_once() {
         use janus_vm::GuestMemory;
         use std::sync::atomic::{AtomicU64, Ordering};
-        let config = SpecConfig {
-            lanes: 4,
-            ..SpecConfig::default()
-        };
         let calls = AtomicU64::new(0);
         // `hist[i % 2] += i`: neighbours two apart collide inside the
         // four-lane window, so some incarnations are retried.
@@ -688,13 +686,8 @@ mod tests {
         let run = |backend: BackendKind| {
             calls.store(0, Ordering::Relaxed);
             let mut base = FlatMemory::new();
-            let out = backend.run_speculative_invocation(
-                &config,
-                &mut base,
-                40,
-                &body,
-                &Recorder::default(),
-            );
+            let out =
+                backend.run_speculative_invocation(4, &mut base, 40, &body, &Recorder::default());
             let stats = out.result.expect("the invocation converges").stats;
             let image = [base.read_u64(0x3000), base.read_u64(0x3008)];
             (calls.load(Ordering::Relaxed), stats, image)

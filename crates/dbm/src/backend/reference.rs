@@ -7,8 +7,7 @@
 //! exactly as the runtime did before it charged the run once, from the final
 //! counts.
 
-use super::CodeCache;
-use crate::DbmConfig;
+use super::{CodeCache, DISPATCH_COST, LINK_THRESHOLD, TRANSLATION_COST};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -19,42 +18,42 @@ struct HashedCodeCache {
 }
 
 impl HashedCodeCache {
-    fn account_block(&mut self, pc: u64, config: &DbmConfig) -> (u64, bool) {
+    fn account_block(&mut self, pc: u64) -> (u64, bool) {
         let count = self.exec_counts.entry(pc).or_insert(0);
         *count += 1;
         let count = *count;
         let mut overhead = 0;
         let newly_translated = self.translated.insert(pc);
         if newly_translated {
-            overhead += config.translation_cost;
+            overhead += TRANSLATION_COST;
         }
-        if count <= config.link_threshold {
-            overhead += config.dispatch_cost;
+        if count <= LINK_THRESHOLD {
+            overhead += DISPATCH_COST;
         }
         (overhead, newly_translated)
     }
 
-    fn charge_executions(&mut self, pc: u64, executions: u64, config: &DbmConfig) -> (u64, bool) {
+    fn charge_executions(&mut self, pc: u64, executions: u64) -> (u64, bool) {
         let count = self.exec_counts.entry(pc).or_insert(0);
         let before = *count;
         *count += executions;
         let mut overhead = 0;
         let newly_translated = executions > 0 && self.translated.insert(pc);
         if newly_translated {
-            overhead += config.translation_cost;
+            overhead += TRANSLATION_COST;
         }
-        let dispatched = config.link_threshold.saturating_sub(before).min(executions);
-        overhead += config.dispatch_cost * dispatched;
+        let dispatched = LINK_THRESHOLD.saturating_sub(before).min(executions);
+        overhead += DISPATCH_COST * dispatched;
         (overhead, newly_translated)
     }
 
     /// The old `DeferredAccounting::replay` over a `HashMap` of counts.
-    fn replay(&mut self, counts: HashMap<u64, u64>, config: &DbmConfig) -> (u64, u64, u64) {
+    fn replay(&mut self, counts: HashMap<u64, u64>) -> (u64, u64, u64) {
         let mut counts: Vec<(u64, u64)> = counts.into_iter().collect();
         counts.sort_unstable();
         let (mut translated, mut executed, mut cycles) = (0, 0, 0);
         for (pc, executions) in counts {
-            let (overhead, newly_translated) = self.charge_executions(pc, executions, config);
+            let (overhead, newly_translated) = self.charge_executions(pc, executions);
             translated += u64::from(newly_translated);
             executed += executions;
             cycles += overhead;
@@ -63,7 +62,9 @@ impl HashedCodeCache {
     }
 }
 
-const SLOTS: usize = 48;
+/// Few enough slots that most drawn sequences run some slot past
+/// [`LINK_THRESHOLD`] executions.
+const SLOTS: usize = 8;
 /// The address the reference sees for a slot: the text-section shape.
 fn pc_of(slot: usize) -> u64 {
     0x40_0000 + 32 * slot as u64
@@ -82,8 +83,8 @@ impl Totals {
     }
 }
 
-fn settled(cache: &CodeCache, config: &DbmConfig) -> Totals {
-    let (translated, executions, cycles) = cache.charges(config);
+fn settled(cache: &CodeCache) -> Totals {
+    let (translated, executions, cycles) = cache.charges();
     Totals(translated, executions, cycles)
 }
 
@@ -91,21 +92,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Counting only and charging from the counts: after every execution of
-    /// any sequence, at any link threshold, the settled charge is what the
-    /// hashed cache had charged execution by execution.
+    /// any sequence the settled charge is what the hashed cache had charged
+    /// execution by execution.
     #[test]
     fn dense_cache_charges_what_the_hashed_cache_charged(
         sequence in prop::collection::vec(0usize..SLOTS, 0..400),
-        link_threshold in 0u64..24,
     ) {
-        let config = DbmConfig { link_threshold, ..DbmConfig::default() };
         let mut dense = CodeCache::new(SLOTS);
         let mut hashed = HashedCodeCache::default();
         let mut charged = Totals::default();
         for &slot in &sequence {
             dense.counts[slot] += 1;
-            charged.add(hashed.account_block(pc_of(slot), &config), 1);
-            prop_assert_eq!(settled(&dense, &config), charged);
+            charged.add(hashed.account_block(pc_of(slot)), 1);
+            prop_assert_eq!(settled(&dense), charged);
         }
     }
 
@@ -118,15 +117,13 @@ proptest! {
         warmup in prop::collection::vec(0usize..SLOTS, 0..64),
         chunks in prop::collection::vec(prop::collection::vec(0usize..SLOTS, 0..200), 1..5),
         tail in prop::collection::vec(0usize..SLOTS, 0..64),
-        link_threshold in 0u64..24,
     ) {
-        let config = DbmConfig { link_threshold, ..DbmConfig::default() };
         let mut dense = CodeCache::new(SLOTS);
         let mut hashed = HashedCodeCache::default();
         let mut charged = Totals::default();
         for &slot in &warmup {
             dense.counts[slot] += 1;
-            charged.add(hashed.account_block(pc_of(slot), &config), 1);
+            charged.add(hashed.account_block(pc_of(slot)), 1);
         }
         for chunk in &chunks {
             let mut private = vec![0; SLOTS];
@@ -136,14 +133,14 @@ proptest! {
                 *counts.entry(pc_of(slot)).or_insert(0) += 1;
             }
             dense.absorb(&private);
-            let (translated, executed, cycles) = hashed.replay(counts, &config);
+            let (translated, executed, cycles) = hashed.replay(counts);
             charged = Totals(charged.0 + translated, charged.1 + executed, charged.2 + cycles);
-            prop_assert_eq!(settled(&dense, &config), charged);
+            prop_assert_eq!(settled(&dense), charged);
         }
         for &slot in &tail {
             dense.counts[slot] += 1;
-            charged.add(hashed.account_block(pc_of(slot), &config), 1);
+            charged.add(hashed.account_block(pc_of(slot)), 1);
         }
-        prop_assert_eq!(settled(&dense, &config), charged);
+        prop_assert_eq!(settled(&dense), charged);
     }
 }

@@ -92,57 +92,6 @@ pub use tuner::{TuneDecision, TuneOutcome, Tuner};
 
 use std::fmt;
 
-/// Cost knobs of the just-in-time software transactional memory (the
-/// JudoSTM-style `TX_START`/`TX_FINISH` path wrapping shared-library calls).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StmCosts {
-    /// Extra cycles per speculative (transactional) memory read.
-    pub read: u64,
-    /// Extra cycles per speculative (transactional) memory write.
-    pub write: u64,
-    /// Cycles per buffered entry validated/committed at transaction end.
-    pub commit: u64,
-}
-
-impl Default for StmCosts {
-    fn default() -> Self {
-        StmCosts {
-            read: 8,
-            write: 14,
-            commit: 16,
-        }
-    }
-}
-
-/// Cost knobs of the Block-STM-style iteration-level speculation engine
-/// (`janus-spec`), plus its livelock guard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecCosts {
-    /// Extra cycles per tracked read in a speculative (DOACROSS) iteration.
-    pub read: u64,
-    /// Extra cycles per buffered write in a speculative iteration.
-    pub write: u64,
-    /// Cycles per read-set entry re-resolved when an iteration validates.
-    pub validate: u64,
-    /// Cycles charged per speculative abort (estimate conversion, re-dispatch).
-    pub abort: u64,
-    /// Task budget multiplier before a speculative invocation gives up and
-    /// re-runs sequentially (livelock guard for densely dependent loops).
-    pub max_task_factor: u32,
-}
-
-impl Default for SpecCosts {
-    fn default() -> Self {
-        SpecCosts {
-            read: 6,
-            write: 10,
-            validate: 4,
-            abort: 60,
-            max_task_factor: 64,
-        }
-    }
-}
-
 /// **Ignored**: every speculative (`SPECULATE`) invocation runs the one
 /// deterministic `janus-spec` engine, whichever mode is set. Kept only until
 /// the ledger drops its `dbm.execute.raced` extra, which still builds a
@@ -156,7 +105,10 @@ pub enum SpecCommitMode {
     RacedImage,
 }
 
-/// Configuration of the dynamic binary modifier.
+/// Configuration of the dynamic binary modifier. The costs it models are
+/// constants of the modules that charge them: the code cache's in
+/// `backend.rs`, the loop runtime's and the STM's in `runtime.rs`, and
+/// speculation's in `janus-spec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DbmConfig {
     /// Number of guest threads used for parallelised loops.
@@ -171,35 +123,9 @@ pub struct DbmConfig {
     /// Block-STM-style iteration-level speculation engine (`janus-spec`).
     /// When `false`, speculative loops fall back to sequential execution.
     pub enable_speculation: bool,
-    /// Cycles charged the first time a basic block is copied into the code
-    /// cache (decode + modify + encode).
-    pub translation_cost: u64,
-    /// Cycles charged per block execution until the block is linked into a
-    /// trace.
-    pub dispatch_cost: u64,
-    /// Number of executions after which a block counts as linked (trace
-    /// optimisation removes its dispatch overhead).
-    pub link_threshold: u64,
-    /// Extra cycles charged for every indirect branch, call or return that
-    /// must go through the DBM's target lookup.
-    pub indirect_lookup_cost: u64,
-    /// Cycles charged per thread to initialise a parallel loop (wake from the
-    /// thread pool, copy initial context).
-    pub loop_init_cost: u64,
-    /// Cycles charged per thread to finish a parallel loop (barrier + merge).
-    pub loop_finish_cost: u64,
-    /// Cycles charged per array-bounds-check pair per loop invocation.
-    pub bounds_check_cost: u64,
-    /// Cost knobs of the shared-library-call STM.
-    pub stm: StmCosts,
-    /// Cost knobs of the iteration-level speculation engine.
-    pub spec: SpecCosts,
     /// Ignored: see [`SpecCommitMode`]. Kept only for the ledger's
     /// `dbm.execute.raced` extra.
     pub spec_commit: SpecCommitMode,
-    /// Minimum iterations per thread below which a loop invocation is run
-    /// sequentially (parallelisation would not be profitable).
-    pub min_iterations_per_thread: u64,
     /// Abort execution after this many virtual cycles.
     pub cycle_limit: u64,
     /// Adaptive execution: let a per-loop [`Tuner`] pick sequential vs
@@ -222,17 +148,7 @@ impl Default for DbmConfig {
             backend: BackendKind::from_env(),
             enable_runtime_checks: true,
             enable_speculation: true,
-            translation_cost: 350,
-            dispatch_cost: 3,
-            link_threshold: 16,
-            indirect_lookup_cost: 12,
-            loop_init_cost: 2_200,
-            loop_finish_cost: 1_400,
-            bounds_check_cost: 35,
-            stm: StmCosts::default(),
-            spec: SpecCosts::default(),
             spec_commit: SpecCommitMode::default(),
-            min_iterations_per_thread: 1,
             cycle_limit: 200_000_000_000,
             adaptive: adaptive_from_env(),
         }
@@ -504,19 +420,6 @@ mod tests {
         let c = DbmConfig::default();
         assert_eq!(c.threads, 8);
         assert!(c.enable_runtime_checks);
-        assert!(c.translation_cost > c.dispatch_cost);
-        // The grouped cost structs carry the historical default values.
-        assert_eq!((c.stm.read, c.stm.write, c.stm.commit), (8, 14, 16));
-        assert_eq!(
-            (
-                c.spec.read,
-                c.spec.write,
-                c.spec.validate,
-                c.spec.abort,
-                c.spec.max_task_factor
-            ),
-            (6, 10, 4, 60, 64)
-        );
         assert_eq!(c.spec_commit, SpecCommitMode::Deterministic);
     }
 

@@ -22,14 +22,34 @@ use janus_ir::{Cond, Inst, Operand, Reg, INST_SIZE, STACK_SIZE};
 use janus_obs::Recorder;
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId, RuleTable};
 use janus_vm::{
-    step_op, step_run, CostModel, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Limit, Op,
-    Process, ResolvedPlt, Run,
+    cost, step_op, step_run, Cpu, Effect, FlatMemory, GuestMemory, GuestOs, Limit, Op, Process,
+    ResolvedPlt, Run,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 const STEP: u64 = INST_SIZE as u64;
+
+/// Extra cycles charged for every indirect branch, call or return that must
+/// go through the DBM's target lookup.
+const INDIRECT_LOOKUP_COST: u64 = 12;
+/// Cycles charged per thread to initialise a parallel loop (wake from the
+/// thread pool, copy initial context).
+const LOOP_INIT_COST: u64 = 2_200;
+/// Cycles charged per thread to finish a parallel loop (barrier + merge).
+const LOOP_FINISH_COST: u64 = 1_400;
+/// Cycles charged per array-bounds-check pair per loop invocation.
+const BOUNDS_CHECK_COST: u64 = 35;
+/// Minimum iterations per thread below which a loop invocation is run
+/// sequentially (parallelisation would not be profitable).
+const MIN_ITERATIONS_PER_THREAD: i64 = 1;
+/// Extra cycles per transactional (STM) memory read.
+const STM_READ_COST: u64 = 8;
+/// Extra cycles per transactional (STM) memory write.
+const STM_WRITE_COST: u64 = 14;
+/// Cycles per logged read or write validated or committed at transaction end.
+const STM_COMMIT_COST: u64 = 16;
 
 /// The most iterations one speculative invocation may take; a longer one
 /// runs sequentially. The guest chooses the trip count, and the engine keeps
@@ -596,7 +616,7 @@ impl Dbm {
             // An indirect transfer ends its run and pays the DBM's target
             // lookup.
             if plan.op(last).is_indirect() {
-                self.stats.breakdown.translation += self.config.indirect_lookup_cost;
+                self.stats.breakdown.translation += INDIRECT_LOOKUP_COST;
             }
             match effect {
                 Effect::Continue => self.main.pc += STEP,
@@ -614,7 +634,7 @@ impl Dbm {
         // Every cycle the main thread is charged is a sequential one.
         self.stats.breakdown.sequential = self.main.cycles;
         self.stats.retired += self.main.retired;
-        let (translated, executions, cache_cycles) = self.cache.charges(&self.config);
+        let (translated, executions, cache_cycles) = self.cache.charges();
         self.stats.blocks_translated = translated;
         self.stats.block_executions = executions;
         self.stats.breakdown.translation += cache_cycles;
@@ -637,7 +657,7 @@ impl Dbm {
     #[inline(never)]
     fn handle_syscall(&mut self, num: u32) -> Result<bool> {
         self.stats.breakdown.sequential = self.main.cycles;
-        let clock = self.stats.breakdown.total() + self.cache.charges(&self.config).2;
+        let clock = self.stats.breakdown.total() + self.cache.charges().2;
         Ok(self.os.syscall(&mut self.main, num, clock)?)
     }
 
@@ -763,7 +783,7 @@ impl Dbm {
         // A count that does not fit runs sequentially, like a short one.
         let iterations = Self::iteration_count(start, end, lr.step, lr.continue_cond).unwrap_or(0);
         let threads = i64::from(self.config.threads.max(1));
-        if iterations < threads * self.config.min_iterations_per_thread.max(1) as i64 {
+        if iterations < threads * MIN_ITERATIONS_PER_THREAD {
             self.stats.sequential_fallbacks += 1;
             return Ok(false);
         }
@@ -785,8 +805,7 @@ impl Dbm {
                 return Ok(false);
             }
             self.stats.bounds_checks_executed += lr.bounds_pairs.len() as u64;
-            self.stats.breakdown.checks +=
-                self.config.bounds_check_cost * lr.bounds_pairs.len() as u64;
+            self.stats.breakdown.checks += BOUNDS_CHECK_COST * lr.bounds_pairs.len() as u64;
             for (a, b) in &lr.bounds_pairs {
                 let ra = a.range(&self.main, iterations);
                 let rb = b.range(&self.main, iterations);
@@ -875,7 +894,7 @@ impl Dbm {
             cpu.set_sp(main_sp - delta);
             self.mem.write_bytes(frame_lo - delta, &frame_bytes);
             let bound = lr.fork(&mut cpu, &mut self.mem, start, from, to);
-            self.stats.breakdown.init_finish += self.config.loop_init_cost;
+            self.stats.breakdown.init_finish += LOOP_INIT_COST;
             // The chunk's frame copy and the stack below it, under the main frame.
             let window_top = (frame_hi - delta).min(frame_lo);
             plans.push(ChunkPlan {
@@ -904,7 +923,7 @@ impl Dbm {
         )?;
         self.fold_chunk_effects(batch.effects);
         self.stats.retired += batch.results.iter().map(|cpu| cpu.retired).sum::<u64>();
-        self.stats.breakdown.init_finish += self.config.loop_finish_cost * num_chunks as u64;
+        self.stats.breakdown.init_finish += LOOP_FINISH_COST * num_chunks as u64;
         self.stats.breakdown.parallel += batch.parallel_cycles;
         self.stats.os_threads_used = self.stats.os_threads_used.max(batch.os_threads);
         self.stats.parallel_wall_nanos += batch.wall_nanos;
@@ -1050,16 +1069,7 @@ impl Dbm {
         }
 
         let template = self.main.clone();
-        let spec_config = janus_spec::SpecConfig {
-            lanes: self.config.threads.max(1),
-            read_overhead: self.config.spec.read,
-            write_overhead: self.config.spec.write,
-            validate_base_cost: self.config.spec.validate * 3,
-            validate_read_cost: self.config.spec.validate,
-            abort_cost: self.config.spec.abort,
-            commit_cost_per_write: self.config.spec.write / 2,
-            max_task_factor: self.config.spec.max_task_factor,
-        };
+        let lanes = self.config.threads.max(1);
 
         // Split the borrows the iteration body needs off `self` so the guest
         // memory can be temporarily moved into the engine.
@@ -1121,7 +1131,7 @@ impl Dbm {
                 }
             };
         let invocation = self.config.backend.run_speculative_invocation(
-            &spec_config,
+            lanes,
             &mut base,
             iterations as usize,
             &body,
@@ -1154,9 +1164,7 @@ impl Dbm {
         self.stats.spec_reads += s.reads;
         self.stats.spec_writes += s.writes;
         self.stats.breakdown.parallel += outcome.parallel_cycles;
-        self.stats.breakdown.init_finish += (self.config.loop_init_cost
-            + self.config.loop_finish_cost)
-            * u64::from(self.config.threads.max(1));
+        self.stats.breakdown.init_finish += (LOOP_INIT_COST + LOOP_FINISH_COST) * u64::from(lanes);
 
         let last = outcome
             .payloads
@@ -1204,7 +1212,7 @@ fn bound_compare(lhs: Operand, bound: i64) -> (Op, u64) {
         rhs: Operand::Imm(bound),
     };
     let op = Op::lower(&inst).expect("the operand of a loaded compare lowers");
-    (op, CostModel::default().cost(&inst))
+    (op, cost(&inst))
 }
 
 /// Counts one execution of each of the `retired` slots from `slot` on — the
@@ -1270,7 +1278,7 @@ pub(crate) fn run_chunk<M: GuestMemory>(
             let last = count_blocks(counts, slot, cpu.retired - retired);
             let effect = stepped?;
             if text.op(last).is_indirect() {
-                fx.lookup_cycles += config.indirect_lookup_cost;
+                fx.lookup_cycles += INDIRECT_LOOKUP_COST;
             }
             effect
         };
@@ -1325,7 +1333,6 @@ fn run_transactional_call<M: GuestMemory>(
     log: &mut TxLog,
     fx: &mut ChunkSideEffects,
 ) -> Result<bool> {
-    let config = ctx.config;
     let target = match ctx.parts.process.resolve_plt(plt)? {
         ResolvedPlt::Guest { addr, .. } => *addr,
         // Native helpers have no guest-visible memory effects; run them
@@ -1355,9 +1362,9 @@ fn run_transactional_call<M: GuestMemory>(
     fx.stm_writes += tx_stats.writes;
     // Charged to the chunk, so it reaches `parallel` through the lanes;
     // `stm_cycles` only attributes it.
-    let stm_cost = tx_stats.reads * config.stm.read
-        + tx_stats.writes * config.stm.write
-        + (tx_stats.reads + tx_stats.writes) * config.stm.commit;
+    let stm_cost = tx_stats.reads * STM_READ_COST
+        + tx_stats.writes * STM_WRITE_COST
+        + (tx_stats.reads + tx_stats.writes) * STM_COMMIT_COST;
     fx.stm_cycles += stm_cost;
     cpu.cycles += stm_cost;
     if ok && tx.commit() {

@@ -3,7 +3,7 @@
 //! parallel and with how many chunks.
 //!
 //! The static planner (iteration counting, bounds checks, the
-//! `min_iterations_per_thread` gate) answers *may this loop run in
+//! `MIN_ITERATIONS_PER_THREAD` gate) answers *may this loop run in
 //! parallel*; it cannot answer *does parallelism pay for itself on this
 //! host*. Loops with small bodies or invocations dominated by thread
 //! fan-out and overlay merge can run slower than sequential execution —

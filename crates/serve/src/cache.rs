@@ -127,19 +127,20 @@ impl std::fmt::Debug for ArtifactCache {
     }
 }
 
+/// Shards of a cache: each has its own mutex and LRU clock.
+const SHARDS: usize = 8;
+
 impl ArtifactCache {
     /// A cache bounded to `capacity` entries over 8 shards.
     #[must_use]
     pub fn new(capacity: usize) -> ArtifactCache {
-        ArtifactCache::with_shards(capacity, 8)
+        ArtifactCache::with_shards(capacity, SHARDS)
     }
 
     /// A cache bounded to `capacity` entries over `shards` shards. The
     /// capacity bound is enforced per shard (`ceil(capacity / shards)`
     /// each), so it is exact for one shard and a high-water mark otherwise.
-    #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize) -> ArtifactCache {
-        let shards = shards.max(1);
+    fn with_shards(capacity: usize, shards: usize) -> ArtifactCache {
         let capacity_per_shard = capacity.max(1).div_ceil(shards);
         ArtifactCache {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
@@ -155,18 +156,17 @@ impl ArtifactCache {
         self.meter = meter;
     }
 
-    /// A two-tier cache: the in-memory tier of [`ArtifactCache::with_shards`]
+    /// A two-tier cache: the in-memory tier of [`ArtifactCache::new`]
     /// layered over the persistent `store`. `fingerprint` identifies the
     /// session's pipeline configuration; only disk entries written under the
     /// same fingerprint are loaded (see [`ArtifactStore::load`]).
     #[must_use]
     pub fn with_disk_store(
         capacity: usize,
-        shards: usize,
         store: Arc<ArtifactStore>,
         fingerprint: u64,
     ) -> ArtifactCache {
-        let mut cache = ArtifactCache::with_shards(capacity, shards);
+        let mut cache = ArtifactCache::new(capacity);
         cache.store = Some(store);
         cache.fingerprint = fingerprint;
         cache
@@ -505,7 +505,7 @@ mod tests {
         let store = Arc::new(ArtifactStore::open(&dir, 0).unwrap());
 
         // Cold session: disk miss, one analysis, entry persisted.
-        let cold = ArtifactCache::with_disk_store(8, 1, store.clone(), 5);
+        let cold = ArtifactCache::with_disk_store(8, store.clone(), 5);
         cold.get_or_build(digest, hydrate, || {
             let pipeline = janus.prepare(&binary, &[]).unwrap();
             let prepared = PreparedDbm::new(
@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(store.entries(), 1, "built artifact was persisted");
 
         // Warm session over the same store: hydrated from disk, no build.
-        let warm = ArtifactCache::with_disk_store(8, 1, store.clone(), 5);
+        let warm = ArtifactCache::with_disk_store(8, store.clone(), 5);
         let artifact = warm
             .get_or_build(digest, hydrate, || unreachable!("must hydrate from disk"))
             .unwrap();
@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(store.hits(), 1);
 
         // A different fingerprint does not see the entry and rebuilds.
-        let other = ArtifactCache::with_disk_store(8, 1, store.clone(), 6);
+        let other = ArtifactCache::with_disk_store(8, store.clone(), 6);
         other
             .get_or_build(digest, hydrate, || {
                 let pipeline = janus.prepare(&binary, &[]).unwrap();

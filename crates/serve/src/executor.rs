@@ -10,7 +10,7 @@ use crate::telemetry::TelemetryServer;
 use crate::{
     JobId, JobOutcome, JobReport, JobSpec, ServeConfig, ServeError, ServeStats, DEFAULT_TENANT,
 };
-use janus_core::{Janus, PipelineArtifacts, PreparedDbm};
+use janus_core::{Janus, PipelineArtifacts, PreparedDbm, COVERAGE_THRESHOLD};
 use janus_obs::ewma::KeyedEwma;
 use janus_obs::Recorder;
 use janus_vm::Process;
@@ -170,7 +170,7 @@ fn config_fingerprint(janus: &Janus, train_input: &[i64]) -> u64 {
     hash = mix(hash, &(config.mode as u32).to_le_bytes());
     hash = mix(hash, &config.threads.to_le_bytes());
     hash = mix(hash, &[u8::from(config.speculation)]);
-    hash = mix(hash, &config.coverage_threshold.to_bits().to_le_bytes());
+    hash = mix(hash, &COVERAGE_THRESHOLD.to_bits().to_le_bytes());
     for value in train_input {
         hash = mix(hash, &value.to_le_bytes());
     }
@@ -385,14 +385,9 @@ impl ServeHandle {
                 })?;
                 store.set_recorder(trace.clone());
                 store.set_meter(StoreMeter::register(&registry));
-                ArtifactCache::with_disk_store(
-                    config.cache_capacity,
-                    config.cache_shards,
-                    Arc::new(store),
-                    fingerprint,
-                )
+                ArtifactCache::with_disk_store(config.cache_capacity, Arc::new(store), fingerprint)
             }
-            None => ArtifactCache::with_shards(config.cache_capacity, config.cache_shards),
+            None => ArtifactCache::new(config.cache_capacity),
         };
         cache.set_meter(CacheMeter::register(&registry));
         let telemetry_addr = config.telemetry_addr.clone();
@@ -800,4 +795,17 @@ fn run_job(
         stats: run.stats,
         wall_nanos,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Disk entries are stamped with the fingerprint, so a default session
+    /// must compute the one earlier releases stamped their entries with.
+    #[test]
+    fn the_default_fingerprint_is_unchanged() {
+        let fingerprint = config_fingerprint(&Janus::default(), &[]);
+        assert_eq!(fingerprint, 0xc6fa_384c_b7f3_86cb);
+    }
 }

@@ -160,12 +160,9 @@ pub struct ServeConfig {
     /// `queue_depth + workers` — the natural bound.
     pub max_in_flight: usize,
     /// Artifact-cache capacity in entries (distinct binaries). The bound is
-    /// enforced per shard, so it is exact when `cache_shards == 1` and a
-    /// high-water mark otherwise.
+    /// enforced per shard of the [`ArtifactCache`]'s eight, so it is a
+    /// high-water mark.
     pub cache_capacity: usize,
-    /// Number of cache shards (lock-contention knob; each shard has its own
-    /// mutex and LRU clock).
-    pub cache_shards: usize,
     /// Training input used when the configured optimisation mode profiles a
     /// newly seen binary. One fixed input per session keeps artifacts a pure
     /// function of the binary digest.
@@ -223,7 +220,6 @@ impl Default for ServeConfig {
             queue_depth: 256,
             max_in_flight: 0,
             cache_capacity: 64,
-            cache_shards: 8,
             train_input: Vec::new(),
             store_dir: None,
             store_max_bytes: 0,

@@ -5,9 +5,26 @@
 
 use crate::mv::{MvMemory, ReadEntry, ReadOrigin, ReadResult, ViewBuffers};
 use crate::scheduler::{Lanes, Scheduler, Task};
-use crate::{SpecConfig, SpecError, SpecStats};
+use crate::{SpecError, SpecStats};
 use janus_vm::{GuestMemory, PeekMemory};
 use std::fmt;
+
+/// Extra virtual cycles per tracked speculative read.
+const READ_COST: u64 = 6;
+/// Extra virtual cycles per buffered speculative write.
+const WRITE_COST: u64 = 10;
+/// Fixed virtual cycles per validation task.
+const VALIDATE_BASE_COST: u64 = 12;
+/// Virtual cycles per read-set entry re-resolved during validation.
+const VALIDATE_READ_COST: u64 = 4;
+/// Virtual cycles charged per abort (estimate conversion, task churn).
+const ABORT_COST: u64 = 60;
+/// Virtual cycles per word written during the final commit.
+const COMMIT_COST_PER_WORD: u64 = 5;
+/// Task budget per iteration: the engine gives up (and the caller falls back
+/// to sequential execution) after `iterations * MAX_TASK_FACTOR + 64` tasks,
+/// a livelock guard for pathologically dependent loops.
+const MAX_TASK_FACTOR: u64 = 64;
 
 /// What one incarnation of the loop body reports back to the engine.
 #[derive(Debug)]
@@ -70,7 +87,8 @@ impl<P> IterData<P> {
     }
 }
 
-/// Runs `iterations` speculative loop iterations over `base` memory.
+/// Runs `iterations` speculative loop iterations over `base` memory, charging
+/// tasks to `lanes` virtual workers.
 ///
 /// `body` executes one incarnation of one iteration against the supplied
 /// [`crate::SpecView`] and reports its cycle cost plus an arbitrary payload.
@@ -85,7 +103,7 @@ impl<P> IterData<P> {
 /// [`SpecError::AbortLimit`] when the task budget is exhausted (the caller
 /// should fall back to sequential execution).
 pub fn run_speculative<M, P, E, F>(
-    config: &SpecConfig,
+    lanes: u32,
     base: &mut M,
     iterations: usize,
     mut body: F,
@@ -94,7 +112,7 @@ where
     M: GuestMemory + PeekMemory,
     F: FnMut(usize, &mut crate::SpecView<'_, M>) -> Result<IterationRun<P>, E>,
 {
-    let mut lanes = Lanes::new(config.lanes);
+    let mut lanes = Lanes::new(lanes);
     let mut stats = SpecStats {
         iterations: iterations as u64,
         ..SpecStats::default()
@@ -113,7 +131,7 @@ where
     let mut buffers = ViewBuffers::default();
 
     let max_tasks = (iterations as u64)
-        .saturating_mul(u64::from(config.max_task_factor.max(2)))
+        .saturating_mul(MAX_TASK_FACTOR)
         .saturating_add(64);
     let mut tasks = 0u64;
 
@@ -139,9 +157,7 @@ where
                         let (blocked, vs) = (view.blocked_on(), view.stats());
                         stats.reads += vs.reads;
                         stats.writes += vs.writes;
-                        let cost = run.cycles
-                            + vs.reads * config.read_overhead
-                            + vs.writes * config.write_overhead;
+                        let cost = run.cycles + vs.reads * READ_COST + vs.writes * WRITE_COST;
                         let done_at = lanes.charge(cost);
                         if let Some(on) = blocked {
                             // The incarnation read an estimate: the work is
@@ -170,7 +186,7 @@ where
                             Some(dep) => {
                                 stats.aborts += 1;
                                 stats.faults_retried += 1;
-                                lanes.charge(config.abort_cost);
+                                lanes.charge(ABORT_COST);
                                 sched.abort_on_dependency(iteration, dep);
                             }
                             None => return Err(SpecError::Body(e)),
@@ -182,11 +198,10 @@ where
                 stats.validations += 1;
                 let reads = &data[iteration].reads;
                 let ok = validate(&mv, &*base, iteration, reads);
-                let mut cost =
-                    config.validate_base_cost + reads.len() as u64 * config.validate_read_cost;
+                let mut cost = VALIDATE_BASE_COST + reads.len() as u64 * VALIDATE_READ_COST;
                 if !ok {
                     stats.aborts += 1;
-                    cost += config.abort_cost;
+                    cost += ABORT_COST;
                 }
                 let done_at = lanes.charge(cost);
                 if !ok {
@@ -200,7 +215,7 @@ where
     // Commit: every iteration validated, the highest version of each word is
     // the serial-equivalent final value.
     let image = mv.final_image();
-    lanes.charge(config.commit_cost_per_write * image.len() as u64);
+    lanes.charge(COMMIT_COST_PER_WORD * image.len() as u64);
     for &(word, value) in &image {
         base.write_u64(word, value);
     }
@@ -239,13 +254,6 @@ mod tests {
     use crate::SpecView;
     use janus_vm::FlatMemory;
 
-    fn cfg(lanes: u32) -> SpecConfig {
-        SpecConfig {
-            lanes,
-            ..SpecConfig::default()
-        }
-    }
-
     /// `a[i] = a[i] + 1` over disjoint words: embarrassingly parallel.
     #[test]
     fn disjoint_iterations_never_abort_and_scale() {
@@ -262,7 +270,7 @@ mod tests {
                 payload: (),
             })
         };
-        let out = run_speculative(&cfg(8), &mut base, 64, body).unwrap();
+        let out = run_speculative(8, &mut base, 64, body).unwrap();
         assert_eq!(out.stats.executions, 64);
         assert_eq!(out.stats.aborts, 0);
         for i in 0..64u64 {
@@ -275,6 +283,34 @@ mod tests {
             "expected parallel scaling, got {}",
             out.parallel_cycles
         );
+    }
+
+    /// The charge, term by term: two disjoint iterations of one read and one
+    /// write each, on one lane, whose clock is then the sum of every charge.
+    #[test]
+    fn one_lane_is_charged_every_named_cost() {
+        let mut base = FlatMemory::new();
+        let body = |i: usize, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
+            let addr = 0x1000 + i as u64 * 8;
+            let v = view.read_u64(addr);
+            view.write_u64(addr, v + 1);
+            Ok(IterationRun {
+                cycles: 100,
+                payload: (),
+            })
+        };
+        let out = run_speculative(1, &mut base, 2, body).unwrap();
+        let s = out.stats;
+        assert_eq!(
+            (s.executions, s.reads, s.writes, s.validations, s.aborts),
+            (2, 2, 2, 2, 0)
+        );
+        let execute = 100 + READ_COST + WRITE_COST;
+        let validate = VALIDATE_BASE_COST + VALIDATE_READ_COST;
+        let commit = 2 * COMMIT_COST_PER_WORD;
+        assert_eq!(out.parallel_cycles, 2 * execute + 2 * validate + commit);
+        // The figures the DBM has always charged: 2 × 116 + 2 × 16 + 2 × 5.
+        assert_eq!(out.parallel_cycles, 274);
     }
 
     /// A dense chain `a[0] += 1` in every iteration: everything conflicts,
@@ -291,7 +327,7 @@ mod tests {
                 payload: (),
             })
         };
-        let out = run_speculative(&cfg(4), &mut base, 32, body).unwrap();
+        let out = run_speculative(4, &mut base, 32, body).unwrap();
         assert_eq!(base.read_u64(0x2000), 32, "serial-equivalent result");
         assert!(
             out.stats.aborts > 0,
@@ -314,7 +350,7 @@ mod tests {
                 payload: i,
             })
         };
-        let out = run_speculative(&cfg(8), &mut base, 40, body).unwrap();
+        let out = run_speculative(8, &mut base, 40, body).unwrap();
         // Serial result: word k holds sum of i with i % 4 == k.
         for k in 0..4u64 {
             let expect: u64 = (0..40u64).filter(|i| i % 4 == k).sum();
@@ -343,7 +379,7 @@ mod tests {
                 })
             }
         };
-        match run_speculative(&cfg(2), &mut base, 4, body) {
+        match run_speculative(2, &mut base, 4, body) {
             Err(SpecError::Body("boom")) => {}
             other => panic!("expected body error, got {other:?}"),
         }
@@ -354,7 +390,7 @@ mod tests {
     fn empty_invocation_is_trivial() {
         let mut base = FlatMemory::new();
         let out = run_speculative(
-            &cfg(4),
+            4,
             &mut base,
             0,
             |_, _: &mut SpecView<'_, FlatMemory>| -> Result<IterationRun<()>, ()> {

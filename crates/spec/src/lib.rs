@@ -80,13 +80,13 @@
 //! # Example
 //!
 //! ```
-//! use janus_spec::{run_speculative, IterationRun, SpecConfig, SpecView};
+//! use janus_spec::{run_speculative, IterationRun, SpecView};
 //! use janus_vm::{FlatMemory, GuestMemory};
 //!
 //! // hist[i % 3] += i, speculatively, over 4 lanes.
 //! let mut mem = FlatMemory::new();
 //! let out = run_speculative(
-//!     &SpecConfig { lanes: 4, ..SpecConfig::default() },
+//!     4,
 //!     &mut mem,
 //!     24,
 //!     |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
@@ -120,44 +120,6 @@ pub use mv::{
 pub use scheduler::Lanes;
 
 use std::fmt;
-
-/// Configuration of one speculative invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecConfig {
-    /// Number of virtual worker lanes (the modelled thread count).
-    pub lanes: u32,
-    /// Extra virtual cycles per tracked speculative read.
-    pub read_overhead: u64,
-    /// Extra virtual cycles per buffered speculative write.
-    pub write_overhead: u64,
-    /// Fixed virtual cycles per validation task.
-    pub validate_base_cost: u64,
-    /// Virtual cycles per read-set entry re-resolved during validation.
-    pub validate_read_cost: u64,
-    /// Virtual cycles charged per abort (estimate conversion, task churn).
-    pub abort_cost: u64,
-    /// Virtual cycles per word written during the final commit.
-    pub commit_cost_per_write: u64,
-    /// Task budget per iteration: the engine gives up (and the caller falls
-    /// back to sequential execution) after `iterations * max_task_factor`
-    /// tasks, a livelock guard for pathologically dependent loops.
-    pub max_task_factor: u32,
-}
-
-impl Default for SpecConfig {
-    fn default() -> Self {
-        SpecConfig {
-            lanes: 8,
-            read_overhead: 6,
-            write_overhead: 10,
-            validate_base_cost: 12,
-            validate_read_cost: 4,
-            abort_cost: 60,
-            commit_cost_per_write: 4,
-            max_task_factor: 64,
-        }
-    }
-}
 
 /// Counters describing one speculative invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -10,7 +10,7 @@
 //! image to a reference view that keeps its read and write sets in
 //! `HashMap`s.
 
-use janus_spec::{run_speculative, IterationRun, SpecConfig, SpecView, ViewStats};
+use janus_spec::{run_speculative, IterationRun, SpecView, ViewStats};
 use janus_vm::{FlatMemory, GuestMemory};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -86,9 +86,8 @@ proptest! {
 
         // Speculative run.
         let mut spec_mem = initial_memory(pool);
-        let config = SpecConfig { lanes, ..SpecConfig::default() };
         let out = run_speculative(
-            &config,
+            lanes,
             &mut spec_mem,
             programs.len(),
             |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
@@ -127,9 +126,8 @@ proptest! {
         ),
     ) {
         let mut mem = initial_memory(4);
-        let config = SpecConfig { lanes: 1, ..SpecConfig::default() };
         let out = run_speculative(
-            &config,
+            1,
             &mut mem,
             programs.len(),
             |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
@@ -296,9 +294,8 @@ proptest! {
         // aborted or not, must match its iteration's reference counters.
         let mismatches = RefCell::new(Vec::new());
         let mut spec_mem = spread_memory();
-        let config = SpecConfig { lanes, ..SpecConfig::default() };
         let out = run_speculative(
-            &config,
+            lanes,
             &mut spec_mem,
             programs.len(),
             |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {
@@ -333,10 +330,7 @@ fn a_descending_scan_of_4096_words_reads_what_serial_execution_reads() {
     }
     let stats = RefCell::new(Vec::new());
     let out = run_speculative(
-        &SpecConfig {
-            lanes: 2,
-            ..SpecConfig::default()
-        },
+        2,
         &mut base,
         2,
         |i, view: &mut SpecView<'_, FlatMemory>| -> Result<_, ()> {

@@ -7,92 +7,62 @@
 //! loosely calibrated to a Sandy-Bridge-class out-of-order core so that the
 //! shapes of the paper's figures are preserved.
 
-use janus_ir::{AluOp, Inst};
+use janus_ir::{AluOp, FpuOp, Inst};
 
-/// Per-instruction-class cycle costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// Cost of simple register-to-register ALU operations and moves.
-    pub alu: u64,
-    /// Extra cost of integer multiplication.
-    pub mul_extra: u64,
-    /// Extra cost of integer division / remainder.
-    pub div_extra: u64,
-    /// Cost of a scalar floating-point operation.
-    pub fpu: u64,
-    /// Extra cost of floating-point division or square root.
-    pub fdiv_extra: u64,
-    /// Cost of a packed vector operation (amortised per instruction).
-    pub vec: u64,
-    /// Additional cost for every explicit memory access.
-    pub mem_access: u64,
-    /// Cost of a taken or not-taken direct branch.
-    pub branch: u64,
-    /// Additional cost of an indirect branch (branch-target lookup).
-    pub indirect_extra: u64,
-    /// Cost of a call or return.
-    pub call: u64,
-    /// Cost of a system call.
-    pub syscall: u64,
-}
+/// Cost of simple register-to-register ALU operations and moves.
+const ALU: u64 = 1;
+/// Extra cost of integer multiplication.
+const MUL_EXTRA: u64 = 2;
+/// Extra cost of integer division / remainder.
+const DIV_EXTRA: u64 = 20;
+/// Cost of a scalar floating-point operation.
+const FPU: u64 = 2;
+/// Extra cost of floating-point division or square root.
+const FDIV_EXTRA: u64 = 12;
+/// Cost of a packed vector operation (amortised per instruction).
+const VEC: u64 = 2;
+/// Additional cost for every explicit memory access.
+const MEM_ACCESS: u64 = 3;
+/// Cost of a taken or not-taken direct branch.
+const BRANCH: u64 = 1;
+/// Additional cost of an indirect branch (branch-target lookup).
+const INDIRECT_EXTRA: u64 = 6;
+/// Cost of a call or return.
+const CALL: u64 = 2;
+/// Cost of a system call.
+const SYSCALL: u64 = 150;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alu: 1,
-            mul_extra: 2,
-            div_extra: 20,
-            fpu: 2,
-            fdiv_extra: 12,
-            vec: 2,
-            mem_access: 3,
-            branch: 1,
-            indirect_extra: 6,
-            call: 2,
-            syscall: 150,
+/// The cycle cost of executing `inst` once.
+#[must_use]
+pub fn cost(inst: &Inst) -> u64 {
+    let mem = if inst.touches_memory() { MEM_ACCESS } else { 0 };
+    let base = match inst {
+        Inst::Nop | Inst::Halt => 1,
+        Inst::Mov { .. } | Inst::Lea { .. } | Inst::CMov { .. } => ALU,
+        Inst::Alu { op, .. } => {
+            ALU + match op {
+                AluOp::Mul => MUL_EXTRA,
+                AluOp::Div | AluOp::Rem => DIV_EXTRA,
+                _ => 0,
+            }
         }
-    }
-}
-
-impl CostModel {
-    /// The cycle cost of executing `inst` once.
-    #[must_use]
-    pub fn cost(&self, inst: &Inst) -> u64 {
-        let mem = if inst.touches_memory() {
-            self.mem_access
-        } else {
-            0
-        };
-        let base = match inst {
-            Inst::Nop | Inst::Halt => 1,
-            Inst::Mov { .. } | Inst::Lea { .. } | Inst::CMov { .. } => self.alu,
-            Inst::Alu { op, .. } => {
-                self.alu
-                    + match op {
-                        AluOp::Mul => self.mul_extra,
-                        AluOp::Div | AluOp::Rem => self.div_extra,
-                        _ => 0,
-                    }
+        Inst::FMov { .. } | Inst::CvtIntToFloat { .. } | Inst::CvtFloatToInt { .. } => FPU,
+        Inst::Fpu { op, .. } => {
+            FPU + match op {
+                FpuOp::Div | FpuOp::Sqrt => FDIV_EXTRA,
+                _ => 0,
             }
-            Inst::FMov { .. } | Inst::CvtIntToFloat { .. } | Inst::CvtFloatToInt { .. } => self.fpu,
-            Inst::Fpu { op, .. } => {
-                self.fpu
-                    + match op {
-                        janus_ir::FpuOp::Div | janus_ir::FpuOp::Sqrt => self.fdiv_extra,
-                        _ => 0,
-                    }
-            }
-            Inst::VMov { .. } | Inst::Vec { .. } => self.vec,
-            Inst::Cmp { .. } | Inst::FCmp { .. } | Inst::Test { .. } => self.alu,
-            Inst::Jmp { .. } | Inst::Jcc { .. } => self.branch,
-            Inst::JmpInd { .. } => self.branch + self.indirect_extra,
-            Inst::Call { .. } | Inst::Ret => self.call,
-            Inst::CallInd { .. } | Inst::CallExt { .. } => self.call + self.indirect_extra,
-            Inst::Push { .. } | Inst::Pop { .. } => self.alu + self.mem_access,
-            Inst::Syscall { .. } => self.syscall,
-        };
-        base + mem
-    }
+        }
+        Inst::VMov { .. } | Inst::Vec { .. } => VEC,
+        Inst::Cmp { .. } | Inst::FCmp { .. } | Inst::Test { .. } => ALU,
+        Inst::Jmp { .. } | Inst::Jcc { .. } => BRANCH,
+        Inst::JmpInd { .. } => BRANCH + INDIRECT_EXTRA,
+        Inst::Call { .. } | Inst::Ret => CALL,
+        Inst::CallInd { .. } | Inst::CallExt { .. } => CALL + INDIRECT_EXTRA,
+        Inst::Push { .. } | Inst::Pop { .. } => ALU + MEM_ACCESS,
+        Inst::Syscall { .. } => SYSCALL,
+    };
+    base + mem
 }
 
 #[cfg(test)]
@@ -102,35 +72,31 @@ mod tests {
 
     #[test]
     fn division_is_more_expensive_than_addition() {
-        let m = CostModel::default();
         let add = Inst::alu(AluOp::Add, Operand::reg(Reg::R0), Operand::imm(1));
         let div = Inst::alu(AluOp::Div, Operand::reg(Reg::R0), Operand::reg(Reg::R1));
-        assert!(m.cost(&div) > m.cost(&add));
+        assert!(cost(&div) > cost(&add));
     }
 
     #[test]
     fn memory_operands_add_cost() {
-        let m = CostModel::default();
         let reg = Inst::mov(Operand::reg(Reg::R0), Operand::reg(Reg::R1));
         let mem = Inst::mov(Operand::reg(Reg::R0), Operand::mem(MemRef::base(Reg::R1)));
-        assert!(m.cost(&mem) > m.cost(&reg));
+        assert!(cost(&mem) > cost(&reg));
     }
 
     #[test]
     fn indirect_branches_cost_more_than_direct() {
-        let m = CostModel::default();
         let direct = Inst::Jmp { target: 0x400000 };
         let indirect = Inst::JmpInd {
             target: Operand::reg(Reg::R1),
         };
-        assert!(m.cost(&indirect) > m.cost(&direct));
+        assert!(cost(&indirect) > cost(&direct));
     }
 
     #[test]
     fn every_instruction_costs_at_least_one_cycle() {
-        let m = CostModel::default();
-        assert!(m.cost(&Inst::Nop) >= 1);
-        assert!(m.cost(&Inst::Halt) >= 1);
-        assert!(m.cost(&Inst::Ret) >= 1);
+        assert!(cost(&Inst::Nop) >= 1);
+        assert!(cost(&Inst::Halt) >= 1);
+        assert!(cost(&Inst::Ret) >= 1);
     }
 }

@@ -69,7 +69,7 @@ pub struct Cpu {
     pub flags: Flags,
     /// Program counter.
     pub pc: u64,
-    /// Cycles consumed so far (per [`crate::CostModel`]).
+    /// Cycles consumed so far (per [`crate::cost()`]).
     pub cycles: u64,
     /// Number of instructions retired.
     pub retired: u64,

@@ -24,7 +24,7 @@ use crate::memory::GuestMemory;
 use janus_ir::{AluOp, Cond, FpuOp, Inst, MemRef, Operand, Reg, RegClass, NUM_GPR, NUM_VREG};
 
 #[cfg(test)]
-use crate::cost::CostModel;
+use crate::cost::cost;
 
 #[cfg(test)]
 mod reference;
@@ -520,10 +520,9 @@ fn fpu_apply(op: FpuOp, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Lowers and executes one instruction at `cpu.pc`, charging it
-/// [`CostModel::default`]'s cost. `next_pc` is the return address a call
-/// pushes. The interpreter loops step lowered runs instead
-/// ([`crate::plan::step_run`]).
+/// Lowers and executes one instruction at `cpu.pc`, charging its
+/// [`cost`]. `next_pc` is the return address a call pushes. The
+/// interpreter loops step lowered runs instead ([`crate::plan::step_run`]).
 #[cfg(test)]
 fn exec_inst<M: GuestMemory>(
     cpu: &mut Cpu,
@@ -534,7 +533,7 @@ fn exec_inst<M: GuestMemory>(
     let op = Op::lower(inst).map_err(|why| VmError::Load {
         reason: format!("{:#x}: `{inst}`: {why}", cpu.pc),
     })?;
-    cpu.cycles += CostModel::default().cost(inst);
+    cpu.cycles += cost(inst);
     cpu.retired += 1;
     exec_op(cpu, mem, &op, cpu.pc, next_pc)
 }
@@ -1277,7 +1276,7 @@ mod equivalence {
                 }
                 lowered += 1;
                 let next_pc = cpu.pc + INST_SIZE as u64;
-                let cost = CostModel::default().cost(&inst);
+                let cost = cost(&inst);
                 let (mut old_cpu, mut old_mem) = (cpu.clone(), mem.clone());
                 let old = reference::exec_inst_costed(&mut old_cpu, &mut old_mem, &inst, cost, next_pc);
                 let new = exec_inst(&mut cpu, &mut mem, &inst, next_pc);

@@ -66,7 +66,7 @@ pub mod vm;
 
 mod error;
 
-pub use cost::CostModel;
+pub use cost::cost;
 pub use cpu::{Cpu, Flags};
 pub use error::{Result, VmError};
 pub use exec::{exec_op, Effect, Op};

@@ -23,7 +23,7 @@
 //!   `pc` are wound back to what stepping one instruction at a time leaves:
 //!   the first k + 1 instructions charged, `pc` at the faulting one.
 
-use crate::cost::CostModel;
+use crate::cost::cost;
 use crate::cpu::Cpu;
 use crate::error::{Result, VmError};
 use crate::exec::{exec_op, Effect, Op};
@@ -51,14 +51,13 @@ pub(crate) struct Text {
 }
 
 impl Text {
-    /// Decodes, costs ([`CostModel::default`]) and lowers `binary`'s text.
+    /// Decodes, costs ([`cost`]) and lowers `binary`'s text.
     ///
     /// # Errors
     ///
     /// Returns a description naming the address of the first instruction that
     /// fails to decode or to lower ([`Op::lower`]).
     pub(crate) fn lower(binary: &JBinary) -> std::result::Result<Text, String> {
-        let model = CostModel::default();
         let slots = binary.text().len().div_ceil(INST_SIZE);
         let mut text = Text {
             ops: Vec::with_capacity(slots),
@@ -71,7 +70,7 @@ impl Text {
             let inst = decode(addr, bytes).map_err(|e| e.to_string())?;
             let op = Op::lower(&inst).map_err(|why| format!("{addr:#x}: `{inst}`: {why}"))?;
             text.ops.push(op);
-            text.costs.push(model.cost(&inst));
+            text.costs.push(cost(&inst));
         }
         Ok(text)
     }

@@ -22,22 +22,22 @@ use std::sync::Arc;
 /// of a native service.
 const RETURN_SENTINEL: u64 = 0xffff_ffff_ffff_0000;
 
+/// Modelled per-thread spawn/join overhead, in cycles, charged by the native
+/// `par_for` runtime used by compiler-parallelised binaries.
+const SPAWN_OVERHEAD: u64 = 3_000;
+
 /// Configuration of a VM run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmConfig {
     /// Abort execution after this many cycles (guards against runaway
     /// programs in tests).
     pub cycle_limit: u64,
-    /// Modelled per-thread spawn/join overhead, in cycles, charged by the
-    /// native `par_for` runtime used by compiler-parallelised binaries.
-    pub spawn_overhead: u64,
 }
 
 impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             cycle_limit: 20_000_000_000,
-            spawn_overhead: 3_000,
         }
     }
 }
@@ -303,7 +303,7 @@ impl Vm {
         // the spawn/join overhead.
         self.cpu.cycles = cycles_before
             .saturating_add(max_chunk_cycles)
-            .saturating_add(self.config.spawn_overhead.saturating_mul(threads));
+            .saturating_add(SPAWN_OVERHEAD.saturating_mul(threads));
         Ok(())
     }
 
@@ -499,7 +499,6 @@ mod tests {
             Process::load(&bin).unwrap(),
             VmConfig {
                 cycle_limit: 10_000,
-                ..VmConfig::default()
             },
         );
         assert!(matches!(vm.run(), Err(VmError::CycleLimitExceeded { .. })));
@@ -533,7 +532,7 @@ mod tests {
         // `end - start` does not fit an i64: two chunks, not an endless run
         // of empty ones.
         assert_eq!(par_for_chunks(-1, i64::MAX, 2), 2);
-        // `total + threads - 1` and `spawn_overhead * threads` do not fit.
+        // `total + threads - 1` and `SPAWN_OVERHEAD * threads` do not fit.
         assert_eq!(par_for_chunks(0, 4, i64::MAX), 4);
         assert_eq!(par_for_chunks(0, 64, 4), 4);
         assert_eq!(par_for_chunks(5, 5, 4), 0);

@@ -65,11 +65,11 @@ fn main() {
     println!("native cycles:       {}", report.native.cycles);
     println!("janus cycles:        {}", report.parallel.cycles);
     println!("speedup:             {:.2}x (modelled)", report.speedup());
-    if report.os_threads_used() > 0 {
+    if report.parallel.stats.os_threads_used > 0 {
         println!(
             "os threads used:     {} (parallel wall time {:.4}s)",
-            report.os_threads_used(),
-            report.parallel_wall_seconds()
+            report.parallel.stats.os_threads_used,
+            report.parallel.stats.parallel_wall_nanos as f64 / 1e9
         );
     }
     println!("outputs match:       {}", report.outputs_match);

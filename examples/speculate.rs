@@ -47,8 +47,8 @@ fn main() {
             name,
             spec.parallel.stats.spec_invocations,
             spec.parallel.stats.spec_iterations,
-            spec.spec_aborts(),
-            spec.spec_retries(),
+            spec.parallel.stats.spec_aborts,
+            spec.parallel.stats.spec_retries(),
             serial.speedup(),
             spec.speedup(),
         );
