@@ -53,13 +53,12 @@ const STM_COMMIT_COST: u64 = 16;
 
 /// The most iterations one speculative invocation may take; a longer one
 /// runs sequentially. The guest chooses the trip count, and the engine keeps
-/// about 200 bytes of state per iteration before the first guest access:
-/// the scheduler's status slot (48), the multi-version store's write-set
-/// slot (32), the iteration's read-set slot and payload (64) and the
-/// payload handed back (40). The cap bounds that
-/// at about 13 MiB per invocation, where 2⁴⁰ iterations would ask the
-/// allocator for hundreds of TiB. The suite's largest invocation is 4 410
-/// iterations (`spec.histogram`).
+/// about 150 bytes of state per iteration before the first guest access:
+/// the scheduler's status slot (40), the ranges of the iteration's write set
+/// and read set (16 each), its payload slot (40) and the payload handed back
+/// (40). The cap bounds that at about 10 MiB per invocation, where 2⁴⁰
+/// iterations would ask the allocator for hundreds of TiB. The suite's
+/// largest invocation is 4 410 iterations (`spec.histogram`).
 pub const MAX_SPECULATIVE_ITERATIONS: usize = 1 << 16;
 
 /// How a scalar variable location is encoded inside rewrite-rule data words.

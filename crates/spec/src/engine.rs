@@ -3,7 +3,7 @@
 //! dependents of failed iterations, and accounts everything in deterministic
 //! virtual time.
 
-use crate::mv::{MvMemory, ReadEntry, ReadOrigin, ReadResult, ViewBuffers};
+use crate::mv::{Arena, MvStore, ReadEntry, ReadOrigin, ReadResult, ViewBuffers};
 use crate::scheduler::{Lanes, Scheduler, Task};
 use crate::{SpecError, SpecStats};
 use janus_vm::{GuestMemory, PeekMemory};
@@ -58,35 +58,6 @@ impl<P> fmt::Debug for SpecOutcome<P> {
     }
 }
 
-/// Per-iteration bookkeeping kept between tasks: the latest completed
-/// incarnation's read set, sorted by word (the vector is reused by the next
-/// incarnation), and payload.
-struct IterData<P> {
-    reads: Vec<ReadEntry>,
-    payload: Option<P>,
-}
-
-impl<P> Default for IterData<P> {
-    fn default() -> Self {
-        IterData {
-            reads: Vec::new(),
-            payload: None,
-        }
-    }
-}
-
-impl<P> IterData<P> {
-    /// Keeps what a finished incarnation left in `buffers` and returned.
-    /// The read set is copied, not swapped in: a copy has exactly the
-    /// capacity it needs, where the view's buffer keeps its growth slack.
-    fn store(&mut self, buffers: &ViewBuffers, payload: P) {
-        self.reads.clear();
-        self.reads.reserve_exact(buffers.reads.len());
-        self.reads.extend_from_slice(&buffers.reads);
-        self.payload = Some(payload);
-    }
-}
-
 /// Runs `iterations` speculative loop iterations over `base` memory, charging
 /// tasks to `lanes` virtual workers.
 ///
@@ -125,9 +96,12 @@ where
         });
     }
 
-    let mv = MvMemory::new(iterations);
+    let mut mv = MvStore::new(iterations);
     let sched = Scheduler::new(iterations);
-    let mut data: Vec<IterData<P>> = (0..iterations).map(|_| IterData::default()).collect();
+    // Each iteration's latest completed incarnation: its read set, sorted by
+    // word, and its payload.
+    let mut reads: Arena<ReadEntry> = Arena::new(iterations);
+    let mut payloads: Vec<Option<P>> = (0..iterations).map(|_| None).collect();
     let mut buffers = ViewBuffers::default();
 
     let max_tasks = (iterations as u64)
@@ -174,7 +148,8 @@ where
                                 buffers.writes.iter().map(|(w, v)| (w, v)),
                                 done_at,
                             );
-                            data[iteration].store(&buffers, run.payload);
+                            reads.store(iteration, &buffers.reads);
+                            payloads[iteration] = Some(run.payload);
                             sched.finish_execution(iteration, changed);
                         }
                     }
@@ -196,9 +171,9 @@ where
             }
             Task::Validation { iteration, .. } => {
                 stats.validations += 1;
-                let reads = &data[iteration].reads;
-                let ok = validate(&mv, &*base, iteration, reads);
-                let mut cost = VALIDATE_BASE_COST + reads.len() as u64 * VALIDATE_READ_COST;
+                let read_set = reads.get(iteration);
+                let ok = validate(&mv, &*base, iteration, read_set);
+                let mut cost = VALIDATE_BASE_COST + read_set.len() as u64 * VALIDATE_READ_COST;
                 if !ok {
                     stats.aborts += 1;
                     cost += ABORT_COST;
@@ -221,9 +196,9 @@ where
     }
     stats.versioned_words = image.len() as u64;
 
-    let payloads: Vec<P> = data
+    let payloads: Vec<P> = payloads
         .into_iter()
-        .map(|d| d.payload.expect("validated iteration has a payload"))
+        .map(|p| p.expect("validated iteration has a payload"))
         .collect();
     Ok(SpecOutcome {
         stats,
@@ -236,7 +211,7 @@ where
 /// multi-version state: a read is still good when it would re-resolve to the
 /// same version (read-from check) or, failing that, to the same value (value
 /// check — the JudoSTM trick that forgives silent re-writes).
-fn validate<M: PeekMemory>(mv: &MvMemory, base: &M, iteration: usize, reads: &[ReadEntry]) -> bool {
+fn validate<M: PeekMemory>(mv: &MvStore, base: &M, iteration: usize, reads: &[ReadEntry]) -> bool {
     reads.iter().all(
         |&(word, (origin, value))| match mv.read(word, iteration, u64::MAX) {
             ReadResult::Blocked(_) => false,

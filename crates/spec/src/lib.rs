@@ -12,14 +12,16 @@
 //!
 //! ## Architecture
 //!
-//! * [`MvMemory`] — a **multi-version guest-memory store** keyed by
+//! * [`MvStore`] — a **multi-version guest-memory store** keyed by
 //!   `(word address, iteration)`, indexed on the same
 //!   [`janus_vm::PageTable`] radix as the copy-on-write overlay and layered
 //!   over [`janus_vm::GuestMemory`]. A speculative read
 //!   by iteration *i* observes the highest write below *i* that is *visible
 //!   at the reader's virtual start time*; aborted incarnations leave
 //!   *estimate* markers that block readers instead of letting them execute
-//!   into a doomed validation.
+//!   into a doomed validation. The engine owns it: no lock, and write sets
+//!   are ranges into one buffer per invocation. [`MvMemory`] is the same
+//!   store behind a lock, kept only for the ledger's micro-benchmarks.
 //! * [`SpecView`] — the per-incarnation view: buffered writes, first-read
 //!   origin+value tracking, byte accesses composed through aligned words,
 //!   over [`ViewBuffers`] its engine reuses from incarnation to incarnation.
@@ -114,8 +116,8 @@ pub mod scheduler;
 
 pub use engine::{run_speculative, IterationRun, SpecOutcome};
 pub use mv::{
-    Incarnation, Iteration, MvMemory, ReadEntry, ReadOrigin, ReadResult, SpecView, ViewBuffers,
-    ViewStats,
+    Incarnation, Iteration, MvMemory, MvStore, ReadEntry, ReadOrigin, ReadResult, SpecView,
+    ViewBuffers, ViewStats,
 };
 pub use scheduler::Lanes;
 

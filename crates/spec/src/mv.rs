@@ -1,7 +1,7 @@
 //! The multi-version guest-memory store and the per-iteration speculative
 //! view.
 //!
-//! [`MvMemory`] keeps, for every 64-bit-aligned guest word, the latest value
+//! [`MvStore`] keeps, for every 64-bit-aligned guest word, the latest value
 //! each iteration's most recent incarnation wrote there, ordered by
 //! iteration. A speculative read by iteration `i` observes the
 //! value written by the *highest iteration below `i`* — exactly the Block-STM
@@ -36,19 +36,19 @@
 //! guest addresses left is the page table's keyed spill for pages above its
 //! radix.
 //!
-//! ## Locks without threads
+//! ## One owner
 //!
-//! The speculation engine drives the store from one thread, yet it is
-//! `Sync` and every operation takes `&self`: the page table sits behind one
-//! [`RwLock`] (a `record` or an estimate conversion takes it for writing
-//! once, for its whole write set) and per-iteration write-set bookkeeping
-//! behind per-iteration [`Mutex`]es. The reason is the ledger's
-//! micro-benchmarks, which share one `&MvMemory` across reader threads to
-//! price the read path. Uncontended, the behaviour is bit-identical to an
-//! unshared store.
+//! The engine drives one invocation's store from one thread, and owns it:
+//! [`MvStore`] takes `&mut self` to record and `&self` to read, with no lock
+//! and no atomic. Each iteration's latest write set is a range into one
+//! word buffer per invocation (an [`Arena`]), so recording an incarnation
+//! allocates nothing once the buffer has grown. [`MvMemory`] is that store
+//! behind an [`RwLock`], kept only for the ledger's micro-benchmarks, which
+//! share one `&MvMemory` across reader threads; it goes once the ledger
+//! drives an [`MvStore`] directly (ROADMAP.md, item 1).
 
 use janus_vm::{BasePages, GuestMemory, PageTable, PeekMemory};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 /// Index of a loop iteration inside one speculative invocation.
 pub type Iteration = usize;
@@ -129,31 +129,99 @@ pub enum ReadResult {
     Blocked(Iteration),
 }
 
-/// The multi-version memory: `(word address, iteration) -> value`, layered
-/// over a base memory that is only read, never written, until the final
-/// commit. `Sync`, for the reason the module docs give.
+/// One set per iteration (its latest incarnation's write set in the store,
+/// its read set in the engine), each a `(start, len)` range into one buffer
+/// per invocation. A set no longer than the one it replaces takes that one's
+/// place, so the buffer grows only when an iteration's set does.
 #[derive(Debug)]
-pub struct MvMemory {
-    pages: RwLock<PageTable<Box<Page>>>,
-    /// The words written by the latest incarnation of each iteration, sorted,
-    /// used to remove stale entries when the next incarnation writes less.
-    last_writes: Vec<Mutex<Vec<u64>>>,
+pub(crate) struct Arena<T> {
+    ranges: Vec<(usize, usize)>,
+    items: Vec<T>,
+    /// One past the highest iteration that has stored a set.
+    high: usize,
 }
 
-impl MvMemory {
+impl<T: Copy> Arena<T> {
+    /// Empty sets for `iterations` iterations.
+    pub(crate) fn new(iterations: usize) -> Arena<T> {
+        Arena {
+            ranges: vec![(0, 0); iterations],
+            items: Vec::new(),
+            high: 0,
+        }
+    }
+
+    /// `iteration`'s latest set.
+    pub(crate) fn get(&self, iteration: Iteration) -> &[T] {
+        let (start, len) = self.ranges[iteration];
+        &self.items[start..start + len]
+    }
+
+    /// Makes `set` `iteration`'s latest set.
+    pub(crate) fn store(&mut self, iteration: Iteration, set: &[T]) {
+        self.reserve(iteration, set.len());
+        let start = self.items.len();
+        self.items.extend_from_slice(set);
+        self.replace(iteration, start);
+    }
+
+    /// Makes room for `additional` items of `iteration`'s next set. A full
+    /// buffer grows to what all iterations would take at the average set
+    /// size so far, at least doubling and at most 256 times what it must
+    /// hold: a loop whose iterations touch alike grows it twice (up to 2¹⁶
+    /// iterations), not once per doubling, and a loop whose first
+    /// iterations touch the most cannot reserve without bound.
+    fn reserve(&mut self, iteration: Iteration, additional: usize) {
+        self.high = self.high.max(iteration + 1);
+        let need = self.items.len() + additional;
+        if need > self.items.capacity() {
+            let projected = need.saturating_mul(self.ranges.len()) / self.high;
+            let target = projected.min(need.saturating_mul(256));
+            self.items
+                .reserve_exact(target.max(need.saturating_mul(2)) - self.items.len());
+        }
+    }
+
+    /// Makes the items pushed since the buffer was `start` long
+    /// `iteration`'s latest set.
+    fn replace(&mut self, iteration: Iteration, start: usize) {
+        let len = self.items.len() - start;
+        let range = &mut self.ranges[iteration];
+        if len <= range.1 {
+            self.items.copy_within(start.., range.0);
+            self.items.truncate(start);
+            range.1 = len;
+        } else {
+            *range = (start, len);
+        }
+    }
+}
+
+/// The multi-version store of one invocation: `(word address, iteration) ->
+/// value`, layered over a base memory that is only read, never written,
+/// until the final commit. Owned by the engine (see the module docs).
+#[derive(Debug)]
+pub struct MvStore {
+    pages: PageTable<Box<Page>>,
+    /// The words written by the latest incarnation of each iteration, sorted,
+    /// used to remove stale entries when the next incarnation writes less.
+    last_writes: Arena<u64>,
+}
+
+impl MvStore {
     /// An empty store for an invocation of `iterations` iterations.
     #[must_use]
-    pub fn new(iterations: usize) -> MvMemory {
-        MvMemory {
-            pages: RwLock::default(),
-            last_writes: (0..iterations).map(|_| Mutex::new(Vec::new())).collect(),
+    pub fn new(iterations: usize) -> MvStore {
+        MvStore {
+            pages: PageTable::default(),
+            last_writes: Arena::new(iterations),
         }
     }
 
     /// Calls `f(word, versions)` for every word holding at least one
     /// version, in ascending address order.
     fn for_each_word(&self, mut f: impl FnMut(u64, &Versions)) {
-        for (page, words) in self.pages.read().expect("mv pages poisoned").iter() {
+        for (page, words) in self.pages.iter() {
             for (index, versions) in words.iter().enumerate() {
                 if !versions.is_empty() {
                     f((page << PAGE_SHIFT) | (index as u64) << 3, versions);
@@ -168,8 +236,7 @@ impl MvMemory {
     #[must_use]
     pub fn read(&self, word: u64, iteration: Iteration, now: u64) -> ReadResult {
         let (page, index) = split(word);
-        let pages = self.pages.read().expect("mv pages poisoned");
-        let Some(words) = pages.get(page) else {
+        let Some(words) = self.pages.get(page) else {
             return ReadResult::Base;
         };
         let versions = &words[index];
@@ -204,25 +271,24 @@ impl MvMemory {
     /// are removed. Returns `true` when the incarnation wrote to a word its
     /// predecessor did not touch (Block-STM's `wrote_new_location`).
     pub fn record<'w>(
-        &self,
+        &mut self,
         iteration: Iteration,
         incarnation: Incarnation,
         writes: impl IntoIterator<Item = (&'w u64, &'w u64)>,
         at: u64,
     ) -> bool {
-        let mut last = self.last_writes[iteration]
-            .lock()
-            .expect("mv write set poisoned");
-        let mut pages = self.pages.write().expect("mv pages poisoned");
+        let MvStore { pages, last_writes } = self;
         let mut wrote_new = false;
-        let previous = last.len();
+        let writes = writes.into_iter();
+        last_writes.reserve(iteration, writes.size_hint().0);
+        let start = last_writes.items.len();
         for (&word, &value) in writes {
             let entry = Entry::Data {
                 incarnation,
                 value,
                 at,
             };
-            let versions = versions_mut(&mut pages, word);
+            let versions = versions_mut(pages, word);
             match slot(versions, iteration) {
                 Ok(pos) => versions[pos].1 = entry,
                 Err(pos) => {
@@ -230,35 +296,29 @@ impl MvMemory {
                     wrote_new = true;
                 }
             }
-            last.push(word);
+            last_writes.items.push(word);
         }
-        // The previous write set is `last[..previous]`, the new one follows
-        // it; sorting an already sorted buffer is a linear pass.
-        last[previous..].sort_unstable();
-        let (old, new) = last.split_at(previous);
-        let mut new = new.iter().peekable();
-        for &word in old {
+        // Sorting an already sorted buffer is a linear pass.
+        last_writes.items[start..].sort_unstable();
+        let mut new = last_writes.items[start..].iter().peekable();
+        for &word in last_writes.get(iteration) {
             while new.next_if(|&&w| w < word).is_some() {}
             if new.peek() != Some(&&word) {
-                let versions = versions_mut(&mut pages, word);
+                let versions = versions_mut(pages, word);
                 if let Ok(pos) = slot(versions, iteration) {
                     versions.remove(pos);
                 }
             }
         }
-        last.drain(..previous);
+        last_writes.replace(iteration, start);
         wrote_new
     }
 
     /// Replaces every entry of `iteration`'s latest incarnation with an
     /// estimate marker (called when the incarnation is aborted).
-    pub fn convert_writes_to_estimates(&self, iteration: Iteration, at: u64) {
-        let last = self.last_writes[iteration]
-            .lock()
-            .expect("mv write set poisoned");
-        let mut pages = self.pages.write().expect("mv pages poisoned");
-        for &word in last.iter() {
-            let versions = versions_mut(&mut pages, word);
+    pub fn convert_writes_to_estimates(&mut self, iteration: Iteration, at: u64) {
+        for &word in self.last_writes.get(iteration) {
+            let versions = versions_mut(&mut self.pages, word);
             if let Ok(pos) = slot(versions, iteration) {
                 versions[pos].1 = Entry::Estimate { at };
             }
@@ -277,6 +337,40 @@ impl MvMemory {
             }
         });
         out
+    }
+}
+
+/// An [`MvStore`] behind a lock, for the ledger's micro-benchmarks: they
+/// share one `&MvMemory` across reader threads. Every method locks and
+/// delegates. It goes once the ledger drives an [`MvStore`] directly
+/// (ROADMAP.md, item 1).
+#[derive(Debug)]
+pub struct MvMemory(RwLock<MvStore>);
+
+impl MvMemory {
+    /// [`MvStore::new`].
+    #[must_use]
+    pub fn new(iterations: usize) -> MvMemory {
+        MvMemory(RwLock::new(MvStore::new(iterations)))
+    }
+
+    /// [`MvStore::read`].
+    #[must_use]
+    pub fn read(&self, word: u64, iteration: Iteration, now: u64) -> ReadResult {
+        let store = self.0.read().expect("mv store poisoned");
+        store.read(word, iteration, now)
+    }
+
+    /// [`MvStore::record`].
+    pub fn record<'w>(
+        &self,
+        iteration: Iteration,
+        incarnation: Incarnation,
+        writes: impl IntoIterator<Item = (&'w u64, &'w u64)>,
+        at: u64,
+    ) -> bool {
+        let mut store = self.0.write().expect("mv store poisoned");
+        store.record(iteration, incarnation, writes, at)
     }
 }
 
@@ -307,7 +401,7 @@ pub struct ViewBuffers {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// A per-incarnation speculative view over `MvMemory` + base memory.
+/// A per-incarnation speculative view over an [`MvStore`] and base memory.
 ///
 /// Reads consult the incarnation's own write buffer first, then the
 /// multi-version store (restricted to entries visible at the incarnation's
@@ -322,7 +416,7 @@ pub struct ViewBuffers {
 pub struct SpecView<'a, M: PeekMemory> {
     base: &'a M,
     base_pages: BasePages<'a>,
-    mv: &'a MvMemory,
+    mv: &'a MvStore,
     iteration: Iteration,
     /// Virtual time at which this incarnation started executing.
     now: u64,
@@ -336,7 +430,7 @@ impl<'a, M: PeekMemory> SpecView<'a, M> {
     /// `now`, over emptied `buffers`.
     pub fn new(
         base: &'a M,
-        mv: &'a MvMemory,
+        mv: &'a MvStore,
         iteration: Iteration,
         now: u64,
         buffers: &'a mut ViewBuffers,
@@ -452,7 +546,7 @@ mod tests {
 
     /// Records a write set given as `(word, value)` pairs.
     fn record(
-        mv: &MvMemory,
+        mv: &mut MvStore,
         iteration: Iteration,
         incarnation: Incarnation,
         writes: &[(u64, u64)],
@@ -467,14 +561,14 @@ mod tests {
     }
 
     /// Every version of every word, in address then iteration order.
-    fn versions(mv: &MvMemory) -> Vec<(u64, Versions)> {
+    fn versions(mv: &MvStore) -> Vec<(u64, Versions)> {
         let mut out = Vec::new();
         mv.for_each_word(|word, versions| out.push((word, versions.clone())));
         out
     }
 
     /// Estimate markers live in the store.
-    fn estimates(mv: &MvMemory) -> usize {
+    fn estimates(mv: &MvStore) -> usize {
         let versions = versions(mv);
         let entries = versions.iter().flat_map(|(_, v)| v);
         entries
@@ -484,9 +578,9 @@ mod tests {
 
     #[test]
     fn reads_observe_highest_visible_lower_iteration() {
-        let mv = MvMemory::new(8);
-        assert!(record(&mv, 2, 0, &[(0x1000, 22)], 10));
-        assert!(record(&mv, 5, 0, &[(0x1000, 55)], 30));
+        let mut mv = MvStore::new(8);
+        assert!(record(&mut mv, 2, 0, &[(0x1000, 22)], 10));
+        assert!(record(&mut mv, 5, 0, &[(0x1000, 55)], 30));
         // Iteration 7, started at t=40: sees iteration 5.
         assert_eq!(
             mv.read(0x1000, 7, 40),
@@ -516,13 +610,13 @@ mod tests {
 
     #[test]
     fn estimates_block_readers_and_rerecording_clears_them() {
-        let mv = MvMemory::new(8);
-        record(&mv, 3, 0, &[(0x2000, 7)], 5);
+        let mut mv = MvStore::new(8);
+        record(&mut mv, 3, 0, &[(0x2000, 7)], 5);
         mv.convert_writes_to_estimates(3, 6);
         assert_eq!(mv.read(0x2000, 4, 10), ReadResult::Blocked(3));
         assert_eq!(estimates(&mv), 1);
         // The next incarnation writes elsewhere: the estimate is removed.
-        record(&mv, 3, 1, &[(0x2008, 8)], 12);
+        record(&mut mv, 3, 1, &[(0x2008, 8)], 12);
         assert_eq!(mv.read(0x2000, 4, 20), ReadResult::Base);
         assert_eq!(estimates(&mv), 0);
         assert_eq!(
@@ -539,14 +633,14 @@ mod tests {
 
     #[test]
     fn rerecording_a_smaller_write_set_removes_the_stale_versions() {
-        let mv = MvMemory::new(4);
+        let mut mv = MvStore::new(4);
         // Three pages, out of address order, under two iterations.
         let wide = [(0x5010, 1), (0x3000, 2), (0x7ff8, 3), (0x3008, 4)];
-        record(&mv, 1, 0, &wide, 1);
-        record(&mv, 2, 0, &[(0x3000, 9)], 2);
+        record(&mut mv, 1, 0, &wide, 1);
+        record(&mut mv, 2, 0, &[(0x3000, 9)], 2);
         // Iteration 1 re-executes writing two of its four words, one of them
         // a word it did not write before.
-        record(&mv, 1, 1, &[(0x7ff8, 30), (0x4000, 40)], 3);
+        record(&mut mv, 1, 1, &[(0x7ff8, 30), (0x4000, 40)], 3);
         assert_eq!(
             mv.final_image(),
             [(0x3000, 9), (0x4000, 40), (0x7ff8, 30)],
@@ -555,24 +649,33 @@ mod tests {
         assert_eq!(mv.read(0x3000, 2, u64::MAX), ReadResult::Base);
         assert_eq!(mv.read(0x5010, 3, u64::MAX), ReadResult::Base);
         // An empty write set removes everything the iteration wrote.
-        record(&mv, 1, 2, &[], 4);
+        record(&mut mv, 1, 2, &[], 4);
         assert_eq!(mv.final_image(), [(0x3000, 9)]);
-        assert_eq!(*mv.last_writes[1].lock().unwrap(), Vec::<u64>::new());
-        assert_eq!(*mv.last_writes[2].lock().unwrap(), [0x3000]);
+        assert_eq!(mv.last_writes.get(1), []);
+        assert_eq!(mv.last_writes.get(2), [0x3000]);
     }
 
     #[test]
     fn wrote_new_is_true_only_for_new_words() {
-        let mv = MvMemory::new(4);
-        assert!(record(&mv, 1, 0, &[(0x10, 1), (0x18, 2)], 1), "first write");
-        assert!(!record(&mv, 1, 1, &[(0x18, 3), (0x10, 4)], 2), "same words");
-        assert!(!record(&mv, 1, 2, &[(0x10, 5)], 3), "a subset");
-        assert!(record(&mv, 1, 3, &[(0x10, 6), (0x18, 7)], 4), "0x18 again");
-        assert!(!record(&mv, 1, 4, &[], 5), "nothing");
+        let mut mv = MvStore::new(4);
+        assert!(
+            record(&mut mv, 1, 0, &[(0x10, 1), (0x18, 2)], 1),
+            "first write"
+        );
+        assert!(
+            !record(&mut mv, 1, 1, &[(0x18, 3), (0x10, 4)], 2),
+            "same words"
+        );
+        assert!(!record(&mut mv, 1, 2, &[(0x10, 5)], 3), "a subset");
+        assert!(
+            record(&mut mv, 1, 3, &[(0x10, 6), (0x18, 7)], 4),
+            "0x18 again"
+        );
+        assert!(!record(&mut mv, 1, 4, &[], 5), "nothing");
         // Another iteration's versions of the same words do not count.
-        record(&mv, 1, 5, &[(0x10, 8)], 6);
-        assert!(record(&mv, 2, 0, &[(0x10, 9)], 7));
-        assert!(!record(&mv, 2, 1, &[(0x10, 9)], 8));
+        record(&mut mv, 1, 5, &[(0x10, 8)], 6);
+        assert!(record(&mut mv, 2, 0, &[(0x10, 9)], 7));
+        assert!(!record(&mut mv, 2, 1, &[(0x10, 9)], 8));
     }
 
     #[test]
@@ -586,22 +689,25 @@ mod tests {
             (0, 1, vec![(0x5000, 7), (0x2000, 8)]),
             (3, 1, vec![(0x1ff8, 9), (0x1000, 10), (0x0, 11)]),
         ];
-        let from_maps = MvMemory::new(4);
-        let from_sorted = MvMemory::new(4);
+        let mut from_maps = MvStore::new(4);
+        let mut from_sorted = MvStore::new(4);
         for (at, (iteration, incarnation, mut sorted)) in sets.into_iter().enumerate() {
             let map: HashMap<u64, u64> = sorted.iter().copied().collect();
             sorted.sort_unstable();
             assert_eq!(
                 from_maps.record(iteration, incarnation, &map, at as u64),
-                record(&from_sorted, iteration, incarnation, &sorted, at as u64),
+                record(&mut from_sorted, iteration, incarnation, &sorted, at as u64),
                 "wrote_new of set {at}"
             );
         }
         from_maps.convert_writes_to_estimates(1, 9);
         from_sorted.convert_writes_to_estimates(1, 9);
         assert_eq!(versions(&from_maps), versions(&from_sorted));
-        for (a, b) in from_maps.last_writes.iter().zip(&from_sorted.last_writes) {
-            assert_eq!(*a.lock().unwrap(), *b.lock().unwrap());
+        for iteration in 0..4 {
+            assert_eq!(
+                from_maps.last_writes.get(iteration),
+                from_sorted.last_writes.get(iteration)
+            );
         }
     }
 
@@ -609,7 +715,7 @@ mod tests {
     fn view_buffers_writes_and_records_first_read() {
         let mut base = FlatMemory::new();
         base.write_u64(0x3000, 9);
-        let mv = MvMemory::new(1);
+        let mv = MvStore::new(1);
         let mut buffers = ViewBuffers::default();
         let mut view = SpecView::new(&base, &mv, 0, 0, &mut buffers);
         assert_eq!(view.read_u64(0x3000), 9);
@@ -630,16 +736,14 @@ mod tests {
         for word in [0x1000, 0x2000, 0x3000] {
             base.write_u64(word, word);
         }
-        let mv = MvMemory::new(2);
+        let mv = MvStore::new(2);
         let mut buffers = ViewBuffers::default();
         let mut view = SpecView::new(&base, &mv, 1, 0, &mut buffers);
-        for word in [0x3000, 0x1000, 0x2000, 0x1000] {
+        // Repeated reads count, but are answered from the read set: one
+        // entry per word, holding the value first observed.
+        for word in [0x3000, 0x1000, 0x2000, 0x1000, 0x1000] {
             assert_eq!(view.read_u64(word), word);
         }
-        // A lower iteration writes 0x1000 meanwhile: the view keeps the value
-        // it first observed.
-        record(&mv, 0, 0, &[(0x1000, 7)], 0);
-        assert_eq!(view.read_u64(0x1000), 0x1000);
         for word in [0x2008, 0x0ff8, 0x2008] {
             view.write_u64(word, 1);
         }
@@ -659,7 +763,7 @@ mod tests {
     fn byte_accesses_compose_through_words() {
         let mut base = FlatMemory::new();
         base.write_u64(0x1000, 0x1122_3344_5566_7788);
-        let mv = MvMemory::new(1);
+        let mv = MvStore::new(1);
         let mut buffers = ViewBuffers::default();
         let mut view = SpecView::new(&base, &mv, 0, 0, &mut buffers);
         assert_eq!(view.read_u8(0x1001), 0x77);
@@ -670,11 +774,49 @@ mod tests {
 
     #[test]
     fn final_image_takes_the_highest_iteration_per_word() {
-        let mv = MvMemory::new(8);
-        record(&mv, 0, 0, &[(0x10, 1)], 1);
-        record(&mv, 4, 0, &[(0x10, 5), (0x18, 6)], 2);
-        record(&mv, 2, 0, &[(0x10, 3)], 3);
+        let mut mv = MvStore::new(8);
+        record(&mut mv, 0, 0, &[(0x10, 1)], 1);
+        record(&mut mv, 4, 0, &[(0x10, 5), (0x18, 6)], 2);
+        record(&mut mv, 2, 0, &[(0x10, 3)], 3);
         assert_eq!(mv.final_image(), vec![(0x10, 5), (0x18, 6)]);
+    }
+
+    /// The ledger's reader threads share `&MvMemory`.
+    const _: () = {
+        const fn shared<T: Send + Sync>() {}
+        shared::<MvMemory>();
+    };
+
+    #[test]
+    fn the_shim_answers_as_the_store_does() {
+        let sets = [
+            (1, 0, vec![(0x1000, 1), (0x2000, 2)]),
+            (3, 0, vec![(0x1008, 3), (0x1000, 4)]),
+            (0, 0, vec![(0x5000, 5)]),
+            (1, 1, vec![(0x1008, 6)]),
+            (3, 1, vec![]),
+        ];
+        let shim = MvMemory::new(4);
+        let mut store = MvStore::new(4);
+        for (at, (iteration, incarnation, writes)) in sets.into_iter().enumerate() {
+            let at = at as u64 * 10;
+            let pairs = writes.iter().map(|(w, v)| (w, v));
+            assert_eq!(
+                shim.record(iteration, incarnation, pairs, at),
+                record(&mut store, iteration, incarnation, &writes, at)
+            );
+            for (word, reader, now) in [0x1000, 0x1008, 0x2000, 0x5000]
+                .into_iter()
+                .flat_map(|word| (0..4).map(move |reader| (word, reader)))
+                .flat_map(|(word, reader)| [0, at, u64::MAX].map(|now| (word, reader, now)))
+            {
+                assert_eq!(
+                    shim.read(word, reader, now),
+                    store.read(word, reader, now),
+                    "word {word:#x}, reader {reader}, now {now}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -689,7 +831,7 @@ mod tests {
                     for k in 0..8usize {
                         let iteration = t * 8 + k;
                         let word = 0x9000 + (iteration as u64 % 16) * 8;
-                        record(mv, iteration, 0, &[(word, iteration as u64)], 1);
+                        mv.record(iteration, 0, [(&word, &(iteration as u64))], 1);
                         // The write is immediately visible to higher readers.
                         match mv.read(word, iteration + 1, u64::MAX) {
                             ReadResult::Versioned(_, _) => {}
@@ -699,7 +841,7 @@ mod tests {
                 });
             }
         });
-        let image = mv.final_image();
+        let image = mv.0.into_inner().unwrap().final_image();
         assert_eq!(image.len(), 16);
         // Each word keeps the highest of the four iterations that wrote it.
         assert!(image.iter().all(|&(_, v)| v >= 48), "{image:?}");

@@ -2,18 +2,19 @@
 //! machine, plus the virtual worker lanes that account every task in
 //! virtual time.
 //!
-//! ## Locks without threads
+//! ## One thread, shared references
 //!
-//! Every method takes `&self`: the two task frontiers are atomics (lowered
-//! with `fetch_min` when aborts invalidate downstream work) and each
-//! iteration's `(incarnation, status, dependents)` sits behind its own
-//! [`Mutex`]. The one engine, [`crate::run_speculative`], drives the
-//! scheduler from a single thread, so none of these is ever contended; the
-//! `&self` surface stays because the ledger's micro-benchmarks drive a
-//! `Scheduler` through a shared reference. The task sequence is
-//! bit-identical to the original sequential scheduler (kept as the
-//! test-only `reference` model and compared task for task), which keeps the
-//! virtual-time engine reproducible.
+//! The one engine, [`crate::run_speculative`], drives the scheduler from a
+//! single thread, so its state is plain [`Cell`]s: the two task frontiers
+//! and the dispatch and validation counts, and each iteration's
+//! `(incarnation, status)` plus two links of an intrusive list of the
+//! iterations blocked on it. Nothing is locked or allocated per task, and
+//! the scheduler is `Send` but not `Sync`. Every method still takes
+//! `&self`, because the ledger's micro-benchmarks drive a `Scheduler`
+//! through a shared binding. The task sequence is bit-identical to the
+//! original sequential scheduler (kept as the test-only `reference` model
+//! and compared task for task), which keeps the virtual-time engine
+//! reproducible.
 //!
 //! ## Blocking on an iteration that has already executed
 //!
@@ -27,8 +28,7 @@
 //! this.
 
 use crate::mv::{Incarnation, Iteration};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 #[cfg(test)]
 mod reference;
@@ -41,9 +41,10 @@ mod reference;
 ///        |   (estimate read)|    (validation failure)
 ///        +--- Aborting <----+---------------+
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Status {
     /// The next incarnation may be dispatched.
+    #[default]
     ReadyToExecute,
     /// An incarnation is executing.
     Executing,
@@ -73,12 +74,15 @@ pub enum Task {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 struct IterState {
     incarnation: Incarnation,
     status: Status,
-    /// Iterations blocked on an estimate this iteration wrote.
-    dependents: Vec<Iteration>,
+    /// The first of the iterations blocked on an estimate this iteration
+    /// wrote; each links to the next through its own `next_dependent`.
+    dependents: Option<Iteration>,
+    /// The next iteration blocked on the same iteration as this one.
+    next_dependent: Option<Iteration>,
 }
 
 /// The collaborative scheduler (see the module docs for why it takes
@@ -100,15 +104,20 @@ struct IterState {
 /// in-flight window) instead of O(iterations^2).
 #[derive(Debug)]
 pub struct Scheduler {
-    states: Vec<Mutex<IterState>>,
-    execution_idx: AtomicUsize,
-    validation_idx: AtomicUsize,
+    states: Vec<Cell<IterState>>,
+    execution_idx: Cell<usize>,
+    validation_idx: Cell<usize>,
     /// One past the highest iteration ever dispatched.
-    dispatched: AtomicUsize,
-    validated: AtomicUsize,
-    /// Iteration-state visits (locks taken), for the complexity test.
+    dispatched: Cell<usize>,
+    validated: Cell<usize>,
+    /// Iteration-state visits, for the complexity test.
     #[cfg(test)]
-    visits: AtomicUsize,
+    visits: Cell<usize>,
+}
+
+/// Lowers `counter` to `value` if that is below it.
+fn lower(counter: &Cell<usize>, value: usize) {
+    counter.set(counter.get().min(value));
 }
 
 impl Scheduler {
@@ -116,49 +125,45 @@ impl Scheduler {
     #[must_use]
     pub fn new(n: usize) -> Scheduler {
         Scheduler {
-            states: (0..n)
-                .map(|_| {
-                    Mutex::new(IterState {
-                        incarnation: 0,
-                        status: Status::ReadyToExecute,
-                        dependents: Vec::new(),
-                    })
-                })
-                .collect(),
-            execution_idx: AtomicUsize::new(0),
-            validation_idx: AtomicUsize::new(0),
-            dispatched: AtomicUsize::new(0),
-            validated: AtomicUsize::new(0),
+            states: vec![Cell::default(); n],
+            execution_idx: Cell::new(0),
+            validation_idx: Cell::new(0),
+            dispatched: Cell::new(0),
+            validated: Cell::new(0),
             #[cfg(test)]
-            visits: AtomicUsize::new(0),
+            visits: Cell::new(0),
         }
     }
 
-    fn state(&self, iteration: Iteration) -> std::sync::MutexGuard<'_, IterState> {
+    /// Applies `f` to `iteration`'s state and returns what it returns.
+    fn update<R>(&self, iteration: Iteration, f: impl FnOnce(&mut IterState) -> R) -> R {
         #[cfg(test)]
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        self.states[iteration]
-            .lock()
-            .expect("iteration state poisoned")
+        self.visits.set(self.visits.get() + 1);
+        let cell = &self.states[iteration];
+        let mut state = cell.get();
+        let out = f(&mut state);
+        cell.set(state);
+        out
     }
 
     /// `true` once every iteration has validated.
     #[must_use]
     pub fn done(&self) -> bool {
-        self.validated.load(Ordering::SeqCst) == self.states.len()
+        self.validated.get() == self.states.len()
     }
 
     /// An iteration's incarnation and whether it has validated.
     #[cfg(test)]
     fn status(&self, iteration: Iteration) -> (Incarnation, bool) {
-        let s = self.state(iteration);
-        (s.incarnation, s.status == Status::Validated)
+        self.update(iteration, |s| {
+            (s.incarnation, s.status == Status::Validated)
+        })
     }
 
     /// Picks the next task, preferring the lower-indexed frontier and
     /// validation over execution at equal index (Block-STM's task order).
     pub fn next_task(&self) -> Option<Task> {
-        if self.validation_idx.load(Ordering::SeqCst) <= self.execution_idx.load(Ordering::SeqCst) {
+        if self.validation_idx.get() <= self.execution_idx.get() {
             self.next_validation().or_else(|| self.next_execution())
         } else {
             self.next_execution().or_else(|| self.next_validation())
@@ -167,17 +172,21 @@ impl Scheduler {
 
     fn next_execution(&self) -> Option<Task> {
         loop {
-            let i = self.execution_idx.fetch_add(1, Ordering::SeqCst);
+            let i = self.execution_idx.replace(self.execution_idx.get() + 1);
             if i >= self.states.len() {
                 return None;
             }
-            let mut s = self.state(i);
-            if s.status == Status::ReadyToExecute {
-                s.status = Status::Executing;
-                self.dispatched.fetch_max(i + 1, Ordering::SeqCst);
+            let incarnation = self.update(i, |s| {
+                (s.status == Status::ReadyToExecute).then(|| {
+                    s.status = Status::Executing;
+                    s.incarnation
+                })
+            });
+            if let Some(incarnation) = incarnation {
+                self.dispatched.set(self.dispatched.get().max(i + 1));
                 return Some(Task::Execution {
                     iteration: i,
-                    incarnation: s.incarnation,
+                    incarnation,
                 });
             }
         }
@@ -187,16 +196,11 @@ impl Scheduler {
         loop {
             // Stop *before* claiming an index at the high-water mark, so the
             // frontier never passes an iteration nobody examined.
-            if self.validation_idx.load(Ordering::SeqCst) >= self.dispatched.load(Ordering::SeqCst)
-            {
+            if self.validation_idx.get() >= self.dispatched.get() {
                 return None;
             }
-            let i = self.validation_idx.fetch_add(1, Ordering::SeqCst);
-            if i >= self.states.len() {
-                return None;
-            }
-            let s = self.state(i);
-            if s.status == Status::Executed {
+            let i = self.validation_idx.replace(self.validation_idx.get() + 1);
+            if self.update(i, |s| s.status) == Status::Executed {
                 return Some(Task::Validation { iteration: i });
             }
         }
@@ -207,17 +211,17 @@ impl Scheduler {
     /// previous incarnation's (new or removed words): everything above must
     /// then be revalidated. Iterations blocked on this one are resumed.
     pub fn finish_execution(&self, iteration: Iteration, changed_locations: bool) {
-        let (incarnation, deps) = {
-            let mut s = self.state(iteration);
+        let (incarnation, mut dependent) = self.update(iteration, |s| {
             debug_assert_eq!(s.status, Status::Executing);
             s.status = Status::Executed;
-            (s.incarnation, std::mem::take(&mut s.dependents))
-        };
+            (s.incarnation, s.dependents.take())
+        });
         if changed_locations || incarnation > 0 {
             self.demote_validated_above(iteration);
         }
-        self.validation_idx.fetch_min(iteration, Ordering::SeqCst);
-        for d in deps {
+        lower(&self.validation_idx, iteration);
+        while let Some(d) = dependent {
+            dependent = self.update(d, |s| s.next_dependent.take());
             self.resume(d);
         }
     }
@@ -226,19 +230,21 @@ impl Scheduler {
     /// for its next incarnation and every validated iteration above it is
     /// demoted (its reads may have observed the aborted writes).
     pub fn finish_validation(&self, iteration: Iteration, aborted: bool) {
-        let mut s = self.state(iteration);
-        debug_assert_eq!(s.status, Status::Executed);
+        self.update(iteration, |s| {
+            debug_assert_eq!(s.status, Status::Executed);
+            if aborted {
+                s.status = Status::ReadyToExecute;
+                s.incarnation += 1;
+            } else {
+                s.status = Status::Validated;
+            }
+        });
         if aborted {
-            s.status = Status::ReadyToExecute;
-            s.incarnation += 1;
-            drop(s);
-            self.execution_idx.fetch_min(iteration, Ordering::SeqCst);
+            lower(&self.execution_idx, iteration);
             self.demote_validated_above(iteration);
-            self.validation_idx
-                .fetch_min(iteration + 1, Ordering::SeqCst);
+            lower(&self.validation_idx, iteration + 1);
         } else {
-            s.status = Status::Validated;
-            self.validated.fetch_add(1, Ordering::SeqCst);
+            self.validated.set(self.validated.get() + 1);
         }
     }
 
@@ -248,22 +254,18 @@ impl Scheduler {
     /// resumed immediately (see the module docs).
     pub fn abort_on_dependency(&self, iteration: Iteration, blocking: Iteration) {
         debug_assert!(blocking < iteration);
-        {
-            let mut s = self.state(iteration);
+        let parked = self.update(blocking, |b| match b.status {
+            Status::Executed | Status::Validated => None,
+            _ => Some(b.dependents.replace(iteration)),
+        });
+        self.update(iteration, |s| {
             debug_assert_eq!(s.status, Status::Executing);
             s.status = Status::Aborting;
-        }
-        let resume_now = {
-            let mut b = self.state(blocking);
-            match b.status {
-                Status::Executed | Status::Validated => true,
-                _ => {
-                    b.dependents.push(iteration);
-                    false
-                }
+            if let Some(next) = parked {
+                s.next_dependent = next;
             }
-        };
-        if resume_now {
+        });
+        if parked.is_none() {
             self.resume(iteration);
         }
     }
@@ -274,35 +276,32 @@ impl Scheduler {
     /// executing caller's own index is always below it).
     #[must_use]
     pub fn highest_unvalidated_below(&self, iteration: Iteration) -> Option<Iteration> {
-        let top = iteration.min(self.dispatched.load(Ordering::SeqCst));
+        let top = iteration.min(self.dispatched.get());
         (0..top)
             .rev()
-            .find(|&j| self.state(j).status != Status::Validated)
+            .find(|&j| self.update(j, |s| s.status) != Status::Validated)
     }
 
     fn resume(&self, iteration: Iteration) {
-        {
-            let mut s = self.state(iteration);
+        self.update(iteration, |s| {
             debug_assert_eq!(s.status, Status::Aborting);
             s.status = Status::ReadyToExecute;
             s.incarnation += 1;
-        }
-        self.execution_idx.fetch_min(iteration, Ordering::SeqCst);
+        });
+        lower(&self.execution_idx, iteration);
     }
 
     fn demote_validated_above(&self, iteration: Iteration) {
-        for j in iteration + 1..self.dispatched.load(Ordering::SeqCst) {
-            let demoted = {
-                let mut s = self.state(j);
-                if s.status == Status::Validated {
+        for j in iteration + 1..self.dispatched.get() {
+            let demoted = self.update(j, |s| {
+                let validated = s.status == Status::Validated;
+                if validated {
                     s.status = Status::Executed;
-                    true
-                } else {
-                    false
                 }
-            };
+                validated
+            });
             if demoted {
-                self.validated.fetch_sub(1, Ordering::SeqCst);
+                self.validated.set(self.validated.get() - 1);
             }
         }
     }
@@ -509,6 +508,43 @@ mod tests {
         );
     }
 
+    /// Several iterations parked on one executing iteration all resume when
+    /// it finishes: the intrusive list keeps every one of them, not only the
+    /// latest.
+    #[test]
+    fn every_iteration_parked_on_one_resumes() {
+        let s = Scheduler::new(4);
+        for i in 0..4 {
+            assert_eq!(
+                s.next_task(),
+                Some(Task::Execution {
+                    iteration: i,
+                    incarnation: 0
+                })
+            );
+        }
+        for i in 1..4 {
+            s.abort_on_dependency(i, 0);
+            assert_eq!(s.status(i), (0, false), "{i} is parked, not resumed");
+        }
+        s.finish_execution(0, true);
+        for i in 1..4 {
+            assert_eq!(s.status(i), (1, false), "{i} resumed");
+        }
+        let mut executed = Vec::new();
+        while let Some(task) = s.next_task() {
+            match task {
+                Task::Execution { iteration, .. } => {
+                    executed.push(iteration);
+                    s.finish_execution(iteration, false);
+                }
+                Task::Validation { iteration } => s.finish_validation(iteration, false),
+            }
+        }
+        assert!(s.done());
+        assert_eq!(executed, [1, 2, 3]);
+    }
+
     /// What the coordinator does with one popped task, drawn from the
     /// proptest's random stream.
     #[derive(Debug, Clone, Copy)]
@@ -595,7 +631,7 @@ mod tests {
             }
         }
         assert!(s.done());
-        let visits = s.visits.load(Ordering::Relaxed);
+        let visits = s.visits.get();
         assert!(visits <= 16 * n, "{visits} state visits for {n} iterations");
     }
 
