@@ -27,7 +27,7 @@ fn guest(target: Option<u64>, fp: Option<i64>) -> (JBinary, u64, u64) {
     let build = |target: u64| {
         let mut asm = AsmBuilder::new();
         asm.function("main");
-        let fp = fp.map_or(Operand::reg(Reg::SP), Operand::imm);
+        let fp = fp.map_or_else(|| Operand::reg(Reg::SP), Operand::imm);
         asm.push(Inst::mov(Operand::reg(Reg::FP), fp));
         asm.push(Inst::mov(Operand::reg(Reg::R0), Operand::imm(0)));
         asm.push(Inst::mov(

@@ -206,3 +206,26 @@ fn transactional_loops_commit_in_chunk_order_on_the_pool() {
         }
     }
 }
+
+#[test]
+fn one_lane_transactional_loops_run_in_place() {
+    // At T = 1 the native backend runs the loop's one chunk in place, as
+    // virtual time does: nothing to commit, re-run or merge.
+    for body in [Body::Pow, Body::SharedMemset, Body::ReadsFirstElement] {
+        let at = format!("{body:?} at T=1");
+        let (virt, _) = run(body, 1, BackendKind::VirtualTime);
+        let (native, rerun) = run(body, 1, BackendKind::NativeThreads);
+        assert_eq!(virt.stats.parallel_invocations, 1, "{at}");
+        assert_eq!(native.exit_code, virt.exit_code, "{at}");
+        assert_eq!(native.output_ints, virt.output_ints, "{at}");
+        assert_eq!(native.memory_digest, virt.memory_digest, "{at}");
+        assert_eq!(native.cycles, virt.cycles, "{at}");
+        assert_eq!(native.stats.retired, virt.stats.retired, "{at}");
+        assert_eq!(native.stats.stm_transactions, N as u64, "{at}");
+        assert_eq!(rerun, None, "{at}");
+        let merged = native.stats.merge_pages_merged + native.stats.merge_pages_skipped;
+        assert_eq!(merged, 0, "{at}");
+        assert_eq!(native.stats.os_threads_used, 1, "{at}");
+        assert!(native.stats.parallel_wall_nanos > 0, "{at}");
+    }
+}

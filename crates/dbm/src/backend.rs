@@ -237,8 +237,9 @@ pub(crate) struct BatchOutcome {
     /// also when some chunks were then run again in order on the calling
     /// thread.
     pub(crate) os_threads: u64,
-    /// What the page-aware overlay merge did (all-zero under virtual time,
-    /// which writes straight to shared memory and has nothing to merge).
+    /// What the page-aware overlay merge did (all-zero under virtual time
+    /// and for a one-lane batch, which write straight to shared memory and
+    /// have nothing to merge).
     pub(crate) merge: MergeStats,
 }
 
@@ -280,8 +281,8 @@ pub(crate) type SpecBody<'a> =
 
 /// Runs `plans[results.len()..]` one after another on the calling thread
 /// over `mem`, counting block executions straight into `cache`: the whole
-/// batch under virtual time, and the native backend's in-order re-run of
-/// the chunks it could not commit.
+/// batch under virtual time or on one lane, and the native backend's
+/// in-order re-run of the chunks it could not commit.
 fn run_in_order(
     ctx: &ChunkContext<'_>,
     plans: &[ChunkPlan],
@@ -419,6 +420,109 @@ fn reads_are_current(fx: &ChunkSideEffects, earlier: &[ChunkOverlay]) -> bool {
     fx.stm_aborts == 0 && !fx.tx.reads.iter().any(stale)
 }
 
+/// Runs a batch of `lanes` > 1 lanes on the native backend: chunk 0 of each
+/// wave on the calling thread and the rest on `pool`, each over a private
+/// [`CowMemory`] view of `mem`, then commits them in chunk order and merges
+/// their overlays into `mem`. Chunks it cannot commit run again in order.
+fn run_on_pool(
+    ctx: &ChunkContext<'_>,
+    plans: &[ChunkPlan],
+    lanes: usize,
+    mem: &mut FlatMemory,
+    cache: &mut CodeCache,
+    pool: &mut ChunkPool,
+) -> Result<(Vec<Cpu>, ChunkSideEffects, MergeStats)> {
+    // The batch owns the image (an O(1) move): workers read it through
+    // their own handles, which they drop before reporting, so once every
+    // chunk has reported the image comes back whole.
+    let image = Arc::new(std::mem::take(mem));
+    // One wave of `threads` chunks at a time, the first of each on this
+    // thread, so the pool never holds more than `threads - 1` workers.
+    // Only the adaptive tuner plans more chunks than threads.
+    let mut outs = Vec::with_capacity(plans.len());
+    for (wave, wave_plans) in plans.chunks(lanes).enumerate() {
+        let first = wave * lanes;
+        let rest: Vec<Job<ViewOut>> = wave_plans
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(j, plan)| {
+                let (parts, loop_id) = (Arc::clone(ctx.parts), ctx.loop_id);
+                let (config, recorder) = (*ctx.config, ctx.recorder.clone());
+                let (image, plan) = (Arc::clone(&image), plan.clone());
+                Box::new(move || {
+                    let ctx = ChunkContext {
+                        parts: &parts,
+                        loop_id,
+                        lr: &parts.loops[&loop_id],
+                        config: &config,
+                        recorder: &recorder,
+                    };
+                    run_on_view(&ctx, &image, &plan, first + j)
+                }) as Job<ViewOut>
+            })
+            .collect();
+        let local = || run_on_view(ctx, &image, &wave_plans[0], first);
+        outs.extend(pool.fork_join(local, rest));
+    }
+    *mem = Arc::try_unwrap(image).expect("every chunk dropped its image handle before reporting");
+
+    // Commit in chunk order. Chunk 0 saw exactly what it would have seen
+    // in order; a later chunk commits only if it finished, nothing
+    // before it escaped its window and its transactions read nothing an
+    // earlier chunk wrote. The first chunk that fails ends the committed
+    // prefix: it and every chunk after it are discarded (overlay, block
+    // counts, output) and run again below, in order over the merged
+    // image, as the virtual-time backend runs them.
+    let merge_span = ctx
+        .recorder
+        .span("dbm.chunk", "chunk.merge")
+        .arg("chunks", plans.len());
+    let mut results = Vec::with_capacity(plans.len());
+    let mut effects = ChunkSideEffects::default();
+    let mut overlays = Vec::with_capacity(plans.len());
+    let mut contained = true;
+    for out in outs {
+        let first = overlays.is_empty();
+        let (result, overlay, fx, counts) = match out {
+            Ok(out) if first || contained && reads_are_current(&out.2, &overlays) => out,
+            Err(e) if first => return Err(e),
+            _ => break,
+        };
+        // Nothing written where a later chunk could see it, and no
+        // untracked re-run of an aborted transaction.
+        contained &= !fx.tx.escaped && fx.stm_aborts == 0;
+        overlays.push(overlay);
+        effects.absorb(fx);
+        cache.absorb(&counts);
+        results.push(result);
+    }
+    // Dirty bytes splice over the shared image in chunk order (later
+    // chunks win on whole-byte overlaps, which a legal DOALL cannot
+    // produce). The merge is page-aware: untouched base pages are
+    // skipped outright, and the merged image is bit-identical to the
+    // word-by-word replay.
+    let merge = merge_chunk_overlays(mem, &overlays, 1);
+    drop(
+        merge_span
+            .arg("pages_merged", merge.pages_merged)
+            .arg("pages_skipped", merge.pages_skipped),
+    );
+    if results.len() < plans.len() {
+        ctx.recorder.instant(
+            "dbm.chunk",
+            "chunk.rerun",
+            &[
+                ("loop", ctx.loop_id.into()),
+                ("from", results.len().into()),
+                ("chunks", plans.len().into()),
+            ],
+        );
+        run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
+    }
+    Ok((results, effects, merge))
+}
+
 impl BackendKind {
     /// Executes the planned chunks of one parallel-loop invocation and
     /// merges all memory effects into `mem` and all block executions into
@@ -427,8 +531,10 @@ impl BackendKind {
     /// shared code cache, and only the modelled clock is parallel. The
     /// native-threads backend runs chunk 0 on the calling thread and the
     /// rest on `pool`, the run's parked worker threads, over copy-on-write
-    /// views merged in chunk order. Modelled cycles go through the same lane
-    /// accounting either way; wall-clock time and thread counts come on top.
+    /// views merged in chunk order; a batch of one lane (`threads` = 1, or a
+    /// single chunk) runs as under virtual time. Modelled cycles go through
+    /// the same lane accounting either way; wall-clock time and thread
+    /// counts come on top.
     ///
     /// # Errors
     ///
@@ -441,126 +547,29 @@ impl BackendKind {
         cache: &mut CodeCache,
         pool: &mut ChunkPool,
     ) -> Result<BatchOutcome> {
-        match self {
-            BackendKind::VirtualTime => {
-                let mut results = Vec::with_capacity(plans.len());
-                let mut effects = ChunkSideEffects::default();
-                run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
-                let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
-                Ok(BatchOutcome {
-                    results,
-                    effects,
-                    parallel_cycles,
-                    wall_nanos: 0,
-                    os_threads: 0,
-                    merge: MergeStats::default(),
-                })
-            }
-            BackendKind::NativeThreads => {
-                let start = Instant::now();
-                // The batch owns the image (an O(1) move): workers read it through
-                // their own handles, which they drop before reporting, so once every
-                // chunk has reported the image comes back whole.
-                let image = Arc::new(std::mem::take(mem));
-                // One wave of `threads` chunks at a time, the first of each on this
-                // thread, so the pool never holds more than `threads - 1` workers.
-                // Only the adaptive tuner plans more chunks than threads.
-                let lanes = (ctx.config.threads.max(1) as usize).min(plans.len());
-                let mut outs = Vec::with_capacity(plans.len());
-                for (wave, wave_plans) in plans.chunks(lanes).enumerate() {
-                    let first = wave * lanes;
-                    let rest: Vec<Job<ViewOut>> = wave_plans
-                        .iter()
-                        .enumerate()
-                        .skip(1)
-                        .map(|(j, plan)| {
-                            let (parts, loop_id) = (Arc::clone(ctx.parts), ctx.loop_id);
-                            let (config, recorder) = (*ctx.config, ctx.recorder.clone());
-                            let (image, plan) = (Arc::clone(&image), plan.clone());
-                            Box::new(move || {
-                                let ctx = ChunkContext {
-                                    parts: &parts,
-                                    loop_id,
-                                    lr: &parts.loops[&loop_id],
-                                    config: &config,
-                                    recorder: &recorder,
-                                };
-                                run_on_view(&ctx, &image, &plan, first + j)
-                            }) as Job<ViewOut>
-                        })
-                        .collect();
-                    let local = || run_on_view(ctx, &image, &wave_plans[0], first);
-                    outs.extend(pool.fork_join(local, rest));
-                }
-                *mem = Arc::try_unwrap(image)
-                    .expect("every chunk dropped its image handle before reporting");
-
-                // Commit in chunk order. Chunk 0 saw exactly what it would have seen
-                // in order; a later chunk commits only if it finished, nothing
-                // before it escaped its window and its transactions read nothing an
-                // earlier chunk wrote. The first chunk that fails ends the committed
-                // prefix: it and every chunk after it are discarded (overlay, block
-                // counts, output) and run again below, in order over the merged
-                // image, as the virtual-time backend runs them.
-                let merge_span = ctx
-                    .recorder
-                    .span("dbm.chunk", "chunk.merge")
-                    .arg("chunks", plans.len());
-                let mut results = Vec::with_capacity(plans.len());
-                let mut effects = ChunkSideEffects::default();
-                let mut overlays = Vec::with_capacity(plans.len());
-                let mut contained = true;
-                for out in outs {
-                    let first = overlays.is_empty();
-                    let (result, overlay, fx, counts) = match out {
-                        Ok(out) if first || contained && reads_are_current(&out.2, &overlays) => {
-                            out
-                        }
-                        Err(e) if first => return Err(e),
-                        _ => break,
-                    };
-                    // Nothing written where a later chunk could see it, and no
-                    // untracked re-run of an aborted transaction.
-                    contained &= !fx.tx.escaped && fx.stm_aborts == 0;
-                    overlays.push(overlay);
-                    effects.absorb(fx);
-                    cache.absorb(&counts);
-                    results.push(result);
-                }
-                // Dirty bytes splice over the shared image in chunk order (later
-                // chunks win on whole-byte overlaps, which a legal DOALL cannot
-                // produce). The merge is page-aware: untouched base pages are
-                // skipped outright, and the merged image is bit-identical to the
-                // word-by-word replay.
-                let merge = merge_chunk_overlays(mem, &overlays, 1);
-                drop(
-                    merge_span
-                        .arg("pages_merged", merge.pages_merged)
-                        .arg("pages_skipped", merge.pages_skipped),
-                );
-                if results.len() < plans.len() {
-                    ctx.recorder.instant(
-                        "dbm.chunk",
-                        "chunk.rerun",
-                        &[
-                            ("loop", ctx.loop_id.into()),
-                            ("from", results.len().into()),
-                            ("chunks", plans.len().into()),
-                        ],
-                    );
-                    run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
-                }
-                let parallel_cycles = modelled_parallel_cycles(ctx.config.threads, &results);
-                Ok(BatchOutcome {
-                    results,
-                    effects,
-                    parallel_cycles,
-                    wall_nanos: start.elapsed().as_nanos() as u64,
-                    os_threads: lanes as u64,
-                    merge,
-                })
-            }
-        }
+        let native = self == BackendKind::NativeThreads;
+        let start = Instant::now();
+        // A batch of one lane has nothing to run beside it: its chunks run in
+        // order, in place, exactly as under virtual time, with no view, no
+        // per-chunk counts and nothing to merge.
+        let lanes = (ctx.config.threads.max(1) as usize).min(plans.len());
+        let (results, effects, merge) = if native && lanes > 1 {
+            run_on_pool(ctx, plans, lanes, mem, cache, pool)?
+        } else {
+            let mut results = Vec::with_capacity(plans.len());
+            let mut effects = ChunkSideEffects::default();
+            run_in_order(ctx, plans, mem, cache, &mut results, &mut effects)?;
+            (results, effects, MergeStats::default())
+        };
+        let measured = |value: u64| if native { value } else { 0 };
+        Ok(BatchOutcome {
+            parallel_cycles: modelled_parallel_cycles(ctx.config.threads, &results),
+            results,
+            effects,
+            wall_nanos: measured(start.elapsed().as_nanos() as u64),
+            os_threads: measured(lanes as u64),
+            merge,
+        })
     }
 
     /// Runs one speculative (`SPECULATE`) loop invocation through the

@@ -45,7 +45,9 @@
 //!   [`janus_vm::CowMemory`] view — a private write overlay over the shared
 //!   read-only memory image — and the overlays are merged back in chunk order
 //!   once every chunk has reported, which reproduces the exact memory image
-//!   the virtual-time backend produces. Modelled cycles are charged through
+//!   the virtual-time backend produces. A batch of one lane (`threads` = 1,
+//!   or a single chunk) has nothing to run beside it and runs in place, as
+//!   under virtual time. Modelled cycles are charged through
 //!   the same worker-lane code path (so cycle counts remain deterministic and
 //!   comparable), while wall-clock time and the number of OS threads that
 //!   ran chunks are additionally reported in
@@ -320,9 +322,11 @@ pub struct DbmStats {
     pub tune_sequential_decisions: u64,
     /// Mapped guest pages the page-aware overlay merge skipped because no
     /// chunk dirtied them, summed over parallel invocations. 0 under the
-    /// virtual-time backend (no overlays to merge).
+    /// virtual-time backend and for one-lane native batches (`threads` = 1,
+    /// or a single chunk), which run in place and have no overlays to merge.
     pub merge_pages_skipped: u64,
-    /// Pages the overlay merge actually visited, summed over invocations.
+    /// Pages the overlay merge actually visited, summed over invocations
+    /// (0 where [`DbmStats::merge_pages_skipped`] is, for the same reason).
     pub merge_pages_merged: u64,
 }
 

@@ -758,8 +758,8 @@ impl Dbm {
                 ("iterations", pending.iterations.into()),
                 (
                     "predicted_nanos",
-                    pending.predicted_nanos.map_or(
-                        janus_obs::ArgValue::Str("none".to_string()),
+                    pending.predicted_nanos.map_or_else(
+                        || janus_obs::ArgValue::Str("none".to_string()),
                         janus_obs::ArgValue::U64,
                     ),
                 ),
@@ -965,8 +965,8 @@ impl Dbm {
                     ("iterations", (iterations as u64).into()),
                     (
                         "predicted_nanos",
-                        outcome.predicted_nanos.map_or(
-                            janus_obs::ArgValue::Str("none".to_string()),
+                        outcome.predicted_nanos.map_or_else(
+                            || janus_obs::ArgValue::Str("none".to_string()),
                             janus_obs::ArgValue::U64,
                         ),
                     ),

@@ -185,14 +185,14 @@ fn decode_operand(addr: u64, bytes: &[u8]) -> Result<Option<Operand>> {
 }
 
 fn expect_operand(addr: u64, op: Option<Operand>) -> Result<Operand> {
-    op.ok_or(IrError::InvalidOperand {
+    op.ok_or_else(|| IrError::InvalidOperand {
         addr,
         reason: "missing operand".to_string(),
     })
 }
 
 fn expect_reg(addr: u64, raw: u8) -> Result<Reg> {
-    Reg::from_raw(raw).ok_or(IrError::InvalidOperand {
+    Reg::from_raw(raw).ok_or_else(|| IrError::InvalidOperand {
         addr,
         reason: format!("invalid register field {raw}"),
     })

@@ -294,20 +294,33 @@ impl FlatMemory {
     }
 
     /// A deterministic digest of the guest-visible memory image (FNV-1a over
-    /// the mapped pages in address order). Pages holding only zero bytes are
-    /// skipped, so an unwritten page and a page written with zeroes — which
-    /// are indistinguishable to the guest — digest identically. Access
-    /// statistics do not contribute. Used to assert that two execution
-    /// backends left behind the same final memory image.
+    /// each mapped page's number, little-endian, then its bytes, in address
+    /// order). Pages holding only zero bytes are skipped, so an unwritten
+    /// page and a page written with zeroes — which are indistinguishable to
+    /// the guest — digest identically. Access statistics do not contribute.
+    /// Used to assert that two execution backends left behind the same final
+    /// memory image.
+    ///
+    /// FNV-1a folds a zero byte in as one multiply by its prime P, so a zero
+    /// word is one multiply by P⁸: pages are hashed word by word, and only
+    /// non-zero words go through the byte loop. The value is still FNV-1a,
+    /// byte for byte.
     #[must_use]
     pub fn image_digest(&self) -> u64 {
-        use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET};
+        use janus_ir::digest::{fnv1a_update, FNV1A_OFFSET, FNV1A_PRIME};
+        const ZERO_WORD: u64 = FNV1A_PRIME.wrapping_pow(8);
         let mut h = FNV1A_OFFSET;
         for (page, &frame) in self.table.iter() {
             let bytes = &self.frames[frame as usize];
             if bytes.iter().any(|b| *b != 0) {
                 h = fnv1a_update(h, &page.to_le_bytes());
-                h = fnv1a_update(h, &bytes[..]);
+                for word in bytes.chunks_exact(8) {
+                    h = if word == [0; 8] {
+                        h.wrapping_mul(ZERO_WORD)
+                    } else {
+                        fnv1a_update(h, word)
+                    };
+                }
             }
         }
         h
@@ -391,6 +404,7 @@ impl GuestMemory for FlatMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn unmapped_memory_reads_zero() {
@@ -461,6 +475,70 @@ mod tests {
         assert_eq!(a.image_digest(), b.image_digest());
         a.write_u64(0x4008, 1);
         assert_ne!(a.image_digest(), b.image_digest());
+    }
+
+    /// Byte-serial FNV-1a over `page.to_le_bytes() ++ page bytes` for each
+    /// non-zero page of a byte model, in ascending page order: what
+    /// `image_digest` must equal, computed without its zero-word shortcut.
+    fn reference_digest(model: &BTreeMap<u64, u8>) -> u64 {
+        let mut pages = BTreeMap::new();
+        for (&addr, &byte) in model {
+            let (page, off) = FlatMemory::page_of(addr);
+            pages.entry(page).or_insert([0u8; PAGE_SIZE])[off] = byte;
+        }
+        let mut stream = Vec::new();
+        for (page, bytes) in pages.iter().filter(|(_, b)| b.iter().any(|&x| x != 0)) {
+            stream.extend_from_slice(&page.to_le_bytes());
+            stream.extend_from_slice(bytes);
+        }
+        janus_ir::digest::fnv1a(&stream)
+    }
+
+    fn write_word(mem: &mut FlatMemory, model: &mut BTreeMap<u64, u8>, addr: u64, value: u64) {
+        mem.write_u64(addr, value);
+        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
+            model.insert(addr + i as u64, byte);
+        }
+    }
+
+    #[test]
+    fn image_digest_is_byte_serial_fnv1a_over_the_non_zero_pages() {
+        let mut mem = FlatMemory::new();
+        let mut model = BTreeMap::new();
+        // Zero and non-zero words mixed on one page.
+        let words = [7, 0, 0, u64::MAX, 0, 1 << 63, 0x0100];
+        for (i, value) in words.into_iter().enumerate() {
+            write_word(&mut mem, &mut model, 0x4000 + 8 * i as u64, value);
+        }
+        // A mapped page holding only zeroes.
+        write_word(&mut mem, &mut model, 0x9000, 0);
+        // A page whose only non-zero byte is its last.
+        mem.write_u8(0xa000 + 4095, 0x5a);
+        model.insert(0xa000 + 4095, 0x5a);
+        // A page far above the radix (2^19 pages), which spills.
+        write_word(&mut mem, &mut model, 0x7fff_0000_0ff8, 0xdead_beef);
+        assert_eq!(mem.mapped_pages(), 4);
+        assert_eq!(mem.image_digest(), reference_digest(&model));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn image_digest_matches_the_byte_serial_reference(
+            writes in proptest::collection::vec(
+                (0u64..4, 0u64..512, proptest::prelude::any::<u64>(), 0u8..3),
+                0..48,
+            ),
+        ) {
+            const PAGES: [u64; 4] = [0x10, 0x11, 0x3ff, 0x7_0000_0000];
+            let mut mem = FlatMemory::new();
+            let mut model = BTreeMap::new();
+            for &(page, word, value, kind) in &writes {
+                // One write in three is a zero word, one a single low byte.
+                let value = [0, value & 0xff, value][kind as usize];
+                write_word(&mut mem, &mut model, (PAGES[page as usize] << 12) + 8 * word, value);
+            }
+            proptest::prop_assert_eq!(mem.image_digest(), reference_digest(&model));
+        }
     }
 
     #[test]
