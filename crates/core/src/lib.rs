@@ -118,8 +118,7 @@ pub struct JanusConfig {
     /// [`DbmConfig::default`]; setting it `true` forces adaptation on.
     pub adaptive: bool,
     /// The base of the DBM configuration [`Janus::dbm_config`] builds. Janus
-    /// reads `cycle_limit` from it, combines `enable_speculation` with
-    /// [`JanusConfig::speculation`] (both must be on) and `adaptive` with
+    /// reads `cycle_limit` from it, combines `adaptive` with
     /// [`JanusConfig::adaptive`] (either turns it on), and overrides
     /// `threads`, `backend` and `enable_runtime_checks` with this config's
     /// threads, backend and mode.
@@ -787,7 +786,7 @@ impl Janus {
 
     /// The [`DbmConfig`] a measured run under this configuration uses: the
     /// configured cost knobs with the pipeline-level choices (threads,
-    /// backend, runtime checks, speculation) folded in. Exposed so serving
+    /// backend, runtime checks, adaptation) folded in. Exposed so serving
     /// layers derive per-job configurations exactly the way [`Janus::run`]
     /// does.
     #[must_use]
@@ -796,7 +795,6 @@ impl Janus {
             threads: self.config.threads,
             backend: self.config.backend,
             enable_runtime_checks: self.config.mode.uses_runtime_checks(),
-            enable_speculation: self.config.speculation && self.config.dbm.enable_speculation,
             adaptive: self.config.adaptive || self.config.dbm.adaptive,
             ..self.config.dbm
         }

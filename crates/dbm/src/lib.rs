@@ -82,7 +82,6 @@
 #![warn(missing_debug_implementations)]
 
 mod backend;
-mod meter;
 mod runtime;
 mod stm;
 mod tuner;
@@ -117,14 +116,10 @@ pub struct DbmConfig {
     pub threads: u32,
     /// Which backend runs parallel-loop chunks.
     pub backend: BackendKind,
-    /// Allow dynamic-DOALL loops: evaluate `MEM_BOUNDS_CHECK` rules and run
-    /// shared-library calls under the STM. When `false`, only rules for
-    /// statically proven loops are honoured.
+    /// Allow dynamic-DOALL loops: evaluate `MEM_BOUNDS_CHECK` rules, run
+    /// shared-library calls under the STM and honour `SPECULATE` rules. When
+    /// `false`, only rules for statically proven loops are honoured.
     pub enable_runtime_checks: bool,
-    /// Honour `SPECULATE` rules: run may-dependent loops under the
-    /// Block-STM-style iteration-level speculation engine (`janus-spec`).
-    /// When `false`, speculative loops fall back to sequential execution.
-    pub enable_speculation: bool,
     /// Ignored: see [`SpecCommitMode`]. Kept only for the ledger's
     /// `dbm.execute.raced` extra.
     pub spec_commit: SpecCommitMode,
@@ -149,7 +144,6 @@ impl Default for DbmConfig {
             threads: 8,
             backend: BackendKind::from_env(),
             enable_runtime_checks: true,
-            enable_speculation: true,
             spec_commit: SpecCommitMode::default(),
             cycle_limit: 200_000_000_000,
             adaptive: adaptive_from_env(),
@@ -251,7 +245,8 @@ impl fmt::Display for CycleBreakdown {
     }
 }
 
-/// Counters describing one execution under the DBM.
+/// Statistics of one execution under the DBM: the one source of its run,
+/// loop and speculation counts (a serving session meters them per job).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbmStats {
     /// Cycle breakdown by category.

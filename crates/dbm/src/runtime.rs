@@ -546,17 +546,7 @@ impl Dbm {
     ///
     /// Returns an error if guest execution faults or the cycle limit is
     /// exceeded.
-    fn run(self) -> Result<DbmRunResult> {
-        let backend = self.config.backend;
-        let result = self.run_inner();
-        match &result {
-            Ok(res) => crate::meter::record_run(backend, &res.stats, res.cycles, res.wall_nanos),
-            Err(_) => crate::meter::record_run_failure(backend),
-        }
-        result
-    }
-
-    fn run_inner(mut self) -> Result<DbmRunResult> {
+    fn run(mut self) -> Result<DbmRunResult> {
         let wall_start = Instant::now();
         // A second handle, so fetched instructions borrow from it, not `self`.
         let prepared = self.prepared.clone();
@@ -790,7 +780,7 @@ impl Dbm {
         // SPECULATE: may-dependent loops run under the iteration-level
         // speculation engine; bounds checks are subsumed by validation.
         if lr.speculative {
-            if !(self.config.enable_runtime_checks && self.config.enable_speculation) {
+            if !self.config.enable_runtime_checks {
                 self.stats.sequential_fallbacks += 1;
                 return Ok(false);
             }
@@ -926,9 +916,6 @@ impl Dbm {
         self.stats.breakdown.parallel += batch.parallel_cycles;
         self.stats.os_threads_used = self.stats.os_threads_used.max(batch.os_threads);
         self.stats.parallel_wall_nanos += batch.wall_nanos;
-        crate::meter::meter(self.config.backend)
-            .chunk_wall_nanos
-            .record(batch.wall_nanos);
         self.stats.merge_pages_skipped += batch.merge.pages_skipped;
         self.stats.merge_pages_merged += batch.merge.pages_merged;
         if batch.merge.pages_skipped > 0 {
@@ -1138,9 +1125,6 @@ impl Dbm {
         );
         self.mem = base;
         self.stats.parallel_wall_nanos += invocation.wall_nanos;
-        crate::meter::meter(self.config.backend)
-            .chunk_wall_nanos
-            .record(invocation.wall_nanos);
 
         let outcome = match invocation.result {
             Ok(outcome) => outcome,

@@ -315,12 +315,22 @@ impl Recorder {
     /// drop innermost-first, so spans nest structurally.
     #[must_use]
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard {
+        // One clock read for the timestamp and the duration's start: with
+        // two, a preemption between them shortens the span, and a nested
+        // span could end after it.
+        let (start_nanos, start) = match &self.inner {
+            Some(inner) => {
+                let now = Instant::now();
+                (now.duration_since(inner.epoch).as_nanos() as u64, Some(now))
+            }
+            None => (0, None),
+        };
         SpanGuard {
             rec: self.clone(),
             cat,
             name,
-            start_nanos: self.now_nanos(),
-            start: self.inner.as_ref().map(|_| Instant::now()),
+            start_nanos,
+            start,
             args: Vec::new(),
         }
     }

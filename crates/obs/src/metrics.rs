@@ -20,12 +20,10 @@
 //!   series); [`parse_exposition`] parses it back for round-trip tests and
 //!   scrape format checks.
 //!
-//! A process-wide default registry is available through [`global`]; layers
-//! that cannot thread a handle (the DBM hot path) meter against it, while
-//! components with a configuration surface (the serving session) own a
-//! registry — the configured one, or a fresh one each — so their counters
-//! are their own. A session's `/metrics` page renders its registry followed
-//! by the global families, so one scrape still covers the DBM.
+//! There is no process-wide registry: whoever owns a registry owns its
+//! counters. A serving session meters into the configured one or a fresh
+//! one of its own, DBM run counters included (counted from each job's
+//! returned stats), so its `/metrics` page covers only its own work.
 //!
 //! # Example
 //!
@@ -50,7 +48,7 @@ use crate::hist::{bucket_upper_bound, Histogram, BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A monotonically increasing counter. Recording is one relaxed atomic op.
@@ -179,7 +177,7 @@ struct RegistryInner {
 
 /// A registry of metric families. Cheap to clone (clones share state);
 /// `Registry::default()` / [`Registry::new`] build an empty independent
-/// registry, [`global`] returns the process-wide one.
+/// registry.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
@@ -199,12 +197,6 @@ impl Registry {
     #[must_use]
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// Whether this handle and `other` share one registry.
-    #[must_use]
-    pub fn same_as(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Registers (or retrieves) a counter series. Idempotent: the same
@@ -476,15 +468,6 @@ fn render_labels_with(labels: &[(&'static str, String)], extra: (&str, &str)) ->
     let _ = write!(out, "{}=\"{}\"", extra.0, escape_label_value(extra.1));
     out.push('}');
     out
-}
-
-/// The process-wide default registry. Layers that cannot thread a handle
-/// (the DBM's execution hot path) meter against it; every serving
-/// session's `/metrics` page appends it after the session's own registry.
-#[must_use]
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 // ---------------------------------------------------------------------------
@@ -779,12 +762,6 @@ mod tests {
         let registry = Registry::new();
         let _ = registry.counter("janus_conflict", "help", &[]);
         let _ = registry.gauge("janus_conflict", "help", &[]);
-    }
-
-    #[test]
-    fn global_registry_is_one_instance() {
-        assert!(global().same_as(global()));
-        assert!(!global().same_as(&Registry::new()));
     }
 
     #[test]

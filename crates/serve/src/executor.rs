@@ -721,16 +721,17 @@ fn run_job(
         .arg("job", id.0)
         .arg("tenant", job.tenant.as_deref().unwrap_or(DEFAULT_TENANT))
         .arg("digest", format!("{digest:#018x}"));
-    let hydrate = |pipeline: PipelineArtifacts| {
+    let build_error = |reason: String| ServeError::Build { digest, reason };
+    let artifact_of = |pipeline: PipelineArtifacts| {
+        let process = Process::load(&job.binary).map_err(|e| build_error(e.to_string()))?;
+        let prepared = PreparedDbm::new(process, &pipeline.schedule, shared.janus.dbm_config());
+        Ok(Artifact::new(pipeline, prepared))
+    };
+    let hydrate = |pipeline| {
         let _span = trace
             .span("serve.job", "disk.hydrate")
             .arg("digest", format!("{digest:#018x}"));
-        let process = Process::load(&job.binary).map_err(|e| ServeError::Build {
-            digest,
-            reason: e.to_string(),
-        })?;
-        let prepared = PreparedDbm::new(process, &pipeline.schedule, shared.janus.dbm_config());
-        Ok(Artifact::new(pipeline, prepared))
+        artifact_of(pipeline)
     };
     let artifact = {
         let _span = trace
@@ -740,16 +741,8 @@ fn run_job(
             let pipeline = shared
                 .janus
                 .prepare(&job.binary, &shared.config.train_input)
-                .map_err(|e| ServeError::Build {
-                    digest,
-                    reason: e.to_string(),
-                })?;
-            let process = Process::load(&job.binary).map_err(|e| ServeError::Build {
-                digest,
-                reason: e.to_string(),
-            })?;
-            let prepared = PreparedDbm::new(process, &pipeline.schedule, shared.janus.dbm_config());
-            Ok(Artifact::new(pipeline, prepared))
+                .map_err(|e| build_error(e.to_string()))?;
+            artifact_of(pipeline)
         })
     }?;
 
@@ -769,6 +762,8 @@ fn run_job(
             .arg("threads", config.threads);
         artifact.prepared.execute_traced(&job.input, config, trace)
     }
+    .inspect(|run| shared.meter.dbm.record_run(config.backend, &run.stats))
+    .inspect_err(|_| shared.meter.dbm.record_failure(config.backend))
     .map_err(ServeError::Execution)?;
     let exec_nanos = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     shared.meter.hist_execute.record(exec_nanos);

@@ -203,13 +203,12 @@ pub struct ServeConfig {
     /// Address (`"host:port"`, e.g. `"127.0.0.1:9100"` or `"127.0.0.1:0"`
     /// for an ephemeral port) to serve live telemetry on: a dependency-free
     /// HTTP/1.0 endpoint answering `GET /metrics` (Prometheus exposition of
-    /// the session's registry followed by the process-global one, which
-    /// carries the DBM's families), `/healthz` (liveness + saturation verdict),
-    /// `/statusz` (JSON snapshot of [`ServeStats`], per-tenant queues and
-    /// SLO attainment) and `/tracez` (Chrome trace, when
-    /// [`ServeConfig::trace`] is enabled). `None` (the default) serves no
-    /// endpoint. The listener shuts down with the session. See
-    /// [`telemetry`].
+    /// the session's registry, its jobs' DBM counters included), `/healthz`
+    /// (liveness + saturation verdict), `/statusz` (JSON snapshot of
+    /// [`ServeStats`], per-tenant queues and SLO attainment) and `/tracez`
+    /// (Chrome trace, when [`ServeConfig::trace`] is enabled). `None` (the
+    /// default) serves no endpoint. The listener shuts down with the
+    /// session. See [`telemetry`].
     pub telemetry_addr: Option<String>,
 }
 

@@ -8,10 +8,13 @@
 //! accessors, `/statusz` and `/metrics` all read them. A session meters
 //! into [`ServeConfig::metrics`](crate::ServeConfig::metrics) when one is
 //! configured and into a fresh registry of its own otherwise, so its
-//! counters are never another session's. Handles are registered once at
-//! session start; every event site is a relaxed atomic op on a cached
-//! `Arc` — no locks, no allocation on the hot path.
+//! counters are never another session's. That holds for the DBM families
+//! too: they are counted from each job's returned [`DbmStats`], never from
+//! runs outside the session. Handles are registered once at session start;
+//! every event site is a relaxed atomic op on a cached `Arc` — no locks, no
+//! allocation on the hot path.
 
+use janus_dbm::{BackendKind, DbmStats};
 use janus_obs::metrics::{Counter, Gauge, Registry};
 use janus_obs::Histogram;
 use std::sync::Arc;
@@ -121,6 +124,101 @@ impl StoreMeter {
     }
 }
 
+/// A DBM counter family: name, help, and what one completed run adds.
+type DbmCounter = (&'static str, &'static str, fn(&DbmStats) -> u64);
+
+/// The DBM counter families a session counts from its jobs' returned
+/// [`DbmStats`].
+#[rustfmt::skip]
+const DBM_COUNTERS: [DbmCounter; 14] = [
+    ("janus_dbm_runs_total",
+     "Guest programs run to completion under DBM control.", |_| 1),
+    ("janus_dbm_guest_cycles_total",
+     "Modelled guest cycles consumed by completed runs.", |s| s.breakdown.total()),
+    ("janus_dbm_parallel_invocations_total",
+     "Loop invocations executed in parallel (chunked).", |s| s.parallel_invocations),
+    ("janus_dbm_sequential_fallbacks_total",
+     "Parallel-candidate invocations that fell back to sequential \
+      execution (failed bounds check or too few iterations).", |s| s.sequential_fallbacks),
+    ("janus_dbm_tune_parallel_decisions_total",
+     "Adaptive-tuner decisions that chose or kept parallel execution.",
+     |s| s.tune_parallel_decisions),
+    ("janus_dbm_tune_sequential_decisions_total",
+     "Adaptive-tuner decisions that forced the sequential path.", |s| s.tune_sequential_decisions),
+    ("janus_dbm_merge_pages_skipped_total",
+     "Guest pages the page-aware overlay merge skipped untouched.", |s| s.merge_pages_skipped),
+    ("janus_dbm_merge_pages_merged_total",
+     "Guest pages the overlay merge actually visited.", |s| s.merge_pages_merged),
+    ("janus_spec_invocations_total",
+     "Loop invocations executed under iteration-level speculation.", |s| s.spec_invocations),
+    ("janus_spec_executions_total",
+     "Iteration incarnations executed to completion.", |s| s.spec_executions),
+    ("janus_spec_validations_total",
+     "Validation tasks performed by the speculative engine.", |s| s.spec_validations),
+    ("janus_spec_aborts_total",
+     "Speculative aborts (failed validations, estimate stalls, \
+      retried faults). Abort rate = aborts / executions.", |s| s.spec_aborts),
+    ("janus_spec_retries_total",
+     "Conflict-driven iteration re-executions beyond the first \
+      incarnation.", DbmStats::spec_retries),
+    ("janus_spec_fallbacks_total",
+     "Speculative invocations abandoned and re-run sequentially.", |s| s.spec_fallbacks),
+];
+
+/// One `backend` label's DBM handles: [`DBM_COUNTERS`] in order, then
+/// failed runs.
+struct DbmBackendMeter {
+    counters: [Arc<Counter>; DBM_COUNTERS.len()],
+    failures: Arc<Counter>,
+}
+
+/// The session's DBM families, one handle set per backend, counted from
+/// each job's run by the worker that ran it.
+pub(crate) struct DbmMeter {
+    virtual_time: DbmBackendMeter,
+    native_threads: DbmBackendMeter,
+}
+
+impl DbmMeter {
+    fn register(registry: &Registry) -> DbmMeter {
+        let backend = |kind: BackendKind| {
+            let labels: &[(&'static str, &str)] = &[("backend", kind.label())];
+            DbmBackendMeter {
+                counters: DBM_COUNTERS.map(|(name, help, _)| registry.counter(name, help, labels)),
+                failures: registry.counter(
+                    "janus_dbm_run_failures_total",
+                    "DBM runs that ended in an error (fault or cycle limit).",
+                    labels,
+                ),
+            }
+        };
+        DbmMeter {
+            virtual_time: backend(BackendKind::VirtualTime),
+            native_threads: backend(BackendKind::NativeThreads),
+        }
+    }
+
+    fn backend(&self, kind: BackendKind) -> &DbmBackendMeter {
+        match kind {
+            BackendKind::VirtualTime => &self.virtual_time,
+            BackendKind::NativeThreads => &self.native_threads,
+        }
+    }
+
+    /// Counts one completed run under `backend`.
+    pub(crate) fn record_run(&self, backend: BackendKind, stats: &DbmStats) {
+        let counters = &self.backend(backend).counters;
+        for (counter, (_, _, amount)) in counters.iter().zip(&DBM_COUNTERS) {
+            counter.add(amount(stats));
+        }
+    }
+
+    /// Counts one run under `backend` that ended in an error.
+    pub(crate) fn record_failure(&self, backend: BackendKind) {
+        self.backend(backend).failures.inc();
+    }
+}
+
 /// Per-tenant handles, labelled `{tenant=...}`. Registered on the tenant's
 /// first submission and owned by the scheduler's tenant entry, which lives
 /// for the whole session.
@@ -169,6 +267,8 @@ pub(crate) struct ServeMeter {
     pub hist_queue_wait: Arc<Histogram>,
     /// Guest execution alone, nanoseconds.
     pub hist_execute: Arc<Histogram>,
+    /// The DBM's run, loop and speculation counters.
+    pub dbm: DbmMeter,
 }
 
 impl ServeMeter {
@@ -257,6 +357,7 @@ impl ServeMeter {
                 "Guest execution alone, excluding artifact resolution.",
                 &[],
             ),
+            dbm: DbmMeter::register(registry),
             registry: registry.clone(),
         }
     }

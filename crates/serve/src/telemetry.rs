@@ -6,7 +6,7 @@
 //!
 //! | Path        | Content          | Body                                        |
 //! |-------------|------------------|---------------------------------------------|
-//! | `/metrics`  | `text/plain`     | Prometheus exposition of the session's registry (plus process self-metrics, refreshed per scrape), then the process-global registry's families |
+//! | `/metrics`  | `text/plain`     | Prometheus exposition of the session's registry: its jobs' DBM counters, plus process self-metrics refreshed per scrape |
 //! | `/healthz`  | `text/plain`     | Liveness plus a saturation verdict (`503` once shutdown begins) |
 //! | `/statusz`  | `application/json` | Snapshot of [`ServeStats`](crate::ServeStats), per-tenant queues, SLO attainment and store occupancy |
 //! | `/tracez`   | `application/json` | Chrome trace of the session's flight recorder (`404` when tracing is disabled) |
@@ -223,23 +223,16 @@ fn route(path: &str, shared: &Shared, process: &ProcessMetrics) -> Response {
     }
 }
 
-/// `/metrics`: the Prometheus exposition of the session's registry followed
-/// by the process-global one (the DBM's families), with the point-in-time
-/// gauges (queue depth, occupancy, process self-metrics) re-sampled first
-/// so every scrape is current.
+/// `/metrics`: the Prometheus exposition of the session's registry, with
+/// the point-in-time gauges (queue depth, occupancy, process self-metrics)
+/// re-sampled first so every scrape is current.
 fn metrics_response(shared: &Shared, process: &ProcessMetrics) -> Response {
     shared.refresh_gauges();
     process.refresh();
-    let registry = &shared.meter().registry;
-    let mut body = registry.prometheus_text();
-    let global = janus_obs::metrics::global();
-    if !registry.same_as(global) {
-        body.push_str(&global.prometheus_text());
-    }
     Response {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
-        body,
+        body: shared.meter().registry.prometheus_text(),
     }
 }
 

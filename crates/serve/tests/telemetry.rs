@@ -6,8 +6,8 @@
 //!
 //! * `/metrics` is a parseable Prometheus exposition whose counters
 //!   reconcile **exactly** with the session's own `ServeStats` snapshot
-//!   (the session meters into a dedicated registry so nothing else in the
-//!   process can perturb the numbers);
+//!   (a session's registry is its own, so nothing else in the process can
+//!   perturb the numbers);
 //! * `/healthz` answers liveness, `/statusz` is valid JSON mirroring the
 //!   stats and per-tenant queues, `/tracez` serves the Chrome trace when
 //!   tracing is on and 404s when it is not;
@@ -15,10 +15,10 @@
 //!   session, or corrupt a response.
 
 use janus_compile::{CompileOptions, Compiler};
-use janus_core::{BackendKind, Janus, JanusConfig};
+use janus_core::{BackendKind, DbmConfig, Janus, JanusConfig};
 use janus_ir::JBinary;
 use janus_obs::metrics::{parse_exposition, Registry};
-use janus_serve::{JobSpec, ServeConfig, ServeSession};
+use janus_serve::{JobSpec, ServeConfig, ServeError, ServeSession};
 use janus_workloads::workload;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -75,8 +75,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn scraped_metrics_reconcile_exactly_with_serve_stats() {
     let binary = train_binary("429.mcf");
     let janus = session_janus();
-    // A dedicated registry isolates this session's families from the
-    // process-global ones (other tests, the DBM's meters), so every
+    // A dedicated registry the test can also read in-process; every
     // counter below must match ServeStats to the digit.
     let registry = Registry::new();
     let handle = janus.serve(ServeConfig {
@@ -232,7 +231,7 @@ fn scraped_metrics_reconcile_exactly_with_serve_stats() {
 fn default_sessions_keep_their_own_counters() {
     // Two default-config sessions (no `metrics`) in one process: each owns
     // its registry, so each scrape reconciles with that session's stats
-    // alone, and both pages still carry the DBM's process-global families.
+    // alone, DBM run counts included.
     let binary = train_binary("429.mcf");
     let janus = session_janus();
     let sessions: Vec<_> = [2usize, 3]
@@ -276,11 +275,51 @@ fn default_sessions_keep_their_own_counters() {
             value("janus_serve_job_wall_nanos_count"),
             stats.job_wall.count as f64
         );
-        assert!(
-            doc.families.contains_key("janus_dbm_runs_total"),
-            "the global DBM families ride along"
+        let dbm_runs: f64 = doc
+            .series("janus_dbm_runs_total")
+            .iter()
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(
+            dbm_runs, stats.jobs_completed as f64,
+            "the DBM families count this session's runs alone"
         );
     }
+}
+
+#[test]
+fn failed_executions_count_as_dbm_run_failures() {
+    // Profiling runs under its own limit, so the job builds and then fails
+    // in execution once the DBM's cycle limit is hit.
+    let janus = Janus::with_config(JanusConfig {
+        dbm: DbmConfig {
+            cycle_limit: 1_000,
+            ..DbmConfig::default()
+        },
+        ..JanusConfig::default()
+    });
+    let registry = Registry::new();
+    let handle = janus.serve(ServeConfig {
+        workers: 1,
+        metrics: Some(registry.clone()),
+        ..ServeConfig::default()
+    });
+    handle
+        .submit(JobSpec::new(train_binary("470.lbm")).with_backend(BackendKind::NativeThreads))
+        .unwrap();
+    let outcomes = handle.join();
+    assert!(matches!(outcomes[0].1, Err(ServeError::Execution(_))));
+    let doc = parse_exposition(&registry.prometheus_text()).expect("exposition parses");
+    let native = [("backend", "native")];
+    assert_eq!(
+        doc.value("janus_dbm_run_failures_total", &native),
+        Some(1.0)
+    );
+    assert_eq!(doc.value("janus_dbm_runs_total", &native), Some(0.0));
+    assert_eq!(
+        doc.value("janus_dbm_run_failures_total", &[("backend", "virtual")]),
+        Some(0.0)
+    );
 }
 
 #[test]

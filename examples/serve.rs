@@ -192,8 +192,9 @@ fn main() {
     }
 
     // With telemetry on, scrape our own /metrics once before shutdown and
-    // check it: the page parses, counts this session's batch exactly, and
-    // carries the DBM's process-global families after the session's own.
+    // check it: the page parses and counts this session's batch exactly,
+    // in the serving counters and in the DBM's run counters alike (the
+    // serial reference runs above were made outside the session).
     if let Some(addr) = handle.telemetry_addr() {
         use std::io::{Read, Write};
         let mut stream = std::net::TcpStream::connect(addr).expect("telemetry endpoint accepts");
@@ -208,9 +209,15 @@ fn main() {
             Some(outcomes.len() as f64),
             "the scrape counts this session's batch"
         );
-        assert!(
-            doc.families.contains_key("janus_dbm_runs_total"),
-            "the scrape carries the DBM's families"
+        let dbm_runs: f64 = doc
+            .series("janus_dbm_runs_total")
+            .iter()
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(
+            dbm_runs,
+            outcomes.len() as f64,
+            "the DBM families count this session's runs alone"
         );
         println!(
             "telemetry: scraped /metrics — {} series, {} jobs completed",

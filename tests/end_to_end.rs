@@ -146,44 +146,122 @@ fn thread_count_sweep_preserves_output_for_a_checked_loop() {
 }
 
 #[test]
-fn dbm_runs_meter_the_global_metrics_registry() {
-    // The DBM meters every run into the process-global registry (DbmConfig
-    // is Copy, so there is no handle to thread). Other tests in this binary
-    // also run the DBM, so assert on the delta, not the absolute value.
-    let registry = janus::obs::metrics::global();
-    let before = janus::obs::metrics::parse_exposition(&registry.prometheus_text())
-        .expect("exposition parses")
-        .series("janus_dbm_runs_total")
-        .iter()
-        .map(|s| s.value)
-        .sum::<f64>();
-    let binary = train_binary("470.lbm", CompileOptions::gcc_o3());
-    let report = Janus::with_config(JanusConfig {
+fn session_dbm_families_count_only_the_sessions_own_jobs() {
+    use janus::core::BackendKind;
+    use janus::obs::metrics::{parse_exposition, Registry};
+    use janus::serve::{JobSpec, ServeConfig, ServeSession};
+    use std::sync::Arc;
+
+    // Every counter family the DBM exports, each labelled by backend.
+    const FAMILIES: [&str; 15] = [
+        "janus_dbm_runs_total",
+        "janus_dbm_run_failures_total",
+        "janus_dbm_guest_cycles_total",
+        "janus_dbm_parallel_invocations_total",
+        "janus_dbm_sequential_fallbacks_total",
+        "janus_dbm_tune_parallel_decisions_total",
+        "janus_dbm_tune_sequential_decisions_total",
+        "janus_dbm_merge_pages_skipped_total",
+        "janus_dbm_merge_pages_merged_total",
+        "janus_spec_invocations_total",
+        "janus_spec_executions_total",
+        "janus_spec_validations_total",
+        "janus_spec_aborts_total",
+        "janus_spec_retries_total",
+        "janus_spec_fallbacks_total",
+    ];
+    let lbm = Arc::new(train_binary("470.lbm", CompileOptions::gcc_o3()));
+    let window = Arc::new(train_binary(
+        "spec.doacross-window",
+        CompileOptions::gcc_o3(),
+    ));
+    let janus = Janus::with_config(JanusConfig {
         threads: 4,
+        backend: BackendKind::VirtualTime,
         ..JanusConfig::default()
-    })
-    .run(&binary, &[])
-    .expect("pipeline runs");
-    assert!(report.outputs_match);
-    let doc = janus::obs::metrics::parse_exposition(&registry.prometheus_text())
-        .expect("exposition parses");
-    let after = doc
-        .series("janus_dbm_runs_total")
+    });
+    // Two sessions with registries of their own and different batches:
+    // (binary, per-job backend override).
+    let batches = [
+        vec![(&lbm, None), (&window, None)],
+        vec![
+            (&lbm, Some(BackendKind::NativeThreads)),
+            (&window, None),
+            (&window, Some(BackendKind::NativeThreads)),
+        ],
+    ];
+    let sessions: Vec<_> = batches
         .iter()
-        .map(|s| s.value)
-        .sum::<f64>();
-    assert!(
-        after > before,
-        "a completed run must increment janus_dbm_runs_total ({before} -> {after})"
-    );
-    // The parallel loop ran, so invocations and merge/tuner families exist.
-    assert!(
-        !doc.series("janus_dbm_parallel_invocations_total")
-            .is_empty(),
-        "parallel invocation counter registered"
-    );
-    assert!(
-        !doc.series("janus_spec_invocations_total").is_empty(),
-        "spec counters registered"
-    );
+        .map(|batch| {
+            let registry = Registry::new();
+            let handle = janus.serve(ServeConfig {
+                workers: 1,
+                metrics: Some(registry.clone()),
+                ..ServeConfig::default()
+            });
+            for (binary, backend) in batch {
+                let job = JobSpec::new(Arc::clone(binary));
+                let job = match backend {
+                    Some(backend) => job.with_backend(*backend),
+                    None => job,
+                };
+                handle.submit(job).expect("queue has room");
+            }
+            (handle, registry)
+        })
+        .collect();
+    // A bare run outside both sessions, while they may still be running.
+    let pipeline = janus.prepare(&lbm, &[]).expect("lbm prepares");
+    let process = Process::load(&lbm).expect("lbm loads");
+    let bare = janus::core::PreparedDbm::new(process, &pipeline.schedule, janus.dbm_config())
+        .execute(&[])
+        .expect("bare run completes");
+    assert!(bare.stats.parallel_invocations > 0);
+
+    for (handle, registry) in &sessions {
+        let outcomes = handle.join();
+        let reports: Vec<_> = outcomes
+            .iter()
+            .map(|(_, r)| r.as_ref().expect("job succeeds"))
+            .collect();
+        let completed = handle.stats().jobs_completed;
+        assert_eq!(completed, reports.len() as u64);
+        let doc = parse_exposition(&registry.prometheus_text()).expect("exposition parses");
+        let total = |name: &str| -> u64 { doc.series(name).iter().map(|s| s.value as u64).sum() };
+        let sum = |field: fn(&janus::dbm::DbmStats) -> u64| -> u64 {
+            reports.iter().map(|r| field(&r.stats)).sum()
+        };
+        assert_eq!(total("janus_dbm_runs_total"), completed);
+        assert_eq!(total("janus_dbm_run_failures_total"), 0);
+        assert_eq!(
+            total("janus_dbm_parallel_invocations_total"),
+            sum(|s| s.parallel_invocations)
+        );
+        assert_eq!(total("janus_spec_aborts_total"), sum(|s| s.spec_aborts));
+        assert_eq!(
+            total("janus_dbm_guest_cycles_total"),
+            reports.iter().map(|r| r.cycles).sum::<u64>()
+        );
+        assert!(sum(|s| s.parallel_invocations) > 0 && sum(|s| s.spec_aborts) > 0);
+        // Each run counts under the backend it ran on.
+        for backend in [BackendKind::VirtualTime, BackendKind::NativeThreads] {
+            let ran = reports.iter().filter(|r| r.backend == backend).count();
+            assert_eq!(
+                doc.value("janus_dbm_runs_total", &[("backend", backend.label())]),
+                Some(ran as f64),
+                "{backend:?}"
+            );
+        }
+        for family in FAMILIES {
+            assert_eq!(
+                doc.families.get(family).map(String::as_str),
+                Some("counter")
+            );
+            assert_eq!(
+                doc.series(family).len(),
+                2,
+                "{family}: one series per backend"
+            );
+        }
+    }
 }
